@@ -4,12 +4,23 @@ Run semantics: a semiautomaton maps a string to the state reached from the
 initial state; an automaton maps a non-empty string to the output of the
 state reached after all but the last letter, paired with the last letter.
 Instances are immutable after construction and all operations are pure.
+
+Tables: states and letters are numbered by position in the ``states`` and
+``alphabet`` label tuples.  ``delta[q][a]`` is the next state's number and a
+flat automaton's ``out[q][a]`` the position of its output in ``outputs``;
+both are plain lists of int rows, one row per state.  A component's
+``table[q][x]`` is the pair (next state, output code) on the projected letter
+numbered ``x`` in the order of ``projected.letters()``.  Constructors take
+``(state, letter)``-keyed dicts and check them once; ``transitions`` and
+``output_map`` are read-only dict views of the tables, built on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -25,26 +36,52 @@ from .errors import (
 DEFAULT_MONOID_CAP = 100_000
 
 
+def _table(mapping, states, alphabet, code: dict, what: str) -> list[list[int]]:
+    """Rows of ``code[mapping[(q, a)]]``, checked to be total and in range."""
+    for q, a in itertools.product(states, alphabet):
+        if (q, a) not in mapping:
+            raise ValueError(f"{what} missing for ({q!r}, {a!r})")
+        if mapping[(q, a)] not in code:
+            raise ValueError(f"{what} ({q!r}, {a!r}) -> {mapping[(q, a)]!r} is out of range")
+    return [[code[mapping[(q, a)]] for a in alphabet] for q in states]
+
+
 class Semiautomaton:
     """States plus a total transition function over a flat alphabet."""
 
     def __init__(self, alphabet, states, transitions, initial):
-        self.alphabet = tuple(alphabet)
-        self.states = tuple(states)
-        self.transitions = dict(transitions)
-        self.initial = initial
-        if len(set(self.states)) != len(self.states) or not self.states:
+        self._label(alphabet, states, initial)
+        self.delta = _table(transitions, self.states, self.alphabet, self.state_index,
+                            "transition")
+
+    @classmethod
+    def from_tables(cls, alphabet, states, delta, initial_index: int) -> "Semiautomaton":
+        """Wrap a transition table that is already total and in range."""
+        self = cls.__new__(cls)
+        states = tuple(states)
+        self._label(alphabet, states, states[initial_index])
+        self.delta = delta
+        return self
+
+    def _label(self, alphabet, states, initial):
+        self.alphabet, self.states = tuple(alphabet), tuple(states)
+        self.state_index = {q: i for i, q in enumerate(self.states)}
+        self.letter_index = {a: i for i, a in enumerate(self.alphabet)}
+        if len(self.state_index) != len(self.states) or not self.states:
             raise ValueError("states must be a non-empty duplicate-free sequence")
-        if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
+        if len(self.letter_index) != len(self.alphabet) or not self.alphabet:
             raise ValueError("alphabet must be a non-empty duplicate-free sequence")
-        if initial not in self.states:
+        if initial not in self.state_index:
             raise ValueError(f"initial state {initial!r} not among states")
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in self.transitions:
-                    raise ValueError(f"transition missing for ({q!r}, {a!r})")
-                if self.transitions[(q, a)] not in self.states:
-                    raise ValueError(f"transition ({q!r}, {a!r}) leaves the state set")
+        self.initial, self.initial_index = initial, self.state_index[initial]
+
+    @cached_property
+    def transitions(self):
+        """Read-only ``(state, letter) -> state`` view of ``delta``."""
+        return MappingProxyType({
+            (q, a): self.states[t]
+            for q, row in zip(self.states, self.delta) for a, t in zip(self.alphabet, row)
+        })
 
     @property
     def n_states(self) -> int:
@@ -52,19 +89,23 @@ class Semiautomaton:
 
     def step(self, state, letter):
         try:
-            return self.transitions[(state, letter)]
+            return self.states[self.delta[self.state_index[state]][self.letter_index[letter]]]
         except KeyError:
             raise UnknownLetterError(letter, where="semiautomaton")
 
     def run(self, string, start=None):
         """State reached from ``start`` (default: initial) on the string;
         the empty string returns the start state unchanged."""
-        q = self.initial if start is None else start
+        q = self.initial_index if start is None else self.state_index.get(start)
+        if q is None:
+            raise ValueError(f"start state {start!r} not among states")
+        delta, index = self.delta, self.letter_index
         for i, a in enumerate(string):
-            if (q, a) not in self.transitions:
+            j = index.get(a)
+            if j is None:
                 raise UnknownLetterError(a, position=i, where="semiautomaton")
-            q = self.transitions[(q, a)]
-        return q
+            q = delta[q][j]
+        return self.states[q]
 
     def __call__(self, string):
         return self.run(string)
@@ -74,19 +115,14 @@ class Semiautomaton:
     def transition_monoid(self, cap: int = DEFAULT_MONOID_CAP):
         """All distinct state transformations induced by strings (including
         the empty string), as tuples over state indices."""
-        index = {q: i for i, q in enumerate(self.states)}
-        n = len(self.states)
-        identity = tuple(range(n))
-        generators = {
-            a: tuple(index[self.transitions[(q, a)]] for q in self.states)
-            for a in self.alphabet
-        }
+        identity = tuple(range(len(self.states)))
+        generators = [tuple(column) for column in zip(*self.delta)]
         seen = {identity}
         frontier = deque([identity])
         while frontier:
             f = frontier.popleft()
-            for g in generators.values():
-                h = tuple(g[f[i]] for i in range(n))
+            for g in generators:
+                h = tuple(g[p] for p in f)
                 if h not in seen:
                     if len(seen) >= cap:
                         raise CapExceededError("transition monoid", len(seen) + 1, cap)
@@ -101,14 +137,12 @@ class Semiautomaton:
         n = len(self.states)
         for f in self.transition_monoid(cap):
             power = f
-            stabilised = False
             for _ in range(n):
-                nxt = tuple(f[power[i]] for i in range(n))
+                nxt = tuple(f[p] for p in power)
                 if nxt == power:
-                    stabilised = True
                     break
                 power = nxt
-            if not stabilised:
+            else:
                 return False
         return True
 
@@ -130,23 +164,38 @@ class FlatAutomaton:
 
     def __init__(self, alphabet, states, transitions, initial, output_map,
                  outputs=None, factored: FactoredAlphabet | None = None):
-        self.core = Semiautomaton(alphabet, states, transitions, initial)
-        self.alphabet = self.core.alphabet
-        self.states = self.core.states
-        self.initial = initial
-        self.factored = factored
-        self.output_map = dict(output_map)
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in self.output_map:
-                    raise ValueError(f"output missing for ({q!r}, {a!r})")
+        core = Semiautomaton(alphabet, states, transitions, initial)
         if outputs is None:
-            seen = []
-            for v in self.output_map.values():
-                if v not in seen:
-                    seen.append(v)
-            outputs = sorted(seen, key=repr)
+            outputs = sorted({output_map.get((q, a)) for q in core.states
+                              for a in core.alphabet}, key=repr)
+        code = {v: i for i, v in enumerate(outputs)}
+        self._wrap(core, _table(output_map, core.states, core.alphabet, code, "output"),
+                   outputs, factored)
+
+    @classmethod
+    def from_tables(cls, alphabet, states, delta, initial_index: int, out, outputs,
+                    factored: FactoredAlphabet | None = None) -> "FlatAutomaton":
+        """Wrap transition and output-code tables that are already valid."""
+        return cls.__new__(cls)._wrap(
+            Semiautomaton.from_tables(alphabet, states, delta, initial_index),
+            out, outputs, factored)
+
+    def _wrap(self, core: Semiautomaton, out, outputs, factored) -> "FlatAutomaton":
+        self.core = core
+        self.alphabet, self.states, self.initial = core.alphabet, core.states, core.initial
+        self.letter_index, self.delta = core.letter_index, core.delta
+        self.out = out
         self.outputs = tuple(outputs)
+        self.factored = factored
+        return self
+
+    @cached_property
+    def output_map(self):
+        """Read-only ``(state, letter) -> output`` view of ``out``."""
+        return MappingProxyType({
+            (q, a): self.outputs[o]
+            for q, row in zip(self.states, self.out) for a, o in zip(self.alphabet, row)
+        })
 
     @property
     def n_states(self) -> int:
@@ -157,7 +206,7 @@ class FlatAutomaton:
 
     def output(self, state, letter):
         try:
-            return self.output_map[(state, letter)]
+            return self.outputs[self.out[self.core.state_index[state]][self.letter_index[letter]]]
         except KeyError:
             raise UnknownLetterError(letter, where="automaton output")
 
@@ -167,8 +216,7 @@ class FlatAutomaton:
         string = tuple(string)
         if len(string) == 0:
             raise EmptyInputError()
-        q = self.core.run(string[:-1])
-        return self.output(q, string[-1])
+        return self.output(self.core.run(string[:-1]), string[-1])
 
     def __call__(self, string):
         return self.run(string)
@@ -181,29 +229,26 @@ class FlatAutomaton:
     def reachable_states(self):
         """Reachable states in BFS discovery order (letters in alphabet
         order), starting at the initial state."""
-        order = [self.initial]
-        seen = {self.initial}
-        i = 0
-        while i < len(order):
-            q = order[i]
-            i += 1
-            for a in self.alphabet:
-                nxt = self.core.transitions[(q, a)]
+        order = [self.core.initial_index]
+        seen = {order[0]}
+        for q in order:  # the list grows while it is walked: BFS
+            for nxt in self.delta[q]:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
-        return order
+        return [self.states[q] for q in order]
 
     def restrict(self, letters) -> "FlatAutomaton":
         """Sub-automaton over a subset of the alphabet."""
         letters = tuple(letters)
-        missing = [a for a in letters if a not in set(self.alphabet)]
+        missing = [a for a in letters if a not in self.letter_index]
         if missing:
             raise UnknownLetterError(missing[0], where="restrict")
-        trans = {(q, a): self.core.transitions[(q, a)] for q in self.states for a in letters}
-        outs = {(q, a): self.output_map[(q, a)] for q in self.states for a in letters}
-        return FlatAutomaton(letters, self.states, trans, self.initial, outs,
-                             outputs=self.outputs)
+        cols = [self.letter_index[a] for a in letters]
+        return FlatAutomaton.from_tables(
+            letters, self.states, [[row[j] for j in cols] for row in self.delta],
+            self.core.initial_index, [[row[j] for j in cols] for row in self.out],
+            self.outputs)
 
     def minimize(self) -> "FlatAutomaton":
         """Smallest automaton implementing the same string function.
@@ -211,47 +256,27 @@ class FlatAutomaton:
         Partition refinement over output rows, restricted to reachable
         states; the result is canonically relabelled 0..k-1 in BFS order.
         """
-        order = self.reachable_states()
-        index = {q: i for i, q in enumerate(order)}
-        delta = np.array(
-            [[index[self.core.transitions[(q, a)]] for a in self.alphabet] for q in order],
-            dtype=np.int64,
-        )
-        out_ids: dict = {}
-        out_rows = np.array(
-            [
-                [out_ids.setdefault(self.output_map[(q, a)], len(out_ids))
-                 for a in self.alphabet]
-                for q in order
-            ],
-            dtype=np.int64,
-        )
+        order = [self.core.state_index[q] for q in self.reachable_states()]
+        position = np.zeros(self.n_states, dtype=np.int64)
+        position[order] = np.arange(len(order))
+        delta = position[np.array(self.delta, dtype=np.int64)[order]]
+        out_rows = np.array(self.out, dtype=np.int64)[order]
         _, block = np.unique(out_rows, axis=0, return_inverse=True)
-        n_blocks = block.max() + 1
         while True:
             signature = np.column_stack([block, block[delta]])
             _, refined = np.unique(signature, axis=0, return_inverse=True)
-            n_refined = refined.max() + 1
-            block = refined
-            if n_refined == n_blocks:
+            if refined.max() == block.max():  # no block split: stable
                 break
-            n_blocks = n_refined
-        # canonical ids by first occurrence in BFS order
-        ids: dict = {}
-        for i, q in enumerate(order):
-            if int(block[i]) not in ids:
-                ids[int(block[i])] = len(ids)
-        state_id = {q: ids[int(block[i])] for i, q in enumerate(order)}
-        new_states = range(len(ids))
-        trans = {}
-        outs = {}
-        for q in order:
-            for a in self.alphabet:
-                key = (state_id[q], a)
-                trans[key] = state_id[self.core.transitions[(q, a)]]
-                outs[key] = self.output_map[(q, a)]
-        return FlatAutomaton(self.alphabet, new_states, trans, state_id[self.initial],
-                             outs, outputs=self.outputs, factored=self.factored)
+            block = refined
+        # canonical ids by first occurrence in BFS order; the first member of
+        # each block stands for it (all members have the same rows)
+        _, first = np.unique(block, return_index=True)
+        canonical = np.argsort(np.argsort(first))
+        representatives = np.sort(first)
+        new_delta = canonical[block[delta[representatives]]]
+        return FlatAutomaton.from_tables(
+            self.alphabet, range(len(representatives)), new_delta.tolist(), 0,
+            out_rows[representatives].tolist(), self.outputs, self.factored)
 
     # -- equivalence -----------------------------------------------------------
 
@@ -271,26 +296,25 @@ class FlatAutomaton:
             )
         if len(self.alphabet) != len(other.alphabet):
             raise ValueError("alphabets differ in size; no letter pairing exists")
-        mine = sorted(self.alphabet, key=repr)
-        theirs = sorted(other.alphabet, key=repr)
+        pairs = list(zip(sorted(self.alphabet, key=repr), sorted(other.alphabet, key=repr)))
         for length in range(1, max_len + 1):
-            for idxs in itertools.product(range(len(mine)), repeat=length):
-                s1 = tuple(mine[i] for i in idxs)
-                s2 = tuple(theirs[i] for i in idxs)
+            for word in itertools.product(pairs, repeat=length):
+                s1, s2 = zip(*word)
                 if self.run(s1) != other.run(s2):
                     return EquivalenceResult(False, s1)
         return EquivalenceResult(True, None)
 
     def _equivalent_exact(self, other: "FlatAutomaton") -> EquivalenceResult:
-        letters = sorted(self.alphabet, key=repr)
-        start = (self.initial, other.initial)
+        letters = [(a, self.letter_index[a], other.letter_index[a])
+                   for a in sorted(self.alphabet, key=repr)]
+        start = (self.core.initial_index, other.core.initial_index)
         parent: dict = {start: None}
         queue = deque([start])
         while queue:
             pair = queue.popleft()
             qa, qb = pair
-            for a in letters:
-                if self.output_map[(qa, a)] != other.output_map[(qb, a)]:
+            for a, ia, ib in letters:
+                if self.outputs[self.out[qa][ia]] != other.outputs[other.out[qb][ib]]:
                     # rebuild the prefix leading to this pair
                     prefix = []
                     node = pair
@@ -299,7 +323,7 @@ class FlatAutomaton:
                         prefix.append(letter)
                     prefix.reverse()
                     return EquivalenceResult(False, tuple(prefix) + (a,))
-                nxt = (self.core.transitions[(qa, a)], other.core.transitions[(qb, a)])
+                nxt = (self.delta[qa][ia], other.delta[qb][ib])
                 if nxt not in parent:
                     parent[nxt] = (pair, a)
                     queue.append(nxt)
@@ -308,21 +332,16 @@ class FlatAutomaton:
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        idx = {q: i for i, q in enumerate(self.states)}
         data = {
             "letters": [list(a) if isinstance(a, tuple) else a for a in self.alphabet],
             "states": [repr(q) for q in self.states],
-            "initial": idx[self.initial],
+            "initial": self.core.initial_index,
             "outputs": list(self.outputs),
             "transitions": [
-                [idx[q], i, idx[self.core.transitions[(q, a)]]]
-                for q in self.states
-                for i, a in enumerate(self.alphabet)
+                [q, i, t] for q, row in enumerate(self.delta) for i, t in enumerate(row)
             ],
             "output_rows": [
-                [idx[q], i, self.output_map[(q, a)]]
-                for q in self.states
-                for i, a in enumerate(self.alphabet)
+                [q, i, self.outputs[o]] for q, row in enumerate(self.out) for i, o in enumerate(row)
             ],
         }
         if self.factored is not None:
@@ -336,45 +355,49 @@ class FlatAutomaton:
         letters = tuple(
             tuple(a) if isinstance(a, list) else a for a in data["letters"]
         )
-        states = tuple(range(len(data["states"])))
-        trans = {(q, letters[i]): t for q, i, t in data["transitions"]}
-        outs = {(q, letters[i]): o for q, i, o in data["output_rows"]}
+        n, k = len(data["states"]), len(letters)
+        code = {v: i for i, v in enumerate(data["outputs"])}
+        delta, out = [[-1] * k for _ in range(n)], [[-1] * k for _ in range(n)]
+        for q, i, t in data["transitions"]:
+            delta[q][i] = t
+        for q, i, o in data["output_rows"]:
+            out[q][i] = code.get(o, -1)
+        if (data["initial"] not in range(n) or any(-1 in row for row in out)
+                or any(t not in range(n) for row in delta for t in row)):
+            raise ValueError("serialized automaton is not total over its states and letters")
         factored = None
         if "alphabet" in data:
             factored = FactoredAlphabet.of(
                 *((c["name"], tuple(c["values"])) for c in data["alphabet"])
             )
-        return FlatAutomaton(letters, states, trans, data["initial"], outs,
-                             outputs=tuple(data["outputs"]), factored=factored)
+        return FlatAutomaton.from_tables(letters, range(n), delta, data["initial"], out,
+                                         data["outputs"], factored)
 
     def to_dot(self) -> str:
         """GraphViz rendering; states get double circles when outputs are
         {0,1} and consistently mark the transition targets."""
-        idx = {q: i for i, q in enumerate(self.states)}
         accepting = self._accepting_states() if set(self.outputs) <= {0, 1} else None
         lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
-        for q in self.states:
-            shape = "doublecircle" if accepting is not None and q in accepting else "circle"
-            lines.append(f'  q{idx[q]} [shape={shape}, label="{q}"];')
-        lines.append(f"  __start -> q{idx[self.initial]};")
-        for q in self.states:
-            for a in self.alphabet:
+        for i, q in enumerate(self.states):
+            shape = "doublecircle" if accepting is not None and i in accepting else "circle"
+            lines.append(f'  q{i} [shape={shape}, label="{q}"];')
+        lines.append(f"  __start -> q{self.core.initial_index};")
+        for i, (drow, orow) in enumerate(zip(self.delta, self.out)):
+            for a, target, o in zip(self.alphabet, drow, orow):
                 label = str(a)
                 if accepting is None:
-                    label += f" / {self.output_map[(q, a)]}"
-                target = self.core.transitions[(q, a)]
-                lines.append(f'  q{idx[q]} -> q{idx[target]} [label="{label}"];')
+                    label += f" / {self.outputs[o]}"
+                lines.append(f'  q{i} -> q{target} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 
     def _accepting_states(self):
-        """States F such that output(q, a) == 1 iff the transition enters F,
-        or None when no such labelling is consistent."""
+        """State numbers F such that output(q, a) == 1 iff the transition
+        enters F, or None when no such labelling is consistent."""
         label: dict = {}
-        for q in self.states:
-            for a in self.alphabet:
-                target = self.core.transitions[(q, a)]
-                out = self.output_map[(q, a)]
+        for drow, orow in zip(self.delta, self.out):
+            for target, o in zip(drow, orow):
+                out = self.outputs[o]
                 if label.setdefault(target, out) != out:
                     return None
         return {q for q, v in label.items() if v == 1}
@@ -411,8 +434,6 @@ class ComponentAutomaton:
 
         if callable(output_fn):
             self._theta = output_fn
-            if outputs is None:
-                outputs = self._sweep_outputs()
         elif output_fn == "state":
             self._theta = lambda q, x: q
             outputs = core.states
@@ -422,32 +443,36 @@ class ComponentAutomaton:
         else:
             raise ValueError(f"unknown output_fn {output_fn!r}")
         self.output_kind = output_fn if isinstance(output_fn, str) else "table"
-        self.outputs = tuple(outputs)
-        self._validate()
+        self._compile(outputs)
 
-    def _sweep_outputs(self):
-        seen = []
-        for q in self.core.states:
-            for x in self.projected.letters():
-                v = self._theta(q, x)
-                if v not in seen:
-                    seen.append(v)
-        return sorted(seen, key=repr)
-
-    def _validate(self):
-        internal = set(self.core.alphabet)
-        outs = set(self.outputs)
+    def _compile(self, outputs):
+        """Check the input and output functions' ranges and fill ``table``,
+        in one sweep over the projected letters."""
+        core = self.core
+        inputs, values = [], []
         for x in self.projected.letters():
             v = self.input_fn(x)
-            if v not in internal:
-                raise UnknownLetterError(
-                    v, where=f"{self.name}: input function range"
-                )
-            for q in self.core.states:
-                if self.theta(q, x) not in outs:
-                    raise UnknownLetterError(
-                        self.theta(q, x), where=f"{self.name}: output function range"
-                    )
+            if v not in core.letter_index:
+                raise UnknownLetterError(v, where=f"{self.name}: input function range")
+            inputs.append(core.letter_index[v])
+            if self.output_kind == "table":
+                values.append([self._theta(q, x) for q in core.states])
+        if outputs is None:
+            outputs = sorted({v for column in values for v in column}, key=repr)
+        self.outputs = tuple(outputs)
+        code = {v: i for i, v in enumerate(self.outputs)}
+        for v in (v for column in values for v in column if v not in code):
+            raise UnknownLetterError(v, where=f"{self.name}: output function range")
+        # one shared (next, output) tuple per pair keeps large tables small
+        pairs = [[(t, o) for o in range(len(self.outputs))] for t in range(core.n_states)]
+        self.table = []
+        for q, drow in enumerate(core.delta):
+            if self.output_kind == "table":
+                row = [pairs[drow[a]][code[column[q]]] for a, column in zip(inputs, values)]
+            else:  # the pair depends on the internal letter alone
+                by_letter = [pairs[t][t if self.output_kind == "next_state" else q] for t in drow]
+                row = [by_letter[a] for a in inputs]
+            self.table.append(row)
 
     def project(self, letter: Letter) -> Letter:
         self.alphabet.check(letter, self.name)
@@ -457,19 +482,14 @@ class ComponentAutomaton:
         return self._theta(state, projected_letter)
 
     def induce(self) -> FlatAutomaton:
-        """The flat automaton over the full alphabet: transitions feed the
-        projected letter through the input function; outputs read the
-        projected letter directly."""
-        letters = tuple(self.alphabet.letters())
-        trans = {}
-        outs = {}
-        for q in self.core.states:
-            for sigma in letters:
-                x = self.dependencies(sigma)
-                trans[(q, sigma)] = self.core.step(q, self.input_fn(x))
-                outs[(q, sigma)] = self.theta(q, x)
-        return FlatAutomaton(letters, self.core.states, trans, self.core.initial,
-                             outs, outputs=self.outputs, factored=self.alphabet)
+        """The flat automaton over the full alphabet: the unpruned product
+        of the depth-one cascade, relabelled with the core's states."""
+        from .cascade import Cascade  # cascade.py builds on this module
+
+        flat = Cascade([self]).flatten(prune=False)
+        return FlatAutomaton.from_tables(flat.alphabet, self.core.states, flat.delta,
+                                         self.core.initial_index, flat.out, self.outputs,
+                                         self.alphabet)
 
     def run(self, string):
         return self.induce().run(string)

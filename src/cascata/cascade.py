@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .alphabets import FactoredAlphabet, Letter
 from .automata import ComponentAutomaton, FlatAutomaton
-from .errors import CapExceededError, EmptyInputError
+from .errors import CapExceededError, EmptyInputError, UnknownLetterError
 
 DEFAULT_PRODUCT_CAP = 1_000_000
 
@@ -54,9 +54,24 @@ class Cascade:
                         f"coordinate {extra.name!r} of component {i + 1} does not "
                         f"hold the outputs of component {i}"
                     )
-        self._proj0 = tuple(
-            tuple(j - 1 for j in c.dependencies.indices) for c in self.components
-        )
+        self._codes = tuple({v: i for i, v in enumerate(c.values)}
+                            for c in self.external.coords)
+        self._wiring = tuple((c.table, self._inputs(c)) for c in self.components)
+
+    def _inputs(self, comp: ComponentAutomaton):
+        """Per dependency: (coordinate, code -> mixed-radix weight of the code
+        in the projected letter's number).  A chained coordinate's code is its
+        producer's output code, hence the remap to the coordinate's order."""
+        base = self.external.arity
+        inputs = []
+        weight = 1
+        for j in reversed(comp.dependencies.indices):
+            coord = comp.alphabet.coords[j - 1]
+            codes = range(len(coord.values)) if j <= base else [
+                coord.values.index(v) for v in self.components[j - 1 - base].outputs]
+            inputs.append((j - 1, [c * weight for c in codes]))
+            weight *= len(coord.values)
+        return tuple(inputs)
 
     @property
     def depth(self) -> int:
@@ -65,62 +80,56 @@ class Cascade:
     def initial_state(self) -> CascadeState:
         return tuple(c.core.initial for c in self.components)
 
-    def _advance(self, states: CascadeState, letter: Letter):
-        """Outputs of every component at the current states, plus the
-        simultaneously-updated state tuple.
-
-        The external letter is validated once here; per-component projections
-        reuse precomputed 0-based index tuples (inputs built further down the
-        chain are valid by construction).
-        """
+    def _encode(self, letter: Letter) -> list:
+        """External coordinate codes of a letter; a letter outside the
+        external alphabet raises what ``FactoredAlphabet.check`` raises."""
+        try:
+            if isinstance(letter, tuple) and len(letter) == len(self._codes):
+                return [index[v] for index, v in zip(self._codes, letter)]
+        except (KeyError, TypeError):
+            pass
         self.external.check(letter, "cascade input")
-        current = letter
-        outs = []
-        internal = []
-        for comp, q, idx in zip(self.components, states, self._proj0):
-            x = tuple(current[i] for i in idx)
-            outs.append(comp.theta(q, x))
-            internal.append(comp.input_fn(x))
-            current = current + (outs[-1],)
-        new_states = tuple(
-            comp.core.step(q, a)
-            for comp, q, a in zip(self.components, states, internal)
-        )
-        return tuple(outs), new_states
+        raise UnknownLetterError(letter, where="cascade input")
+
+    def _advance(self, states: tuple, codes: list) -> tuple:
+        """Next state numbers from state numbers ``states`` on the letter
+        with external coordinate codes ``codes``, to which every component's
+        output code (from its pre-update state) is appended."""
+        nxt = []
+        for q, (table, inputs) in zip(states, self._wiring):
+            x = 0
+            for j, contribution in inputs:
+                x += contribution[codes[j]]
+            q, out = table[q][x]
+            nxt.append(q)
+            codes.append(out)
+        return tuple(nxt)
 
     def step(self, states: CascadeState, letter: Letter) -> StepResult:
-        outs, new_states = self._advance(states, letter)
+        codes = self._encode(letter)
+        numbers = tuple(c.core.state_index.get(q) for c, q in zip(self.components, states))
+        if None in numbers or len(numbers) != self.depth:
+            raise ValueError(f"{states!r} is not a state of the cascade")
+        nxt = self._advance(numbers, codes)
+        outs = tuple(c.outputs[o] for c, o in zip(self.components, codes[self.external.arity:]))
+        new_states = tuple(c.core.states[q] for c, q in zip(self.components, nxt))
         return StepResult(new_states, outs[-1], outs)
 
     def run(self, string):
         string = tuple(string)
         if not string:
             raise EmptyInputError("cascade run")
-        states = self.initial_state()
-        out = None
+        states = tuple(c.core.initial_index for c in self.components)
         for letter in string:
-            outs, states = self._advance(states, letter)
-            out = outs[-1]
-        return out
+            codes = self._encode(letter)
+            states = self._advance(states, codes)
+        return self.components[-1].outputs[codes[-1]]
 
     def __call__(self, string):
         return self.run(string)
 
     def product_size(self) -> int:
         return math.prod(len(c.core.states) for c in self.components)
-
-    def _tabulated(self):
-        """Per-component (state, projected letter) -> (next state, output)
-        tables, so product sweeps are dictionary lookups."""
-        tables = []
-        for comp in self.components:
-            table = {}
-            for q in comp.core.states:
-                for x in comp.projected.letters():
-                    table[(q, x)] = (comp.core.step(q, comp.input_fn(x)),
-                                     comp.theta(q, x))
-            tables.append(table)
-        return tables
 
     def flatten(self, cap: int = DEFAULT_PRODUCT_CAP, prune: bool = True) -> FlatAutomaton:
         """The single product automaton the cascade denotes, over the
@@ -129,61 +138,33 @@ class Cascade:
         if size > cap:
             raise CapExceededError("cascade product", size, cap)
         letters = tuple(self.external.letters())
-        init = self.initial_state()
-        tables = self._tabulated()
-        proj0 = self._proj0
-
-        def advance(st, sigma):
-            current = sigma
-            nxt = []
-            out = None
-            for table, q, idx in zip(tables, st, proj0):
-                x = tuple(current[i] for i in idx)
-                q2, out = table[(q, x)]
-                nxt.append(q2)
-                current = current + (out,)
-            return tuple(nxt), out
-
-        trans = {}
-        outs = {}
-        if prune:
-            order = [init]
-            seen = {init}
-            i = 0
-            while i < len(order):
-                st = order[i]
-                i += 1
-                for sigma in letters:
-                    nxt, out = advance(st, sigma)
-                    trans[(st, sigma)] = nxt
-                    outs[(st, sigma)] = out
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        order.append(nxt)
-            states = order
-        else:
-            states = list(
-                itertools.product(*(c.core.states for c in self.components))
-            )
-            for st in states:
-                for sigma in letters:
-                    nxt, out = advance(st, sigma)
-                    trans[(st, sigma)] = nxt
-                    outs[(st, sigma)] = out
-        return FlatAutomaton(
-            letters, states, trans, init, outs,
-            outputs=self.components[-1].outputs, factored=self.external,
-        )
+        letter_codes = [self._encode(a) for a in letters]
+        init = tuple(c.core.initial_index for c in self.components)
+        order = [init] if prune else list(
+            itertools.product(*(range(c.core.n_states) for c in self.components)))
+        number = {st: i for i, st in enumerate(order)}
+        delta, out = [], []
+        for st in order:  # with prune the list grows while it is walked: BFS
+            drow, orow = [], []
+            for external in letter_codes:
+                codes = list(external)
+                nxt = self._advance(st, codes)
+                if nxt not in number:
+                    number[nxt] = len(order)
+                    order.append(nxt)
+                drow.append(number[nxt])
+                orow.append(codes[-1])
+            delta.append(drow)
+            out.append(orow)
+        states = [tuple(c.core.states[q] for c, q in zip(self.components, st)) for st in order]
+        return FlatAutomaton.from_tables(letters, states, delta, number[init], out,
+                                         self.components[-1].outputs, self.external)
 
     def is_simple(self) -> bool:
         """True when every non-final component's output function returns the
         current state, checked extensionally."""
-        for comp in self.components[:-1]:
-            for q in comp.core.states:
-                for x in comp.projected.letters():
-                    if comp.theta(q, x) != q:
-                        return False
-        return True
+        return all(comp.outputs[o] == q for comp in self.components[:-1]
+                   for q, row in zip(comp.core.states, comp.table) for _, o in row)
 
 
 def chain_alphabet(external: FactoredAlphabet, components_so_far) -> FactoredAlphabet:

@@ -56,19 +56,26 @@ EXIT_CAP = 3
 EXIT_VERIFY = 4
 
 
+def _open(path: str, mode: str = "r"):
+    """Open a file named on the command line; a file that cannot be opened
+    is a parse error (exit 2), not a traceback."""
+    try:
+        return open(path, mode)
+    except OSError as e:
+        raise SpecFileError(f"cannot open {path}: {e.strerror or e}")
+
+
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as f:
+        with _open(path) as f:
             return json.load(f)
-    except OSError as e:
-        raise SpecFileError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise SpecFileError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}")
 
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as f:
+        with _open(out, "w") as f:
             f.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -212,7 +219,7 @@ def load_class_spec(data: dict):
 def cmd_run(args) -> int:
     cascade = cascade_from_spec(_load_json(args.spec))
     outputs = []
-    with open(args.traces) as f:
+    with _open(args.traces) as f:
         for line_no, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line:
@@ -243,14 +250,10 @@ def _emit_automaton(auto, args) -> int:
         lines = [f"states: {auto.n_states}",
                  "letters: " + " ".join(_format_letter(a) if isinstance(a, tuple) else str(a)
                                         for a in auto.alphabet)]
-        idx = {q: i for i, q in enumerate(auto.states)}
-        for q in auto.states:
-            for a in auto.alphabet:
+        for q, (drow, orow) in enumerate(zip(auto.delta, auto.out)):
+            for a, target, o in zip(auto.alphabet, drow, orow):
                 tok = _format_letter(a) if isinstance(a, tuple) else str(a)
-                lines.append(
-                    f"{idx[q]} --{tok}/{auto.output_map[(q, a)]}--> "
-                    f"{idx[auto.core.transitions[(q, a)]]}"
-                )
+                lines.append(f"{q} --{tok}/{auto.outputs[o]}--> {target}")
         _emit("\n".join(lines), args.out)
     else:
         _emit(json.dumps(auto.to_dict(), indent=2, default=str), args.out)
@@ -440,13 +443,13 @@ def cmd_growth(args) -> int:
 
 
 def _read_labeled(traces_path, labels_path, external) -> LabeledSample:
-    with open(traces_path) as f:
+    with _open(traces_path) as f:
         lines = [line.strip() for line in f if line.strip()]
     strings = [
         tuple(_parse_letter(tok, external, i + 1) for tok in line.split())
         for i, line in enumerate(lines)
     ]
-    with open(labels_path) as f:
+    with _open(labels_path) as f:
         labels = [int(line.strip()) for line in f if line.strip()]
     if len(labels) != len(strings):
         raise SpecFileError(
@@ -489,7 +492,6 @@ def cmd_learn(args) -> int:
         raise SpecFileError("learn needs either --target or --traces with --labels")
 
     chosen = erm_select(cls, sample)
-    winner = chosen.function if isinstance(chosen.function, Cascade) else chosen.function
     report = [
         f"class size: {cls.cardinality}",
         f"sample size: {n} (finite-class bound {bound}; "
@@ -498,7 +500,7 @@ def cmd_learn(args) -> int:
         f"empirical risk: {chosen.empirical_risk:.6f} ({chosen.tie_count} tied)",
     ]
     if target is not None:
-        est = estimate_risk(winner, target, dist, n_mc, seed=seed ^ 0xA5A5)
+        est = estimate_risk(chosen.function, target, dist, n_mc, seed=seed ^ 0xA5A5)
         report.append(f"estimated true risk: {est.mean:.6f} +- {est.stderr:.6f}")
         min_risk = config.get("min_risk")
         if min_risk is None and cls.cardinality <= 4000:
@@ -510,7 +512,7 @@ def cmd_learn(args) -> int:
                           "set min_risk in the config, 0.0 for a realizable target)")
     print("\n".join(report))
     if args.out:
-        _emit(json.dumps(cascade_to_spec(winner), indent=2), args.out)
+        _emit(json.dumps(cascade_to_spec(chosen.function), indent=2), args.out)
     return EXIT_OK
 
 
@@ -527,9 +529,9 @@ def cmd_scenario(args) -> int:
         traces = crafting.generate_traces(args.n, args.max_len, seed=args.seed)
         labels = [crafting.task_label(t) for t in traces]
         base = args.out or "scenario"
-        with open(f"{base}.traces", "w") as f:
+        with _open(f"{base}.traces", "w") as f:
             f.write("\n".join(" ".join(crafting.trace_words(t)) for t in traces) + "\n")
-        with open(f"{base}.labels", "w") as f:
+        with _open(f"{base}.labels", "w") as f:
             f.write("\n".join(str(y) for y in labels) + "\n")
         print(f"wrote {base}.traces and {base}.labels "
               f"({sum(labels)} positive of {len(labels)})")

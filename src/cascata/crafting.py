@@ -154,7 +154,12 @@ def build_flipflop_task_cascade() -> Cascade:
 def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
                                iron_needed: int = 5, steel_needed: int = 7) -> Cascade:
     """Counter variant: wood, iron and steel become modular counters and the
-    goal condition tests thresholds on their counts."""
+    goal condition tests thresholds on their counts.  A threshold at or above
+    the modulus could never be reached, so it is rejected."""
+    thresholds = {"wood": wood_needed, "iron": iron_needed, "steel": steel_needed}
+    unreachable = {k: t for k, t in thresholds.items() if t >= modulus}
+    if unreachable:
+        raise ValueError(f"thresholds {unreachable} are not below the modulus {modulus}")
     external = trace_alphabet()
     components: list[ComponentAutomaton] = []
     for event in ("wood", "iron"):

@@ -41,10 +41,11 @@ def make_counter(modulus: int, initial: int = 0) -> Semiautomaton:
 
 
 def is_prime_counter(core: Semiautomaton) -> bool:
-    """A counter is prime exactly when its modulus is a prime number."""
-    n = len(core.states)
-    if n < 2:
+    """A core is a prime counter exactly when it satisfies the counter
+    identities and its modulus is a prime number."""
+    if not validate_prime_identities(core, "counter").ok:
         return False
+    n = len(core.states)
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -74,7 +75,7 @@ def validate_prime_identities(core: Semiautomaton, kind: str) -> IdentityCheck:
         for q in core.states:
             for a in core.alphabet:
                 want = expected[a](q)
-                got = core.transitions[(q, a)]
+                got = core.step(q, a)
                 if got != want:
                     return IdentityCheck(
                         False, f"delta({q}, {a}) = {got}, expected {want}"
@@ -88,15 +89,10 @@ def validate_prime_identities(core: Semiautomaton, kind: str) -> IdentityCheck:
         if set(core.alphabet) != set(COUNTER_LETTERS):
             return IdentityCheck(False, f"alphabet {core.alphabet} is not {{inc, read}}")
         for q in core.states:
-            if core.transitions[(q, "read")] != q:
-                return IdentityCheck(
-                    False, f"delta({q}, read) = {core.transitions[(q, 'read')]}, expected {q}"
-                )
-            want = (q + 1) % n
-            if core.transitions[(q, "inc")] != want:
-                return IdentityCheck(
-                    False, f"delta({q}, inc) = {core.transitions[(q, 'inc')]}, expected {want}"
-                )
+            for a, want in (("read", q), ("inc", (q + 1) % n)):
+                got = core.step(q, a)
+                if got != want:
+                    return IdentityCheck(False, f"delta({q}, {a}) = {got}, expected {want}")
         return IdentityCheck(True, None)
 
     raise ValueError(f"unknown prime kind {kind!r}")

@@ -32,7 +32,7 @@ from .alphabets import (
 from .automata import ComponentAutomaton, Semiautomaton
 from .cascade import Cascade, chain_alphabet
 from .errors import SpecFileError
-from .primes import make_counter, make_flipflop
+from .primes import make_counter, make_flipflop, validate_prime_identities
 
 
 def _require_keys(obj: dict, required: set, optional: set, where: str):
@@ -182,32 +182,19 @@ def cascade_from_spec(data: dict) -> Cascade:
 
 
 def _serialize_core(core: Semiautomaton):
-    letters = set(core.alphabet)
-    if set(core.states) == {0, 1} and letters in ({"set", "read"}, {"set", "reset", "read"}):
-        flip = all(core.transitions[(q, "read")] == q and core.transitions[(q, "set")] == 1
-                   for q in (0, 1))
-        if "reset" in letters:
-            flip = flip and all(core.transitions[(q, "reset")] == 0 for q in (0, 1))
-        if flip:
-            kind = "flipflop" if "reset" in letters else "flipflop_wo"
-            return kind if core.initial == 0 else {"kind": kind, "initial": core.initial}
-    n = len(core.states)
-    if letters == {"inc", "read"} and set(core.states) == set(range(n)):
-        counter = all(
-            core.transitions[(q, "read")] == q
-            and core.transitions[(q, "inc")] == (q + 1) % n
-            for q in core.states
-        )
-        if counter:
-            kind = f"counter:{n}"
-            return kind if core.initial == 0 else {"kind": kind, "initial": core.initial}
+    kind = None
+    if validate_prime_identities(core, "flipflop").ok:
+        kind = "flipflop" if "reset" in core.alphabet else "flipflop_wo"
+    elif validate_prime_identities(core, "counter").ok:
+        kind = f"counter:{len(core.states)}"
+    if kind is not None:
+        return kind if core.initial == 0 else {"kind": kind, "initial": core.initial}
     return {
         "kind": "table",
         "letters": list(core.alphabet),
         "states": list(core.states),
         "initial": core.initial,
-        "transitions": [[q, a, core.transitions[(q, a)]] for q in core.states
-                        for a in core.alphabet],
+        "transitions": [[q, a, core.step(q, a)] for q in core.states for a in core.alphabet],
     }
 
 

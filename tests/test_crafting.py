@@ -100,6 +100,17 @@ def test_counter_cascade_product_size():
     assert build_counter_task_cascade().product_size() == 16 * 16 * 2 * 16 * 2 == 16384
 
 
+def test_counter_cascade_rejects_thresholds_the_counters_cannot_reach():
+    # modulus 2 with the default thresholds 13/5/7: the goal could never fire
+    with pytest.raises(ValueError):
+        build_counter_task_cascade(2)
+    for thresholds in ((16, 5, 7), (13, 16, 7), (13, 5, 16)):
+        with pytest.raises(ValueError):
+            build_counter_task_cascade(16, *thresholds)
+    assert build_counter_task_cascade(16, 15, 15, 15).product_size() == 16384
+    assert build_counter_task_cascade(2, 1, 1, 1).product_size() == 32
+
+
 def test_counter_cascade_threshold_traces():
     c = build_counter_task_cascade()
     done = words(*(["wood"] * 13 + ["iron"] * 5 + ["fire", "factory"]))

@@ -1,6 +1,8 @@
 import pytest
 
+from cascata.automata import Semiautomaton
 from cascata.primes import (
+    COUNTER_LETTERS,
     is_prime_counter,
     make_counter,
     make_flipflop,
@@ -46,6 +48,10 @@ def test_flipflop_rejects_bad_initial():
                                      (7, True), (16, False), (9, False)])
 def test_is_prime_counter(n, prime):
     assert is_prime_counter(make_counter(n)) == prime
+    # n states over {inc, read}, but inc does not count
+    stuck = Semiautomaton(COUNTER_LETTERS, tuple(range(n)),
+                          {(q, a): q for q in range(n) for a in COUNTER_LETTERS}, 0)
+    assert not is_prime_counter(stuck)
 
 
 def test_constructors_pass_identity_validation():

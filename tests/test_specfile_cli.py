@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from cascata.alphabets import FactoredAlphabet
+from cascata.automata import ComponentAutomaton, Semiautomaton
+from cascata.cascade import Cascade
 from cascata.cli import main
 from cascata.crafting import (
     build_counter_task_cascade,
@@ -36,6 +39,20 @@ def test_spec_serialization_recognizes_prime_cores():
     cores = [c["core"] for c in spec["components"]]
     assert cores == ["counter:16", "counter:16", "flipflop_wo", "counter:16",
                      "flipflop_wo"]
+
+
+def test_spec_round_trip_one_state_inc_read_core():
+    # {inc, read} over one state is no counter (a counter needs two states),
+    # so it must serialize as an explicit table that parses back
+    external = FactoredAlphabet.single("event", ("x", "y"))
+    core = Semiautomaton(("inc", "read"), (0,), {(0, "inc"): 0, (0, "read"): 0}, 0)
+    solo = ComponentAutomaton(external, (1,), lambda v: "inc" if v[0] == "x" else "read",
+                              core, output_fn=lambda q, v: int(v[0] == "x"),
+                              outputs=(0, 1), name="solo")
+    original = Cascade([solo])
+    assert cascade_to_spec(original)["components"][0]["core"]["kind"] == "table"
+    back = roundtrip(original)
+    assert back.flatten().equivalent(original.flatten()).equivalent
 
 
 def test_spec_rejects_unknown_fields():
@@ -129,6 +146,27 @@ def test_cli_aperiodic(flipflop_spec, capsys):
 def test_cli_check_oracle_agreement(flipflop_spec, capsys):
     assert main(["check", flipflop_spec, "--samples", "80", "--max-len", "5"]) == 0
     assert "agrees" in capsys.readouterr().out
+
+
+def test_cli_missing_input_files_exit_2(flipflop_spec, tmp_path, capsys):
+    missing = str(tmp_path / "missing.traces")
+    assert main(["run", flipflop_spec, missing]) == 2
+    assert "missing.traces" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1}))
+    classspec = tmp_path / "class.json"
+    classspec.write_text(json.dumps({"family": "sequence_tasks", "d": 2}))
+    traces = tmp_path / "x.traces"
+    traces.write_text("e1 e2\n")
+    labels = tmp_path / "x.labels"
+    labels.write_text("1\n")
+    for pair in ((missing, str(labels)), (str(traces), str(tmp_path / "missing.labels"))):
+        assert main(["learn", str(config), str(classspec),
+                     "--traces", pair[0], "--labels", pair[1]]) == 2
+        assert "missing" in capsys.readouterr().err
+    # the same traces and labels, all present, are accepted
+    assert main(["learn", str(config), str(classspec),
+                 "--traces", str(traces), "--labels", str(labels)]) == 0
 
 
 def test_cli_cap_exit_code(flipflop_spec):
