@@ -131,20 +131,23 @@ class Semiautomaton:
         return seen
 
     def is_aperiodic(self, cap: int = DEFAULT_MONOID_CAP) -> bool:
-        """True iff every monoid element f satisfies f^k = f^(k+1) for some
-        k <= number of states, i.e. no string permutes a state subset
-        nontrivially."""
-        n = len(self.states)
-        for f in self.transition_monoid(cap):
-            power = f
-            for _ in range(n):
-                nxt = tuple(f[p] for p in power)
-                if nxt == power:
-                    break
-                power = nxt
-            else:
-                return False
-        return True
+        return is_aperiodic_monoid(self.transition_monoid(cap))
+
+
+def is_aperiodic_monoid(monoid) -> bool:
+    """True iff every transformation f in the monoid (a tuple over state
+    indices) satisfies f^k = f^(k+1) for some k <= number of states, i.e. no
+    string permutes a state subset nontrivially."""
+    for f in monoid:
+        power = f
+        for _ in range(len(f)):
+            nxt = tuple(f[p] for p in power)
+            if nxt == power:
+                break
+            power = nxt
+        else:
+            return False
+    return True
 
 
 class EquivalenceResult(NamedTuple):

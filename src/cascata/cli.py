@@ -27,6 +27,7 @@ from .alphabets import (
     TableClass,
     ThresholdClass,
 )
+from .automata import is_aperiodic_monoid
 from .cascade import Cascade, DEFAULT_PRODUCT_CAP, chain_alphabet
 from .complexity import (
     ClassDescriptor,
@@ -285,7 +286,7 @@ def cmd_aperiodic(args) -> int:
     auto = cascade.flatten(cap=_cap(args, DEFAULT_PRODUCT_CAP))
     cap = _cap(args, 100_000)
     monoid = auto.core.transition_monoid(cap)
-    verdict = "aperiodic" if auto.core.is_aperiodic(cap) else "not aperiodic"
+    verdict = "aperiodic" if is_aperiodic_monoid(monoid) else "not aperiodic"
     print(f"{verdict}; monoid size: {len(monoid)}")
     return EXIT_OK
 

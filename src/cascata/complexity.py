@@ -243,6 +243,30 @@ def pattern_count(functions: Sequence, sample: Sequence) -> int:
     return len({tuple(f(x) for x in sample) for f in functions})
 
 
+class _OutputTable:
+    """Every function's output at each universe position, each column
+    computed on first use, so a function is called at most once per
+    universe point however many samples share it."""
+
+    def __init__(self, functions, universe):
+        self.functions = functions
+        self.universe = universe
+        self.columns = {}
+
+    def column(self, i: int) -> tuple:
+        if i not in self.columns:
+            x = self.universe[i]
+            self.columns[i] = tuple(f(x) for f in self.functions)
+        return self.columns[i]
+
+    def patterns(self, positions) -> set:
+        """The distinct output tuples of the class on the sample at these
+        universe positions."""
+        if not positions:
+            return {()} if self.functions else set()
+        return set(zip(*(self.column(i) for i in positions)))
+
+
 def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
                      mode: str = "exact", cap: int = DEFAULT_SEARCH_CAP,
                      restarts: int = 200, seed: int = 0) -> GrowthReport:
@@ -254,39 +278,30 @@ def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
     to a size-``ell`` sample.  Past the cap, or in heuristic mode, randomized
     restarts report a certified lower bound with its witness.
     """
-    functions = list(functions)
     universe = list(universe)
+    table = _OutputTable(list(functions), universe)
     support = min(ell, len(universe))
     if mode == "exact" and math.comb(len(universe), support) > cap:
         mode = "heuristic"
     if mode == "exact":
-        best, witness = 0, ()
-        for subset in itertools.combinations(universe, support):
-            n = pattern_count(functions, subset)
-            if n > best:
-                best, witness = n, subset
-        witness = witness + (witness[0],) * (ell - len(witness)) if witness else ()
-        return GrowthReport(ell, best, witness, True)
-    if mode != "heuristic":
+        candidates = itertools.combinations(range(len(universe)), support)
+    elif mode == "heuristic":
+        rng = random.Random(seed)
+        positions = range(len(universe))
+        candidates = (tuple(rng.choice(positions) for _ in range(ell))
+                      for _ in range(restarts))
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    rng = random.Random(seed)
     best, witness = 0, ()
-    for _ in range(restarts):
-        sample = tuple(rng.choice(universe) for _ in range(ell))
-        n = pattern_count(functions, sample)
+    for sample in candidates:
+        n = len(table.patterns(sample))
         if n > best:
             best, witness = n, sample
-    return GrowthReport(ell, best, witness, False)
-
-
-def _shatters(functions, points) -> bool:
-    patterns = set()
-    want = 2 ** len(points)
-    for f in functions:
-        patterns.add(tuple(f(x) for x in points))
-        if len(patterns) == want:
-            return True
-    return False
+    witness = tuple(universe[i] for i in witness)
+    if mode == "heuristic":
+        return GrowthReport(ell, best, witness, False)
+    witness = witness + (witness[0],) * (ell - len(witness)) if witness else ()
+    return GrowthReport(ell, best, witness, True)
 
 
 def vc_dimension(functions: Sequence, universe: Sequence,
@@ -300,7 +315,8 @@ def vc_dimension(functions: Sequence, universe: Sequence,
     """
     functions = list(functions)
     universe = list(universe)
-    outputs = {f(x) for f in functions for x in universe}
+    table = _OutputTable(functions, universe)
+    outputs = {y for i in range(len(universe)) for y in table.column(i)}
     if len(outputs) > 2:
         raise ValueError(f"vc dimension needs binary outputs, saw {sorted(map(repr, outputs))}")
     best = DimensionReport(0, (), True)
@@ -310,14 +326,11 @@ def vc_dimension(functions: Sequence, universe: Sequence,
             return best
         if math.comb(len(universe), h) * len(functions) > cap:
             return DimensionReport(best.value, best.witness, False)
-        found = None
-        for points in itertools.combinations(universe, h):
-            if _shatters(functions, points):
-                found = points
-                break
+        found = next((points for points in itertools.combinations(range(len(universe)), h)
+                      if len(table.patterns(points)) == 2**h), None)
         if found is None:
             return best
-        best = DimensionReport(h, found, True)
+        best = DimensionReport(h, tuple(universe[i] for i in found), True)
         h += 1
     return best
 

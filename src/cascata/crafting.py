@@ -26,6 +26,10 @@ EVENTS = ("blank", "wood", "iron", "fire", "steel", "factory")
 TASK_EVENTS = ("wood", "iron", "fire", "steel", "factory")
 MATERIALS = ("wood", "iron", "fire", "steel")
 
+#: watcher combinations and goals scored together by ``error_counts``
+_COMBO_BLOCK = 4
+_GOAL_BLOCK = 256
+
 #: trace-generation weights tuned so completed tasks are not vanishingly
 #: rare (measured: well above 1% positives at max_len 10)
 DEFAULT_TRACE_WEIGHTS = {
@@ -162,37 +166,18 @@ def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
         raise ValueError(f"thresholds {unreachable} are not below the modulus {modulus}")
     external = trace_alphabet()
     components: list[ComponentAutomaton] = []
-    for event in ("wood", "iron"):
+    for event in MATERIALS:
+        counted = event in thresholds
         components.append(
             ComponentAutomaton(
                 chain_alphabet(external, components),
                 dependencies=(1,),
-                input_fn=_material_stepper(event),
-                core=make_counter(modulus),
+                input_fn=(_material_stepper if counted else _material_watcher)(event),
+                core=make_counter(modulus) if counted else make_flipflop(with_reset=False),
                 output_fn="state",
                 name=event,
             )
         )
-    components.append(
-        ComponentAutomaton(
-            chain_alphabet(external, components),
-            dependencies=(1,),
-            input_fn=_material_watcher("fire"),
-            core=make_flipflop(with_reset=False),
-            output_fn="state",
-            name="fire",
-        )
-    )
-    components.append(
-        ComponentAutomaton(
-            chain_alphabet(external, components),
-            dependencies=(1,),
-            input_fn=_material_stepper("steel"),
-            core=make_counter(modulus),
-            output_fn="state",
-            name="steel",
-        )
-    )
 
     def goal_input(x):
         event, wood, iron, fire, steel = x
@@ -305,69 +290,86 @@ class SequenceTaskFamily:
             [[fn((ev,)) == "set" for ev in self.letters] for fn in fns], dtype=bool
         )
 
-    def error_counts(self, strings, labels) -> np.ndarray:
-        """Disagreement counts with the labels, one per member in canonical
-        order.
-
-        Exploits the family's structure: watcher components read only the
-        event, so their output streams depend on their own choice alone; a
-        member's final output is 1 iff its goal DNF fires on some step's
-        variable assignment, which only depends on the set of maximal
-        assignments seen.  Strings are deduplicated by that signature per
-        watcher combination before the goal functions are scored.
-        """
-        d = self.d
-        n_watchers = self.watcher_class.cardinality
+    @cached_property
+    def _goal_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """First and last term of every goal in canonical order."""
         goals = list(self.goal_class)
-        n_goals = len(goals)
-        truth = self._watcher_truth
+        return (np.array([g.terms[0] for g in goals]), np.array([g.terms[-1] for g in goals]))
+
+    def error_counts(self, strings, labels) -> np.ndarray:
+        """Disagreement counts with the 0/1 labels, one per member in
+        canonical order.
+
+        Watchers read only the event, so their latched bits depend on their
+        own choice alone, and a member outputs 1 iff one of its goal terms is
+        contained in some step's goal assignment (the event bit plus the bits
+        the watchers latched before that step).  Per watcher combination and
+        string the kernel collects the assignments seen as a bitset, tests
+        every term against it, packs the term hits over the strings into
+        uint64 words and counts a goal's errors as
+        ``popcount((hit[t1] | hit[t2]) ^ labels)``.  Combinations and goals
+        are scored in blocks of fixed size, so apart from the result (8 bytes
+        per member) the memory used does not grow with the class; for 646
+        strings it stays under a megabyte at d = 3 and d = 4.
+        """
+        d, n = self.d, len(strings)
+        n_watchers = self.watcher_class.cardinality
+        first, last = self._goal_terms
+        y = np.array([int(v) for v in labels], dtype=np.int64)
+        if len(y) != n or np.any((y != 0) & (y != 1)):
+            raise ValueError("error_counts needs one 0/1 label per string")
+
+        # support[T]: the goal assignments m containing term T, as a bitset
+        # with bit m at word m // 64, position m % 64
+        n_terms = 2 ** self.goal_class.n_variables
+        masks = np.arange(n_terms)
+        contains = (masks & masks[:, None]) == masks[:, None]
+        contains = np.pad(contains, ((0, 0), (0, -n_terms % 64))).reshape(n_terms, -1, 64)
+        support = (contains << np.arange(64, dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
+        n_words = support.shape[1]
+
+        # strings padded to a multiple of 64; padding rows hit no term
+        width = -(-n // 64) * 64
+        length = max((len(s) for s in strings), default=0)
         event_index = {ev: i for i, ev in enumerate(self.letters)}
-        labels01 = np.asarray([int(y) for y in labels], dtype=np.int8)
-        n = len(strings)
+        events = np.zeros((width, length), dtype=np.intp)
+        valid = np.zeros((width, length), dtype=bool)
+        for i, s in enumerate(strings):
+            events[i, :len(s)] = [event_index[x[0]] for x in s]
+            valid[i, :len(s)] = True
+        # latched[w, s, t]: watcher w fired before step t (padding steps come
+        # after the string's own steps, so they never leak into valid ones)
+        fires = self._watcher_truth[:, events]
+        code = np.min_scalar_type(n_terms - 1)  # holds every assignment m
+        latched = np.zeros((n_watchers, width, length), dtype=code)
+        latched[:, :, 1:] = np.logical_or.accumulate(fires[:, :, :-1], axis=2)
+        event_bits = (1 << events).astype(code)
+        packed_labels = np.packbits(np.pad(y.astype(bool), (0, width - n))).view(np.uint64)
 
-        encoded = [[event_index[x[0]] for x in s] for s in strings]
-        letter_masks = [np.array([1 << ev for ev in idxs], dtype=np.int64) for idxs in encoded]
-
-        # per string, per watcher: latched-before-step bit sequences
-        latched: list[np.ndarray] = []
-        for idxs in encoded:
-            fires = truth[:, idxs]  # [n_watchers, len]
-            before = np.zeros_like(fires)
-            if fires.shape[1] > 1:
-                before[:, 1:] = np.logical_or.accumulate(fires[:, :-1], axis=1)
-            latched.append(before)
-
-        shifts = np.array([1 << (d + j) for j in range(d - 1)], dtype=np.int64)
-        sig_ids: dict[frozenset, int] = {}
-        sig_masks: list[tuple[int, ...]] = []
-        combos = list(itertools.product(range(n_watchers), repeat=d - 1))
-        combo_sigs = np.empty((len(combos), n), dtype=np.int64)
-        for ci, combo in enumerate(combos):
-            rows = list(combo)
-            for si in range(n):
-                bits = latched[si][rows]  # [d-1, len]
-                masks = np.unique(letter_masks[si] + bits.T @ shifts)
-                maximal = frozenset(
-                    int(m) for m in masks
-                    if not any(m != other and m & other == m for other in masks)
-                )
-                if maximal not in sig_ids:
-                    sig_ids[maximal] = len(sig_masks)
-                    sig_masks.append(tuple(maximal))
-                combo_sigs[ci, si] = sig_ids[maximal]
-
-        pred = np.zeros((n_goals, len(sig_masks)), dtype=np.int8)
-        for gi, goal in enumerate(goals):
-            terms = goal.terms
-            for sid, masks in enumerate(sig_masks):
-                if any(term & m == term for m in masks for term in terms):
-                    pred[gi, sid] = 1
-
-        counts = np.empty(len(combos) * n_goals, dtype=np.int64)
-        for ci in range(len(combos)):
-            preds = pred[:, combo_sigs[ci]]  # [n_goals, n]
-            counts[ci * n_goals:(ci + 1) * n_goals] = (preds != labels01).sum(axis=1)
-        return counts
+        n_combos = n_watchers ** (d - 1)
+        counts = np.empty((n_combos, len(first)), dtype=np.int64)
+        for c0 in range(0, n_combos, _COMBO_BLOCK):
+            combos = np.arange(c0, min(c0 + _COMBO_BLOCK, n_combos))
+            digits = [combos // n_watchers ** (d - 2 - j) % n_watchers for j in range(d - 1)]
+            seen = np.zeros((n_words, len(combos), width), dtype=np.uint64)
+            for t in range(length):
+                mask = event_bits[:, t] + sum(
+                    latched[digits[j], :, t] << (d + j) for j in range(d - 1))
+                bit = np.where(valid[:, t], np.uint64(1) << (mask & 63).astype(np.uint64),
+                               np.uint64(0))
+                for w in range(n_words):
+                    seen[w] |= np.where(mask >> 6 == w, bit, np.uint64(0))
+            hits = np.empty((width // 64, len(combos), n_terms), dtype=np.uint64)
+            for term in range(n_terms):
+                hit = (seen & support[term][:, None, None]).any(axis=0)
+                hits[:, :, term] = np.packbits(hit, axis=1).view(np.uint64).T
+            for g0 in range(0, len(first), _GOAL_BLOCK):
+                goals = slice(g0, g0 + _GOAL_BLOCK)
+                pred = hits[:, :, first[goals]]
+                pred |= hits[:, :, last[goals]]
+                pred ^= packed_labels[:, None, None]
+                counts[c0:c0 + len(combos), goals] = np.bitwise_count(pred).sum(axis=0)
+        return counts.reshape(-1)
 
     # -- descriptors ------------------------------------------------------------
 

@@ -46,13 +46,36 @@ def _require_keys(obj: dict, required: set, optional: set, where: str):
         raise SpecFileError(f"unknown fields {sorted(unknown)}", where)
 
 
+def _require_type(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise SpecFileError(f"expected {kind.__name__}, got {type(value).__name__}", where)
+    return value
+
+
+def _rows(data, fields: tuple[str, ...], where: str) -> list:
+    """A list of table rows, each a list of the named fields; a field
+    called ``values`` must itself be a list."""
+    size = len(fields)
+    at = fields.index("values") if "values" in fields else None
+    for k, row in enumerate(_require_type(data, list, where)):
+        if (not isinstance(row, list) or len(row) != size
+                or at is not None and not isinstance(row[at], list)):
+            raise SpecFileError(f"expected [{', '.join(fields)}], got {row!r}",
+                                f"{where}[{k}]")
+    return data
+
+
 def _parse_alphabet(data, where="alphabet") -> FactoredAlphabet:
     if not isinstance(data, list) or not data:
         raise SpecFileError("alphabet must be a non-empty list of coordinates", where)
     coords = []
     for i, c in enumerate(data):
         _require_keys(c, {"name", "values"}, set(), f"{where}[{i}]")
-        coords.append((c["name"], tuple(c["values"])))
+        name = _require_type(c["name"], str, f"{where}[{i}].name")
+        values = _require_type(c["values"], list, f"{where}[{i}].values")
+        if any(isinstance(v, (list, dict)) for v in values):
+            raise SpecFileError("values must be scalars", f"{where}[{i}].values")
+        coords.append((name, tuple(values)))
     try:
         return FactoredAlphabet.of(*coords)
     except ValueError as e:
@@ -64,7 +87,7 @@ def _parse_core(data, where: str) -> Semiautomaton:
         data = {"kind": data}
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFileError("core must be a kind string or an object with 'kind'", where)
-    kind = data["kind"]
+    kind = _require_type(data["kind"], str, f"{where}.kind")
     if kind in ("flipflop", "flipflop_wo") or kind.startswith("counter:"):
         _require_keys(data, {"kind"}, {"initial"}, where)
         initial = data.get("initial", 0)
@@ -80,16 +103,14 @@ def _parse_core(data, where: str) -> Semiautomaton:
     if kind == "table":
         _require_keys(data, {"kind", "letters", "states", "initial", "transitions"},
                       set(), where)
-        transitions = {}
-        for row in data["transitions"]:
-            if len(row) != 3:
-                raise SpecFileError(f"bad transition row {row!r}", where)
-            q, a, q2 = row
-            transitions[(q, a)] = q2
+        rows = _rows(data["transitions"], ("state", "letter", "next_state"),
+                     f"{where}.transitions")
+        letters = tuple(_require_type(data["letters"], list, f"{where}.letters"))
+        states = tuple(_require_type(data["states"], list, f"{where}.states"))
         try:
-            return Semiautomaton(tuple(data["letters"]), tuple(data["states"]),
-                                 transitions, data["initial"])
-        except ValueError as e:
+            return Semiautomaton(letters, states, {(q, a): q2 for q, a, q2 in rows},
+                                 data["initial"])
+        except (TypeError, ValueError) as e:
             raise SpecFileError(str(e), where)
     raise SpecFileError(f"unknown core kind {kind!r}", where)
 
@@ -101,12 +122,15 @@ def _parse_input_fn(data, signature: FactoredAlphabet, where: str):
     if kind == "table":
         if "entries" not in data:
             raise SpecFileError("table needs 'entries'", where)
-        entries = tuple((tuple(vals), out) for vals, out in data["entries"])
-        return TableFunction(signature, entries)
+        rows = _rows(data["entries"], ("values", "output"), f"{where}.entries")
+        # a list comprehension builds large tables faster than a generator
+        return TableFunction(signature, tuple([(tuple(vals), out) for vals, out in rows]))
     if kind == "mono_dnf":
         if "terms" not in data:
             raise SpecFileError("mono_dnf needs 'terms'", where)
-        terms = data["terms"]
+        terms = _require_type(data["terms"], list, f"{where}.terms")
+        for i, names in enumerate(terms):
+            _require_type(names, list, f"{where}.terms[{i}]")
         k = 1 if terms == [[]] else max(1, min(2, len(terms)))
         cls = MonotoneDnfClass(signature, k,
                                outputs=(data.get("on_true", 1), data.get("on_false", 0)))
@@ -118,11 +142,11 @@ def _parse_input_fn(data, signature: FactoredAlphabet, where: str):
         if "thresholds" not in data:
             raise SpecFileError("threshold needs 'thresholds'", where)
         names = [c.name for c in signature.coords]
-        unknown = set(data["thresholds"]) - set(names)
+        thresholds = _require_type(data["thresholds"], dict, f"{where}.thresholds")
+        unknown = set(thresholds) - set(names)
         if unknown:
             raise SpecFileError(f"threshold names {sorted(unknown)} not in {names}", where)
-        thresholds = tuple(data["thresholds"].get(n) for n in names)
-        return ThresholdConjunction(signature, thresholds,
+        return ThresholdConjunction(signature, tuple(thresholds.get(n) for n in names),
                                     data.get("on_true", 1), data.get("on_false", 0))
     raise SpecFileError(f"unknown function kind {kind!r}", where)
 
@@ -135,7 +159,11 @@ def _parse_output_fn(data, where: str):
     _require_keys(data, {"kind", "entries"}, {"outputs"}, where)
     if data["kind"] != "table":
         raise SpecFileError(f"unknown output_fn kind {data['kind']!r}", where)
-    table = {(q, tuple(vals)): out for q, vals, out in data["entries"]}
+    rows = _rows(data["entries"], ("state", "values", "output"), f"{where}.entries")
+    try:
+        table = {(q, tuple(vals)): out for q, vals, out in rows}
+    except TypeError as e:
+        raise SpecFileError(str(e), f"{where}.entries")
 
     def theta(q, x):
         try:
@@ -143,7 +171,9 @@ def _parse_output_fn(data, where: str):
         except KeyError:
             raise SpecFileError(f"output table misses ({q!r}, {x!r})", where)
 
-    outputs = tuple(data["outputs"]) if "outputs" in data else None
+    outputs = None
+    if "outputs" in data:
+        outputs = tuple(_require_type(data["outputs"], list, f"{where}.outputs"))
     return theta, outputs
 
 
@@ -157,6 +187,7 @@ def cascade_from_spec(data: dict) -> Cascade:
         where = f"components[{i}]"
         _require_keys(comp, {"name", "dependencies", "input_fn", "core"},
                       {"output_fn"}, where)
+        _require_type(comp["name"], str, f"{where}.name")
         alphabet = chain_alphabet(external, built)
         deps = comp["dependencies"]
         if (not isinstance(deps, list) or not deps

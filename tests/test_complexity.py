@@ -169,6 +169,34 @@ def test_empirical_growth_heuristic_is_a_lower_bound():
     assert heur.count <= exact.count
 
 
+def _counting(functions):
+    """The functions wrapped so that every call is tallied per (function,
+    point)."""
+    calls = {}
+
+    def wrap(j, f):
+        def g(x):
+            calls[j, x] = calls.get((j, x), 0) + 1
+            return f(x)
+        return g
+
+    return [wrap(j, f) for j, f in enumerate(functions)], calls
+
+
+@pytest.mark.parametrize("search", ["exact", "heuristic", "vc"])
+def test_growth_and_vc_search_call_each_function_once_per_point(search):
+    domain = FactoredAlphabet.of(("p", (0, 1)), ("q", (0, 1)))
+    points = list(domain.letters())
+    functions, calls = _counting(TableClass(domain, (0, 1)))
+    if search == "vc":
+        report = vc_dimension(functions, points)
+        assert (report.value, report.exact) == (4, True)
+    else:
+        report = empirical_growth(functions, points, 3, mode=search, restarts=50)
+        assert report.count == 8
+    assert calls and max(calls.values()) == 1
+
+
 def test_pattern_count_on_fixed_sample():
     assert pattern_count(TABLES2, POINTS2) == 4
 

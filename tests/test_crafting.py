@@ -200,6 +200,93 @@ def test_family_error_counts_match_direct_evaluation():
         assert counts[i] == direct, i
 
 
+def _direct_errors(fam, index, strings, labels):
+    member = fam.member(index)
+    return sum(1 for s, y in zip(strings, labels) if member.run(s) != y)
+
+
+def _sequence_strings(fam, n, max_len, seed):
+    rng = random.Random(seed)
+    letters = list(fam.external.letters())
+    return [tuple(rng.choice(letters) for _ in range(rng.randint(1, max_len)))
+            for _ in range(n)]
+
+
+def test_family_error_counts_match_direct_evaluation_at_depth_three():
+    fam = SequenceTaskFamily(3)
+    strings = _sequence_strings(fam, 646, 8, seed=31)
+    target = fam.sequence_target()
+    noise = random.Random(32)
+    # flip a few labels so the counts spread over many values
+    labels = [int(target.run(s)) ^ (noise.random() < 0.05) for s in strings]
+    counts = fam.error_counts(strings, labels)
+    assert len(counts) == fam.cardinality
+    best = counts.min()
+    ties = [int(i) for i in (counts == best).nonzero()[0]]
+    probe = random.Random(33).sample(range(fam.cardinality), 200) + ties
+    for i in probe:
+        assert counts[i] == _direct_errors(fam, i, strings, labels), i
+
+
+@pytest.mark.parametrize("case", [
+    "size1", "size7", "size8", "size9", "size63", "size64", "size65",
+    "length_one", "all_positive", "all_negative", "duplicates", "bool_labels",
+])
+def test_family_error_counts_edge_samples_at_depth_two(case):
+    fam = SequenceTaskFamily(2)
+    strings = _sequence_strings(fam, 65, 5, seed=41)
+    target = fam.sequence_target()
+    labels = [int(target.run(s)) for s in strings]
+    if case.startswith("size"):
+        n = int(case[4:])
+        strings, labels = strings[:n], labels[:n]
+    elif case == "length_one":
+        strings = [s[:1] for s in strings]
+        labels = [int(target.run(s)) for s in strings]
+    elif case in ("all_positive", "all_negative"):
+        labels = [int(case == "all_positive")] * len(strings)
+    elif case == "duplicates":
+        strings, labels = strings[:5] * 4, labels[:5] * 4
+    else:
+        labels = [bool(y) for y in labels]
+    counts = fam.error_counts(strings, labels)
+    for i in range(fam.cardinality):
+        assert counts[i] == _direct_errors(fam, i, strings, labels), i
+
+
+def test_family_error_counts_edge_samples_at_depth_three():
+    fam = SequenceTaskFamily(3)
+    strings = _sequence_strings(fam, 9, 4, seed=51)
+    labels = [True, False] * 4 + [True]
+    probe = random.Random(52).sample(range(fam.cardinality), 100)
+    for sample, ys in ((strings, labels), (strings[:1], labels[:1]),
+                       ([s[:1] for s in strings], [int(y) for y in labels])):
+        counts = fam.error_counts(sample, ys)
+        for i in probe:
+            assert counts[i] == _direct_errors(fam, i, sample, ys), i
+
+
+def test_family_error_counts_match_direct_evaluation_at_depth_four():
+    # 128 goal assignments: the assignment bitsets span two uint64 words
+    fam = SequenceTaskFamily(4)
+    strings = _sequence_strings(fam, 10, 6, seed=61)
+    labels = [int(fam.sequence_target().run(s)) for s in strings]
+    counts = fam.error_counts(strings, labels)
+    assert len(counts) == fam.cardinality
+    probe = random.Random(62).sample(range(fam.cardinality), 60) + [int(counts.argmin())]
+    for i in probe:
+        assert counts[i] == _direct_errors(fam, i, strings, labels), i
+
+
+def test_family_error_counts_rejects_labels_that_are_not_binary():
+    fam = SequenceTaskFamily(2)
+    strings = _sequence_strings(fam, 3, 3, seed=71)
+    with pytest.raises(ValueError):
+        fam.error_counts(strings, [0, 1, 2])
+    with pytest.raises(ValueError):
+        fam.error_counts(strings, [0, 1])
+
+
 def test_family_contains_the_scenario_cascade_at_depth_five():
     fam = SequenceTaskFamily(5)
     watcher_fns = [

@@ -90,6 +90,47 @@ def test_erm_fast_path_matches_generic_enumeration():
     assert fast.tie_count == generic.tie_count
 
 
+def _noisy_family_sample(fam, n, seed, flip=0.1, max_len=5):
+    dist = StringDistribution(tuple(fam.external.letters()), max_len=max_len)
+    clean = draw_sample(dist, fam.sequence_target(), n, seed=seed)
+    rng = random.Random(seed + 1)
+    return LabeledSample(tuple((s, int(y) ^ (rng.random() < flip)) for s, y in clean.entries))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65])
+def test_erm_fast_path_matches_generic_enumeration_across_word_boundaries(n):
+    fam = SequenceTaskFamily(2)
+    sample = _noisy_family_sample(fam, n, seed=100 + n)
+    fast = erm_select(fam, sample)
+    generic = erm_select(list(fam), sample)
+    assert (fast.index, fast.empirical_risk, fast.tie_count) == \
+        (generic.index, generic.empirical_risk, generic.tie_count)
+
+
+@pytest.mark.parametrize("label", [True, False, 1, 0])
+def test_erm_fast_path_matches_generic_enumeration_on_constant_labels(label):
+    fam = SequenceTaskFamily(2)
+    strings = _noisy_family_sample(fam, 20, seed=7).strings
+    sample = LabeledSample(tuple((s, label) for s in strings))
+    fast = erm_select(fam, sample)
+    generic = erm_select(list(fam), sample)
+    assert (fast.index, fast.empirical_risk, fast.tie_count) == \
+        (generic.index, generic.empirical_risk, generic.tie_count)
+
+
+def test_erm_fast_path_at_depth_three_selects_the_first_minimizer():
+    fam = SequenceTaskFamily(3)
+    sample = _noisy_family_sample(fam, 300, seed=8, flip=0.05, max_len=8)
+    chosen = erm_select(fam, sample)
+    assert empirical_risk(chosen.function, sample) == chosen.empirical_risk
+    probe = random.Random(9).sample(range(fam.cardinality), 150)
+    for i in probe:
+        risk = empirical_risk(fam.member(i), sample)
+        assert risk >= chosen.empirical_risk
+        if i < chosen.index:
+            assert risk > chosen.empirical_risk
+
+
 def test_estimate_risk_of_target_is_zero():
     est = estimate_risk(count_a, count_a, DIST, 500, seed=7)
     assert est.mean == 0.0 and est.stderr == 0.0

@@ -143,6 +143,20 @@ def test_cli_aperiodic(flipflop_spec, capsys):
     assert "monoid size" in out
 
 
+def test_cli_aperiodic_builds_the_monoid_once(flipflop_spec, monkeypatch, capsys):
+    calls = []
+    build = Semiautomaton.transition_monoid
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Semiautomaton, "transition_monoid", counted)
+    assert main(["aperiodic", flipflop_spec]) == 0
+    assert capsys.readouterr().out == "aperiodic; monoid size: 77\n"
+    assert len(calls) == 1
+
+
 def test_cli_check_oracle_agreement(flipflop_spec, capsys):
     assert main(["check", flipflop_spec, "--samples", "80", "--max-len", "5"]) == 0
     assert "agrees" in capsys.readouterr().out
@@ -180,6 +194,69 @@ def test_cli_parse_error_exit_code(tmp_path):
     missing_field = tmp_path / "missing.json"
     missing_field.write_text(json.dumps({"alphabet": []}))
     assert main(["flatten", str(missing_field)]) == 2
+
+
+def _cli_rejects_spec(tmp_path, capsys, spec, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["flatten", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"[{field}]" in err and "Traceback" not in err
+
+
+def test_cli_alphabet_values_not_a_list_exit_2(tmp_path, capsys):
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    spec["alphabet"][0]["values"] = 5
+    _cli_rejects_spec(tmp_path, capsys, spec, "alphabet[0].values")
+
+
+def test_cli_core_kind_not_a_string_exit_2(tmp_path, capsys):
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    spec["components"][0]["core"] = {"kind": 7}
+    _cli_rejects_spec(tmp_path, capsys, spec, "components[0].core.kind")
+
+
+def test_cli_one_element_table_entry_exit_2(tmp_path, capsys):
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    spec["components"][0]["input_fn"]["entries"][0] = [["wood"]]
+    _cli_rejects_spec(tmp_path, capsys, spec, "components[0].input_fn.entries[0]")
+
+
+def _table_core(**fields):
+    core = {"kind": "table", "letters": ["set", "read"], "states": [0, 1],
+            "initial": 0, "transitions": [[0, "set", 1]]}
+    return dict(core, **fields)
+
+
+@pytest.mark.parametrize("field, component", [
+    ("components[0].name", {"name": ["wood"]}),
+    ("components[0].input_fn.entries", {"input_fn": {"kind": "table", "entries": "rows"}}),
+    ("components[0].input_fn.entries[1]",
+     {"input_fn": {"kind": "table", "entries": [[["wood"], "set"], ["wood", "read"]]}}),
+    ("components[0].input_fn.terms", {"input_fn": {"kind": "mono_dnf", "terms": 1}}),
+    ("components[0].input_fn.terms[0]", {"input_fn": {"kind": "mono_dnf", "terms": ["x"]}}),
+    ("components[0].input_fn.thresholds", {"input_fn": {"kind": "threshold", "thresholds": [1]}}),
+    ("components[0].core.transitions[0]", {"core": _table_core(transitions=[[0, "set"]])}),
+    ("components[0].core.letters", {"core": _table_core(letters="set")}),
+    ("components[0].core", {"core": _table_core(states=[[0], [1]])}),
+    ("components[0].output_fn.entries[0]",
+     {"output_fn": {"kind": "table", "entries": [[0, "wood"]]}}),
+    ("components[0].output_fn.entries",
+     {"output_fn": {"kind": "table", "entries": [[[0], ["wood"], 1]]}}),
+    ("components[0].output_fn.outputs",
+     {"output_fn": {"kind": "table", "entries": [], "outputs": 2}}),
+])
+def test_cli_mistyped_spec_fields_exit_2(tmp_path, capsys, field, component):
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    spec["components"][0].update(component)
+    _cli_rejects_spec(tmp_path, capsys, spec, field)
+
+
+@pytest.mark.parametrize("field, value", [("name", 3), ("values", [["wood"], "iron"])])
+def test_cli_mistyped_alphabet_fields_exit_2(tmp_path, capsys, field, value):
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    spec["alphabet"][0][field] = value
+    _cli_rejects_spec(tmp_path, capsys, spec, f"alphabet[0].{field}")
 
 
 def test_cli_bounds_family(tmp_path, capsys):
