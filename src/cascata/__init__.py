@@ -12,9 +12,7 @@ from .alphabets import (
     TableFunction,
     ThresholdClass,
     ThresholdConjunction,
-    class_cardinality,
     enumerate_class,
-    project,
     projection_count,
 )
 from .automata import (
@@ -23,7 +21,15 @@ from .automata import (
     FlatAutomaton,
     Semiautomaton,
 )
-from .cascade import Cascade, CascadeState, StepResult, build_chained, chain_alphabet
+from .cascade import (
+    Cascade,
+    CascadeClass,
+    CascadeState,
+    ClassPart,
+    StepResult,
+    build_chained,
+    chain_alphabet,
+)
 from .errors import (
     ArityMismatchError,
     CapExceededError,
@@ -39,6 +45,6 @@ from .primes import (
     make_flipflop,
     validate_prime_identities,
 )
-from .specfile import cascade_from_spec, cascade_to_spec
+from .specfile import cascade_from_spec, cascade_to_spec, class_from_spec
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -136,10 +136,6 @@ class Projection:
         return tuple(letter[i - 1] for i in self.indices)
 
 
-def project(p: Projection, letter: Letter) -> Letter:
-    return p(letter)
-
-
 def projection_count(arity: int, degree: int) -> int:
     """Number of distinct projections of the given degree: binomial(a, m)."""
     if degree < 0 or degree > arity:
@@ -223,12 +219,13 @@ class TableFunction:
     entries: tuple[tuple[Letter, Value], ...]
 
     @cached_property
-    def _table(self):
+    def table(self) -> dict:
+        """The entries as a mapping from letter to value."""
         return dict(self.entries)
 
     def __call__(self, letter: Letter) -> Value:
         self.signature.check(letter, "table function")
-        return self._table[letter]
+        return self.table[letter]
 
     @staticmethod
     def from_callable(signature: FactoredAlphabet, fn) -> "TableFunction":
@@ -486,10 +483,6 @@ class ThresholdClass:
 
 
 FiniteFunctionClass = TableClass | MonotoneDnfClass | ThresholdClass
-
-
-def class_cardinality(cls: FiniteFunctionClass) -> int:
-    return cls.cardinality
 
 
 def enumerate_class(cls: FiniteFunctionClass, cap: int = DEFAULT_ENUMERATION_CAP):

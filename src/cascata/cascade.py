@@ -14,7 +14,8 @@ import math
 from typing import NamedTuple
 
 from .alphabets import FactoredAlphabet, Letter
-from .automata import ComponentAutomaton, FlatAutomaton
+from .automata import ComponentAutomaton, FlatAutomaton, Semiautomaton
+from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError, UnknownLetterError
 
 DEFAULT_PRODUCT_CAP = 1_000_000
@@ -179,16 +180,15 @@ def chain_alphabet(external: FactoredAlphabet, components_so_far) -> FactoredAlp
 def build_chained(external: FactoredAlphabet, specs) -> Cascade:
     """Construct a cascade from per-component specs.
 
-    Each spec is a dict with keys ``name``, ``dependencies``, ``input_fn``,
-    ``core``, and optionally ``output_fn`` / ``outputs``; alphabets are
-    chained automatically.
+    Each spec is a mapping with keys ``name``, ``dependencies``,
+    ``input_fn``, ``core``, and optionally ``output_fn`` / ``outputs``;
+    alphabets are chained automatically.
     """
     built: list[ComponentAutomaton] = []
     for spec in specs:
-        alphabet = chain_alphabet(external, built)
         built.append(
             ComponentAutomaton(
-                alphabet,
+                chain_alphabet(external, built),
                 spec["dependencies"],
                 spec["input_fn"],
                 spec["core"],
@@ -198,3 +198,73 @@ def build_chained(external: FactoredAlphabet, specs) -> Cascade:
             )
         )
     return Cascade(built)
+
+
+class ClassPart(NamedTuple):
+    """One component of a :class:`CascadeClass`: everything but the input
+    function is fixed, and ``input_class`` enumerates the input functions.
+    An ``output_fn`` given as a callable needs its values in ``outputs``."""
+
+    name: str
+    dependencies: tuple
+    input_class: object
+    core: Semiautomaton
+    output_fn: object = "state"
+    outputs: tuple | None = None
+
+
+class CascadeClass:
+    """The product class of cascades whose components have fixed names,
+    dependency sets, cores and output functions, and each choose their input
+    function from an enumerable class (``cardinality``, ``function_at``, and
+    iteration in ``function_at`` order).  Members are numbered with the last
+    component's choice varying fastest."""
+
+    def __init__(self, external: FactoredAlphabet, parts):
+        self.external = external
+        self.parts = tuple(ClassPart(*p) for p in parts)
+
+    @property
+    def cardinality(self) -> int:
+        return math.prod(p.input_class.cardinality for p in self.parts)
+
+    @property
+    def input_classes(self) -> list:
+        return [p.input_class for p in self.parts]
+
+    def build(self, input_fns) -> Cascade:
+        """The member whose components use the given input functions."""
+        return build_chained(self.external, [dict(p._asdict(), input_fn=fn) for p, fn
+                                             in zip(self.parts, input_fns, strict=True)])
+
+    def member(self, index: int) -> Cascade:
+        if not 0 <= index < self.cardinality:
+            raise IndexError(index)
+        choices = []
+        for cls in reversed(self.input_classes):
+            index, digit = divmod(index, cls.cardinality)
+            choices.append(cls.function_at(digit))
+        return self.build(reversed(choices))
+
+    def __iter__(self):
+        for input_fns in itertools.product(*(list(c) for c in self.input_classes)):
+            yield self.build(input_fns)
+
+    def descriptor(self, max_len: int, epsilon: float = 0.1, eta: float = 0.1,
+                   input_dims=None) -> ClassDescriptor:
+        """Class descriptor with one choice per core and output function and
+        the input classes' cardinalities; ``input_dims`` optionally gives
+        each input class's dimension.  Projection factors count every
+        dependency set of the stated degree, so the resulting cardinality
+        bound dominates the class, whose dependency sets are fixed."""
+        dims = input_dims or [None] * len(self.parts)
+        return ClassDescriptor(tuple(
+            ComponentClassSpec(
+                arity=self.external.arity + i, degree=len(set(p.dependencies)),
+                n_input_fns=p.input_class.cardinality, n_cores=1, n_output_fns=1,
+                internal_size=len(p.core.alphabet),
+                output_size=len(p.core.states if isinstance(p.output_fn, str) else p.outputs),
+                input_dim=dim,
+            )
+            for i, (p, dim) in enumerate(zip(self.parts, dims, strict=True))
+        ), max_len, epsilon, eta)

@@ -21,17 +21,10 @@ import os
 import sys
 
 from . import crafting
-from .alphabets import (
-    FactoredAlphabet,
-    MonotoneDnfClass,
-    TableClass,
-    ThresholdClass,
-)
+from .alphabets import FactoredAlphabet
 from .automata import is_aperiodic_monoid
-from .cascade import Cascade, DEFAULT_PRODUCT_CAP, chain_alphabet
+from .cascade import DEFAULT_PRODUCT_CAP
 from .complexity import (
-    ClassDescriptor,
-    ComponentClassSpec,
     cardinality_bound_cascade,
     dimension_bound_cascade,
     empirical_growth,
@@ -39,7 +32,6 @@ from .complexity import (
     sample_bound_dimension,
     sample_bound_finite,
 )
-from .crafting import SequenceTaskFamily
 from .errors import CapExceededError, CascataError, SpecFileError
 from .learner import (
     LabeledSample,
@@ -49,7 +41,13 @@ from .learner import (
     erm_select,
     estimate_risk,
 )
-from .specfile import cascade_from_spec, cascade_to_spec
+from .specfile import (
+    cascade_from_spec,
+    cascade_to_spec,
+    class_from_spec,
+    descriptor_from_spec,
+    learn_config_from_spec,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -89,11 +87,12 @@ def _cap(args, default: int) -> int:
     return int(env) if env else default
 
 
-def _parse_letter(token: str, alphabet: FactoredAlphabet, line_no: int):
+def _parse_letter(token: str, alphabet: FactoredAlphabet, where: str):
+    """A letter of a trace file; ``where`` names the file and line."""
     parts = token.split(",")
     if len(parts) != alphabet.arity:
         raise SpecFileError(
-            f"line {line_no}: letter {token!r} has {len(parts)} coordinates, "
+            f"{where}: letter {token!r} has {len(parts)} coordinates, "
             f"expected {alphabet.arity}"
         )
     letter = []
@@ -101,7 +100,7 @@ def _parse_letter(token: str, alphabet: FactoredAlphabet, line_no: int):
         match = next((v for v in coord.values if str(v) == part), None)
         if match is None:
             raise SpecFileError(
-                f"line {line_no}: value {part!r} not in coordinate {coord.name!r}"
+                f"{where}: value {part!r} not in coordinate {coord.name!r}"
             )
         letter.append(match)
     return tuple(letter)
@@ -109,107 +108,6 @@ def _parse_letter(token: str, alphabet: FactoredAlphabet, line_no: int):
 
 def _format_letter(letter) -> str:
     return ",".join(str(v) for v in letter)
-
-
-# ---------------------------------------------------------------------------
-# Enumerable classes from class-spec files.
-# ---------------------------------------------------------------------------
-
-
-class EnumerableCascadeClass:
-    """Product class: fixed dependency sets, cores and output functions, one
-    enumerable input-function class per component; the last component's
-    choice varies fastest."""
-
-    def __init__(self, external, parts):
-        self.external = external
-        self.parts = parts  # list of (name, deps, input_class, core_spec, output_fn)
-
-    @property
-    def cardinality(self) -> int:
-        return math.prod(p[2].cardinality for p in self.parts)
-
-    @property
-    def input_classes(self):
-        return [p[2] for p in self.parts]
-
-    def _build(self, choices) -> Cascade:
-        from .automata import ComponentAutomaton
-        from .cascade import chain_alphabet
-        from .specfile import _parse_core
-
-        built = []
-        for (name, deps, _, core_spec, output_fn), fn in zip(self.parts, choices):
-            alphabet = chain_alphabet(self.external, built)
-            core = _parse_core(core_spec, name)
-            built.append(ComponentAutomaton(alphabet, deps, fn, core,
-                                            output_fn=output_fn, name=name))
-        return Cascade(built)
-
-    def member(self, index: int) -> Cascade:
-        if not 0 <= index < self.cardinality:
-            raise IndexError(index)
-        choices = []
-        for _, _, cls, _, _ in reversed(self.parts):
-            choices.append(cls.function_at(index % cls.cardinality))
-            index //= cls.cardinality
-        choices.reverse()
-        return self._build(choices)
-
-    def __iter__(self):
-        for choices in itertools.product(*(list(p[2]) for p in self.parts)):
-            yield self._build(choices)
-
-
-def _parse_input_class(data, signature, where: str):
-    kinds = {"mono_dnf", "table", "threshold"}
-    if not isinstance(data, dict) or data.get("kind") not in kinds:
-        raise SpecFileError(f"input_class kind must be one of {sorted(kinds)}", where)
-    if data["kind"] == "mono_dnf":
-        return MonotoneDnfClass(signature, data.get("max_terms", 1),
-                                outputs=(data.get("on_true", 1), data.get("on_false", 0)))
-    if data["kind"] == "threshold":
-        return ThresholdClass(signature,
-                              outputs=(data.get("on_true", 1), data.get("on_false", 0)))
-    return TableClass(signature, tuple(data["outputs"]))
-
-
-def load_class_spec(data: dict):
-    """A class-spec file is either {"family": "sequence_tasks", "d": N} or an
-    alphabet plus components carrying ``input_class`` descriptors."""
-    if "family" in data:
-        if data["family"] != "sequence_tasks":
-            raise SpecFileError(f"unknown family {data['family']!r}")
-        extra = set(data) - {"family", "d", "letters"}
-        if extra:
-            raise SpecFileError(f"unknown fields {sorted(extra)}", "family")
-        letters = tuple(data["letters"]) if "letters" in data else None
-        return SequenceTaskFamily(int(data["d"]), letters)
-    from .specfile import _parse_alphabet, _require_keys
-
-    _require_keys(data, {"alphabet", "components"}, set(), "class spec")
-    external = _parse_alphabet(data["alphabet"])
-    parts = []
-    alphabet_arity = external.arity
-    sig_alphabet = external
-    built_names = []
-    for i, comp in enumerate(data["components"]):
-        where = f"components[{i}]"
-        _require_keys(comp, {"name", "dependencies", "input_class", "core"},
-                      {"output_fn", "outputs"}, where)
-        deps = comp["dependencies"]
-        if any(not isinstance(j, int) or j < 1 or j > alphabet_arity for j in deps):
-            raise SpecFileError(f"dependencies out of range [1, {alphabet_arity}]", where)
-        signature = sig_alphabet.project(deps)
-        cls = _parse_input_class(comp["input_class"], signature, f"{where}.input_class")
-        output_fn = comp.get("output_fn", "state")
-        parts.append((comp["name"], tuple(deps), cls, comp["core"], output_fn))
-        built_names.append(comp["name"])
-        # extend the chained alphabet with this component's outputs
-        probe = EnumerableCascadeClass(external, parts).member(0)
-        sig_alphabet = chain_alphabet(external, probe.components)
-        alphabet_arity += 1
-    return EnumerableCascadeClass(external, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +125,8 @@ def cmd_run(args) -> int:
                 print(f"line {line_no}: empty trace has no output", file=sys.stderr)
                 continue
             letters = tuple(
-                _parse_letter(tok, cascade.external, line_no) for tok in line.split()
+                _parse_letter(tok, cascade.external, f"{args.traces}: line {line_no}")
+                for tok in line.split()
             )
             outputs.append(str(cascade.run(letters)))
     _emit("\n".join(outputs), args.out)
@@ -319,27 +218,8 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _descriptor_from_file(data) -> tuple[ClassDescriptor, object | None]:
-    if "family" in data:
-        fam = load_class_spec({k: data[k] for k in ("family", "d", "letters") if k in data})
-        desc = fam.descriptor(data.get("max_len", 8),
-                              data.get("epsilon", 0.1), data.get("eta", 0.1))
-        return desc, fam
-    comps = []
-    for i, c in enumerate(data["components"]):
-        allowed = {"arity", "degree", "n_input_fns", "n_cores", "n_output_fns",
-                   "internal_size", "output_size", "input_dim", "output_dim"}
-        unknown = set(c) - allowed
-        if unknown:
-            raise SpecFileError(f"unknown fields {sorted(unknown)}", f"components[{i}]")
-        comps.append(ComponentClassSpec(**c))
-    return ClassDescriptor(tuple(comps), data.get("max_len", 8),
-                           data.get("epsilon", 0.1), data.get("eta", 0.1)), None
-
-
 def cmd_bounds(args) -> int:
-    data = _load_json(args.descriptor)
-    desc, fam = _descriptor_from_file(data)
+    desc, fam = descriptor_from_spec(_load_json(args.descriptor))
     rows: list[tuple[str, str, str]] = []
     card = cardinality_bound_cascade(desc)
     enumerated = fam.cardinality if fam is not None else None
@@ -399,38 +279,20 @@ def _class_universe(cls, max_len: int, cap: int = 4000):
     return universe
 
 
-def _growth_descriptor(cls, max_len: int):
-    """Descriptor and per-component input classes for an enumerable class."""
-    if isinstance(cls, SequenceTaskFamily):
-        return cls.descriptor(max_len), [cls.watcher_class] * (cls.d - 1) + [cls.goal_class]
-    probe = cls.member(0)
-    specs = []
-    for i, (comp, part) in enumerate(zip(probe.components, cls.parts)):
-        specs.append(ComponentClassSpec(
-            arity=comp.alphabet.arity,
-            degree=comp.dependencies.degree,
-            n_input_fns=part[2].cardinality,
-            n_cores=1, n_output_fns=1,
-            internal_size=len(comp.core.alphabet),
-            output_size=len(comp.outputs),
-        ))
-    return ClassDescriptor(tuple(specs), max_len), cls.input_classes
-
-
 def cmd_growth(args) -> int:
-    cls = load_class_spec(_load_json(args.classspec))
+    cls = class_from_spec(_load_json(args.classspec))
     cap = _cap(args, 200_000)
     if cls.cardinality > cap:
         raise CapExceededError("class enumeration", cls.cardinality, cap)
     members = list(cls)
     universe = _class_universe(cls, args.max_len)
-    desc, input_classes = _growth_descriptor(cls, args.max_len)
+    desc = cls.descriptor(args.max_len)
     growths = [
         (lambda n, c=c: empirical_growth(list(c), list(c.signature.letters()),
                                          n, mode="exact").count)
-        for c in input_classes
+        for c in cls.input_classes
     ]
-    ones = [(lambda n: 1)] * len(input_classes)
+    ones = [(lambda n: 1)] * len(growths)
     lines = ["ell  patterns  bound  verdict"]
     for ell in args.ell:
         report = empirical_growth(members, universe, ell, mode=args.mode)
@@ -443,15 +305,24 @@ def cmd_growth(args) -> int:
     return EXIT_OK
 
 
+def _lines(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a file with their 1-based line numbers."""
+    with _open(path) as f:
+        return [(n, line.strip()) for n, line in enumerate(f, start=1) if line.strip()]
+
+
+def _label(path: str, line_no: int, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecFileError(f"{path}: line {line_no}: label {text!r} is not an integer")
+
+
 def _read_labeled(traces_path, labels_path, external) -> LabeledSample:
-    with _open(traces_path) as f:
-        lines = [line.strip() for line in f if line.strip()]
-    strings = [
-        tuple(_parse_letter(tok, external, i + 1) for tok in line.split())
-        for i, line in enumerate(lines)
-    ]
-    with _open(labels_path) as f:
-        labels = [int(line.strip()) for line in f if line.strip()]
+    strings = [tuple(_parse_letter(tok, external, f"{traces_path}: line {n}")
+                     for tok in line.split())
+               for n, line in _lines(traces_path)]
+    labels = [_label(labels_path, n, line) for n, line in _lines(labels_path)]
     if len(labels) != len(strings):
         raise SpecFileError(
             f"{len(strings)} traces but {len(labels)} labels"
@@ -460,31 +331,22 @@ def _read_labeled(traces_path, labels_path, external) -> LabeledSample:
 
 
 def cmd_learn(args) -> int:
-    config = _load_json(args.config)
-    allowed = {"seed", "epsilon", "eta", "max_len", "n", "n_mc", "min_risk",
-               "letter_weights"}
-    unknown = set(config) - allowed
-    if unknown:
-        raise SpecFileError(f"unknown fields {sorted(unknown)}", "config")
-    seed = config.get("seed", 0)
-    epsilon = config.get("epsilon", 0.1)
-    eta = config.get("eta", 0.1)
-    max_len = config.get("max_len", 8)
-    n_mc = config.get("n_mc", 2000)
-    cls = load_class_spec(_load_json(args.classspec))
+    config = learn_config_from_spec(_load_json(args.config))
+    seed, max_len, n_mc = config["seed"], config["max_len"], config["n_mc"]
+    cls = class_from_spec(_load_json(args.classspec))
     cap = _cap(args, 500_000)
     if cls.cardinality > cap:
         raise CapExceededError("class enumeration", cls.cardinality, cap)
-    bound = sample_bound_finite(cls.cardinality, epsilon, eta)
+    bound = sample_bound_finite(cls.cardinality, config["epsilon"], config["eta"])
 
     target = None
     if args.target:
         target = cascade_from_spec(_load_json(args.target))
         letters = list(cls.external.letters())
-        weights = config.get("letter_weights")
+        weights = config["letter_weights"]
         dist = StringDistribution(tuple(letters), max_len,
                                   tuple(weights) if weights else None)
-        n = config.get("n") or bound
+        n = config["n"] or bound
         sample = draw_sample(dist, target, n, seed=seed)
     elif args.traces and args.labels:
         sample = _read_labeled(args.traces, args.labels, cls.external)
@@ -503,7 +365,7 @@ def cmd_learn(args) -> int:
     if target is not None:
         est = estimate_risk(chosen.function, target, dist, n_mc, seed=seed ^ 0xA5A5)
         report.append(f"estimated true risk: {est.mean:.6f} +- {est.stderr:.6f}")
-        min_risk = config.get("min_risk")
+        min_risk = config["min_risk"]
         if min_risk is None and cls.cardinality <= 4000:
             min_risk = class_min_risk(cls, target, dist, n_mc, seed=seed ^ 0x5EED)
         if min_risk is not None:

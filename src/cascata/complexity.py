@@ -359,19 +359,6 @@ def class_dimension(functions: Sequence, universe: Sequence, outputs: Sequence,
     return graph_dimension(functions, universe, outputs, cap)
 
 
-def empirical_dimension(functions: Sequence, universe: Sequence, mode: str,
-                        outputs: Sequence | None = None,
-                        cap: int = DEFAULT_SEARCH_CAP) -> DimensionReport:
-    """Shattering dimension by exhaustive search, mode 'vc' or 'graph'."""
-    if mode == "vc":
-        return vc_dimension(functions, universe, cap)
-    if mode == "graph":
-        if outputs is None:
-            outputs = sorted({f(x) for f in functions for x in universe}, key=repr)
-        return graph_dimension(functions, universe, outputs, cap)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Growth propositions, verified exactly on supplied small classes.
 # ---------------------------------------------------------------------------

@@ -10,16 +10,14 @@ factory; in memory a trace is a tuple of one-coordinate letters such as
 
 from __future__ import annotations
 
-import itertools
 import random
 from functools import cached_property
 
 import numpy as np
 
 from .alphabets import FactoredAlphabet, MonotoneDnfClass
-from .automata import ComponentAutomaton
-from .cascade import Cascade, chain_alphabet
-from .complexity import ClassDescriptor, ComponentClassSpec
+from .cascade import Cascade, CascadeClass, ClassPart, build_chained
+from .complexity import ClassDescriptor
 from .primes import make_counter, make_flipflop
 
 EVENTS = ("blank", "wood", "iron", "fire", "steel", "factory")
@@ -107,34 +105,27 @@ def task_label(trace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _material_watcher(event: str):
-    return lambda x: "set" if x[0] == event else "read"
+def _material(event: str, modulus: int | None = None) -> dict:
+    """A component that reads only the event and outputs its state: a
+    write-once flip-flop that ``event`` sets or, given a modulus, a counter
+    that ``event`` increments."""
+    if modulus is None:
+        return dict(name=event, dependencies=(1,), core=make_flipflop(with_reset=False),
+                    input_fn=lambda x: "set" if x[0] == event else "read")
+    return dict(name=event, dependencies=(1,), core=make_counter(modulus),
+                input_fn=lambda x: "inc" if x[0] == event else "read")
 
 
-def _material_stepper(event: str):
-    return lambda x: "inc" if x[0] == event else "read"
+def _goal(input_fn) -> dict:
+    """The goal flip-flop: it reads everything and outputs the state its
+    transition enters, so a successful factory use shows up at the step it
+    happens."""
+    return dict(name="factory_use", dependencies=(1, 2, 3, 4, 5), input_fn=input_fn,
+                core=make_flipflop(with_reset=False), output_fn="next_state")
 
 
 def build_flipflop_task_cascade() -> Cascade:
-    """One write-once flip-flop per material plus a goal flip-flop.
-
-    The material components read only the event and output their state; the
-    goal reads everything and outputs the state its transition enters, so a
-    successful factory use shows up at the step it happens.
-    """
-    external = trace_alphabet()
-    components: list[ComponentAutomaton] = []
-    for event in MATERIALS:
-        components.append(
-            ComponentAutomaton(
-                chain_alphabet(external, components),
-                dependencies=(1,),
-                input_fn=_material_watcher(event),
-                core=make_flipflop(with_reset=False),
-                output_fn="state",
-                name=event,
-            )
-        )
+    """One write-once flip-flop per material plus the goal flip-flop."""
 
     def goal_input(x):
         event, wood, iron, fire, steel = x
@@ -142,17 +133,8 @@ def build_flipflop_task_cascade() -> Cascade:
             return "set"
         return "read"
 
-    components.append(
-        ComponentAutomaton(
-            chain_alphabet(external, components),
-            dependencies=(1, 2, 3, 4, 5),
-            input_fn=goal_input,
-            core=make_flipflop(with_reset=False),
-            output_fn="next_state",
-            name="factory_use",
-        )
-    )
-    return Cascade(components)
+    return build_chained(trace_alphabet(),
+                         [_material(event) for event in MATERIALS] + [_goal(goal_input)])
 
 
 def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
@@ -164,37 +146,15 @@ def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
     unreachable = {k: t for k, t in thresholds.items() if t >= modulus}
     if unreachable:
         raise ValueError(f"thresholds {unreachable} are not below the modulus {modulus}")
-    external = trace_alphabet()
-    components: list[ComponentAutomaton] = []
-    for event in MATERIALS:
-        counted = event in thresholds
-        components.append(
-            ComponentAutomaton(
-                chain_alphabet(external, components),
-                dependencies=(1,),
-                input_fn=(_material_stepper if counted else _material_watcher)(event),
-                core=make_counter(modulus) if counted else make_flipflop(with_reset=False),
-                output_fn="state",
-                name=event,
-            )
-        )
 
     def goal_input(x):
         event, wood, iron, fire, steel = x
         ready = (wood >= wood_needed and iron >= iron_needed and fire) or steel >= steel_needed
         return "set" if event == "factory" and ready else "read"
 
-    components.append(
-        ComponentAutomaton(
-            chain_alphabet(external, components),
-            dependencies=(1, 2, 3, 4, 5),
-            input_fn=goal_input,
-            core=make_flipflop(with_reset=False),
-            output_fn="next_state",
-            name="factory_use",
-        )
-    )
-    return Cascade(components)
+    materials = [_material(event, modulus if event in thresholds else None)
+                 for event in MATERIALS]
+    return build_chained(trace_alphabet(), materials + [_goal(goal_input)])
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +162,7 @@ def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
 # ---------------------------------------------------------------------------
 
 
-class SequenceTaskFamily:
+class SequenceTaskFamily(CascadeClass):
     """Cascades of d write-once flip-flops for sequence tasks over d events.
 
     The first d-1 components watch the raw event through a 1-term monotone
@@ -222,63 +182,20 @@ class SequenceTaskFamily:
         if len(letters) != d:
             raise ValueError(f"need exactly {d} letters, got {len(letters)}")
         self.letters = tuple(letters)
-        self.external = FactoredAlphabet.single("event", self.letters)
-        self.watcher_class = MonotoneDnfClass(self.external, 1, outputs=("set", "read"))
-        goal_signature = self.external
+        external = FactoredAlphabet.single("event", self.letters)
+        self.watcher_class = MonotoneDnfClass(external, 1, outputs=("set", "read"))
+        goal_signature = external
         for i in range(d - 1):
             goal_signature = goal_signature.extend(f"task{i + 1}", (0, 1))
         self.goal_class = MonotoneDnfClass(goal_signature, 2, outputs=("set", "read"))
-
-    @property
-    def cardinality(self) -> int:
-        return self.watcher_class.cardinality ** (self.d - 1) * self.goal_class.cardinality
+        core = make_flipflop(with_reset=False)
+        watchers = [ClassPart(f"task{i + 1}", (1,), self.watcher_class, core)
+                    for i in range(d - 1)]
+        goal = ClassPart("goal", tuple(range(1, d + 1)), self.goal_class, core, "next_state")
+        super().__init__(external, watchers + [goal])
 
     def assemble(self, watcher_fns, goal_fn) -> Cascade:
-        components: list[ComponentAutomaton] = []
-        for i, fn in enumerate(watcher_fns):
-            components.append(
-                ComponentAutomaton(
-                    chain_alphabet(self.external, components),
-                    dependencies=(1,),
-                    input_fn=fn,
-                    core=make_flipflop(with_reset=False),
-                    output_fn="state",
-                    name=f"task{i + 1}",
-                )
-            )
-        components.append(
-            ComponentAutomaton(
-                chain_alphabet(self.external, components),
-                dependencies=tuple(range(1, self.d + 1)),
-                input_fn=goal_fn,
-                core=make_flipflop(with_reset=False),
-                output_fn="next_state",
-                name="goal",
-            )
-        )
-        return Cascade(components)
-
-    def member(self, index: int) -> Cascade:
-        if not 0 <= index < self.cardinality:
-            raise IndexError(index)
-        goal_index = index % self.goal_class.cardinality
-        combo = index // self.goal_class.cardinality
-        digits = []
-        for _ in range(self.d - 1):
-            digits.append(combo % self.watcher_class.cardinality)
-            combo //= self.watcher_class.cardinality
-        digits.reverse()
-        return self.assemble(
-            [self.watcher_class.function_at(i) for i in digits],
-            self.goal_class.function_at(goal_index),
-        )
-
-    def __iter__(self):
-        watchers = list(self.watcher_class)
-        goals = list(self.goal_class)
-        for combo in itertools.product(watchers, repeat=self.d - 1):
-            for goal in goals:
-                yield self.assemble(combo, goal)
+        return self.build([*watcher_fns, goal_fn])
 
     # -- fast empirical-risk scoring -------------------------------------------
 
@@ -371,36 +288,11 @@ class SequenceTaskFamily:
                 counts[c0:c0 + len(combos), goals] = np.bitwise_count(pred).sum(axis=0)
         return counts.reshape(-1)
 
-    # -- descriptors ------------------------------------------------------------
-
     def descriptor(self, max_len: int, epsilon: float = 0.1, eta: float = 0.1,
                    watcher_dim: float | None = None,
                    goal_dim: float | None = None) -> ClassDescriptor:
-        """Class descriptor with per-component choice counts; projection
-        factors count every dependency set of the stated degree, so the
-        resulting cardinality bound dominates the enumerated family (whose
-        dependency sets are fixed)."""
-        specs = []
-        for i in range(1, self.d):
-            specs.append(
-                ComponentClassSpec(
-                    arity=i, degree=1,
-                    n_input_fns=self.watcher_class.cardinality,
-                    n_cores=1, n_output_fns=1,
-                    internal_size=2, output_size=2,
-                    input_dim=watcher_dim,
-                )
-            )
-        specs.append(
-            ComponentClassSpec(
-                arity=self.d, degree=self.d,
-                n_input_fns=self.goal_class.cardinality,
-                n_cores=1, n_output_fns=1,
-                internal_size=2, output_size=2,
-                input_dim=goal_dim,
-            )
-        )
-        return ClassDescriptor(tuple(specs), max_len, epsilon, eta)
+        return super().descriptor(max_len, epsilon, eta,
+                                  [watcher_dim] * (self.d - 1) + [goal_dim])
 
     def sequence_target(self) -> Cascade:
         """A canonical realizable target: every watcher tracks its own

@@ -1,23 +1,52 @@
-"""Cascade spec files: a strict JSON-compatible description of a cascade.
+"""Strict JSON input files: cascade specs, class specs, bound descriptors
+and learning configs.  Unknown fields are rejected, a null stands for a
+field's default only where that default is null, and every error is a
+``SpecFileError`` naming the offending field's path.
 
-Top level::
+Cascade spec::
 
     {"alphabet": [{"name": ..., "values": [...]}, ...],
      "components": [{"name": ..., "dependencies": [1, ...],
                      "input_fn": <fn>, "core": <core>,
-                     "output_fn": "state" | "next_state" | <fn>}, ...]}
+                     "output_fn": "state" | "next_state" | <table>}, ...]}
 
-Function descriptors: ``{"kind": "table", "entries": [[[...values], out]]}``,
-``{"kind": "mono_dnf", "terms": [[var, ...], ...], "on_true": .., "on_false": ..}``
-(a lone empty term means constant true; variables are coordinate names, or
-``coord=value`` for one-hot expanded coordinates), and
-``{"kind": "threshold", "thresholds": {coord: value}, "on_true": .., "on_false": ..}``.
-Cores: ``"flipflop"``, ``"flipflop_wo"``, ``"counter:N"``, each optionally as
-``{"kind": ..., "initial": q}``, or an explicit
-``{"kind": "table", "letters": [...], "states": [...], "initial": q,
-"transitions": [[q, letter, q2], ...]}``.  Unknown fields are rejected.
+Component i reads the alphabet extended by one coordinate per earlier
+component, named after it and holding its outputs; ``dependencies`` are
+1-based indices into that alphabet.  Function descriptors:
+``{"kind": "table", "entries": [[[...values], out], ...]}`` with one entry
+per projected letter, ``{"kind": "mono_dnf", "terms": [[var, ...], ...],
+"on_true": .., "on_false": ..}`` (a lone empty term means constant true;
+variables are coordinate names, or ``coord=value`` for one-hot expanded
+coordinates), and ``{"kind": "threshold", "thresholds": {coord: int},
+"on_true": .., "on_false": ..}`` over integer coordinates; ``on_true`` and
+``on_false`` default to 1 and 0.  Every value a function can return must be
+a letter of the core.  Cores: ``"flipflop"``, ``"flipflop_wo"``,
+``"counter:N"``, each optionally as ``{"kind": ..., "initial": q}``, or an
+explicit ``{"kind": "table", "letters": [...], "states": [...], "initial": q,
+"transitions": [[q, letter, q2], ...]}``.  An output table is
+``{"kind": "table", "entries": [[state, [...values], out], ...],
+"outputs": [...]}`` with one entry per core state and projected letter;
+``outputs`` defaults to the values the entries use.
 
-Output-function tables use entries ``[[state, [...values], out], ...]``.
+Class spec: a cascade spec whose components carry an ``input_class``
+instead of an ``input_fn``; the class holds one cascade per choice of input
+functions, numbered with the last component's choice varying fastest.
+Input classes: ``{"kind": "mono_dnf", "max_terms": 1 | 2, "on_true": ..,
+"on_false": ..}`` (``max_terms`` defaults to 1), ``{"kind": "threshold",
+"on_true": .., "on_false": ..}`` over integer coordinates, and
+``{"kind": "table", "outputs": [...]}`` (every function into ``outputs``).
+Alternatively ``{"family": "sequence_tasks", "d": N, "letters": [...]}``
+names the built-in task family (``letters`` optional).
+
+Bound descriptor: a family as above, or ``{"components": [{"arity": ..,
+"degree": .., "n_input_fns": .., "n_cores": .., "n_output_fns": ..,
+"internal_size": .., "output_size": .., "input_dim": .., "output_dim": ..},
+...]}`` (integers; the dimensions are optional numbers); either form takes
+an optional ``max_len`` (default 8), ``epsilon`` and ``eta`` (default 0.1).
+
+Learning config: optional ``seed`` (0), ``epsilon``, ``eta`` (0.1),
+``max_len`` (8), ``n`` (null: the finite-class bound), ``n_mc`` (2000),
+``min_risk`` (null) and ``letter_weights`` (null: uniform).
 """
 
 from __future__ import annotations
@@ -26,13 +55,19 @@ from .alphabets import (
     FactoredAlphabet,
     MonotoneDnf,
     MonotoneDnfClass,
+    TableClass,
     TableFunction,
+    ThresholdClass,
     ThresholdConjunction,
 )
-from .automata import ComponentAutomaton, Semiautomaton
-from .cascade import Cascade, chain_alphabet
-from .errors import SpecFileError
+from .automata import Semiautomaton
+from .cascade import Cascade, CascadeClass, ClassPart, build_chained
+from .complexity import ClassDescriptor, ComponentClassSpec
+from .crafting import SequenceTaskFamily
+from .errors import CascataError, SpecFileError
 from .primes import make_counter, make_flipflop, validate_prime_identities
+
+_NUMBER = (int, float)
 
 
 def _require_keys(obj: dict, required: set, optional: set, where: str):
@@ -46,20 +81,38 @@ def _require_keys(obj: dict, required: set, optional: set, where: str):
         raise SpecFileError(f"unknown fields {sorted(unknown)}", where)
 
 
-def _require_type(value, kind: type, where: str):
-    if not isinstance(value, kind):
-        raise SpecFileError(f"expected {kind.__name__}, got {type(value).__name__}", where)
+def _require_type(value, kind, where: str):
+    """``value`` if it is an instance of ``kind`` (a type, or ``_NUMBER``);
+    a bool is never taken for a number."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = "number" if kind == _NUMBER else kind.__name__
+        raise SpecFileError(f"expected {name}, got {type(value).__name__}", where)
     return value
+
+
+def _scalars(values, where: str) -> tuple:
+    if any(isinstance(v, (list, dict)) for v in _require_type(values, list, where)):
+        raise SpecFileError("values must be scalars", where)
+    return tuple(values)
+
+
+def _field(data: dict, key: str, kind, default, where: str = ""):
+    """``data[key]`` checked against ``kind``, or ``default`` when the key
+    is absent (or null, where the default is null)."""
+    if key not in data or data[key] is None and default is None:
+        return default
+    return _require_type(data[key], kind, f"{where}.{key}" if where else key)
 
 
 def _rows(data, fields: tuple[str, ...], where: str) -> list:
     """A list of table rows, each a list of the named fields; a field
-    called ``values`` must itself be a list."""
+    called ``values`` must itself be a list and an ``output`` a scalar."""
     size = len(fields)
     at = fields.index("values") if "values" in fields else None
     for k, row in enumerate(_require_type(data, list, where)):
         if (not isinstance(row, list) or len(row) != size
-                or at is not None and not isinstance(row[at], list)):
+                or at is not None and not isinstance(row[at], list)
+                or fields[-1] == "output" and isinstance(row[-1], (list, dict))):
             raise SpecFileError(f"expected [{', '.join(fields)}], got {row!r}",
                                 f"{where}[{k}]")
     return data
@@ -71,11 +124,8 @@ def _parse_alphabet(data, where="alphabet") -> FactoredAlphabet:
     coords = []
     for i, c in enumerate(data):
         _require_keys(c, {"name", "values"}, set(), f"{where}[{i}]")
-        name = _require_type(c["name"], str, f"{where}[{i}].name")
-        values = _require_type(c["values"], list, f"{where}[{i}].values")
-        if any(isinstance(v, (list, dict)) for v in values):
-            raise SpecFileError("values must be scalars", f"{where}[{i}].values")
-        coords.append((name, tuple(values)))
+        coords.append((_require_type(c["name"], str, f"{where}[{i}].name"),
+                       _scalars(c["values"], f"{where}[{i}].values")))
     try:
         return FactoredAlphabet.of(*coords)
     except ValueError as e:
@@ -88,34 +138,40 @@ def _parse_core(data, where: str) -> Semiautomaton:
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFileError("core must be a kind string or an object with 'kind'", where)
     kind = _require_type(data["kind"], str, f"{where}.kind")
-    if kind in ("flipflop", "flipflop_wo") or kind.startswith("counter:"):
-        _require_keys(data, {"kind"}, {"initial"}, where)
-        initial = data.get("initial", 0)
-        if kind == "flipflop":
-            return make_flipflop(with_reset=True, initial=initial)
-        if kind == "flipflop_wo":
-            return make_flipflop(with_reset=False, initial=initial)
-        try:
-            modulus = int(kind.split(":", 1)[1])
-        except ValueError:
-            raise SpecFileError(f"bad counter kind {kind!r}", where)
-        return make_counter(modulus, initial=initial)
-    if kind == "table":
-        _require_keys(data, {"kind", "letters", "states", "initial", "transitions"},
-                      set(), where)
-        rows = _rows(data["transitions"], ("state", "letter", "next_state"),
-                     f"{where}.transitions")
-        letters = tuple(_require_type(data["letters"], list, f"{where}.letters"))
-        states = tuple(_require_type(data["states"], list, f"{where}.states"))
-        try:
+    try:
+        if kind in ("flipflop", "flipflop_wo") or kind.startswith("counter:"):
+            _require_keys(data, {"kind"}, {"initial"}, where)
+            initial = data.get("initial", 0)
+            if kind == "flipflop":
+                return make_flipflop(with_reset=True, initial=initial)
+            if kind == "flipflop_wo":
+                return make_flipflop(with_reset=False, initial=initial)
+            try:
+                modulus = int(kind.split(":", 1)[1])
+            except ValueError:
+                raise SpecFileError(f"bad counter kind {kind!r}", f"{where}.kind")
+            return make_counter(modulus, initial=initial)
+        if kind == "table":
+            _require_keys(data, {"kind", "letters", "states", "initial", "transitions"},
+                          set(), where)
+            rows = _rows(data["transitions"], ("state", "letter", "next_state"),
+                         f"{where}.transitions")
+            letters = tuple(_require_type(data["letters"], list, f"{where}.letters"))
+            states = tuple(_require_type(data["states"], list, f"{where}.states"))
             return Semiautomaton(letters, states, {(q, a): q2 for q, a, q2 in rows},
                                  data["initial"])
-        except (TypeError, ValueError) as e:
-            raise SpecFileError(str(e), where)
-    raise SpecFileError(f"unknown core kind {kind!r}", where)
+    except (TypeError, ValueError) as e:
+        raise SpecFileError(str(e), where)
+    raise SpecFileError(f"unknown core kind {kind!r}", f"{where}.kind")
+
+
+def _on(data) -> tuple:
+    """The (on_true, on_false) outputs of a boolean function or class."""
+    return data.get("on_true", 1), data.get("on_false", 0)
 
 
 def _parse_input_fn(data, signature: FactoredAlphabet, where: str):
+    """An input function and the values it can return."""
     _require_keys(data, {"kind"},
                   {"entries", "terms", "thresholds", "on_true", "on_false"}, where)
     kind = data["kind"]
@@ -124,7 +180,14 @@ def _parse_input_fn(data, signature: FactoredAlphabet, where: str):
             raise SpecFileError("table needs 'entries'", where)
         rows = _rows(data["entries"], ("values", "output"), f"{where}.entries")
         # a list comprehension builds large tables faster than a generator
-        return TableFunction(signature, tuple([(tuple(vals), out) for vals, out in rows]))
+        fn = TableFunction(signature, tuple([(tuple(vals), out) for vals, out in rows]))
+        try:
+            missing = next((x for x in signature.letters() if x not in fn.table), None)
+        except TypeError as e:
+            raise SpecFileError(str(e), f"{where}.entries")
+        if missing is not None:
+            raise SpecFileError(f"no entry for {list(missing)!r}", f"{where}.entries")
+        return fn, fn.table.values()
     if kind == "mono_dnf":
         if "terms" not in data:
             raise SpecFileError("mono_dnf needs 'terms'", where)
@@ -132,11 +195,9 @@ def _parse_input_fn(data, signature: FactoredAlphabet, where: str):
         for i, names in enumerate(terms):
             _require_type(names, list, f"{where}.terms[{i}]")
         k = 1 if terms == [[]] else max(1, min(2, len(terms)))
-        cls = MonotoneDnfClass(signature, k,
-                               outputs=(data.get("on_true", 1), data.get("on_false", 0)))
         try:
-            return cls.from_term_names(terms)
-        except ValueError as e:
+            return MonotoneDnfClass(signature, k, _on(data)).from_term_names(terms), _on(data)
+        except (CascataError, ValueError) as e:
             raise SpecFileError(str(e), where)
     if kind == "threshold":
         if "thresholds" not in data:
@@ -146,70 +207,184 @@ def _parse_input_fn(data, signature: FactoredAlphabet, where: str):
         unknown = set(thresholds) - set(names)
         if unknown:
             raise SpecFileError(f"threshold names {sorted(unknown)} not in {names}", where)
+        for coord in signature.coords:
+            if thresholds.get(coord.name) is not None:
+                where_t = f"{where}.thresholds.{coord.name}"
+                _require_type(thresholds[coord.name], int, where_t)
+                if not all(isinstance(v, int) for v in coord.values):
+                    raise SpecFileError("a threshold needs an integer coordinate", where_t)
         return ThresholdConjunction(signature, tuple(thresholds.get(n) for n in names),
-                                    data.get("on_true", 1), data.get("on_false", 0))
+                                    *_on(data)), _on(data)
     raise SpecFileError(f"unknown function kind {kind!r}", where)
 
 
-def _parse_output_fn(data, where: str):
+def _parse_input_class(data, signature: FactoredAlphabet, where: str):
+    """An enumerable input-function class and the values its members can
+    return."""
+    kinds = {"mono_dnf": {"max_terms", "on_true", "on_false"},
+             "threshold": {"on_true", "on_false"}, "table": {"outputs"}}
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SpecFileError(f"input_class kind must be one of {sorted(kinds)}", where)
+    _require_keys(data, {"kind"} | ({"outputs"} if kind == "table" else set()),
+                  kinds[kind], where)
+    outputs = (_scalars(data["outputs"], f"{where}.outputs") if kind == "table"
+               else _scalars(list(_on(data)), where))
+    try:
+        if kind == "mono_dnf":
+            cls = MonotoneDnfClass(signature, _field(data, "max_terms", int, 1, where),
+                                   outputs=outputs)
+        elif kind == "threshold":
+            cls = ThresholdClass(signature, outputs=outputs)
+        else:
+            cls = TableClass(signature, outputs)
+    except ValueError as e:
+        raise SpecFileError(str(e), where)
+    return cls, outputs
+
+
+def _parse_output_fn(data, core: Semiautomaton, signature: FactoredAlphabet, where: str):
+    """The output function and its outputs."""
     if isinstance(data, str):
         if data in ("state", "next_state"):
-            return data, None
+            return data, core.states
         raise SpecFileError(f"unknown output_fn {data!r}", where)
     _require_keys(data, {"kind", "entries"}, {"outputs"}, where)
     if data["kind"] != "table":
         raise SpecFileError(f"unknown output_fn kind {data['kind']!r}", where)
     rows = _rows(data["entries"], ("state", "values", "output"), f"{where}.entries")
+    outputs = _scalars(data["outputs"], f"{where}.outputs") if "outputs" in data else None
     try:
         table = {(q, tuple(vals)): out for q, vals, out in rows}
     except TypeError as e:
         raise SpecFileError(str(e), f"{where}.entries")
+    keys = [(q, x) for q in core.states for x in signature.letters()]
+    missing = next((key for key in keys if key not in table), None)
+    if missing is not None:
+        raise SpecFileError(f"no entry for state {missing[0]!r} and letter "
+                            f"{list(missing[1])!r}", f"{where}.entries")
+    values = {table[key] for key in keys}
+    if outputs is None:
+        outputs = tuple(sorted(values, key=repr))
+    elif values - set(outputs):
+        raise SpecFileError(f"entries use {sorted(values - set(outputs), key=repr)} "
+                            "outside the outputs", f"{where}.outputs")
+    return (lambda q, x: table[q, x]), outputs
 
-    def theta(q, x):
-        try:
-            return table[(q, x)]
-        except KeyError:
-            raise SpecFileError(f"output table misses ({q!r}, {x!r})", where)
 
-    outputs = None
-    if "outputs" in data:
-        outputs = tuple(_require_type(data["outputs"], list, f"{where}.outputs"))
-    return theta, outputs
-
-
-def cascade_from_spec(data: dict) -> Cascade:
+def _parse_components(data, fn_field: str):
+    """The external alphabet and the components of a cascade spec
+    (``fn_field`` "input_fn") or a class spec ("input_class"), each as the
+    fields of a ``build_chained`` spec or a ``ClassPart``."""
     _require_keys(data, {"alphabet", "components"}, set(), "spec")
     external = _parse_alphabet(data["alphabet"])
     if not isinstance(data["components"], list) or not data["components"]:
         raise SpecFileError("components must be a non-empty list", "components")
-    built: list[ComponentAutomaton] = []
+    parse_fn = _parse_input_fn if fn_field == "input_fn" else _parse_input_class
+    alphabet, parts = external, []
     for i, comp in enumerate(data["components"]):
         where = f"components[{i}]"
-        _require_keys(comp, {"name", "dependencies", "input_fn", "core"},
-                      {"output_fn"}, where)
-        _require_type(comp["name"], str, f"{where}.name")
-        alphabet = chain_alphabet(external, built)
+        _require_keys(comp, {"name", "dependencies", fn_field, "core"}, {"output_fn"}, where)
+        name = _require_type(comp["name"], str, f"{where}.name")
         deps = comp["dependencies"]
         if (not isinstance(deps, list) or not deps
                 or any(not isinstance(j, int) or j < 1 or j > alphabet.arity for j in deps)):
-            raise SpecFileError(
-                f"dependencies must be 1-based indices within [1, {alphabet.arity}]", where
-            )
+            raise SpecFileError(f"dependencies must be 1-based indices within "
+                                f"[1, {alphabet.arity}]", f"{where}.dependencies")
         signature = alphabet.project(deps)
-        input_fn = _parse_input_fn(comp["input_fn"], signature, f"{where}.input_fn")
+        fn, values = parse_fn(comp[fn_field], signature, f"{where}.{fn_field}")
         core = _parse_core(comp["core"], f"{where}.core")
-        output_fn, outputs = _parse_output_fn(comp.get("output_fn", "state"),
-                                              f"{where}.output_fn")
+        strays = [v for v in values if v not in core.alphabet]
+        if strays:
+            raise SpecFileError(f"{strays[0]!r} is not a letter of the core",
+                                f"{where}.{fn_field}")
+        output_fn, outputs = _parse_output_fn(comp.get("output_fn", "state"), core,
+                                              signature, f"{where}.output_fn")
         try:
-            built.append(ComponentAutomaton(alphabet, deps, input_fn, core,
-                                            output_fn=output_fn, outputs=outputs,
-                                            name=comp["name"]))
-        except Exception as e:
+            alphabet = alphabet.extend(name, outputs)
+        except ValueError as e:
             raise SpecFileError(str(e), where)
+        parts.append({"name": name, "dependencies": tuple(deps), fn_field: fn,
+                      "core": core, "output_fn": output_fn, "outputs": outputs})
+    return external, parts
+
+
+def cascade_from_spec(data: dict) -> Cascade:
+    return build_chained(*_parse_components(data, "input_fn"))
+
+
+def _parse_family(data, optional: set = frozenset()) -> SequenceTaskFamily:
+    _require_keys(data, {"family", "d"}, {"letters"} | optional, "spec")
+    if data["family"] != "sequence_tasks":
+        raise SpecFileError(f"unknown family {data['family']!r}", "family")
+    d = _require_type(data["d"], int, "d")
+    letters = _scalars(data["letters"], "letters") if "letters" in data else None
     try:
-        return Cascade(built)
+        return SequenceTaskFamily(d, letters)
     except ValueError as e:
-        raise SpecFileError(str(e), "components")
+        raise SpecFileError(str(e), "spec")
+
+
+def class_from_spec(data: dict) -> CascadeClass:
+    if isinstance(data, dict) and "family" in data:
+        return _parse_family(data)
+    external, parts = _parse_components(data, "input_class")
+    return CascadeClass(external, [ClassPart(**part) for part in parts])
+
+
+def _bound_params(data: dict) -> tuple[int, float, float]:
+    """``max_len``, ``epsilon`` and ``eta`` of a descriptor or config."""
+    max_len = _field(data, "max_len", int, 8)
+    if max_len < 1:
+        raise SpecFileError("max_len must be at least 1", "max_len")
+    params = [max_len]
+    for key in ("epsilon", "eta"):
+        params.append(_field(data, key, _NUMBER, 0.1))
+        if not 0 < params[-1] < 1:
+            raise SpecFileError(f"{key} must lie in (0, 1)", key)
+    return tuple(params)
+
+
+_COMPONENT_SIZES = ("arity", "degree", "n_input_fns", "n_cores", "n_output_fns",
+                   "internal_size", "output_size")
+
+
+def descriptor_from_spec(data: dict) -> tuple[ClassDescriptor, CascadeClass | None]:
+    """A bound descriptor and, when it names a family, the family."""
+    if isinstance(data, dict) and "family" in data:
+        family = _parse_family(data, {"max_len", "epsilon", "eta"})
+        return family.descriptor(*_bound_params(data)), family
+    _require_keys(data, {"components"}, {"max_len", "epsilon", "eta"}, "descriptor")
+    if not isinstance(data["components"], list) or not data["components"]:
+        raise SpecFileError("components must be a non-empty list", "components")
+    specs = []
+    for i, comp in enumerate(data["components"]):
+        where = f"components[{i}]"
+        _require_keys(comp, set(_COMPONENT_SIZES), {"input_dim", "output_dim"}, where)
+        sizes = {k: _require_type(comp[k], int, f"{where}.{k}") for k in _COMPONENT_SIZES}
+        if not 0 <= sizes["degree"] <= sizes["arity"]:
+            raise SpecFileError("degree must lie in [0, arity]", f"{where}.degree")
+        try:
+            specs.append(ComponentClassSpec(
+                **sizes, input_dim=_field(comp, "input_dim", _NUMBER, None, where),
+                output_dim=_field(comp, "output_dim", _NUMBER, None, where)))
+        except ValueError as e:
+            raise SpecFileError(str(e), where)
+    return ClassDescriptor(tuple(specs), *_bound_params(data)), None
+
+
+def learn_config_from_spec(data: dict) -> dict:
+    """The ``learn`` config with every default filled in."""
+    _require_keys(data, set(), {"seed", "epsilon", "eta", "max_len", "n", "n_mc",
+                                "min_risk", "letter_weights"}, "config")
+    max_len, epsilon, eta = _bound_params(data)
+    weights = _field(data, "letter_weights", list, None)
+    for i, w in enumerate(weights or ()):
+        _require_type(w, _NUMBER, f"letter_weights[{i}]")
+    return {"seed": _field(data, "seed", int, 0), "epsilon": epsilon, "eta": eta,
+            "max_len": max_len, "n": _field(data, "n", int, None),
+            "n_mc": _field(data, "n_mc", int, 2000),
+            "min_risk": _field(data, "min_risk", _NUMBER, None), "letter_weights": weights}
 
 
 def _serialize_core(core: Semiautomaton):

@@ -12,9 +12,7 @@ from cascata.alphabets import (
     Projection,
     TableClass,
     ThresholdClass,
-    class_cardinality,
     enumerate_class,
-    project,
     projection_count,
 )
 from cascata.errors import ArityMismatchError, CapExceededError, UnknownLetterError
@@ -25,7 +23,7 @@ ABC = FactoredAlphabet.of(("first", ("a",)), ("second", ("b",)), ("third", ("c",
 
 def test_project_basic():
     p = Projection(3, (1, 3))
-    assert project(p, ("a", "b", "c")) == ("a", "c")
+    assert p(("a", "b", "c")) == ("a", "c")
 
 
 def test_project_identity():
@@ -106,7 +104,7 @@ def truth_table(fn, signature):
 
 def test_table_class_cardinality():
     cls = TableClass(BOOL2, (0, 1))
-    assert class_cardinality(cls) == 16
+    assert cls.cardinality == 16
 
 
 def test_table_class_enumeration_distinct():

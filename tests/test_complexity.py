@@ -225,22 +225,13 @@ def test_graph_dimension_cross_check():
 
 def test_class_dimension_dispatches_on_output_count():
     domain = FactoredAlphabet.single("p", ("u", "v"))
-    binary = list(TableClass(domain, (0, 1)))
-    assert class_dimension(binary, list(domain.letters()), (0, 1)).value == 2
-
-
-def test_empirical_dimension_modes():
-    from cascata.complexity import empirical_dimension
-
-    domain = FactoredAlphabet.single("p", ("u", "v"))
-    binary = list(TableClass(domain, (0, 1)))
     points = list(domain.letters())
-    assert empirical_dimension(binary, points, "vc").value == 2
+    binary = list(TableClass(domain, (0, 1)))
+    assert class_dimension(binary, points, (0, 1)).value == 2
+    assert class_dimension(binary, points, (0, 1)) == vc_dimension(binary, points)
     wide = list(TableClass(domain, ("r", "g", "b")))
-    assert empirical_dimension(wide, points, "graph").value == \
-        graph_dimension(wide, points, ("r", "g", "b")).value
-    with pytest.raises(ValueError):
-        empirical_dimension(binary, points, "nope")
+    assert class_dimension(wide, points, ("r", "g", "b")) == \
+        graph_dimension(wide, points, ("r", "g", "b"))
 
 
 def test_empirical_growth_respects_theoretical_bound():

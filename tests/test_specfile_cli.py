@@ -357,3 +357,122 @@ def test_cli_scenario_artifacts(tmp_path, capsys):
     labels = (tmp_path / "run1.labels").read_text().splitlines()
     assert len(lines) == len(labels) == 40
     assert set(labels) <= {"0", "1"}
+
+
+# ---------------------------------------------------------------------------
+# Class specs, descriptors, configs and label files.
+# ---------------------------------------------------------------------------
+
+
+def _family_d2_class_spec():
+    """The d=2 sequence-task family spelled out as a class spec."""
+    dnf = {"kind": "mono_dnf", "on_true": "set", "on_false": "read"}
+    return {
+        "alphabet": [{"name": "event", "values": ["e1", "e2"]}],
+        "components": [
+            {"name": "task1", "dependencies": [1], "core": "flipflop_wo",
+             "input_class": dict(dnf, max_terms=1), "output_fn": "state"},
+            {"name": "goal", "dependencies": [1, 2], "core": "flipflop_wo",
+             "input_class": dict(dnf, max_terms=2), "output_fn": "next_state"},
+        ],
+    }
+
+
+def test_class_spec_of_the_d2_family_matches_the_family():
+    from cascata.crafting import SequenceTaskFamily
+    from cascata.specfile import class_from_spec
+
+    family = SequenceTaskFamily(2)
+    spelled = class_from_spec(_family_d2_class_spec())
+    assert spelled.cardinality == family.cardinality == 68
+    assert [cascade_to_spec(m) for m in spelled] == [cascade_to_spec(m) for m in family]
+    assert [cascade_to_spec(spelled.member(i)) for i in range(68)] == \
+        [cascade_to_spec(family.member(i)) for i in range(68)]
+    assert spelled.descriptor(3) == family.descriptor(3)
+    assert spelled.descriptor(5, 0.2, 0.05, [1.0, 2.5]) == \
+        family.descriptor(5, 0.2, 0.05, watcher_dim=1.0, goal_dim=2.5)
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+def _rejected(argv, capsys, field):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"[{field}]" in err and "Traceback" not in err, err
+
+
+def _learn_files(tmp_path, config=None, classspec=None):
+    traces = _write(tmp_path, "x.traces", "e1 e2\ne2\n")
+    labels = _write(tmp_path, "x.labels", "1\n0\n")
+    return ["learn", _write(tmp_path, "config.json", config or {"seed": 1}),
+            _write(tmp_path, "class.json", classspec or _family_d2_class_spec()),
+            "--traces", traces, "--labels", labels]
+
+
+@pytest.mark.parametrize("field, change", [
+    ("components[0].input_class", {"input_class": {"kind": "table"}}),
+    ("components[0].dependencies", {"dependencies": 5}),
+    ("components[0].name", {"name": ["task1"]}),
+    ("components[0].core.kind", {"core": {"kind": 7}}),
+    ("components[0].core.kind", {"core": "steel"}),
+    ("components[0].input_class", {"input_class": {"kind": "mono_dnf", "bogus": 1}}),
+    ("components[0]", {"outputs": [0, 1]}),
+    ("components[0].input_class", {"input_class": {"kind": "table", "outputs": ["on", "off"]}}),
+])
+def test_cli_mistyped_class_spec_fields_exit_2(tmp_path, capsys, field, change):
+    spec = _family_d2_class_spec()
+    spec["components"][0].update(change)
+    _rejected(_learn_files(tmp_path, classspec=spec), capsys, field)
+
+
+@pytest.mark.parametrize("field, change", [("d", {"d": [1]}), ("letters", {"letters": 5})])
+def test_cli_mistyped_family_fields_exit_2(tmp_path, capsys, field, change):
+    spec = dict({"family": "sequence_tasks", "d": 2}, **change)
+    _rejected(_learn_files(tmp_path, classspec=spec), capsys, field)
+
+
+def test_cli_class_spec_accepts_an_output_table(tmp_path, capsys):
+    spec = _family_d2_class_spec()
+    # the watcher outputs its state under other names
+    spec["components"][0]["output_fn"] = {
+        "kind": "table", "outputs": ["off", "on"],
+        "entries": [[q, [e], ["off", "on"][q]] for q in (0, 1) for e in ("e1", "e2")]}
+    spec["components"][1]["input_class"]["max_terms"] = 1
+    assert main(_learn_files(tmp_path, classspec=spec)) == 0
+    assert "class size: 64" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_mc", "5"), ("epsilon", "0.1"), ("max_len", "8"), ("letter_weights", 5),
+    ("seed", [1]),
+])
+def test_cli_mistyped_learn_config_exit_2(tmp_path, capsys, field, value):
+    _rejected(_learn_files(tmp_path, config={field: value}), capsys, field)
+
+
+@pytest.mark.parametrize("field, descriptor", [
+    ("descriptor", {"max_len": 4}),
+    ("components[0]", {"components": [5]}),
+    ("components[0].arity", {"components": [{
+        "arity": "2", "degree": 1, "n_input_fns": 4, "n_cores": 1, "n_output_fns": 1,
+        "internal_size": 2, "output_size": 2}]}),
+    ("max_len", {"family": "sequence_tasks", "d": 2, "max_len": "8"}),
+])
+def test_cli_mistyped_descriptor_exit_2(tmp_path, capsys, field, descriptor):
+    _rejected(["bounds", _write(tmp_path, "desc.json", descriptor)], capsys, field)
+
+
+def test_cli_malformed_trace_or_label_names_file_and_line(tmp_path, capsys):
+    argv = _learn_files(tmp_path)
+    _write(tmp_path, "x.labels", "1\n\nyes\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "x.labels: line 3" in err and "'yes'" in err
+    _write(tmp_path, "x.traces", "e1\n\ne3 e2\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "x.traces: line 3" in err and "'e3'" in err
