@@ -1,7 +1,8 @@
 """Mutated input files never crash the CLI: on a mutation of a valid
-cascade spec, class spec, family, learning config, bound descriptor, trace
-or label file, ``main`` exits with a documented code (0 ok, 2 parse error,
-3 cap exceeded, 4 verification failure) and prints no traceback."""
+cascade spec (with table or monotone-DNF input functions), class spec,
+family, learning config, bound descriptor, trace or label file, ``main``
+exits with a documented code (0 ok, 2 parse error, 3 cap exceeded,
+4 verification failure) and prints no traceback."""
 
 import contextlib
 import copy
@@ -104,7 +105,8 @@ def _mutate_text(data, text):
 
 
 #: which file is mutated, and the command run on it
-SCENARIOS = ["spec", "class", "family", "config", "descriptor", "traces", "labels"]
+SCENARIOS = ["spec", "target", "class", "family", "config", "descriptor", "traces",
+             "labels"]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -128,6 +130,7 @@ def test_cli_survives_mutated_input_files(data):
             "spec": ["run", path["spec"], path["traces"]],
             "class": learn,
             "family": ["bounds", path["family"]],
+            "target": ["learn", path["config"], path["class"], "--target", path["target"]],
             "config": ["learn", path["config"], path["class"], "--target", path["target"]],
             "descriptor": ["bounds", path["descriptor"], "--ell", "1", "2"],
             "traces": learn,
