@@ -228,7 +228,15 @@ def test_class_dimension_dispatches_on_output_count():
     points = list(domain.letters())
     binary = list(TableClass(domain, (0, 1)))
     assert class_dimension(binary, points, (0, 1)).value == 2
+
+
+def test_empirical_dimension_modes():
+    # the vc and graph modes of the former empirical_dimension, via class_dimension
+    domain = FactoredAlphabet.single("p", ("u", "v"))
+    points = list(domain.letters())
+    binary = list(TableClass(domain, (0, 1)))
     assert class_dimension(binary, points, (0, 1)) == vc_dimension(binary, points)
+    assert class_dimension(binary, points, (0, 1)).value == 2
     wide = list(TableClass(domain, ("r", "g", "b")))
     assert class_dimension(wide, points, ("r", "g", "b")) == \
         graph_dimension(wide, points, ("r", "g", "b"))
