@@ -3,12 +3,18 @@
 Letters are plain tuples with one entry per coordinate of an owning
 :class:`FactoredAlphabet`.  Everything here is immutable after construction
 and safe to share across threads.
+
+Numbering: ``FactoredAlphabet.encode`` gives a letter's value codes (each
+value's position in its coordinate's ``values``) and ``index`` its position
+in ``letters()``: the codes as a mixed-radix number, last coordinate fastest,
+summed from ``places``.  No other module numbers letters by hand.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -75,6 +81,38 @@ class FactoredAlphabet:
     def letters(self) -> Iterator[Letter]:
         """All letters in canonical (product) order."""
         return itertools.product(*(c.values for c in self.coords))
+
+    @cached_property
+    def _codes(self) -> tuple[dict, ...]:
+        return tuple({v: i for i, v in enumerate(c.values)} for c in self.coords)
+
+    @cached_property
+    def places(self) -> tuple[dict, ...]:
+        """Per coordinate, value -> its code times the coordinate's place
+        value; a letter's index is the sum over its coordinates."""
+        weight, places = self.n_letters, []
+        for c in self.coords:
+            weight //= len(c.values)
+            places.append({v: i * weight for i, v in enumerate(c.values)})
+        return tuple(places)
+
+    def _look_up(self, tables, letter, where: str) -> list:
+        """``tables[i][letter[i]]`` per coordinate i; raises what ``check`` raises."""
+        try:
+            if isinstance(letter, tuple) and len(letter) == len(tables):
+                return list(map(operator.getitem, tables, letter))
+        except (KeyError, TypeError):
+            pass
+        self.check(letter, where)
+        raise UnknownLetterError(letter, where=where)
+
+    def encode(self, letter, where="") -> list:
+        """The letter's value codes, one per coordinate, in a fresh list."""
+        return self._look_up(self._codes, letter, where)
+
+    def index(self, letter, where="") -> int:
+        """The letter's position in ``letters()``."""
+        return sum(self._look_up(self.places, letter, where))
 
     def check(self, letter, where="") -> Letter:
         if not isinstance(letter, tuple) or len(letter) != self.arity:
@@ -170,34 +208,22 @@ class BooleanView:
         return tuple(names)
 
     @cached_property
-    def _encoders(self):
-        # per coordinate: ('bool', bit) or ('onehot', {value: bit})
-        encs = []
-        bit = 0
+    def _masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per coordinate, the variable bits each value code sets."""
+        masks, bit = [], 1
         for coord in self.signature.coords:
-            if coord.is_boolean:
-                encs.append(("bool", bit))
-                bit += 1
-            else:
-                encs.append(("onehot", {v: bit + i for i, v in enumerate(coord.values)}))
-                bit += len(coord.values)
-        return tuple(encs)
+            hot = (1,) if coord.is_boolean else coord.values  # values with a variable
+            masks.append(tuple(bit << hot.index(v) if v in hot else 0 for v in coord.values))
+            bit <<= len(hot)
+        return tuple(masks)
 
     @property
     def n_variables(self) -> int:
         return len(self.variables)
 
     def encode(self, letter: Letter) -> int:
-        self.signature.check(letter, "boolean view")
-        mask = 0
-        for v, enc in zip(letter, self._encoders):
-            kind, data = enc
-            if kind == "bool":
-                if v:
-                    mask |= 1 << data
-            else:
-                mask |= 1 << data[v]
-        return mask
+        codes = self.signature.encode(letter, "boolean view")
+        return sum(masks[c] for masks, c in zip(self._masks, codes))
 
     def bit_of(self, variable_name: str) -> int:
         try:
@@ -213,25 +239,18 @@ class BooleanView:
 
 @dataclass(frozen=True)
 class TableFunction:
-    """A total function on a finite signature, given by explicit entries."""
+    """A total function on a finite signature: ``values[i]`` is its value on
+    the i-th letter of ``signature.letters()``."""
 
     signature: FactoredAlphabet
-    entries: tuple[tuple[Letter, Value], ...]
+    values: tuple[Value, ...]
 
-    @cached_property
-    def table(self) -> dict:
-        """The entries as a mapping from letter to value."""
-        return dict(self.entries)
+    def __post_init__(self):
+        if len(self.values) != self.signature.n_letters:
+            raise ValueError(f"need one value per letter, got {len(self.values)} values")
 
     def __call__(self, letter: Letter) -> Value:
-        self.signature.check(letter, "table function")
-        return self.table[letter]
-
-    @staticmethod
-    def from_callable(signature: FactoredAlphabet, fn) -> "TableFunction":
-        return TableFunction(
-            signature, tuple((x, fn(x)) for x in signature.letters())
-        )
+        return self.values[self.signature.index(letter, "table function")]
 
 
 @dataclass(frozen=True)
@@ -303,22 +322,14 @@ class TableClass:
     def function_at(self, index: int) -> TableFunction:
         if not 0 <= index < self.cardinality:
             raise IndexError(index)
-        inputs = list(self.signature.letters())
-        base = len(self.outputs)
-        digits = []
-        for _ in inputs:
-            digits.append(index % base)
-            index //= base
+        n, base = self.signature.n_letters, len(self.outputs)
         # first input letter takes the most significant digit
-        digits.reverse()
-        return TableFunction(
-            self.signature, tuple(zip(inputs, (self.outputs[d] for d in digits)))
-        )
+        return TableFunction(self.signature, tuple(
+            self.outputs[index // base ** (n - 1 - i) % base] for i in range(n)))
 
     def __iter__(self) -> Iterator[TableFunction]:
-        inputs = tuple(self.signature.letters())
-        for outs in itertools.product(self.outputs, repeat=len(inputs)):
-            yield TableFunction(self.signature, tuple(zip(inputs, outs)))
+        for values in itertools.product(self.outputs, repeat=self.signature.n_letters):
+            yield TableFunction(self.signature, values)
 
 
 def _incomparable_pair_count(n: int) -> int:

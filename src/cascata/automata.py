@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabets import FactoredAlphabet, Letter, Projection
+from .alphabets import FactoredAlphabet, Projection
 from .errors import (
     ArityMismatchError,
     CapExceededError,
@@ -414,7 +414,7 @@ class ComponentAutomaton:
     ``output_fn`` is a callable (state, projected letter) -> output, or one
     of the shorthands ``'state'`` (return the state unchanged) and
     ``'next_state'`` (return the transition target, i.e. the state the input
-    letter leads to).
+    letter leads to); ``theta`` is the resulting callable.
     """
 
     def __init__(self, alphabet: FactoredAlphabet, dependencies, input_fn,
@@ -436,12 +436,12 @@ class ComponentAutomaton:
         self.name = name or "component"
 
         if callable(output_fn):
-            self._theta = output_fn
+            self.theta = output_fn
         elif output_fn == "state":
-            self._theta = lambda q, x: q
+            self.theta = lambda q, x: q
             outputs = core.states
         elif output_fn == "next_state":
-            self._theta = lambda q, x: core.step(q, input_fn(x))
+            self.theta = lambda q, x: core.step(q, input_fn(x))
             outputs = core.states
         else:
             raise ValueError(f"unknown output_fn {output_fn!r}")
@@ -459,30 +459,23 @@ class ComponentAutomaton:
                 raise UnknownLetterError(v, where=f"{self.name}: input function range")
             inputs.append(core.letter_index[v])
             if self.output_kind == "table":
-                values.append([self._theta(q, x) for q in core.states])
+                values.append([self.theta(q, x) for q in core.states])
         if outputs is None:
             outputs = sorted({v for column in values for v in column}, key=repr)
         self.outputs = tuple(outputs)
         code = {v: i for i, v in enumerate(self.outputs)}
         for v in (v for column in values for v in column if v not in code):
             raise UnknownLetterError(v, where=f"{self.name}: output function range")
-        # one shared (next, output) tuple per pair keeps large tables small
-        pairs = [[(t, o) for o in range(len(self.outputs))] for t in range(core.n_states)]
+        shared = {}  # one tuple per (next, output) pair in use keeps large tables small
         self.table = []
         for q, drow in enumerate(core.delta):
             if self.output_kind == "table":
-                row = [pairs[drow[a]][code[column[q]]] for a, column in zip(inputs, values)]
-            else:  # the pair depends on the internal letter alone
-                by_letter = [pairs[t][t if self.output_kind == "next_state" else q] for t in drow]
+                pairs = [(drow[a], code[column[q]]) for a, column in zip(inputs, values)]
+                row = [shared.setdefault(p, p) for p in pairs]
+            else:  # the pair depends on the internal letter alone: one tuple per letter
+                by_letter = [(t, t if self.output_kind == "next_state" else q) for t in drow]
                 row = [by_letter[a] for a in inputs]
             self.table.append(row)
-
-    def project(self, letter: Letter) -> Letter:
-        self.alphabet.check(letter, self.name)
-        return self.dependencies(letter)
-
-    def theta(self, state, projected_letter: Letter):
-        return self._theta(state, projected_letter)
 
     def induce(self) -> FlatAutomaton:
         """The flat automaton over the full alphabet: the unpruned product

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .alphabets import FactoredAlphabet, Letter
 from .automata import ComponentAutomaton, FlatAutomaton, Semiautomaton
 from .complexity import ClassDescriptor, ComponentClassSpec
-from .errors import CapExceededError, EmptyInputError, UnknownLetterError
+from .errors import CapExceededError, EmptyInputError
 
 DEFAULT_PRODUCT_CAP = 1_000_000
 
@@ -55,24 +55,18 @@ class Cascade:
                         f"coordinate {extra.name!r} of component {i + 1} does not "
                         f"hold the outputs of component {i}"
                     )
-        self._codes = tuple({v: i for i, v in enumerate(c.values)}
-                            for c in self.external.coords)
         self._wiring = tuple((c.table, self._inputs(c)) for c in self.components)
 
     def _inputs(self, comp: ComponentAutomaton):
-        """Per dependency: (coordinate, code -> mixed-radix weight of the code
-        in the projected letter's number).  A chained coordinate's code is its
-        producer's output code, hence the remap to the coordinate's order."""
+        """Per dependency: (coordinate, code -> the code's share of the
+        projected letter's index).  A chained coordinate's code is its
+        producer's output code, hence the values in the producer's order."""
         base = self.external.arity
-        inputs = []
-        weight = 1
-        for j in reversed(comp.dependencies.indices):
-            coord = comp.alphabet.coords[j - 1]
-            codes = range(len(coord.values)) if j <= base else [
-                coord.values.index(v) for v in self.components[j - 1 - base].outputs]
-            inputs.append((j - 1, [c * weight for c in codes]))
-            weight *= len(coord.values)
-        return tuple(inputs)
+        return tuple(
+            (j - 1, [place[v] for v in (coord.values if j <= base
+                                        else self.components[j - 1 - base].outputs)])
+            for j, coord, place in zip(comp.dependencies.indices, comp.projected.coords,
+                                       comp.projected.places))
 
     @property
     def depth(self) -> int:
@@ -80,17 +74,6 @@ class Cascade:
 
     def initial_state(self) -> CascadeState:
         return tuple(c.core.initial for c in self.components)
-
-    def _encode(self, letter: Letter) -> list:
-        """External coordinate codes of a letter; a letter outside the
-        external alphabet raises what ``FactoredAlphabet.check`` raises."""
-        try:
-            if isinstance(letter, tuple) and len(letter) == len(self._codes):
-                return [index[v] for index, v in zip(self._codes, letter)]
-        except (KeyError, TypeError):
-            pass
-        self.external.check(letter, "cascade input")
-        raise UnknownLetterError(letter, where="cascade input")
 
     def _advance(self, states: tuple, codes: list) -> tuple:
         """Next state numbers from state numbers ``states`` on the letter
@@ -107,7 +90,7 @@ class Cascade:
         return tuple(nxt)
 
     def step(self, states: CascadeState, letter: Letter) -> StepResult:
-        codes = self._encode(letter)
+        codes = self.external.encode(letter, "cascade input")
         numbers = tuple(c.core.state_index.get(q) for c, q in zip(self.components, states))
         if None in numbers or len(numbers) != self.depth:
             raise ValueError(f"{states!r} is not a state of the cascade")
@@ -121,9 +104,10 @@ class Cascade:
         if not string:
             raise EmptyInputError("cascade run")
         states = tuple(c.core.initial_index for c in self.components)
+        encode, advance = self.external.encode, self._advance
         for letter in string:
-            codes = self._encode(letter)
-            states = self._advance(states, codes)
+            codes = encode(letter, "cascade input")
+            states = advance(states, codes)
         return self.components[-1].outputs[codes[-1]]
 
     def __call__(self, string):
@@ -139,7 +123,7 @@ class Cascade:
         if size > cap:
             raise CapExceededError("cascade product", size, cap)
         letters = tuple(self.external.letters())
-        letter_codes = [self._encode(a) for a in letters]
+        letter_codes = [self.external.encode(a) for a in letters]
         init = tuple(c.core.initial_index for c in self.components)
         order = [init] if prune else list(
             itertools.product(*(range(c.core.n_states) for c in self.components)))

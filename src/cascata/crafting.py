@@ -248,11 +248,10 @@ class SequenceTaskFamily(CascadeClass):
         # strings padded to a multiple of 64; padding rows hit no term
         width = -(-n // 64) * 64
         length = max((len(s) for s in strings), default=0)
-        event_index = {ev: i for i, ev in enumerate(self.letters)}
         events = np.zeros((width, length), dtype=np.intp)
         valid = np.zeros((width, length), dtype=bool)
         for i, s in enumerate(strings):
-            events[i, :len(s)] = [event_index[x[0]] for x in s]
+            events[i, :len(s)] = [self.external.encode(x, "error_counts")[0] for x in s]
             valid[i, :len(s)] = True
         # latched[w, s, t]: watcher w fired before step t (padding steps come
         # after the string's own steps, so they never leak into valid ones)

@@ -13,8 +13,8 @@ Cascade spec::
 Component i reads the alphabet extended by one coordinate per earlier
 component, named after it and holding its outputs; ``dependencies`` are
 1-based indices into that alphabet.  Function descriptors:
-``{"kind": "table", "entries": [[[...values], out], ...]}`` with one entry
-per projected letter, ``{"kind": "mono_dnf", "terms": [[var, ...], ...],
+``{"kind": "table", "entries": [[[...values], out], ...]}``,
+``{"kind": "mono_dnf", "terms": [[var, ...], ...],
 "on_true": .., "on_false": ..}`` (a lone empty term means constant true;
 variables are coordinate names, or ``coord=value`` for one-hot expanded
 coordinates), and ``{"kind": "threshold", "thresholds": {coord: int},
@@ -25,8 +25,9 @@ a letter of the core.  Cores: ``"flipflop"``, ``"flipflop_wo"``,
 explicit ``{"kind": "table", "letters": [...], "states": [...], "initial": q,
 "transitions": [[q, letter, q2], ...]}``.  An output table is
 ``{"kind": "table", "entries": [[state, [...values], out], ...],
-"outputs": [...]}`` with one entry per core state and projected letter;
-``outputs`` defaults to the values the entries use.
+"outputs": [...]}``; ``outputs`` defaults to the values the entries use.
+Input and output tables hold exactly one entry per letter (per state and
+letter) of the projected alphabet, and nothing else.
 
 Class spec: a cascade spec whose components carry an ``input_class``
 instead of an ``input_fn``; the class holds one cascade per choice of input
@@ -50,6 +51,8 @@ Learning config: optional ``seed`` (0), ``epsilon``, ``eta`` (0.1),
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .alphabets import (
     FactoredAlphabet,
@@ -118,6 +121,35 @@ def _rows(data, fields: tuple[str, ...], where: str) -> list:
     return data
 
 
+_MISSING = object()
+
+
+def _table_values(rows, signature: FactoredAlphabet, where: str, core=None) -> list:
+    """The outputs of rows ``[values, output]`` in the order of
+    ``signature.letters()``, or of rows ``[state, values, output]`` by core
+    state and then letter; one row per letter (per state and letter)."""
+    n = signature.n_letters
+    slots = [_MISSING] * (n * (core.n_states if core else 1))
+    for k, row in enumerate(rows):
+        try:
+            q = core.state_index.get(row[0], -1) if core else 0
+            slot = q * n + signature.index(tuple(row[-2]))
+        except TypeError as e:  # an unhashable state
+            raise SpecFileError(str(e), where)
+        except CascataError:
+            raise SpecFileError(f"{row[-2]!r} is not a projected letter", f"{where}[{k}]")
+        if q < 0 or slots[slot] is not _MISSING:
+            raise SpecFileError(f"{row[0]!r} is not a core state" if q < 0 else
+                                f"a second entry for {row[:-1]!r}", f"{where}[{k}]")
+        slots[slot] = row[-1]
+    if len(rows) < len(slots):  # every row filled a slot of its own
+        q, i = divmod(slots.index(_MISSING), n)
+        x = list(next(itertools.islice(signature.letters(), i, None)))
+        state = f"state {core.states[q]!r} and letter " if core else ""
+        raise SpecFileError(f"no entry for {state}{x!r}", where)
+    return slots
+
+
 def _parse_alphabet(data, where="alphabet") -> FactoredAlphabet:
     if not isinstance(data, list) or not data:
         raise SpecFileError("alphabet must be a non-empty list of coordinates", where)
@@ -179,15 +211,8 @@ def _parse_input_fn(data, signature: FactoredAlphabet, where: str):
         if "entries" not in data:
             raise SpecFileError("table needs 'entries'", where)
         rows = _rows(data["entries"], ("values", "output"), f"{where}.entries")
-        # a list comprehension builds large tables faster than a generator
-        fn = TableFunction(signature, tuple([(tuple(vals), out) for vals, out in rows]))
-        try:
-            missing = next((x for x in signature.letters() if x not in fn.table), None)
-        except TypeError as e:
-            raise SpecFileError(str(e), f"{where}.entries")
-        if missing is not None:
-            raise SpecFileError(f"no entry for {list(missing)!r}", f"{where}.entries")
-        return fn, fn.table.values()
+        fn = TableFunction(signature, tuple(_table_values(rows, signature, f"{where}.entries")))
+        return fn, fn.values
     if kind == "mono_dnf":
         if "terms" not in data:
             raise SpecFileError("mono_dnf needs 'terms'", where)
@@ -254,22 +279,17 @@ def _parse_output_fn(data, core: Semiautomaton, signature: FactoredAlphabet, whe
         raise SpecFileError(f"unknown output_fn kind {data['kind']!r}", where)
     rows = _rows(data["entries"], ("state", "values", "output"), f"{where}.entries")
     outputs = _scalars(data["outputs"], f"{where}.outputs") if "outputs" in data else None
-    try:
-        table = {(q, tuple(vals)): out for q, vals, out in rows}
-    except TypeError as e:
-        raise SpecFileError(str(e), f"{where}.entries")
-    keys = [(q, x) for q in core.states for x in signature.letters()]
-    missing = next((key for key in keys if key not in table), None)
-    if missing is not None:
-        raise SpecFileError(f"no entry for state {missing[0]!r} and letter "
-                            f"{list(missing[1])!r}", f"{where}.entries")
-    values = {table[key] for key in keys}
+    slots = _table_values(rows, signature, f"{where}.entries", core)
+    values = set(slots)
     if outputs is None:
         outputs = tuple(sorted(values, key=repr))
     elif values - set(outputs):
         raise SpecFileError(f"entries use {sorted(values - set(outputs), key=repr)} "
                             "outside the outputs", f"{where}.outputs")
-    return (lambda q, x: table[q, x]), outputs
+    n = signature.n_letters
+    fns = {q: TableFunction(signature, tuple(slots[i * n:(i + 1) * n]))
+           for i, q in enumerate(core.states)}
+    return (lambda q, x: fns[q](x)), outputs
 
 
 def _parse_components(data, fn_field: str):

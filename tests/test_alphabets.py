@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from cascata.alphabets import (
     MonotoneDnfClass,
     Projection,
     TableClass,
+    TableFunction,
     ThresholdClass,
     enumerate_class,
     projection_count,
@@ -89,6 +91,85 @@ def test_alphabet_membership_and_errors():
     with pytest.raises(UnknownLetterError) as err:
         ABC.check(("a", "b", "x"))
     assert err.value.position == 2
+
+
+def _random_alphabet(rng: random.Random) -> FactoredAlphabet:
+    """Boolean coordinates in either value order mixed with one-hot ones."""
+    coords = []
+    for i in range(rng.randint(1, 4)):
+        kind = rng.choice(["bool", "flipped", "onehot"])
+        if kind == "bool":
+            values = (0, 1)
+        elif kind == "flipped":
+            values = (1, 0)
+        else:
+            values = tuple(rng.sample(["a", "b", "c", 7, 9], rng.randint(1, 4)))
+        coords.append((f"c{i}", values))
+    return FactoredAlphabet.of(*coords)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_index_numbers_letters_in_order_and_encode_gives_value_positions(seed):
+    alphabet = _random_alphabet(random.Random(seed))
+    letters = list(alphabet.letters())
+    assert [alphabet.index(x) for x in letters] == list(range(alphabet.n_letters))
+    for x in letters:
+        assert alphabet.encode(x) == [c.values.index(v) for c, v in zip(alphabet.coords, x)]
+
+
+@pytest.mark.parametrize("letter", [["a", "b", "c"], "abc", ("a", "b"), ("a", "b", "x")])
+def test_encode_and_index_raise_what_check_raises(letter):
+    with pytest.raises((ArityMismatchError, UnknownLetterError)) as want:
+        ABC.check(letter, "here")
+    for method in (ABC.encode, ABC.index):
+        with pytest.raises(type(want.value)) as got:
+            method(letter, "here")
+        assert str(got.value) == str(want.value)
+
+
+def _reference_mask(signature, letter) -> int:
+    """One bit per boolean-view variable, in the view's variable order."""
+    bits = []
+    for coord, v in zip(signature.coords, letter):
+        if coord.is_boolean:
+            bits.append(v == 1)
+        else:
+            bits.extend(v == u for u in coord.values)
+    return sum(1 << i for i, on in enumerate(bits) if on)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_boolean_view_encode_matches_per_variable_reference(seed):
+    alphabet = _random_alphabet(random.Random(seed))
+    view = BooleanView(alphabet)
+    for x in alphabet.letters():
+        assert view.encode(x) == _reference_mask(alphabet, x)
+    assert view.n_variables == sum(1 if c.is_boolean else len(c.values)
+                                   for c in alphabet.coords)
+
+
+def test_boolean_view_flipped_boolean_sets_its_bit_on_one():
+    view = BooleanView(FactoredAlphabet.of(("flag", (1, 0)), ("event", ("a", "b"))))
+    assert view.variables == ("flag", "event=a", "event=b")
+    assert view.encode((1, "b")) == 0b101
+    assert view.encode((0, "a")) == 0b010
+
+
+def test_table_function_reads_values_in_letter_order():
+    values = tuple(range(BOOL2.n_letters))
+    fn = TableFunction(BOOL2, values)
+    assert [fn(x) for x in BOOL2.letters()] == list(values)
+    with pytest.raises(UnknownLetterError):
+        fn((0, 2))
+    with pytest.raises(ValueError):
+        TableFunction(BOOL2, values[1:])
+
+
+def test_table_class_function_at_matches_iteration():
+    cls = TableClass(FactoredAlphabet.of(("x", (0, 1)), ("y", ("a", "b", "c"))), (0, 1, 2))
+    for i, fn in enumerate(itertools.islice(cls, 0, None, 37)):
+        assert cls.function_at(37 * i) == fn
+    assert cls.function_at(1).values == (0,) * 5 + (1,)
 
 
 # ---------------------------------------------------------------------------

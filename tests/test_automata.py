@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -232,3 +233,16 @@ def test_dot_export_marks_accepting_states():
     dot = build_flipflop_task_cascade().flatten().minimize().to_dot()
     assert "doublecircle" in dot
     assert dot.startswith("digraph")
+
+
+def test_component_compile_allocates_only_the_pairs_its_table_uses():
+    # outputs are the 1000 states: a pair per (state, output) would be 10^6
+    external = FactoredAlphabet.single("op", ("inc", "read"))
+    core = make_counter(1000)
+    tracemalloc.start()
+    try:
+        comp = ComponentAutomaton(external, (1,), lambda x: x[0], core, output_fn="state")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.table[999][0] == (0, 999) and peak < 5_000_000

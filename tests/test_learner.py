@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cascata.crafting import SequenceTaskFamily
+from cascata.errors import ArityMismatchError, UnknownLetterError
 from cascata.learner import (
     LabeledSample,
     StringDistribution,
@@ -88,6 +89,18 @@ def test_erm_fast_path_matches_generic_enumeration():
     assert fast.index == generic.index
     assert fast.empirical_risk == generic.empirical_risk
     assert fast.tie_count == generic.tie_count
+
+
+@pytest.mark.parametrize("letter", [("zz",), "e1", ("e1", "e2")])
+def test_erm_fast_and_generic_paths_reject_a_letter_outside_the_family_alike(letter):
+    fam = SequenceTaskFamily(2)
+    sample = LabeledSample((((("e1",), ("e2",)), 1), ((("e2",), letter), 0)))
+    with pytest.raises((UnknownLetterError, ArityMismatchError)) as generic:
+        erm_select(list(fam), sample)
+    with pytest.raises(type(generic.value)):
+        erm_select(fam, sample)
+    if letter == ("zz",):
+        assert type(generic.value) is UnknownLetterError
 
 
 def _noisy_family_sample(fam, n, seed, flip=0.1, max_len=5):

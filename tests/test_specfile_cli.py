@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -74,6 +76,71 @@ def test_spec_rejects_bad_dependencies():
     spec["components"][0]["dependencies"] = [7]
     with pytest.raises(SpecFileError):
         cascade_from_spec(spec)
+
+
+def _tabled_spec():
+    """One flip-flop over {a, b} with an input table and an output table."""
+    return {"alphabet": [{"name": "x", "values": ["a", "b"]}],
+            "components": [{"name": "solo", "dependencies": [1], "core": "flipflop_wo",
+                            "input_fn": {"kind": "table",
+                                         "entries": [[["a"], "set"], [["b"], "read"]]},
+                            "output_fn": {"kind": "table", "entries": [
+                                [q, [x], 0] for q in (0, 1) for x in ("a", "b")]}}]}
+
+
+def test_spec_tables_parse_to_their_entries():
+    solo = cascade_from_spec(_tabled_spec()).components[0]
+    assert [solo.input_fn((x,)) for x in ("a", "b")] == ["set", "read"]
+    assert solo.theta(1, ("b",)) == 0 and solo.outputs == (0,)
+
+
+@pytest.mark.parametrize("fn, row", [
+    ("input_fn", [["a"], "set"]),            # a second row for a letter
+    ("input_fn", [["a"], "read"]),           # a conflicting one
+    ("input_fn", [["c"], "read"]),           # a letter not in the signature
+    ("input_fn", [["a", "b"], "read"]),      # a letter of the wrong arity
+    ("output_fn", [0, ["a"], 0]),            # a second row for a state and letter
+    ("output_fn", [0, ["a"], 1]),            # a conflicting one
+    ("output_fn", [1, ["c"], 0]),            # a letter not in the signature
+    ("output_fn", [2, ["a"], 0]),            # a state that is not a core state
+])
+def test_spec_rejects_malformed_table_rows_naming_the_row(fn, row):
+    spec = _tabled_spec()
+    entries = spec["components"][0][fn]["entries"]
+    entries.append(row)
+    with pytest.raises(SpecFileError) as err:
+        cascade_from_spec(spec)
+    assert err.value.field == f"components[0].{fn}.entries[{len(entries) - 1}]"
+
+
+def test_spec_rejects_tables_with_a_missing_entry():
+    spec = _tabled_spec()
+    spec["components"][0]["output_fn"]["entries"].pop(2)
+    with pytest.raises(SpecFileError, match=r"no entry for state 1 and letter \['a'\]"):
+        cascade_from_spec(spec)
+    spec = _tabled_spec()
+    spec["components"][0]["input_fn"]["entries"].pop(0)
+    with pytest.raises(SpecFileError, match=r"no entry for \['a'\]"):
+        cascade_from_spec(spec)
+
+
+@pytest.mark.parametrize("build", [build_flipflop_task_cascade, build_counter_task_cascade])
+def test_spec_round_trip_is_byte_identical(build):
+    text = json.dumps(cascade_to_spec(build()))
+    assert json.dumps(cascade_to_spec(cascade_from_spec(json.loads(text)))) == text
+
+
+def test_parsed_counter_spec_retains_under_five_megabytes():
+    text = json.dumps(cascade_to_spec(build_counter_task_cascade()))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cascade = cascade_from_spec(json.loads(text))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cascade.depth == 5 and retained < 5_000_000
 
 
 # ---------------------------------------------------------------------------
