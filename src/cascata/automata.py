@@ -204,9 +204,6 @@ class FlatAutomaton:
     def n_states(self) -> int:
         return len(self.states)
 
-    def transition(self, state, letter):
-        return self.core.step(state, letter)
-
     def output(self, state, letter):
         try:
             return self.outputs[self.out[self.core.state_index[state]][self.letter_index[letter]]]
@@ -486,6 +483,3 @@ class ComponentAutomaton:
         return FlatAutomaton.from_tables(flat.alphabet, self.core.states, flat.delta,
                                          self.core.initial_index, flat.out, self.outputs,
                                          self.alphabet)
-
-    def run(self, string):
-        return self.induce().run(string)

@@ -81,10 +81,17 @@ def _emit(text: str, out: str | None):
 
 
 def _cap(args, default: int) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
-    env = os.environ.get("CASCATA_CAP")
-    return int(env) if env else default
+    """``--cap``, else ``CASCATA_CAP``, else ``default``; a cap that is set
+    must be a positive integer."""
+    if getattr(args, "cap", None) is not None:
+        cap, name = args.cap, "--cap"
+    elif os.environ.get("CASCATA_CAP"):
+        cap, name = os.environ["CASCATA_CAP"], "CASCATA_CAP"
+    else:
+        return default
+    if not str(cap).strip().isdecimal() or int(cap) < 1:
+        raise SpecFileError(f"must be a positive integer, got {cap!r}", name)
+    return int(cap)
 
 
 def _parse_letter(token: str, alphabet: FactoredAlphabet, where: str):
@@ -118,17 +125,11 @@ def _format_letter(letter) -> str:
 def cmd_run(args) -> int:
     cascade = cascade_from_spec(_load_json(args.spec))
     outputs = []
-    with _open(args.traces) as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                print(f"line {line_no}: empty trace has no output", file=sys.stderr)
-                continue
-            letters = tuple(
-                _parse_letter(tok, cascade.external, f"{args.traces}: line {line_no}")
-                for tok in line.split()
-            )
-            outputs.append(str(cascade.run(letters)))
+    for line_no, trace in _read_traces(args.traces, cascade.external):
+        if not trace:
+            print(f"line {line_no}: empty trace has no output", file=sys.stderr)
+            continue
+        outputs.append(str(cascade.run(trace)))
     _emit("\n".join(outputs), args.out)
     return EXIT_OK
 
@@ -197,6 +198,8 @@ def cmd_check(args) -> int:
 
     from .functional import cascade_function
 
+    if args.max_len < 1:
+        raise SpecFileError(f"must be at least 1, got {args.max_len}", "--max-len")
     cascade = cascade_from_spec(_load_json(args.spec))
     tree = cascade_function(cascade)
     letters = list(cascade.external.letters())
@@ -206,8 +209,9 @@ def cmd_check(args) -> int:
     while len(letters) ** length <= 500 and length <= args.max_len:
         strings.extend(itertools.product(letters, repeat=length))
         length += 1
-    while len(strings) < args.samples:
-        n = rng.randint(length, max(length, args.max_len))
+    # random strings only for the lengths not enumerated exhaustively
+    while length <= args.max_len and len(strings) < args.samples:
+        n = rng.randint(length, args.max_len)
         strings.append(tuple(rng.choice(letters) for _ in range(n)))
     for s in strings:
         if tree(s) != cascade.run(s):
@@ -306,9 +310,16 @@ def cmd_growth(args) -> int:
 
 
 def _lines(path: str) -> list[tuple[int, str]]:
-    """The non-blank lines of a file with their 1-based line numbers."""
+    """The lines of a file, stripped, with their 1-based line numbers."""
     with _open(path) as f:
-        return [(n, line.strip()) for n, line in enumerate(f, start=1) if line.strip()]
+        return [(n, line.strip()) for n, line in enumerate(f, start=1)]
+
+
+def _read_traces(path: str, alphabet: FactoredAlphabet) -> list[tuple[int, tuple]]:
+    """The traces of a trace file with their line numbers; a blank line
+    gives the empty trace, which each command handles itself."""
+    return [(n, tuple(_parse_letter(tok, alphabet, f"{path}: line {n}") for tok in line.split()))
+            for n, line in _lines(path)]
 
 
 def _label(path: str, line_no: int, text: str) -> int:
@@ -319,10 +330,8 @@ def _label(path: str, line_no: int, text: str) -> int:
 
 
 def _read_labeled(traces_path, labels_path, external) -> LabeledSample:
-    strings = [tuple(_parse_letter(tok, external, f"{traces_path}: line {n}")
-                     for tok in line.split())
-               for n, line in _lines(traces_path)]
-    labels = [_label(labels_path, n, line) for n, line in _lines(labels_path)]
+    strings = [trace for _, trace in _read_traces(traces_path, external) if trace]
+    labels = [_label(labels_path, n, line) for n, line in _lines(labels_path) if line]
     if len(labels) != len(strings):
         raise SpecFileError(
             f"{len(strings)} traces but {len(labels)} labels"
@@ -346,7 +355,7 @@ def cmd_learn(args) -> int:
         weights = config["letter_weights"]
         dist = StringDistribution(tuple(letters), max_len,
                                   tuple(weights) if weights else None)
-        n = config["n"] or bound
+        n = bound if config["n"] is None else config["n"]
         sample = draw_sample(dist, target, n, seed=seed)
     elif args.traces and args.labels:
         sample = _read_labeled(args.traces, args.labels, cls.external)

@@ -45,30 +45,22 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class StringDistribution:
-    """Strings drawn as: length from ``length_weights`` over 1..max_len
-    (uniform by default), then i.i.d. letters from ``letter_weights``
-    (uniform by default)."""
+    """Strings drawn as: a length uniform over 1..max_len, then i.i.d.
+    letters from ``letter_weights`` (uniform by default)."""
 
     alphabet: tuple
     max_len: int
     letter_weights: tuple[float, ...] | None = None
-    length_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
         if self.letter_weights is not None and len(self.letter_weights) != len(self.alphabet):
             raise ValueError("letter_weights must match the alphabet")
-        if self.length_weights is not None and len(self.length_weights) != self.max_len:
-            raise ValueError("length_weights must cover lengths 1..max_len")
 
     def sample(self, rng: random.Random) -> tuple:
-        lengths = range(1, self.max_len + 1)
-        length = rng.choices(lengths, weights=self.length_weights)[0]
-        return tuple(
-            rng.choices(self.alphabet, weights=self.letter_weights)[0]
-            for _ in range(length)
-        )
+        length = rng.choices(range(1, self.max_len + 1))[0]
+        return tuple(rng.choices(self.alphabet, weights=self.letter_weights, k=length))
 
     def sample_many(self, n: int, rng: random.Random) -> list[tuple]:
         return [self.sample(rng) for _ in range(n)]
@@ -104,27 +96,24 @@ def erm_select(functions, sample: LabeledSample) -> ErmResult:
     ``error_counts(strings, labels)`` (and ``member``) is scored through that
     fast path instead of one-by-one evaluation.
     """
-    strings, labels = None, None
     if hasattr(functions, "error_counts"):
-        strings = list(sample.strings)
-        labels = list(sample.labels)
-        counts = np.asarray(functions.error_counts(strings, labels))
+        counts = np.asarray(functions.error_counts(list(sample.strings), list(sample.labels)))
         best = int(counts.min())
         index = int(counts.argmin())
         ties = int((counts == best).sum())
         return ErmResult(index, functions.member(index), best / len(sample), ties)
-    best_index, best_fn, best_errors = -1, None, None
+    best_index, best_fn, best_risk = -1, None, None
     ties = 0
     for i, fn in enumerate(functions):
-        errors = sum(zero_one_loss(fn(s), y) for s, y in sample.entries)
-        if best_errors is None or errors < best_errors:
-            best_index, best_fn, best_errors = i, fn, errors
+        risk = empirical_risk(fn, sample)
+        if best_risk is None or risk < best_risk:
+            best_index, best_fn, best_risk = i, fn, risk
             ties = 1
-        elif errors == best_errors:
+        elif risk == best_risk:
             ties += 1
     if best_fn is None:
         raise ValueError("cannot select from an empty class")
-    return ErmResult(best_index, best_fn, best_errors / len(sample), ties)
+    return ErmResult(best_index, best_fn, best_risk, ties)
 
 
 class RiskEstimate(NamedTuple):
@@ -136,32 +125,15 @@ class RiskEstimate(NamedTuple):
 def estimate_risk(fn: Callable, target: Callable, dist: StringDistribution,
                   n_mc: int, seed: int = 0) -> RiskEstimate:
     """Monte-Carlo estimate of the true risk against the target."""
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
-    rng = random.Random(seed)
-    losses = [
-        zero_one_loss(fn(s), target(s)) for s in dist.sample_many(n_mc, rng)
-    ]
-    mean = sum(losses) / n_mc
-    var = mean * (1 - mean)
-    return RiskEstimate(mean, math.sqrt(var / n_mc), n_mc)
+    mean = empirical_risk(fn, draw_sample(dist, target, n_mc, seed))
+    return RiskEstimate(mean, math.sqrt(mean * (1 - mean) / n_mc), n_mc)
 
 
 def class_min_risk(functions, target: Callable, dist: StringDistribution,
                    n_mc: int, seed: int = 0) -> float:
     """Exhaustive Monte-Carlo minimum risk over an enumerable class, sharing
     one string pool across members so comparisons are paired."""
-    rng = random.Random(seed)
-    pool = dist.sample_many(n_mc, rng)
-    targets = [target(s) for s in pool]
-    best = None
-    for fn in functions:
-        risk = sum(zero_one_loss(fn(s), y) for s, y in zip(pool, targets)) / n_mc
-        if best is None or risk < best:
-            best = risk
-    if best is None:
-        raise ValueError("cannot take a minimum over an empty class")
-    return best
+    return erm_select(functions, draw_sample(dist, target, n_mc, seed)).empirical_risk
 
 
 class CurvePoint(NamedTuple):

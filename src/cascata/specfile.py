@@ -45,14 +45,17 @@ Bound descriptor: a family as above, or ``{"components": [{"arity": ..,
 ...]}`` (integers; the dimensions are optional numbers); either form takes
 an optional ``max_len`` (default 8), ``epsilon`` and ``eta`` (default 0.1).
 
-Learning config: optional ``seed`` (0), ``epsilon``, ``eta`` (0.1),
-``max_len`` (8), ``n`` (null: the finite-class bound), ``n_mc`` (2000),
-``min_risk`` (null) and ``letter_weights`` (null: uniform).
+Learning config: optional ``seed`` (0), ``epsilon``, ``eta`` (0.1, each in
+(0, 1)), ``max_len`` (8, at least 1), ``n`` (null: the finite-class bound;
+else at least 1), ``n_mc`` (2000, at least 1), ``min_risk`` (null) and
+``letter_weights`` (null: uniform; else one weight per letter, each at
+least 0, with a positive sum).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .alphabets import (
     FactoredAlphabet,
@@ -400,10 +403,16 @@ def learn_config_from_spec(data: dict) -> dict:
     max_len, epsilon, eta = _bound_params(data)
     weights = _field(data, "letter_weights", list, None)
     for i, w in enumerate(weights or ()):
-        _require_type(w, _NUMBER, f"letter_weights[{i}]")
+        if not 0 <= _require_type(w, _NUMBER, f"letter_weights[{i}]") < math.inf:
+            raise SpecFileError("a weight must be finite and at least 0", f"letter_weights[{i}]")
+    if weights is not None and not sum(weights) > 0:
+        raise SpecFileError("weights must have a positive sum", "letter_weights")
+    sizes = {"n": _field(data, "n", int, None), "n_mc": _field(data, "n_mc", int, 2000)}
+    for key, size in sizes.items():
+        if size is not None and size < 1:
+            raise SpecFileError("must be at least 1", key)
     return {"seed": _field(data, "seed", int, 0), "epsilon": epsilon, "eta": eta,
-            "max_len": max_len, "n": _field(data, "n", int, None),
-            "n_mc": _field(data, "n_mc", int, 2000),
+            "max_len": max_len, **sizes,
             "min_risk": _field(data, "min_risk", _NUMBER, None), "letter_weights": weights}
 
 

@@ -211,3 +211,45 @@ def test_sample_label_frequency_matches_independent_oracle():
     oracle_freq = sum(int(datalog_oracle(t)[-1]) for t in pool) / len(pool)
     sigma = math.sqrt(oracle_freq * (1 - oracle_freq) / len(pool))
     assert abs(freq - oracle_freq) <= 3 * math.sqrt(2) * sigma
+
+
+def _per_letter_sample(dist, rng):
+    # one draw for the length, then one call per letter
+    length = rng.choices(range(1, dist.max_len + 1))[0]
+    return tuple(rng.choices(dist.alphabet, weights=dist.letter_weights)[0]
+                 for _ in range(length))
+
+
+@pytest.mark.parametrize("weights", [None, (0.5, 3.0, 0.0, 1.5)])
+def test_sample_many_matches_a_per_letter_reference(weights):
+    dist = StringDistribution(("a", "b", "c", "d"), max_len=7, letter_weights=weights)
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert dist.sample_many(5, rng) == [_per_letter_sample(dist, ref) for _ in range(5)]
+        assert rng.random() == ref.random()  # both consumed the same stream
+
+
+def _parity_target(s):
+    # in neither class below: length parity flipped by a leading b
+    return int((len(s) % 2 == 0) != (s[0] == "b"))
+
+
+def test_estimate_risk_and_class_min_risk_match_the_direct_formulas():
+    dist = StringDistribution(("a", "b"), max_len=6, letter_weights=(2.0, 1.0))
+    fns = [lambda s, k=k: int(len(s) >= k) for k in range(1, 7)] + [count_a]
+    for seed in range(5):
+        pool = dist.sample_many(700, random.Random(seed))
+        risks = [sum(zero_one_loss(f(s), _parity_target(s)) for s in pool) / 700 for f in fns]
+        for f, risk in zip(fns, risks):
+            est = estimate_risk(f, _parity_target, dist, 700, seed=seed)
+            assert est == (risk, math.sqrt(risk * (1 - risk) / 700), 700)
+        assert class_min_risk(fns, _parity_target, dist, 700, seed=seed) == min(risks) > 0
+
+
+def test_class_min_risk_family_kernel_matches_generic_loop():
+    fam = SequenceTaskFamily(2)
+    dist = StringDistribution(tuple(fam.external.letters()), max_len=6)
+    target = lambda s: int(len(s) % 3 == 0)  # not a member of the family
+    for seed in range(3):
+        fast = class_min_risk(fam, target, dist, 400, seed=seed)
+        assert fast == class_min_risk(list(fam), target, dist, 400, seed=seed) > 0

@@ -254,6 +254,38 @@ def test_cli_cap_exit_code(flipflop_spec):
     assert main(["flatten", flipflop_spec, "--cap", "4"]) == 3
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cli_cap_below_one_exit_2(flipflop_spec, capsys, monkeypatch, cap):
+    _rejected(["flatten", flipflop_spec, "--cap", cap], capsys, "--cap")
+    for value in (cap, "many"):
+        monkeypatch.setenv("CASCATA_CAP", value)
+        _rejected(["flatten", flipflop_spec], capsys, "CASCATA_CAP")
+    monkeypatch.setenv("CASCATA_CAP", "4")
+    assert main(["flatten", flipflop_spec]) == 3
+
+
+def test_cli_check_stays_within_max_len(flipflop_spec, capsys, monkeypatch):
+    import cascata.functional
+
+    lengths = set()
+    build = cascata.functional.cascade_function
+
+    def recording(cascade):
+        tree = build(cascade)
+        return lambda s: lengths.add(len(s)) or tree(s)
+
+    monkeypatch.setattr(cascata.functional, "cascade_function", recording)
+    # the flip-flop scenario has 6 letters: 6 + 36 + 216 strings up to length 3
+    assert main(["check", flipflop_spec, "--max-len", "3"]) == 0
+    assert capsys.readouterr().out == \
+        "compositional function agrees with the cascade on 258 strings\n"
+    assert lengths == {1, 2, 3}
+    lengths.clear()
+    assert main(["check", flipflop_spec, "--max-len", "5", "--samples", "300"]) == 0
+    assert lengths == {1, 2, 3, 4, 5}
+    _rejected(["check", flipflop_spec, "--max-len", "0"], capsys, "--max-len")
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -515,10 +547,12 @@ def test_cli_class_spec_accepts_an_output_table(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("n_mc", "5"), ("epsilon", "0.1"), ("max_len", "8"), ("letter_weights", 5),
-    ("seed", [1]),
+    ("seed", [1]), ("n", 0), ("n", -3), ("n_mc", 0), ("letter_weights[0]", [-1, 2]),
+    ("letter_weights", [0, 0]), ("letter_weights", [0.0]),
 ])
 def test_cli_mistyped_learn_config_exit_2(tmp_path, capsys, field, value):
-    _rejected(_learn_files(tmp_path, config={field: value}), capsys, field)
+    key = field.split("[")[0]
+    _rejected(_learn_files(tmp_path, config={key: value}), capsys, field)
 
 
 @pytest.mark.parametrize("field, descriptor", [
@@ -531,6 +565,23 @@ def test_cli_mistyped_learn_config_exit_2(tmp_path, capsys, field, value):
 ])
 def test_cli_mistyped_descriptor_exit_2(tmp_path, capsys, field, descriptor):
     _rejected(["bounds", _write(tmp_path, "desc.json", descriptor)], capsys, field)
+
+
+def test_cli_learn_skips_blank_trace_and_label_lines(tmp_path, capsys):
+    argv = _learn_files(tmp_path)
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    _write(tmp_path, "x.traces", "\ne1 e2\n  \ne2\n")
+    _write(tmp_path, "x.labels", "1\n\n0\n\n")
+    assert main(argv) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_cli_run_malformed_trace_names_file_and_line(flipflop_spec, tmp_path, capsys):
+    traces = _write(tmp_path, "t.traces", "steel factory\n\nwood zinc\n")
+    assert main(["run", flipflop_spec, traces]) == 2
+    err = capsys.readouterr().err
+    assert "t.traces: line 3" in err and "'zinc'" in err
 
 
 def test_cli_malformed_trace_or_label_names_file_and_line(tmp_path, capsys):
