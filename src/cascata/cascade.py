@@ -5,12 +5,17 @@ Component i reads the external input extended by the outputs of components
 one coordinate holding that component's outputs.  Within one step every
 component sees the pre-update states of all others; transitions are then
 applied simultaneously.
+
+A cascade is immutable once built: ``run`` memoizes the product transitions
+it takes, per instance, and reuses them on later calls.  Recording is done
+under a lock, so one cascade may be run from several threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from typing import NamedTuple
 
 from .alphabets import FactoredAlphabet, Letter
@@ -19,6 +24,10 @@ from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
 DEFAULT_PRODUCT_CAP = 1_000_000
+#: The most product transitions one cascade's ``run`` memo holds (about
+#: 150 bytes each); past it, ``run`` steps unrecorded transitions through
+#: ``_advance`` and records nothing more.
+RUN_MEMO_CAP = 1 << 18
 
 CascadeState = tuple
 
@@ -56,6 +65,13 @@ class Cascade:
                         f"hold the outputs of component {i}"
                     )
         self._wiring = tuple((c.table, self._inputs(c)) for c in self.components)
+        # run's memo: product states (tuples of state numbers) numbered in the
+        # order run reaches them, and per number a dict letter -> (next
+        # number, last component's output code)
+        initial = tuple(c.core.initial_index for c in self.components)
+        self._numbers, self._product, self._memo = {initial: 0}, [initial], [{}]
+        self._memo_size = 0
+        self._memo_lock = threading.Lock()
 
     def _inputs(self, comp: ComponentAutomaton):
         """Per dependency: (coordinate, code -> the code's share of the
@@ -103,12 +119,42 @@ class Cascade:
         string = tuple(string)
         if not string:
             raise EmptyInputError("cascade run")
-        states = tuple(c.core.initial_index for c in self.components)
-        encode, advance = self.external.encode, self._advance
-        for letter in string:
-            codes = encode(letter, "cascade input")
-            states = advance(states, codes)
-        return self.components[-1].outputs[codes[-1]]
+        memo, q, letters = self._memo, 0, iter(string)
+        for letter in letters:
+            try:
+                q, out = memo[q][letter]
+            except (KeyError, TypeError):  # not recorded yet, or not a letter
+                q, out = self._memoize(q, letter)
+                if isinstance(q, tuple):  # the memo is full: step on unrecorded
+                    encode, advance = self.external.encode, self._advance
+                    for letter in letters:
+                        codes = encode(letter, "cascade input")
+                        q, out = advance(q, codes), codes[-1]
+                    break
+        return self.components[-1].outputs[out]
+
+    def _memoize(self, q: int, letter):
+        """Step product state number ``q`` on ``letter`` and record the
+        transition in ``run``'s memo while it holds fewer than
+        ``RUN_MEMO_CAP``.  Returns the next state's number and the output
+        code; once the memo is full, an unnumbered next state comes back as
+        its tuple of component state numbers."""
+        codes = self.external.encode(letter, "cascade input")
+        nxt, out = self._advance(self._product[q], codes), codes[-1]
+        with self._memo_lock:
+            number = self._numbers.get(nxt)
+            if self._memo_size >= RUN_MEMO_CAP:
+                return (nxt if number is None else number), out
+            if number is None:
+                number = self._numbers[nxt] = len(self._product)
+                self._product.append(nxt)
+                self._memo.append({})
+            # published last: a reader that finds it finds row ``number`` too
+            row = self._memo[q]
+            if letter not in row:  # another thread may have recorded it meanwhile
+                row[letter] = number, out
+                self._memo_size += 1
+        return number, out
 
     def __call__(self, string):
         return self.run(string)

@@ -94,6 +94,12 @@ def _cap(args, default: int) -> int:
     return int(cap)
 
 
+def _at_least_one(value: int, flag: str) -> None:
+    """A count given on the command line must be at least 1."""
+    if value < 1:
+        raise SpecFileError(f"must be at least 1, got {value}", flag)
+
+
 def _parse_letter(token: str, alphabet: FactoredAlphabet, where: str):
     """A letter of a trace file; ``where`` names the file and line."""
     parts = token.split(",")
@@ -198,8 +204,7 @@ def cmd_check(args) -> int:
 
     from .functional import cascade_function
 
-    if args.max_len < 1:
-        raise SpecFileError(f"must be at least 1, got {args.max_len}", "--max-len")
+    _at_least_one(args.max_len, "--max-len")
     cascade = cascade_from_spec(_load_json(args.spec))
     tree = cascade_function(cascade)
     letters = list(cascade.external.letters())
@@ -284,6 +289,7 @@ def _class_universe(cls, max_len: int, cap: int = 4000):
 
 
 def cmd_growth(args) -> int:
+    _at_least_one(args.max_len, "--max-len")
     cls = class_from_spec(_load_json(args.classspec))
     cap = _cap(args, 200_000)
     if cls.cardinality > cap:
@@ -347,13 +353,16 @@ def cmd_learn(args) -> int:
     if cls.cardinality > cap:
         raise CapExceededError("class enumeration", cls.cardinality, cap)
     bound = sample_bound_finite(cls.cardinality, config["epsilon"], config["eta"])
+    weights, n_letters = config["letter_weights"], cls.external.n_letters
+    if weights is not None and len(weights) != n_letters:
+        raise SpecFileError(f"need one weight per letter of the class alphabet: got "
+                            f"{len(weights)} weights for {n_letters} letters",
+                            "letter_weights")
 
     target = None
     if args.target:
         target = cascade_from_spec(_load_json(args.target))
-        letters = list(cls.external.letters())
-        weights = config["letter_weights"]
-        dist = StringDistribution(tuple(letters), max_len,
+        dist = StringDistribution(tuple(cls.external.letters()), max_len,
                                   tuple(weights) if weights else None)
         n = bound if config["n"] is None else config["n"]
         sample = draw_sample(dist, target, n, seed=seed)
@@ -398,6 +407,8 @@ def cmd_scenario(args) -> int:
     elif args.what == "family":
         _emit(json.dumps({"family": "sequence_tasks", "d": args.d}, indent=2), args.out)
     elif args.what == "traces":
+        _at_least_one(args.n, "--n")
+        _at_least_one(args.max_len, "--max-len")
         traces = crafting.generate_traces(args.n, args.max_len, seed=args.seed)
         labels = [crafting.task_label(t) for t in traces]
         base = args.out or "scenario"

@@ -555,6 +555,32 @@ def test_cli_mistyped_learn_config_exit_2(tmp_path, capsys, field, value):
     _rejected(_learn_files(tmp_path, config={key: value}), capsys, field)
 
 
+@pytest.mark.parametrize("mode", ["target", "traces"])
+def test_cli_learn_rejects_letter_weights_for_another_alphabet(tmp_path, capsys, mode):
+    from cascata.crafting import SequenceTaskFamily
+
+    argv = _learn_files(tmp_path, config={"letter_weights": [1, 2, 3]})
+    if mode == "target":
+        target = cascade_to_spec(SequenceTaskFamily(2).sequence_target())
+        argv = argv[:3] + ["--target", _write(tmp_path, "target.json", target)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "[letter_weights]" in err and "3 weights for 2 letters" in err, err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["growth", "family.json", "--max-len", "0"], "--max-len"),
+    (["scenario", "traces", "--n", "0"], "--n"),
+    (["scenario", "traces", "--n", "-2"], "--n"),
+    (["scenario", "traces", "--max-len", "0"], "--max-len"),
+])
+def test_cli_count_flags_below_one_exit_2(tmp_path, capsys, argv, flag):
+    _write(tmp_path, "family.json", {"family": "sequence_tasks", "d": 2})
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    _rejected(argv + ["--out", str(tmp_path / "run")], capsys, flag)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["family.json"]
+
+
 @pytest.mark.parametrize("field, descriptor", [
     ("descriptor", {"max_len": 4}),
     ("components[0]", {"components": [5]}),

@@ -1,20 +1,28 @@
 """Differential tests for the table-driven stepping path: ``Cascade.step``,
-``Cascade.flatten`` and ``ComponentAutomaton.induce`` against the
-functional oracle, on seeded random cascades."""
+``Cascade.run`` and its transition memo, ``Cascade.flatten`` and
+``ComponentAutomaton.induce`` against the functional oracle, on seeded random
+cascades."""
 
 import random
+import sys
+import threading
 
 import pytest
 
+from cascata import cascade as cascade_module
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton
 from cascata.cascade import Cascade
-from cascata.crafting import build_flipflop_task_cascade
+from cascata.crafting import (
+    build_counter_task_cascade,
+    build_flipflop_task_cascade,
+    generate_traces,
+)
 from cascata.errors import ArityMismatchError, UnknownLetterError
 from cascata.functional import cascade_function, component_function
 from cascata.primes import make_counter, make_flipflop
 
-from helpers import random_cascade, string_sweep
+from helpers import cascade_with_counter, random_cascade, string_sweep
 
 
 def _last_step(cascade, string):
@@ -108,13 +116,112 @@ def test_shuffled_chained_value_orders_change_nothing():
             assert shuffled.run(s) == flat.run(s) == c.run(s)
 
 
-@pytest.mark.parametrize("bad,error", [
+def _memo_snapshot(cascade):
+    return [dict(row) for row in cascade._memo], cascade._memo_size
+
+
+def _memo_cases(rng):
+    """Seeded flip-flop and counter cascades, each with a copy whose chained
+    coordinates list their values in a shuffled order."""
+    for i in range(48):
+        if i % 2:
+            c = cascade_with_counter(rng, modulus=rng.randint(2, 5))
+        else:
+            c = random_cascade(rng, cores="flipflop" if i % 4 else "random")
+        yield c, _permute_chained_values(rng, c)
+
+
+def test_run_memo_matches_the_oracle_cold_warm_and_interleaved():
+    rng = random.Random(76)
+    for c, twin in _memo_cases(rng):
+        letters = list(c.external.letters())
+        strings = string_sweep(letters, 6, 120, rng)
+        strings += [tuple(rng.choice(letters) for _ in range(rng.randint(1, 40)))
+                    for _ in range(20)]
+        rng.shuffle(strings)
+        tree = cascade_function(c)
+        want = [tree(s) for s in strings]
+        assert [_last_step(c, s).output for s in strings] == want
+        assert [c.run(s) for s in strings] == want  # cold
+        cold = _memo_snapshot(c)
+        assert [c.run(s) for s in strings] == want  # warm
+        assert _memo_snapshot(c) == cold
+        for s, w in zip(reversed(strings), reversed(want)):  # interleaved
+            assert c.run(s) == twin.run(s) == w
+        assert _memo_snapshot(c) == cold
+
+
+BAD_LETTERS = [
     (("plastic",), UnknownLetterError),
     (("wood", 0), ArityMismatchError),
     ((), ArityMismatchError),
     ("wood", ArityMismatchError),
     (["wood"], ArityMismatchError),
-])
+    ((["wood"],), UnknownLetterError),
+]
+
+
+@pytest.mark.parametrize("bad,error", BAD_LETTERS)
+def test_bad_letters_raise_from_a_warm_memo_and_leave_it_unchanged(bad, error):
+    c = build_flipflop_task_cascade()
+    letters = list(c.external.letters())
+    for s in string_sweep(letters, 2, 1000, random.Random(77)):
+        c.run(s)
+    before = _memo_snapshot(c)
+    for string in ((bad,), (letters[0], bad), (letters[0], letters[-1], bad),
+                   (bad, letters[0])):
+        with pytest.raises(error):
+            c.run(string)
+        assert _memo_snapshot(c) == before
+
+
+@pytest.mark.parametrize("cap", [0, 1, 37, 500])
+def test_run_memo_stays_within_its_cap(monkeypatch, cap):
+    traces = generate_traces(150, 120, seed=78)
+    reference = build_counter_task_cascade(5, 4, 2, 3)
+    want = [_last_step(reference, t).output for t in traces]
+    monkeypatch.setattr(cascade_module, "RUN_MEMO_CAP", cap)
+    c = build_counter_task_cascade(5, 4, 2, 3)
+    for _ in range(2):
+        for t, w in zip(traces, want):
+            assert c.run(t) == w
+            assert sum(map(len, c._memo)) == c._memo_size <= cap
+    assert c._memo_size == cap  # the traces visit more transitions than the cap
+
+
+def test_run_memo_stays_consistent_across_threads():
+    traces = generate_traces(300, 60, seed=79)
+    reference = build_counter_task_cascade(5, 4, 2, 3)
+    want = [_last_step(reference, t).output for t in traces]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):  # each round races on a cold memo
+            c = build_counter_task_cascade(5, 4, 2, 3)
+            results, start = {}, threading.Barrier(6)
+
+            def work(k):
+                start.wait(timeout=60)
+                order = list(range(len(traces)))
+                random.Random(k).shuffle(order)
+                outputs = {i: c.run(traces[i]) for i in order}
+                results[k] = [outputs[i] for i in range(len(traces))]
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert results == {k: want for k in range(6)}
+            assert [c._numbers[st] for st in c._product] == list(range(len(c._product)))
+            assert len(c._memo) == len(c._product)
+            assert sum(map(len, c._memo)) == c._memo_size
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("bad,error", BAD_LETTERS)
 def test_bad_letters_raise_in_cascade_run_and_step(bad, error):
     c = build_flipflop_task_cascade()
     with pytest.raises(error):
