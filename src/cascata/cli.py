@@ -94,10 +94,10 @@ def _cap(args, default: int) -> int:
     return int(cap)
 
 
-def _at_least_one(value: int, flag: str) -> None:
-    """A count given on the command line must be at least 1."""
-    if value < 1:
-        raise SpecFileError(f"must be at least 1, got {value}", flag)
+def _at_least_one(value: int, flag: str, least: int = 1) -> None:
+    """A count given on the command line must be at least 1 (or ``least``)."""
+    if value < least:
+        raise SpecFileError(f"must be at least {least}, got {value}", flag)
 
 
 def _parse_letter(token: str, alphabet: FactoredAlphabet, where: str):
@@ -228,6 +228,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    for ell in args.ell:
+        _at_least_one(ell, "--ell")
+    k, n = args.baseline_letters, args.baseline_states
+    for value, flag in ((k, "--baseline-letters"), (n, "--baseline-states")):
+        if value is not None:
+            _at_least_one(value, flag)
+    if (k is None) != (n is None):
+        raise SpecFileError("--baseline-letters and --baseline-states go together",
+                            "--baseline-letters" if n is None else "--baseline-states")
     desc, fam = descriptor_from_spec(_load_json(args.descriptor))
     rows: list[tuple[str, str, str]] = []
     card = cardinality_bound_cascade(desc)
@@ -255,8 +264,7 @@ def cmd_bounds(args) -> int:
         ))
     except ValueError as e:
         rows.append(("dimension_bound", "n/a", str(e)))
-    if args.baseline_letters and args.baseline_states:
-        k, n = args.baseline_letters, args.baseline_states
+    if k is not None:
         rows.append((
             "all_acceptors_baseline",
             f"{k * n * math.log2(n):.1f}",
@@ -290,6 +298,8 @@ def _class_universe(cls, max_len: int, cap: int = 4000):
 
 def cmd_growth(args) -> int:
     _at_least_one(args.max_len, "--max-len")
+    for ell in args.ell:
+        _at_least_one(ell, "--ell")
     cls = class_from_spec(_load_json(args.classspec))
     cap = _cap(args, 200_000)
     if cls.cardinality > cap:
@@ -338,6 +348,8 @@ def _label(path: str, line_no: int, text: str) -> int:
 def _read_labeled(traces_path, labels_path, external) -> LabeledSample:
     strings = [trace for _, trace in _read_traces(traces_path, external) if trace]
     labels = [_label(labels_path, n, line) for n, line in _lines(labels_path) if line]
+    if not strings:
+        raise SpecFileError(f"{traces_path}: no traces")
     if len(labels) != len(strings):
         raise SpecFileError(
             f"{len(strings)} traces but {len(labels)} labels"
@@ -405,6 +417,7 @@ def cmd_scenario(args) -> int:
         _emit(json.dumps(cascade_to_spec(crafting.build_counter_task_cascade()), indent=2),
               args.out)
     elif args.what == "family":
+        _at_least_one(args.d, "--d", least=2)
         _emit(json.dumps({"family": "sequence_tasks", "d": args.d}, indent=2), args.out)
     elif args.what == "traces":
         _at_least_one(args.n, "--n")

@@ -226,10 +226,6 @@ class GrowthReport(NamedTuple):
     count: int
     witness: tuple
     exact: bool
-    bound: float | None = None
-
-    def against(self, bound: float) -> "GrowthReport":
-        return self._replace(bound=bound)
 
 
 class DimensionReport(NamedTuple):

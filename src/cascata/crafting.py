@@ -10,6 +10,7 @@ factory; in memory a trace is a tuple of one-coordinate letters such as
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import cached_property
 
@@ -23,10 +24,6 @@ from .primes import make_counter, make_flipflop
 EVENTS = ("blank", "wood", "iron", "fire", "steel", "factory")
 TASK_EVENTS = ("wood", "iron", "fire", "steel", "factory")
 MATERIALS = ("wood", "iron", "fire", "steel")
-
-#: watcher combinations and goals scored together by ``error_counts``
-_COMBO_BLOCK = 4
-_GOAL_BLOCK = 256
 
 #: trace-generation weights tuned so completed tasks are not vanishingly
 #: rare (measured: well above 1% positives at max_len 10)
@@ -220,14 +217,14 @@ class SequenceTaskFamily(CascadeClass):
         Watchers read only the event, so their latched bits depend on their
         own choice alone, and a member outputs 1 iff one of its goal terms is
         contained in some step's goal assignment (the event bit plus the bits
-        the watchers latched before that step).  Per watcher combination and
-        string the kernel collects the assignments seen as a bitset, tests
-        every term against it, packs the term hits over the strings into
-        uint64 words and counts a goal's errors as
-        ``popcount((hit[t1] | hit[t2]) ^ labels)``.  Combinations and goals
-        are scored in blocks of fixed size, so apart from the result (8 bytes
-        per member) the memory used does not grow with the class; for 646
-        strings it stays under a megabyte at d = 3 and d = 4.
+        the watchers latched before that step).  Per watcher combination the
+        kernel marks the assignments each string saw and takes
+        ``hit[i, T]``, whether string i saw an assignment containing term T,
+        from one matrix product.  With ``w = 1 - 2y``, ``h = w @ hit`` and
+        ``m = hit.T @ (w * hit)``, inclusion-exclusion over the two terms
+        gives the goal with terms (t1, t2) ``sum(y) + h[t1] + h[t2] -
+        m[t1, t2]`` errors; a one-term goal has t1 = t2.  The products sum
+        at most ``len(strings)`` ones in float64, so the counts are exact.
         """
         d, n = self.d, len(strings)
         n_watchers = self.watcher_class.cardinality
@@ -235,56 +232,37 @@ class SequenceTaskFamily(CascadeClass):
         y = np.array([int(v) for v in labels], dtype=np.int64)
         if len(y) != n or np.any((y != 0) & (y != 1)):
             raise ValueError("error_counts needs one 0/1 label per string")
+        w = 1.0 - 2 * y
 
-        # support[T]: the goal assignments m containing term T, as a bitset
-        # with bit m at word m // 64, position m % 64
-        n_terms = 2 ** self.goal_class.n_variables
-        masks = np.arange(n_terms)
-        contains = (masks & masks[:, None]) == masks[:, None]
-        contains = np.pad(contains, ((0, 0), (0, -n_terms % 64))).reshape(n_terms, -1, 64)
-        support = (contains << np.arange(64, dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
-        n_words = support.shape[1]
+        # contains[m, T]: goal assignment m contains term T
+        masks = np.arange(2 ** self.goal_class.n_variables)
+        contains = ((masks[:, None] & masks) == masks).astype(float)
 
-        # strings padded to a multiple of 64; padding rows hit no term
-        width = -(-n // 64) * 64
         length = max((len(s) for s in strings), default=0)
-        events = np.zeros((width, length), dtype=np.intp)
-        valid = np.zeros((width, length), dtype=bool)
+        events = np.zeros((n, length), dtype=np.intp)
+        valid = np.zeros((n, length), dtype=bool)
         for i, s in enumerate(strings):
             events[i, :len(s)] = [self.external.encode(x, "error_counts")[0] for x in s]
             valid[i, :len(s)] = True
-        # latched[w, s, t]: watcher w fired before step t (padding steps come
-        # after the string's own steps, so they never leak into valid ones)
+        # latched[w, i, t]: watcher w fired before step t of string i (padding
+        # steps come after the string's own steps, so they never leak into them)
         fires = self._watcher_truth[:, events]
-        code = np.min_scalar_type(n_terms - 1)  # holds every assignment m
-        latched = np.zeros((n_watchers, width, length), dtype=code)
+        latched = np.zeros_like(fires)
         latched[:, :, 1:] = np.logical_or.accumulate(fires[:, :, :-1], axis=2)
-        event_bits = (1 << events).astype(code)
-        packed_labels = np.packbits(np.pad(y.astype(bool), (0, width - n))).view(np.uint64)
+        # the goal-assignment bits of every valid step, watcher j's at d + j
+        rows, steps = np.nonzero(valid)
+        code = np.min_scalar_type(len(masks) - 1)
+        event_bits = (1 << events[rows, steps]).astype(code)
+        watcher_bits = [latched[:, rows, steps].astype(code) << (d + j) for j in range(d - 1)]
 
-        n_combos = n_watchers ** (d - 1)
-        counts = np.empty((n_combos, len(first)), dtype=np.int64)
-        for c0 in range(0, n_combos, _COMBO_BLOCK):
-            combos = np.arange(c0, min(c0 + _COMBO_BLOCK, n_combos))
-            digits = [combos // n_watchers ** (d - 2 - j) % n_watchers for j in range(d - 1)]
-            seen = np.zeros((n_words, len(combos), width), dtype=np.uint64)
-            for t in range(length):
-                mask = event_bits[:, t] + sum(
-                    latched[digits[j], :, t] << (d + j) for j in range(d - 1))
-                bit = np.where(valid[:, t], np.uint64(1) << (mask & 63).astype(np.uint64),
-                               np.uint64(0))
-                for w in range(n_words):
-                    seen[w] |= np.where(mask >> 6 == w, bit, np.uint64(0))
-            hits = np.empty((width // 64, len(combos), n_terms), dtype=np.uint64)
-            for term in range(n_terms):
-                hit = (seen & support[term][:, None, None]).any(axis=0)
-                hits[:, :, term] = np.packbits(hit, axis=1).view(np.uint64).T
-            for g0 in range(0, len(first), _GOAL_BLOCK):
-                goals = slice(g0, g0 + _GOAL_BLOCK)
-                pred = hits[:, :, first[goals]]
-                pred |= hits[:, :, last[goals]]
-                pred ^= packed_labels[:, None, None]
-                counts[c0:c0 + len(combos), goals] = np.bitwise_count(pred).sum(axis=0)
+        counts = np.empty((n_watchers ** (d - 1), len(first)), dtype=np.int64)
+        for c, combo in enumerate(itertools.product(range(n_watchers), repeat=d - 1)):
+            seen = np.zeros((n, len(masks)))
+            seen[rows, event_bits + sum(bits[k] for bits, k in zip(watcher_bits, combo))] = 1
+            hit = (seen @ contains > 0).astype(float)
+            h = w @ hit
+            m = hit.T @ (w[:, None] * hit)
+            counts[c] = y.sum() + h[first] + h[last] - m[first, last]
         return counts.reshape(-1)
 
     def descriptor(self, max_len: int, epsilon: float = 0.1, eta: float = 0.1,

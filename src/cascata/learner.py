@@ -94,8 +94,11 @@ def erm_select(functions, sample: LabeledSample) -> ErmResult:
     Ties break to the earliest member in canonical enumeration order; the
     number of tied minimizers is reported.  A class object exposing
     ``error_counts(strings, labels)`` (and ``member``) is scored through that
-    fast path instead of one-by-one evaluation.
+    fast path instead of one-by-one evaluation.  An empty sample is a
+    ``ValueError``.
     """
+    if len(sample) == 0:
+        raise ValueError("cannot select on an empty sample")
     if hasattr(functions, "error_counts"):
         counts = np.asarray(functions.error_counts(list(sample.strings), list(sample.labels)))
         best = int(counts.min())

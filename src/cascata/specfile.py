@@ -23,9 +23,10 @@ coordinates), and ``{"kind": "threshold", "thresholds": {coord: int},
 a letter of the core.  Cores: ``"flipflop"``, ``"flipflop_wo"``,
 ``"counter:N"``, each optionally as ``{"kind": ..., "initial": q}``, or an
 explicit ``{"kind": "table", "letters": [...], "states": [...], "initial": q,
-"transitions": [[q, letter, q2], ...]}``.  An output table is
-``{"kind": "table", "entries": [[state, [...values], out], ...],
-"outputs": [...]}``; ``outputs`` defaults to the values the entries use.
+"transitions": [[q, letter, q2], ...]}`` with one row per state and letter.
+An output table is ``{"kind": "table", "entries": [[state, [...values],
+out], ...], "outputs": [...]}``; ``outputs`` defaults to the values the
+entries use.
 Input and output tables hold exactly one entry per letter (per state and
 letter) of the projected alphabet, and nothing else.
 
@@ -193,8 +194,16 @@ def _parse_core(data, where: str) -> Semiautomaton:
                          f"{where}.transitions")
             letters = tuple(_require_type(data["letters"], list, f"{where}.letters"))
             states = tuple(_require_type(data["states"], list, f"{where}.states"))
-            return Semiautomaton(letters, states, {(q, a): q2 for q, a, q2 in rows},
-                                 data["initial"])
+            state_set, letter_set, transitions = set(states), set(letters), {}
+            for k, (q, a, q2) in enumerate(rows):
+                problem = (f"{q!r} is not a state" if q not in state_set
+                           else f"{a!r} is not a letter" if a not in letter_set
+                           else f"a second row for {[q, a]!r}" if (q, a) in transitions
+                           else None)
+                if problem:
+                    raise SpecFileError(problem, f"{where}.transitions[{k}]")
+                transitions[q, a] = q2
+            return Semiautomaton(letters, states, transitions, data["initial"])
     except (TypeError, ValueError) as e:
         raise SpecFileError(str(e), where)
     raise SpecFileError(f"unknown core kind {kind!r}", f"{where}.kind")

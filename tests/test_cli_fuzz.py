@@ -1,6 +1,7 @@
 """Mutated input files never crash the CLI: on a mutation of a valid
 cascade spec (with table or monotone-DNF input functions), class spec,
-family, learning config, bound descriptor, trace or label file, ``main``
+family, learning config, bound descriptor, trace or label file (or of both
+the trace and the label file, either of which may end up empty), ``main``
 exits with a documented code (0 ok, 2 parse error, 3 cap exceeded,
 4 verification failure) and prints no traceback."""
 
@@ -90,7 +91,9 @@ def _mutate_text(data, text):
     lines = text.splitlines()
     for _ in range(data.draw(st.integers(1, 2))):
         i = data.draw(st.integers(0, len(lines)))
-        op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        op = data.draw(st.sampled_from(["replace", "insert", "delete", "empty"]))
+        if op == "empty":  # no line left, or blank ones only
+            return "\n" * data.draw(st.integers(0, 2))
         if op == "insert" or i == len(lines):
             lines.insert(i, " ".join(data.draw(st.lists(st.sampled_from(TOKENS),
                                                         max_size=3))))
@@ -104,9 +107,10 @@ def _mutate_text(data, text):
     return "\n".join(lines) + "\n"
 
 
-#: which file is mutated, and the command run on it
+#: which file is mutated, and the command run on it; "sample" mutates both
+#: the trace and the label file
 SCENARIOS = ["spec", "target", "class", "family", "config", "descriptor", "traces",
-             "labels"]
+             "labels", "sample"]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -116,8 +120,9 @@ def test_cli_survives_mutated_input_files(data):
     files = {"spec": FLIPFLOP, "class": CLASS_SPEC, "family": FAMILY, "config": CONFIG,
              "descriptor": DESCRIPTOR, "target": TARGET, "traces": TRACES,
              "labels": LABELS}
-    mutate = _mutate_text if which in ("traces", "labels") else _mutate_json
-    files[which] = mutate(data, files[which])
+    for name in ("traces", "labels") if which == "sample" else (which,):
+        mutate = _mutate_text if name in ("traces", "labels") else _mutate_json
+        files[name] = mutate(data, files[name])
     with tempfile.TemporaryDirectory() as tmp:
         path = {}
         for name, content in files.items():
@@ -135,6 +140,7 @@ def test_cli_survives_mutated_input_files(data):
             "descriptor": ["bounds", path["descriptor"], "--ell", "1", "2"],
             "traces": learn,
             "labels": learn,
+            "sample": learn,
         }[which]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

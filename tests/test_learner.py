@@ -103,6 +103,13 @@ def test_erm_fast_and_generic_paths_reject_a_letter_outside_the_family_alike(let
         assert type(generic.value) is UnknownLetterError
 
 
+def test_erm_rejects_an_empty_sample_on_both_paths():
+    fam = SequenceTaskFamily(2)
+    for functions in (fam, list(fam)):
+        with pytest.raises(ValueError, match="empty sample"):
+            erm_select(functions, LabeledSample(()))
+
+
 def _noisy_family_sample(fam, n, seed, flip=0.1, max_len=5):
     dist = StringDistribution(tuple(fam.external.letters()), max_len=max_len)
     clean = draw_sample(dist, fam.sequence_target(), n, seed=seed)

@@ -327,6 +327,22 @@ def _table_core(**fields):
     return dict(core, **fields)
 
 
+_WRITE_ONCE_ROWS = [[0, "set", 1], [0, "read", 0], [1, "set", 1], [1, "read", 1]]
+
+
+@pytest.mark.parametrize("row", [[0, "read", 1], [1, "set", 0], [2, "set", 0],
+                                 [0, "reset", 0]])
+def test_cli_table_core_takes_one_row_per_state_and_letter(tmp_path, capsys, row):
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    spec["components"][0]["core"] = _table_core(transitions=_WRITE_ONCE_ROWS)
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(spec))
+    assert main(["flatten", str(path)]) == 0
+    capsys.readouterr()
+    spec["components"][0]["core"]["transitions"] = _WRITE_ONCE_ROWS + [row]
+    _cli_rejects_spec(tmp_path, capsys, spec, "components[0].core.transitions[4]")
+
+
 @pytest.mark.parametrize("field, component", [
     ("components[0].name", {"name": ["wood"]}),
     ("components[0].input_fn.entries", {"input_fn": {"kind": "table", "entries": "rows"}}),
@@ -573,6 +589,17 @@ def test_cli_learn_rejects_letter_weights_for_another_alphabet(tmp_path, capsys,
     (["scenario", "traces", "--n", "0"], "--n"),
     (["scenario", "traces", "--n", "-2"], "--n"),
     (["scenario", "traces", "--max-len", "0"], "--max-len"),
+    (["growth", "family.json", "--ell", "1", "0"], "--ell"),
+    (["growth", "family.json", "--ell", "-1"], "--ell"),
+    (["bounds", "family.json", "--ell", "-2"], "--ell"),
+    (["scenario", "family", "--d", "0"], "--d"),
+    (["scenario", "family", "--d", "1"], "--d"),
+    (["bounds", "family.json", "--baseline-letters", "0", "--baseline-states", "4"],
+     "--baseline-letters"),
+    (["bounds", "family.json", "--baseline-letters", "2", "--baseline-states", "-3"],
+     "--baseline-states"),
+    (["bounds", "family.json", "--baseline-letters", "6"], "--baseline-letters"),
+    (["bounds", "family.json", "--baseline-states", "32"], "--baseline-states"),
 ])
 def test_cli_count_flags_below_one_exit_2(tmp_path, capsys, argv, flag):
     _write(tmp_path, "family.json", {"family": "sequence_tasks", "d": 2})
@@ -601,6 +628,16 @@ def test_cli_learn_skips_blank_trace_and_label_lines(tmp_path, capsys):
     _write(tmp_path, "x.labels", "1\n\n0\n\n")
     assert main(argv) == 0
     assert capsys.readouterr() == plain
+
+
+@pytest.mark.parametrize("traces, labels", [("", ""), ("\n  \n", "\n")])
+def test_cli_learn_rejects_a_sample_with_no_traces(tmp_path, capsys, traces, labels):
+    argv = _learn_files(tmp_path)
+    _write(tmp_path, "x.traces", traces)
+    _write(tmp_path, "x.labels", labels)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "x.traces: no traces" in err and "Traceback" not in err, err
 
 
 def test_cli_run_malformed_trace_names_file_and_line(flipflop_spec, tmp_path, capsys):
