@@ -4,10 +4,16 @@ Letters are plain tuples with one entry per coordinate of an owning
 :class:`FactoredAlphabet`.  Everything here is immutable after construction
 and safe to share across threads.
 
-Numbering: ``FactoredAlphabet.encode`` gives a letter's value codes (each
-value's position in its coordinate's ``values``) and ``index`` its position
-in ``letters()``: the codes as a mixed-radix number, last coordinate fastest,
-summed from ``places``.  No other module numbers letters by hand.
+Numbering: letters, the product classes here (``TableClass``,
+``ThresholdClass``) and cascade classes are all numbered in mixed radix, one
+digit per position, with the last position varying fastest.  A letter's
+digits are its value codes (``FactoredAlphabet.encode``: each value's
+position in its coordinate's ``values``) and ``index`` sums them from
+``places``; a class's digits are its per-position choices, which
+``mixed_radix_digits`` decodes from a member's index.  Every finite class
+names its members by index through ``member(i)``, and iteration follows the
+index (``NumberedClass``).  No other module numbers letters or members by
+hand.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ArityMismatchError, CapExceededError, UnknownLetterError
 
@@ -303,9 +309,34 @@ class ThresholdConjunction:
 # ---------------------------------------------------------------------------
 
 
+def mixed_radix_digits(index: int, radices: Sequence[int]) -> list[int]:
+    """The digits of ``index`` in the mixed radix ``radices``, most
+    significant first, so the last digit varies fastest; an index outside
+    ``[0, prod(radices))`` is an ``IndexError``."""
+    if index < 0:
+        raise IndexError(index)
+    rest, digits = index, []
+    for base in reversed(radices):
+        rest, digit = divmod(rest, base)
+        digits.append(digit)
+    if rest:
+        raise IndexError(index)
+    digits.reverse()
+    return digits
+
+
+class NumberedClass:
+    """A finite class whose members are ``member(0)`` .. ``member(cardinality
+    - 1)``; iteration yields them in that order."""
+
+    def __iter__(self) -> Iterator:
+        return map(self.member, range(self.cardinality))
+
+
 @dataclass(frozen=True)
-class TableClass:
-    """All total functions from a signature into a fixed output alphabet."""
+class TableClass(NumberedClass):
+    """All total functions from a signature into a fixed output alphabet.
+    A member's digits are its outputs on the letters, in letter order."""
 
     kind = "table"
     signature: FactoredAlphabet
@@ -319,17 +350,9 @@ class TableClass:
     def cardinality(self) -> int:
         return len(self.outputs) ** self.signature.n_letters
 
-    def function_at(self, index: int) -> TableFunction:
-        if not 0 <= index < self.cardinality:
-            raise IndexError(index)
-        n, base = self.signature.n_letters, len(self.outputs)
-        # first input letter takes the most significant digit
-        return TableFunction(self.signature, tuple(
-            self.outputs[index // base ** (n - 1 - i) % base] for i in range(n)))
-
-    def __iter__(self) -> Iterator[TableFunction]:
-        for values in itertools.product(self.outputs, repeat=self.signature.n_letters):
-            yield TableFunction(self.signature, values)
+    def member(self, index: int) -> TableFunction:
+        digits = mixed_radix_digits(index, (len(self.outputs),) * self.signature.n_letters)
+        return TableFunction(self.signature, tuple(self.outputs[d] for d in digits))
 
 
 def _incomparable_pair_count(n: int) -> int:
@@ -341,13 +364,15 @@ def _incomparable_pair_count(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class MonotoneDnfClass:
+class MonotoneDnfClass(NumberedClass):
     """Monotone DNFs with at most ``max_terms`` terms over a signature's
     boolean view.
 
     Canonical form: the constant-true function is the single empty term; any
     other member is an antichain of 1..max_terms non-empty terms (no term
-    contained in another).  Members are pairwise distinct as functions on the
+    contained in another).  Members are numbered constant true first, then
+    the single terms, then the two-term antichains, terms ordered by their
+    variable lists.  Members are pairwise distinct as functions on the
     full boolean assignment space; on one-hot expanded coordinates only the
     one-hot patterns are realizable letters, so distinct members can coincide
     there.  Closed-form counting is implemented for max_terms in {1, 2}.
@@ -373,7 +398,7 @@ class MonotoneDnfClass:
     def n_variables(self) -> int:
         return self.view.n_variables
 
-    @property
+    @cached_property
     def cardinality(self) -> int:
         n = self.n_variables
         count = 2**n  # constant true + single non-empty terms
@@ -403,7 +428,7 @@ class MonotoneDnfClass:
     def _make(self, terms: tuple[int, ...]) -> MonotoneDnf:
         return MonotoneDnf(self.view, terms, self.outputs[0], self.outputs[1])
 
-    def function_at(self, index: int) -> MonotoneDnf:
+    def member(self, index: int) -> MonotoneDnf:
         if not 0 <= index < self.cardinality:
             raise IndexError(index)
         if index == 0:
@@ -435,22 +460,15 @@ class MonotoneDnfClass:
             terms = sorted(terms, key=self._term_key)
         return self._make(tuple(terms))
 
-    def __iter__(self) -> Iterator[MonotoneDnf]:
-        yield self._make((0,))
-        for t in self._single_terms:
-            yield self._make((t,))
-        if self.max_terms == 2:
-            for pair in self._term_pairs:
-                yield self._make(pair)
-
 
 @dataclass(frozen=True)
-class ThresholdClass:
+class ThresholdClass(NumberedClass):
     """All threshold conjunctions over integer coordinates.
 
     Per coordinate the choices are "unconstrained" plus every domain value
     above the minimum; the at-least-minimum test is extensionally the same as
     unconstrained and is not listed twice, keeping members pairwise distinct.
+    A member's digits are its choices, one per coordinate.
     """
 
     kind = "threshold"
@@ -474,32 +492,19 @@ class ThresholdClass:
     def cardinality(self) -> int:
         return math.prod(len(ch) for ch in self._choices)
 
-    def function_at(self, index: int) -> ThresholdConjunction:
-        if not 0 <= index < self.cardinality:
-            raise IndexError(index)
-        thresholds = []
-        for choices in reversed(self._choices):
-            thresholds.append(choices[index % len(choices)])
-            index //= len(choices)
-        thresholds.reverse()
+    def member(self, index: int) -> ThresholdConjunction:
+        digits = mixed_radix_digits(index, [len(ch) for ch in self._choices])
         return ThresholdConjunction(
-            self.signature, tuple(thresholds), self.outputs[0], self.outputs[1]
+            self.signature, tuple(ch[d] for ch, d in zip(self._choices, digits)),
+            self.outputs[0], self.outputs[1]
         )
 
-    def __iter__(self) -> Iterator[ThresholdConjunction]:
-        for thresholds in itertools.product(*self._choices):
-            yield ThresholdConjunction(
-                self.signature, thresholds, self.outputs[0], self.outputs[1]
-            )
 
-
-FiniteFunctionClass = TableClass | MonotoneDnfClass | ThresholdClass
-
-
-def enumerate_class(cls: FiniteFunctionClass, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Yield every member in canonical order; errors out instead of starting
-    an enumeration that cannot finish under the cap."""
+def enumerate_class(cls: NumberedClass, cap: int = DEFAULT_ENUMERATION_CAP):
+    """Yield every member of a finite class (of functions or of cascades) in
+    index order; errors out instead of starting an enumeration that cannot
+    finish under the cap."""
     size = cls.cardinality
     if size > cap:
-        raise CapExceededError("function class enumeration", size, cap)
+        raise CapExceededError("class enumeration", size, cap)
     return iter(cls)

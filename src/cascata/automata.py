@@ -33,7 +33,13 @@ from .errors import (
     UnknownLetterError,
 )
 
+#: The most entries a transition monoid may store: elements times states.
 DEFAULT_MONOID_CAP = 100_000
+
+
+def _is_index(value, size: int) -> bool:
+    """Is ``value`` an int (not a bool) in ``range(size)``?"""
+    return type(value) is int and 0 <= value < size
 
 
 def _table(mapping, states, alphabet, code: dict, what: str) -> list[list[int]]:
@@ -87,18 +93,25 @@ class Semiautomaton:
     def n_states(self) -> int:
         return len(self.states)
 
+    def _number(self, state, what: str = "state") -> int:
+        """The state's position in ``states``; a ``ValueError`` naming it
+        when it is not a state."""
+        q = self.state_index.get(state)
+        if q is None:
+            raise ValueError(f"{what} {state!r} not among states")
+        return q
+
     def step(self, state, letter):
         try:
             return self.states[self.delta[self.state_index[state]][self.letter_index[letter]]]
         except KeyError:
+            self._number(state)
             raise UnknownLetterError(letter, where="semiautomaton")
 
     def run(self, string, start=None):
         """State reached from ``start`` (default: initial) on the string;
         the empty string returns the start state unchanged."""
-        q = self.initial_index if start is None else self.state_index.get(start)
-        if q is None:
-            raise ValueError(f"start state {start!r} not among states")
+        q = self.initial_index if start is None else self._number(start, "start state")
         delta, index = self.delta, self.letter_index
         for i, a in enumerate(string):
             j = index.get(a)
@@ -114,8 +127,10 @@ class Semiautomaton:
 
     def transition_monoid(self, cap: int = DEFAULT_MONOID_CAP):
         """All distinct state transformations induced by strings (including
-        the empty string), as tuples over state indices."""
-        identity = tuple(range(len(self.states)))
+        the empty string), as tuples over state indices.  ``cap`` bounds the
+        entries stored, that is elements times states."""
+        n = len(self.states)
+        identity = tuple(range(n))
         generators = [tuple(column) for column in zip(*self.delta)]
         seen = {identity}
         frontier = deque([identity])
@@ -124,8 +139,9 @@ class Semiautomaton:
             for g in generators:
                 h = tuple(g[p] for p in f)
                 if h not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError("transition monoid", len(seen) + 1, cap)
+                    entries = (len(seen) + 1) * n
+                    if entries > cap:
+                        raise CapExceededError("transition monoid entries", entries, cap)
                     seen.add(h)
                     frontier.append(h)
         return seen
@@ -208,6 +224,7 @@ class FlatAutomaton:
         try:
             return self.outputs[self.out[self.core.state_index[state]][self.letter_index[letter]]]
         except KeyError:
+            self.core._number(state)
             raise UnknownLetterError(letter, where="automaton output")
 
     def run(self, string):
@@ -286,7 +303,8 @@ class FlatAutomaton:
         Over the same letter set this is an exact product-automaton check
         (outputs compared on all reachable state pairs, per letter).  With
         different letter sets of equal size, letters are paired by sorted
-        order and strings up to ``max_len`` are compared exhaustively.
+        order and strings of length 1 to ``max_len`` are compared
+        exhaustively; ``max_len`` must then be at least 1.
         """
         if set(self.alphabet) == set(other.alphabet):
             return self._equivalent_exact(other)
@@ -294,6 +312,8 @@ class FlatAutomaton:
             raise ValueError(
                 "alphabets differ; pass max_len for the paired exhaustive check"
             )
+        if max_len < 1:
+            raise ValueError(f"max_len must be at least 1, got {max_len}")
         if len(self.alphabet) != len(other.alphabet):
             raise ValueError("alphabets differ in size; no letter pairing exists")
         pairs = list(zip(sorted(self.alphabet, key=repr), sorted(other.alphabet, key=repr)))
@@ -357,13 +377,17 @@ class FlatAutomaton:
         )
         n, k = len(data["states"]), len(letters)
         code = {v: i for i, v in enumerate(data["outputs"])}
-        delta, out = [[-1] * k for _ in range(n)], [[-1] * k for _ in range(n)]
-        for q, i, t in data["transitions"]:
-            delta[q][i] = t
-        for q, i, o in data["output_rows"]:
-            out[q][i] = code.get(o, -1)
-        if (data["initial"] not in range(n) or any(-1 in row for row in out)
-                or any(t not in range(n) for row in delta for t in row)):
+        delta, out = [[None] * k for _ in range(n)], [[None] * k for _ in range(n)]
+        for table, rows, value in ((delta, data["transitions"], lambda t: t),
+                                   (out, data["output_rows"], code.get)):
+            for row in rows:
+                if not (isinstance(row, (list, tuple)) and len(row) == 3 and _is_index(row[0], n)
+                        and _is_index(row[1], k)) or table[row[0]][row[1]] is not None:
+                    raise ValueError(f"serialized automaton has a bad or repeated row {row!r}")
+                q, i, v = row
+                table[q][i] = value(v)
+        if (not _is_index(data["initial"], n) or any(None in row for row in out)
+                or not all(_is_index(t, n) for row in delta for t in row)):
             raise ValueError("serialized automaton is not total over its states and letters")
         factored = None
         if "alphabet" in data:

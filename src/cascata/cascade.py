@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from functools import cached_property
 from typing import NamedTuple
 
-from .alphabets import FactoredAlphabet, Letter
+from .alphabets import FactoredAlphabet, Letter, NumberedClass, mixed_radix_digits
 from .automata import ComponentAutomaton, FlatAutomaton, Semiautomaton
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
@@ -243,20 +244,24 @@ class ClassPart(NamedTuple):
     outputs: tuple | None = None
 
 
-class CascadeClass:
+class CascadeClass(NumberedClass):
     """The product class of cascades whose components have fixed names,
     dependency sets, cores and output functions, and each choose their input
-    function from an enumerable class (``cardinality``, ``function_at``, and
-    iteration in ``function_at`` order).  Members are numbered with the last
-    component's choice varying fastest."""
+    function from a finite class (``cardinality`` and ``member``).  A
+    member's digits are its components' choices, so the last component's
+    choice varies fastest."""
 
     def __init__(self, external: FactoredAlphabet, parts):
         self.external = external
         self.parts = tuple(ClassPart(*p) for p in parts)
 
+    @cached_property
+    def _radices(self) -> tuple[int, ...]:
+        return tuple(p.input_class.cardinality for p in self.parts)
+
     @property
     def cardinality(self) -> int:
-        return math.prod(p.input_class.cardinality for p in self.parts)
+        return math.prod(self._radices)
 
     @property
     def input_classes(self) -> list:
@@ -268,17 +273,8 @@ class CascadeClass:
                                              in zip(self.parts, input_fns, strict=True)])
 
     def member(self, index: int) -> Cascade:
-        if not 0 <= index < self.cardinality:
-            raise IndexError(index)
-        choices = []
-        for cls in reversed(self.input_classes):
-            index, digit = divmod(index, cls.cardinality)
-            choices.append(cls.function_at(digit))
-        return self.build(reversed(choices))
-
-    def __iter__(self):
-        for input_fns in itertools.product(*(list(c) for c in self.input_classes)):
-            yield self.build(input_fns)
+        digits = mixed_radix_digits(index, self._radices)
+        return self.build([p.input_class.member(d) for p, d in zip(self.parts, digits)])
 
     def descriptor(self, max_len: int, epsilon: float = 0.1, eta: float = 0.1,
                    input_dims=None) -> ClassDescriptor:

@@ -21,8 +21,8 @@ import os
 import sys
 
 from . import crafting
-from .alphabets import FactoredAlphabet
-from .automata import is_aperiodic_monoid
+from .alphabets import FactoredAlphabet, enumerate_class
+from .automata import DEFAULT_MONOID_CAP, is_aperiodic_monoid
 from .cascade import DEFAULT_PRODUCT_CAP
 from .complexity import (
     cardinality_bound_cascade,
@@ -176,6 +176,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    if args.max_len is not None:
+        _at_least_one(args.max_len, "--max-len")
     a = cascade_from_spec(_load_json(args.spec)).flatten(cap=_cap(args, DEFAULT_PRODUCT_CAP))
     b = cascade_from_spec(_load_json(args.spec2)).flatten(cap=_cap(args, DEFAULT_PRODUCT_CAP))
     result = a.equivalent(b, max_len=args.max_len)
@@ -190,11 +192,21 @@ def cmd_equiv(args) -> int:
 def cmd_aperiodic(args) -> int:
     cascade = cascade_from_spec(_load_json(args.spec))
     auto = cascade.flatten(cap=_cap(args, DEFAULT_PRODUCT_CAP))
-    cap = _cap(args, 100_000)
-    monoid = auto.core.transition_monoid(cap)
+    monoid = auto.core.transition_monoid(_cap(args, DEFAULT_MONOID_CAP))
     verdict = "aperiodic" if is_aperiodic_monoid(monoid) else "not aperiodic"
     print(f"{verdict}; monoid size: {len(monoid)}")
     return EXIT_OK
+
+
+def _short_strings(letters: list, max_len: int, cap: int) -> list[tuple]:
+    """Every string of length 1, 2, ... up to ``max_len``, stopping before
+    the first length that would take the total past ``cap``."""
+    strings = []
+    for length in range(1, max_len + 1):
+        if len(strings) + len(letters) ** length > cap:
+            break
+        strings.extend(itertools.product(letters, repeat=length))
+    return strings
 
 
 def cmd_check(args) -> int:
@@ -209,12 +221,9 @@ def cmd_check(args) -> int:
     tree = cascade_function(cascade)
     letters = list(cascade.external.letters())
     rng = random_module.Random(args.seed)
-    strings = []
-    length = 1
-    while len(letters) ** length <= 500 and length <= args.max_len:
-        strings.extend(itertools.product(letters, repeat=length))
-        length += 1
+    strings = _short_strings(letters, args.max_len, 500)
     # random strings only for the lengths not enumerated exhaustively
+    length = len(strings[-1]) + 1 if strings else 1
     while length <= args.max_len and len(strings) < args.samples:
         n = rng.randint(length, args.max_len)
         strings.append(tuple(rng.choice(letters) for _ in range(n)))
@@ -284,28 +293,13 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _class_universe(cls, max_len: int, cap: int = 4000):
-    external = cls.external
-    letters = list(external.letters())
-    universe = []
-    for length in range(1, max_len + 1):
-        count = len(letters) ** length
-        if len(universe) + count > cap:
-            break
-        universe.extend(itertools.product(letters, repeat=length))
-    return universe
-
-
 def cmd_growth(args) -> int:
     _at_least_one(args.max_len, "--max-len")
     for ell in args.ell:
         _at_least_one(ell, "--ell")
     cls = class_from_spec(_load_json(args.classspec))
-    cap = _cap(args, 200_000)
-    if cls.cardinality > cap:
-        raise CapExceededError("class enumeration", cls.cardinality, cap)
-    members = list(cls)
-    universe = _class_universe(cls, args.max_len)
+    members = list(enumerate_class(cls, _cap(args, 200_000)))
+    universe = _short_strings(list(cls.external.letters()), args.max_len, 4000)
     desc = cls.descriptor(args.max_len)
     growths = [
         (lambda n, c=c: empirical_growth(list(c), list(c.signature.letters()),

@@ -91,11 +91,12 @@ class ErmResult(NamedTuple):
 def erm_select(functions, sample: LabeledSample) -> ErmResult:
     """The empirical-risk minimizer over an enumerable class.
 
-    Ties break to the earliest member in canonical enumeration order; the
-    number of tied minimizers is reported.  A class object exposing
-    ``error_counts(strings, labels)`` (and ``member``) is scored through that
-    fast path instead of one-by-one evaluation.  An empty sample is a
-    ``ValueError``.
+    Ties break to the earliest member in iteration order, which for a
+    finite class is index order, so the reported index names
+    ``functions.member(index)``; the number of tied minimizers is reported.
+    A class object exposing ``error_counts(strings, labels)`` (and
+    ``member``) is scored through that fast path instead of one-by-one
+    evaluation.  An empty sample is a ``ValueError``.
     """
     if len(sample) == 0:
         raise ValueError("cannot select on an empty sample")

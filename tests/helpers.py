@@ -1,7 +1,12 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and a CLI runner for tests that
+need a separate process."""
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, Semiautomaton
@@ -109,3 +114,22 @@ def string_sweep(letters, max_len, cap, rng: random.Random):
         le = rng.randint(length, max_len)
         out.append(tuple(rng.choice(letters) for _ in range(le)))
     return out
+
+
+def run_cli(args, timeout: float, memory_bytes: int | None = None) -> subprocess.CompletedProcess:
+    """Run ``python -m cascata.cli`` with ``args`` in a child process, killed
+    after ``timeout`` seconds.  ``memory_bytes`` caps the child's address
+    space (``RLIMIT_AS``, set in the child only).  Output comes back as text."""
+
+    def limit():
+        if memory_bytes is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # one BLAS thread: its per-thread buffers would otherwise count against
+    # the limit in proportion to the host's cores
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "cascata.cli", *map(str, args)],
+                          capture_output=True, text=True, timeout=timeout, env=env,
+                          preexec_fn=limit)

@@ -168,8 +168,8 @@ def test_table_function_reads_values_in_letter_order():
 def test_table_class_function_at_matches_iteration():
     cls = TableClass(FactoredAlphabet.of(("x", (0, 1)), ("y", ("a", "b", "c"))), (0, 1, 2))
     for i, fn in enumerate(itertools.islice(cls, 0, None, 37)):
-        assert cls.function_at(37 * i) == fn
-    assert cls.function_at(1).values == (0,) * 5 + (1,)
+        assert cls.member(37 * i) == fn
+    assert cls.member(1).values == (0,) * 5 + (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_enumeration_is_deterministic():
     first = [f.terms for f in cls]
     second = [f.terms for f in cls]
     assert first == second
-    assert [cls.function_at(i).terms for i in range(cls.cardinality)] == first
+    assert [cls.member(i).terms for i in range(cls.cardinality)] == first
 
 
 def test_enumeration_cap_error_carries_cardinality():

@@ -6,7 +6,7 @@ import pytest
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, FlatAutomaton, Semiautomaton
 from cascata.crafting import build_flipflop_task_cascade, trace_from_words
-from cascata.errors import EmptyInputError, UnknownLetterError
+from cascata.errors import CapExceededError, EmptyInputError, UnknownLetterError
 from cascata.primes import make_counter, make_flipflop
 
 from helpers import random_component, random_external, random_semiautomaton
@@ -227,6 +227,69 @@ def test_dict_round_trip_preserves_behavior():
     auto = random_component(rng, random_external(rng)).induce()
     back = FlatAutomaton.from_dict(auto.to_dict())
     assert back.equivalent(auto).equivalent
+
+
+def _flipflop_dict():
+    return build_flipflop_task_cascade().flatten().to_dict()
+
+
+@pytest.mark.parametrize("table, row", [
+    ("transitions", [25, 0, 0]),  # state past the table
+    ("transitions", [0, 6, 0]),  # letter past the table
+    ("transitions", [-1, 0, 0]),  # would rewrite the last state's row
+    ("output_rows", [-1, 0, 1]),
+    ("transitions", ["0", 0, 0]),
+    ("transitions", [0, 1.0, 0]),
+    ("transitions", [0, 0, 1]),  # a second row for (0, 0)
+    ("output_rows", [3, 2, 1]),
+    ("transitions", 5),
+    ("output_rows", [0, 0]),
+])
+def test_from_dict_rejects_bad_and_repeated_rows(table, row):
+    data = _flipflop_dict()
+    data[table].append(row)
+    with pytest.raises(ValueError):
+        FlatAutomaton.from_dict(data)
+
+
+def test_from_dict_rejects_a_non_integer_target():
+    data = _flipflop_dict()
+    data["transitions"][0][2] = 0.0
+    with pytest.raises(ValueError):
+        FlatAutomaton.from_dict(data)
+
+
+def test_unknown_state_is_a_value_error_naming_the_state():
+    with pytest.raises(ValueError, match="state 7 not among states") as err:
+        make_flipflop().step(7, "set")
+    assert not isinstance(err.value, UnknownLetterError)
+    with pytest.raises(UnknownLetterError, match="'jump'"):
+        make_flipflop().step(1, "jump")
+    flat = build_flipflop_task_cascade().flatten()
+    with pytest.raises(ValueError, match="'nowhere' not among states") as err:
+        flat.output("nowhere", ("wood",))
+    assert not isinstance(err.value, UnknownLetterError)
+    with pytest.raises(UnknownLetterError):
+        flat.output(flat.initial, ("bronze",))
+
+
+def test_bounded_equivalence_needs_max_len_at_least_one():
+    rng = random.Random(5)
+    one = random_component(rng, random_external(rng)).induce()
+    renamed = FlatAutomaton.from_tables([("other", x) for x in one.alphabet], one.states,
+                                        one.delta, 0, one.out, one.outputs)
+    assert renamed.equivalent(one, max_len=2).equivalent
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_len"):
+            renamed.equivalent(one, max_len=bad)
+
+
+def test_monoid_cap_counts_elements_times_states():
+    counter = make_counter(5)  # five rotations of five states: 25 entries
+    assert len(counter.transition_monoid(cap=25)) == 5
+    with pytest.raises(CapExceededError) as err:
+        counter.transition_monoid(cap=24)
+    assert err.value.size == 25 and err.value.cap == 24
 
 
 def test_dot_export_marks_accepting_states():

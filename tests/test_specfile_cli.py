@@ -6,7 +6,7 @@ import pytest
 
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, Semiautomaton
-from cascata.cascade import Cascade
+from cascata.cascade import Cascade, build_chained
 from cascata.cli import main
 from cascata.crafting import (
     build_counter_task_cascade,
@@ -16,7 +16,10 @@ from cascata.crafting import (
     trace_words,
 )
 from cascata.errors import SpecFileError
+from cascata.primes import make_flipflop
 from cascata.specfile import cascade_from_spec, cascade_to_spec
+
+from helpers import run_cli
 
 
 def roundtrip(cascade):
@@ -222,6 +225,36 @@ def test_cli_aperiodic_builds_the_monoid_once(flipflop_spec, monkeypatch, capsys
     assert main(["aperiodic", flipflop_spec]) == 0
     assert capsys.readouterr().out == "aperiodic; monoid size: 77\n"
     assert len(calls) == 1
+
+
+def test_cli_aperiodic_cap_bounds_memory_on_the_counter_scenario(tmp_path):
+    spec = tmp_path / "counter.json"
+    spec.write_text(json.dumps(cascade_to_spec(build_counter_task_cascade())))
+    done = run_cli(["aperiodic", spec], timeout=120, memory_bytes=1536 * 2**20)
+    # 16,384 flattened states: the default cap admits six elements
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr and "transition monoid" in done.stderr
+
+
+def _one_component_spec(tmp_path, values):
+    spec = cascade_to_spec(build_chained(
+        FactoredAlphabet.single("event", values),
+        [dict(name="k", dependencies=(1,), core=make_flipflop(), input_fn=lambda x: "set")]))
+    path = tmp_path / f"spec{len(values)}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("values, max_len, exhaustive", [
+    (("a", "b"), 8, 2 + 4 + 8 + 16 + 32 + 64 + 128),  # 510 with length 8
+    (("a",), 800, 500),
+])
+def test_cli_check_counts_its_exhaustive_budget_in_total(tmp_path, capsys, values, max_len,
+                                                         exhaustive):
+    spec = _one_component_spec(tmp_path, values)
+    assert main(["check", spec, "--max-len", str(max_len), "--samples", "0"]) == 0
+    assert capsys.readouterr().out == \
+        f"compositional function agrees with the cascade on {exhaustive} strings\n"
 
 
 def test_cli_check_oracle_agreement(flipflop_spec, capsys):
@@ -600,6 +633,8 @@ def test_cli_learn_rejects_letter_weights_for_another_alphabet(tmp_path, capsys,
      "--baseline-states"),
     (["bounds", "family.json", "--baseline-letters", "6"], "--baseline-letters"),
     (["bounds", "family.json", "--baseline-states", "32"], "--baseline-states"),
+    (["equiv", "family.json", "family.json", "--max-len", "0"], "--max-len"),
+    (["equiv", "family.json", "family.json", "--max-len", "-3"], "--max-len"),
 ])
 def test_cli_count_flags_below_one_exit_2(tmp_path, capsys, argv, flag):
     _write(tmp_path, "family.json", {"family": "sequence_tasks", "d": 2})
