@@ -67,6 +67,7 @@ class FactoredAlphabet:
         names = [c.name for c in self.coords]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate coordinate names: {names}")
+        object.__setattr__(self, "_projections", {})  # project's memo: indices -> alphabet
 
     @staticmethod
     def of(*coords: tuple[str, tuple | list]) -> "FactoredAlphabet":
@@ -137,13 +138,17 @@ class FactoredAlphabet:
         return True
 
     def project(self, indices) -> "FactoredAlphabet":
-        """Sub-alphabet at the given 1-based coordinate indices."""
-        idx = sorted(set(indices))
-        if not idx:
-            raise ValueError("cannot build an alphabet over zero coordinates")
-        if idx[0] < 1 or idx[-1] > self.arity:
-            raise ValueError(f"indices {idx} out of range [1, {self.arity}]")
-        return FactoredAlphabet(tuple(self.coords[i - 1] for i in idx))
+        """Sub-alphabet at the given 1-based coordinate indices.  Each
+        alphabet builds a projection once and hands out the same object
+        after, so its caches (``places``) are shared by every caller."""
+        idx = tuple(sorted(set(indices)))
+        if idx not in self._projections:
+            if not idx:
+                raise ValueError("cannot build an alphabet over zero coordinates")
+            if idx[0] < 1 or idx[-1] > self.arity:
+                raise ValueError(f"indices {list(idx)} out of range [1, {self.arity}]")
+            self._projections[idx] = FactoredAlphabet(tuple(self.coords[i - 1] for i in idx))
+        return self._projections[idx]
 
     def extend(self, name: str, values) -> "FactoredAlphabet":
         """New alphabet with one coordinate appended (cascade chaining)."""

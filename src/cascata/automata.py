@@ -166,6 +166,31 @@ def is_aperiodic_monoid(monoid) -> bool:
     return True
 
 
+def _row_classes(columns, n_values: int) -> tuple[np.ndarray, int]:
+    """Dense class ids of the rows formed by equal-length int64 columns with
+    entries in ``range(n_values)`` (equal rows share an id), and the number
+    of classes.  The columns are packed ``63 // bits`` to an int64 key, where
+    ``bits`` is the width of ``n_values - 1``, and the keys sorted together."""
+    columns = list(columns)
+    bits = max(1, (n_values - 1).bit_length())
+    per_key = 63 // bits
+    keys = []
+    for start in range(0, len(columns), per_key):
+        key = columns[start].copy()
+        for column in columns[start + 1:start + per_key]:
+            key <<= bits
+            key |= column
+        keys.append(key)
+    order = np.lexsort(keys)
+    boundary = np.zeros(len(order), dtype=bool)
+    for key in keys:
+        ranked = key[order]
+        boundary[1:] |= ranked[1:] != ranked[:-1]
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(boundary)
+    return ids, int(ids[order[-1]]) + 1
+
+
 class EquivalenceResult(NamedTuple):
     equivalent: bool
     counterexample: tuple | None
@@ -246,6 +271,10 @@ class FlatAutomaton:
     def reachable_states(self):
         """Reachable states in BFS discovery order (letters in alphabet
         order), starting at the initial state."""
+        return [self.states[q] for q in self._reachable_numbers()]
+
+    def _reachable_numbers(self) -> list[int]:
+        """The numbers of the reachable states, in ``reachable_states`` order."""
         order = [self.core.initial_index]
         seen = {order[0]}
         for q in order:  # the list grows while it is walked: BFS
@@ -253,7 +282,7 @@ class FlatAutomaton:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
-        return [self.states[q] for q in order]
+        return order
 
     def restrict(self, letters) -> "FlatAutomaton":
         """Sub-automaton over a subset of the alphabet."""
@@ -270,21 +299,27 @@ class FlatAutomaton:
     def minimize(self) -> "FlatAutomaton":
         """Smallest automaton implementing the same string function.
 
-        Partition refinement over output rows, restricted to reachable
-        states; the result is canonically relabelled 0..k-1 in BFS order.
+        Moore's partition refinement, restricted to reachable states: start
+        from the classes of equal output rows, then split every class by the
+        classes its letters lead to, until no class splits.  Each round finds
+        the classes of the rows ``[block, block[delta]]`` by sorting them;
+        the rows' columns are packed into a few int64 keys (as many block ids
+        per key as fit in 63 bits), because ``np.lexsort`` over a few integer
+        keys is an order of magnitude faster than sorting the rows as
+        records.  The result is canonically relabelled 0..k-1 in BFS order.
         """
-        order = [self.core.state_index[q] for q in self.reachable_states()]
+        order = self._reachable_numbers()
         position = np.zeros(self.n_states, dtype=np.int64)
         position[order] = np.arange(len(order))
         delta = position[np.array(self.delta, dtype=np.int64)[order]]
         out_rows = np.array(self.out, dtype=np.int64)[order]
-        _, block = np.unique(out_rows, axis=0, return_inverse=True)
+        by_letter = np.ascontiguousarray(delta.T)  # each letter's targets, contiguous
+        block, n_blocks = _row_classes(np.ascontiguousarray(out_rows.T), len(self.outputs))
         while True:
-            signature = np.column_stack([block, block[delta]])
-            _, refined = np.unique(signature, axis=0, return_inverse=True)
-            if refined.max() == block.max():  # no block split: stable
+            refined, n_refined = _row_classes([block, *block[by_letter]], n_blocks)
+            if n_refined == n_blocks:  # no block split: stable
                 break
-            block = refined
+            block, n_blocks = refined, n_refined
         # canonical ids by first occurrence in BFS order; the first member of
         # each block stands for it (all members have the same rows)
         _, first = np.unique(block, return_index=True)

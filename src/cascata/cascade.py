@@ -267,10 +267,25 @@ class CascadeClass(NumberedClass):
     def input_classes(self) -> list:
         return [p.input_class for p in self.parts]
 
+    @cached_property
+    def _alphabets(self) -> tuple[FactoredAlphabet, ...]:
+        """Each part's input alphabet, built once and shared by every member:
+        the external alphabet extended by the earlier parts' outputs."""
+        alphabets = [self.external]
+        for p in self.parts[:-1]:
+            outputs = p.core.states if isinstance(p.output_fn, str) else p.outputs
+            if outputs is None:
+                raise ValueError(f"part {p.name!r}: an output_fn given as a callable "
+                                 "needs its values in outputs")
+            alphabets.append(alphabets[-1].extend(p.name, outputs))
+        return tuple(alphabets)
+
     def build(self, input_fns) -> Cascade:
         """The member whose components use the given input functions."""
-        return build_chained(self.external, [dict(p._asdict(), input_fn=fn) for p, fn
-                                             in zip(self.parts, input_fns, strict=True)])
+        return Cascade(
+            ComponentAutomaton(alphabet, p.dependencies, fn, p.core, output_fn=p.output_fn,
+                               outputs=p.outputs, name=p.name)
+            for p, alphabet, fn in zip(self.parts, self._alphabets, input_fns, strict=True))
 
     def member(self, index: int) -> Cascade:
         digits = mixed_radix_digits(index, self._radices)

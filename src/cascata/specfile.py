@@ -21,7 +21,8 @@ coordinates), and ``{"kind": "threshold", "thresholds": {coord: int},
 "on_true": .., "on_false": ..}`` over integer coordinates; ``on_true`` and
 ``on_false`` default to 1 and 0.  Every value a function can return must be
 a letter of the core.  Cores: ``"flipflop"``, ``"flipflop_wo"``,
-``"counter:N"``, each optionally as ``{"kind": ..., "initial": q}``, or an
+``"counter:N"`` (2 <= N <= ``DEFAULT_PRODUCT_CAP``), each optionally as
+``{"kind": ..., "initial": q}``, or an
 explicit ``{"kind": "table", "letters": [...], "states": [...], "initial": q,
 "transitions": [[q, letter, q2], ...]}`` with one row per state and letter.
 An output table is ``{"kind": "table", "entries": [[state, [...values],
@@ -68,7 +69,7 @@ from .alphabets import (
     ThresholdConjunction,
 )
 from .automata import Semiautomaton
-from .cascade import Cascade, CascadeClass, ClassPart, build_chained
+from .cascade import DEFAULT_PRODUCT_CAP, Cascade, CascadeClass, ClassPart, build_chained
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .crafting import SequenceTaskFamily
 from .errors import CascataError, SpecFileError
@@ -186,6 +187,9 @@ def _parse_core(data, where: str) -> Semiautomaton:
                 modulus = int(kind.split(":", 1)[1])
             except ValueError:
                 raise SpecFileError(f"bad counter kind {kind!r}", f"{where}.kind")
+            if modulus > DEFAULT_PRODUCT_CAP:  # bounds what make_counter itself builds
+                raise SpecFileError(f"counter modulus {modulus} exceeds the product cap "
+                                    f"{DEFAULT_PRODUCT_CAP}", f"{where}.kind")
             return make_counter(modulus, initial=initial)
         if kind == "table":
             _require_keys(data, {"kind", "letters", "states", "initial", "transitions"},

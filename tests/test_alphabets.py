@@ -72,6 +72,15 @@ def test_projection_count_symmetry(a, m):
     assert projection_count(a, m) == projection_count(a, a - m)
 
 
+def test_alphabet_project_builds_each_projection_once():
+    projected = ABC.project([3, 1, 3])
+    assert projected.coords == (ABC.coords[0], ABC.coords[2])
+    assert ABC.project((1, 3)) is projected
+    for bad in ((), (0, 1), (4,)):
+        with pytest.raises(ValueError):
+            ABC.project(bad)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_project_preserves_values_and_length(data):

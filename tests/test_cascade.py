@@ -2,12 +2,17 @@ import random
 
 import pytest
 
-from cascata.alphabets import FactoredAlphabet
+from cascata.alphabets import FactoredAlphabet, TableClass
 from cascata.automata import ComponentAutomaton
-from cascata.cascade import Cascade, chain_alphabet
-from cascata.crafting import build_counter_task_cascade, build_flipflop_task_cascade
+from cascata.cascade import Cascade, CascadeClass, ClassPart, build_chained, chain_alphabet
+from cascata.crafting import (
+    SequenceTaskFamily,
+    build_counter_task_cascade,
+    build_flipflop_task_cascade,
+)
 from cascata.errors import CapExceededError, EmptyInputError
 from cascata.primes import make_flipflop
+from cascata.specfile import cascade_to_spec
 
 from helpers import random_cascade, random_component, random_external, string_sweep
 
@@ -141,3 +146,28 @@ def test_structural_arity_invariant():
         base = c.external.arity
         for i, comp in enumerate(c.components):
             assert comp.alphabet.arity == base + i
+
+
+def test_class_members_share_their_chained_and_projected_alphabets():
+    family = SequenceTaskFamily(3)
+    first, other = family.member(0), family.member(12345)
+    for a, b in zip(first.components, other.components):
+        assert a.alphabet is b.alphabet and a.projected is b.projected
+    # a member built through build_chained, with alphabets of its own, is the same cascade
+    alone = build_chained(family.external, [dict(p._asdict(), input_fn=p.input_class.member(d))
+                                            for p, d in zip(family.parts, (3, 1, 20))])
+    member = family.member((3 * family._radices[1] + 1) * family._radices[2] + 20)
+    assert cascade_to_spec(member) == cascade_to_spec(alone)
+
+
+def test_class_part_with_a_callable_output_fn_needs_its_outputs():
+    external = FactoredAlphabet.single("event", ("x", "y"))
+    inputs = TableClass(external, ("set", "read"))
+    core = make_flipflop(with_reset=False)
+    goal_inputs = TableClass(external.extend("watch", (0, 1)), ("set", "read"))
+    parts = [ClassPart("watch", (1,), inputs, core, lambda q, x: q),
+             ClassPart("goal", (1, 2), goal_inputs, core)]
+    with pytest.raises(ValueError, match="'watch'.*needs its values in outputs"):
+        CascadeClass(external, parts).member(0)
+    parts[0] = parts[0]._replace(outputs=(0, 1))
+    assert CascadeClass(external, parts).member(0).depth == 2

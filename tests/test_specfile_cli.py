@@ -1,5 +1,6 @@
 import gc
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -16,7 +17,7 @@ from cascata.crafting import (
     trace_words,
 )
 from cascata.errors import SpecFileError
-from cascata.primes import make_flipflop
+from cascata.primes import make_counter, make_flipflop
 from cascata.specfile import cascade_from_spec, cascade_to_spec
 
 from helpers import run_cli
@@ -346,6 +347,26 @@ def test_cli_core_kind_not_a_string_exit_2(tmp_path, capsys):
     spec = cascade_to_spec(build_flipflop_task_cascade())
     spec["components"][0]["core"] = {"kind": 7}
     _cli_rejects_spec(tmp_path, capsys, spec, "components[0].core.kind")
+
+
+@pytest.mark.parametrize("modulus", [1_000_001, 1_000_000_000])
+def test_cli_counter_core_above_the_product_cap_fails_fast(tmp_path, modulus):
+    # a valid spec but for the modulus; run does not flatten, so only the
+    # parse-time bound stops the core from being built
+    spec = cascade_to_spec(build_chained(
+        FactoredAlphabet.single("event", ("tick", "idle")),
+        [dict(name="k", dependencies=(1,), core=make_counter(3),
+              input_fn=lambda x: "inc" if x == ("tick",) else "read")]))
+    spec["components"][0]["core"] = f"counter:{modulus}"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    traces = tmp_path / "big.traces"
+    traces.write_text("tick tick idle\n")
+    start = time.perf_counter()
+    done = run_cli(["run", path, traces], timeout=60, memory_bytes=1536 * 2**20)
+    assert time.perf_counter() - start < 10
+    assert done.returncode == 2, done.stderr
+    assert "[components[0].core.kind]" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_cli_one_element_table_entry_exit_2(tmp_path, capsys):
