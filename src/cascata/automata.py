@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabets import FactoredAlphabet, Projection
+from .alphabets import FactoredAlphabet, Projection, TableFunction
 from .errors import (
     ArityMismatchError,
     CapExceededError,
@@ -191,6 +191,35 @@ def _row_classes(columns, n_values: int) -> tuple[np.ndarray, int]:
     return ids, int(ids[order[-1]]) + 1
 
 
+def int_rows(table: np.ndarray, n: int) -> list[list[int]]:
+    """``table.tolist()`` for entries in ``range(n)``, with one int object
+    per value: ``tolist`` alone makes a new one for every entry above 256."""
+    return np.arange(n, dtype=object)[table].tolist()
+
+
+def bfs_order(table: np.ndarray, start: int) -> np.ndarray:
+    """The rows of an int table ``table[q, a]`` (the next state of ``q`` on
+    letter ``a``) reachable from row ``start``, in breadth-first order.
+
+    The search runs a layer at a time: a layer's new states are numbered by
+    their first occurrence in (frontier order, letter order), which is the
+    order a FIFO search with letters in column order discovers them in."""
+    # per state: its first position in the layer being reached, or -1 once
+    # an earlier layer holds it
+    first = np.full(len(table), table.size, dtype=np.int64)
+    first[start] = -1
+    layers = [np.array([start], dtype=table.dtype)]
+    while True:
+        reached = table[layers[-1]].ravel()
+        at = np.arange(len(reached))
+        np.minimum.at(first, reached, at)
+        frontier = reached[first[reached] == at]
+        if not len(frontier):
+            return np.concatenate(layers)
+        first[frontier] = -1
+        layers.append(frontier)
+
+
 class EquivalenceResult(NamedTuple):
     equivalent: bool
     counterexample: tuple | None
@@ -271,18 +300,13 @@ class FlatAutomaton:
     def reachable_states(self):
         """Reachable states in BFS discovery order (letters in alphabet
         order), starting at the initial state."""
-        return [self.states[q] for q in self._reachable_numbers()]
+        order = self._reachable_numbers(np.array(self.delta, dtype=np.int64))
+        return [self.states[q] for q in order.tolist()]
 
-    def _reachable_numbers(self) -> list[int]:
-        """The numbers of the reachable states, in ``reachable_states`` order."""
-        order = [self.core.initial_index]
-        seen = {order[0]}
-        for q in order:  # the list grows while it is walked: BFS
-            for nxt in self.delta[q]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-        return order
+    def _reachable_numbers(self, delta: np.ndarray) -> np.ndarray:
+        """The numbers of the reachable states, in ``reachable_states``
+        order; ``delta`` is ``self.delta`` as an array."""
+        return bfs_order(delta, self.core.initial_index)
 
     def restrict(self, letters) -> "FlatAutomaton":
         """Sub-automaton over a subset of the alphabet."""
@@ -308,10 +332,11 @@ class FlatAutomaton:
         keys is an order of magnitude faster than sorting the rows as
         records.  The result is canonically relabelled 0..k-1 in BFS order.
         """
-        order = self._reachable_numbers()
+        delta = np.array(self.delta, dtype=np.int64)
+        order = self._reachable_numbers(delta)
         position = np.zeros(self.n_states, dtype=np.int64)
         position[order] = np.arange(len(order))
-        delta = position[np.array(self.delta, dtype=np.int64)[order]]
+        delta = position[delta[order]]
         out_rows = np.array(self.out, dtype=np.int64)[order]
         by_letter = np.ascontiguousarray(delta.T)  # each letter's targets, contiguous
         block, n_blocks = _row_classes(np.ascontiguousarray(out_rows.T), len(self.outputs))
@@ -327,7 +352,8 @@ class FlatAutomaton:
         representatives = np.sort(first)
         new_delta = canonical[block[delta[representatives]]]
         return FlatAutomaton.from_tables(
-            self.alphabet, range(len(representatives)), new_delta.tolist(), 0,
+            self.alphabet, range(len(representatives)),
+            int_rows(new_delta, len(representatives)), 0,
             out_rows[representatives].tolist(), self.outputs, self.factored)
 
     # -- equivalence -----------------------------------------------------------
@@ -505,17 +531,22 @@ class ComponentAutomaton:
         self._compile(outputs)
 
     def _compile(self, outputs):
-        """Check the input and output functions' ranges and fill ``table``,
-        in one sweep over the projected letters."""
-        core = self.core
-        inputs, values = [], []
-        for x in self.projected.letters():
-            v = self.input_fn(x)
-            if v not in core.letter_index:
-                raise UnknownLetterError(v, where=f"{self.name}: input function range")
-            inputs.append(core.letter_index[v])
-            if self.output_kind == "table":
-                values.append([self.theta(q, x) for q in core.states])
+        """Check the input and output functions' ranges and fill ``table``.
+        A ``TableFunction`` over the projected alphabet is read, not called:
+        its ``values`` are already in the order of ``projected.letters()``."""
+        core, fn = self.core, self.input_fn
+        if isinstance(fn, TableFunction) and fn.signature == self.projected:
+            column = fn.values
+        else:
+            column = [fn(x) for x in self.projected.letters()]
+        inputs = list(map(core.letter_index.get, column))
+        if None in inputs:
+            raise UnknownLetterError(column[inputs.index(None)],
+                                     where=f"{self.name}: input function range")
+        self._letters = inputs  # the core letter number per projected letter
+        values = []
+        if self.output_kind == "table":
+            values = [[self.theta(q, x) for q in core.states] for x in self.projected.letters()]
         if outputs is None:
             outputs = sorted({v for column in values for v in column}, key=repr)
         self.outputs = tuple(outputs)
@@ -532,6 +563,18 @@ class ComponentAutomaton:
                 by_letter = [(t, t if self.output_kind == "next_state" else q) for t in drow]
                 row = [by_letter[a] for a in inputs]
             self.table.append(row)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``table`` as two int arrays over (core state, projected letter
+        number): the next state's number and the output code.  Not cached:
+        a copy kept in the instance's ``__dict__`` made ``Cascade.run`` on a
+        flattened cascade about 3.5% slower (CPython 3.11)."""
+        nxt = np.array(self.core.delta, dtype=np.int64)[:, self._letters]
+        if self.output_kind == "next_state":
+            return nxt, nxt
+        if self.output_kind == "state":
+            return nxt, np.arange(len(nxt)).repeat(nxt.shape[1]).reshape(nxt.shape)
+        return nxt, np.array([[o for _, o in row] for row in self.table], dtype=np.int64)
 
     def induce(self) -> FlatAutomaton:
         """The flat automaton over the full alphabet: the unpruned product

@@ -13,14 +13,15 @@ under a lock, so one cascade may be run from several threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from functools import cached_property
 from typing import NamedTuple
 
+import numpy as np
+
 from .alphabets import FactoredAlphabet, Letter, NumberedClass, mixed_radix_digits
-from .automata import ComponentAutomaton, FlatAutomaton, Semiautomaton
+from .automata import ComponentAutomaton, FlatAutomaton, Semiautomaton, bfs_order, int_rows
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
@@ -165,32 +166,57 @@ class Cascade:
 
     def flatten(self, cap: int = DEFAULT_PRODUCT_CAP, prune: bool = True) -> FlatAutomaton:
         """The single product automaton the cascade denotes, over the
-        external alphabet.  ``prune`` keeps reachable product states only."""
+        external alphabet.  ``prune`` keeps reachable product states only.
+
+        A product state is coded in mixed radix over its component state
+        numbers, last component fastest.  One numpy pass gathers every
+        component's ``next``/``out`` arrays (``ComponentAutomaton.arrays``)
+        over all codes and letters at once, each on the axes of the product
+        it depends on, giving the product's int transition table.  With
+        ``prune`` the states are numbered by ``bfs_order`` from the initial
+        code: each layer's new codes by first occurrence in (frontier order,
+        letter order), as a FIFO search numbers them.  Without, a state's
+        number is its code."""
         size = self.product_size()
         if size > cap:
             raise CapExceededError("cascade product", size, cap)
         letters = tuple(self.external.letters())
-        letter_codes = [self.external.encode(a) for a in letters]
-        init = tuple(c.core.initial_index for c in self.components)
-        order = [init] if prune else list(
-            itertools.product(*(range(c.core.n_states) for c in self.components)))
-        number = {st: i for i, st in enumerate(order)}
-        delta, out = [], []
-        for st in order:  # with prune the list grows while it is walked: BFS
-            drow, orow = [], []
-            for external in letter_codes:
-                codes = list(external)
-                nxt = self._advance(st, codes)
-                if nxt not in number:
-                    number[nxt] = len(order)
-                    order.append(nxt)
-                drow.append(number[nxt])
-                orow.append(codes[-1])
-            delta.append(drow)
-            out.append(orow)
-        states = [tuple(c.core.states[q] for c, q in zip(self.components, st)) for st in order]
-        return FlatAutomaton.from_tables(letters, states, delta, number[init], out,
-                                         self.components[-1].outputs, self.external)
+        radices = [c.core.n_states for c in self.components]
+        shape = (*radices, len(letters))
+
+        def along(values, axis):  # a 1-D array laid along one axis of ``shape``
+            return np.asarray(values).reshape([-1 if i == axis else 1 for i in range(len(shape))])
+
+        codes = [along(column, len(radices)) for column in np.array(
+            [self.external.encode(a) for a in letters], dtype=np.int64).T]
+        table, init = 0, 0
+        for i, (comp, (_, inputs)) in enumerate(zip(self.components, self._wiring)):
+            nxt, out = comp.arrays()
+            x = sum(np.array(contribution)[codes[j]] for j, contribution in inputs)
+            q = along(np.arange(radices[i]), i)
+            table = table * radices[i] + nxt[q, x]
+            codes.append(out[q, x])
+            init = init * radices[i] + comp.core.initial_index
+        table = table.reshape(size, -1)  # every component's digit is an axis of it
+        out = np.empty(shape, dtype=np.int64)
+        out[...] = codes.pop()  # the last output may not depend on every axis
+        out = out.reshape(size, -1)
+        if prune:
+            order = bfs_order(table, init)
+            number = np.empty(size, dtype=np.int64)  # read at reachable codes only
+            number[order] = np.arange(len(order))
+            table, out, init = number[table[order]], out[order], 0
+        else:
+            order = np.arange(size)
+        outputs = self.components[-1].outputs
+        # the rows as lists, which free the arrays before the labels are built
+        table, out = int_rows(table, len(order)), int_rows(out, len(outputs))
+        labels = []
+        for comp, radix in zip(reversed(self.components), reversed(radices)):
+            order, digit = np.divmod(order, radix)
+            labels.append(map(comp.core.states.__getitem__, digit.tolist()))
+        return FlatAutomaton.from_tables(letters, list(zip(*reversed(labels))), table, init,
+                                         out, outputs, self.external)
 
     def is_simple(self) -> bool:
         """True when every non-final component's output function returns the

@@ -4,7 +4,9 @@ Commands: run, flatten, minimize, equiv, aperiodic, check, bounds, growth,
 learn, scenario.  Exit codes: 0 success, 2 parse/validation error, 3 cap
 exceeded, 4 verification failure (inequivalent automata, oracle mismatch).
 The environment variable ``CASCATA_CAP`` overrides the default size caps;
-``--cap`` overrides both.
+``--cap`` overrides both.  When the reader of stdout goes away (``cascata
+bounds ... | head -1``), the rest of the output is dropped and the exit code
+is 0, with no traceback.
 
 Trace files hold one trace per line: space-separated letters, each letter a
 comma-separated list of coordinate values.  Label files hold one 0/1 per
@@ -516,7 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here rather than at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone (``| head``): point stdout at the null
+        # device so that the interpreter's flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP

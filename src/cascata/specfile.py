@@ -58,6 +58,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+
+import numpy as np
 
 from .alphabets import (
     FactoredAlphabet,
@@ -129,30 +132,74 @@ def _rows(data, fields: tuple[str, ...], where: str) -> list:
 _MISSING = object()
 
 
+def _codes(index: dict, key, items: list) -> np.ndarray:
+    """``index.get(key(item), -1)`` per item, and -1 for an unhashable key."""
+    try:
+        return np.fromiter(map(index.get, map(key, items), itertools.repeat(-1)), np.int64,
+                           len(items))
+    except TypeError:
+        pass
+    codes = []
+    for item in items:
+        try:
+            codes.append(index.get(key(item), -1))
+        except TypeError:
+            codes.append(-1)
+    return np.array(codes, dtype=np.int64)
+
+
+def _reject_row(row, k: int, signature: FactoredAlphabet, where: str, core):
+    """Raise the error for row ``k``, the first bad one: its state is
+    unhashable, its letter is not a projected letter, its state is not a
+    core state, or an earlier row filled its slot (checked in that order)."""
+    try:
+        q = core.state_index.get(row[0], -1) if core else 0
+        signature.index(tuple(row[-2]))
+    except TypeError as e:  # an unhashable state
+        raise SpecFileError(str(e), where)
+    except CascataError:
+        raise SpecFileError(f"{row[-2]!r} is not a projected letter", f"{where}[{k}]")
+    raise SpecFileError(f"{row[0]!r} is not a core state" if q < 0 else
+                        f"a second entry for {row[:-1]!r}", f"{where}[{k}]")
+
+
 def _table_values(rows, signature: FactoredAlphabet, where: str, core=None) -> list:
     """The outputs of rows ``[values, output]`` in the order of
     ``signature.letters()``, or of rows ``[state, values, output]`` by core
-    state and then letter; one row per letter (per state and letter)."""
-    n = signature.n_letters
-    slots = [_MISSING] * (n * (core.n_states if core else 1))
-    for k, row in enumerate(rows):
-        try:
-            q = core.state_index.get(row[0], -1) if core else 0
-            slot = q * n + signature.index(tuple(row[-2]))
-        except TypeError as e:  # an unhashable state
-            raise SpecFileError(str(e), where)
-        except CascataError:
-            raise SpecFileError(f"{row[-2]!r} is not a projected letter", f"{where}[{k}]")
-        if q < 0 or slots[slot] is not _MISSING:
-            raise SpecFileError(f"{row[0]!r} is not a core state" if q < 0 else
-                                f"a second entry for {row[:-1]!r}", f"{where}[{k}]")
-        slots[slot] = row[-1]
-    if len(rows) < len(slots):  # every row filled a slot of its own
-        q, i = divmod(slots.index(_MISSING), n)
+    state and then letter; one row per letter (per state and letter).
+
+    Each row's slot is summed from one code column per coordinate (its
+    ``places``), plus the state's; the first row without a slot of its own
+    is the one reported."""
+    n, arity = signature.n_letters, signature.arity
+    size = n * (core.n_states if core else 1)
+    letters = [row[-2] for row in rows]
+    bad = np.fromiter(map(len, letters), np.int64, len(rows)) != arity
+    if bad.any():  # a letter of the wrong arity: pad it to be looked up as no letter
+        letters = [(_MISSING,) * arity if wrong else x for x, wrong in zip(letters, bad)]
+    slot = np.zeros(len(rows), dtype=np.int64)
+    columns = [(place, operator.itemgetter(i), letters)
+               for i, place in enumerate(signature.places)]
+    if core:
+        columns.append(({q: i * n for i, q in enumerate(core.states)},
+                        operator.itemgetter(0), rows))
+    for column in columns:
+        codes = _codes(*column)
+        bad |= codes < 0
+        slot += codes
+    ok = np.flatnonzero(~bad)
+    first = np.full(size, len(rows))  # per slot, the first good row that fills it
+    np.minimum.at(first, slot[ok], ok)
+    bad[ok[first[slot[ok]] != ok]] = True  # a second row for a filled slot
+    if bad.any():
+        k = int(bad.argmax())
+        _reject_row(rows[k], k, signature, where, core)
+    if len(rows) < size:  # every row filled a slot of its own
+        q, i = divmod(int((first == len(rows)).argmax()), n)
         x = list(next(itertools.islice(signature.letters(), i, None)))
         state = f"state {core.states[q]!r} and letter " if core else ""
         raise SpecFileError(f"no entry for {state}{x!r}", where)
-    return slots
+    return [rows[k][-1] for k in first.tolist()]
 
 
 def _parse_alphabet(data, where="alphabet") -> FactoredAlphabet:

@@ -116,6 +116,17 @@ def string_sweep(letters, max_len, cap, rng: random.Random):
     return out
 
 
+def _cli(args) -> tuple[list, dict]:
+    """The command line of ``python -m cascata.cli`` with ``args``, and an
+    environment that imports cascata from this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # one BLAS thread: its per-thread buffers would otherwise count against
+    # a memory limit in proportion to the host's cores
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return [sys.executable, "-m", "cascata.cli", *map(str, args)], env
+
+
 def run_cli(args, timeout: float, memory_bytes: int | None = None) -> subprocess.CompletedProcess:
     """Run ``python -m cascata.cli`` with ``args`` in a child process, killed
     after ``timeout`` seconds.  ``memory_bytes`` caps the child's address
@@ -125,11 +136,14 @@ def run_cli(args, timeout: float, memory_bytes: int | None = None) -> subprocess
         if memory_bytes is not None:
             resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
 
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    # one BLAS thread: its per-thread buffers would otherwise count against
-    # the limit in proportion to the host's cores
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "cascata.cli", *map(str, args)],
-                          capture_output=True, text=True, timeout=timeout, env=env,
+    command, env = _cli(args)
+    return subprocess.run(command, capture_output=True, text=True, timeout=timeout, env=env,
                           preexec_fn=limit)
+
+
+def start_cli(args) -> subprocess.Popen:
+    """Start ``python -m cascata.cli`` with ``args`` in a child process whose
+    stdout and stderr are pipes of text."""
+    command, env = _cli(args)
+    return subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)

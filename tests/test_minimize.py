@@ -2,8 +2,9 @@
 
 The reference below is Moore's refinement written with ``np.unique(axis=0)``
 over whole signature rows, the implementation ``minimize`` had before it
-packed the rows into integer keys.  Both must produce the same automaton,
-byte for byte once serialized.
+packed the rows into integer keys, on the states a list-based FIFO search
+reaches, as ``reachable_states`` found them before the layered search.  Both
+must produce the same automaton, byte for byte once serialized.
 """
 
 import hashlib
@@ -17,10 +18,23 @@ from cascata.automata import FlatAutomaton, _row_classes
 from cascata.crafting import build_counter_task_cascade, build_flipflop_task_cascade
 
 
+def reference_reachable(auto: FlatAutomaton) -> list[int]:
+    """The reachable state numbers by a FIFO search over the list rows of
+    ``delta``, letters in alphabet order."""
+    order = [auto.core.initial_index]
+    seen = {order[0]}
+    for q in order:  # the list grows while it is walked: BFS
+        for nxt in auto.delta[q]:
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
+
+
 def reference_minimize(auto: FlatAutomaton) -> FlatAutomaton:
     """Moore's refinement, each round's classes found by ``np.unique``
     over the rows ``[block, block[delta]]``."""
-    order = [auto.core.state_index[q] for q in auto.reachable_states()]
+    order = reference_reachable(auto)
     position = np.zeros(auto.n_states, dtype=np.int64)
     position[order] = np.arange(len(order))
     delta = position[np.array(auto.delta, dtype=np.int64)[order]]
@@ -84,6 +98,13 @@ def test_minimize_matches_the_unique_reference_on_random_automata(block):
     for seed in range(block * 60, block * 60 + 60):
         auto = random_flat(random.Random(seed))
         assert auto.minimize().to_dict() == reference_minimize(auto).to_dict(), seed
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_reachable_states_match_the_fifo_search_on_random_automata(block):
+    for seed in range(2000 + block * 100, 2000 + block * 100 + 100):
+        auto = random_flat(random.Random(seed), letters=(1, 8))
+        assert auto.reachable_states() == [auto.states[q] for q in reference_reachable(auto)]
 
 
 def test_minimize_matches_the_reference_when_rows_span_several_keys():

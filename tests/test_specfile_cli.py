@@ -20,7 +20,7 @@ from cascata.errors import SpecFileError
 from cascata.primes import make_counter, make_flipflop
 from cascata.specfile import cascade_from_spec, cascade_to_spec
 
-from helpers import run_cli
+from helpers import run_cli, start_cli
 
 
 def roundtrip(cascade):
@@ -98,23 +98,75 @@ def test_spec_tables_parse_to_their_entries():
     assert solo.theta(1, ("b",)) == 0 and solo.outputs == (0,)
 
 
-@pytest.mark.parametrize("fn, row", [
-    ("input_fn", [["a"], "set"]),            # a second row for a letter
-    ("input_fn", [["a"], "read"]),           # a conflicting one
-    ("input_fn", [["c"], "read"]),           # a letter not in the signature
-    ("input_fn", [["a", "b"], "read"]),      # a letter of the wrong arity
-    ("output_fn", [0, ["a"], 0]),            # a second row for a state and letter
-    ("output_fn", [0, ["a"], 1]),            # a conflicting one
-    ("output_fn", [1, ["c"], 0]),            # a letter not in the signature
-    ("output_fn", [2, ["a"], 0]),            # a state that is not a core state
-])
-def test_spec_rejects_malformed_table_rows_naming_the_row(fn, row):
-    spec = _tabled_spec()
+def _paired_spec():
+    """One flip-flop over two coordinates, x in {a, b} and y in {0, 1}, with
+    an input table and an output table."""
+    letters = [[x, y] for x in ("a", "b") for y in (0, 1)]
+    return {"alphabet": [{"name": "x", "values": ["a", "b"]}, {"name": "y", "values": [0, 1]}],
+            "components": [{"name": "pair", "dependencies": [1, 2], "core": "flipflop_wo",
+                            "input_fn": {"kind": "table",
+                                         "entries": [[v, "set" if v[1] else "read"]
+                                                     for v in letters]},
+                            "output_fn": {"kind": "table", "entries": [
+                                [q, v, q] for q in (0, 1) for v in letters]}}]}
+
+
+# (spec, function, rows inserted in turn as (position, row), the row the
+# error names, its message); a position of None appends the row
+_BAD_ROWS = [
+    (_tabled_spec, "input_fn", [(None, [["a"], "set"])], 2,      # a second row for a letter
+     "a second entry for [['a']]"),
+    (_tabled_spec, "input_fn", [(None, [["a"], "read"])], 2,     # a conflicting one
+     "a second entry for [['a']]"),
+    (_tabled_spec, "input_fn", [(None, [["c"], "read"])], 2,     # a letter not in the signature
+     "['c'] is not a projected letter"),
+    (_tabled_spec, "input_fn", [(None, [["a", "b"], "read"])], 2,  # a letter of the wrong arity
+     "['a', 'b'] is not a projected letter"),
+    (_tabled_spec, "output_fn", [(None, [0, ["a"], 0])], 4,      # a second row for a state and letter
+     "a second entry for [0, ['a']]"),
+    (_tabled_spec, "output_fn", [(None, [0, ["a"], 1])], 4,      # a conflicting one
+     "a second entry for [0, ['a']]"),
+    (_tabled_spec, "output_fn", [(None, [1, ["c"], 0])], 4,      # a letter not in the signature
+     "['c'] is not a projected letter"),
+    (_tabled_spec, "output_fn", [(None, [2, ["a"], 0])], 4,      # a state that is not a core state
+     "2 is not a core state"),
+    (_tabled_spec, "input_fn", [(1, [["c"], "read"])], 1,        # a bad row in the middle
+     "['c'] is not a projected letter"),
+    (_tabled_spec, "output_fn", [(2, [0, ["b"], 0])], 2,         # a second row in the middle
+     "a second entry for [0, ['b']]"),
+    (_tabled_spec, "input_fn", [(1, [["a"], "set"]), (None, [["c"], "read"])], 1,  # two bad rows
+     "a second entry for [['a']]"),
+    (_tabled_spec, "output_fn", [(1, [1, ["c"], 0]), (3, [2, ["a"], 0])], 1,      # two bad rows
+     "['c'] is not a projected letter"),
+    (_tabled_spec, "output_fn", [(0, [2, ["c"], 0])], 0,         # a bad state and letter: the letter
+     "['c'] is not a projected letter"),
+    (_tabled_spec, "output_fn", [(3, [[0], ["a"], 0])], 3,       # an unhashable state: no row named
+     "unhashable type: 'list'"),
+    (_paired_spec, "input_fn", [(2, [["a", 2], "read"])], 2,     # two coordinates: a bad value
+     "['a', 2] is not a projected letter"),
+    (_paired_spec, "input_fn", [(1, [["b", 1], "set"])], 4,      # two coordinates: a second row
+     "a second entry for [['b', 1]]"),
+    (_paired_spec, "input_fn", [(0, [[1, "a"], "set"]), (2, [["a"], "set"])], 0,  # two bad rows
+     "[1, 'a'] is not a projected letter"),
+    (_paired_spec, "output_fn", [(5, [1, ["a", [0]], 0])], 5,    # an unhashable value
+     "['a', [0]] is not a projected letter"),
+    (_paired_spec, "output_fn", [(None, [1, ["b", 0], 1])], 8,
+     "a second entry for [1, ['b', 0]]"),
+]
+
+
+@pytest.mark.parametrize("spec, fn, inserted, named, message", _BAD_ROWS,
+                         ids=[f"{case[1]}-row{i}" for i, case in enumerate(_BAD_ROWS)])
+def test_spec_rejects_malformed_table_rows_naming_the_row(spec, fn, inserted, named, message):
+    spec = spec()
     entries = spec["components"][0][fn]["entries"]
-    entries.append(row)
+    for at, row in inserted:
+        entries.insert(len(entries) if at is None else at, row)
     with pytest.raises(SpecFileError) as err:
         cascade_from_spec(spec)
-    assert err.value.field == f"components[0].{fn}.entries[{len(entries) - 1}]"
+    where = f"components[0].{fn}.entries" + ("" if "unhashable" in message else f"[{named}]")
+    assert err.value.field == where
+    assert str(err.value) == f"[{where}] {message}"
 
 
 def test_spec_rejects_tables_with_a_missing_entry():
@@ -235,6 +287,24 @@ def test_cli_aperiodic_cap_bounds_memory_on_the_counter_scenario(tmp_path):
     # 16,384 flattened states: the default cap admits six elements
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr and "transition monoid" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["scenario", "bounds"])
+def test_cli_stdout_closed_after_the_first_line_is_no_traceback(tmp_path, command):
+    # both outputs exceed a pipe's buffer, so the writer is still writing
+    # when the pipe closes
+    if command == "scenario":
+        args = ["scenario", "counter"]  # about 8 MB of JSON
+    else:
+        family = tmp_path / "d5.json"
+        family.write_text(json.dumps({"family": "sequence_tasks", "d": 5}))
+        args = ["bounds", family, "--ell", *range(1, 2501)]  # about 90 kB
+    child = start_cli(args)
+    assert child.stdout.readline()
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait(timeout=120) == 0, stderr
+    assert "Traceback" not in stderr and "Broken pipe" not in stderr, stderr
 
 
 def _one_component_spec(tmp_path, values):
