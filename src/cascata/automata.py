@@ -8,11 +8,13 @@ Instances are immutable after construction and all operations are pure.
 Tables: states and letters are numbered by position in the ``states`` and
 ``alphabet`` label tuples.  ``delta[q][a]`` is the next state's number and a
 flat automaton's ``out[q][a]`` the position of its output in ``outputs``;
-both are plain lists of int rows, one row per state.  A component's
-``table[q][x]`` is the pair (next state, output code) on the projected letter
-numbered ``x`` in the order of ``projected.letters()``.  Constructors take
-``(state, letter)``-keyed dicts and check them once; ``transitions`` and
-``output_map`` are read-only dict views of the tables, built on first use.
+both are plain lists of int rows, one row per state.  A component's compiled
+``next[q][x]`` and ``out[q][x]`` are the next core state's number and the
+output code on the projected letter numbered ``x`` in the order of
+``projected.letters()``; for ``'next_state'`` outputs ``out`` is ``next``
+itself.  Constructors take ``(state, letter)``-keyed dicts and check them
+once; ``transitions`` and ``output_map`` are read-only dict views of the
+tables, built on first use.
 """
 
 from __future__ import annotations
@@ -300,13 +302,8 @@ class FlatAutomaton:
     def reachable_states(self):
         """Reachable states in BFS discovery order (letters in alphabet
         order), starting at the initial state."""
-        order = self._reachable_numbers(np.array(self.delta, dtype=np.int64))
+        order = bfs_order(np.array(self.delta, dtype=np.int64), self.core.initial_index)
         return [self.states[q] for q in order.tolist()]
-
-    def _reachable_numbers(self, delta: np.ndarray) -> np.ndarray:
-        """The numbers of the reachable states, in ``reachable_states``
-        order; ``delta`` is ``self.delta`` as an array."""
-        return bfs_order(delta, self.core.initial_index)
 
     def restrict(self, letters) -> "FlatAutomaton":
         """Sub-automaton over a subset of the alphabet."""
@@ -333,7 +330,7 @@ class FlatAutomaton:
         records.  The result is canonically relabelled 0..k-1 in BFS order.
         """
         delta = np.array(self.delta, dtype=np.int64)
-        order = self._reachable_numbers(delta)
+        order = bfs_order(delta, self.core.initial_index)
         position = np.zeros(self.n_states, dtype=np.int64)
         position[order] = np.arange(len(order))
         delta = position[delta[order]]
@@ -358,36 +355,20 @@ class FlatAutomaton:
 
     # -- equivalence -----------------------------------------------------------
 
-    def equivalent(self, other: "FlatAutomaton", max_len: int | None = None) -> EquivalenceResult:
+    def equivalent(self, other: "FlatAutomaton") -> EquivalenceResult:
         """Do both automata implement the same string function?
 
-        Over the same letter set this is an exact product-automaton check
-        (outputs compared on all reachable state pairs, per letter).  With
-        different letter sets of equal size, letters are paired by sorted
-        order and strings of length 1 to ``max_len`` are compared
-        exhaustively; ``max_len`` must then be at least 1.
+        Letters are paired in sorted order; a letter pairs with itself when
+        both automata have the same letter set.  The pairs of states reachable
+        on paired strings are searched breadth-first and their outputs
+        compared per letter pair, so the check is exact and a counterexample
+        (in this automaton's letters) is a shortest one.
         """
-        if set(self.alphabet) == set(other.alphabet):
-            return self._equivalent_exact(other)
-        if max_len is None:
-            raise ValueError(
-                "alphabets differ; pass max_len for the paired exhaustive check"
-            )
-        if max_len < 1:
-            raise ValueError(f"max_len must be at least 1, got {max_len}")
-        if len(self.alphabet) != len(other.alphabet):
+        mine = sorted(self.alphabet, key=repr)
+        theirs = mine if set(mine) == set(other.alphabet) else sorted(other.alphabet, key=repr)
+        if len(mine) != len(theirs):
             raise ValueError("alphabets differ in size; no letter pairing exists")
-        pairs = list(zip(sorted(self.alphabet, key=repr), sorted(other.alphabet, key=repr)))
-        for length in range(1, max_len + 1):
-            for word in itertools.product(pairs, repeat=length):
-                s1, s2 = zip(*word)
-                if self.run(s1) != other.run(s2):
-                    return EquivalenceResult(False, s1)
-        return EquivalenceResult(True, None)
-
-    def _equivalent_exact(self, other: "FlatAutomaton") -> EquivalenceResult:
-        letters = [(a, self.letter_index[a], other.letter_index[a])
-                   for a in sorted(self.alphabet, key=repr)]
+        letters = [(a, self.letter_index[a], other.letter_index[b]) for a, b in zip(mine, theirs)]
         start = (self.core.initial_index, other.core.initial_index)
         parent: dict = {start: None}
         queue = deque([start])
@@ -396,14 +377,12 @@ class FlatAutomaton:
             qa, qb = pair
             for a, ia, ib in letters:
                 if self.outputs[self.out[qa][ia]] != other.outputs[other.out[qb][ib]]:
-                    # rebuild the prefix leading to this pair
-                    prefix = []
-                    node = pair
+                    # the letters leading here, read back from this pair
+                    word, node = [a], pair
                     while parent[node] is not None:
                         node, letter = parent[node]
-                        prefix.append(letter)
-                    prefix.reverse()
-                    return EquivalenceResult(False, tuple(prefix) + (a,))
+                        word.append(letter)
+                    return EquivalenceResult(False, tuple(reversed(word)))
                 nxt = (self.delta[qa][ia], other.delta[qb][ib])
                 if nxt not in parent:
                     parent[nxt] = (pair, a)
@@ -531,8 +510,8 @@ class ComponentAutomaton:
         self._compile(outputs)
 
     def _compile(self, outputs):
-        """Check the input and output functions' ranges and fill ``table``.
-        A ``TableFunction`` over the projected alphabet is read, not called:
+        """Fill ``next`` and ``out``, checking the functions' ranges.  A
+        ``TableFunction`` over the projected alphabet is read, not called:
         its ``values`` are already in the order of ``projected.letters()``."""
         core, fn = self.core, self.input_fn
         if isinstance(fn, TableFunction) and fn.signature == self.projected:
@@ -543,45 +522,27 @@ class ComponentAutomaton:
         if None in inputs:
             raise UnknownLetterError(column[inputs.index(None)],
                                      where=f"{self.name}: input function range")
-        self._letters = inputs  # the core letter number per projected letter
-        values = []
-        if self.output_kind == "table":
-            values = [[self.theta(q, x) for q in core.states] for x in self.projected.letters()]
-        if outputs is None:
-            outputs = sorted({v for column in values for v in column}, key=repr)
-        self.outputs = tuple(outputs)
-        code = {v: i for i, v in enumerate(self.outputs)}
-        for v in (v for column in values for v in column if v not in code):
-            raise UnknownLetterError(v, where=f"{self.name}: output function range")
-        shared = {}  # one tuple per (next, output) pair in use keeps large tables small
-        self.table = []
-        for q, drow in enumerate(core.delta):
-            if self.output_kind == "table":
-                pairs = [(drow[a], code[column[q]]) for a, column in zip(inputs, values)]
-                row = [shared.setdefault(p, p) for p in pairs]
-            else:  # the pair depends on the internal letter alone: one tuple per letter
-                by_letter = [(t, t if self.output_kind == "next_state" else q) for t in drow]
-                row = [by_letter[a] for a in inputs]
-            self.table.append(row)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``table`` as two int arrays over (core state, projected letter
-        number): the next state's number and the output code.  Not cached:
-        a copy kept in the instance's ``__dict__`` made ``Cascade.run`` on a
-        flattened cascade about 3.5% slower (CPython 3.11)."""
-        nxt = np.array(self.core.delta, dtype=np.int64)[:, self._letters]
+        self.next = [[drow[a] for a in inputs] for drow in core.delta]
         if self.output_kind == "next_state":
-            return nxt, nxt
-        if self.output_kind == "state":
-            return nxt, np.arange(len(nxt)).repeat(nxt.shape[1]).reshape(nxt.shape)
-        return nxt, np.array([[o for _, o in row] for row in self.table], dtype=np.int64)
+            self.out = self.next
+        elif self.output_kind == "state":
+            self.out = [[q] * len(inputs) for q in range(core.n_states)]
+        else:
+            values = [[self.theta(q, x) for q in core.states] for x in self.projected.letters()]
+            if outputs is None:
+                outputs = sorted({v for column in values for v in column}, key=repr)
+            code = {v: i for i, v in enumerate(outputs)}
+            for v in (v for column in values for v in column if v not in code):
+                raise UnknownLetterError(v, where=f"{self.name}: output function range")
+            self.out = [[code[v] for v in row] for row in zip(*values)]
+        self.outputs = tuple(outputs)
 
     def induce(self) -> FlatAutomaton:
-        """The flat automaton over the full alphabet: the unpruned product
-        of the depth-one cascade, relabelled with the core's states."""
-        from .cascade import Cascade  # cascade.py builds on this module
-
-        flat = Cascade([self]).flatten(prune=False)
-        return FlatAutomaton.from_tables(flat.alphabet, self.core.states, flat.delta,
-                                         self.core.initial_index, flat.out, self.outputs,
-                                         self.alphabet)
+        """The flat automaton over the full alphabet, on the core's states:
+        a letter acts as its projection does in ``next`` and ``out``."""
+        letters = tuple(self.alphabet.letters())
+        xs = [self.projected.index(self.dependencies(a)) for a in letters]
+        return FlatAutomaton.from_tables(
+            letters, self.core.states, [[row[x] for x in xs] for row in self.next],
+            self.core.initial_index, [[row[x] for x in xs] for row in self.out],
+            self.outputs, self.alphabet)

@@ -66,7 +66,7 @@ class Cascade:
                         f"coordinate {extra.name!r} of component {i + 1} does not "
                         f"hold the outputs of component {i}"
                     )
-        self._wiring = tuple((c.table, self._inputs(c)) for c in self.components)
+        self._wiring = tuple((c.next, c.out, self._inputs(c)) for c in self.components)
         # run's memo: product states (tuples of state numbers) numbered in the
         # order run reaches them, and per number a dict letter -> (next
         # number, last component's output code)
@@ -98,13 +98,12 @@ class Cascade:
         with external coordinate codes ``codes``, to which every component's
         output code (from its pre-update state) is appended."""
         nxt = []
-        for q, (table, inputs) in zip(states, self._wiring):
+        for q, (next_rows, out_rows, inputs) in zip(states, self._wiring):
             x = 0
             for j, contribution in inputs:
                 x += contribution[codes[j]]
-            q, out = table[q][x]
-            nxt.append(q)
-            codes.append(out)
+            nxt.append(next_rows[q][x])
+            codes.append(out_rows[q][x])
         return tuple(nxt)
 
     def step(self, states: CascadeState, letter: Letter) -> StepResult:
@@ -166,12 +165,13 @@ class Cascade:
 
     def flatten(self, cap: int = DEFAULT_PRODUCT_CAP, prune: bool = True) -> FlatAutomaton:
         """The single product automaton the cascade denotes, over the
-        external alphabet.  ``prune`` keeps reachable product states only.
+        external alphabet.  ``prune`` keeps reachable product states only;
+        ``cap`` bounds the product's states and the external letters alike.
 
         A product state is coded in mixed radix over its component state
         numbers, last component fastest.  One numpy pass gathers every
-        component's ``next``/``out`` arrays (``ComponentAutomaton.arrays``)
-        over all codes and letters at once, each on the axes of the product
+        component's compiled ``next``/``out`` rows, as arrays, over all codes
+        and letters at once, each on the axes of the product
         it depends on, giving the product's int transition table.  With
         ``prune`` the states are numbered by ``bfs_order`` from the initial
         code: each layer's new codes by first occurrence in (frontier order,
@@ -180,6 +180,8 @@ class Cascade:
         size = self.product_size()
         if size > cap:
             raise CapExceededError("cascade product", size, cap)
+        if self.external.n_letters > cap:
+            raise CapExceededError("cascade alphabet", self.external.n_letters, cap)
         letters = tuple(self.external.letters())
         radices = [c.core.n_states for c in self.components]
         shape = (*radices, len(letters))
@@ -190,8 +192,9 @@ class Cascade:
         codes = [along(column, len(radices)) for column in np.array(
             [self.external.encode(a) for a in letters], dtype=np.int64).T]
         table, init = 0, 0
-        for i, (comp, (_, inputs)) in enumerate(zip(self.components, self._wiring)):
-            nxt, out = comp.arrays()
+        for i, (comp, (_, _, inputs)) in enumerate(zip(self.components, self._wiring)):
+            nxt = np.array(comp.next, dtype=np.int64)
+            out = nxt if comp.out is comp.next else np.array(comp.out, dtype=np.int64)
             x = sum(np.array(contribution)[codes[j]] for j, contribution in inputs)
             q = along(np.arange(radices[i]), i)
             table = table * radices[i] + nxt[q, x]
@@ -222,7 +225,7 @@ class Cascade:
         """True when every non-final component's output function returns the
         current state, checked extensionally."""
         return all(comp.outputs[o] == q for comp in self.components[:-1]
-                   for q, row in zip(comp.core.states, comp.table) for _, o in row)
+                   for q, row in zip(comp.core.states, comp.out) for o in row)
 
 
 def chain_alphabet(external: FactoredAlphabet, components_so_far) -> FactoredAlphabet:
@@ -280,6 +283,10 @@ class CascadeClass(NumberedClass):
     def __init__(self, external: FactoredAlphabet, parts):
         self.external = external
         self.parts = tuple(ClassPart(*p) for p in parts)
+        # each part's output values: its core's states under the 'state' and
+        # 'next_state' shorthands, else its outputs
+        self._outputs = tuple(p.core.states if isinstance(p.output_fn, str) else p.outputs
+                              for p in self.parts)
 
     @cached_property
     def _radices(self) -> tuple[int, ...]:
@@ -298,8 +305,7 @@ class CascadeClass(NumberedClass):
         """Each part's input alphabet, built once and shared by every member:
         the external alphabet extended by the earlier parts' outputs."""
         alphabets = [self.external]
-        for p in self.parts[:-1]:
-            outputs = p.core.states if isinstance(p.output_fn, str) else p.outputs
+        for p, outputs in zip(self.parts[:-1], self._outputs):
             if outputs is None:
                 raise ValueError(f"part {p.name!r}: an output_fn given as a callable "
                                  "needs its values in outputs")
@@ -330,8 +336,8 @@ class CascadeClass(NumberedClass):
                 arity=self.external.arity + i, degree=len(set(p.dependencies)),
                 n_input_fns=p.input_class.cardinality, n_cores=1, n_output_fns=1,
                 internal_size=len(p.core.alphabet),
-                output_size=len(p.core.states if isinstance(p.output_fn, str) else p.outputs),
-                input_dim=dim,
+                output_size=len(outputs), input_dim=dim,
             )
-            for i, (p, dim) in enumerate(zip(self.parts, dims, strict=True))
+            for i, (p, outputs, dim) in enumerate(zip(self.parts, self._outputs, dims,
+                                                      strict=True))
         ), max_len, epsilon, eta)

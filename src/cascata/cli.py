@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Commands: run, flatten, minimize, equiv, aperiodic, check, bounds, growth,
-learn, scenario.  Exit codes: 0 success, 2 parse/validation error, 3 cap
-exceeded, 4 verification failure (inequivalent automata, oracle mismatch).
+learn, scenario (``equiv`` is exact, with letters paired in sorted order).
+Exit codes: 0 success, 2 parse/validation error, 3 cap exceeded, 4
+verification failure (inequivalent automata, oracle mismatch).
 The environment variable ``CASCATA_CAP`` overrides the default size caps;
 ``--cap`` overrides both.  When the reader of stdout goes away (``cascata
 bounds ... | head -1``), the rest of the output is dropped and the exit code
@@ -178,11 +179,9 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    if args.max_len is not None:
-        _at_least_one(args.max_len, "--max-len")
     a = cascade_from_spec(_load_json(args.spec)).flatten(cap=_cap(args, DEFAULT_PRODUCT_CAP))
     b = cascade_from_spec(_load_json(args.spec2)).flatten(cap=_cap(args, DEFAULT_PRODUCT_CAP))
-    result = a.equivalent(b, max_len=args.max_len)
+    result = a.equivalent(b)
     if result.equivalent:
         print("equivalent")
         return EXIT_OK
@@ -461,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="compare two cascade specs")
     p.add_argument("spec")
     p.add_argument("spec2")
-    p.add_argument("--max-len", type=int, default=None)
     common(p, fmt=None)
     p.set_defaults(fn=cmd_equiv)
 

@@ -206,14 +206,14 @@ def dimension_bound_cascade(desc: ClassDescriptor) -> float:
     return 2 * d * w * math.log2(d * w * math.e * desc.max_len * pi * gamma)
 
 
-def sample_bound_dimension(dim: float, n_outputs: int, epsilon: float, eta: float,
-                           constant: int = DIMENSION_SAMPLE_CONSTANT) -> int:
+def sample_bound_dimension(dim: float, n_outputs: int, epsilon: float, eta: float) -> int:
     """Bound-shaped sample size from a dimension:
-    ceil(C (dim ln|Y| + ln(1/eta)) / eps^2).  The multiplier C is a
-    documented instantiation, not a guarantee."""
+    ceil(C (dim ln|Y| + ln(1/eta)) / eps^2) with C the documented
+    instantiation ``DIMENSION_SAMPLE_CONSTANT``, not a guarantee."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    return math.ceil(constant * (dim * math.log(n_outputs) + math.log(1 / eta)) / epsilon**2)
+    bits = dim * math.log(n_outputs) + math.log(1 / eta)
+    return math.ceil(DIMENSION_SAMPLE_CONSTANT * bits / epsilon**2)
 
 
 # ---------------------------------------------------------------------------

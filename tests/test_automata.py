@@ -1,8 +1,12 @@
+import ast
+import itertools
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from cascata import automata
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, FlatAutomaton, Semiautomaton
 from cascata.crafting import build_flipflop_task_cascade, trace_from_words
@@ -207,14 +211,66 @@ def test_equivalent_symmetric_on_exact_path():
         assert a.equivalent(b).equivalent == b.equivalent(a).equivalent
 
 
-def test_equivalent_heterogeneous_needs_max_len():
+def test_equivalent_across_alphabets_pairs_letters_in_sorted_order():
     a = _tiny_acceptor()
-    trans = {(0, x): 0 for x in "cd"}
-    outs = {(0, x): 0 for x in "cd"}
-    b = FlatAutomaton("cd", (0,), trans, 0, outs)
-    with pytest.raises(ValueError):
-        a.equivalent(b)
-    assert not a.equivalent(b, max_len=3).equivalent
+    trans = {(0, x): 0 for x in "dc"}
+    outs = {(0, x): 0 for x in "dc"}
+    b = FlatAutomaton("dc", (0,), trans, 0, outs)
+    assert a.equivalent(b) == (False, ("a",))  # 'a' pairs with 'c'
+    assert b.equivalent(a) == (False, ("c",))
+    one = FlatAutomaton("x", (0,), {(0, "x"): 0}, 0, {(0, "x"): 0})
+    with pytest.raises(ValueError, match="differ in size"):
+        a.equivalent(one)
+
+
+def _random_flat(rng: random.Random, letters) -> FlatAutomaton:
+    states = tuple(range(rng.randint(1, 3)))
+    trans = {(q, a): rng.choice(states) for q in states for a in letters}
+    outs = {(q, a): rng.randint(0, 1) for q in states for a in letters}
+    return FlatAutomaton(letters, states, trans, rng.choice(states), outs)
+
+
+def bounded_counterexample(a: FlatAutomaton, b: FlatAutomaton, max_len: int):
+    """The reference check: letters paired in sorted order, and every string
+    of length 1 to ``max_len`` compared, shortest first.  Returns the first
+    string (in ``a``'s letters) on which the automata differ, or None."""
+    pairs = list(zip(sorted(a.alphabet, key=repr), sorted(b.alphabet, key=repr)))
+    for length in range(1, max_len + 1):
+        for word in itertools.product(pairs, repeat=length):
+            s1, s2 = zip(*word)
+            if a.run(s1) != b.run(s2):
+                return s1
+    return None
+
+
+def test_equivalent_matches_the_exhaustive_reference_on_renamed_alphabets():
+    # the product has at most n_a * n_b state pairs, so a shortest
+    # distinguishing string has at most that many letters
+    rng = random.Random(14)
+    verdicts = set()
+    for _ in range(300):
+        k = rng.randint(2, 3)
+        a = _random_flat(rng, tuple("abc"[:k]))
+        if rng.random() < 0.5:  # a renamed copy, with its states permuted
+            perm = rng.sample(range(a.n_states), a.n_states)
+            renamed = dict(zip(a.alphabet, "xyz"[:k]))
+            b = FlatAutomaton(
+                tuple(reversed("xyz"[:k])), tuple(range(a.n_states)),
+                {(perm[q], renamed[x]): perm[t] for (q, x), t in a.core.transitions.items()},
+                perm[a.initial],
+                {(perm[q], renamed[x]): o for (q, x), o in a.output_map.items()})
+        else:
+            b = _random_flat(rng, tuple(reversed("xyz"[:k])))
+        result = a.equivalent(b)
+        witness = bounded_counterexample(a, b, a.n_states * b.n_states)
+        assert result.equivalent == (witness is None)
+        verdicts.add(result.equivalent)
+        if witness is not None:
+            ce = result.counterexample
+            assert len(ce) <= len(witness)
+            paired = dict(zip(sorted(a.alphabet), sorted(b.alphabet)))
+            assert a.run(ce) != b.run(tuple(paired[x] for x in ce))
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +329,6 @@ def test_unknown_state_is_a_value_error_naming_the_state():
         flat.output(flat.initial, ("bronze",))
 
 
-def test_bounded_equivalence_needs_max_len_at_least_one():
-    rng = random.Random(5)
-    one = random_component(rng, random_external(rng)).induce()
-    renamed = FlatAutomaton.from_tables([("other", x) for x in one.alphabet], one.states,
-                                        one.delta, 0, one.out, one.outputs)
-    assert renamed.equivalent(one, max_len=2).equivalent
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="max_len"):
-            renamed.equivalent(one, max_len=bad)
-
-
 def test_monoid_cap_counts_elements_times_states():
     counter = make_counter(5)  # five rotations of five states: 25 entries
     assert len(counter.transition_monoid(cap=25)) == 5
@@ -308,4 +353,18 @@ def test_component_compile_allocates_only_the_pairs_its_table_uses():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert comp.table[999][0] == (0, 999) and peak < 5_000_000
+    assert (comp.next[999][0], comp.out[999][0]) == (0, 999) and peak < 5_000_000
+
+
+def test_automata_module_imports_neither_cascade_nor_specfile():
+    """The automata layer sits below cascades and spec files: no import of
+    either, at module level or inside a function."""
+    tree = ast.parse(Path(automata.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"cascade", "specfile"}, sorted(names)

@@ -122,7 +122,7 @@ def test_table_input_functions_are_read_like_called_ones():
             read = ComponentAutomaton(alphabet, (1, 2), fn, core, output_fn="next_state")
             called = ComponentAutomaton(alphabet, (1, 2), lambda x, fn=fn: fn(x), core,
                                         output_fn="next_state")
-            assert read.table == called.table
+            assert (read.next, read.out) == (called.next, called.out)
             assert [read.input_fn(x) for x in alphabet.letters()] == [
                 fn(x) for x in alphabet.letters()]
 

@@ -439,6 +439,21 @@ def test_cli_counter_core_above_the_product_cap_fails_fast(tmp_path, modulus):
     assert "[components[0].core.kind]" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_cli_flatten_caps_the_external_alphabet(tmp_path):
+    # two product states, but 10^7 letters: flatten stops before listing them
+    external = FactoredAlphabet.of(*((f"c{i}", tuple(f"v{j}" for j in range(10)))
+                                     for i in range(7)))
+    spec = cascade_to_spec(build_chained(external, [dict(
+        name="k", dependencies=(1,), core=make_flipflop(with_reset=False),
+        input_fn=lambda x: "set" if x == ("v0",) else "read")]))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    done = run_cli(["flatten", path], timeout=60, memory_bytes=1536 * 2**20)
+    assert done.returncode == 3, done.stderr
+    assert "cascade alphabet exceeds cap: 10000000 > 1000000" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_cli_one_element_table_entry_exit_2(tmp_path, capsys):
     spec = cascade_to_spec(build_flipflop_task_cascade())
     spec["components"][0]["input_fn"]["entries"][0] = [["wood"]]
@@ -724,8 +739,6 @@ def test_cli_learn_rejects_letter_weights_for_another_alphabet(tmp_path, capsys,
      "--baseline-states"),
     (["bounds", "family.json", "--baseline-letters", "6"], "--baseline-letters"),
     (["bounds", "family.json", "--baseline-states", "32"], "--baseline-states"),
-    (["equiv", "family.json", "family.json", "--max-len", "0"], "--max-len"),
-    (["equiv", "family.json", "family.json", "--max-len", "-3"], "--max-len"),
 ])
 def test_cli_count_flags_below_one_exit_2(tmp_path, capsys, argv, flag):
     _write(tmp_path, "family.json", {"family": "sequence_tasks", "d": 2})
