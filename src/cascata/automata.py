@@ -130,22 +130,29 @@ class Semiautomaton:
     def transition_monoid(self, cap: int = DEFAULT_MONOID_CAP):
         """All distinct state transformations induced by strings (including
         the empty string), as tuples over state indices.  ``cap`` bounds the
-        entries stored, that is elements times states."""
+        entries stored, that is elements times states.
+
+        The search runs a layer at a time.  The frontier is a ``(k, n)`` int
+        array of the transformations found last, and each letter's column
+        ``g`` of ``delta`` composes with all of it in one gather,
+        ``g[frontier]``, whose rows are checked against the elements seen so
+        far.  The frontier is part of the monoid, so one gather holds at
+        most ``k * n <= cap`` entries."""
         n = len(self.states)
-        identity = tuple(range(n))
-        generators = [tuple(column) for column in zip(*self.delta)]
-        seen = {identity}
-        frontier = deque([identity])
-        while frontier:
-            f = frontier.popleft()
+        generators = np.array(self.delta, dtype=np.int64).T
+        seen = {tuple(range(n))}
+        frontier = np.arange(n)[None, :]
+        while len(frontier):
+            added = []
             for g in generators:
-                h = tuple(g[p] for p in f)
-                if h not in seen:
-                    entries = (len(seen) + 1) * n
-                    if entries > cap:
-                        raise CapExceededError("transition monoid entries", entries, cap)
-                    seen.add(h)
-                    frontier.append(h)
+                for h in map(tuple, g[frontier].tolist()):
+                    if h not in seen:
+                        entries = (len(seen) + 1) * n
+                        if entries > cap:
+                            raise CapExceededError("transition monoid entries", entries, cap)
+                        seen.add(h)
+                        added.append(h)
+            frontier = np.array(added, dtype=np.int64).reshape(-1, n)
         return seen
 
     def is_aperiodic(self, cap: int = DEFAULT_MONOID_CAP) -> bool:
@@ -168,21 +175,30 @@ def is_aperiodic_monoid(monoid) -> bool:
     return True
 
 
-def _row_classes(columns, n_values: int) -> tuple[np.ndarray, int]:
-    """Dense class ids of the rows formed by equal-length int64 columns with
-    entries in ``range(n_values)`` (equal rows share an id), and the number
-    of classes.  The columns are packed ``63 // bits`` to an int64 key, where
-    ``bits`` is the width of ``n_values - 1``, and the keys sorted together."""
-    columns = list(columns)
+def packed_keys(columns, n_values: int) -> list[np.ndarray]:
+    """Equal-shape int64 columns with entries in ``range(n_values)``, packed
+    ``63 // bits`` to an int64 key, where ``bits`` is the width of
+    ``n_values - 1``: two positions hold equal keys exactly where they hold
+    equal columns.  ``columns`` may be a generator; it is read a key's worth
+    at a time."""
     bits = max(1, (n_values - 1).bit_length())
     per_key = 63 // bits
+    columns = iter(columns)
     keys = []
-    for start in range(0, len(columns), per_key):
-        key = columns[start].copy()
-        for column in columns[start + 1:start + per_key]:
+    for first in columns:
+        key = first.copy()
+        for column in itertools.islice(columns, per_key - 1):
             key <<= bits
             key |= column
         keys.append(key)
+    return keys
+
+
+def _row_classes(columns, n_values: int) -> tuple[np.ndarray, int]:
+    """Dense class ids of the rows formed by equal-length int64 columns with
+    entries in ``range(n_values)`` (equal rows share an id), and the number
+    of classes: the columns' ``packed_keys`` sorted together."""
+    keys = packed_keys(columns, n_values)
     order = np.lexsort(keys)
     boundary = np.zeros(len(order), dtype=bool)
     for key in keys:

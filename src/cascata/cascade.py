@@ -26,6 +26,11 @@ from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
 DEFAULT_PRODUCT_CAP = 1_000_000
+#: The most entries (product states times external letters) the tables of
+#: ``flatten`` may hold, whatever its ``cap``.  An entry costs about 110
+#: bytes at the peak (5.7 million for the modulus-62 counter take 650 MB),
+#: so the largest allowed flatten stays under a gigabyte.
+FLATTEN_TABLE_CAP = 1 << 23
 #: The most product transitions one cascade's ``run`` memo holds (about
 #: 150 bytes each); past it, ``run`` steps unrecorded transitions through
 #: ``_advance`` and records nothing more.
@@ -166,7 +171,8 @@ class Cascade:
     def flatten(self, cap: int = DEFAULT_PRODUCT_CAP, prune: bool = True) -> FlatAutomaton:
         """The single product automaton the cascade denotes, over the
         external alphabet.  ``prune`` keeps reachable product states only;
-        ``cap`` bounds the product's states and the external letters alike.
+        ``cap`` bounds the product's states and the external letters alike,
+        and ``FLATTEN_TABLE_CAP`` their product, the entries of each table.
 
         A product state is coded in mixed radix over its component state
         numbers, last component fastest.  One numpy pass gathers every
@@ -182,6 +188,9 @@ class Cascade:
             raise CapExceededError("cascade product", size, cap)
         if self.external.n_letters > cap:
             raise CapExceededError("cascade alphabet", self.external.n_letters, cap)
+        entries = size * self.external.n_letters
+        if entries > FLATTEN_TABLE_CAP:
+            raise CapExceededError("cascade table entries", entries, FLATTEN_TABLE_CAP)
         letters = tuple(self.external.letters())
         radices = [c.core.n_states for c in self.components]
         shape = (*radices, len(letters))

@@ -8,6 +8,15 @@ growths, with input/output functions charged on letter samples of size
 are instantiated with explicit constants, documented below; those constants
 are instantiations, not claims carried by the bound statements themselves.
 
+The empirical searches read a class once into an output matrix, members x
+the points a search can use, with each function called once per point and
+the outputs numbered by first occurrence.  Candidate samples are then
+scored against the matrix in blocks of at most ``BLOCK_ENTRIES`` outputs:
+a sample's outputs are packed into int64 keys (``automata.packed_keys``)
+and sorted along the member axis, and the count of distinct keys is its
+pattern count.  Witnesses are the first samples, in candidate order, with
+the maximum count (growth) or shattered (VC).
+
 Logs are base 2 throughout; the natural log appears only inside the explicit
 finite-class constant.
 """
@@ -20,7 +29,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .alphabets import projection_count
+from .automata import packed_keys
+
 DEFAULT_SEARCH_CAP = 2_000_000
 
 #: multiplier for the dimension-based sample size; an instantiation of an
@@ -234,33 +247,73 @@ class DimensionReport(NamedTuple):
     exact: bool
 
 
+#: The most sample outputs (samples x members x sample width) one scoring
+#: block gathers, unless a single sample has more: a search's working memory
+#: stays near the output matrix's size however many samples it scores.
+BLOCK_ENTRIES = 1 << 14
+
+
+def _output_matrix(functions: list, points: list) -> tuple[np.ndarray, dict]:
+    """The members x points int matrix of output codes, and the code of
+    each output.  Each function is called once per point, a point at a
+    time; outputs are numbered by first occurrence, and outputs that compare
+    equal (``1`` and ``True``) share a code."""
+    code: dict = {}
+    matrix = np.empty((len(functions), len(points)), dtype=np.int64)
+    for j, x in enumerate(points):
+        matrix[:, j] = [code.setdefault(f(x), len(code)) for f in functions]
+    return matrix, code
+
+
+def _pattern_counts(matrix: np.ndarray, n_values: int, block: np.ndarray) -> np.ndarray:
+    """The number of distinct output rows of the class on each sample, a
+    row of ``block`` holding a sample's columns of ``matrix``.  Each
+    sample's outputs are packed into int64 keys as ``packed_keys`` does,
+    sorted along the member axis and their boundaries counted."""
+    n_members = len(matrix)
+    if n_members == 0 or block.shape[1] == 0:
+        return np.full(len(block), min(n_members, 1))
+    by_point = matrix.T
+    keys = packed_keys((by_point[column] for column in block.T), n_values)
+    if len(keys) == 1:
+        keys[0].sort(axis=1)
+    else:
+        order = np.lexsort(keys)
+        keys = [np.take_along_axis(key, order, axis=1) for key in keys]
+    changes = np.zeros((len(block), n_members - 1), dtype=bool)
+    for key in keys:
+        changes |= key[:, 1:] != key[:, :-1]
+    return changes.sum(axis=1) + 1
+
+
+def _first_best(matrix: np.ndarray, n_values: int, samples: Iterable[tuple],
+                width: int) -> tuple[int, tuple]:
+    """The largest pattern count over the samples (tuples of ``width``
+    columns of ``matrix``) and the first sample reaching it, or ``()`` when
+    no count is positive.  Samples are scored in blocks, in order: a block
+    holds as many samples as fit in ``BLOCK_ENTRIES`` outputs, at least one,
+    and only a strictly larger count replaces the best of earlier blocks.
+    The search stops once a count reaches the ceiling
+    ``min(members, n_values ** width)``, which no sample can pass."""
+    size = max(1, BLOCK_ENTRIES // max(1, len(matrix) * width))
+    ceiling = min(len(matrix), n_values**width)
+    samples = iter(samples)
+    best, witness = 0, ()
+    while best < ceiling and (rows := list(itertools.islice(samples, size))):
+        block = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                            count=len(rows) * width).reshape(len(rows), width)
+        counts = _pattern_counts(matrix, n_values, block)
+        i = int(counts.argmax())
+        if counts[i] > best:
+            best, witness = int(counts[i]), rows[i]
+    return best, witness
+
+
 def pattern_count(functions: Sequence, sample: Sequence) -> int:
     """Number of distinct output tuples of the class on the sample."""
-    return len({tuple(f(x) for x in sample) for f in functions})
-
-
-class _OutputTable:
-    """Every function's output at each universe position, each column
-    computed on first use, so a function is called at most once per
-    universe point however many samples share it."""
-
-    def __init__(self, functions, universe):
-        self.functions = functions
-        self.universe = universe
-        self.columns = {}
-
-    def column(self, i: int) -> tuple:
-        if i not in self.columns:
-            x = self.universe[i]
-            self.columns[i] = tuple(f(x) for f in self.functions)
-        return self.columns[i]
-
-    def patterns(self, positions) -> set:
-        """The distinct output tuples of the class on the sample at these
-        universe positions."""
-        if not positions:
-            return {()} if self.functions else set()
-        return set(zip(*(self.column(i) for i in positions)))
+    sample = list(sample)
+    matrix, code = _output_matrix(list(functions), sample)
+    return _first_best(matrix, len(code), [tuple(range(len(sample)))], len(sample))[0]
 
 
 def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
@@ -270,30 +323,38 @@ def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
 
     The count on a sample depends only on its support set and never shrinks
     when the support grows, so exact mode iterates subsets of size
-    min(ell, |universe|) instead of all multisets; the witness is padded back
-    to a size-``ell`` sample.  Past the cap, or in heuristic mode, randomized
-    restarts report a certified lower bound with its witness.
+    min(ell, |universe|) instead of all multisets, in
+    ``itertools.combinations`` order; the witness is the first subset with
+    the maximum count, padded back to a size-``ell`` sample.  Past the cap,
+    or in heuristic mode, ``restarts`` random samples (drawn first, from
+    ``random.Random(seed)``) report a certified lower bound with the first
+    sample reaching it.
+
+    The class's outputs are read once into an output matrix, members x the
+    points a sample can use (all of the universe in exact mode, the drawn
+    points in heuristic mode), and the samples are scored against it in
+    blocks (see ``_first_best``).
     """
     universe = list(universe)
-    table = _OutputTable(list(functions), universe)
     support = min(ell, len(universe))
     if mode == "exact" and math.comb(len(universe), support) > cap:
         mode = "heuristic"
     if mode == "exact":
-        candidates = itertools.combinations(range(len(universe)), support)
+        points, width = (universe if support else []), support
+        samples = itertools.combinations(range(len(points)), support)
     elif mode == "heuristic":
         rng = random.Random(seed)
         positions = range(len(universe))
-        candidates = (tuple(rng.choice(positions) for _ in range(ell))
-                      for _ in range(restarts))
+        drawn = [tuple(rng.choice(positions) for _ in range(ell)) for _ in range(restarts)]
+        needed = list(dict.fromkeys(itertools.chain.from_iterable(drawn)))
+        column = {i: j for j, i in enumerate(needed)}
+        points, width = [universe[i] for i in needed], ell
+        samples = [tuple(map(column.__getitem__, sample)) for sample in drawn]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    best, witness = 0, ()
-    for sample in candidates:
-        n = len(table.patterns(sample))
-        if n > best:
-            best, witness = n, sample
-    witness = tuple(universe[i] for i in witness)
+    matrix, code = _output_matrix(list(functions), points)
+    best, witness = _first_best(matrix, len(code), samples, width)
+    witness = tuple(points[j] for j in witness)
     if mode == "heuristic":
         return GrowthReport(ell, best, witness, False)
     witness = witness + (witness[0],) * (ell - len(witness)) if witness else ()
@@ -305,14 +366,16 @@ def vc_dimension(functions: Sequence, universe: Sequence,
     """Largest sample size from the universe on which the class realizes all
     binary patterns, by exhaustive subset search.
 
-    Outputs must take at most two values.  If the subset search at some size
-    would exceed the cap, the best size found so far is returned flagged as
-    a lower bound.
+    Outputs must take at most two values.  The class's outputs are read once
+    into an output matrix, members x universe points; at each size the
+    subsets are scored against it in blocks, in ``itertools.combinations``
+    order, and the first shattered one is the witness.  If the subset
+    search at some size would exceed the cap, the best size found so far is
+    returned flagged as a lower bound.
     """
     functions = list(functions)
     universe = list(universe)
-    table = _OutputTable(functions, universe)
-    outputs = {y for i in range(len(universe)) for y in table.column(i)}
+    matrix, outputs = _output_matrix(functions, universe)
     if len(outputs) > 2:
         raise ValueError(f"vc dimension needs binary outputs, saw {sorted(map(repr, outputs))}")
     best = DimensionReport(0, (), True)
@@ -322,9 +385,9 @@ def vc_dimension(functions: Sequence, universe: Sequence,
             return best
         if math.comb(len(universe), h) * len(functions) > cap:
             return DimensionReport(best.value, best.witness, False)
-        found = next((points for points in itertools.combinations(range(len(universe)), h)
-                      if len(table.patterns(points)) == 2**h), None)
-        if found is None:
+        count, found = _first_best(matrix, len(outputs),
+                                   itertools.combinations(range(len(universe)), h), h)
+        if count < 2**h:
             return best
         best = DimensionReport(h, tuple(universe[i] for i in found), True)
         h += 1

@@ -454,6 +454,23 @@ def test_cli_flatten_caps_the_external_alphabet(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_cli_flatten_caps_states_times_letters(tmp_path):
+    # 1,000 states and 10^6 letters each pass their own cap, but their
+    # product is a table of 10^9 entries
+    external = FactoredAlphabet.of(*((f"c{i}", tuple(f"v{j}" for j in range(10)))
+                                     for i in range(6)))
+    spec = cascade_to_spec(build_chained(external, [dict(
+        name="k", dependencies=(1,), core=make_counter(3),
+        input_fn=lambda x: "inc" if x == ("v0",) else "read")]))
+    spec["components"][0]["core"] = "counter:1000"
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    done = run_cli(["flatten", path], timeout=60, memory_bytes=1536 * 2**20)
+    assert done.returncode == 3, done.stderr
+    assert "cascade table entries exceeds cap: 1000000000 > 8388608" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_cli_one_element_table_entry_exit_2(tmp_path, capsys):
     spec = cascade_to_spec(build_flipflop_task_cascade())
     spec["components"][0]["input_fn"]["entries"][0] = [["wood"]]
