@@ -67,7 +67,9 @@ class FactoredAlphabet:
         names = [c.name for c in self.coords]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate coordinate names: {names}")
-        object.__setattr__(self, "_projections", {})  # project's memo: indices -> alphabet
+        # the memos of project and extend: one alphabet per key
+        object.__setattr__(self, "_projections", {})
+        object.__setattr__(self, "_extensions", {})
 
     @staticmethod
     def of(*coords: tuple[str, tuple | list]) -> "FactoredAlphabet":
@@ -147,12 +149,23 @@ class FactoredAlphabet:
                 raise ValueError("cannot build an alphabet over zero coordinates")
             if idx[0] < 1 or idx[-1] > self.arity:
                 raise ValueError(f"indices {list(idx)} out of range [1, {self.arity}]")
-            self._projections[idx] = FactoredAlphabet(tuple(self.coords[i - 1] for i in idx))
+            projected = FactoredAlphabet(tuple(self.coords[i - 1] for i in idx))
+            self._projections.setdefault(idx, projected)  # racing threads get the first
         return self._projections[idx]
 
     def extend(self, name: str, values) -> "FactoredAlphabet":
-        """New alphabet with one coordinate appended (cascade chaining)."""
-        return FactoredAlphabet(self.coords + (Coordinate(name, tuple(values)),))
+        """Alphabet with one coordinate appended (cascade chaining).  Like
+        ``project``, each alphabet builds an extension once and hands out the
+        same object after, so every cascade chained from one external
+        alphabet (``build_chained``, class members, spec files) holds the same
+        alphabets and shares their caches.  Values that are equal but of
+        different types (``1`` and ``True``) make different extensions."""
+        values = tuple(values)
+        key = (name, values, tuple(map(type, values)))
+        if key not in self._extensions:
+            extended = FactoredAlphabet(self.coords + (Coordinate(name, values),))
+            self._extensions.setdefault(key, extended)  # racing threads get the first
+        return self._extensions[key]
 
 
 @dataclass(frozen=True)

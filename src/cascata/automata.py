@@ -28,12 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alphabets import FactoredAlphabet, Projection, TableFunction
-from .errors import (
-    ArityMismatchError,
-    CapExceededError,
-    EmptyInputError,
-    UnknownLetterError,
-)
+from .errors import CapExceededError, EmptyInputError, UnknownLetterError
 
 #: The most entries a transition monoid may store: elements times states.
 DEFAULT_MONOID_CAP = 100_000
@@ -485,8 +480,8 @@ class FlatAutomaton:
 
 class ComponentAutomaton:
     """An automaton over a factored alphabet that projects its input to a
-    dependency set, maps the projection into a small internal alphabet, and
-    transitions on the result.
+    dependency set (``dependencies``, 1-based coordinate indices), maps the
+    projection into a small internal alphabet, and transitions on the result.
 
     ``output_fn`` is a callable (state, projected letter) -> output, or one
     of the shorthands ``'state'`` (return the state unchanged) and
@@ -498,13 +493,7 @@ class ComponentAutomaton:
                  core: Semiautomaton, output_fn="state", outputs=None,
                  name: str | None = None):
         self.alphabet = alphabet
-        if isinstance(dependencies, Projection):
-            if dependencies.source_arity != alphabet.arity:
-                raise ArityMismatchError(alphabet.arity, dependencies.source_arity,
-                                         "dependency set")
-            self.dependencies = dependencies
-        else:
-            self.dependencies = Projection(alphabet.arity, tuple(dependencies))
+        self.dependencies = Projection(alphabet.arity, tuple(dependencies))
         if self.dependencies.degree == 0:
             raise ValueError("a component must depend on at least one coordinate")
         self.projected = alphabet.project(self.dependencies.indices)

@@ -249,23 +249,21 @@ def chain_alphabet(external: FactoredAlphabet, components_so_far) -> FactoredAlp
 def build_chained(external: FactoredAlphabet, specs) -> Cascade:
     """Construct a cascade from per-component specs.
 
-    Each spec is a mapping with keys ``name``, ``dependencies``,
-    ``input_fn``, ``core``, and optionally ``output_fn`` / ``outputs``;
-    alphabets are chained automatically.
+    Each spec is a mapping with keys ``name``, ``dependencies`` (1-based
+    indices), ``input_fn``, ``core``, and optionally ``output_fn`` /
+    ``outputs``; alphabets are chained automatically, as ``chain_alphabet``
+    chains them.  This is the one builder of cascades from parts: class
+    members and spec files are built here, and since ``extend`` hands out one
+    object per extension, cascades chained from the same external alphabet
+    share their alphabets.
     """
-    built: list[ComponentAutomaton] = []
+    alphabet, built = external, []
     for spec in specs:
-        built.append(
-            ComponentAutomaton(
-                chain_alphabet(external, built),
-                spec["dependencies"],
-                spec["input_fn"],
-                spec["core"],
-                output_fn=spec.get("output_fn", "state"),
-                outputs=spec.get("outputs"),
-                name=spec["name"],
-            )
-        )
+        if built:
+            alphabet = alphabet.extend(built[-1].name, built[-1].outputs)
+        built.append(ComponentAutomaton(alphabet, spec["dependencies"], spec["input_fn"],
+                                        spec["core"], output_fn=spec.get("output_fn", "state"),
+                                        outputs=spec.get("outputs"), name=spec["name"]))
     return Cascade(built)
 
 
@@ -287,11 +285,17 @@ class CascadeClass(NumberedClass):
     dependency sets, cores and output functions, and each choose their input
     function from a finite class (``cardinality`` and ``member``).  A
     member's digits are its components' choices, so the last component's
-    choice varies fastest."""
+    choice varies fastest.  Members are built by ``build_chained``, so every
+    member holds the same chained alphabets.  A part whose ``output_fn`` is
+    a callable must list its values in ``outputs``."""
 
     def __init__(self, external: FactoredAlphabet, parts):
         self.external = external
         self.parts = tuple(ClassPart(*p) for p in parts)
+        for p in self.parts:
+            if not isinstance(p.output_fn, str) and p.outputs is None:
+                raise ValueError(f"part {p.name!r}: an output_fn given as a callable "
+                                 "needs its values in outputs")
         # each part's output values: its core's states under the 'state' and
         # 'next_state' shorthands, else its outputs
         self._outputs = tuple(p.core.states if isinstance(p.output_fn, str) else p.outputs
@@ -310,23 +314,14 @@ class CascadeClass(NumberedClass):
         return [p.input_class for p in self.parts]
 
     @cached_property
-    def _alphabets(self) -> tuple[FactoredAlphabet, ...]:
-        """Each part's input alphabet, built once and shared by every member:
-        the external alphabet extended by the earlier parts' outputs."""
-        alphabets = [self.external]
-        for p, outputs in zip(self.parts[:-1], self._outputs):
-            if outputs is None:
-                raise ValueError(f"part {p.name!r}: an output_fn given as a callable "
-                                 "needs its values in outputs")
-            alphabets.append(alphabets[-1].extend(p.name, outputs))
-        return tuple(alphabets)
+    def _specs(self) -> tuple[dict, ...]:
+        """Each part as a ``build_chained`` spec, but for its input function."""
+        return tuple(p._asdict() for p in self.parts)
 
     def build(self, input_fns) -> Cascade:
         """The member whose components use the given input functions."""
-        return Cascade(
-            ComponentAutomaton(alphabet, p.dependencies, fn, p.core, output_fn=p.output_fn,
-                               outputs=p.outputs, name=p.name)
-            for p, alphabet, fn in zip(self.parts, self._alphabets, input_fns, strict=True))
+        return build_chained(self.external, [dict(spec, input_fn=fn) for spec, fn
+                                             in zip(self._specs, input_fns, strict=True)])
 
     def member(self, index: int) -> Cascade:
         digits = mixed_radix_digits(index, self._radices)

@@ -5,7 +5,10 @@ learn, scenario (``equiv`` is exact, with letters paired in sorted order).
 Exit codes: 0 success, 2 parse/validation error, 3 cap exceeded, 4
 verification failure (inequivalent automata, oracle mismatch).
 The environment variable ``CASCATA_CAP`` overrides the default size caps;
-``--cap`` overrides both.  When the reader of stdout goes away (``cascata
+``--cap`` overrides both.  Only the commands whose work a cap bounds take
+``--cap``: flatten, minimize, equiv, aperiodic, growth and learn.  Every
+cascade, whether from a spec file, a class member or a scenario, is built
+by ``cascade.build_chained``.  When the reader of stdout goes away (``cascata
 bounds ... | head -1``), the rest of the output is dropped and the exit code
 is 0, with no traceback.
 
@@ -438,16 +441,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cascata")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=("json", "dot", "text")):
+    def common(p, fmt=("json", "dot", "text"), cap=True):
         p.add_argument("--out")
-        p.add_argument("--cap", type=int)
+        if cap:  # only where a cap bounds the work
+            p.add_argument("--cap", type=int)
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 
     p = sub.add_parser("run", help="run a cascade on a trace file")
     p.add_argument("spec")
     p.add_argument("traces")
-    common(p, fmt=None)
+    common(p, fmt=None, cap=False)
     p.set_defaults(fn=cmd_run)
 
     for name, fn in (("flatten", cmd_flatten), ("minimize", cmd_minimize)):
@@ -473,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    common(p, fmt=None)
+    common(p, fmt=None, cap=False)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("bounds", help="bound table for a class descriptor")
@@ -481,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, nargs="*", default=[1, 2, 3])
     p.add_argument("--baseline-letters", type=int)
     p.add_argument("--baseline-states", type=int)
-    common(p, fmt=("text", "csv"))
+    common(p, fmt=("text", "csv"), cap=False)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("growth", help="empirical growth of an enumerable class")
@@ -507,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--max-len", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    common(p, fmt=None)
+    common(p, fmt=None, cap=False)
     p.set_defaults(fn=cmd_scenario)
 
     return parser

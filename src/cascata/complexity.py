@@ -179,23 +179,14 @@ def growth_bound_automata(spec: ComponentClassSpec, ell: int, max_len: int,
 def growth_bound_cascade(desc: ClassDescriptor, ell: int,
                          input_growths: Sequence | None = None,
                          output_growths: Sequence | None = None) -> float:
-    """Product of per-component factors; note both the input and the output
-    functions are charged on ell * max_len letters here."""
-    total = 1
-    for i, spec in enumerate(desc.components):
-        ig = input_growths[i] if input_growths else (
-            lambda n, s=spec: _finite_growth(s.n_input_fns, n, s.internal_size)
-        )
-        og = output_growths[i] if output_growths else (
-            lambda n, s=spec: _finite_growth(s.n_output_fns, n, s.output_size)
-        )
-        total *= (
-            spec.n_projections
-            * spec.n_cores
-            * ig(ell * desc.max_len)
-            * og(ell * desc.max_len)
-        )
-    return total
+    """Product over the components of ``growth_bound_automata`` with
+    ``ell * max_len`` letters per sample, so both the input and the output
+    functions are charged on ell * max_len letters."""
+    return math.prod(
+        growth_bound_automata(spec, ell * desc.max_len, 1,
+                              input_growths[i] if input_growths else None,
+                              output_growths[i] if output_growths else None)
+        for i, spec in enumerate(desc.components))
 
 
 def dimension_bound_automata(spec: ComponentClassSpec, max_len: int) -> float:

@@ -121,28 +121,12 @@ def _goal(input_fn) -> dict:
                 core=make_flipflop(with_reset=False), output_fn="next_state")
 
 
-def build_flipflop_task_cascade() -> Cascade:
-    """One write-once flip-flop per material plus the goal flip-flop."""
-
-    def goal_input(x):
-        event, wood, iron, fire, steel = x
-        if event == "factory" and ((wood and iron and fire) or steel):
-            return "set"
-        return "read"
-
-    return build_chained(trace_alphabet(),
-                         [_material(event) for event in MATERIALS] + [_goal(goal_input)])
-
-
-def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
-                               iron_needed: int = 5, steel_needed: int = 7) -> Cascade:
-    """Counter variant: wood, iron and steel become modular counters and the
-    goal condition tests thresholds on their counts.  A threshold at or above
-    the modulus could never be reached, so it is rejected."""
-    thresholds = {"wood": wood_needed, "iron": iron_needed, "steel": steel_needed}
-    unreachable = {k: t for k, t in thresholds.items() if t >= modulus}
-    if unreachable:
-        raise ValueError(f"thresholds {unreachable} are not below the modulus {modulus}")
+def _task_cascade(modulus: int | None, thresholds: dict) -> Cascade:
+    """The scenario's one goal rule: using the factory succeeds when, at the
+    previous step, steel reached its threshold, or wood and iron reached
+    theirs and fire was collected.  Wood, iron and steel are counters modulo
+    ``modulus``, or write-once flip-flops when it is None."""
+    wood_needed, iron_needed, steel_needed = (thresholds[m] for m in ("wood", "iron", "steel"))
 
     def goal_input(x):
         event, wood, iron, fire, steel = x
@@ -152,6 +136,26 @@ def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
     materials = [_material(event, modulus if event in thresholds else None)
                  for event in MATERIALS]
     return build_chained(trace_alphabet(), materials + [_goal(goal_input)])
+
+
+def build_flipflop_task_cascade() -> Cascade:
+    """One write-once flip-flop per material plus the goal flip-flop: the
+    counter variant's goal rule with every threshold at 1, so the factory
+    needs steel, or wood, iron and fire, collected once."""
+    return _task_cascade(None, {"wood": 1, "iron": 1, "steel": 1})
+
+
+def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
+                               iron_needed: int = 5, steel_needed: int = 7) -> Cascade:
+    """Counter variant: wood, iron and steel become modular counters and the
+    goal condition tests thresholds on their counts.  A threshold at or above
+    the modulus could never be reached, so it is rejected.  It shares the
+    flip-flop variant's goal rule."""
+    thresholds = {"wood": wood_needed, "iron": iron_needed, "steel": steel_needed}
+    unreachable = {k: t for k, t in thresholds.items() if t >= modulus}
+    if unreachable:
+        raise ValueError(f"thresholds {unreachable} are not below the modulus {modulus}")
+    return _task_cascade(modulus, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +194,6 @@ class SequenceTaskFamily(CascadeClass):
                     for i in range(d - 1)]
         goal = ClassPart("goal", tuple(range(1, d + 1)), self.goal_class, core, "next_state")
         super().__init__(external, watchers + [goal])
-
-    def assemble(self, watcher_fns, goal_fn) -> Cascade:
-        return self.build([*watcher_fns, goal_fn])
 
     # -- fast empirical-risk scoring -------------------------------------------
 
@@ -286,7 +287,7 @@ class SequenceTaskFamily(CascadeClass):
             first_group = [f"event={last}"] + [f"task{i + 1}" for i in range(self.d - 2)]
             second_group = [f"event={last}", f"task{self.d - 1}"]
             goal = self.goal_class.from_term_names([first_group, second_group])
-        return self.assemble(watcher_fns, goal)
+        return self.build([*watcher_fns, goal])
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,19 @@ FLIPFLOP_LETTERS = ("set", "reset", "read")
 COUNTER_LETTERS = ("inc", "read")
 
 
+def _check_initial(initial, n_states: int, what: str) -> None:
+    """A prime core's initial state is an int state number (not a bool)."""
+    if type(initial) is not int or not 0 <= initial < n_states:
+        raise ValueError(f"{what} initial state {initial!r} outside [0, {n_states - 1}]")
+
+
 def make_flipflop(with_reset: bool = True, initial: int = 0) -> Semiautomaton:
     """Two-state core storing one bit.  Without reset the bit is write-once
     and the internal alphabet is just {set, read}."""
-    if initial not in (0, 1):
-        raise ValueError("flip-flop initial state must be 0 or 1")
+    _check_initial(initial, 2, "flip-flop")
     letters = FLIPFLOP_LETTERS if with_reset else ("set", "read")
-    transitions = {}
-    for q in (0, 1):
-        transitions[(q, "read")] = q
-        transitions[(q, "set")] = 1
-        if with_reset:
-            transitions[(q, "reset")] = 0
-    return Semiautomaton(letters, (0, 1), transitions, initial)
+    delta = [[1, 0, q] if with_reset else [1, q] for q in (0, 1)]  # rows over ``letters``
+    return Semiautomaton.from_tables(letters, (0, 1), delta, initial)
 
 
 def make_counter(modulus: int, initial: int = 0) -> Semiautomaton:
@@ -30,14 +30,11 @@ def make_counter(modulus: int, initial: int = 0) -> Semiautomaton:
     stands for overflow of the finite memory."""
     if modulus < 2:
         raise ValueError(f"counter modulus must be at least 2, got {modulus}")
+    _check_initial(initial, modulus, "counter")
     states = tuple(range(modulus))
-    if initial not in states:
-        raise ValueError(f"initial state {initial} outside [0, {modulus - 1}]")
-    transitions = {}
-    for q in states:
-        transitions[(q, "read")] = q
-        transitions[(q, "inc")] = (q + 1) % modulus
-    return Semiautomaton(COUNTER_LETTERS, states, transitions, initial)
+    # rows over (inc, read), holding the int objects of ``states`` themselves
+    delta = [[states[(q + 1) % modulus], q] for q in states]
+    return Semiautomaton.from_tables(COUNTER_LETTERS, states, delta, initial)
 
 
 def is_prime_counter(core: Semiautomaton) -> bool:

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -316,3 +318,39 @@ def test_boolean_view_encoding():
     view = BooleanView(sig)
     assert view.variables == ("event=a", "event=b", "flag")
     assert view.encode(("b", 1)) == 0b110
+
+
+def test_extend_hands_out_one_object_per_extension():
+    base = FactoredAlphabet.single("event", ("x", "y"))
+    chained = base.extend("k", (0, 1))
+    assert base.extend("k", [0, 1]) is chained
+    assert chained == FactoredAlphabet.of(("event", ("x", "y")), ("k", (0, 1)))
+    # equal values of other types, or another name, make another extension
+    assert base.extend("k", (False, True)) is not chained
+    assert base.extend("k", (False, True)).coords[-1].values == (False, True)
+    assert base.extend("j", (0, 1)) is not chained
+    with pytest.raises(ValueError):
+        base.extend("event", (0, 1))
+
+
+def test_threads_racing_on_one_alphabet_get_the_same_extension_and_projection():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            base = FactoredAlphabet.of(("a", (0, 1)), ("b", (0, 1, 2)))
+            barrier, seen = threading.Barrier(8), []
+
+            def race():
+                barrier.wait()
+                seen.append((base.extend("k", (0, 1)), base.project((2,))))
+
+            threads = [threading.Thread(target=race) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads) and len(seen) == 8
+            assert all(e is seen[0][0] and p is seen[0][1] for e, p in seen)
+    finally:
+        sys.setswitchinterval(interval)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cascata.alphabets import FactoredAlphabet, TableClass
+from cascata.alphabets import Coordinate, FactoredAlphabet, TableClass, mixed_radix_digits
 from cascata.automata import ComponentAutomaton
 from cascata.cascade import Cascade, CascadeClass, ClassPart, build_chained, chain_alphabet
 from cascata.crafting import (
@@ -12,9 +12,12 @@ from cascata.crafting import (
 )
 from cascata.errors import CapExceededError, EmptyInputError
 from cascata.primes import make_flipflop
-from cascata.specfile import cascade_to_spec
+from cascata.specfile import cascade_from_spec, cascade_to_spec, class_from_spec
 
 from helpers import random_cascade, random_component, random_external, string_sweep
+from test_cli_fuzz import CLASS_SPEC as STEEL_CLASS_SPEC
+from test_numbering import CLASS_SPEC as MIXED_CLASS_SPEC
+from test_specfile_cli import _family_d2_class_spec
 
 
 def test_depth_one_cascade_matches_induced_automaton():
@@ -171,3 +174,83 @@ def test_class_part_with_a_callable_output_fn_needs_its_outputs():
         CascadeClass(external, parts).member(0)
     parts[0] = parts[0]._replace(outputs=(0, 1))
     assert CascadeClass(external, parts).member(0).depth == 2
+
+
+def test_class_part_with_a_final_callable_output_fn_needs_its_outputs():
+    external = FactoredAlphabet.single("event", ("x", "y"))
+    core = make_flipflop(with_reset=False)
+    parts = [ClassPart("watch", (1,), TableClass(external, ("set", "read")), core),
+             ClassPart("goal", (1, 2), TableClass(external.extend("watch", (0, 1)),
+                                                  ("set", "read")), core, lambda q, x: q)]
+    with pytest.raises(ValueError, match="'goal'.*needs its values in outputs"):
+        CascadeClass(external, parts)
+    parts[1] = parts[1]._replace(outputs=(0, 1))
+    assert CascadeClass(external, parts).descriptor(2).components[1].output_size == 2
+
+
+# ---------------------------------------------------------------------------
+# Class members are built by build_chained.
+# ---------------------------------------------------------------------------
+
+
+def reference_build(cls: CascadeClass, input_fns) -> Cascade:
+    """A member as ``CascadeClass.build`` made it before it called
+    ``build_chained``: the class chains each part's input alphabet from the
+    earlier parts' output values itself, here into alphabet objects of the
+    reference's own."""
+    alphabets = [cls.external]
+    for p, outputs in zip(cls.parts[:-1], cls._outputs):
+        coords = alphabets[-1].coords + (Coordinate(p.name, tuple(outputs)),)
+        alphabets.append(FactoredAlphabet(coords))
+    return Cascade(
+        ComponentAutomaton(alphabet, p.dependencies, fn, p.core, output_fn=p.output_fn,
+                           outputs=p.outputs, name=p.name)
+        for p, alphabet, fn in zip(cls.parts, alphabets, input_fns, strict=True))
+
+
+def _input_fns(cls: CascadeClass, index: int) -> list:
+    digits = mixed_radix_digits(index, cls._radices)
+    return [p.input_class.member(d) for p, d in zip(cls.parts, digits)]
+
+
+@pytest.mark.parametrize("cls, n_members", [
+    (SequenceTaskFamily(2), None),
+    (SequenceTaskFamily(3), 300),
+    (class_from_spec(MIXED_CLASS_SPEC), None),
+    (class_from_spec(STEEL_CLASS_SPEC), None),
+    (class_from_spec(_family_d2_class_spec()), None),
+], ids=["family-d2", "family-d3", "table-threshold-dnf", "steel-dnf", "family-d2-spec"])
+def test_members_equal_the_reference_build(cls, n_members):
+    indices = range(cls.cardinality)
+    if n_members is not None:
+        indices = sorted(random.Random(14).sample(indices, n_members))
+    for index in indices:
+        member, reference = cls.member(index), reference_build(cls, _input_fns(cls, index))
+        assert cascade_to_spec(member) == cascade_to_spec(reference)
+        for mine, theirs in zip(member.components, reference.components, strict=True):
+            assert (mine.next, mine.out, mine.outputs) == (theirs.next, theirs.out,
+                                                           theirs.outputs)
+
+
+def _signature(fn):
+    """The alphabet an input function of a spec file is defined over."""
+    return fn.view.signature if hasattr(fn, "view") else fn.signature
+
+
+def test_members_build_chained_and_spec_files_share_alphabets():
+    family = SequenceTaskFamily(3)
+    member, other = family.member(4321), family.member(17)
+    alone = build_chained(family.external, [dict(p._asdict(), input_fn=c.input_fn)
+                                            for p, c in zip(family.parts, member.components)])
+    for mine, theirs, built in zip(member.components, other.components, alone.components,
+                                   strict=True):
+        assert mine.alphabet is theirs.alphabet is built.alphabet
+        assert mine.projected is theirs.projected is built.projected
+    # a spec file starts from an external alphabet of its own; the parser
+    # chains it once, and the cascade holds the parser's alphabets
+    parsed = cascade_from_spec(cascade_to_spec(member))
+    assert cascade_to_spec(parsed) == cascade_to_spec(member)
+    for i, (mine, comp) in enumerate(zip(member.components, parsed.components, strict=True)):
+        assert comp.alphabet == mine.alphabet and comp.projected == mine.projected
+        assert comp.alphabet is chain_alphabet(parsed.external, parsed.components[:i])
+        assert comp.projected is _signature(comp.input_fn)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from cascata.complexity import (
     empirical_growth,
     graph_dimension,
     growth_bound_automata,
+    growth_bound_cascade,
     haussler_growth_bound,
     pattern_count,
     sample_bound_dimension,
@@ -297,3 +299,63 @@ def test_verify_growth_propositions_all_hold():
                      "last_letter_lift", "prefix_map", "dimension_chain"}
     for check in checks:
         assert check.ok, check
+
+
+def reference_growth_bound_cascade(desc: ClassDescriptor, ell: int,
+                                   input_growths=None, output_growths=None):
+    """``growth_bound_cascade`` as its own loop, before it called
+    ``growth_bound_automata``: both functions charged on ell * max_len
+    letters, finite-class growths by default."""
+    total = 1
+    for i, s in enumerate(desc.components):
+        ig = input_growths[i] if input_growths else (
+            lambda n, s=s: min(s.n_input_fns, s.internal_size**n))
+        og = output_growths[i] if output_growths else (
+            lambda n, s=s: min(s.n_output_fns, s.output_size**n))
+        total *= s.n_projections * s.n_cores * ig(ell * desc.max_len) * og(ell * desc.max_len)
+    return total
+
+
+def _exact_growth(functions, letters):
+    functions = list(functions)
+    return lambda n: empirical_growth(functions, letters, n, mode="exact").count
+
+
+def test_growth_bound_cascade_equals_the_reference_on_criterion_7():
+    from cascata.crafting import SequenceTaskFamily
+
+    family = SequenceTaskFamily(2)
+    growths = [_exact_growth(family.watcher_class, list(family.external.letters())),
+               _exact_growth(family.goal_class, list(family.goal_class.signature.letters()))]
+    ones = [lambda n: 1] * 2
+    for desc in (family.descriptor(3), family.descriptor(3, watcher_dim=2, goal_dim=3),
+                 SequenceTaskFamily(5).descriptor(8)):
+        for ell in (1, 2, 3):
+            assert growth_bound_cascade(desc, ell) == reference_growth_bound_cascade(desc, ell)
+        if desc.depth == 2:
+            for ell in (1, 2, 3):
+                assert growth_bound_cascade(desc, ell, growths, ones) == \
+                    reference_growth_bound_cascade(desc, ell, growths, ones)
+
+
+def test_growth_bound_cascade_equals_the_reference_on_random_descriptors():
+    rng = random.Random(7)
+    for _ in range(200):
+        parts = []
+        for i in range(rng.randint(1, 4)):
+            arity = rng.randint(1, 4) + i
+            parts.append(spec(arity=arity, degree=rng.randint(0, arity),
+                              phi=rng.randint(1, 10**rng.randint(1, 6)),
+                              delta=rng.randint(1, 4), theta=rng.randint(1, 50),
+                              pi=rng.randint(1, 5), gamma=rng.randint(1, 6)))
+        desc = ClassDescriptor(tuple(parts), rng.randint(1, 12))
+        # supplied growths: integer ones, as the exact searches give, and floats
+        supplied = [[(lambda n, a=rng.randint(1, 9): min(a * n, 2**n)) if rng.random() < 0.5
+                     else (lambda n, a=rng.uniform(0.5, 3): (a * n) ** 0.7) for _ in parts]
+                    for _ in range(2)]
+        for ell in (1, 2, 3, 5):
+            assert growth_bound_cascade(desc, ell) == reference_growth_bound_cascade(desc, ell)
+            assert growth_bound_cascade(desc, ell, *supplied) == \
+                reference_growth_bound_cascade(desc, ell, *supplied)
+            assert growth_bound_cascade(desc, ell, supplied[0]) == \
+                reference_growth_bound_cascade(desc, ell, supplied[0])

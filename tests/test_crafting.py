@@ -297,7 +297,7 @@ def test_family_contains_the_scenario_cascade_at_depth_five():
         ["event=factory", "task1", "task2", "task3"],
         ["event=factory", "task4"],
     ])
-    member = fam.assemble(watcher_fns, goal).flatten()
+    member = fam.build([*watcher_fns, goal]).flatten()
     scenario = build_flipflop_task_cascade().flatten().restrict(
         [(ev,) for ev in fam.letters]
     )

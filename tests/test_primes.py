@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cascata.automata import Semiautomaton
@@ -84,3 +86,50 @@ def test_validation_rejects_unknown_kind():
 def test_counters_are_never_aperiodic():
     for n in (2, 3, 5, 16):
         assert not make_counter(n).is_aperiodic()
+
+
+def _dict_flipflop(with_reset: bool, initial: int) -> Semiautomaton:
+    """The flip-flop written as ``(state, letter)`` transitions."""
+    letters = ("set", "reset", "read") if with_reset else ("set", "read")
+    moves = {"set": lambda q: 1, "reset": lambda q: 0, "read": lambda q: q}
+    return Semiautomaton(letters, (0, 1), {(q, a): moves[a](q) for q in (0, 1)
+                                           for a in letters}, initial)
+
+
+def _dict_counter(modulus: int, initial: int) -> Semiautomaton:
+    """The counter written as ``(state, letter)`` transitions."""
+    states = tuple(range(modulus))
+    transitions = {}
+    for q in states:
+        transitions[(q, "read")] = q
+        transitions[(q, "inc")] = (q + 1) % modulus
+    return Semiautomaton(COUNTER_LETTERS, states, transitions, initial)
+
+
+def _same_core(core: Semiautomaton, reference: Semiautomaton):
+    assert (core.alphabet, core.states, core.initial, core.initial_index, core.delta) == (
+        reference.alphabet, reference.states, reference.initial, reference.initial_index,
+        reference.delta)
+    assert type(core.initial) is int
+    assert dict(core.transitions) == dict(reference.transitions)
+
+
+@pytest.mark.parametrize("with_reset", [True, False])
+@pytest.mark.parametrize("initial", [0, 1])
+def test_flipflop_equals_the_dict_built_reference(with_reset, initial):
+    _same_core(make_flipflop(with_reset, initial), _dict_flipflop(with_reset, initial))
+
+
+def test_counter_equals_the_dict_built_reference():
+    for modulus in range(2, 65):
+        for initial in {0, 1, modulus // 2, modulus - 1}:
+            _same_core(make_counter(modulus, initial), _dict_counter(modulus, initial))
+
+
+@pytest.mark.parametrize("initial", [True, False, 1.0, "1", None, -1, 3])
+def test_prime_cores_take_only_an_int_state_number_as_initial(initial):
+    for build in (lambda: make_flipflop(initial=initial),
+                  lambda: make_flipflop(False, initial),
+                  lambda: make_counter(3, initial=initial)):
+        with pytest.raises(ValueError, match=re.escape(f"initial state {initial!r} outside")):
+            build()

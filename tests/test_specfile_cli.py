@@ -419,6 +419,22 @@ def test_cli_core_kind_not_a_string_exit_2(tmp_path, capsys):
     _cli_rejects_spec(tmp_path, capsys, spec, "components[0].core.kind")
 
 
+@pytest.mark.parametrize("initial", [True, False, 1.0, "1"])
+def test_cli_prime_core_initial_must_be_a_state_number(tmp_path, capsys, initial):
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    spec["components"][0]["core"] = {"kind": "flipflop_wo", "initial": initial}
+    _cli_rejects_spec(tmp_path, capsys, spec, "components[0].core")
+    spec["components"][0]["core"] = {"kind": "counter:3", "initial": initial}
+    spec["components"][0]["input_fn"] = {"kind": "mono_dnf", "terms": [["event=wood"]],
+                                         "on_true": "inc", "on_false": "read"}
+    path, traces = tmp_path / "counter.json", tmp_path / "t.traces"
+    path.write_text(json.dumps(spec))
+    traces.write_text("wood\n")
+    assert main(["run", str(path), str(traces)]) == 2
+    err = capsys.readouterr().err
+    assert "[components[0].core]" in err and repr(initial) in err
+
+
 @pytest.mark.parametrize("modulus", [1_000_001, 1_000_000_000])
 def test_cli_counter_core_above_the_product_cap_fails_fast(tmp_path, modulus):
     # a valid spec but for the modulus; run does not flatten, so only the
@@ -813,3 +829,36 @@ def test_cli_malformed_trace_or_label_names_file_and_line(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "x.traces: line 3" in err and "'e3'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "spec.json", "t.traces"],
+    ["check", "spec.json"],
+    ["bounds", "family.json"],
+    ["scenario", "flipflop"],
+], ids=lambda argv: argv[0])
+def test_cli_cap_is_rejected_where_it_bounds_no_work(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--cap", "5"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flatten", "s"], ["minimize", "s"], ["equiv", "s", "t"], ["aperiodic", "s"],
+    ["growth", "c"], ["learn", "config", "c"],
+], ids=lambda argv: argv[0])
+def test_cli_cap_is_taken_where_it_bounds_work(argv):
+    from cascata.cli import build_parser
+
+    assert build_parser().parse_args([*argv, "--cap", "5"]).cap == 5
+
+
+def test_cli_flipflop_scenario_output_is_pinned(capsys):
+    # sha256 of ``cascata scenario flipflop`` before both scenario builders
+    # shared one goal rule
+    import hashlib
+
+    assert main(["scenario", "flipflop"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "fcd3019d39d50431032899298c3e30b932b661dfc916ce3e038b698641b4059d"
