@@ -6,22 +6,26 @@ state reached after all but the last letter, paired with the last letter.
 Instances are immutable after construction and all operations are pure.
 
 Tables: states and letters are numbered by position in the ``states`` and
-``alphabet`` label tuples.  ``delta[q][a]`` is the next state's number and a
-flat automaton's ``out[q][a]`` the position of its output in ``outputs``;
-both are plain lists of int rows, one row per state.  A component's compiled
-``next[q][x]`` and ``out[q][x]`` are the next core state's number and the
-output code on the projected letter numbered ``x`` in the order of
-``projected.letters()``; for ``'next_state'`` outputs ``out`` is ``next``
-itself.  Constructors take ``(state, letter)``-keyed dicts and check them
-once; ``transitions`` and ``output_map`` are read-only dict views of the
-tables, built on first use.
+``alphabet`` label tuples.  The stored tables are read-only int64 arrays, one
+row per state: ``delta_array[q, a]`` is the next state's number and a flat
+automaton's ``out_array[q, a]`` the position of its output in ``outputs``.
+Flattening, minimization, equivalence, reachability, the transition monoid
+and serialization read and write these arrays.  ``delta`` and ``out`` are the
+same tables as plain lists of int rows, built on first read for scalar
+stepping and text output; labels given as a function (as ``flatten`` and
+``minimize`` give them) are likewise built on first read.  A component's
+compiled ``next[q][x]`` and ``out[q][x]`` are list rows: the next core
+state's number and the output code on the projected letter numbered ``x``
+in the order of ``projected.letters()``; for ``'next_state'`` outputs
+``out`` is ``next`` itself.  Constructors take ``(state, letter)``-keyed
+dicts and check them once; ``transitions`` and ``output_map`` are read-only
+dict views of the tables, built on first use.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from functools import cached_property
+from functools import partial
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -49,36 +53,106 @@ def _table(mapping, states, alphabet, code: dict, what: str) -> list[list[int]]:
     return [[code[mapping[(q, a)]] for a in alphabet] for q in states]
 
 
+class _lazy_attribute:
+    """A method whose value is built on first read and then set as a plain
+    instance attribute of the same name.  Unlike ``functools.cached_property``
+    it never touches the instance's ``__dict__``: materializing that dict
+    slows every later attribute read of the instance, and scalar stepping
+    reads these attributes on every call."""
+
+    def __init__(self, build):
+        self.build, self.__doc__ = build, build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.build(instance)
+        setattr(instance, self.name, value)
+        return value
+
+
+def _frozen(table) -> np.ndarray:
+    """``table`` as a read-only int64 array: a view of it when it already is
+    an int64 array, else a new array."""
+    array = np.asarray(table, dtype=np.int64).view()
+    array.setflags(write=False)
+    return array
+
+
+def int_rows(table: np.ndarray, n: int) -> list[list[int]]:
+    """``table.tolist()`` for entries in ``range(n)``, with one int object
+    per value: ``tolist`` alone makes a new one for every entry above 256."""
+    return np.arange(n, dtype=object)[table].tolist()
+
+
 class Semiautomaton:
     """States plus a total transition function over a flat alphabet."""
 
     def __init__(self, alphabet, states, transitions, initial):
         self._label(alphabet, states, initial)
-        self.delta = _table(transitions, self.states, self.alphabet, self.state_index,
-                            "transition")
+        self.delta_array = _frozen(_table(transitions, self.states, self.alphabet,
+                                          self.state_index, "transition"))
 
     @classmethod
     def from_tables(cls, alphabet, states, delta, initial_index: int) -> "Semiautomaton":
-        """Wrap a transition table that is already total and in range."""
+        """Wrap a transition table that is already total and in range: any
+        int table ``np.asarray`` reads, one row per state (an int64 array is
+        kept, not copied).  ``states`` is the sequence of labels, or a
+        function of no arguments returning distinct labels, which is called
+        on the first read of ``states``, ``state_index`` or ``initial``."""
         self = cls.__new__(cls)
-        states = tuple(states)
-        self._label(alphabet, states, states[initial_index])
-        self.delta = delta
+        self.delta_array = _frozen(delta)
+        if callable(states):
+            self._letters(alphabet)
+            self._labels, self.initial_index = states, initial_index
+        else:
+            states = tuple(states)
+            self._label(alphabet, states, states[initial_index])
         return self
 
     def _label(self, alphabet, states, initial):
-        self.alphabet, self.states = tuple(alphabet), tuple(states)
-        self.state_index = {q: i for i, q in enumerate(self.states)}
-        self.letter_index = {a: i for i, a in enumerate(self.alphabet)}
-        if len(self.state_index) != len(self.states) or not self.states:
+        self.states = self._labels = states = tuple(states)
+        self.state_index = {q: i for i, q in enumerate(states)}
+        if len(self.state_index) != len(states) or not states:
             raise ValueError("states must be a non-empty duplicate-free sequence")
-        if len(self.letter_index) != len(self.alphabet) or not self.alphabet:
-            raise ValueError("alphabet must be a non-empty duplicate-free sequence")
+        self._letters(alphabet)
         if initial not in self.state_index:
             raise ValueError(f"initial state {initial!r} not among states")
         self.initial, self.initial_index = initial, self.state_index[initial]
 
-    @cached_property
+    def _letters(self, alphabet):
+        self.alphabet = tuple(alphabet)
+        self.letter_index = {a: i for i, a in enumerate(self.alphabet)}
+        if len(self.letter_index) != len(self.alphabet) or not self.alphabet:
+            raise ValueError("alphabet must be a non-empty duplicate-free sequence")
+
+    def _state_labels(self):
+        """The labels: ``states`` once built, until then what the labels
+        function returns, which is not kept."""
+        return self._labels() if callable(self._labels) else self._labels
+
+    @_lazy_attribute
+    def states(self) -> tuple:
+        self._labels = tuple(self._state_labels())
+        return self._labels
+
+    @_lazy_attribute
+    def state_index(self) -> dict:
+        return {q: i for i, q in enumerate(self.states)}
+
+    @_lazy_attribute
+    def initial(self):
+        return self.states[self.initial_index]
+
+    @_lazy_attribute
+    def delta(self) -> list[list[int]]:
+        """``delta_array`` as list rows of ints, which scalar stepping reads."""
+        return int_rows(self.delta_array, self.n_states)
+
+    @_lazy_attribute
     def transitions(self):
         """Read-only ``(state, letter) -> state`` view of ``delta``."""
         return MappingProxyType({
@@ -88,7 +162,7 @@ class Semiautomaton:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.delta_array)
 
     def _number(self, state, what: str = "state") -> int:
         """The state's position in ``states``; a ``ValueError`` naming it
@@ -108,6 +182,10 @@ class Semiautomaton:
     def run(self, string, start=None):
         """State reached from ``start`` (default: initial) on the string;
         the empty string returns the start state unchanged."""
+        return self.states[self._walk(string, start)]
+
+    def _walk(self, string, start=None) -> int:
+        """The number of the state ``run`` reaches."""
         q = self.initial_index if start is None else self._number(start, "start state")
         delta, index = self.delta, self.letter_index
         for i, a in enumerate(string):
@@ -115,7 +193,7 @@ class Semiautomaton:
             if j is None:
                 raise UnknownLetterError(a, position=i, where="semiautomaton")
             q = delta[q][j]
-        return self.states[q]
+        return q
 
     def __call__(self, string):
         return self.run(string)
@@ -133,8 +211,8 @@ class Semiautomaton:
         ``g[frontier]``, whose rows are checked against the elements seen so
         far.  The frontier is part of the monoid, so one gather holds at
         most ``k * n <= cap`` entries."""
-        n = len(self.states)
-        generators = np.array(self.delta, dtype=np.int64).T
+        n = self.n_states
+        generators = self.delta_array.T
         seen = {tuple(range(n))}
         frontier = np.arange(n)[None, :]
         while len(frontier):
@@ -204,12 +282,6 @@ def _row_classes(columns, n_values: int) -> tuple[np.ndarray, int]:
     return ids, int(ids[order[-1]]) + 1
 
 
-def int_rows(table: np.ndarray, n: int) -> list[list[int]]:
-    """``table.tolist()`` for entries in ``range(n)``, with one int object
-    per value: ``tolist`` alone makes a new one for every entry above 256."""
-    return np.arange(n, dtype=object)[table].tolist()
-
-
 def bfs_order(table: np.ndarray, start: int) -> np.ndarray:
     """The rows of an int table ``table[q, a]`` (the next state of ``q`` on
     letter ``a``) reachable from row ``start``, in breadth-first order.
@@ -231,6 +303,11 @@ def bfs_order(table: np.ndarray, start: int) -> np.ndarray:
             return np.concatenate(layers)
         first[frontier] = -1
         layers.append(frontier)
+
+
+def _dot_text(value) -> str:
+    """``str(value)`` escaped to sit inside a DOT double-quoted string."""
+    return str(value).replace("\\", "\\\\").replace('"', '\\"')
 
 
 class EquivalenceResult(NamedTuple):
@@ -268,14 +345,30 @@ class FlatAutomaton:
 
     def _wrap(self, core: Semiautomaton, out, outputs, factored) -> "FlatAutomaton":
         self.core = core
-        self.alphabet, self.states, self.initial = core.alphabet, core.states, core.initial
-        self.letter_index, self.delta = core.letter_index, core.delta
-        self.out = out
+        self.alphabet, self.letter_index = core.alphabet, core.letter_index
+        self.delta_array, self.out_array = core.delta_array, _frozen(out)
         self.outputs = tuple(outputs)
         self.factored = factored
         return self
 
-    @cached_property
+    @property
+    def states(self) -> tuple:
+        return self.core.states
+
+    @property
+    def initial(self):
+        return self.core.initial
+
+    @property
+    def delta(self) -> list[list[int]]:
+        return self.core.delta
+
+    @_lazy_attribute
+    def out(self) -> list[list[int]]:
+        """``out_array`` as list rows of ints, which scalar stepping reads."""
+        return int_rows(self.out_array, len(self.outputs))
+
+    @_lazy_attribute
     def output_map(self):
         """Read-only ``(state, letter) -> output`` view of ``out``."""
         return MappingProxyType({
@@ -285,7 +378,7 @@ class FlatAutomaton:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return self.core.n_states
 
     def output(self, state, letter):
         try:
@@ -300,7 +393,11 @@ class FlatAutomaton:
         string = tuple(string)
         if len(string) == 0:
             raise EmptyInputError()
-        return self.output(self.core.run(string[:-1]), string[-1])
+        q = self.core._walk(string[:-1])
+        j = self.letter_index.get(string[-1])
+        if j is None:
+            raise UnknownLetterError(string[-1], where="automaton output")
+        return self.outputs[self.out[q][j]]
 
     def __call__(self, string):
         return self.run(string)
@@ -313,7 +410,7 @@ class FlatAutomaton:
     def reachable_states(self):
         """Reachable states in BFS discovery order (letters in alphabet
         order), starting at the initial state."""
-        order = bfs_order(np.array(self.delta, dtype=np.int64), self.core.initial_index)
+        order = bfs_order(self.delta_array, self.core.initial_index)
         return [self.states[q] for q in order.tolist()]
 
     def restrict(self, letters) -> "FlatAutomaton":
@@ -324,9 +421,8 @@ class FlatAutomaton:
             raise UnknownLetterError(missing[0], where="restrict")
         cols = [self.letter_index[a] for a in letters]
         return FlatAutomaton.from_tables(
-            letters, self.states, [[row[j] for j in cols] for row in self.delta],
-            self.core.initial_index, [[row[j] for j in cols] for row in self.out],
-            self.outputs)
+            letters, self.states, self.delta_array[:, cols], self.core.initial_index,
+            self.out_array[:, cols], self.outputs)
 
     def minimize(self) -> "FlatAutomaton":
         """Smallest automaton implementing the same string function.
@@ -340,12 +436,11 @@ class FlatAutomaton:
         keys is an order of magnitude faster than sorting the rows as
         records.  The result is canonically relabelled 0..k-1 in BFS order.
         """
-        delta = np.array(self.delta, dtype=np.int64)
-        order = bfs_order(delta, self.core.initial_index)
+        order = bfs_order(self.delta_array, self.core.initial_index)
         position = np.zeros(self.n_states, dtype=np.int64)
         position[order] = np.arange(len(order))
-        delta = position[delta[order]]
-        out_rows = np.array(self.out, dtype=np.int64)[order]
+        delta = position[self.delta_array[order]]
+        out_rows = self.out_array[order]
         by_letter = np.ascontiguousarray(delta.T)  # each letter's targets, contiguous
         block, n_blocks = _row_classes(np.ascontiguousarray(out_rows.T), len(self.outputs))
         while True:
@@ -358,11 +453,10 @@ class FlatAutomaton:
         _, first = np.unique(block, return_index=True)
         canonical = np.argsort(np.argsort(first))
         representatives = np.sort(first)
-        new_delta = canonical[block[delta[representatives]]]
         return FlatAutomaton.from_tables(
-            self.alphabet, range(len(representatives)),
-            int_rows(new_delta, len(representatives)), 0,
-            out_rows[representatives].tolist(), self.outputs, self.factored)
+            self.alphabet, partial(range, len(representatives)),
+            canonical[block[delta[representatives]]], 0, out_rows[representatives],
+            self.outputs, self.factored)
 
     # -- equivalence -----------------------------------------------------------
 
@@ -374,46 +468,65 @@ class FlatAutomaton:
         on paired strings are searched breadth-first and their outputs
         compared per letter pair, so the check is exact and a counterexample
         (in this automaton's letters) is a shortest one.
+
+        The search runs a layer at a time over pair codes ``qa * n_b + qb``.
+        A layer's outputs and successors are gathered for all its pairs and
+        letter pairs at once; new pairs are numbered by first occurrence in
+        (frontier order, letter order), as a FIFO search meets them, so the
+        first mismatch found and its counterexample are the FIFO search's.
         """
         mine = sorted(self.alphabet, key=repr)
         theirs = mine if set(mine) == set(other.alphabet) else sorted(other.alphabet, key=repr)
         if len(mine) != len(theirs):
             raise ValueError("alphabets differ in size; no letter pairing exists")
-        letters = [(a, self.letter_index[a], other.letter_index[b]) for a, b in zip(mine, theirs)]
-        start = (self.core.initial_index, other.core.initial_index)
-        parent: dict = {start: None}
-        queue = deque([start])
-        while queue:
-            pair = queue.popleft()
-            qa, qb = pair
-            for a, ia, ib in letters:
-                if self.outputs[self.out[qa][ia]] != other.outputs[other.out[qb][ib]]:
-                    # the letters leading here, read back from this pair
-                    word, node = [a], pair
-                    while parent[node] is not None:
-                        node, letter = parent[node]
-                        word.append(letter)
-                    return EquivalenceResult(False, tuple(reversed(word)))
-                nxt = (self.delta[qa][ia], other.delta[qb][ib])
-                if nxt not in parent:
-                    parent[nxt] = (pair, a)
-                    queue.append(nxt)
-        return EquivalenceResult(True, None)
+        cols_a = [self.letter_index[a] for a in mine]
+        cols_b = [other.letter_index[b] for b in theirs]
+        delta_a, out_a = self.delta_array[:, cols_a], self.out_array[:, cols_a]
+        delta_b, out_b = other.delta_array[:, cols_b], other.out_array[:, cols_b]
+        differ = np.array([[u != v for v in other.outputs] for u in self.outputs], dtype=bool)
+        n_b, k = other.n_states, len(mine)
+        start = self.core.initial_index * n_b + other.core.initial_index
+        seen = {start}
+        frontier = np.array([start], dtype=np.int64)
+        # per layer after the first: each pair's position among the layer
+        # before's successors, raveled (pair, letter)
+        parents = []
+        while True:
+            qa, qb = np.divmod(frontier, n_b)
+            bad = differ[out_a[qa], out_b[qb]].ravel()
+            if bad.any():
+                at = int(bad.argmax())
+                word = [mine[at % k]]
+                for positions in reversed(parents):  # the letters leading here
+                    at = int(positions[at // k])
+                    word.append(mine[at % k])
+                return EquivalenceResult(False, tuple(reversed(word)))
+            reached = (delta_a[qa] * n_b + delta_b[qb]).ravel()
+            codes, first = np.unique(reached, return_index=True)
+            old = np.fromiter(map(seen.__contains__, codes.tolist()), bool, len(codes))
+            first = np.sort(first[~old])
+            if not len(first):
+                return EquivalenceResult(True, None)
+            frontier = reached[first]
+            seen.update(frontier.tolist())
+            parents.append(first)
 
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
+        n, k = self.delta_array.shape
+        numbers = np.arange(max(n, k), dtype=object)
+        values = np.fromiter(self.outputs, dtype=object, count=len(self.outputs))
+        state, letter = numbers[:n].repeat(k), np.tile(numbers[:k], n)
         data = {
             "letters": [list(a) if isinstance(a, tuple) else a for a in self.alphabet],
-            "states": [repr(q) for q in self.states],
+            "states": [repr(q) for q in self.core._state_labels()],
             "initial": self.core.initial_index,
             "outputs": list(self.outputs),
-            "transitions": [
-                [q, i, t] for q, row in enumerate(self.delta) for i, t in enumerate(row)
-            ],
-            "output_rows": [
-                [q, i, self.outputs[o]] for q, row in enumerate(self.out) for i, o in enumerate(row)
-            ],
+            "transitions": np.stack([state, letter, numbers[self.delta_array.ravel()]],
+                                    1).tolist(),
+            "output_rows": np.stack([state, letter, values[self.out_array.ravel()]],
+                                    1).tolist(),
         }
         if self.factored is not None:
             data["alphabet"] = [
@@ -455,14 +568,14 @@ class FlatAutomaton:
         lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
         for i, q in enumerate(self.states):
             shape = "doublecircle" if accepting is not None and i in accepting else "circle"
-            lines.append(f'  q{i} [shape={shape}, label="{q}"];')
+            lines.append(f'  q{i} [shape={shape}, label="{_dot_text(q)}"];')
         lines.append(f"  __start -> q{self.core.initial_index};")
         for i, (drow, orow) in enumerate(zip(self.delta, self.out)):
             for a, target, o in zip(self.alphabet, drow, orow):
                 label = str(a)
                 if accepting is None:
                     label += f" / {self.outputs[o]}"
-                lines.append(f'  q{i} -> q{target} [label="{label}"];')
+                lines.append(f'  q{i} -> q{target} [label="{_dot_text(label)}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -527,11 +640,12 @@ class ComponentAutomaton:
         if None in inputs:
             raise UnknownLetterError(column[inputs.index(None)],
                                      where=f"{self.name}: input function range")
-        self.next = [[drow[a] for a in inputs] for drow in core.delta]
+        self.next = int_rows(core.delta_array.take(inputs, axis=1), core.n_states)
         if self.output_kind == "next_state":
             self.out = self.next
         elif self.output_kind == "state":
-            self.out = [[q] * len(inputs) for q in range(core.n_states)]
+            k = len(inputs)
+            self.out = [[q] * k for q in range(core.n_states)]
         else:
             values = [[self.theta(q, x) for q in core.states] for x in self.projected.letters()]
             if outputs is None:
@@ -548,6 +662,5 @@ class ComponentAutomaton:
         letters = tuple(self.alphabet.letters())
         xs = [self.projected.index(self.dependencies(a)) for a in letters]
         return FlatAutomaton.from_tables(
-            letters, self.core.states, [[row[x] for x in xs] for row in self.next],
-            self.core.initial_index, [[row[x] for x in xs] for row in self.out],
-            self.outputs, self.alphabet)
+            letters, self.core.states, np.asarray(self.next)[:, xs], self.core.initial_index,
+            np.asarray(self.out)[:, xs], self.outputs, self.alphabet)

@@ -15,21 +15,21 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .alphabets import FactoredAlphabet, Letter, NumberedClass, mixed_radix_digits
-from .automata import ComponentAutomaton, FlatAutomaton, Semiautomaton, bfs_order, int_rows
+from .automata import ComponentAutomaton, FlatAutomaton, Semiautomaton, bfs_order
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
 DEFAULT_PRODUCT_CAP = 1_000_000
 #: The most entries (product states times external letters) the tables of
-#: ``flatten`` may hold, whatever its ``cap``.  An entry costs about 110
-#: bytes at the peak (5.7 million for the modulus-62 counter take 650 MB),
-#: so the largest allowed flatten stays under a gigabyte.
+#: ``flatten`` may hold, whatever its ``cap``.  An entry costs about 28
+#: bytes at the peak (the 5.7 million of the modulus-62 counter add 153 MB
+#: of max RSS), so the largest allowed flatten stays under 250 MB.
 FLATTEN_TABLE_CAP = 1 << 23
 #: The most product transitions one cascade's ``run`` memo holds (about
 #: 150 bytes each); past it, ``run`` steps unrecorded transitions through
@@ -182,7 +182,8 @@ class Cascade:
         ``prune`` the states are numbered by ``bfs_order`` from the initial
         code: each layer's new codes by first occurrence in (frontier order,
         letter order), as a FIFO search numbers them.  Without, a state's
-        number is its code."""
+        number is its code.  The tables are handed over as arrays; the
+        state labels, tuples of component states, are built on first read."""
         size = self.product_size()
         if size > cap:
             raise CapExceededError("cascade product", size, cap)
@@ -220,15 +221,16 @@ class Cascade:
             table, out, init = number[table[order]], out[order], 0
         else:
             order = np.arange(size)
-        outputs = self.components[-1].outputs
-        # the rows as lists, which free the arrays before the labels are built
-        table, out = int_rows(table, len(order)), int_rows(out, len(outputs))
-        labels = []
-        for comp, radix in zip(reversed(self.components), reversed(radices)):
-            order, digit = np.divmod(order, radix)
-            labels.append(map(comp.core.states.__getitem__, digit.tolist()))
-        return FlatAutomaton.from_tables(letters, list(zip(*reversed(labels))), table, init,
-                                         out, outputs, self.external)
+        return FlatAutomaton.from_tables(letters, partial(self._product_labels, order), table,
+                                         init, out, self.components[-1].outputs, self.external)
+
+    def _product_labels(self, codes: np.ndarray) -> list[tuple]:
+        """The product states coded ``codes``, as tuples of component states."""
+        digits = []
+        for comp in reversed(self.components):
+            codes, digit = np.divmod(codes, comp.core.n_states)
+            digits.append(map(comp.core.states.__getitem__, digit.tolist()))
+        return list(zip(*reversed(digits)))
 
     def is_simple(self) -> bool:
         """True when every non-final component's output function returns the

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
+
+import numpy as np
 
 from .automata import Semiautomaton
 
@@ -21,7 +24,7 @@ def make_flipflop(with_reset: bool = True, initial: int = 0) -> Semiautomaton:
     and the internal alphabet is just {set, read}."""
     _check_initial(initial, 2, "flip-flop")
     letters = FLIPFLOP_LETTERS if with_reset else ("set", "read")
-    delta = [[1, 0, q] if with_reset else [1, q] for q in (0, 1)]  # rows over ``letters``
+    delta = np.array([[1, 0, q] if with_reset else [1, q] for q in (0, 1)])  # over ``letters``
     return Semiautomaton.from_tables(letters, (0, 1), delta, initial)
 
 
@@ -31,10 +34,9 @@ def make_counter(modulus: int, initial: int = 0) -> Semiautomaton:
     if modulus < 2:
         raise ValueError(f"counter modulus must be at least 2, got {modulus}")
     _check_initial(initial, modulus, "counter")
-    states = tuple(range(modulus))
-    # rows over (inc, read), holding the int objects of ``states`` themselves
-    delta = [[states[(q + 1) % modulus], q] for q in states]
-    return Semiautomaton.from_tables(COUNTER_LETTERS, states, delta, initial)
+    q = np.arange(modulus)
+    delta = np.stack([(q + 1) % modulus, q], axis=1)  # columns (inc, read)
+    return Semiautomaton.from_tables(COUNTER_LETTERS, partial(range, modulus), delta, initial)
 
 
 def is_prime_counter(core: Semiautomaton) -> bool:

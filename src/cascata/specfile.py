@@ -115,18 +115,33 @@ def _field(data: dict, key: str, kind, default, where: str = ""):
     return _require_type(data[key], kind, f"{where}.{key}" if where else key)
 
 
+def _types(rows, at=None) -> set:
+    """The distinct types of the rows, or of their fields at ``at``."""
+    return set(map(type, rows if at is None else map(operator.itemgetter(at), rows)))
+
+
 def _rows(data, fields: tuple[str, ...], where: str) -> list:
     """A list of table rows, each a list of the named fields; a field
-    called ``values`` must itself be a list and an ``output`` a scalar."""
+    called ``values`` must itself be a list and an ``output`` a scalar.
+
+    The whole table is checked at once, on its distinct types and lengths;
+    only a table that fails is walked row by row, to name its first bad
+    row."""
     size = len(fields)
     at = fields.index("values") if "values" in fields else None
-    for k, row in enumerate(_require_type(data, list, where)):
+    rows = _require_type(data, list, where)
+    if (all(issubclass(t, list) for t in _types(rows)) and set(map(len, rows)) <= {size}
+            and (at is None or all(issubclass(t, list) for t in _types(rows, at)))
+            and (fields[-1] != "output"
+                 or not any(issubclass(t, (list, dict)) for t in _types(rows, -1)))):
+        return rows
+    for k, row in enumerate(rows):
         if (not isinstance(row, list) or len(row) != size
                 or at is not None and not isinstance(row[at], list)
                 or fields[-1] == "output" and isinstance(row[-1], (list, dict))):
             raise SpecFileError(f"expected [{', '.join(fields)}], got {row!r}",
                                 f"{where}[{k}]")
-    return data
+    return rows
 
 
 _MISSING = object()
@@ -377,7 +392,10 @@ def _parse_components(data, fn_field: str):
         signature = alphabet.project(deps)
         fn, values = parse_fn(comp[fn_field], signature, f"{where}.{fn_field}")
         core = _parse_core(comp["core"], f"{where}.core")
-        strays = [v for v in values if v not in core.alphabet]
+        try:  # the distinct values, in order, against the core's letters
+            strays = [v for v in dict.fromkeys(values) if v not in core.letter_index]
+        except TypeError:  # an unhashable value
+            strays = [v for v in values if v not in core.alphabet]
         if strays:
             raise SpecFileError(f"{strays[0]!r} is not a letter of the core",
                                 f"{where}.{fn_field}")

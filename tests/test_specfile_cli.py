@@ -862,3 +862,34 @@ def test_cli_flipflop_scenario_output_is_pinned(capsys):
     assert main(["scenario", "flipflop"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "fcd3019d39d50431032899298c3e30b932b661dfc916ce3e038b698641b4059d"
+
+
+def test_cli_dot_escapes_quotes_and_backslashes_in_labels(tmp_path, capsys):
+    import re
+
+    states, letters = ['o"n', "of\\f"], ['a\\b', 'q"', "plain"]
+    spec = {"alphabet": [{"name": "x", "values": letters}],
+            "components": [{"name": "quoted", "dependencies": [1],
+                            "input_fn": {"kind": "table", "entries": [
+                                [[x], "set" if x == "plain" else "read"] for x in letters]},
+                            "core": {"kind": "table", "letters": ["set", "read"],
+                                     "states": states, "initial": states[1],
+                                     "transitions": [[q, a, states[0] if a == "set" else q]
+                                                     for q in states for a in ("set", "read")]}}]}
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(spec))
+    flat = cascade_from_spec(spec).flatten()
+    assert main(["flatten", str(path), "--format", "dot"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    quoted = r'"((?:[^"\\]|\\.)*)"'  # a DOT string: no bare quote, backslashes paired
+    labels = []
+    for line in lines[3:-1]:
+        match = re.fullmatch(rf'  (?:q\d+ \[shape=\w+, |q\d+ -> q\d+ \[)label={quoted}\];',
+                             line) or re.fullmatch(r"  __start -> q\d+;", line)
+        assert match, line
+        if match.groups():
+            labels.append(re.sub(r"\\(.)", r"\1", match[1]))
+    assert labels[:flat.n_states] == [str(q) for q in flat.states]
+    assert labels[flat.n_states:] == [
+        f"{a} / {flat.outputs[o]}" for row in flat.out for a, o in zip(flat.alphabet, row)]
+    assert any('"' in label for label in labels) and any("\\" in label for label in labels)
