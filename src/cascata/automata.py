@@ -470,10 +470,13 @@ class FlatAutomaton:
         (in this automaton's letters) is a shortest one.
 
         The search runs a layer at a time over pair codes ``qa * n_b + qb``.
-        A layer's outputs and successors are gathered for all its pairs and
-        letter pairs at once; new pairs are numbered by first occurrence in
-        (frontier order, letter order), as a FIFO search meets them, so the
-        first mismatch found and its counterexample are the FIFO search's.
+        Each state has one table row: its output codes, then its successor
+        codes, per letter pair, scaled so that a pair's row is the sum of its
+        states' rows.  New pairs are numbered by first occurrence in (frontier
+        order, letter order), as a FIFO search meets them, so the first
+        mismatch found and its counterexample are the FIFO search's.  Output
+        values are compared with ``!=`` only for the output pairs the search
+        meets.
         """
         mine = sorted(self.alphabet, key=repr)
         theirs = mine if set(mine) == set(other.alphabet) else sorted(other.alphabet, key=repr)
@@ -481,35 +484,40 @@ class FlatAutomaton:
             raise ValueError("alphabets differ in size; no letter pairing exists")
         cols_a = [self.letter_index[a] for a in mine]
         cols_b = [other.letter_index[b] for b in theirs]
-        delta_a, out_a = self.delta_array[:, cols_a], self.out_array[:, cols_a]
-        delta_b, out_b = other.delta_array[:, cols_b], other.out_array[:, cols_b]
-        differ = np.array([[u != v for v in other.outputs] for u in self.outputs], dtype=bool)
-        n_b, k = other.n_states, len(mine)
-        start = self.core.initial_index * n_b + other.core.initial_index
-        seen = {start}
-        frontier = np.array([start], dtype=np.int64)
-        # per layer after the first: each pair's position among the layer
-        # before's successors, raveled (pair, letter)
-        parents = []
-        while True:
+        n_b, k, n_out = other.n_states, len(mine), len(other.outputs)
+        rows_a = np.hstack([self.out_array[:, cols_a] * n_out, self.delta_array[:, cols_a] * n_b])
+        rows_b = np.hstack([other.out_array[:, cols_b], other.delta_array[:, cols_b]])
+
+        def step(frontier):  # the layer's output pair codes and successor codes
+            if len(frontier) == 1:  # a lone pair: one row read beats two gathers
+                row = (rows_a[frontier[0] // n_b] + rows_b[frontier[0] % n_b]).tolist()
+                return row[:k], row[k:]
             qa, qb = np.divmod(frontier, n_b)
-            bad = differ[out_a[qa], out_b[qb]].ravel()
-            if bad.any():
-                at = int(bad.argmax())
-                word = [mine[at % k]]
-                for positions in reversed(parents):  # the letters leading here
-                    at = int(positions[at // k])
+            pair_rows = rows_a[qa] + rows_b[qb]
+            return pair_rows[:, :k].ravel().tolist(), pair_rows[:, k:].ravel().tolist()
+
+        differs = {}  # output pair code -> do the two outputs differ
+        start = self.core.initial_index * n_b + other.core.initial_index
+        seen, layers = {start}, [[start]]
+        while True:
+            met, reached = step(layers[-1])
+            met_codes = set(met)
+            for code in met_codes.difference(differs):
+                u, v = divmod(code, n_out)
+                differs[code] = self.outputs[u] != other.outputs[v]
+            if any(map(differs.__getitem__, met_codes)):
+                at = next(i for i, code in enumerate(met) if differs[code])
+                word, code = [mine[at % k]], layers[-1][at // k]
+                for frontier in reversed(layers[:-1]):  # where each pair was first met
+                    at = step(frontier)[1].index(code)
                     word.append(mine[at % k])
+                    code = frontier[at // k]
                 return EquivalenceResult(False, tuple(reversed(word)))
-            reached = (delta_a[qa] * n_b + delta_b[qb]).ravel()
-            codes, first = np.unique(reached, return_index=True)
-            old = np.fromiter(map(seen.__contains__, codes.tolist()), bool, len(codes))
-            first = np.sort(first[~old])
-            if not len(first):
+            new = list(itertools.filterfalse(seen.__contains__, dict.fromkeys(reached)))
+            if not new:
                 return EquivalenceResult(True, None)
-            frontier = reached[first]
-            seen.update(frontier.tolist())
-            parents.append(first)
+            seen.update(new)
+            layers.append(new)
 
     # -- serialization -----------------------------------------------------------
 

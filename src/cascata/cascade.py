@@ -221,22 +221,25 @@ class Cascade:
             table, out, init = number[table[order]], out[order], 0
         else:
             order = np.arange(size)
-        return FlatAutomaton.from_tables(letters, partial(self._product_labels, order), table,
-                                         init, out, self.components[-1].outputs, self.external)
-
-    def _product_labels(self, codes: np.ndarray) -> list[tuple]:
-        """The product states coded ``codes``, as tuples of component states."""
-        digits = []
-        for comp in reversed(self.components):
-            codes, digit = np.divmod(codes, comp.core.n_states)
-            digits.append(map(comp.core.states.__getitem__, digit.tolist()))
-        return list(zip(*reversed(digits)))
+        labels = partial(_product_labels, tuple(c.core for c in self.components), order)
+        return FlatAutomaton.from_tables(letters, labels, table, init, out,
+                                         self.components[-1].outputs, self.external)
 
     def is_simple(self) -> bool:
         """True when every non-final component's output function returns the
         current state, checked extensionally."""
         return all(comp.outputs[o] == q for comp in self.components[:-1]
                    for q, row in zip(comp.core.states, comp.out) for o in row)
+
+
+def _product_labels(cores, codes: np.ndarray) -> list[tuple]:
+    """The product states coded ``codes`` over ``cores``' state counts, as
+    tuples of core states."""
+    digits = []
+    for core in reversed(cores):
+        codes, digit = np.divmod(codes, core.n_states)
+        digits.append(map(core.states.__getitem__, digit.tolist()))
+    return list(zip(*reversed(digits)))
 
 
 def chain_alphabet(external: FactoredAlphabet, components_so_far) -> FactoredAlphabet:

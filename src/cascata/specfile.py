@@ -392,10 +392,9 @@ def _parse_components(data, fn_field: str):
         signature = alphabet.project(deps)
         fn, values = parse_fn(comp[fn_field], signature, f"{where}.{fn_field}")
         core = _parse_core(comp["core"], f"{where}.core")
-        try:  # the distinct values, in order, against the core's letters
-            strays = [v for v in dict.fromkeys(values) if v not in core.letter_index]
-        except TypeError:  # an unhashable value
-            strays = [v for v in values if v not in core.alphabet]
+        # an unhashable value cannot be a letter: the core's letters are dict keys
+        strays = [v for v in values
+                  if getattr(v, "__hash__", None) is None or v not in core.letter_index]
         if strays:
             raise SpecFileError(f"{strays[0]!r} is not a letter of the core",
                                 f"{where}.{fn_field}")

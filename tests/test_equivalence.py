@@ -134,3 +134,30 @@ def test_equivalent_matches_the_reference_on_counters_with_another_threshold():
         got = x.equivalent(y)
         assert got == reference_equivalent(x, y)
         assert not got.equivalent and x.run(got.counterexample) != y.run(got.counterexample)
+
+
+class _Output:
+    """An output value that counts the ``!=`` comparisons made on it."""
+
+    compared = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __ne__(self, other):
+        _Output.compared += 1
+        return self.value != other.value
+
+
+def test_equivalent_compares_only_the_output_pairs_it_meets():
+    # a 1,000-state chain whose state is its output, against a copy: the
+    # search meets 1,000 output pairs, not the 10^6 of every pairing
+    n = 1000
+    delta = [[(q + 1) % n, q] for q in range(n)]
+    out = [[q, q] for q in range(n)]
+    a, b = (FlatAutomaton.from_tables(("inc", "read"), range(n), delta, 0, out,
+                                      [_Output(q) for q in range(n)]) for _ in range(2))
+    _Output.compared = 0
+    assert a.equivalent(b) == (True, None)
+    assert _Output.compared == n
+    assert reference_equivalent(a, b) == (True, None)

@@ -11,8 +11,9 @@ from collections import OrderedDict
 
 import pytest
 
+from cascata.crafting import build_flipflop_task_cascade
 from cascata.errors import SpecFileError
-from cascata.specfile import _rows
+from cascata.specfile import _rows, cascade_from_spec, cascade_to_spec
 
 FIELDS = [("values", "output"), ("state", "values", "output"),
           ("state", "letter", "next_state")]
@@ -93,3 +94,15 @@ def test_rows_accepts_what_the_loop_accepts(fields):
             "ok", True)
     for data in ("rows", None, {"a": 1}, (1, 2)):
         assert _outcome(_rows, data, fields) == _outcome(reference_rows, data, fields)
+
+
+@pytest.mark.parametrize("value", ["nope", 2, None, [1], {"a": 1}])
+def test_an_input_value_that_is_no_core_letter_is_named(value):
+    # unhashable values included: no core letter can equal one
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    spec["components"][0]["input_fn"] = {"kind": "mono_dnf", "terms": [["event=wood"]],
+                                         "on_true": "set", "on_false": value}
+    with pytest.raises(SpecFileError) as info:
+        cascade_from_spec(spec)
+    assert str(info.value) == (f"[components[0].input_fn] {value!r} "
+                               "is not a letter of the core")

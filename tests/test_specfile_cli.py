@@ -455,6 +455,23 @@ def test_cli_counter_core_above_the_product_cap_fails_fast(tmp_path, modulus):
     assert "[components[0].core.kind]" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_cli_equiv_of_a_large_counter_with_itself_is_quick(tmp_path):
+    # 'state' output gives each side 10^5 outputs; the search meets 10^5
+    # output pairs, one per layer, and must not compare all 10^10
+    spec = cascade_to_spec(build_chained(
+        FactoredAlphabet.single("event", ("tick", "idle")),
+        [dict(name="k", dependencies=(1,), core=make_counter(3),
+              input_fn=lambda x: "inc" if x == ("tick",) else "read")]))
+    spec["components"][0]["core"] = "counter:100000"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    done = run_cli(["equiv", path, path], timeout=60, memory_bytes=1536 * 2**20)
+    assert time.perf_counter() - start < 20
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "equivalent\n"
+
+
 def test_cli_flatten_caps_the_external_alphabet(tmp_path):
     # two product states, but 10^7 letters: flatten stops before listing them
     external = FactoredAlphabet.of(*((f"c{i}", tuple(f"v{j}" for j in range(10)))

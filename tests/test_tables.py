@@ -2,7 +2,10 @@
 arrays, and the compile path (flatten, minimize, equivalence,
 serialization) never builds the list rows or the state labels."""
 
+import gc
 import json
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -48,6 +51,17 @@ def test_labels_once_read_index_the_states():
     assert flat.initial == flat.states[flat.core.initial_index]
     assert flat.core.state_index == {q: i for i, q in enumerate(flat.states)}
     assert flat.minimize().states == tuple(range(flat.minimize().n_states))
+
+
+def test_unread_labels_do_not_keep_the_cascade_alive():
+    cascade = build_flipflop_task_cascade()
+    expected = cascade.flatten().states
+    alive = weakref.ref(cascade)
+    flat = cascade.flatten()
+    del cascade
+    gc.collect()
+    assert alive() is None and "states" not in vars(flat.core)
+    assert pickle.loads(pickle.dumps(flat)).states == flat.states == expected
 
 
 def _automata():
