@@ -359,8 +359,13 @@ def cmd_learn(args) -> int:
     config = learn_config_from_spec(_load_json(args.config))
     seed, max_len, n_mc = config["seed"], config["max_len"], config["n_mc"]
     cls = class_from_spec(_load_json(args.classspec))
+    # the cap bounds the work: the error counts a class's ERM kernel
+    # computes, or every member the generic loop enumerates
     cap = _cap(args, 500_000)
-    if cls.cardinality > cap:
+    if hasattr(cls, "erm"):
+        if cls.erm_work > cap:
+            raise CapExceededError("ERM error counts", cls.erm_work, cap)
+    elif cls.cardinality > cap:
         raise CapExceededError("class enumeration", cls.cardinality, cap)
     bound = sample_bound_finite(cls.cardinality, config["epsilon"], config["eta"])
     weights, n_letters = config["letter_weights"], cls.external.n_letters

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,6 +163,30 @@ def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
 # The enumerable task family.
 # ---------------------------------------------------------------------------
 
+#: the most hit entries, combinations x profiles x terms, that one block of
+#: ``SequenceTaskFamily``'s ERM kernel holds (256 KiB of float64)
+ERM_BLOCK_ENTRIES = 1 << 15
+
+
+class WatcherCombinations(NamedTuple):
+    """``SequenceTaskFamily``'s watchers grouped by table, and the distinct
+    combinations of those tables that its ERM kernel scores."""
+
+    n_tables: int
+    #: each watcher's table
+    table_of: np.ndarray
+    #: per combination, how many watcher combinations share it
+    weights: np.ndarray
+    #: per combination, its smallest member index divided by the number of
+    #: goals: each table's smallest watcher, so it grows with the combination
+    first_members: np.ndarray
+    #: assignments[c, e, p]: the goal assignment of a step with event e after
+    #: the events of bitmask p, e's bit plus bit d + j when watcher j's table
+    #: fires on an event of p; the last column, p = 2**d, stands for an event
+    #: that never occurs and holds ``2 ** n_variables``, the ``_contains`` row
+    #: of nothing
+    assignments: np.ndarray
+
 
 class SequenceTaskFamily(CascadeClass):
     """Cascades of d write-once flip-flops for sequence tasks over d events.
@@ -206,65 +231,147 @@ class SequenceTaskFamily(CascadeClass):
         )
 
     @cached_property
+    def _combinations(self) -> WatcherCombinations:
+        """The watchers grouped by their ``_watcher_truth`` row (their table),
+        numbered in order of their smallest watcher, and the distinct
+        combinations of tables, one per watcher component, the last varying
+        fastest."""
+        d, truth = self.d, self._watcher_truth
+        _, first, table_of, counts = np.unique(truth, axis=0, return_index=True,
+                                               return_inverse=True, return_counts=True)
+        order = np.argsort(first)
+        first, counts = first[order], counts[order]
+        combos = np.array(list(itertools.product(range(len(first)), repeat=d - 1)))
+        places = len(truth) ** np.arange(d - 2, -1, -1)
+        # latched[u, p]: table u fires on an event of bitmask p
+        latched = ((truth[first] @ (1 << np.arange(d)))[:, None] & np.arange(2 ** d)) != 0
+        watcher_bits = sum(latched[combos[:, j]].astype(np.intp) << (d + j)
+                           for j in range(d - 1))
+        assignments = np.full((len(combos), d, 2 ** d + 1), 2 ** self.goal_class.n_variables)
+        assignments[:, :, :-1] = (1 << np.arange(d))[:, None] | watcher_bits[:, None, :]
+        return WatcherCombinations(len(first), np.argsort(order)[table_of.reshape(-1)],
+                                   counts[combos].prod(axis=1), first[combos] @ places,
+                                   assignments)
+
+    @cached_property
+    def _contains(self) -> np.ndarray:
+        """contains[a, T]: goal assignment a contains term T; the last row,
+        no assignment, contains none."""
+        masks = np.arange(2 ** self.goal_class.n_variables)
+        return np.vstack([(masks[:, None] & masks) == masks, np.zeros(len(masks), dtype=bool)])
+
+    @cached_property
     def _goal_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """First and last term of every goal in canonical order."""
         goals = list(self.goal_class)
         return (np.array([g.terms[0] for g in goals]), np.array([g.terms[-1] for g in goals]))
 
-    def error_counts(self, strings, labels) -> np.ndarray:
-        """Disagreement counts with the 0/1 labels, one per member in
-        canonical order.
+    @cached_property
+    def _letter_codes(self) -> dict:
+        return {letter: i for i, letter in enumerate(self.external.letters())}
 
-        Watchers read only the event, so their latched bits depend on their
-        own choice alone, and a member outputs 1 iff one of its goal terms is
-        contained in some step's goal assignment (the event bit plus the bits
-        the watchers latched before that step).  Per watcher combination the
-        kernel marks the assignments each string saw and takes
-        ``hit[i, T]``, whether string i saw an assignment containing term T,
-        from one matrix product.  With ``w = 1 - 2y``, ``h = w @ hit`` and
-        ``m = hit.T @ (w * hit)``, inclusion-exclusion over the two terms
-        gives the goal with terms (t1, t2) ``sum(y) + h[t1] + h[t2] -
-        m[t1, t2]`` errors; a one-term goal has t1 = t2.  The products sum
-        at most ``len(strings)`` ones in float64, so the counts are exact.
-        """
+    @property
+    def erm_work(self) -> int:
+        """How many error counts one ``erm`` call computes: one per distinct
+        watcher combination and goal."""
+        return len(self._combinations.weights) * len(self._goal_terms[0])
+
+    def _profiles(self, strings) -> tuple[np.ndarray, np.ndarray]:
+        """The strings' profiles, each once, and each string's profile
+        number.  A profile holds, per event, the bitmask of the events
+        before its last occurrence, or 2**d if it does not occur."""
         d, n = self.d, len(strings)
-        n_watchers = self.watcher_class.cardinality
+        lengths = np.array([len(s) for s in strings], dtype=np.intp)
+        valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        events = np.zeros(valid.shape, dtype=np.intp)
+        codes = self._letter_codes
+        try:
+            events[valid] = [codes[x] for s in strings for x in s]
+        except (KeyError, TypeError):  # let the alphabet name what is wrong
+            events[valid] = [self.external.encode(x, "error_counts")[0]
+                             for s in strings for x in s]
+        bits = np.where(valid, 1 << events, 0)
+        before = np.zeros_like(bits)
+        before[:, 1:] = np.bitwise_or.accumulate(bits[:, :-1], axis=1)
+        later = np.zeros_like(bits)
+        later[:, :-1] = np.bitwise_or.accumulate(bits[:, :0:-1], axis=1)[:, ::-1]
+        rows, steps = np.nonzero(valid & ((later & bits) == 0))
+        profile = np.full((n, d), 2 ** d)
+        profile[rows, events[rows, steps]] = before[rows, steps]
+        profiles, which = np.unique(profile, axis=0, return_inverse=True)
+        return profiles, which.reshape(-1)
+
+    def _distinct_error_counts(self, strings, labels):
+        """The error counts of each distinct watcher combination (rows, in
+        ``_combinations`` order) with each goal (columns), in blocks of
+        rows: pairs (first row, counts).
+
+        A member outputs 1 iff one of its goal terms is contained in some
+        step's goal assignment.  The assignment is monotone in the events
+        seen before the step, so only each event's last occurrence counts,
+        and strings with one profile (``_profiles``) score alike: they are
+        scored once, with their labels summed.  Per combination the kernel
+        takes ``hit[p, T]``, whether profile p reaches an assignment
+        containing term T.  With ``w`` the summed ``1 - 2y`` of each
+        profile's strings, ``h = w @ hit`` and ``m = hit.T @ (w * hit)``,
+        inclusion-exclusion over the two terms gives the goal with terms
+        (t1, t2) ``sum(y) + h[t1] + h[t2] - m[t1, t2]`` errors; a one-term
+        goal has t1 = t2.  A block stacks the combinations of at most
+        ``ERM_BLOCK_ENTRIES`` hit entries, and each product is one batched
+        call.  The products sum at most ``len(strings)`` ones in float64, so
+        the counts are exact.
+        """
         first, last = self._goal_terms
         y = np.array([int(v) for v in labels], dtype=np.int64)
-        if len(y) != n or np.any((y != 0) & (y != 1)):
-            raise ValueError("error_counts needs one 0/1 label per string")
-        w = 1.0 - 2 * y
-
-        # contains[m, T]: goal assignment m contains term T
-        masks = np.arange(2 ** self.goal_class.n_variables)
-        contains = ((masks[:, None] & masks) == masks).astype(float)
-
-        length = max((len(s) for s in strings), default=0)
-        events = np.zeros((n, length), dtype=np.intp)
-        valid = np.zeros((n, length), dtype=bool)
-        for i, s in enumerate(strings):
-            events[i, :len(s)] = [self.external.encode(x, "error_counts")[0] for x in s]
-            valid[i, :len(s)] = True
-        # latched[w, i, t]: watcher w fired before step t of string i (padding
-        # steps come after the string's own steps, so they never leak into them)
-        fires = self._watcher_truth[:, events]
-        latched = np.zeros_like(fires)
-        latched[:, :, 1:] = np.logical_or.accumulate(fires[:, :, :-1], axis=2)
-        # the goal-assignment bits of every valid step, watcher j's at d + j
-        rows, steps = np.nonzero(valid)
-        code = np.min_scalar_type(len(masks) - 1)
-        event_bits = (1 << events[rows, steps]).astype(code)
-        watcher_bits = [latched[:, rows, steps].astype(code) << (d + j) for j in range(d - 1)]
-
-        counts = np.empty((n_watchers ** (d - 1), len(first)), dtype=np.int64)
-        for c, combo in enumerate(itertools.product(range(n_watchers), repeat=d - 1)):
-            seen = np.zeros((n, len(masks)))
-            seen[rows, event_bits + sum(bits[k] for bits, k in zip(watcher_bits, combo))] = 1
-            hit = (seen @ contains > 0).astype(float)
+        if len(y) != len(strings) or np.any((y != 0) & (y != 1)):
+            raise ValueError("error counts need one 0/1 label per string")
+        profiles, which = self._profiles(strings)
+        w = np.bincount(which, weights=1.0 - 2 * y, minlength=len(profiles))
+        assignments = self._combinations.assignments
+        per_event = np.arange(self.d)
+        block = max(1, ERM_BLOCK_ENTRIES // max(1, len(profiles) * self._contains.shape[1]))
+        for start in range(0, len(assignments), block):
+            reached = assignments[start:start + block][:, per_event, profiles]
+            hit = self._contains[reached].any(axis=2).astype(float)
             h = w @ hit
-            m = hit.T @ (w[:, None] * hit)
-            counts[c] = y.sum() + h[first] + h[last] - m[first, last]
-        return counts.reshape(-1)
+            m = hit.transpose(0, 2, 1) @ (w[:, None] * hit)
+            yield start, (y.sum() + h[:, first] + h[:, last] - m[:, first, last]).astype(np.int64)
+
+    def error_counts(self, strings, labels) -> np.ndarray:
+        """Disagreement counts with the 0/1 labels, one per member in
+        canonical order: the distinct combinations' counts
+        (``_distinct_error_counts``), each repeated for every watcher
+        combination that shares it."""
+        combinations = self._combinations
+        distinct = np.concatenate([counts for _, counts
+                                   in self._distinct_error_counts(strings, labels)])
+        # each watcher combination's distinct row, the last watcher fastest
+        row = np.zeros(1, dtype=np.intp)
+        for _ in range(self.d - 1):
+            row = (row[:, None] * combinations.n_tables + combinations.table_of).reshape(-1)
+        return distinct[row].reshape(-1)
+
+    def erm(self, strings, labels) -> tuple[int, int, int]:
+        """(fewest errors, first member index with that many, number of
+        members with that many) on the labelled strings: ``error_counts``'
+        minimum, first argmin and tie count, reduced block by block, so
+        nothing of size ``cardinality`` is allocated.  A distinct
+        combination's ties count once per watcher combination that shares
+        it, and its first tied member takes each table's smallest watcher."""
+        weights, first_members = self._combinations.weights, self._combinations.first_members
+        n_goals = len(self._goal_terms[0])
+        best, index, ties = None, self.cardinality, 0
+        for start, counts in self._distinct_error_counts(strings, labels):
+            low = int(counts.min())
+            if best is None or low < best:
+                best, index, ties = low, self.cardinality, 0
+            if low == best:
+                tied = counts == best
+                ties += int(tied.sum(axis=1) @ weights[start:start + len(counts)])
+                rows = tied.any(axis=1).nonzero()[0]
+                candidates = first_members[start + rows] * n_goals + tied[rows].argmax(axis=1)
+                index = min(index, int(candidates.min()))
+        return best, index, ties
 
     def descriptor(self, max_len: int, epsilon: float = 0.1, eta: float = 0.1,
                    watcher_dim: float | None = None,

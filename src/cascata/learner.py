@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 
 def zero_one_loss(a, b) -> int:
@@ -46,7 +46,8 @@ class LabeledSample:
 @dataclass(frozen=True)
 class StringDistribution:
     """Strings drawn as: a length uniform over 1..max_len, then i.i.d.
-    letters from ``letter_weights`` (uniform by default)."""
+    letters from ``letter_weights`` (uniform by default).  Weights must be
+    finite and at least 0, with a positive sum."""
 
     alphabet: tuple
     max_len: int
@@ -55,15 +56,42 @@ class StringDistribution:
     def __post_init__(self):
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
-        if self.letter_weights is not None and len(self.letter_weights) != len(self.alphabet):
+        weights = self.letter_weights
+        if weights is None:
+            return
+        if len(weights) != len(self.alphabet):
             raise ValueError("letter_weights must match the alphabet")
-
-    def sample(self, rng: random.Random) -> tuple:
-        length = rng.choices(range(1, self.max_len + 1))[0]
-        return tuple(rng.choices(self.alphabet, weights=self.letter_weights, k=length))
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError("letter weights must be finite and at least 0")
+        # the running sums and their total as random.choices forms them
+        cumulative = list(itertools.accumulate(weights))
+        total = cumulative[-1] + 0.0 if cumulative else 0.0
+        if not 0 < total < math.inf:
+            raise ValueError("letter weights must have a positive, finite sum")
+        object.__setattr__(self, "_cumulative", (cumulative, total))
 
     def sample_many(self, n: int, rng: random.Random) -> list[tuple]:
-        return [self.sample(rng) for _ in range(n)]
+        """n strings drawn straight from ``rng.random``, as ``random.choices``
+        draws them: the length is ``floor(random() * max_len) + 1``, a letter
+        ``floor(random() * k)`` or, with weights, a bisection of
+        ``random() * total`` into the running sums.  The strings and the
+        state left in ``rng`` are those of one ``choices`` call for the
+        length and one for the letters of each string."""
+        draw, floor, alphabet, max_len = rng.random, math.floor, self.alphabet, self.max_len
+        strings = []
+        if self.letter_weights is None:
+            k = len(alphabet)
+            for _ in range(n):
+                length = floor(draw() * max_len) + 1
+                strings.append(tuple([alphabet[floor(draw() * k)] for _ in range(length)]))
+        else:
+            cumulative, total = self._cumulative
+            hi = len(alphabet) - 1
+            for _ in range(n):
+                length = floor(draw() * max_len) + 1
+                strings.append(tuple([alphabet[bisect(cumulative, draw() * total, 0, hi)]
+                                      for _ in range(length)]))
+        return strings
 
 
 def draw_sample(dist: StringDistribution, target: Callable, n: int,
@@ -94,17 +122,16 @@ def erm_select(functions, sample: LabeledSample) -> ErmResult:
     Ties break to the earliest member in iteration order, which for a
     finite class is index order, so the reported index names
     ``functions.member(index)``; the number of tied minimizers is reported.
-    A class object exposing ``error_counts(strings, labels)`` (and
-    ``member``) is scored through that fast path instead of one-by-one
-    evaluation.  An empty sample is a ``ValueError``.
+    A class object exposing ``erm(strings, labels)`` (and ``member``) is
+    scored through that kernel instead of one-by-one evaluation: it returns
+    the fewest errors, the first member index with that many and the number
+    of members with that many, as the generic loop finds them.  An empty
+    sample is a ``ValueError``.
     """
     if len(sample) == 0:
         raise ValueError("cannot select on an empty sample")
-    if hasattr(functions, "error_counts"):
-        counts = np.asarray(functions.error_counts(list(sample.strings), list(sample.labels)))
-        best = int(counts.min())
-        index = int(counts.argmin())
-        ties = int((counts == best).sum())
+    if hasattr(functions, "erm"):
+        best, index, ties = functions.erm(list(sample.strings), list(sample.labels))
         return ErmResult(index, functions.member(index), best / len(sample), ties)
     best_index, best_fn, best_risk = -1, None, None
     ties = 0

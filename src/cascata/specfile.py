@@ -63,6 +63,7 @@ import operator
 import numpy as np
 
 from .alphabets import (
+    Coordinate,
     FactoredAlphabet,
     MonotoneDnf,
     MonotoneDnfClass,
@@ -370,6 +371,14 @@ def _parse_output_fn(data, core: Semiautomaton, signature: FactoredAlphabet, whe
     return (lambda q, x: fns[q](x)), outputs
 
 
+def _check_last_outputs(alphabet: FactoredAlphabet, name: str, outputs, core) -> None:
+    """Raise what ``alphabet.extend(name, outputs)`` would, without building
+    that extension.  A core's states are a checked domain already, so one of
+    them stands in for all."""
+    domain = outputs[:1] if outputs is core.states else outputs
+    FactoredAlphabet(alphabet.coords + (Coordinate(name, domain),))
+
+
 def _parse_components(data, fn_field: str):
     """The external alphabet and the components of a cascade spec
     (``fn_field`` "input_fn") or a class spec ("input_class"), each as the
@@ -401,7 +410,10 @@ def _parse_components(data, fn_field: str):
         output_fn, outputs = _parse_output_fn(comp.get("output_fn", "state"), core,
                                               signature, f"{where}.output_fn")
         try:
-            alphabet = alphabet.extend(name, outputs)
+            if i + 1 < len(data["components"]):
+                alphabet = alphabet.extend(name, outputs)
+            else:  # nothing reads the last outputs: check them as extend would
+                _check_last_outputs(alphabet, name, outputs, core)
         except ValueError as e:
             raise SpecFileError(str(e), where)
         parts.append({"name": name, "dependencies": tuple(deps), fn_field: fn,

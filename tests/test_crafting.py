@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -285,6 +286,62 @@ def test_family_error_counts_rejects_labels_that_are_not_binary():
         fam.error_counts(strings, [0, 1, 2])
     with pytest.raises(ValueError):
         fam.error_counts(strings, [0, 1])
+    with pytest.raises(ValueError):
+        fam.erm(strings, [0, 1, 2])
+
+
+def _full_vector_reduction(counts):
+    best = int(counts.min())
+    return best, int(counts.argmin()), int((counts == best).sum())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("case", ["noisy", "all_positive", "all_negative", "single",
+                                  "duplicates"])
+def test_family_erm_is_the_reduction_of_error_counts(d, case):
+    fam = SequenceTaskFamily(d)
+    strings = _sequence_strings(fam, 60, 7, seed=81 + d)
+    target = fam.sequence_target()
+    noise = random.Random(82 + d)
+    labels = [int(target.run(s)) ^ (noise.random() < 0.1) for s in strings]
+    if case in ("all_positive", "all_negative"):
+        labels = [int(case == "all_positive")] * len(strings)
+    elif case == "single":
+        strings, labels = strings[:1], labels[:1]
+    elif case == "duplicates":
+        strings, labels = strings[:4] * 5, labels[:4] * 5
+    counts = fam.error_counts(strings, labels)
+    erm = fam.erm(strings, labels)
+    assert erm == _full_vector_reduction(counts)
+    if case == "all_negative":
+        # a never-firing goal ties under every watcher combination
+        tied = (counts == erm[0]).nonzero()[0]
+        combos = set(tied // fam.goal_class.cardinality)
+        assert len(combos) == fam.watcher_class.cardinality ** (d - 1)
+
+
+def test_family_erm_work_counts_distinct_watcher_combinations():
+    # 5 of a watcher's 8 tables are distinct at d=3, 6 of 16 at d=4
+    fam = SequenceTaskFamily(3)
+    assert fam.erm_work == 5 ** 2 * fam.goal_class.cardinality == 7925
+    fam = SequenceTaskFamily(4)
+    assert fam.erm_work == 6 ** 3 * fam.goal_class.cardinality == 1_338_552
+    assert fam.erm_work < fam.cardinality
+
+
+def test_family_erm_memory_does_not_grow_with_the_class():
+    # |F| = 2.5e7 at d=4: a vector of one count per member alone is 203 MB
+    fam = SequenceTaskFamily(4)
+    strings = _sequence_strings(fam, 646, 8, seed=91)
+    noise = random.Random(92)
+    labels = [int(fam.sequence_target().run(s)) ^ (noise.random() < 0.05) for s in strings]
+    tracemalloc.start()
+    try:
+        fam.erm(strings, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20, peak
 
 
 def test_family_contains_the_scenario_cascade_at_depth_five():

@@ -236,6 +236,51 @@ def test_sample_many_matches_a_per_letter_reference(weights):
         assert rng.random() == ref.random()  # both consumed the same stream
 
 
+@pytest.mark.parametrize("alphabet, max_len, weights", [
+    (("a",), 5, None),
+    (("a",), 5, (2.5,)),
+    (("a", "b", "c"), 1, None),
+    (("a", "b", "c"), 1, (0.2, 0.3, 0.5)),
+    (("a", "b", "c", "d", "e"), 6, (0.0, 1.0, 2.0, 1.0, 0.0)),
+    (("a", "b", "c"), 4, (0.1, 0.7, 0.15)),
+], ids=["one_letter", "one_letter_weighted", "max_len_1", "max_len_1_weighted",
+        "zero_weights_at_both_ends", "floats_not_summing_to_1"])
+def test_sample_many_matches_the_per_letter_reference_on_edge_distributions(
+        alphabet, max_len, weights):
+    dist = StringDistribution(alphabet, max_len=max_len, letter_weights=weights)
+    for seed in range(100):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert dist.sample_many(5, rng) == [_per_letter_sample(dist, ref) for _ in range(5)]
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("weights", [
+    (1.0, -0.5), (1.0, math.inf), (math.nan, 1.0), (0.0, 0.0), (1e308, 1e308), (1.0,),
+])
+def test_string_distribution_rejects_negative_non_finite_or_zero_sum_weights(weights):
+    with pytest.raises(ValueError):
+        StringDistribution(("a", "b"), max_len=3, letter_weights=weights)
+    # zero weights are fine while one is positive
+    StringDistribution(("a", "b"), max_len=3, letter_weights=(0.0, 3))
+
+
+def test_erm_select_matches_the_full_vector_reduction_on_criterion_8_seeds():
+    fam = SequenceTaskFamily(3)
+    dist = StringDistribution(tuple(fam.external.letters()), max_len=8)
+    target = fam.sequence_target()
+    outcomes = set()
+    for trial in range(100):
+        sample = draw_sample(dist, target, 646, seed=8000 + trial)
+        counts = fam.error_counts(list(sample.strings), list(sample.labels))
+        best = int(counts.min())
+        chosen = erm_select(fam, sample)
+        assert (chosen.index, chosen.empirical_risk, chosen.tie_count) == \
+            (int(counts.argmin()), best / 646, int((counts == best).sum()))
+        outcomes.add((chosen.index, chosen.empirical_risk, chosen.tie_count))
+    # the realizable target's first zero-risk member, tied with one other
+    assert outcomes == {(4432, 0.0, 2)}
+
+
 def _parity_target(s):
     # in neither class below: length parity flipped by a leading b
     return int((len(s) % 2 == 0) != (s[0] == "b"))

@@ -98,6 +98,29 @@ def test_spec_tables_parse_to_their_entries():
     assert solo.theta(1, ("b",)) == 0 and solo.outputs == (0,)
 
 
+def _last_component(name=None, output_fn=None, outputs=None):
+    spec = _tabled_spec()
+    solo = spec["components"][0]
+    solo["name"] = name or solo["name"]
+    solo["output_fn"] = output_fn or solo["output_fn"]
+    if outputs is not None:
+        solo["output_fn"]["outputs"] = outputs
+    return spec
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_last_component(name="x"), "duplicate coordinate names: ['x', 'x']"),
+    (_last_component(name="x", output_fn="state"), "duplicate coordinate names: ['x', 'x']"),
+    (_last_component(outputs=[0, 0]), "coordinate 'solo' has duplicate values"),
+    (_last_component(outputs=[0, 1, True]), "coordinate 'solo' has duplicate values"),
+])
+def test_spec_checks_the_last_components_outputs_as_an_alphabet_would(spec, message):
+    # nothing reads the last component's outputs, but they are checked alike
+    with pytest.raises(SpecFileError) as err:
+        cascade_from_spec(spec)
+    assert str(err.value) == f"[components[0]] {message}"
+
+
 def _paired_spec():
     """One flip-flop over two coordinates, x in {a, b} and y in {0, 1}, with
     an input table and an output table."""
@@ -617,6 +640,46 @@ def test_cli_learn_with_target(tmp_path, capsys):
     assert "risk gap vs class minimum" in out
     learned = cascade_from_spec(json.loads(winner.read_text()))
     assert learned.depth == 2
+
+
+def test_cli_learn_at_depth_four_picks_the_full_vector_argmin(tmp_path, capsys):
+    # |F| = 2.5e7 members, but the kernel computes 1,338,552 error counts
+    from cascata.crafting import SequenceTaskFamily
+    from cascata.learner import StringDistribution, draw_sample
+
+    family = SequenceTaskFamily(4)
+    config = _write(tmp_path, "config.json", {"seed": 5, "max_len": 6, "n": 400, "n_mc": 300})
+    classspec = _write(tmp_path, "class.json", {"family": "sequence_tasks", "d": 4})
+    target = _write(tmp_path, "target.json", cascade_to_spec(family.sequence_target()))
+    argv = ["learn", config, classspec, "--target", target]
+    assert main(argv) == 3
+    assert "ERM error counts exceeds cap: 1338552 > 500000" in capsys.readouterr().err
+    assert main(argv + ["--cap", "2000000"]) == 0
+    out = capsys.readouterr().out
+    dist = StringDistribution(tuple(family.external.letters()), 6)
+    spec = json.loads((tmp_path / "target.json").read_text())
+    sample = draw_sample(dist, cascade_from_spec(spec), 400, seed=5)
+    counts = family.error_counts(list(sample.strings), list(sample.labels))
+    assert f"chosen member: {int(counts.argmin())}\n" in out
+    assert f"({int((counts == counts.min()).sum())} tied)" in out
+
+
+def test_cli_learn_cap_counts_kernel_work_or_members(tmp_path, capsys):
+    config = _write(tmp_path, "config.json", {"seed": 1, "n": 50, "n_mc": 50})
+    traces = _write(tmp_path, "x.traces", "e1 e2 e3\ne3\n")
+    labels = _write(tmp_path, "x.labels", "1\n0\n")
+    # d=3 has 20,288 members; its kernel computes 7,925 error counts
+    d3 = _write(tmp_path, "d3.json", {"family": "sequence_tasks", "d": 3})
+    assert main(["learn", config, d3, "--traces", traces, "--labels", labels,
+                 "--cap", "7925"]) == 0
+    assert main(["learn", config, d3, "--traces", traces, "--labels", labels,
+                 "--cap", "7924"]) == 3
+    assert "ERM error counts exceeds cap: 7925 > 7924" in capsys.readouterr().err
+    # a class spec has no kernel: the cap counts its 68 members
+    argv = _learn_files(tmp_path)
+    assert main(argv + ["--cap", "68"]) == 0
+    assert main(argv + ["--cap", "67"]) == 3
+    assert "class enumeration exceeds cap: 68 > 67" in capsys.readouterr().err
 
 
 def test_cli_learn_from_trace_files(tmp_path, capsys):
