@@ -14,12 +14,14 @@ and serialization read and write these arrays.  ``delta`` and ``out`` are the
 same tables as plain lists of int rows, built on first read for scalar
 stepping and text output; labels given as a function (as ``flatten`` and
 ``minimize`` give them) are likewise built on first read.  A component's
-compiled ``next[q][x]`` and ``out[q][x]`` are list rows: the next core
-state's number and the output code on the projected letter numbered ``x``
-in the order of ``projected.letters()``; for ``'next_state'`` outputs
-``out`` is ``next`` itself.  Constructors take ``(state, letter)``-keyed
-dicts and check them once; ``transitions`` and ``output_map`` are read-only
-dict views of the tables, built on first use.
+compiled tables are arrays too: ``next_array[q, x]`` and ``out_array[q, x]``
+are the next core state's number and the output code on the projected letter
+numbered ``x`` in the order of ``projected.letters()``; for ``'next_state'``
+outputs ``out_array`` is ``next_array`` itself.  A component keeps no list
+form: the lists a cascade steps on live in ``Cascade._wiring``, built on its
+first run.  Constructors take ``(state, letter)``-keyed dicts and check them
+once; ``transitions`` and ``output_map`` are read-only dict views of the
+tables, built on first use.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ class _lazy_attribute:
     instance attribute of the same name.  Unlike ``functools.cached_property``
     it never touches the instance's ``__dict__``: materializing that dict
     slows every later attribute read of the instance, and scalar stepping
-    reads these attributes on every call."""
+    reads these attributes on every call.  It builds the list rows of flat
+    automata and semiautomata and a cascade's stepping lists
+    (``Cascade._wiring``)."""
 
     def __init__(self, build):
         self.build, self.__doc__ = build, build.__doc__
@@ -636,9 +640,10 @@ class ComponentAutomaton:
         self._compile(outputs)
 
     def _compile(self, outputs):
-        """Fill ``next`` and ``out``, checking the functions' ranges.  A
-        ``TableFunction`` over the projected alphabet is read, not called:
-        its ``values`` are already in the order of ``projected.letters()``."""
+        """Fill ``next_array`` and ``out_array``, checking the functions'
+        ranges.  A ``TableFunction`` over the projected alphabet is read,
+        not called: its ``values`` are already in the order of
+        ``projected.letters()``."""
         core, fn = self.core, self.input_fn
         if isinstance(fn, TableFunction) and fn.signature == self.projected:
             column = fn.values
@@ -648,12 +653,12 @@ class ComponentAutomaton:
         if None in inputs:
             raise UnknownLetterError(column[inputs.index(None)],
                                      where=f"{self.name}: input function range")
-        self.next = int_rows(core.delta_array.take(inputs, axis=1), core.n_states)
+        self.next_array = _frozen(core.delta_array.take(inputs, axis=1))
         if self.output_kind == "next_state":
-            self.out = self.next
+            self.out_array = self.next_array
         elif self.output_kind == "state":
-            k = len(inputs)
-            self.out = [[q] * k for q in range(core.n_states)]
+            n, k = self.next_array.shape
+            self.out_array = _frozen(np.arange(n).repeat(k).reshape(n, k))
         else:
             values = [[self.theta(q, x) for q in core.states] for x in self.projected.letters()]
             if outputs is None:
@@ -661,14 +666,15 @@ class ComponentAutomaton:
             code = {v: i for i, v in enumerate(outputs)}
             for v in (v for column in values for v in column if v not in code):
                 raise UnknownLetterError(v, where=f"{self.name}: output function range")
-            self.out = [[code[v] for v in row] for row in zip(*values)]
+            self.out_array = _frozen([[code[v] for v in row] for row in zip(*values)])
         self.outputs = tuple(outputs)
 
     def induce(self) -> FlatAutomaton:
         """The flat automaton over the full alphabet, on the core's states:
-        a letter acts as its projection does in ``next`` and ``out``."""
+        a letter acts as its projection does in ``next_array`` and
+        ``out_array``."""
         letters = tuple(self.alphabet.letters())
         xs = [self.projected.index(self.dependencies(a)) for a in letters]
         return FlatAutomaton.from_tables(
-            letters, self.core.states, np.asarray(self.next)[:, xs], self.core.initial_index,
-            np.asarray(self.out)[:, xs], self.outputs, self.alphabet)
+            letters, self.core.states, self.next_array[:, xs], self.core.initial_index,
+            self.out_array[:, xs], self.outputs, self.alphabet)

@@ -8,7 +8,10 @@ applied simultaneously.
 
 A cascade is immutable once built: ``run`` memoizes the product transitions
 it takes, per instance, and reuses them on later calls.  Recording is done
-under a lock, so one cascade may be run from several threads.
+under a lock, so one cascade may be run from several threads.  The lists
+that scalar stepping reads are built on the first ``run`` or ``step``;
+building, flattening or serializing a cascade reads its components' arrays
+only.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .alphabets import FactoredAlphabet, Letter, NumberedClass, mixed_radix_digits
-from .automata import ComponentAutomaton, FlatAutomaton, Semiautomaton, bfs_order
+from .automata import (ComponentAutomaton, FlatAutomaton, Semiautomaton, _lazy_attribute,
+                       bfs_order)
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
@@ -71,7 +75,6 @@ class Cascade:
                         f"coordinate {extra.name!r} of component {i + 1} does not "
                         f"hold the outputs of component {i}"
                     )
-        self._wiring = tuple((c.next, c.out, self._inputs(c)) for c in self.components)
         # run's memo: product states (tuples of state numbers) numbered in the
         # order run reaches them, and per number a dict letter -> (next
         # number, last component's output code)
@@ -91,6 +94,21 @@ class Cascade:
             for j, coord, place in zip(comp.dependencies.indices, comp.projected.coords,
                                        comp.projected.places))
 
+    @_lazy_attribute
+    def _wiring(self) -> tuple:
+        """Per component, what ``_advance`` reads: its ``next_array`` and
+        ``out_array`` as flat lists indexed ``q * k + x`` (the same list
+        for both under ``'next_state'`` outputs), ``k`` (its projected
+        letter count) and its ``_inputs``.  The two lists share one int
+        object per value, as ``int_rows`` makes them."""
+        wiring = []
+        for c in self.components:
+            numbers = np.arange(max(c.core.n_states, len(c.outputs)), dtype=object)
+            nxt = numbers[c.next_array.ravel()].tolist()
+            out = nxt if c.out_array is c.next_array else numbers[c.out_array.ravel()].tolist()
+            wiring.append((nxt, out, c.next_array.shape[1], self._inputs(c)))
+        return tuple(wiring)
+
     @property
     def depth(self) -> int:
         return len(self.components)
@@ -103,12 +121,12 @@ class Cascade:
         with external coordinate codes ``codes``, to which every component's
         output code (from its pre-update state) is appended."""
         nxt = []
-        for q, (next_rows, out_rows, inputs) in zip(states, self._wiring):
-            x = 0
+        for q, (next_list, out_list, k, inputs) in zip(states, self._wiring):
+            x = q * k
             for j, contribution in inputs:
                 x += contribution[codes[j]]
-            nxt.append(next_rows[q][x])
-            codes.append(out_rows[q][x])
+            nxt.append(next_list[x])
+            codes.append(out_list[x])
         return tuple(nxt)
 
     def step(self, states: CascadeState, letter: Letter) -> StepResult:
@@ -176,9 +194,9 @@ class Cascade:
 
         A product state is coded in mixed radix over its component state
         numbers, last component fastest.  One numpy pass gathers every
-        component's compiled ``next``/``out`` rows, as arrays, over all codes
-        and letters at once, each on the axes of the product
-        it depends on, giving the product's int transition table.  With
+        component's ``next_array``/``out_array`` over all codes and letters
+        at once, each on the axes of the product it depends on, giving the
+        product's int transition table.  With
         ``prune`` the states are numbered by ``bfs_order`` from the initial
         code: each layer's new codes by first occurrence in (frontier order,
         letter order), as a FIFO search numbers them.  Without, a state's
@@ -202,13 +220,11 @@ class Cascade:
         codes = [along(column, len(radices)) for column in np.array(
             [self.external.encode(a) for a in letters], dtype=np.int64).T]
         table, init = 0, 0
-        for i, (comp, (_, _, inputs)) in enumerate(zip(self.components, self._wiring)):
-            nxt = np.array(comp.next, dtype=np.int64)
-            out = nxt if comp.out is comp.next else np.array(comp.out, dtype=np.int64)
-            x = sum(np.array(contribution)[codes[j]] for j, contribution in inputs)
+        for i, comp in enumerate(self.components):
+            x = sum(np.array(contribution)[codes[j]] for j, contribution in self._inputs(comp))
             q = along(np.arange(radices[i]), i)
-            table = table * radices[i] + nxt[q, x]
-            codes.append(out[q, x])
+            table = table * radices[i] + comp.next_array[q, x]
+            codes.append(comp.out_array[q, x])
             init = init * radices[i] + comp.core.initial_index
         table = table.reshape(size, -1)  # every component's digit is an axis of it
         out = np.empty(shape, dtype=np.int64)
@@ -229,7 +245,7 @@ class Cascade:
         """True when every non-final component's output function returns the
         current state, checked extensionally."""
         return all(comp.outputs[o] == q for comp in self.components[:-1]
-                   for q, row in zip(comp.core.states, comp.out) for o in row)
+                   for q, row in zip(comp.core.states, comp.out_array.tolist()) for o in row)
 
 
 def _product_labels(cores, codes: np.ndarray) -> list[tuple]:

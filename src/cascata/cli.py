@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 
 from . import crafting
 from .alphabets import FactoredAlphabet, enumerate_class
@@ -59,6 +60,10 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
+
+#: The most strings ``growth`` searches over: all strings up to ``--max-len``
+#: while they fit, shorter ones otherwise.
+GROWTH_UNIVERSE_CAP = 4000
 
 
 def _open(path: str, mode: str = "r"):
@@ -98,6 +103,15 @@ def _cap(args, default: int) -> int:
     if not str(cap).strip().isdecimal() or int(cap) < 1:
         raise SpecFileError(f"must be a positive integer, got {cap!r}", name)
     return int(cap)
+
+
+def _general(value) -> str:
+    """``f"{value:.6g}"``, also for an int too large for a float, which is
+    rounded exactly instead."""
+    try:
+        return f"{value:.6g}"
+    except OverflowError:
+        return f"{Decimal(value):.6g}"
 
 
 def _at_least_one(value: int, flag: str, least: int = 1) -> None:
@@ -266,7 +280,7 @@ def cmd_bounds(args) -> int:
     ))
     for ell in args.ell:
         rows.append((f"growth_bound(ell={ell})",
-                     f"{growth_bound_cascade(desc, ell):.6g}", ""))
+                     _general(growth_bound_cascade(desc, ell)), ""))
     try:
         dim = dimension_bound_cascade(desc)
         rows.append(("dimension_bound", f"{dim:.3f}", ""))
@@ -302,8 +316,13 @@ def cmd_growth(args) -> int:
     for ell in args.ell:
         _at_least_one(ell, "--ell")
     cls = class_from_spec(_load_json(args.classspec))
-    members = list(enumerate_class(cls, _cap(args, 200_000)))
-    universe = _short_strings(list(cls.external.letters()), args.max_len, 4000)
+    letters = list(cls.external.letters())
+    universe = _short_strings(letters, args.max_len, GROWTH_UNIVERSE_CAP)
+    if not universe:
+        raise SpecFileError(f"{len(letters)} letters: even the strings of length 1 "
+                            f"exceed the growth universe of {GROWTH_UNIVERSE_CAP} strings")
+    cap = _cap(args, 200_000)
+    members = list(enumerate_class(cls, cap))
     desc = cls.descriptor(args.max_len)
     growths = [
         (lambda n, c=c: empirical_growth(list(c), list(c.signature.letters()),
@@ -313,12 +332,12 @@ def cmd_growth(args) -> int:
     ones = [(lambda n: 1)] * len(growths)
     lines = ["ell  patterns  bound  verdict"]
     for ell in args.ell:
-        report = empirical_growth(members, universe, ell, mode=args.mode)
+        report = empirical_growth(members, universe, ell, mode=args.mode, draw_cap=cap)
         bound = growth_bound_cascade(desc, ell, input_growths=growths,
                                      output_growths=ones)
         verdict = "ok" if report.count <= bound else "VIOLATION"
         exact = "" if report.exact else " (lower bound)"
-        lines.append(f"{ell}  {report.count}{exact}  {bound:.6g}  {verdict}")
+        lines.append(f"{ell}  {report.count}{exact}  {_general(bound)}  {verdict}")
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 

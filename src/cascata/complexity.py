@@ -33,6 +33,7 @@ import numpy as np
 
 from .alphabets import projection_count
 from .automata import packed_keys
+from .errors import CapExceededError
 
 DEFAULT_SEARCH_CAP = 2_000_000
 
@@ -135,7 +136,8 @@ def sample_bound_finite(cardinality: int, epsilon: float, eta: float) -> int:
     the log-cardinality bound."""
     if cardinality < 1:
         raise ValueError("cardinality must be at least 1")
-    return math.ceil(math.log(2 * cardinality / eta) / (2 * epsilon**2))
+    # the log of the exact int: 2|F| / eta overflows a float past about 10^308
+    return math.ceil((math.log(2 * cardinality) - math.log(eta)) / (2 * epsilon**2))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +152,12 @@ def haussler_growth_bound(dim: float, n_points: int, n_outputs: int) -> float:
 
 def _finite_growth(n_functions: int, n_points: int, n_outputs: int) -> int:
     """Trivially valid growth bound for a finite class: patterns cannot
-    outnumber the functions or the output tuples."""
+    outnumber the functions or the output tuples.  With two or more outputs
+    and at least ``n_functions.bit_length()`` points the output tuples
+    number at least ``2 ** bit_length > n_functions``, so their count is
+    not computed."""
+    if n_outputs >= 2 and n_points >= n_functions.bit_length():
+        return n_functions
     return min(n_functions, n_outputs**n_points)
 
 
@@ -309,7 +316,8 @@ def pattern_count(functions: Sequence, sample: Sequence) -> int:
 
 def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
                      mode: str = "exact", cap: int = DEFAULT_SEARCH_CAP,
-                     restarts: int = 200, seed: int = 0) -> GrowthReport:
+                     restarts: int = 200, seed: int = 0,
+                     draw_cap: int | None = None) -> GrowthReport:
     """Maximum pattern count over size-``ell`` samples from the universe.
 
     The count on a sample depends only on its support set and never shrinks
@@ -319,7 +327,10 @@ def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
     the maximum count, padded back to a size-``ell`` sample.  Past the cap,
     or in heuristic mode, ``restarts`` random samples (drawn first, from
     ``random.Random(seed)``) report a certified lower bound with the first
-    sample reaching it.
+    sample reaching it.  Heuristic mode needs a non-empty universe once
+    ``ell`` is positive (else ``ValueError``), and its ``restarts * ell``
+    draws may not pass ``draw_cap`` when one is given (else
+    ``CapExceededError``, before any draw).
 
     The class's outputs are read once into an output matrix, members x the
     points a sample can use (all of the universe in exact mode, the drawn
@@ -334,6 +345,10 @@ def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
         points, width = (universe if support else []), support
         samples = itertools.combinations(range(len(points)), support)
     elif mode == "heuristic":
+        if ell and not universe:
+            raise ValueError("heuristic growth search needs a non-empty universe")
+        if draw_cap is not None and restarts * ell > draw_cap:
+            raise CapExceededError("heuristic growth draws", restarts * ell, draw_cap)
         rng = random.Random(seed)
         positions = range(len(universe))
         drawn = [tuple(rng.choice(positions) for _ in range(ell)) for _ in range(restarts)]

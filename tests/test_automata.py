@@ -353,7 +353,7 @@ def test_component_compile_allocates_only_the_pairs_its_table_uses():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (comp.next[999][0], comp.out[999][0]) == (0, 999) and peak < 5_000_000
+    assert (comp.next_array[999, 0], comp.out_array[999, 0]) == (0, 999) and peak < 5_000_000
 
 
 def test_automata_module_imports_neither_cascade_nor_specfile():

@@ -228,8 +228,8 @@ def test_members_equal_the_reference_build(cls, n_members):
         member, reference = cls.member(index), reference_build(cls, _input_fns(cls, index))
         assert cascade_to_spec(member) == cascade_to_spec(reference)
         for mine, theirs in zip(member.components, reference.components, strict=True):
-            assert (mine.next, mine.out, mine.outputs) == (theirs.next, theirs.out,
-                                                           theirs.outputs)
+            assert (mine.next_array.tolist(), mine.out_array.tolist(), mine.outputs) == (
+                theirs.next_array.tolist(), theirs.out_array.tolist(), theirs.outputs)
 
 
 def _signature(fn):

@@ -338,6 +338,17 @@ def test_growth_bound_cascade_equals_the_reference_on_criterion_7():
                     reference_growth_bound_cascade(desc, ell, growths, ones)
 
 
+def test_finite_growth_is_the_min_without_computing_the_power():
+    from cascata.complexity import _finite_growth
+
+    for n_functions, n_points, n_outputs in itertools.product(
+            [1, 2, 3, 7, 8, 9, 1000, 2**20, 2**20 + 1, 10**30], range(0, 120, 7), range(1, 5)):
+        assert _finite_growth(n_functions, n_points, n_outputs) == \
+            min(n_functions, n_outputs**n_points)
+    # 2 ** (10^9 * 8) would take gigabytes; the bound is |F| long before
+    assert _finite_growth(20288, 8 * 10**9, 2) == 20288
+
+
 def test_growth_bound_cascade_equals_the_reference_on_random_descriptors():
     rng = random.Random(7)
     for _ in range(200):

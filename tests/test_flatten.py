@@ -122,7 +122,8 @@ def test_table_input_functions_are_read_like_called_ones():
             read = ComponentAutomaton(alphabet, (1, 2), fn, core, output_fn="next_state")
             called = ComponentAutomaton(alphabet, (1, 2), lambda x, fn=fn: fn(x), core,
                                         output_fn="next_state")
-            assert (read.next, read.out) == (called.next, called.out)
+            assert (read.next_array.tolist(), read.out_array.tolist()) == (
+                called.next_array.tolist(), called.out_array.tolist())
             assert [read.input_fn(x) for x in alphabet.letters()] == [
                 fn(x) for x in alphabet.letters()]
 

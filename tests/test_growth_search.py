@@ -27,6 +27,7 @@ from cascata.complexity import (
     vc_dimension,
     verify_growth_propositions,
 )
+from cascata.errors import CapExceededError
 
 from test_complexity import POINTS2, TABLES2
 
@@ -66,6 +67,8 @@ def reference_empirical_growth(functions, universe, ell, mode="exact",
     if mode == "exact":
         candidates = itertools.combinations(range(len(universe)), support)
     elif mode == "heuristic":
+        if ell and not universe:
+            raise ValueError("heuristic growth search needs a non-empty universe")
         rng = random.Random(seed)
         positions = range(len(universe))
         candidates = (tuple(rng.choice(positions) for _ in range(ell))
@@ -191,6 +194,19 @@ def test_edge_cases_match_the_reference(shape, values):
     assert outcome(vc_dimension, functions, points) == \
         outcome(reference_vc_dimension, functions, points)
     assert pattern_count(functions, points) == reference_pattern_count(functions, points)
+
+
+def test_heuristic_search_needs_a_universe_and_draws_under_the_draw_cap():
+    functions, points = random_class(random.Random(13), (0, 1), 6, 8)
+    with pytest.raises(ValueError, match="non-empty universe"):
+        empirical_growth(functions, [], 1, mode="heuristic")
+    assert empirical_growth(functions, [], 0, mode="heuristic") == (0, 1, (), False)
+    with pytest.raises(CapExceededError) as err:
+        empirical_growth(functions, points, 3, mode="heuristic", restarts=10, draw_cap=29)
+    assert (err.value.size, err.value.cap) == (30, 29)
+    assert empirical_growth(functions, points, 3, mode="heuristic", restarts=10,
+                            draw_cap=30) == empirical_growth(functions, points, 3,
+                                                             mode="heuristic", restarts=10)
 
 
 def test_exact_search_past_the_cap_falls_back_like_the_reference():

@@ -1,7 +1,9 @@
 import gc
 import json
+import math
 import time
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 
@@ -9,6 +11,7 @@ from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, Semiautomaton
 from cascata.cascade import Cascade, build_chained
 from cascata.cli import main
+from cascata.complexity import growth_bound_cascade
 from cascata.crafting import (
     build_counter_task_cascade,
     build_flipflop_task_cascade,
@@ -18,7 +21,7 @@ from cascata.crafting import (
 )
 from cascata.errors import SpecFileError
 from cascata.primes import make_counter, make_flipflop
-from cascata.specfile import cascade_from_spec, cascade_to_spec
+from cascata.specfile import cascade_from_spec, cascade_to_spec, descriptor_from_spec
 
 from helpers import run_cli, start_cli
 
@@ -598,6 +601,54 @@ def test_cli_bounds_family(tmp_path, capsys):
     assert "all_acceptors_baseline" in out
 
 
+def _bounds_rows(capsys) -> dict:
+    """The ``bounds`` text table read back as quantity -> value."""
+    return dict(line.split()[:2] for line in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_cli_bounds_family_sample_sizes(tmp_path, capsys, d):
+    desc = tmp_path / "family.json"
+    desc.write_text(json.dumps({"family": "sequence_tasks", "d": d}))
+    assert main(["bounds", str(desc)]) == 0
+    assert _bounds_rows(capsys)["sample_size_finite"] == {3: "646", 5: "1425"}[d]
+
+
+@pytest.mark.parametrize("d", [31, 40])
+def test_cli_bounds_family_past_the_float_range(tmp_path, capsys, d):
+    # |F| is about 10^517 at d = 40 and the ell = 3 growth bound 10^335:
+    # both are read as exact ints, never as floats
+    desc = tmp_path / "family.json"
+    desc.write_text(json.dumps({"family": "sequence_tasks", "d": d}))
+    assert main(["bounds", str(desc)]) == 0
+    rows = _bounds_rows(capsys)
+    names = ["cardinality_bound", "cardinality_enumerated",
+             *(f"log2_input_class[{i}]" for i in range(1, d + 1)), "sample_size_finite",
+             "growth_bound(ell=1)", "growth_bound(ell=2)", "growth_bound(ell=3)",
+             "dimension_bound", "sample_size_dimension"]
+    assert list(rows) == names
+    descriptor, fam = descriptor_from_spec({"family": "sequence_tasks", "d": d})
+    eps2 = 2 * 0.1**2
+    ln_card = math.log(fam.cardinality)
+    assert int(rows["sample_size_finite"]) == math.ceil((ln_card + math.log(20)) / eps2)
+    for ell in (1, 2, 3):
+        exact = growth_bound_cascade(descriptor, ell)
+        assert abs(Decimal(rows[f"growth_bound(ell={ell})"]) - exact) <= exact * Decimal("1e-5")
+    assert rows["growth_bound(ell=3)"] == ("2.45458e+256" if d == 31 else "1.98784e+335")
+
+
+def test_cli_bounds_at_a_huge_ell_is_the_cardinality(tmp_path, capsys):
+    # the finite-class growth is min(|F|, |Y| ** points): past log2 |F|
+    # points it is |F|, and |Y| ** 10^9 is never computed
+    desc = tmp_path / "family.json"
+    desc.write_text(json.dumps({"family": "sequence_tasks", "d": 3}))
+    start = time.perf_counter()
+    assert main(["bounds", str(desc), "--ell", "1000000000"]) == 0
+    assert time.perf_counter() - start < 5
+    rows = _bounds_rows(capsys)
+    assert rows["growth_bound(ell=1000000000)"] == rows["cardinality_bound"] == "40576"
+
+
 def test_cli_bounds_csv_components(tmp_path, capsys):
     desc = tmp_path / "desc.json"
     desc.write_text(json.dumps({
@@ -619,6 +670,38 @@ def test_cli_growth_family(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("ell")
     assert all("ok" in line for line in out[1:])
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_cli_growth_on_more_letters_than_the_universe_holds(tmp_path, capsys, mode):
+    # 70 x 70 = 4,900 letters: not even the strings of length 1 fit in the
+    # 4,000-string universe, so there is nothing to search
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({
+        "alphabet": [{"name": "a", "values": list(range(70))},
+                     {"name": "b", "values": list(range(70))}],
+        "components": [{"name": "k", "dependencies": [1, 2], "core": "flipflop_wo",
+                        "input_class": {"kind": "threshold", "on_true": "set",
+                                        "on_false": "read"}}]}))
+    assert main(["growth", str(spec), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 4900 letters: even the strings of length 1 exceed "
+                            "the growth universe of 4000 strings\n")
+
+
+def test_cli_growth_heuristic_draws_count_against_the_cap(tmp_path, capsys):
+    # 200 restarts of 10^8 draws each: refused before any is drawn
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"family": "sequence_tasks", "d": 2}))
+    start = time.perf_counter()
+    assert main(["growth", str(spec), "--mode", "heuristic", "--ell", "100000000"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "heuristic growth draws exceeds cap: 20000000000 > 200000" in capsys.readouterr().err
+    assert main(["growth", str(spec), "--mode", "heuristic", "--ell", "3",
+                 "--cap", "599"]) == 3
+    assert main(["growth", str(spec), "--mode", "heuristic", "--ell", "3",
+                 "--cap", "600"]) == 0
 
 
 def test_cli_learn_with_target(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""The stored tables of flat automata and semiautomata are read-only int64
-arrays, and the compile path (flatten, minimize, equivalence,
-serialization) never builds the list rows or the state labels."""
+"""The stored tables of automata, semiautomata and components are read-only
+int64 arrays, and the compile path (flatten, minimize, equivalence,
+serialization) never builds the list rows, the state labels or a cascade's
+stepping lists."""
 
 import gc
 import json
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,8 +14,10 @@ import pytest
 
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, FlatAutomaton, Semiautomaton
+from cascata.cascade import build_chained
 from cascata.crafting import build_counter_task_cascade, build_flipflop_task_cascade
 from cascata.primes import make_counter, make_flipflop
+from cascata.specfile import cascade_from_spec, cascade_to_spec
 
 # built only when read
 LAZY = ("delta", "out", "states", "state_index", "initial")
@@ -24,13 +28,34 @@ def _built(auto: FlatAutomaton) -> set:
 
 
 def test_the_compile_path_builds_no_list_rows_and_no_labels():
-    flat = build_counter_task_cascade().flatten()
+    cascade = build_counter_task_cascade()
+    flat = cascade.flatten()
     minimized = flat.minimize()
     assert minimized.equivalent(flat).equivalent
     text = json.dumps(minimized.to_dict())
     assert json.loads(text)["states"] == [str(q) for q in range(8193)]
     assert (flat.n_states, minimized.n_states) == (16384, 8193)
     assert _built(flat) == set() and _built(minimized) == set()
+    # the cascade's stepping lists wait for its first run; components hold arrays only
+    assert "_wiring" not in vars(cascade)
+    assert not any(hasattr(c, "next") or hasattr(c, "out") for c in cascade.components)
+
+
+def test_a_million_state_counter_spec_builds_no_list_per_state():
+    spec = cascade_to_spec(build_chained(
+        FactoredAlphabet.single("event", ("tick", "idle")),
+        [dict(name="k", dependencies=(1,), core=make_counter(3),
+              input_fn=lambda x: "inc" if x == ("tick",) else "read")]))
+    spec["components"][0]["core"] = "counter:1000000"
+    tracemalloc.start()
+    try:
+        cascade = cascade_from_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20 and "_wiring" not in vars(cascade)
+    assert cascade.run([("tick",)] * 3 + [("idle",)]) == 3
+    assert cascade.run([("idle",)]) == 0
 
 
 @pytest.mark.parametrize("build", [build_flipflop_task_cascade, build_counter_task_cascade])
@@ -113,7 +138,7 @@ def test_component_rows_are_gathered_from_the_core_array(output_fn):
     comp = ComponentAutomaton(external, (1,), lambda x: "read" if x[0] == "skip" else x[0],
                               core, output_fn=output_fn)
     inputs = [core.letter_index[a] for a in ("inc", "read", "read")]
-    assert comp.next == [[row[a] for a in inputs] for row in core.delta]
-    want = comp.next if output_fn == "next_state" else [[q] * 3 for q in range(300)]
-    assert comp.out == want
-    assert all(type(v) is int for rows in (comp.next, comp.out) for row in rows for v in row)
+    assert comp.next_array.tolist() == [[row[a] for a in inputs] for row in core.delta]
+    want = comp.next_array.tolist() if output_fn == "next_state" else [[q] * 3 for q in range(300)]
+    assert comp.out_array.tolist() == want
+    assert comp.next_array.dtype == comp.out_array.dtype == np.int64
