@@ -6,29 +6,26 @@ state reached after all but the last letter, paired with the last letter.
 Instances are immutable after construction and all operations are pure.
 
 Tables: states and letters are numbered by position in the ``states`` and
-``alphabet`` label tuples.  The stored tables are read-only int64 arrays, one
-row per state: ``delta_array[q, a]`` is the next state's number and a flat
-automaton's ``out_array[q, a]`` the position of its output in ``outputs``.
-Flattening, minimization, equivalence, reachability, the transition monoid
-and serialization read and write these arrays.  ``delta`` and ``out`` are the
-same tables as plain lists of int rows, built on first read for scalar
-stepping and text output; labels given as a function (as ``flatten`` and
-``minimize`` give them) are likewise built on first read.  A component's
-compiled tables are arrays too: ``next_array[q, x]`` and ``out_array[q, x]``
+``alphabet`` label tuples.  Tables have one public form, read-only int64
+arrays with one row per state: ``delta_array[q, a]`` is the next state's
+number and a flat automaton's ``out_array[q, a]`` the position of its output
+in ``outputs``.  A component's ``next_array[q, x]`` and ``out_array[q, x]``
 are the next core state's number and the output code on the projected letter
 numbered ``x`` in the order of ``projected.letters()``; for ``'next_state'``
-outputs ``out_array`` is ``next_array`` itself.  A component keeps no list
-form: the lists a cascade steps on live in ``Cascade._wiring``, built on its
-first run.  Constructors take ``(state, letter)``-keyed dicts and check them
-once; ``transitions`` and ``output_map`` are read-only dict views of the
-tables, built on first use.
+outputs ``out_array`` is ``next_array`` itself.  Flattening, minimization,
+equivalence, reachability, the transition monoid and serialization read and
+write these arrays.  Scalar stepping reads private caches of the same tables
+as lists of int rows (``_delta``, ``_out``, and a cascade's ``_wiring``),
+built on first use; labels given as a function (as ``flatten`` and
+``minimize`` give them) are likewise built on first read.  Constructors take
+``(state, letter)``-keyed dicts, for automata written by hand, and check them
+once.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import partial
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -60,8 +57,8 @@ class _lazy_attribute:
     instance attribute of the same name.  Unlike ``functools.cached_property``
     it never touches the instance's ``__dict__``: materializing that dict
     slows every later attribute read of the instance, and scalar stepping
-    reads these attributes on every call.  It builds the list rows of flat
-    automata and semiautomata and a cascade's stepping lists
+    reads these attributes on every call.  It builds the stepping caches of
+    flat automata and semiautomata (``_delta``, ``_out``) and of cascades
     (``Cascade._wiring``)."""
 
     def __init__(self, build):
@@ -152,17 +149,9 @@ class Semiautomaton:
         return self.states[self.initial_index]
 
     @_lazy_attribute
-    def delta(self) -> list[list[int]]:
+    def _delta(self) -> list[list[int]]:
         """``delta_array`` as list rows of ints, which scalar stepping reads."""
         return int_rows(self.delta_array, self.n_states)
-
-    @_lazy_attribute
-    def transitions(self):
-        """Read-only ``(state, letter) -> state`` view of ``delta``."""
-        return MappingProxyType({
-            (q, a): self.states[t]
-            for q, row in zip(self.states, self.delta) for a, t in zip(self.alphabet, row)
-        })
 
     @property
     def n_states(self) -> int:
@@ -178,7 +167,7 @@ class Semiautomaton:
 
     def step(self, state, letter):
         try:
-            return self.states[self.delta[self.state_index[state]][self.letter_index[letter]]]
+            return self.states[self._delta[self.state_index[state]][self.letter_index[letter]]]
         except KeyError:
             self._number(state)
             raise UnknownLetterError(letter, where="semiautomaton")
@@ -189,14 +178,19 @@ class Semiautomaton:
         return self.states[self._walk(string, start)]
 
     def _walk(self, string, start=None) -> int:
-        """The number of the state ``run`` reaches."""
+        """The number of the state ``run`` reaches.  Letters are looked up
+        unchecked; only a failed lookup searches the string for the unknown
+        letter, so a one-shot iterator is read into a tuple first."""
         q = self.initial_index if start is None else self._number(start, "start state")
-        delta, index = self.delta, self.letter_index
-        for i, a in enumerate(string):
-            j = index.get(a)
-            if j is None:
-                raise UnknownLetterError(a, position=i, where="semiautomaton")
-            q = delta[q][j]
+        if iter(string) is string:
+            string = tuple(string)
+        rows, index = self._delta, self.letter_index
+        try:
+            for a in string:
+                q = rows[q][index[a]]
+        except KeyError:
+            i, a = next((i, a) for i, a in enumerate(string) if a not in index)
+            raise UnknownLetterError(a, position=i, where="semiautomaton") from None
         return q
 
     def __call__(self, string):
@@ -363,22 +357,10 @@ class FlatAutomaton:
     def initial(self):
         return self.core.initial
 
-    @property
-    def delta(self) -> list[list[int]]:
-        return self.core.delta
-
     @_lazy_attribute
-    def out(self) -> list[list[int]]:
+    def _out(self) -> list[list[int]]:
         """``out_array`` as list rows of ints, which scalar stepping reads."""
         return int_rows(self.out_array, len(self.outputs))
-
-    @_lazy_attribute
-    def output_map(self):
-        """Read-only ``(state, letter) -> output`` view of ``out``."""
-        return MappingProxyType({
-            (q, a): self.outputs[o]
-            for q, row in zip(self.states, self.out) for a, o in zip(self.alphabet, row)
-        })
 
     @property
     def n_states(self) -> int:
@@ -386,7 +368,7 @@ class FlatAutomaton:
 
     def output(self, state, letter):
         try:
-            return self.outputs[self.out[self.core.state_index[state]][self.letter_index[letter]]]
+            return self.outputs[self._out[self.core.state_index[state]][self.letter_index[letter]]]
         except KeyError:
             self.core._number(state)
             raise UnknownLetterError(letter, where="automaton output")
@@ -398,10 +380,10 @@ class FlatAutomaton:
         if len(string) == 0:
             raise EmptyInputError()
         q = self.core._walk(string[:-1])
-        j = self.letter_index.get(string[-1])
-        if j is None:
-            raise UnknownLetterError(string[-1], where="automaton output")
-        return self.outputs[self.out[q][j]]
+        try:
+            return self.outputs[self._out[q][self.letter_index[string[-1]]]]
+        except KeyError:
+            raise UnknownLetterError(string[-1], where="automaton output") from None
 
     def __call__(self, string):
         return self.run(string)
@@ -527,18 +509,15 @@ class FlatAutomaton:
 
     def to_dict(self) -> dict:
         n, k = self.delta_array.shape
-        numbers = np.arange(max(n, k), dtype=object)
-        values = np.fromiter(self.outputs, dtype=object, count=len(self.outputs))
-        state, letter = numbers[:n].repeat(k), np.tile(numbers[:k], n)
+        state, letter = np.arange(n).repeat(k).tolist(), np.tile(np.arange(k), n).tolist()
         data = {
             "letters": [list(a) if isinstance(a, tuple) else a for a in self.alphabet],
             "states": [repr(q) for q in self.core._state_labels()],
             "initial": self.core.initial_index,
             "outputs": list(self.outputs),
-            "transitions": np.stack([state, letter, numbers[self.delta_array.ravel()]],
-                                    1).tolist(),
-            "output_rows": np.stack([state, letter, values[self.out_array.ravel()]],
-                                    1).tolist(),
+            "transitions": list(zip(state, letter, self.delta_array.ravel().tolist())),
+            "output_rows": list(zip(state, letter, map(self.outputs.__getitem__,
+                                                       self.out_array.ravel().tolist()))),
         }
         if self.factored is not None:
             data["alphabet"] = [
@@ -582,7 +561,7 @@ class FlatAutomaton:
             shape = "doublecircle" if accepting is not None and i in accepting else "circle"
             lines.append(f'  q{i} [shape={shape}, label="{_dot_text(q)}"];')
         lines.append(f"  __start -> q{self.core.initial_index};")
-        for i, (drow, orow) in enumerate(zip(self.delta, self.out)):
+        for i, (drow, orow) in enumerate(zip(self.core._delta, self._out)):
             for a, target, o in zip(self.alphabet, drow, orow):
                 label = str(a)
                 if accepting is None:
@@ -595,12 +574,24 @@ class FlatAutomaton:
         """State numbers F such that output(q, a) == 1 iff the transition
         enters F, or None when no such labelling is consistent."""
         label: dict = {}
-        for drow, orow in zip(self.delta, self.out):
+        for drow, orow in zip(self.core._delta, self._out):
             for target, o in zip(drow, orow):
                 out = self.outputs[o]
                 if label.setdefault(target, out) != out:
                     return None
         return {q for q, v in label.items() if v == 1}
+
+
+def output_values(output_fn, core: Semiautomaton, outputs=None):
+    """The values a component's outputs are drawn from: its core's states
+    under the shorthands ``'state'`` and ``'next_state'``, else ``outputs``
+    (``None`` when they are left to be found).  An ``output_fn`` that is
+    neither a shorthand nor a callable is a ``ValueError``."""
+    if callable(output_fn):
+        return outputs
+    if output_fn in ("state", "next_state"):
+        return core.states
+    raise ValueError(f"unknown output_fn {output_fn!r}")
 
 
 class ComponentAutomaton:
@@ -626,17 +617,14 @@ class ComponentAutomaton:
         self.core = core
         self.name = name or "component"
 
-        if callable(output_fn):
+        outputs = output_values(output_fn, core, outputs)
+        self.output_kind = "table" if callable(output_fn) else output_fn
+        if self.output_kind == "table":
             self.theta = output_fn
-        elif output_fn == "state":
+        elif self.output_kind == "state":
             self.theta = lambda q, x: q
-            outputs = core.states
-        elif output_fn == "next_state":
-            self.theta = lambda q, x: core.step(q, input_fn(x))
-            outputs = core.states
         else:
-            raise ValueError(f"unknown output_fn {output_fn!r}")
-        self.output_kind = output_fn if isinstance(output_fn, str) else "table"
+            self.theta = lambda q, x: core.step(q, input_fn(x))
         self._compile(outputs)
 
     def _compile(self, outputs):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .alphabets import FactoredAlphabet, Letter, NumberedClass, mixed_radix_digits
 from .automata import (ComponentAutomaton, FlatAutomaton, Semiautomaton, _lazy_attribute,
-                       bfs_order)
+                       bfs_order, output_values)
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
@@ -313,14 +313,11 @@ class CascadeClass(NumberedClass):
     def __init__(self, external: FactoredAlphabet, parts):
         self.external = external
         self.parts = tuple(ClassPart(*p) for p in parts)
-        for p in self.parts:
-            if not isinstance(p.output_fn, str) and p.outputs is None:
+        self._outputs = tuple(output_values(p.output_fn, p.core, p.outputs) for p in self.parts)
+        for p, outputs in zip(self.parts, self._outputs):
+            if outputs is None:
                 raise ValueError(f"part {p.name!r}: an output_fn given as a callable "
                                  "needs its values in outputs")
-        # each part's output values: its core's states under the 'state' and
-        # 'next_state' shorthands, else its outputs
-        self._outputs = tuple(p.core.states if isinstance(p.output_fn, str) else p.outputs
-                              for p in self.parts)
 
     @cached_property
     def _radices(self) -> tuple[int, ...]:

@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 parse/validation error, 3 cap exceeded, 4
 verification failure (inequivalent automata, oracle mismatch).
 The environment variable ``CASCATA_CAP`` overrides the default size caps;
 ``--cap`` overrides both.  Only the commands whose work a cap bounds take
-``--cap``: flatten, minimize, equiv, aperiodic, growth and learn.  Every
+``--cap``: flatten, minimize, equiv, aperiodic, growth and learn.  Only
+``flatten`` takes ``--no-prune``, which keeps the product states unreachable
+from the initial one; ``minimize`` starts from the reachable states.  Every
 cascade, whether from a spec file, a class member or a scenario, is built
 by ``cascade.build_chained``.  When the reader of stdout goes away (``cascata
 bounds ... | head -1``), the rest of the output is dropped and the exit code
@@ -177,7 +179,7 @@ def _emit_automaton(auto, args) -> int:
         lines = [f"states: {auto.n_states}",
                  "letters: " + " ".join(_format_letter(a) if isinstance(a, tuple) else str(a)
                                         for a in auto.alphabet)]
-        for q, (drow, orow) in enumerate(zip(auto.delta, auto.out)):
+        for q, (drow, orow) in enumerate(zip(auto.delta_array.tolist(), auto.out_array.tolist())):
             for a, target, o in zip(auto.alphabet, drow, orow):
                 tok = _format_letter(a) if isinstance(a, tuple) else str(a)
                 lines.append(f"{q} --{tok}/{auto.outputs[o]}--> {target}")
@@ -481,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("flatten", cmd_flatten), ("minimize", cmd_minimize)):
         p = sub.add_parser(name, help=f"{name} a cascade spec")
         p.add_argument("spec")
-        p.add_argument("--no-prune", action="store_true")
+        if name == "flatten":  # minimize starts from the reachable states anyway
+            p.add_argument("--no-prune", action="store_true")
         common(p)
         p.set_defaults(fn=fn)
 

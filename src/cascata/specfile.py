@@ -72,7 +72,7 @@ from .alphabets import (
     ThresholdClass,
     ThresholdConjunction,
 )
-from .automata import Semiautomaton
+from .automata import Semiautomaton, output_values
 from .cascade import DEFAULT_PRODUCT_CAP, Cascade, CascadeClass, ClassPart, build_chained
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .crafting import SequenceTaskFamily
@@ -291,7 +291,7 @@ def _parse_input_fn(data, signature: FactoredAlphabet, where: str):
             raise SpecFileError("table needs 'entries'", where)
         rows = _rows(data["entries"], ("values", "output"), f"{where}.entries")
         fn = TableFunction(signature, tuple(_table_values(rows, signature, f"{where}.entries")))
-        return fn, fn.values
+        return fn, tuple(dict.fromkeys(fn.values))
     if kind == "mono_dnf":
         if "terms" not in data:
             raise SpecFileError("mono_dnf needs 'terms'", where)
@@ -350,9 +350,10 @@ def _parse_input_class(data, signature: FactoredAlphabet, where: str):
 def _parse_output_fn(data, core: Semiautomaton, signature: FactoredAlphabet, where: str):
     """The output function and its outputs."""
     if isinstance(data, str):
-        if data in ("state", "next_state"):
-            return data, core.states
-        raise SpecFileError(f"unknown output_fn {data!r}", where)
+        try:
+            return data, output_values(data, core)
+        except ValueError as e:
+            raise SpecFileError(str(e), where)
     _require_keys(data, {"kind", "entries"}, {"outputs"}, where)
     if data["kind"] != "table":
         raise SpecFileError(f"unknown output_fn kind {data['kind']!r}", where)
@@ -554,7 +555,7 @@ def cascade_to_spec(cascade: Cascade) -> dict:
             "input_fn": _serialize_input_fn(comp.input_fn, comp.projected),
             "core": _serialize_core(comp.core),
         }
-        if comp.output_kind in ("state", "next_state"):
+        if comp.output_kind != "table":
             entry["output_fn"] = comp.output_kind
         else:
             entry["output_fn"] = {

@@ -132,10 +132,10 @@ def test_criterion_5_counter_scenario_state_count():
     lidx = {a: i for i, a in enumerate(letters)}
     idx = {q: i for i, q in enumerate(minimized.states)}
     delta = np.array(
-        [[idx[minimized.core.transitions[(q, a)]] for a in letters]
+        [[idx[minimized.core.step(q, a)] for a in letters]
          for q in minimized.states], dtype=np.int64)
     out = np.array(
-        [[minimized.output_map[(q, a)] for a in letters]
+        [[minimized.output(q, a) for a in letters]
          for q in minimized.states], dtype=np.int8)
     wood, iron, fire, steel, factory = (
         lidx[(e,)] for e in ("wood", "iron", "fire", "steel", "factory"))

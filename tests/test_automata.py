@@ -39,6 +39,19 @@ def test_run_semiautomaton_unknown_letter_names_letter_and_position():
     assert err.value.position == 1
 
 
+def test_an_unknown_letter_from_a_one_shot_iterator_is_named_with_its_position():
+    with pytest.raises(UnknownLetterError) as err:
+        make_flipflop().run(iter(["set", "read", "bogus", "read"]))
+    assert (err.value.letter, err.value.position) == ("bogus", 2)
+    flat = build_flipflop_task_cascade().flatten()
+    with pytest.raises(UnknownLetterError) as err:
+        flat.run(a for a in [("wood",), ("bronze",), ("iron",)])
+    assert (err.value.letter, err.value.position) == (("bronze",), 1)
+    with pytest.raises(UnknownLetterError, match="automaton output") as err:
+        flat.run(a for a in [("wood",), ("bronze",)])
+    assert (err.value.letter, err.value.position) == (("bronze",), None)
+
+
 def test_run_composition_law():
     rng = random.Random(11)
     for _ in range(25):
@@ -256,9 +269,10 @@ def test_equivalent_matches_the_exhaustive_reference_on_renamed_alphabets():
             renamed = dict(zip(a.alphabet, "xyz"[:k]))
             b = FlatAutomaton(
                 tuple(reversed("xyz"[:k])), tuple(range(a.n_states)),
-                {(perm[q], renamed[x]): perm[t] for (q, x), t in a.core.transitions.items()},
+                {(perm[q], renamed[x]): perm[a.core.step(q, x)]
+                 for q in a.states for x in a.alphabet},
                 perm[a.initial],
-                {(perm[q], renamed[x]): o for (q, x), o in a.output_map.items()})
+                {(perm[q], renamed[x]): a.output(q, x) for q in a.states for x in a.alphabet})
         else:
             b = _random_flat(rng, tuple(reversed("xyz"[:k])))
         result = a.equivalent(b)
@@ -310,9 +324,20 @@ def test_from_dict_rejects_bad_and_repeated_rows(table, row):
 
 def test_from_dict_rejects_a_non_integer_target():
     data = _flipflop_dict()
-    data["transitions"][0][2] = 0.0
+    data["transitions"][0] = (*data["transitions"][0][:2], 0.0)
     with pytest.raises(ValueError):
         FlatAutomaton.from_dict(data)
+
+
+def test_output_values_are_the_core_states_under_the_shorthands():
+    core = make_counter(3)
+    assert automata.output_values("state", core) is core.states
+    assert automata.output_values("next_state", core, ("a", "b")) is core.states
+    assert automata.output_values(lambda q, x: q, core, ("a", "b")) == ("a", "b")
+    assert automata.output_values(lambda q, x: q, core) is None
+    for bad in ("sate", None, 3):
+        with pytest.raises(ValueError, match=f"unknown output_fn {bad!r}"):
+            automata.output_values(bad, core)
 
 
 def test_unknown_state_is_a_value_error_naming_the_state():

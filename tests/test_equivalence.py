@@ -24,6 +24,8 @@ def reference_equivalent(a: FlatAutomaton, b: FlatAutomaton) -> EquivalenceResul
     if len(mine) != len(theirs):
         raise ValueError("alphabets differ in size; no letter pairing exists")
     letters = [(x, a.letter_index[x], b.letter_index[y]) for x, y in zip(mine, theirs)]
+    a_delta, a_out = a.delta_array.tolist(), a.out_array.tolist()
+    b_delta, b_out = b.delta_array.tolist(), b.out_array.tolist()
     start = (a.core.initial_index, b.core.initial_index)
     parent: dict = {start: None}
     queue = deque([start])
@@ -31,13 +33,13 @@ def reference_equivalent(a: FlatAutomaton, b: FlatAutomaton) -> EquivalenceResul
         pair = queue.popleft()
         qa, qb = pair
         for x, ia, ib in letters:
-            if a.outputs[a.out[qa][ia]] != b.outputs[b.out[qb][ib]]:
+            if a.outputs[a_out[qa][ia]] != b.outputs[b_out[qb][ib]]:
                 word, node = [x], pair
                 while parent[node] is not None:
                     node, letter = parent[node]
                     word.append(letter)
                 return EquivalenceResult(False, tuple(reversed(word)))
-            nxt = (a.delta[qa][ia], b.delta[qb][ib])
+            nxt = (a_delta[qa][ia], b_delta[qb][ib])
             if nxt not in parent:
                 parent[nxt] = (pair, x)
                 queue.append(nxt)

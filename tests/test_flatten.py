@@ -14,6 +14,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from cascata.alphabets import FactoredAlphabet, TableClass, TableFunction
@@ -63,11 +64,11 @@ def assert_same_flatten(cascade: Cascade, what=None):
     for prune in (True, False):
         flat, ref = cascade.flatten(prune=prune), reference_flatten(cascade, prune)
         assert flat.states == ref.states, (what, prune)
-        assert flat.delta == ref.delta, (what, prune)
-        assert flat.out == ref.out, (what, prune)
+        assert flat.delta_array.tolist() == ref.delta_array.tolist(), (what, prune)
+        assert flat.out_array.tolist() == ref.out_array.tolist(), (what, prune)
         assert flat.core.initial_index == ref.core.initial_index, (what, prune)
         assert (flat.alphabet, flat.outputs) == (ref.alphabet, ref.outputs), (what, prune)
-        assert all(type(t) is int for row in flat.delta + flat.out for t in row), (what, prune)
+        assert flat.delta_array.dtype == flat.out_array.dtype == np.int64, (what, prune)
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -98,7 +99,7 @@ def test_flatten_of_one_state_products_and_one_letter():
     comp = ComponentAutomaton(one, (1,), lambda x: "read", core, output_fn="next_state")
     assert_same_flatten(Cascade([comp]))
     flat = Cascade([comp]).flatten()
-    assert flat.states == ((1,),) and flat.delta == [[0]]
+    assert flat.states == ((1,),) and flat.delta_array.tolist() == [[0]]
 
 
 def test_flatten_checks_the_cap_before_building():

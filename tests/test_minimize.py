@@ -20,11 +20,12 @@ from cascata.crafting import build_counter_task_cascade, build_flipflop_task_cas
 
 def reference_reachable(auto: FlatAutomaton) -> list[int]:
     """The reachable state numbers by a FIFO search over the list rows of
-    ``delta``, letters in alphabet order."""
+    ``delta_array``, letters in alphabet order."""
+    delta = auto.delta_array.tolist()
     order = [auto.core.initial_index]
     seen = {order[0]}
     for q in order:  # the list grows while it is walked: BFS
-        for nxt in auto.delta[q]:
+        for nxt in delta[q]:
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
@@ -37,8 +38,8 @@ def reference_minimize(auto: FlatAutomaton) -> FlatAutomaton:
     order = reference_reachable(auto)
     position = np.zeros(auto.n_states, dtype=np.int64)
     position[order] = np.arange(len(order))
-    delta = position[np.array(auto.delta, dtype=np.int64)[order]]
-    out_rows = np.array(auto.out, dtype=np.int64)[order]
+    delta = position[auto.delta_array[order]]
+    out_rows = auto.out_array[order]
     _, block = np.unique(out_rows, axis=0, return_inverse=True)
     while True:
         signature = np.column_stack([block, block[delta]])

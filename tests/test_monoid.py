@@ -21,7 +21,7 @@ CAP = 100_000
 def reference_transition_monoid(d: Semiautomaton, cap: int = CAP) -> set:
     n = len(d.states)
     identity = tuple(range(n))
-    generators = [tuple(column) for column in zip(*d.delta)]
+    generators = [tuple(column) for column in d.delta_array.T.tolist()]
     seen = {identity}
     frontier = deque([identity])
     while frontier:

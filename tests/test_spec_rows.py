@@ -106,3 +106,16 @@ def test_an_input_value_that_is_no_core_letter_is_named(value):
         cascade_from_spec(spec)
     assert str(info.value) == (f"[components[0].input_fn] {value!r} "
                                "is not a letter of the core")
+
+
+@pytest.mark.parametrize("strays", [("nope", "other"), ("other", "nope"), (2, None)])
+def test_the_first_stray_value_of_a_table_input_fn_is_named(strays):
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    comp = build_flipflop_task_cascade().components[0]
+    entries = [[list(x), comp.input_fn(x)] for x in comp.projected.letters()]
+    entries[1][1], entries[3][1], entries[4][1] = strays[0], strays[1], strays[0]
+    spec["components"][0]["input_fn"] = {"kind": "table", "entries": entries}
+    with pytest.raises(SpecFileError) as info:
+        cascade_from_spec(spec)
+    assert str(info.value) == (f"[components[0].input_fn] {strays[0]!r} "
+                               "is not a letter of the core")

@@ -268,6 +268,14 @@ def test_cli_flatten_dot_and_text(flipflop_spec, capsys):
     assert "states: 32" in capsys.readouterr().out
 
 
+def test_cli_minimize_takes_no_no_prune_flag(flipflop_spec, capsys):
+    # minimize starts from the reachable states, so the flag could change nothing
+    with pytest.raises(SystemExit) as err:
+        main(["minimize", flipflop_spec, "--no-prune"])
+    assert err.value.code == 2
+    assert "--no-prune" in capsys.readouterr().err
+
+
 def test_cli_equiv_self_and_counterexample(flipflop_spec, tmp_path, capsys):
     assert main(["equiv", flipflop_spec, flipflop_spec]) == 0
     assert "equivalent" in capsys.readouterr().out
@@ -1054,5 +1062,6 @@ def test_cli_dot_escapes_quotes_and_backslashes_in_labels(tmp_path, capsys):
             labels.append(re.sub(r"\\(.)", r"\1", match[1]))
     assert labels[:flat.n_states] == [str(q) for q in flat.states]
     assert labels[flat.n_states:] == [
-        f"{a} / {flat.outputs[o]}" for row in flat.out for a, o in zip(flat.alphabet, row)]
+        f"{a} / {flat.outputs[o]}" for row in flat.out_array.tolist()
+        for a, o in zip(flat.alphabet, row)]
     assert any('"' in label for label in labels) and any("\\" in label for label in labels)

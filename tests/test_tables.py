@@ -1,7 +1,7 @@
 """The stored tables of automata, semiautomata and components are read-only
-int64 arrays, and the compile path (flatten, minimize, equivalence,
-serialization) never builds the list rows, the state labels or a cascade's
-stepping lists."""
+int64 arrays, their only public table form, and the compile path (flatten,
+minimize, equivalence, serialization) never builds the private list rows,
+the state labels or a cascade's stepping lists."""
 
 import gc
 import json
@@ -20,7 +20,7 @@ from cascata.primes import make_counter, make_flipflop
 from cascata.specfile import cascade_from_spec, cascade_to_spec
 
 # built only when read
-LAZY = ("delta", "out", "states", "state_index", "initial")
+LAZY = ("_delta", "_out", "states", "state_index", "initial")
 
 
 def _built(auto: FlatAutomaton) -> set:
@@ -62,13 +62,19 @@ def test_a_million_state_counter_spec_builds_no_list_per_state():
 def test_list_rows_once_read_equal_the_arrays(build):
     flat = build().flatten()
     for auto in (flat, flat.minimize()):
-        assert auto.delta == auto.delta_array.tolist()
-        assert auto.out == auto.out_array.tolist()
-        assert all(type(v) is int for rows in (auto.delta, auto.out) for row in rows
+        assert auto.core._delta == auto.delta_array.tolist()
+        assert auto._out == auto.out_array.tolist()
+        assert all(type(v) is int for rows in (auto.core._delta, auto._out) for row in rows
                    for v in row)
-        assert auto.delta is auto.delta and auto.out is auto.out  # built once
-        assert auto.delta is auto.core.delta
+        assert auto.core._delta is auto.core._delta and auto._out is auto._out  # built once
         assert auto.delta_array.dtype == auto.out_array.dtype == np.int64
+
+
+def test_the_arrays_are_the_only_public_tables():
+    flat = build_flipflop_task_cascade().flatten()
+    flat.run(flat.alphabet[:2])  # builds the private stepping caches
+    for obj in (flat, flat.core):
+        assert not any(hasattr(obj, name) for name in ("delta", "out", "transitions", "output_map"))
 
 
 def test_labels_once_read_index_the_states():
@@ -138,7 +144,8 @@ def test_component_rows_are_gathered_from_the_core_array(output_fn):
     comp = ComponentAutomaton(external, (1,), lambda x: "read" if x[0] == "skip" else x[0],
                               core, output_fn=output_fn)
     inputs = [core.letter_index[a] for a in ("inc", "read", "read")]
-    assert comp.next_array.tolist() == [[row[a] for a in inputs] for row in core.delta]
+    assert comp.next_array.tolist() == [[row[a] for a in inputs]
+                                        for row in core.delta_array.tolist()]
     want = comp.next_array.tolist() if output_fn == "next_state" else [[q] * 3 for q in range(300)]
     assert comp.out_array.tolist() == want
     assert comp.next_array.dtype == comp.out_array.dtype == np.int64
