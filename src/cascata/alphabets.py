@@ -356,7 +356,6 @@ class TableClass(NumberedClass):
     """All total functions from a signature into a fixed output alphabet.
     A member's digits are its outputs on the letters, in letter order."""
 
-    kind = "table"
     signature: FactoredAlphabet
     outputs: tuple[Value, ...]
 
@@ -396,7 +395,6 @@ class MonotoneDnfClass(NumberedClass):
     there.  Closed-form counting is implemented for max_terms in {1, 2}.
     """
 
-    kind = "mono_dnf"
     signature: FactoredAlphabet
     max_terms: int
     outputs: tuple[Value, Value] = (1, 0)
@@ -489,7 +487,6 @@ class ThresholdClass(NumberedClass):
     A member's digits are its choices, one per coordinate.
     """
 
-    kind = "threshold"
     signature: FactoredAlphabet
     outputs: tuple[Value, Value] = (1, 0)
 

@@ -193,8 +193,7 @@ class Semiautomaton:
             raise UnknownLetterError(a, position=i, where="semiautomaton") from None
         return q
 
-    def __call__(self, string):
-        return self.run(string)
+    __call__ = run
 
     # -- transition monoid ---------------------------------------------------
 
@@ -385,8 +384,7 @@ class FlatAutomaton:
         except KeyError:
             raise UnknownLetterError(string[-1], where="automaton output") from None
 
-    def __call__(self, string):
-        return self.run(string)
+    __call__ = run
 
     def is_aperiodic(self, cap: int = DEFAULT_MONOID_CAP) -> bool:
         return self.core.is_aperiodic(cap)

@@ -180,8 +180,7 @@ class Cascade:
                 self._memo_size += 1
         return number, out
 
-    def __call__(self, string):
-        return self.run(string)
+    __call__ = run
 
     def product_size(self) -> int:
         return math.prod(len(c.core.states) for c in self.components)

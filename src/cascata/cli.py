@@ -285,14 +285,13 @@ def cmd_bounds(args) -> int:
                      _general(growth_bound_cascade(desc, ell)), ""))
     try:
         dim = dimension_bound_cascade(desc)
-        rows.append(("dimension_bound", f"{dim:.3f}", ""))
-        rows.append((
-            "sample_size_dimension",
-            str(sample_bound_dimension(max(dim, 1.0), 2, desc.epsilon, desc.eta)),
-            "bound-shaped estimate, instantiation C=8",
-        ))
+        size = sample_bound_dimension(max(dim, 1.0), 2, desc.epsilon, desc.eta)
     except ValueError as e:
         rows.append(("dimension_bound", "n/a", str(e)))
+    else:
+        rows.append(("dimension_bound", f"{dim:.3f}", ""))
+        rows.append(("sample_size_dimension", str(size),
+                     "bound-shaped estimate, instantiation C=8"))
     if k is not None:
         rows.append((
             "all_acceptors_baseline",

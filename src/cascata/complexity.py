@@ -214,17 +214,23 @@ def dimension_bound_cascade(desc: ClassDescriptor) -> float:
     gamma = max(c.output_size for c in desc.components)
     if d * w < 2:
         raise ValueError(f"dimension bound requires d*w >= 2, got {d * w:.3f}")
-    return 2 * d * w * math.log2(d * w * math.e * desc.max_len * pi * gamma)
+    bound = 2 * d * w * math.log2(d * w * math.e * desc.max_len * pi * gamma)
+    if not math.isfinite(bound):
+        raise ValueError("dimension bound is not finite")
+    return bound
 
 
 def sample_bound_dimension(dim: float, n_outputs: int, epsilon: float, eta: float) -> int:
     """Bound-shaped sample size from a dimension:
     ceil(C (dim ln|Y| + ln(1/eta)) / eps^2) with C the documented
     instantiation ``DIMENSION_SAMPLE_CONSTANT``, not a guarantee."""
-    if dim < 1:
+    if not dim >= 1:
         raise ValueError("dimension must be at least 1")
     bits = dim * math.log(n_outputs) + math.log(1 / eta)
-    return math.ceil(DIMENSION_SAMPLE_CONSTANT * bits / epsilon**2)
+    size = DIMENSION_SAMPLE_CONSTANT * bits / epsilon**2
+    if not math.isfinite(size):
+        raise ValueError("dimension sample size is not finite")
+    return math.ceil(size)
 
 
 # ---------------------------------------------------------------------------

@@ -44,14 +44,15 @@ names the built-in task family (``letters`` optional).
 Bound descriptor: a family as above, or ``{"components": [{"arity": ..,
 "degree": .., "n_input_fns": .., "n_cores": .., "n_output_fns": ..,
 "internal_size": .., "output_size": .., "input_dim": .., "output_dim": ..},
-...]}`` (integers; the dimensions are optional numbers); either form takes
-an optional ``max_len`` (default 8), ``epsilon`` and ``eta`` (default 0.1).
+...]}`` (integers; the dimensions are optional finite numbers, at least 0);
+either form takes an optional ``max_len`` (default 8), ``epsilon`` and
+``eta`` (default 0.1).
 
 Learning config: optional ``seed`` (0), ``epsilon``, ``eta`` (0.1, each in
 (0, 1)), ``max_len`` (8, at least 1), ``n`` (null: the finite-class bound;
-else at least 1), ``n_mc`` (2000, at least 1), ``min_risk`` (null) and
-``letter_weights`` (null: uniform; else one weight per letter, each at
-least 0, with a positive sum).
+else at least 1), ``n_mc`` (2000, at least 1), ``min_risk`` (null; else in
+[0, 1]) and ``letter_weights`` (null: uniform; else one weight per letter,
+each at least 0, with a positive sum).
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-
-import numpy as np
 
 from .alphabets import (
     Coordinate,
@@ -145,77 +144,45 @@ def _rows(data, fields: tuple[str, ...], where: str) -> list:
     return rows
 
 
-_MISSING = object()
-
-
-def _codes(index: dict, key, items: list) -> np.ndarray:
-    """``index.get(key(item), -1)`` per item, and -1 for an unhashable key."""
-    try:
-        return np.fromiter(map(index.get, map(key, items), itertools.repeat(-1)), np.int64,
-                           len(items))
-    except TypeError:
-        pass
-    codes = []
-    for item in items:
-        try:
-            codes.append(index.get(key(item), -1))
-        except TypeError:
-            codes.append(-1)
-    return np.array(codes, dtype=np.int64)
-
-
-def _reject_row(row, k: int, signature: FactoredAlphabet, where: str, core):
-    """Raise the error for row ``k``, the first bad one: its state is
-    unhashable, its letter is not a projected letter, its state is not a
-    core state, or an earlier row filled its slot (checked in that order)."""
-    try:
-        q = core.state_index.get(row[0], -1) if core else 0
-        signature.index(tuple(row[-2]))
-    except TypeError as e:  # an unhashable state
-        raise SpecFileError(str(e), where)
-    except CascataError:
-        raise SpecFileError(f"{row[-2]!r} is not a projected letter", f"{where}[{k}]")
-    raise SpecFileError(f"{row[0]!r} is not a core state" if q < 0 else
-                        f"a second entry for {row[:-1]!r}", f"{where}[{k}]")
-
-
 def _table_values(rows, signature: FactoredAlphabet, where: str, core=None) -> list:
     """The outputs of rows ``[values, output]`` in the order of
     ``signature.letters()``, or of rows ``[state, values, output]`` by core
     state and then letter; one row per letter (per state and letter).
 
-    Each row's slot is summed from one code column per coordinate (its
-    ``places``), plus the state's; the first row without a slot of its own
-    is the one reported."""
-    n, arity = signature.n_letters, signature.arity
-    size = n * (core.n_states if core else 1)
-    letters = [row[-2] for row in rows]
-    bad = np.fromiter(map(len, letters), np.int64, len(rows)) != arity
-    if bad.any():  # a letter of the wrong arity: pad it to be looked up as no letter
-        letters = [(_MISSING,) * arity if wrong else x for x, wrong in zip(letters, bad)]
-    slot = np.zeros(len(rows), dtype=np.int64)
-    columns = [(place, operator.itemgetter(i), letters)
-               for i, place in enumerate(signature.places)]
-    if core:
-        columns.append(({q: i * n for i, q in enumerate(core.states)},
-                        operator.itemgetter(0), rows))
-    for column in columns:
-        codes = _codes(*column)
-        bad |= codes < 0
-        slot += codes
-    ok = np.flatnonzero(~bad)
-    first = np.full(size, len(rows))  # per slot, the first good row that fills it
-    np.minimum.at(first, slot[ok], ok)
-    bad[ok[first[slot[ok]] != ok]] = True  # a second row for a filled slot
-    if bad.any():
-        k = int(bad.argmax())
-        _reject_row(rows[k], k, signature, where, core)
-    if len(rows) < size:  # every row filled a slot of its own
-        q, i = divmod(int((first == len(rows)).argmax()), n)
+    A table written in that order, as ``cascade_to_spec`` writes it, is read
+    by position: as many rows as slots, each naming its own slot.  Any other
+    table is walked row by row, and the first row without a slot of its own
+    is the one reported, or else the first slot without a row."""
+    n, states = signature.n_letters, core.states if core else (None,)
+    size = n * len(states)
+    keys = zip(map(operator.itemgetter(0), rows) if core else itertools.repeat(None),
+               map(tuple, map(operator.itemgetter(-2), rows)))
+    slots = ((q, x) for q in states for x in signature.letters())
+    if len(rows) == size and all(map(operator.eq, keys, slots)):
+        return [row[-1] for row in rows]
+    index = {x: i for i, x in enumerate(signature.letters())}
+    first = [None] * size  # per slot, the row that fills it
+    for k, row in enumerate(rows):
+        try:
+            q = core.state_index.get(row[0], -1) if core else 0
+        except TypeError as e:  # an unhashable state
+            raise SpecFileError(str(e), where)
+        try:
+            i = index[tuple(row[-2])]
+        except (KeyError, TypeError):  # no letter, or an unhashable value
+            raise SpecFileError(f"{row[-2]!r} is not a projected letter",
+                                f"{where}[{k}]") from None
+        if q < 0:
+            raise SpecFileError(f"{row[0]!r} is not a core state", f"{where}[{k}]")
+        if first[q * n + i] is not None:
+            raise SpecFileError(f"a second entry for {row[:-1]!r}", f"{where}[{k}]")
+        first[q * n + i] = k
+    if None in first:
+        q, i = divmod(first.index(None), n)
         x = list(next(itertools.islice(signature.letters(), i, None)))
         state = f"state {core.states[q]!r} and letter " if core else ""
         raise SpecFileError(f"no entry for {state}{x!r}", where)
-    return [rows[k][-1] for k in first.tolist()]
+    return [rows[k][-1] for k in first]
 
 
 def _parse_alphabet(data, where="alphabet") -> FactoredAlphabet:
@@ -477,10 +444,12 @@ def descriptor_from_spec(data: dict) -> tuple[ClassDescriptor, CascadeClass | No
         sizes = {k: _require_type(comp[k], int, f"{where}.{k}") for k in _COMPONENT_SIZES}
         if not 0 <= sizes["degree"] <= sizes["arity"]:
             raise SpecFileError("degree must lie in [0, arity]", f"{where}.degree")
+        dims = {k: _field(comp, k, _NUMBER, None, where) for k in ("input_dim", "output_dim")}
+        for k, dim in dims.items():
+            if dim is not None and not 0 <= dim < math.inf:
+                raise SpecFileError(f"{k} must be finite and at least 0", f"{where}.{k}")
         try:
-            specs.append(ComponentClassSpec(
-                **sizes, input_dim=_field(comp, "input_dim", _NUMBER, None, where),
-                output_dim=_field(comp, "output_dim", _NUMBER, None, where)))
+            specs.append(ComponentClassSpec(**sizes, **dims))
         except ValueError as e:
             raise SpecFileError(str(e), where)
     return ClassDescriptor(tuple(specs), *_bound_params(data)), None
@@ -501,9 +470,11 @@ def learn_config_from_spec(data: dict) -> dict:
     for key, size in sizes.items():
         if size is not None and size < 1:
             raise SpecFileError("must be at least 1", key)
+    min_risk = _field(data, "min_risk", _NUMBER, None)
+    if min_risk is not None and not 0 <= min_risk <= 1:
+        raise SpecFileError("min_risk must lie in [0, 1]", "min_risk")
     return {"seed": _field(data, "seed", int, 0), "epsilon": epsilon, "eta": eta,
-            "max_len": max_len, **sizes,
-            "min_risk": _field(data, "min_risk", _NUMBER, None), "letter_weights": weights}
+            "max_len": max_len, **sizes, "min_risk": min_risk, "letter_weights": weights}
 
 
 def _serialize_core(core: Semiautomaton):
@@ -525,24 +496,14 @@ def _serialize_core(core: Semiautomaton):
 
 def _serialize_input_fn(fn, signature: FactoredAlphabet):
     if isinstance(fn, MonotoneDnf):
-        return {
-            "kind": "mono_dnf",
-            "terms": [list(t) for t in fn.term_names()],
-            "on_true": fn.on_true,
-            "on_false": fn.on_false,
-        }
-    if isinstance(fn, ThresholdConjunction):
+        body = {"kind": "mono_dnf", "terms": [list(t) for t in fn.term_names()]}
+    elif isinstance(fn, ThresholdConjunction):
         names = [c.name for c in signature.coords]
-        return {
-            "kind": "threshold",
-            "thresholds": {n: t for n, t in zip(names, fn.thresholds) if t is not None},
-            "on_true": fn.on_true,
-            "on_false": fn.on_false,
-        }
-    return {
-        "kind": "table",
-        "entries": [[list(x), fn(x)] for x in signature.letters()],
-    }
+        body = {"kind": "threshold",
+                "thresholds": {n: t for n, t in zip(names, fn.thresholds) if t is not None}}
+    else:
+        return {"kind": "table", "entries": [[list(x), fn(x)] for x in signature.letters()]}
+    return {**body, "on_true": fn.on_true, "on_false": fn.on_false}
 
 
 def cascade_to_spec(cascade: Cascade) -> dict:

@@ -133,6 +133,19 @@ def test_cascade_dimension_bound_structure():
     assert d2 > 2 * d1 - 1e-9  # doubled leading factor plus log d inside
 
 
+@pytest.mark.parametrize("dim", [math.nan, math.inf, 1e308])
+def test_sample_bound_dimension_rejects_a_size_that_is_not_finite(dim):
+    with pytest.raises(ValueError):
+        sample_bound_dimension(dim, 2, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("dims", [(1e306, 0.0), (1e308, 1e308)])
+def test_cascade_dimension_bound_rejects_a_bound_that_is_not_finite(dims):
+    desc = ClassDescriptor((spec(input_dim=dims[0], output_dim=dims[1]),), max_len=8)
+    with pytest.raises(ValueError, match="dimension bound is not finite"):
+        dimension_bound_cascade(desc)
+
+
 def test_sample_bound_dimension_values_and_scaling():
     assert sample_bound_dimension(10, 2, 0.1, 0.1) == 7388
     two = sample_bound_dimension(10, 2, 0.1, 0.1)

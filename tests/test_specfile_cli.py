@@ -21,7 +21,12 @@ from cascata.crafting import (
 )
 from cascata.errors import SpecFileError
 from cascata.primes import make_counter, make_flipflop
-from cascata.specfile import cascade_from_spec, cascade_to_spec, descriptor_from_spec
+from cascata.specfile import (
+    cascade_from_spec,
+    cascade_to_spec,
+    descriptor_from_spec,
+    learn_config_from_spec,
+)
 
 from helpers import run_cli, start_cli
 
@@ -671,6 +676,41 @@ def test_cli_bounds_csv_components(tmp_path, capsys):
     assert any(line.startswith("dimension_bound,") for line in lines)
 
 
+def _component_descriptor(**fields) -> dict:
+    return {"components": [{"arity": 1, "degree": 1, "n_input_fns": 8, "n_cores": 1,
+                            "n_output_fns": 1, "internal_size": 2, "output_size": 2,
+                            **fields}], "max_len": 4}
+
+
+@pytest.mark.parametrize("key", ["input_dim", "output_dim"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1, -0.5])
+def test_cli_bounds_rejects_a_non_finite_or_negative_dimension(tmp_path, capsys, key, value):
+    path = _write(tmp_path, "desc.json", _component_descriptor(**{key: value}))
+    _rejected(["bounds", path], capsys, f"components[0].{key}")
+
+
+@pytest.mark.parametrize("fields, epsilon, reason", [
+    ({"input_dim": 1e306}, 0.1, "dimension bound is not finite"),
+    ({"input_dim": 1e308, "output_dim": 1e308}, 0.1, "dimension bound is not finite"),
+    ({"input_dim": 1e303}, 0.001, "dimension sample size is not finite"),
+])
+def test_cli_bounds_prints_one_dimension_row_when_a_bound_overflows(
+        tmp_path, capsys, fields, epsilon, reason):
+    descriptor = {**_component_descriptor(**fields), "epsilon": epsilon}
+    assert main(["bounds", _write(tmp_path, "desc.json", descriptor)]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(None, 1) for line in captured.out.splitlines()]
+    assert [rest for q, rest in rows if q.startswith(("dimension", "sample_size_dim"))] == [
+        f"n/a  [{reason}]"]
+    assert captured.err == ""
+
+
+def test_cli_bounds_takes_dimensions_of_zero(tmp_path, capsys):
+    path = _write(tmp_path, "desc.json", _component_descriptor(input_dim=0, output_dim=0.0))
+    assert main(["bounds", path]) == 0
+    assert _bounds_rows(capsys)["dimension_bound"] == "n/a"
+
+
 def test_cli_growth_family(tmp_path, capsys):
     spec = tmp_path / "class.json"
     spec.write_text(json.dumps({"family": "sequence_tasks", "d": 2}))
@@ -912,6 +952,21 @@ def test_cli_class_spec_accepts_an_output_table(tmp_path, capsys):
 def test_cli_mistyped_learn_config_exit_2(tmp_path, capsys, field, value):
     key = field.split("[")[0]
     _rejected(_learn_files(tmp_path, config={key: value}), capsys, field)
+
+
+@pytest.mark.parametrize("min_risk", [-3, -0.01, 1.5, math.inf, math.nan])
+def test_cli_learn_rejects_a_min_risk_outside_the_unit_interval(tmp_path, capsys, min_risk):
+    from cascata.crafting import SequenceTaskFamily
+
+    argv = _learn_files(tmp_path, config={"min_risk": min_risk})
+    target = cascade_to_spec(SequenceTaskFamily(2).sequence_target())
+    argv = argv[:3] + ["--target", _write(tmp_path, "target.json", target)]
+    _rejected(argv, capsys, "min_risk")
+
+
+@pytest.mark.parametrize("min_risk", [0, 0.25, 1])
+def test_learn_config_takes_a_min_risk_in_the_unit_interval(min_risk):
+    assert learn_config_from_spec({"min_risk": min_risk})["min_risk"] == min_risk
 
 
 @pytest.mark.parametrize("mode", ["target", "traces"])
