@@ -13,13 +13,13 @@ in ``outputs``.  A component's ``next_array[q, x]`` and ``out_array[q, x]``
 are the next core state's number and the output code on the projected letter
 numbered ``x`` in the order of ``projected.letters()``; for ``'next_state'``
 outputs ``out_array`` is ``next_array`` itself.  Flattening, minimization,
-equivalence, reachability, the transition monoid and serialization read and
-write these arrays.  Scalar stepping reads private caches of the same tables
-as lists of int rows (``_delta``, ``_out``, and a cascade's ``_wiring``),
-built on first use; labels given as a function (as ``flatten`` and
-``minimize`` give them) are likewise built on first read.  Constructors take
-``(state, letter)``-keyed dicts, for automata written by hand, and check them
-once.
+equivalence, reachability, the transition monoid, serialization, ``to_dot``
+and the prime checks read and write these arrays.  Only scalar stepping
+builds and reads private caches of the same tables as lists of int rows
+(``_delta``, ``_out``, and a cascade's ``_wiring``), on first use; labels
+given as a function (as ``flatten`` and ``minimize`` give them) are built
+on first read.  Constructors take ``(state, letter)``-keyed dicts, for
+automata written by hand, and check them once.
 """
 
 from __future__ import annotations
@@ -130,14 +130,14 @@ class Semiautomaton:
         if len(self.letter_index) != len(self.alphabet) or not self.alphabet:
             raise ValueError("alphabet must be a non-empty duplicate-free sequence")
 
-    def _state_labels(self):
+    def state_labels(self):
         """The labels: ``states`` once built, until then what the labels
         function returns, which is not kept."""
         return self._labels() if callable(self._labels) else self._labels
 
     @_lazy_attribute
     def states(self) -> tuple:
-        self._labels = tuple(self._state_labels())
+        self._labels = tuple(self.state_labels())
         return self._labels
 
     @_lazy_attribute
@@ -510,7 +510,7 @@ class FlatAutomaton:
         state, letter = np.arange(n).repeat(k).tolist(), np.tile(np.arange(k), n).tolist()
         data = {
             "letters": [list(a) if isinstance(a, tuple) else a for a in self.alphabet],
-            "states": [repr(q) for q in self.core._state_labels()],
+            "states": [repr(q) for q in self.core.state_labels()],
             "initial": self.core.initial_index,
             "outputs": list(self.outputs),
             "transitions": list(zip(state, letter, self.delta_array.ravel().tolist())),
@@ -555,15 +555,13 @@ class FlatAutomaton:
         {0,1} and consistently mark the transition targets."""
         accepting = self._accepting_states() if set(self.outputs) <= {0, 1} else None
         lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
-        for i, q in enumerate(self.states):
+        for i, q in enumerate(self.core.state_labels()):
             shape = "doublecircle" if accepting is not None and i in accepting else "circle"
             lines.append(f'  q{i} [shape={shape}, label="{_dot_text(q)}"];')
         lines.append(f"  __start -> q{self.core.initial_index};")
-        for i, (drow, orow) in enumerate(zip(self.core._delta, self._out)):
+        for i, (drow, orow) in enumerate(zip(self.delta_array.tolist(), self.out_array.tolist())):
             for a, target, o in zip(self.alphabet, drow, orow):
-                label = str(a)
-                if accepting is None:
-                    label += f" / {self.outputs[o]}"
+                label = a if accepting is not None else f"{a} / {self.outputs[o]}"
                 lines.append(f'  q{i} -> q{target} [label="{_dot_text(label)}"];')
         lines.append("}")
         return "\n".join(lines)
@@ -572,11 +570,10 @@ class FlatAutomaton:
         """State numbers F such that output(q, a) == 1 iff the transition
         enters F, or None when no such labelling is consistent."""
         label: dict = {}
-        for drow, orow in zip(self.core._delta, self._out):
-            for target, o in zip(drow, orow):
-                out = self.outputs[o]
-                if label.setdefault(target, out) != out:
-                    return None
+        for target, o in zip(self.delta_array.ravel().tolist(), self.out_array.ravel().tolist()):
+            out = self.outputs[o]
+            if label.setdefault(target, out) != out:
+                return None
         return {q for q, v in label.items() if v == 1}
 
 

@@ -183,7 +183,7 @@ class Cascade:
     __call__ = run
 
     def product_size(self) -> int:
-        return math.prod(len(c.core.states) for c in self.components)
+        return math.prod(c.core.n_states for c in self.components)
 
     def flatten(self, cap: int = DEFAULT_PRODUCT_CAP, prune: bool = True) -> FlatAutomaton:
         """The single product automaton the cascade denotes, over the
@@ -307,13 +307,15 @@ class CascadeClass(NumberedClass):
     member's digits are its components' choices, so the last component's
     choice varies fastest.  Members are built by ``build_chained``, so every
     member holds the same chained alphabets.  A part whose ``output_fn`` is
-    a callable must list its values in ``outputs``."""
+    a callable must list its values in ``outputs``; ``part_outputs`` holds
+    each part's output values, so the last one's are the members' outputs."""
 
     def __init__(self, external: FactoredAlphabet, parts):
         self.external = external
         self.parts = tuple(ClassPart(*p) for p in parts)
-        self._outputs = tuple(output_values(p.output_fn, p.core, p.outputs) for p in self.parts)
-        for p, outputs in zip(self.parts, self._outputs):
+        self.part_outputs = tuple(output_values(p.output_fn, p.core, p.outputs)
+                                  for p in self.parts)
+        for p, outputs in zip(self.parts, self.part_outputs):
             if outputs is None:
                 raise ValueError(f"part {p.name!r}: an output_fn given as a callable "
                                  "needs its values in outputs")
@@ -359,6 +361,6 @@ class CascadeClass(NumberedClass):
                 internal_size=len(p.core.alphabet),
                 output_size=len(outputs), input_dim=dim,
             )
-            for i, (p, outputs, dim) in enumerate(zip(self.parts, self._outputs, dims,
+            for i, (p, outputs, dim) in enumerate(zip(self.parts, self.part_outputs, dims,
                                                       strict=True))
         ), max_len, epsilon, eta)

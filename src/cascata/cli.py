@@ -15,8 +15,9 @@ bounds ... | head -1``), the rest of the output is dropped and the exit code
 is 0, with no traceback.
 
 Trace files hold one trace per line: space-separated letters, each letter a
-comma-separated list of coordinate values.  Label files hold one 0/1 per
-line.
+comma-separated list of coordinate values.  Label files hold one integer
+per line, an output value of the class's last component.  ``--out`` sends
+a command's result to a file instead of stdout (``learn``'s report stays).
 """
 
 from __future__ import annotations
@@ -166,9 +167,7 @@ def _flat_for(args, minimize: bool):
     cascade = cascade_from_spec(_load_json(args.spec))
     auto = cascade.flatten(cap=_cap(args, DEFAULT_PRODUCT_CAP),
                            prune=not getattr(args, "no_prune", False))
-    if minimize:
-        auto = auto.minimize()
-    return auto
+    return auto.minimize() if minimize else auto
 
 
 def _emit_automaton(auto, args) -> int:
@@ -202,10 +201,10 @@ def cmd_equiv(args) -> int:
     b = cascade_from_spec(_load_json(args.spec2)).flatten(cap=_cap(args, DEFAULT_PRODUCT_CAP))
     result = a.equivalent(b)
     if result.equivalent:
-        print("equivalent")
+        _emit("equivalent", args.out)
         return EXIT_OK
     witness = " ".join(_format_letter(x) for x in result.counterexample)
-    print(f"not equivalent; counterexample: {witness}")
+    _emit(f"not equivalent; counterexample: {witness}", args.out)
     return EXIT_VERIFY
 
 
@@ -214,7 +213,7 @@ def cmd_aperiodic(args) -> int:
     auto = cascade.flatten(cap=_cap(args, DEFAULT_PRODUCT_CAP))
     monoid = auto.core.transition_monoid(_cap(args, DEFAULT_MONOID_CAP))
     verdict = "aperiodic" if is_aperiodic_monoid(monoid) else "not aperiodic"
-    print(f"{verdict}; monoid size: {len(monoid)}")
+    _emit(f"{verdict}; monoid size: {len(monoid)}", args.out)
     return EXIT_OK
 
 
@@ -237,6 +236,7 @@ def cmd_check(args) -> int:
     from .functional import cascade_function
 
     _at_least_one(args.max_len, "--max-len")
+    _at_least_one(args.samples, "--samples")
     cascade = cascade_from_spec(_load_json(args.spec))
     tree = cascade_function(cascade)
     letters = list(cascade.external.letters())
@@ -250,9 +250,9 @@ def cmd_check(args) -> int:
     for s in strings:
         if tree(s) != cascade.run(s):
             witness = " ".join(_format_letter(x) for x in s)
-            print(f"mismatch on: {witness}")
+            _emit(f"mismatch on: {witness}", args.out)
             return EXIT_VERIFY
-    print(f"compositional function agrees with the cascade on {len(strings)} strings")
+    _emit(f"compositional function agrees with the cascade on {len(strings)} strings", args.out)
     return EXIT_OK
 
 
@@ -356,16 +356,21 @@ def _read_traces(path: str, alphabet: FactoredAlphabet) -> list[tuple[int, tuple
             for n, line in _lines(path)]
 
 
-def _label(path: str, line_no: int, text: str) -> int:
+def _label(path: str, line_no: int, text: str, values) -> int:
     try:
-        return int(text)
+        label = int(text)
     except ValueError:
         raise SpecFileError(f"{path}: line {line_no}: label {text!r} is not an integer")
+    if label not in values:
+        raise SpecFileError(f"{path}: line {line_no}: label {text!r} is not an output "
+                            "of the class's last component")
+    return label
 
 
-def _read_labeled(traces_path, labels_path, external) -> LabeledSample:
-    strings = [trace for _, trace in _read_traces(traces_path, external) if trace]
-    labels = [_label(labels_path, n, line) for n, line in _lines(labels_path) if line]
+def _read_labeled(traces_path, labels_path, cls) -> LabeledSample:
+    strings = [trace for _, trace in _read_traces(traces_path, cls.external) if trace]
+    values = set(cls.part_outputs[-1])  # a last counter part may output many states
+    labels = [_label(labels_path, n, line, values) for n, line in _lines(labels_path) if line]
     if not strings:
         raise SpecFileError(f"{traces_path}: no traces")
     if len(labels) != len(strings):
@@ -402,7 +407,7 @@ def cmd_learn(args) -> int:
         n = bound if config["n"] is None else config["n"]
         sample = draw_sample(dist, target, n, seed=seed)
     elif args.traces and args.labels:
-        sample = _read_labeled(args.traces, args.labels, cls.external)
+        sample = _read_labeled(args.traces, args.labels, cls)
         n = len(sample)
     else:
         raise SpecFileError("learn needs either --target or --traces with --labels")
@@ -433,12 +438,10 @@ def cmd_learn(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    if args.what == "flipflop":
-        _emit(json.dumps(cascade_to_spec(crafting.build_flipflop_task_cascade()), indent=2),
-              args.out)
-    elif args.what == "counter":
-        _emit(json.dumps(cascade_to_spec(crafting.build_counter_task_cascade()), indent=2),
-              args.out)
+    builds = {"flipflop": crafting.build_flipflop_task_cascade,
+              "counter": crafting.build_counter_task_cascade}
+    if args.what in builds:
+        _emit(json.dumps(cascade_to_spec(builds[args.what]()), indent=2), args.out)
     elif args.what == "family":
         _at_least_one(args.d, "--d", least=2)
         _emit(json.dumps({"family": "sequence_tasks", "d": args.d}, indent=2), args.out)

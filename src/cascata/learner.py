@@ -54,6 +54,8 @@ class StringDistribution:
     letter_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if not self.alphabet:
+            raise ValueError("the alphabet must hold at least one letter")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
         weights = self.letter_weights
@@ -183,8 +185,10 @@ def learning_curve(functions, target: Callable, dist: StringDistribution,
 
     ``baseline_risk`` is the minimum true risk over the class; pass 0.0 for a
     realizable target (the target's own risk is identically zero), otherwise
-    it is estimated exhaustively once.
+    it is estimated exhaustively once.  ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if baseline_risk is None:
         baseline_risk = class_min_risk(functions, target, dist, n_mc, seed=seed ^ 0x5EED)
     points = []

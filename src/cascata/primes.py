@@ -1,7 +1,10 @@
-"""Prime building blocks: flip-flops and modular counters."""
+"""Prime building blocks: flip-flops and modular counters.  Each kind's
+transition rule is written once, in ``RULES``: the builders fill their
+``delta_array`` from it, and ``validate_prime_identities`` checks one."""
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import NamedTuple
 
@@ -9,8 +12,19 @@ import numpy as np
 
 from .automata import Semiautomaton
 
-FLIPFLOP_LETTERS = ("set", "reset", "read")
-COUNTER_LETTERS = ("inc", "read")
+#: Per kind and letter: the state that a core of ``n`` states moves to from
+#: state ``q`` (a label, or an array of labels).
+RULES = {"flipflop": {"set": lambda q, n: 1, "reset": lambda q, n: 0, "read": lambda q, n: q},
+         "counter": {"inc": lambda q, n: (q + 1) % n, "read": lambda q, n: q}}
+FLIPFLOP_LETTERS, COUNTER_LETTERS = map(tuple, RULES.values())
+
+
+def _moves(kind: str, letters, q: np.ndarray) -> np.ndarray:
+    """``RULES[kind]`` from the ``len(q)`` states ``q``, one column per letter."""
+    table = np.empty((len(q), len(letters)), dtype=q.dtype)
+    for j, a in enumerate(letters):
+        table[:, j] = RULES[kind][a](q, len(q))
+    return table
 
 
 def _check_initial(initial, n_states: int, what: str) -> None:
@@ -24,8 +38,8 @@ def make_flipflop(with_reset: bool = True, initial: int = 0) -> Semiautomaton:
     and the internal alphabet is just {set, read}."""
     _check_initial(initial, 2, "flip-flop")
     letters = FLIPFLOP_LETTERS if with_reset else ("set", "read")
-    delta = np.array([[1, 0, q] if with_reset else [1, q] for q in (0, 1)])  # over ``letters``
-    return Semiautomaton.from_tables(letters, (0, 1), delta, initial)
+    return Semiautomaton.from_tables(letters, (0, 1), _moves("flipflop", letters, np.arange(2)),
+                                     initial)
 
 
 def make_counter(modulus: int, initial: int = 0) -> Semiautomaton:
@@ -34,23 +48,15 @@ def make_counter(modulus: int, initial: int = 0) -> Semiautomaton:
     if modulus < 2:
         raise ValueError(f"counter modulus must be at least 2, got {modulus}")
     _check_initial(initial, modulus, "counter")
-    q = np.arange(modulus)
-    delta = np.stack([(q + 1) % modulus, q], axis=1)  # columns (inc, read)
+    delta = _moves("counter", COUNTER_LETTERS, np.arange(modulus))
     return Semiautomaton.from_tables(COUNTER_LETTERS, partial(range, modulus), delta, initial)
 
 
 def is_prime_counter(core: Semiautomaton) -> bool:
     """A core is a prime counter exactly when it satisfies the counter
     identities and its modulus is a prime number."""
-    if not validate_prime_identities(core, "counter").ok:
-        return False
-    n = len(core.states)
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return validate_prime_identities(core, "counter").ok and all(
+        core.n_states % d for d in range(2, math.isqrt(core.n_states) + 1))
 
 
 class IdentityCheck(NamedTuple):
@@ -59,39 +65,26 @@ class IdentityCheck(NamedTuple):
 
 
 def validate_prime_identities(core: Semiautomaton, kind: str) -> IdentityCheck:
-    """Exhaustively check the defining identities of a flip-flop or counter.
-
-    kind: 'flipflop' (reset optional in the alphabet) or 'counter'.
-    """
-    if kind == "flipflop":
-        if set(core.states) != {0, 1}:
-            return IdentityCheck(False, f"states {core.states} are not {{0, 1}}")
-        expected = {"read": lambda q: q, "set": lambda q: 1, "reset": lambda q: 0}
-        if not set(core.alphabet) <= set(expected):
-            return IdentityCheck(False, f"alphabet {core.alphabet} is not flip-flop-like")
-        if "set" not in core.alphabet or "read" not in core.alphabet:
-            return IdentityCheck(False, "flip-flop needs at least {set, read}")
-        for q in core.states:
-            for a in core.alphabet:
-                want = expected[a](q)
-                got = core.step(q, a)
-                if got != want:
-                    return IdentityCheck(
-                        False, f"delta({q}, {a}) = {got}, expected {want}"
-                    )
+    """Exhaustively check the defining identities of a ``kind`` of core,
+    'flipflop' (reset optional in the alphabet) or 'counter': states labelled
+    0..n-1, and every transition of ``delta_array`` as ``RULES[kind]`` says;
+    the first that is not, in (state, core letter) order, is named."""
+    if kind not in RULES:
+        raise ValueError(f"unknown prime kind {kind!r}")
+    flipflop, labels, n = kind == "flipflop", core.state_labels(), core.n_states
+    if (n != 2 if flipflop else n < 2) or set(labels) != set(range(n)):
+        return IdentityCheck(False, f"states {tuple(labels)} are not "
+                                    + ("{0, 1}" if flipflop else "[0, n-1]"))
+    letters, known = set(core.alphabet), set(RULES[kind])  # a flip-flop may lack reset
+    if not (letters <= known if flipflop else letters == known):
+        return IdentityCheck(False, f"alphabet {core.alphabet} is not "
+                                    + ("flip-flop-like" if flipflop else "{inc, read}"))
+    if flipflop and not {"set", "read"} <= letters:
+        return IdentityCheck(False, "flip-flop needs at least {set, read}")
+    values = np.asarray(labels)
+    wrong = (values[core.delta_array] != _moves(kind, core.alphabet, values)).ravel()
+    if not wrong[first := int(wrong.argmax())]:
         return IdentityCheck(True, None)
-
-    if kind == "counter":
-        n = len(core.states)
-        if set(core.states) != set(range(n)) or n < 2:
-            return IdentityCheck(False, f"states {core.states} are not [0, n-1]")
-        if set(core.alphabet) != set(COUNTER_LETTERS):
-            return IdentityCheck(False, f"alphabet {core.alphabet} is not {{inc, read}}")
-        for q in core.states:
-            for a, want in (("read", q), ("inc", (q + 1) % n)):
-                got = core.step(q, a)
-                if got != want:
-                    return IdentityCheck(False, f"delta({q}, {a}) = {got}, expected {want}")
-        return IdentityCheck(True, None)
-
-    raise ValueError(f"unknown prime kind {kind!r}")
+    q, i = divmod(first, len(core.alphabet))
+    q, a, got = labels[q], core.alphabet[i], labels[int(core.delta_array[q, i])]
+    return IdentityCheck(False, f"delta({q}, {a}) = {got}, expected {RULES[kind][a](q, n)}")

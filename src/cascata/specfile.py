@@ -209,10 +209,8 @@ def _parse_core(data, where: str) -> Semiautomaton:
         if kind in ("flipflop", "flipflop_wo") or kind.startswith("counter:"):
             _require_keys(data, {"kind"}, {"initial"}, where)
             initial = data.get("initial", 0)
-            if kind == "flipflop":
-                return make_flipflop(with_reset=True, initial=initial)
-            if kind == "flipflop_wo":
-                return make_flipflop(with_reset=False, initial=initial)
+            if kind in ("flipflop", "flipflop_wo"):
+                return make_flipflop(with_reset=kind == "flipflop", initial=initial)
             try:
                 modulus = int(kind.split(":", 1)[1])
             except ValueError:
@@ -478,19 +476,21 @@ def learn_config_from_spec(data: dict) -> dict:
 
 
 def _serialize_core(core: Semiautomaton):
-    kind = None
-    if validate_prime_identities(core, "flipflop").ok:
-        kind = "flipflop" if "reset" in core.alphabet else "flipflop_wo"
-    elif validate_prime_identities(core, "counter").ok:
-        kind = f"counter:{len(core.states)}"
-    if kind is not None:
-        return kind if core.initial == 0 else {"kind": kind, "initial": core.initial}
+    """A prime core by name, any other core as a table of its labels."""
+    labels = core.state_labels()
+    initial = labels[core.initial_index]
+    counter = "inc" in core.alphabet  # only such a core can be a counter, no other a flip-flop
+    if validate_prime_identities(core, "counter" if counter else "flipflop").ok:
+        kind = (f"counter:{core.n_states}" if counter
+                else "flipflop" if "reset" in core.alphabet else "flipflop_wo")
+        return kind if initial == 0 else {"kind": kind, "initial": initial}
     return {
         "kind": "table",
         "letters": list(core.alphabet),
-        "states": list(core.states),
-        "initial": core.initial,
-        "transitions": [[q, a, core.step(q, a)] for q in core.states for a in core.alphabet],
+        "states": list(labels),
+        "initial": initial,
+        "transitions": [[q, a, labels[t]] for q, row in zip(labels, core.delta_array.tolist())
+                        for a, t in zip(core.alphabet, row)],
     }
 
 

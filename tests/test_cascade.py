@@ -199,7 +199,7 @@ def reference_build(cls: CascadeClass, input_fns) -> Cascade:
     earlier parts' output values itself, here into alphabet objects of the
     reference's own."""
     alphabets = [cls.external]
-    for p, outputs in zip(cls.parts[:-1], cls._outputs):
+    for p, outputs in zip(cls.parts[:-1], cls.part_outputs):
         coords = alphabets[-1].coords + (Coordinate(p.name, tuple(outputs)),)
         alphabets.append(FactoredAlphabet(coords))
     return Cascade(

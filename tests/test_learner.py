@@ -194,6 +194,19 @@ def test_learning_curve_improves_and_exports_csv():
     assert len(csv_text.splitlines()) == 3
 
 
+@pytest.mark.parametrize("weights", [None, ()])
+def test_string_distribution_needs_a_letter(weights):
+    with pytest.raises(ValueError, match="at least one letter"):
+        StringDistribution((), max_len=3, letter_weights=weights)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_learning_curve_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        learning_curve([count_a], count_a, DIST, sample_sizes=(2,), trials=trials,
+                       epsilon=0.1, baseline_risk=0.0)
+
+
 def test_zero_one_loss_is_symmetric_binary():
     assert zero_one_loss(1, 1) == 0
     assert zero_one_loss(0, 1) == 1 == zero_one_loss(1, 0)

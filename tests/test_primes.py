@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from cascata.automata import Semiautomaton
 from cascata.primes import (
     COUNTER_LETTERS,
+    FLIPFLOP_LETTERS,
+    IdentityCheck,
     is_prime_counter,
     make_counter,
     make_flipflop,
@@ -137,3 +140,88 @@ def test_prime_cores_take_only_an_int_state_number_as_initial(initial):
                   lambda: make_counter(3, initial=initial)):
         with pytest.raises(ValueError, match=re.escape(f"initial state {initial!r} outside")):
             build()
+
+
+def reference_validate(core: Semiautomaton, kind: str) -> IdentityCheck:
+    """The identities checked label by label through ``core.step``: the
+    flip-flop in core letter order, the counter with ``read`` before
+    ``inc`` in each state."""
+    if kind == "flipflop":
+        if set(core.states) != {0, 1}:
+            return IdentityCheck(False, f"states {core.states} are not {{0, 1}}")
+        expected = {"read": lambda q: q, "set": lambda q: 1, "reset": lambda q: 0}
+        if not set(core.alphabet) <= set(expected):
+            return IdentityCheck(False, f"alphabet {core.alphabet} is not flip-flop-like")
+        if "set" not in core.alphabet or "read" not in core.alphabet:
+            return IdentityCheck(False, "flip-flop needs at least {set, read}")
+        for q in core.states:
+            for a in core.alphabet:
+                want, got = expected[a](q), core.step(q, a)
+                if got != want:
+                    return IdentityCheck(False, f"delta({q}, {a}) = {got}, expected {want}")
+        return IdentityCheck(True, None)
+    if kind == "counter":
+        n = len(core.states)
+        if set(core.states) != set(range(n)) or n < 2:
+            return IdentityCheck(False, f"states {core.states} are not [0, n-1]")
+        if set(core.alphabet) != set(COUNTER_LETTERS):
+            return IdentityCheck(False, f"alphabet {core.alphabet} is not {{inc, read}}")
+        for q in core.states:
+            for a, want in (("read", q), ("inc", (q + 1) % n)):
+                got = core.step(q, a)
+                if got != want:
+                    return IdentityCheck(False, f"delta({q}, {a}) = {got}, expected {want}")
+        return IdentityCheck(True, None)
+    raise ValueError(f"unknown prime kind {kind!r}")
+
+
+def _random_core(rng: random.Random) -> tuple[Semiautomaton, int]:
+    """A flip-flop- or counter-like core with permuted state labels and
+    letters, then up to two transitions moved elsewhere; returns the core and
+    the number of transitions moved."""
+    if rng.random() < 0.5:
+        n = rng.choice((2, 2, 2, 2, 3))
+        letters = rng.sample(FLIPFLOP_LETTERS, rng.randint(1, 3))
+    else:
+        n = rng.randint(1, 7)
+        letters = rng.sample(COUNTER_LETTERS, 2) if rng.random() < 0.9 else ["inc"]
+    extra = rng.choice(("set", "skip"))
+    if rng.random() < 0.1 and extra not in letters:
+        letters.append(extra)
+    labels = rng.sample(range(n), n) if rng.random() < 0.9 else rng.sample(range(1, n + 2), n)
+    moves = {"set": lambda q: 1, "reset": lambda q: 0, "read": lambda q: q,
+             "inc": lambda q: (q + 1) % n, "skip": lambda q: q}
+    transitions = {(q, a): moves[a](q) if moves[a](q) in labels else q
+                   for q in labels for a in letters}
+    moved = rng.choice((0, 1, 1, 2)) if n > 1 else 0
+    for q, a in rng.sample(sorted(transitions, key=repr), moved):
+        transitions[(q, a)] = rng.choice([p for p in labels if p != transitions[(q, a)]])
+    return Semiautomaton(letters, labels, transitions, rng.choice(labels)), moved
+
+
+def test_validation_equals_the_label_by_label_reference_on_random_cores():
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(3000):
+        core, moved = _random_core(rng)
+        for kind in ("flipflop", "counter"):
+            check, reference = validate_prime_identities(core, kind), reference_validate(core, kind)
+            assert check.ok == reference.ok, (core.states, core.alphabet, check, reference)
+            # the same violation is named when there is one at most, and for
+            # flip-flops, which the reference also checks in core letter order
+            if moved <= 1 or kind == "flipflop":
+                assert check == reference, (core.states, core.alphabet, check, reference)
+            outcomes.add((kind, (reference.violation or "ok").split("(")[0].split()[0]))
+    # both kinds pass, and fail on states, on the alphabet and on a transition
+    assert outcomes == {(kind, word) for kind in ("flipflop", "counter")
+                        for word in ("ok", "states", "alphabet", "delta")} | {
+                            ("flipflop", "flip-flop")}
+
+
+def test_two_wrong_moves_of_one_counter_state_name_the_first_core_letter():
+    # state 1 goes wrong on both letters: the core's letter order picks inc
+    core = Semiautomaton(COUNTER_LETTERS, (0, 1, 2), {
+        (0, "inc"): 1, (0, "read"): 0, (1, "inc"): 0, (1, "read"): 2,
+        (2, "inc"): 0, (2, "read"): 2}, 0)
+    assert validate_prime_identities(core, "counter").violation == "delta(1, inc) = 0, expected 2"
+    assert reference_validate(core, "counter").violation == "delta(1, read) = 2, expected 1"

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import time
@@ -214,7 +215,13 @@ def test_spec_rejects_tables_with_a_missing_entry():
 @pytest.mark.parametrize("build", [build_flipflop_task_cascade, build_counter_task_cascade])
 def test_spec_round_trip_is_byte_identical(build):
     text = json.dumps(cascade_to_spec(build()))
-    assert json.dumps(cascade_to_spec(cascade_from_spec(json.loads(text)))) == text
+    again = json.dumps(cascade_to_spec(cascade_from_spec(json.loads(text))))
+    # digests, so that a failure is not reported as a diff of two 8 MB texts
+    assert _sha256(again) == _sha256(text)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_parsed_counter_spec_retains_under_five_megabytes():
@@ -284,16 +291,7 @@ def test_cli_minimize_takes_no_no_prune_flag(flipflop_spec, capsys):
 def test_cli_equiv_self_and_counterexample(flipflop_spec, tmp_path, capsys):
     assert main(["equiv", flipflop_spec, flipflop_spec]) == 0
     assert "equivalent" in capsys.readouterr().out
-    other = tmp_path / "other.json"
-    spec = cascade_to_spec(build_flipflop_task_cascade())
-    # corrupt the goal trigger: steel alone stops enabling the factory
-    goal = spec["components"][-1]
-    goal["input_fn"]["entries"] = [
-        [vals, "read" if (vals[0] == "factory" and vals[4] == 1 and vals[1] == 0) else out]
-        for vals, out in goal["input_fn"]["entries"]
-    ]
-    other.write_text(json.dumps(spec))
-    code = main(["equiv", flipflop_spec, str(other)])
+    code = main(["equiv", flipflop_spec, _corrupted_flipflop_spec(tmp_path)])
     assert code == 4
     assert "counterexample" in capsys.readouterr().out
 
@@ -362,7 +360,8 @@ def _one_component_spec(tmp_path, values):
 def test_cli_check_counts_its_exhaustive_budget_in_total(tmp_path, capsys, values, max_len,
                                                          exhaustive):
     spec = _one_component_spec(tmp_path, values)
-    assert main(["check", spec, "--max-len", str(max_len), "--samples", "0"]) == 0
+    # one sample asked for: the exhaustive strings alone exceed it, so none is drawn
+    assert main(["check", spec, "--max-len", str(max_len), "--samples", "1"]) == 0
     assert capsys.readouterr().out == \
         f"compositional function agrees with the cascade on {exhaustive} strings\n"
 
@@ -427,6 +426,48 @@ def test_cli_check_stays_within_max_len(flipflop_spec, capsys, monkeypatch):
     assert main(["check", flipflop_spec, "--max-len", "5", "--samples", "300"]) == 0
     assert lengths == {1, 2, 3, 4, 5}
     _rejected(["check", flipflop_spec, "--max-len", "0"], capsys, "--max-len")
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cli_check_rejects_a_sample_count_below_one(flipflop_spec, capsys, samples):
+    _rejected(["check", flipflop_spec, "--samples", samples], capsys, "--samples")
+
+
+def _corrupted_flipflop_spec(tmp_path) -> str:
+    """The flip-flop scenario, but steel alone no longer enables the factory."""
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    goal = spec["components"][-1]
+    goal["input_fn"]["entries"] = [
+        [vals, "read" if (vals[0] == "factory" and vals[4] == 1 and vals[1] == 0) else out]
+        for vals, out in goal["input_fn"]["entries"]
+    ]
+    return _write(tmp_path, "other.json", spec)
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["equiv", "{spec}", "{spec}"], 0, "equivalent"),
+    (["equiv", "{spec}", "{other}"], 4, "not equivalent; counterexample: "),
+    (["aperiodic", "{spec}"], 0, "aperiodic; monoid size: 77"),
+    (["check", "{spec}", "--max-len", "3"], 0,
+     "compositional function agrees with the cascade on 258 strings"),
+])
+def test_cli_result_lines_go_to_the_out_file(flipflop_spec, tmp_path, capsys, argv, code, line):
+    files = {"spec": flipflop_spec, "other": _corrupted_flipflop_spec(tmp_path)}
+    out = tmp_path / "result.txt"
+    assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_text().startswith(line) and out.read_text().count("\n") == 1
+
+
+def test_cli_check_mismatch_line_goes_to_the_out_file(flipflop_spec, tmp_path, capsys,
+                                                      monkeypatch):
+    import cascata.functional
+
+    monkeypatch.setattr(cascata.functional, "cascade_function", lambda cascade: lambda s: None)
+    out = tmp_path / "result.txt"
+    assert main(["check", flipflop_spec, "--out", str(out)]) == 4
+    assert capsys.readouterr().out == ""
+    assert out.read_text().startswith("mismatch on: ")
 
 
 def test_cli_parse_error_exit_code(tmp_path):
@@ -1043,6 +1084,18 @@ def test_cli_run_malformed_trace_names_file_and_line(flipflop_spec, tmp_path, ca
     assert main(["run", flipflop_spec, traces]) == 2
     err = capsys.readouterr().err
     assert "t.traces: line 3" in err and "'zinc'" in err
+
+
+@pytest.mark.parametrize("classspec", [None, {"family": "sequence_tasks", "d": 2}])
+@pytest.mark.parametrize("label", ["2", "-1"])
+def test_cli_learn_rejects_a_label_the_class_cannot_output(tmp_path, capsys, classspec,
+                                                           label):
+    argv = _learn_files(tmp_path, classspec=classspec)
+    _write(tmp_path, "x.labels", f"1\n\n{label}\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"x.labels: line 3: label {label!r} is not an output of the class" in err, err
+    assert "Traceback" not in err
 
 
 def test_cli_malformed_trace_or_label_names_file_and_line(tmp_path, capsys):

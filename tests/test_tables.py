@@ -16,7 +16,7 @@ from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, FlatAutomaton, Semiautomaton
 from cascata.cascade import build_chained
 from cascata.crafting import build_counter_task_cascade, build_flipflop_task_cascade
-from cascata.primes import make_counter, make_flipflop
+from cascata.primes import is_prime_counter, make_counter, make_flipflop, validate_prime_identities
 from cascata.specfile import cascade_from_spec, cascade_to_spec
 
 # built only when read
@@ -41,12 +41,17 @@ def test_the_compile_path_builds_no_list_rows_and_no_labels():
     assert not any(hasattr(c, "next") or hasattr(c, "out") for c in cascade.components)
 
 
-def test_a_million_state_counter_spec_builds_no_list_per_state():
+def _million_state_counter_spec() -> dict:
     spec = cascade_to_spec(build_chained(
         FactoredAlphabet.single("event", ("tick", "idle")),
         [dict(name="k", dependencies=(1,), core=make_counter(3),
               input_fn=lambda x: "inc" if x == ("tick",) else "read")]))
     spec["components"][0]["core"] = "counter:1000000"
+    return spec
+
+
+def test_a_million_state_counter_spec_builds_no_list_per_state():
+    spec = _million_state_counter_spec()
     tracemalloc.start()
     try:
         cascade = cascade_from_spec(spec)
@@ -56,6 +61,39 @@ def test_a_million_state_counter_spec_builds_no_list_per_state():
     assert peak < 128 * 2**20 and "_wiring" not in vars(cascade)
     assert cascade.run([("tick",)] * 3 + [("idle",)]) == 3
     assert cascade.run([("idle",)]) == 0
+
+
+def test_serializing_a_million_state_counter_retains_nothing_per_state():
+    cascade = cascade_from_spec(_million_state_counter_spec())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert cascade_to_spec(cascade)["components"][0]["core"] == "counter:1000000"
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * 2**20  # a list row or a label per state would take tens of MB
+
+
+@pytest.mark.parametrize("build", [build_flipflop_task_cascade, build_counter_task_cascade])
+def test_serializing_checking_and_drawing_build_no_stepping_cache(build):
+    """Only scalar stepping builds the list rows and the state index."""
+    cascade = build()
+    flat = cascade.flatten()
+    minimized = flat.minimize()
+    cores = [c.core for c in cascade.components]
+    objects = cores + [flat, flat.core, minimized, minimized.core]
+    before = [set(vars(obj)) for obj in objects]
+    cascade_to_spec(cascade)
+    for core in cores:
+        for kind in ("flipflop", "counter"):
+            validate_prime_identities(core, kind)
+        is_prime_counter(core)
+    assert flat.to_dot() and minimized.to_dot()
+    for obj, names in zip(objects, before):
+        assert not (set(vars(obj)) - names) & {"_delta", "_out", "state_index"}, obj
 
 
 @pytest.mark.parametrize("build", [build_flipflop_task_cascade, build_counter_task_cascade])
