@@ -14,11 +14,11 @@ are the next core state's number and the output code on the projected letter
 numbered ``x`` in the order of ``projected.letters()``; for ``'next_state'``
 outputs ``out_array`` is ``next_array`` itself.  Flattening, minimization,
 equivalence, reachability, the transition monoid, serialization, ``to_dot``
-and the prime checks read and write these arrays.  Only scalar stepping
-builds and reads private caches of the same tables as lists of int rows
-(``_delta``, ``_out``, and a cascade's ``_wiring``), on first use; labels
-given as a function (as ``flatten`` and ``minimize`` give them) are built
-on first read.  Constructors take ``(state, letter)``-keyed dicts, for
+and the prime checks read and write these arrays; so does a semiautomaton's
+stepping.  A flat automaton's ``run`` and ``output`` read one private cache,
+``_rows``, built on first use in the row form of a cascade's ``run`` memo.
+Labels given as a function (as ``flatten`` and ``minimize`` give them) are
+built on first read.  Constructors take ``(state, letter)``-keyed dicts, for
 automata written by hand, and check them once.
 """
 
@@ -58,8 +58,8 @@ class _lazy_attribute:
     it never touches the instance's ``__dict__``: materializing that dict
     slows every later attribute read of the instance, and scalar stepping
     reads these attributes on every call.  It builds the stepping caches of
-    flat automata and semiautomata (``_delta``, ``_out``) and of cascades
-    (``Cascade._wiring``)."""
+    flat automata (``_rows``) and of cascades (``Cascade._wiring``), and
+    labels given as a function."""
 
     def __init__(self, build):
         self.build, self.__doc__ = build, build.__doc__
@@ -81,12 +81,6 @@ def _frozen(table) -> np.ndarray:
     array = np.asarray(table, dtype=np.int64).view()
     array.setflags(write=False)
     return array
-
-
-def int_rows(table: np.ndarray, n: int) -> list[list[int]]:
-    """``table.tolist()`` for entries in ``range(n)``, with one int object
-    per value: ``tolist`` alone makes a new one for every entry above 256."""
-    return np.arange(n, dtype=object)[table].tolist()
 
 
 class Semiautomaton:
@@ -148,11 +142,6 @@ class Semiautomaton:
     def initial(self):
         return self.states[self.initial_index]
 
-    @_lazy_attribute
-    def _delta(self) -> list[list[int]]:
-        """``delta_array`` as list rows of ints, which scalar stepping reads."""
-        return int_rows(self.delta_array, self.n_states)
-
     @property
     def n_states(self) -> int:
         return len(self.delta_array)
@@ -167,10 +156,11 @@ class Semiautomaton:
 
     def step(self, state, letter):
         try:
-            return self.states[self._delta[self.state_index[state]][self.letter_index[letter]]]
-        except KeyError:
+            return self.states[self.delta_array.item(self.state_index[state],
+                                                     self.letter_index[letter])]
+        except (KeyError, TypeError):  # not known, or not hashable
             self._number(state)
-            raise UnknownLetterError(letter, where="semiautomaton")
+            raise UnknownLetterError(letter, where="semiautomaton") from None
 
     def run(self, string, start=None):
         """State reached from ``start`` (default: initial) on the string;
@@ -178,18 +168,13 @@ class Semiautomaton:
         return self.states[self._walk(string, start)]
 
     def _walk(self, string, start=None) -> int:
-        """The number of the state ``run`` reaches.  Letters are looked up
-        unchecked; only a failed lookup searches the string for the unknown
-        letter, so a one-shot iterator is read into a tuple first."""
+        """The number of the state ``run`` reaches."""
         q = self.initial_index if start is None else self._number(start, "start state")
-        if iter(string) is string:
-            string = tuple(string)
-        rows, index = self._delta, self.letter_index
+        item, index = self.delta_array.item, self.letter_index
         try:
-            for a in string:
-                q = rows[q][index[a]]
-        except KeyError:
-            i, a = next((i, a) for i, a in enumerate(string) if a not in index)
+            for i, a in enumerate(string):
+                q = item(q, index[a])
+        except (KeyError, TypeError):  # not known, or not hashable
             raise UnknownLetterError(a, position=i, where="semiautomaton") from None
         return q
 
@@ -357,9 +342,10 @@ class FlatAutomaton:
         return self.core.initial
 
     @_lazy_attribute
-    def _out(self) -> list[list[int]]:
-        """``out_array`` as list rows of ints, which scalar stepping reads."""
-        return int_rows(self.out_array, len(self.outputs))
+    def _rows(self) -> list[dict]:
+        """Per state number, a dict letter -> (next state number, output code)."""
+        return [dict(zip(self.alphabet, zip(*row)))
+                for row in zip(self.delta_array.tolist(), self.out_array.tolist())]
 
     @property
     def n_states(self) -> int:
@@ -367,22 +353,25 @@ class FlatAutomaton:
 
     def output(self, state, letter):
         try:
-            return self.outputs[self._out[self.core.state_index[state]][self.letter_index[letter]]]
-        except KeyError:
+            return self.outputs[self._rows[self.core.state_index[state]][letter][1]]
+        except (KeyError, TypeError):  # not known, or not hashable
             self.core._number(state)
-            raise UnknownLetterError(letter, where="automaton output")
+            raise UnknownLetterError(letter, where="automaton output") from None
 
     def run(self, string):
         """Output on a non-empty string: the output function applied to the
         state reached after all but the last letter, with the last letter."""
         string = tuple(string)
-        if len(string) == 0:
+        if not string:
             raise EmptyInputError()
-        q = self.core._walk(string[:-1])
+        rows, q = self._rows, self.core.initial_index
         try:
-            return self.outputs[self._out[q][self.letter_index[string[-1]]]]
-        except KeyError:
+            for a in string:
+                q, out = rows[q][a]
+        except (KeyError, TypeError):
+            self.core._walk(string[:-1])  # names an unknown letter before the last
             raise UnknownLetterError(string[-1], where="automaton output") from None
+        return self.outputs[out]
 
     __call__ = run
 
@@ -473,9 +462,6 @@ class FlatAutomaton:
         rows_b = np.hstack([other.out_array[:, cols_b], other.delta_array[:, cols_b]])
 
         def step(frontier):  # the layer's output pair codes and successor codes
-            if len(frontier) == 1:  # a lone pair: one row read beats two gathers
-                row = (rows_a[frontier[0] // n_b] + rows_b[frontier[0] % n_b]).tolist()
-                return row[:k], row[k:]
             qa, qb = np.divmod(frontier, n_b)
             pair_rows = rows_a[qa] + rows_b[qb]
             return pair_rows[:, :k].ravel().tolist(), pair_rows[:, k:].ravel().tolist()

@@ -12,6 +12,12 @@ under a lock, so one cascade may be run from several threads.  The lists
 that scalar stepping reads are built on the first ``run`` or ``step``;
 building, flattening or serializing a cascade reads its components' arrays
 only.
+
+Stepping keeps two forms: ``run`` fills its memo through ``_advance``, one
+component at a time, and ``flatten`` builds the whole product table up front.
+On a 2-CPU host a d=2 family member flattens in about 80 us and runs its 6
+strings cold in about 36 us, and certification builds 68 fresh members per
+round; ``_advance`` also fills the memo for products past the flatten caps.
 """
 
 from __future__ import annotations
@@ -100,7 +106,7 @@ class Cascade:
         ``out_array`` as flat lists indexed ``q * k + x`` (the same list
         for both under ``'next_state'`` outputs), ``k`` (its projected
         letter count) and its ``_inputs``.  The two lists share one int
-        object per value, as ``int_rows`` makes them."""
+        object per value, where ``tolist`` would make one per entry."""
         wiring = []
         for c in self.components:
             numbers = np.arange(max(c.core.n_states, len(c.outputs)), dtype=object)

@@ -262,9 +262,9 @@ class SequenceTaskFamily(CascadeClass):
 
     @cached_property
     def _goal_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """First and last term of every goal in canonical order."""
-        goals = list(self.goal_class)
-        return (np.array([g.terms[0] for g in goals]), np.array([g.terms[-1] for g in goals]))
+        """First and last term of every goal, in the goal class's member order."""
+        return tuple(np.array([(0, 0), *((t, t) for t in self.goal_class._single_terms),
+                               *self.goal_class._term_pairs], dtype=np.int64).T)
 
     @cached_property
     def _letter_codes(self) -> dict:

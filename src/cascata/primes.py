@@ -4,6 +4,7 @@ transition rule is written once, in ``RULES``: the builders fill their
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import partial
 from typing import NamedTuple
@@ -72,8 +73,15 @@ def validate_prime_identities(core: Semiautomaton, kind: str) -> IdentityCheck:
     if kind not in RULES:
         raise ValueError(f"unknown prime kind {kind!r}")
     flipflop, labels, n = kind == "flipflop", core.state_labels(), core.n_states
-    if (n != 2 if flipflop else n < 2) or set(labels) != set(range(n)):
-        return IdentityCheck(False, f"states {tuple(labels)} are not "
+    try:  # the verdict of set(labels) == set(range(n)), found by a sort in numpy
+        values = np.asarray(labels)
+        numbered = values.shape == (n,) and (np.sort(values) == np.arange(n)).all()
+    except (TypeError, ValueError):  # labels numpy cannot order or hold in one array
+        numbered = set(labels) == set(range(n))
+    if (n != 2 if flipflop else n < 2) or not numbered:
+        shown = tuple(labels) if n <= 8 else (  # a handful is named, not a million
+            f"({', '.join(map(repr, itertools.islice(labels, 8)))}, ... {n - 8} more)")
+        return IdentityCheck(False, f"states {shown} are not "
                                     + ("{0, 1}" if flipflop else "[0, n-1]"))
     letters, known = set(core.alphabet), set(RULES[kind])  # a flip-flop may lack reset
     if not (letters <= known if flipflop else letters == known):
@@ -81,7 +89,6 @@ def validate_prime_identities(core: Semiautomaton, kind: str) -> IdentityCheck:
                                     + ("flip-flop-like" if flipflop else "{inc, read}"))
     if flipflop and not {"set", "read"} <= letters:
         return IdentityCheck(False, "flip-flop needs at least {set, read}")
-    values = np.asarray(labels)
     wrong = (values[core.delta_array] != _moves(kind, core.alphabet, values)).ravel()
     if not wrong[first := int(wrong.argmax())]:
         return IdentityCheck(True, None)

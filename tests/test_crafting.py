@@ -329,6 +329,17 @@ def test_family_erm_work_counts_distinct_watcher_combinations():
     assert fam.erm_work < fam.cardinality
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_family_goal_terms_match_the_members(d):
+    """The first and last terms of the goals, read from the goal class's
+    term lists, equal those read from every member in turn."""
+    fam = SequenceTaskFamily(d)
+    goals = list(fam.goal_class)
+    first, last = fam._goal_terms
+    assert first.tolist() == [g.terms[0] for g in goals]
+    assert last.tolist() == [g.terms[-1] for g in goals]
+
+
 def test_family_erm_memory_does_not_grow_with_the_class():
     # |F| = 2.5e7 at d=4: a vector of one count per member alone is 203 MB
     fam = SequenceTaskFamily(4)

@@ -1,4 +1,5 @@
-"""``FlatAutomaton.minimize`` against a reference refinement.
+"""``FlatAutomaton.minimize`` against a reference refinement, and scalar
+stepping against an explicit walk of the arrays.
 
 The reference below is Moore's refinement written with ``np.unique(axis=0)``
 over whole signature rows, the implementation ``minimize`` had before it
@@ -10,12 +11,14 @@ must produce the same automaton, byte for byte once serialized.
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cascata.automata import FlatAutomaton, _row_classes
 from cascata.crafting import build_counter_task_cascade, build_flipflop_task_cascade
+from cascata.errors import CascataError, EmptyInputError, UnknownLetterError
 
 
 def reference_reachable(auto: FlatAutomaton) -> list[int]:
@@ -150,6 +153,92 @@ def test_minimize_splits_a_chain_one_state_per_round():
     auto = FlatAutomaton.from_tables(("a",), range(n), delta, 0, out, (0, 1))
     assert auto.minimize().n_states == n
     assert auto.minimize().to_dict() == reference_minimize(auto).to_dict()
+
+
+def reference_stepping(auto: FlatAutomaton) -> SimpleNamespace:
+    """``auto.run``, ``auto.output``, ``auto.core.run`` and ``auto.core.step``
+    as explicit walks of ``delta_array`` and ``out_array``.  An unknown
+    letter is named by the core with its position, except for the last
+    letter of ``run`` and the letter of ``output``, which the output
+    function names without one."""
+    delta, out = auto.delta_array.tolist(), auto.out_array.tolist()
+    letters = {a: j for j, a in enumerate(auto.alphabet)}
+
+    def number(state, what="state"):
+        if state not in auto.states:
+            raise ValueError(f"{what} {state!r} not among states")
+        return auto.states.index(state)
+
+    def walk(string, q):
+        for i, a in enumerate(string):
+            if a not in letters:
+                raise UnknownLetterError(a, position=i, where="semiautomaton")
+            q = delta[q][letters[a]]
+        return q
+
+    def code(q, letter):  # the output code of state number q on the letter
+        if letter not in letters:
+            raise UnknownLetterError(letter, where="automaton output")
+        return out[q][letters[letter]]
+
+    def run(string):
+        string = tuple(string)
+        if not string:
+            raise EmptyInputError()
+        return auto.outputs[code(walk(string[:-1], auto.core.initial_index), string[-1])]
+
+    def core_run(string, start=None):
+        q = auto.core.initial_index if start is None else number(start, "start state")
+        return auto.states[walk(tuple(string), q)]
+
+    def step(state, letter):
+        q = number(state)
+        if letter not in letters:
+            raise UnknownLetterError(letter, where="semiautomaton")
+        return auto.states[delta[q][letters[letter]]]
+
+    return SimpleNamespace(run=run, core_run=core_run, step=step,
+                           output=lambda state, letter: auto.outputs[code(number(state), letter)])
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type, letter, position and
+    message (which names ``where``) of the error it raises."""
+    try:
+        return "returns", fn(*args)
+    except (CascataError, ValueError) as error:
+        return (type(error), getattr(error, "letter", None), getattr(error, "position", None),
+                str(error))
+
+
+def _stepping_cases(rng: random.Random, auto: FlatAutomaton):
+    """Strings over the alphabet, the empty one included, and each of a few
+    with an unknown letter put at every position in turn."""
+    strings = [()] + [tuple(rng.choice(auto.alphabet) for _ in range(rng.randint(1, 12)))
+                      for _ in range(12)]
+    for s in strings[1:4]:
+        for i in range(len(s) + 1):
+            strings.append(s[:i] + ("zz",) + s[i:])
+    return strings
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_stepping_matches_an_explicit_walk_on_random_automata(block):
+    for seed in range(3000 + block * 60, 3000 + block * 60 + 60):
+        rng = random.Random(seed)
+        auto = random_flat(rng)
+        ref, core = reference_stepping(auto), auto.core
+        for s in _stepping_cases(rng, auto):
+            want = _outcome(ref.run, s)
+            assert _outcome(auto.run, s) == _outcome(auto.run, iter(s)) == want, (seed, s)
+            want = _outcome(ref.core_run, s)
+            assert _outcome(core.run, s) == _outcome(core.run, iter(s)) == want, (seed, s)
+            q = rng.choice((*auto.states, auto.n_states))
+            assert _outcome(core.run, s, q) == _outcome(ref.core_run, s, q), (seed, s, q)
+        for q in (*rng.sample(auto.states, min(20, auto.n_states)), auto.n_states):
+            for a in (*auto.alphabet, "zz"):
+                assert _outcome(auto.output, q, a) == _outcome(ref.output, q, a), (seed, q, a)
+                assert _outcome(core.step, q, a) == _outcome(ref.step, q, a), (seed, q, a)
 
 
 # sha256 of the JSON ``minimize`` produced for each scenario before the

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -225,3 +226,49 @@ def test_two_wrong_moves_of_one_counter_state_name_the_first_core_letter():
         (2, "inc"): 0, (2, "read"): 2}, 0)
     assert validate_prime_identities(core, "counter").violation == "delta(1, inc) = 0, expected 2"
     assert reference_validate(core, "counter").violation == "delta(1, read) = 2, expected 1"
+
+
+class _One:
+    """Equal to 1 and hashed as 1, but not ordered against numbers."""
+
+    def __eq__(self, other):
+        return other == 1
+
+    def __add__(self, other):
+        return 1 + other
+
+    def __hash__(self):
+        return hash(1)
+
+    def __repr__(self):
+        return "One"
+
+
+LABELS = [(0, 1), (1, 0), (0.0, 1.0), (False, True), (True, 0), (1, 2), (-1, 0), (0, 1.5),
+          (0, float("nan")), (0, "1"), ("0", "1"), (0, None), (0, _One()), (_One(), 2, 0),
+          ((0,), (1,)), ((0,), (0, 1)), (2, 0, 1.0), (0, 1, 3), (0, 1, 2**70),
+          (Fraction(2), 0, 1), (0, 1, 2, 3, 4, 5, 6, 7), tuple(range(8, -1, -1))]
+
+
+@pytest.mark.parametrize("labels", LABELS, ids=repr)
+def test_the_label_check_gives_the_set_test_verdict(labels):
+    """The labels are checked on an array, with the verdict and, for a core
+    of up to 8 states, the message of ``set(labels) == set(range(n))``."""
+    n = len(labels)
+    for kind, letters in (("flipflop", FLIPFLOP_LETTERS), ("counter", COUNTER_LETTERS)):
+        core = Semiautomaton.from_tables(letters, labels, [[0] * len(letters)] * n, 0)
+        check, reference = validate_prime_identities(core, kind), reference_validate(core, kind)
+        assert check.violation.startswith("states") == reference.violation.startswith("states")
+        if reference.violation.startswith("states") and n <= 8:
+            assert check == reference
+
+
+def test_a_large_core_is_checked_without_a_set_and_named_by_a_prefix():
+    core = make_counter(10**5)
+    assert validate_prime_identities(core, "counter").ok
+    check = validate_prime_identities(core, "flipflop")
+    assert check.violation == "states (0, 1, 2, 3, 4, 5, 6, 7, ... 99992 more) are not {0, 1}"
+    shifted = Semiautomaton.from_tables(COUNTER_LETTERS, range(1, 10**5 + 1),
+                                        core.delta_array, 0)
+    assert validate_prime_identities(shifted, "counter").violation == (
+        "states (1, 2, 3, 4, 5, 6, 7, 8, ... 99992 more) are not [0, n-1]")

@@ -250,3 +250,25 @@ def test_unknown_states_raise_value_error():
             c.step(states, ("wood",))
     with pytest.raises(ValueError):
         make_flipflop().run(("set",), start=5)
+
+
+@pytest.mark.parametrize("bad", [["set"], {"wood": 1}, (["wood"],)])
+def test_unhashable_letters_raise_unknown_letter_errors(bad):
+    """An unhashable letter is an unknown letter to every stepping entry
+    point, named with its position by ``run`` wherever it stands."""
+    flat = build_flipflop_task_cascade().flatten()
+    core = make_flipflop()
+    for auto, good in ((core, "set"), (flat.core, ("wood",)), (flat, ("wood",))):
+        for at in range(3):
+            string = [good, good]
+            string.insert(at, bad)
+            for given in (string, iter(string)):
+                with pytest.raises(UnknownLetterError) as err:
+                    auto.run(given)
+                last = auto is flat and at == 2  # the output function reads the last letter
+                assert (err.value.letter, err.value.position) == (bad, None if last else at)
+                assert str(err.value).endswith("automaton output" if last else "semiautomaton")
+    for step, state in ((core.step, 0), (flat.core.step, flat.initial), (flat.output, flat.initial)):
+        with pytest.raises(UnknownLetterError) as err:
+            step(state, bad)
+        assert err.value.letter == bad and err.value.position is None

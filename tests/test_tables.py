@@ -1,7 +1,7 @@
 """The stored tables of automata, semiautomata and components are read-only
 int64 arrays, their only public table form, and the compile path (flatten,
-minimize, equivalence, serialization) never builds the private list rows,
-the state labels or a cascade's stepping lists."""
+minimize, equivalence, serialization) never builds a flat automaton's
+stepping rows, the state labels or a cascade's stepping lists."""
 
 import gc
 import json
@@ -20,7 +20,7 @@ from cascata.primes import is_prime_counter, make_counter, make_flipflop, valida
 from cascata.specfile import cascade_from_spec, cascade_to_spec
 
 # built only when read
-LAZY = ("_delta", "_out", "states", "state_index", "initial")
+LAZY = ("_rows", "states", "state_index", "initial")
 
 
 def _built(auto: FlatAutomaton) -> set:
@@ -93,19 +93,38 @@ def test_serializing_checking_and_drawing_build_no_stepping_cache(build):
         is_prime_counter(core)
     assert flat.to_dot() and minimized.to_dot()
     for obj, names in zip(objects, before):
-        assert not (set(vars(obj)) - names) & {"_delta", "_out", "state_index"}, obj
+        assert not (set(vars(obj)) - names) & {"_rows", "state_index"}, obj
 
 
 @pytest.mark.parametrize("build", [build_flipflop_task_cascade, build_counter_task_cascade])
 def test_list_rows_once_read_equal_the_arrays(build):
+    """A flat automaton's one stepping cache, ``_rows``, is built on the
+    first ``run`` or ``output`` and then kept; it holds the arrays' entries
+    as (next state number, output code) per state and letter."""
     flat = build().flatten()
-    for auto in (flat, flat.minimize()):
-        assert auto.core._delta == auto.delta_array.tolist()
-        assert auto._out == auto.out_array.tolist()
-        assert all(type(v) is int for rows in (auto.core._delta, auto._out) for row in rows
-                   for v in row)
-        assert auto.core._delta is auto.core._delta and auto._out is auto._out  # built once
+    for auto, first_step in ((flat, lambda a: a.run(a.alphabet[:3])),
+                             (flat.minimize(), lambda a: a.output(a.initial, a.alphabet[-1]))):
+        assert "_rows" not in vars(auto)
+        first_step(auto)
+        rows = vars(auto)["_rows"]
+        assert len(rows) == auto.n_states
+        assert [[row[a] for a in auto.alphabet] for row in rows] == [
+            list(zip(d, o)) for d, o in zip(auto.delta_array.tolist(), auto.out_array.tolist())]
+        assert all(type(v) is int for row in rows for pair in row.values() for v in pair)
+        auto.run(auto.alphabet[::-1])
+        auto.output(auto.states[-1], auto.alphabet[0])
+        assert auto._rows is rows  # built once
         assert auto.delta_array.dtype == auto.out_array.dtype == np.int64
+
+
+def test_semiautomaton_stepping_builds_no_cache():
+    flat = build_counter_task_cascade().flatten()
+    for core in (make_flipflop(), make_counter(300), flat.core, flat.minimize().core):
+        before = set(vars(core))
+        core.run(core.alphabet * 3)
+        core.step(core.initial, core.alphabet[-1])
+        # stepping reads ``delta_array``; only the state labels are built
+        assert set(vars(core)) - before <= {"states", "state_index", "initial"}, core
 
 
 def test_the_arrays_are_the_only_public_tables():
