@@ -57,9 +57,9 @@ class _lazy_attribute:
     instance attribute of the same name.  Unlike ``functools.cached_property``
     it never touches the instance's ``__dict__``: materializing that dict
     slows every later attribute read of the instance, and scalar stepping
-    reads these attributes on every call.  It builds the stepping caches of
-    flat automata (``_rows``) and of cascades (``Cascade._wiring``), and
-    labels given as a function."""
+    reads these attributes on every call.  It builds the letter rows of flat
+    automata (``_rows``), the table views of cascades (``Cascade._wiring``)
+    and labels given as a function."""
 
     def __init__(self, build):
         self.build, self.__doc__ = build, build.__doc__
@@ -343,8 +343,9 @@ class FlatAutomaton:
 
     @_lazy_attribute
     def _rows(self) -> list[dict]:
-        """Per state number, a dict letter -> (next state number, output code)."""
-        return [dict(zip(self.alphabet, zip(*row)))
+        """Per state, a dict letter -> (next state, output code), one tuple per pair."""
+        shared = {}
+        return [dict(zip(self.alphabet, [shared.setdefault(p, p) for p in zip(*row)]))
                 for row in zip(self.delta_array.tolist(), self.out_array.tolist())]
 
     @property

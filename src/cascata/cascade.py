@@ -8,10 +8,9 @@ applied simultaneously.
 
 A cascade is immutable once built: ``run`` memoizes the product transitions
 it takes, per instance, and reuses them on later calls.  Recording is done
-under a lock, so one cascade may be run from several threads.  The lists
-that scalar stepping reads are built on the first ``run`` or ``step``;
-building, flattening or serializing a cascade reads its components' arrays
-only.
+under a lock, so one cascade may be run from several threads.  Building,
+flattening, serializing and stepping a cascade all read its components'
+arrays; scalar stepping reads them through flat views, which copy nothing.
 
 Stepping keeps two forms: ``run`` fills its memo through ``_advance``, one
 component at a time, and ``flatten`` builds the whole product table up front.
@@ -102,18 +101,12 @@ class Cascade:
 
     @_lazy_attribute
     def _wiring(self) -> tuple:
-        """Per component, what ``_advance`` reads: its ``next_array`` and
-        ``out_array`` as flat lists indexed ``q * k + x`` (the same list
-        for both under ``'next_state'`` outputs), ``k`` (its projected
-        letter count) and its ``_inputs``.  The two lists share one int
-        object per value, where ``tolist`` would make one per entry."""
-        wiring = []
-        for c in self.components:
-            numbers = np.arange(max(c.core.n_states, len(c.outputs)), dtype=object)
-            nxt = numbers[c.next_array.ravel()].tolist()
-            out = nxt if c.out_array is c.next_array else numbers[c.out_array.ravel()].tolist()
-            wiring.append((nxt, out, c.next_array.shape[1], self._inputs(c)))
-        return tuple(wiring)
+        """Per component, what ``_advance`` reads: flat views of its
+        ``next_array`` and ``out_array``, indexed ``q * k + x`` and read as
+        Python ints, ``k`` (its projected letter count) and its ``_inputs``.
+        The arrays are C-contiguous, so the views copy nothing."""
+        return tuple((memoryview(c.next_array.reshape(-1)), memoryview(c.out_array.reshape(-1)),
+                      c.next_array.shape[1], self._inputs(c)) for c in self.components)
 
     @property
     def depth(self) -> int:
@@ -127,12 +120,12 @@ class Cascade:
         with external coordinate codes ``codes``, to which every component's
         output code (from its pre-update state) is appended."""
         nxt = []
-        for q, (next_list, out_list, k, inputs) in zip(states, self._wiring):
+        for q, (next_view, out_view, k, inputs) in zip(states, self._wiring):
             x = q * k
             for j, contribution in inputs:
                 x += contribution[codes[j]]
-            nxt.append(next_list[x])
-            codes.append(out_list[x])
+            nxt.append(next_view[x])
+            codes.append(out_view[x])
         return tuple(nxt)
 
     def step(self, states: CascadeState, letter: Letter) -> StepResult:

@@ -84,6 +84,8 @@ def _load_json(path: str) -> dict:
             return json.load(f)
     except json.JSONDecodeError as e:
         raise SpecFileError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise SpecFileError(f"{path}: nested too deeply to parse")
 
 
 def _emit(text: str, out: str | None):
@@ -115,6 +117,14 @@ def _general(value) -> str:
         return f"{value:.6g}"
     except OverflowError:
         return f"{Decimal(value):.6g}"
+
+
+def _integer(value: int) -> str:
+    """``str(value)``, or ``_general``'s form past ``str``'s digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return _general(value)
 
 
 def _at_least_one(value: int, flag: str, least: int = 1) -> None:
@@ -270,9 +280,9 @@ def cmd_bounds(args) -> int:
     rows: list[tuple[str, str, str]] = []
     card = cardinality_bound_cascade(desc)
     enumerated = fam.cardinality if fam is not None else None
-    rows.append(("cardinality_bound", str(card), "product of per-part choices"))
+    rows.append(("cardinality_bound", _integer(card), "product of per-part choices"))
     if enumerated is not None:
-        rows.append(("cardinality_enumerated", str(enumerated), "fixed dependency sets"))
+        rows.append(("cardinality_enumerated", _integer(enumerated), "fixed dependency sets"))
     for i, c in enumerate(desc.components):
         rows.append((f"log2_input_class[{i + 1}]", f"{math.log2(c.n_input_fns):.3f}", ""))
     base = enumerated if enumerated is not None else card

@@ -273,8 +273,9 @@ class SequenceTaskFamily(CascadeClass):
     @property
     def erm_work(self) -> int:
         """How many error counts one ``erm`` call computes: one per distinct
-        watcher combination and goal."""
-        return len(self._combinations.weights) * len(self._goal_terms[0])
+        watcher combination and goal, counted without building either."""
+        n_tables = len(np.unique(self._watcher_truth, axis=0))
+        return n_tables ** (self.d - 1) * self.goal_class.cardinality
 
     def _profiles(self, strings) -> tuple[np.ndarray, np.ndarray]:
         """The strings' profiles, each once, and each string's profile

@@ -68,16 +68,18 @@ class IdentityCheck(NamedTuple):
 def validate_prime_identities(core: Semiautomaton, kind: str) -> IdentityCheck:
     """Exhaustively check the defining identities of a ``kind`` of core,
     'flipflop' (reset optional in the alphabet) or 'counter': states labelled
-    0..n-1, and every transition of ``delta_array`` as ``RULES[kind]`` says;
-    the first that is not, in (state, core letter) order, is named."""
+    0..n-1, and every transition as ``RULES[kind]`` says of the numbers they
+    stand for; the first that is not, in (state, core letter) order, is named."""
     if kind not in RULES:
         raise ValueError(f"unknown prime kind {kind!r}")
     flipflop, labels, n = kind == "flipflop", core.state_labels(), core.n_states
     try:  # the verdict of set(labels) == set(range(n)), found by a sort in numpy
         values = np.asarray(labels)
-        numbered = values.shape == (n,) and (np.sort(values) == np.arange(n)).all()
+        order = np.argsort(values)  # the positions of the labels of 0, 1, ..., n-1
+        numbered = values.shape == (n,) and (values[order] == np.arange(n)).all()
     except (TypeError, ValueError):  # labels numpy cannot order or hold in one array
-        numbered = set(labels) == set(range(n))
+        order = list(map({v: i for i, v in enumerate(labels)}.get, range(n)))
+        numbered = None not in order
     if (n != 2 if flipflop else n < 2) or not numbered:
         shown = tuple(labels) if n <= 8 else (  # a handful is named, not a million
             f"({', '.join(map(repr, itertools.islice(labels, 8)))}, ... {n - 8} more)")
@@ -89,9 +91,11 @@ def validate_prime_identities(core: Semiautomaton, kind: str) -> IdentityCheck:
                                     + ("flip-flop-like" if flipflop else "{inc, read}"))
     if flipflop and not {"set", "read"} <= letters:
         return IdentityCheck(False, "flip-flop needs at least {set, read}")
-    wrong = (values[core.delta_array] != _moves(kind, core.alphabet, values)).ravel()
+    number = np.argsort(order)  # the number each state's label stands for
+    wrong = (number[core.delta_array] != _moves(kind, core.alphabet, number)).ravel()
     if not wrong[first := int(wrong.argmax())]:
         return IdentityCheck(True, None)
     q, i = divmod(first, len(core.alphabet))
-    q, a, got = labels[q], core.alphabet[i], labels[int(core.delta_array[q, i])]
-    return IdentityCheck(False, f"delta({q}, {a}) = {got}, expected {RULES[kind][a](q, n)}")
+    a, got = core.alphabet[i], labels[core.delta_array[q, i]]
+    want = labels[order[RULES[kind][a](int(number[q]), n)]]
+    return IdentityCheck(False, f"delta({labels[q]}, {a}) = {got}, expected {want}")

@@ -361,7 +361,7 @@ def _parse_components(data, fn_field: str):
         name = _require_type(comp["name"], str, f"{where}.name")
         deps = comp["dependencies"]
         if (not isinstance(deps, list) or not deps
-                or any(not isinstance(j, int) or j < 1 or j > alphabet.arity for j in deps)):
+                or any(type(j) is not int or j < 1 or j > alphabet.arity for j in deps)):
             raise SpecFileError(f"dependencies must be 1-based indices within "
                                 f"[1, {alphabet.arity}]", f"{where}.dependencies")
         signature = alphabet.project(deps)

@@ -329,6 +329,15 @@ def test_family_erm_work_counts_distinct_watcher_combinations():
     assert fam.erm_work < fam.cardinality
 
 
+@pytest.mark.parametrize("d, letters", [(2, None), (2, (0, 1)), (3, None), (4, None),
+                                        (5, None)])
+def test_family_erm_work_is_counted_without_building_the_kernel_tables(d, letters):
+    fam = SequenceTaskFamily(d, letters)
+    work = fam.erm_work
+    assert "_combinations" not in vars(fam) and "_goal_terms" not in vars(fam)
+    assert work == len(fam._combinations.weights) * len(fam._goal_terms[0])
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_family_goal_terms_match_the_members(d):
     """The first and last terms of the goals, read from the goal class's

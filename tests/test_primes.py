@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -272,3 +273,27 @@ def test_a_large_core_is_checked_without_a_set_and_named_by_a_prefix():
                                         core.delta_array, 0)
     assert validate_prime_identities(shifted, "counter").violation == (
         "states (1, 2, 3, 4, 5, 6, 7, 8, ... 99992 more) are not [0, n-1]")
+
+
+@pytest.mark.parametrize("labels, numbers", [((0, 1 + 0j), (0, 1)), ((1 + 0j, 0), (1, 0)),
+                                             ((0.0, True), (0, 1)), ((_One(), 2, 0), (1, 2, 0))],
+                         ids=repr)
+def test_labels_equal_to_the_state_numbers_get_the_verdict_of_int_labels(labels, numbers):
+    """The rules are applied to the numbers that the labels stand for, so
+    labels that support no ``%`` are judged as int labels are, on every
+    transition table."""
+    n = len(labels)
+    kinds = [("counter", COUNTER_LETTERS)] + [("flipflop", ("set", "read"))] * (n == 2)
+    for kind, letters in kinds:
+        for entries in itertools.product(range(n), repeat=2 * n):
+            delta = [entries[2 * q:2 * q + 2] for q in range(n)]
+            core = Semiautomaton.from_tables(letters, labels, delta, 0)
+            same = Semiautomaton.from_tables(letters, numbers, delta, 0)
+            assert (validate_prime_identities(core, kind).ok
+                    == validate_prime_identities(same, kind).ok), (kind, delta)
+
+
+def test_a_wrong_move_is_named_by_the_labels():
+    broken = Semiautomaton.from_tables(COUNTER_LETTERS, (0, 1 + 0j), [[0, 0], [0, 1]], 0)
+    assert validate_prime_identities(broken, "counter").violation == (
+        "delta(0, inc) = 0, expected (1+0j)")

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import time
 import tracemalloc
 from decimal import Decimal
@@ -12,7 +13,7 @@ from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, Semiautomaton
 from cascata.cascade import Cascade, build_chained
 from cascata.cli import main
-from cascata.complexity import growth_bound_cascade
+from cascata.complexity import cardinality_bound_cascade, growth_bound_cascade
 from cascata.crafting import (
     build_counter_task_cascade,
     build_flipflop_task_cascade,
@@ -499,6 +500,21 @@ def test_cli_core_kind_not_a_string_exit_2(tmp_path, capsys):
     _cli_rejects_spec(tmp_path, capsys, spec, "components[0].core.kind")
 
 
+def test_cli_bool_dependency_exit_2(tmp_path, capsys):
+    # a bool is never taken for a number, so true is not coordinate 1
+    spec = cascade_to_spec(build_flipflop_task_cascade())
+    spec["components"][0]["dependencies"] = [True]
+    _cli_rejects_spec(tmp_path, capsys, spec, "components[0].dependencies")
+
+
+def test_cli_spec_nested_too_deeply_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["flatten", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: nested too deeply" in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("initial", [True, False, 1.0, "1"])
 def test_cli_prime_core_initial_must_be_a_state_number(tmp_path, capsys, initial):
     spec = cascade_to_spec(build_flipflop_task_cascade())
@@ -689,6 +705,27 @@ def test_cli_bounds_family_past_the_float_range(tmp_path, capsys, d):
         exact = growth_bound_cascade(descriptor, ell)
         assert abs(Decimal(rows[f"growth_bound(ell={ell})"]) - exact) <= exact * Decimal("1e-5")
     assert rows["growth_bound(ell=3)"] == ("2.45458e+256" if d == 31 else "1.98784e+335")
+
+
+@pytest.mark.parametrize("d", [100, 130, 300])
+def test_cli_bounds_family_past_the_int_string_limit(tmp_path, capsys, d):
+    # |F| has about 5,200 digits at d = 130, more than str() converts: such
+    # an int is rounded as the growth bounds are, and a shorter one is exact
+    desc = tmp_path / "family.json"
+    desc.write_text(json.dumps({"family": "sequence_tasks", "d": d}))
+    assert main(["bounds", str(desc)]) == 0
+    rows = _bounds_rows(capsys)
+    descriptor, fam = descriptor_from_spec({"family": "sequence_tasks", "d": d})
+    for name, exact in (("cardinality_bound", cardinality_bound_cascade(descriptor)),
+                        ("cardinality_enumerated", fam.cardinality)):
+        if d == 100:
+            assert rows[name] == str(exact)
+        else:
+            assert re.fullmatch(r"\d\.\d{5}e\+\d+", rows[name])
+            assert abs(Decimal(rows[name]) - exact) <= exact * Decimal("1e-5")
+    if d == 130:
+        assert (rows["cardinality_bound"], rows["cardinality_enumerated"]) == (
+            "4.00207e+5421", "8.04517e+5203")
 
 
 def test_cli_bounds_at_a_huge_ell_is_the_cardinality(tmp_path, capsys):
@@ -1067,6 +1104,19 @@ def test_cli_learn_skips_blank_trace_and_label_lines(tmp_path, capsys):
     _write(tmp_path, "x.labels", "1\n\n0\n\n")
     assert main(argv) == 0
     assert capsys.readouterr() == plain
+
+
+@pytest.mark.parametrize("d", [7, 9, 12])
+def test_cli_learn_cap_check_builds_no_kernel_table(tmp_path, d):
+    # the check counts the kernel's work: the tables it counts would take
+    # 3.6 GiB at d = 7 and far more past it
+    argv = ["learn", _write(tmp_path, "config.json", {}),
+            _write(tmp_path, "family.json", {"family": "sequence_tasks", "d": d}),
+            "--traces", _write(tmp_path, "x.traces", ""),
+            "--labels", _write(tmp_path, "x.labels", "")]
+    done = run_cli(argv, timeout=30, memory_bytes=1536 * 2**20)
+    assert done.returncode == 3, done.stderr
+    assert "ERM error counts exceeds cap" in done.stderr
 
 
 @pytest.mark.parametrize("traces, labels", [("", ""), ("\n  \n", "\n")])

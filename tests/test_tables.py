@@ -1,7 +1,8 @@
 """The stored tables of automata, semiautomata and components are read-only
-int64 arrays, their only public table form, and the compile path (flatten,
+int64 arrays, their only public table form.  The compile path (flatten,
 minimize, equivalence, serialization) never builds a flat automaton's
-stepping rows, the state labels or a cascade's stepping lists."""
+stepping rows or the state labels, and a cascade steps on views of its
+components' arrays, copying no table."""
 
 import gc
 import json
@@ -36,7 +37,7 @@ def test_the_compile_path_builds_no_list_rows_and_no_labels():
     assert json.loads(text)["states"] == [str(q) for q in range(8193)]
     assert (flat.n_states, minimized.n_states) == (16384, 8193)
     assert _built(flat) == set() and _built(minimized) == set()
-    # the cascade's stepping lists wait for its first run; components hold arrays only
+    # the cascade's table views wait for its first run; components hold arrays only
     assert "_wiring" not in vars(cascade)
     assert not any(hasattr(c, "next") or hasattr(c, "out") for c in cascade.components)
 
@@ -61,6 +62,20 @@ def test_a_million_state_counter_spec_builds_no_list_per_state():
     assert peak < 128 * 2**20 and "_wiring" not in vars(cascade)
     assert cascade.run([("tick",)] * 3 + [("idle",)]) == 3
     assert cascade.run([("idle",)]) == 0
+
+
+def test_the_first_run_of_a_million_state_counter_copies_no_table():
+    cascade = cascade_from_spec(_million_state_counter_spec())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert cascade.run([("tick",)] * 3 + [("idle",)]) == 3
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * 2**20  # list copies of the two tables would take about 61 MiB
 
 
 def test_serializing_a_million_state_counter_retains_nothing_per_state():
@@ -115,6 +130,13 @@ def test_list_rows_once_read_equal_the_arrays(build):
         auto.output(auto.states[-1], auto.alphabet[0])
         assert auto._rows is rows  # built once
         assert auto.delta_array.dtype == auto.out_array.dtype == np.int64
+
+
+def test_list_rows_share_one_tuple_per_distinct_pair():
+    minimized = build_counter_task_cascade().flatten().minimize()
+    minimized.run(minimized.alphabet[:1])
+    pairs = [pair for row in minimized._rows for pair in row.values()]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs)) < len(pairs) // 2
 
 
 def test_semiautomaton_stepping_builds_no_cache():
