@@ -187,28 +187,39 @@ class Semiautomaton:
         the empty string), as tuples over state indices.  ``cap`` bounds the
         entries stored, that is elements times states.
 
-        The search runs a layer at a time.  The frontier is a ``(k, n)`` int
+        The search runs a layer at a time, on rows of the narrowest unsigned
+        dtype that holds ``n - 1``.  The frontier is a ``(k, n)`` index
         array of the transformations found last, and each letter's column
         ``g`` of ``delta`` composes with all of it in one gather,
-        ``g[frontier]``, whose rows are checked against the elements seen so
-        far.  The frontier is part of the monoid, so one gather holds at
-        most ``k * n <= cap`` entries."""
+        ``g[frontier]``.  Each gathered row is read as one ``bytes`` key.
+        The keys not seen before are deduplicated in first-occurrence order
+        (a dict, not a set, so the order does not depend on string hashing),
+        added to the elements seen and appended to the next frontier.  The
+        cap is checked once per gather, before its new rows are added, and
+        raises what adding them one at a time would: the size of the first
+        element past the cap.  The frontier is part of the monoid, so one
+        gather holds at most ``k * n <= cap`` entries.  Each element becomes
+        an int tuple once, when its layer is the frontier."""
         n = self.n_states
-        generators = self.delta_array.T
-        seen = {tuple(range(n))}
+        dtype = np.min_scalar_type(n - 1)
+        generators = np.ascontiguousarray(self.delta_array.T, dtype=dtype)
+        row = np.dtype((np.void, n * dtype.itemsize))
+        limit = max(cap // n, 1)  # the identity is stored whatever the cap
+        seen, monoid = {np.arange(n, dtype=dtype).tobytes()}, set()
         frontier = np.arange(n)[None, :]
         while len(frontier):
+            monoid.update(map(tuple, frontier.tolist()))
             added = []
             for g in generators:
-                for h in map(tuple, g[frontier].tolist()):
-                    if h not in seen:
-                        entries = (len(seen) + 1) * n
-                        if entries > cap:
-                            raise CapExceededError("transition monoid entries", entries, cap)
-                        seen.add(h)
-                        added.append(h)
-            frontier = np.array(added, dtype=np.int64).reshape(-1, n)
-        return seen
+                keys = g[frontier].view(row).reshape(-1).tolist()
+                new = dict.fromkeys(itertools.filterfalse(seen.__contains__, keys))
+                if len(seen) + len(new) > limit:
+                    raise CapExceededError("transition monoid entries", (limit + 1) * n, cap)
+                seen.update(new)
+                added += new
+            # index with intp: a narrow index array is converted on every gather
+            frontier = np.frombuffer(b"".join(added), dtype=dtype).reshape(-1, n).astype(np.intp)
+        return monoid
 
     def is_aperiodic(self, cap: int = DEFAULT_MONOID_CAP) -> bool:
         return is_aperiodic_monoid(self.transition_monoid(cap))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from functools import cached_property, partial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -271,19 +271,27 @@ def build_chained(external: FactoredAlphabet, specs) -> Cascade:
     Each spec is a mapping with keys ``name``, ``dependencies`` (1-based
     indices), ``input_fn``, ``core``, and optionally ``output_fn`` /
     ``outputs``; alphabets are chained automatically, as ``chain_alphabet``
-    chains them.  This is the one builder of cascades from parts: class
-    members and spec files are built here, and since ``extend`` hands out one
-    object per extension, cascades chained from the same external alphabet
-    share their alphabets.
+    chains them.  Every component made from parts is made by its helper
+    ``_chained_component``: those of spec files and of class members,
+    indexed or iterated.  Since ``extend`` hands out one object per
+    extension, cascades chained from the same external alphabet share their
+    alphabets.
     """
-    alphabet, built = external, []
+    built = []
     for spec in specs:
-        if built:
-            alphabet = alphabet.extend(built[-1].name, built[-1].outputs)
-        built.append(ComponentAutomaton(alphabet, spec["dependencies"], spec["input_fn"],
-                                        spec["core"], output_fn=spec.get("output_fn", "state"),
-                                        outputs=spec.get("outputs"), name=spec["name"]))
+        built.append(_chained_component(external, built, spec, spec["input_fn"]))
     return Cascade(built)
+
+
+def _chained_component(external: FactoredAlphabet, built, spec, input_fn) -> ComponentAutomaton:
+    """The component that ``spec`` describes with input function
+    ``input_fn``, reading ``external`` extended by the outputs of the
+    components ``built`` before it."""
+    prev = built[-1] if built else None
+    alphabet = external if prev is None else prev.alphabet.extend(prev.name, prev.outputs)
+    return ComponentAutomaton(alphabet, spec["dependencies"], input_fn, spec["core"],
+                              output_fn=spec.get("output_fn", "state"),
+                              outputs=spec.get("outputs"), name=spec["name"])
 
 
 class ClassPart(NamedTuple):
@@ -304,8 +312,9 @@ class CascadeClass(NumberedClass):
     dependency sets, cores and output functions, and each choose their input
     function from a finite class (``cardinality`` and ``member``).  A
     member's digits are its components' choices, so the last component's
-    choice varies fastest.  Members are built by ``build_chained``, so every
-    member holds the same chained alphabets.  A part whose ``output_fn`` is
+    choice varies fastest.  Members are built by ``build_chained``, and
+    iterated members through its ``_chained_component``, so every member
+    holds the same chained alphabets.  A part whose ``output_fn`` is
     a callable must list its values in ``outputs``; ``part_outputs`` holds
     each part's output values, so the last one's are the members' outputs."""
 
@@ -344,6 +353,24 @@ class CascadeClass(NumberedClass):
     def member(self, index: int) -> Cascade:
         digits = mixed_radix_digits(index, self._radices)
         return self.build([p.input_class.member(d) for p, d in zip(self.parts, digits)])
+
+    def __iter__(self) -> Iterator[Cascade]:
+        """The members in index order, walking the parts depth first: a
+        part's component is built once per choice of the parts before it,
+        and the members that share those choices share their components."""
+        return self._members(())
+
+    def _members(self, built: tuple) -> Iterator[Cascade]:
+        spec = self._specs[len(built)]
+        last = len(built) + 1 == len(self._specs)
+        input_class = spec["input_class"]
+        for d in range(input_class.cardinality):
+            chosen = (*built, _chained_component(self.external, built, spec,
+                                                 input_class.member(d)))
+            if last:
+                yield Cascade(chosen)
+            else:
+                yield from self._members(chosen)
 
     def descriptor(self, max_len: int, epsilon: float = 0.1, eta: float = 0.1,
                    input_dims=None) -> ClassDescriptor:

@@ -224,11 +224,14 @@ class SequenceTaskFamily(CascadeClass):
 
     @cached_property
     def _watcher_truth(self) -> np.ndarray:
-        """watcher x event-index -> does the watcher fire on that event."""
-        fns = list(self.watcher_class)
-        return np.array(
-            [[fn((ev,)) == "set" for ev in self.letters] for fn in fns], dtype=bool
-        )
+        """watcher x event-index -> does the watcher fire on that event.  A
+        watcher is one term, in member order: the empty term (constant true),
+        then the single terms.  It fires on an event iff the term has no
+        variable outside the event's boolean code."""
+        view = self.watcher_class.view
+        terms = np.array([0, *self.watcher_class._single_terms], dtype=np.int64)
+        codes = np.array([view.encode((ev,)) for ev in self.letters], dtype=np.int64)
+        return (terms[:, None] & ~codes) == 0
 
     @cached_property
     def _combinations(self) -> WatcherCombinations:
@@ -273,8 +276,11 @@ class SequenceTaskFamily(CascadeClass):
     @property
     def erm_work(self) -> int:
         """How many error counts one ``erm`` call computes: one per distinct
-        watcher combination and goal, counted without building either."""
-        n_tables = len(np.unique(self._watcher_truth, axis=0))
+        watcher combination and goal, counted without building either.  The
+        tables are told apart as byte rows, which is much quicker than
+        ``np.unique(axis=0)`` on the 2**d rows of a large family."""
+        truth = self._watcher_truth
+        n_tables = len(set(truth.view(np.dtype((np.void, self.d))).reshape(-1).tolist()))
         return n_tables ** (self.d - 1) * self.goal_class.cardinality
 
     def _profiles(self, strings) -> tuple[np.ndarray, np.ndarray]:

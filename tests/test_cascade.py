@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from cascata.errors import CapExceededError, EmptyInputError
 from cascata.primes import make_flipflop
 from cascata.specfile import cascade_from_spec, cascade_to_spec, class_from_spec
 
-from helpers import random_cascade, random_component, random_external, string_sweep
+from helpers import (exhaustive_strings, random_cascade, random_component, random_external,
+                     string_sweep)
 from test_cli_fuzz import CLASS_SPEC as STEEL_CLASS_SPEC
 from test_numbering import CLASS_SPEC as MIXED_CLASS_SPEC
 from test_specfile_cli import _family_d2_class_spec
@@ -254,3 +256,75 @@ def test_members_build_chained_and_spec_files_share_alphabets():
         assert comp.alphabet == mine.alphabet and comp.projected == mine.projected
         assert comp.alphabet is chain_alphabet(parsed.external, parsed.components[:i])
         assert comp.projected is _signature(comp.input_fn)
+
+
+# ---------------------------------------------------------------------------
+# Iteration builds each part's component once per choice of the parts before.
+# ---------------------------------------------------------------------------
+
+TABLE_CLASS_SPEC = {
+    "alphabet": [{"name": "event", "values": ["a", "b"]}],
+    "components": [
+        {"name": "k1", "dependencies": [1], "core": "flipflop_wo",
+         "input_class": {"kind": "table", "outputs": ["set", "read"]}, "output_fn": "state"},
+        {"name": "k2", "dependencies": [1, 2], "core": "flipflop",
+         "input_class": {"kind": "table", "outputs": ["set", "reset", "read"]},
+         "output_fn": "next_state"},
+    ],
+}
+THRESHOLD_CLASS_SPEC = {
+    "alphabet": [{"name": "n", "values": [0, 1, 2]}, {"name": "m", "values": [0, 1]}],
+    "components": [
+        {"name": "k1", "dependencies": [1], "core": "flipflop_wo",
+         "input_class": {"kind": "threshold", "on_true": "set", "on_false": "read"},
+         "output_fn": "state"},
+        {"name": "k2", "dependencies": [1, 2, 3], "core": "counter:3",
+         "input_class": {"kind": "threshold", "on_true": "inc", "on_false": "read"},
+         "output_fn": "state"},
+        {"name": "k3", "dependencies": [4], "core": "flipflop_wo",
+         "input_class": {"kind": "threshold", "on_true": "set", "on_false": "read"},
+         "output_fn": "next_state"},
+    ],
+}
+ITERATED_CLASSES = {
+    "family-d2": SequenceTaskFamily(2),
+    "table": class_from_spec(TABLE_CLASS_SPEC),
+    "threshold": class_from_spec(THRESHOLD_CLASS_SPEC),
+}
+
+
+@pytest.mark.parametrize("name", ITERATED_CLASSES)
+def test_iterated_members_equal_indexed_members(name):
+    cls = ITERATED_CLASSES[name]
+    members = list(cls)
+    assert len(members) == cls.cardinality
+    strings = list(exhaustive_strings(list(cls.external.letters()), 3))
+    for index, member in enumerate(members):
+        indexed = cls.member(index)
+        assert cascade_to_spec(member) == cascade_to_spec(indexed)
+        assert [member.run(s) for s in strings] == [indexed.run(s) for s in strings]
+        for mine, theirs in zip(member.components, indexed.components, strict=True):
+            assert mine.alphabet is theirs.alphabet and mine.projected is theirs.projected
+
+
+@pytest.mark.parametrize("name", ITERATED_CLASSES)
+def test_iterated_members_share_the_components_of_their_earlier_choices(name):
+    cls = ITERATED_CLASSES[name]
+    members = list(cls)
+    digits = [mixed_radix_digits(i, cls._radices) for i in range(len(members))]
+    for i, j in itertools.combinations(range(len(members)), 2):
+        for part, (a, b) in enumerate(zip(members[i].components, members[j].components)):
+            assert (a is b) == (digits[i][:part + 1] == digits[j][:part + 1])
+
+
+def test_family_iteration_builds_each_prefix_component_once(monkeypatch):
+    family, built = SequenceTaskFamily(2), []
+    init = ComponentAutomaton.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ComponentAutomaton, "__init__", counted)
+    assert len(list(family)) == 68 == 4 * 17
+    assert len(built) == 72  # 4 watchers, then 17 goals per watcher

@@ -349,6 +349,17 @@ def test_family_goal_terms_match_the_members(d):
     assert last.tolist() == [g.terms[-1] for g in goals]
 
 
+@pytest.mark.parametrize("d, letters", [*((d, None) for d in range(2, 9)),
+                                        (3, ("x", 7, True))])
+def test_family_watcher_truth_matches_the_member_calls(d, letters):
+    """The truth table read from the watchers' term masks equals the one
+    got by calling every watcher member on every event."""
+    fam = SequenceTaskFamily(d, letters)
+    calls = [[fn((ev,)) == "set" for ev in fam.letters] for fn in fam.watcher_class]
+    assert fam._watcher_truth.dtype == bool
+    assert fam._watcher_truth.tolist() == calls
+
+
 def test_family_erm_memory_does_not_grow_with_the_class():
     # |F| = 2.5e7 at d=4: a vector of one count per member alone is 203 MB
     fam = SequenceTaskFamily(4)

@@ -318,6 +318,13 @@ def test_cli_aperiodic_builds_the_monoid_once(flipflop_spec, monkeypatch, capsys
     assert len(calls) == 1
 
 
+def test_cli_aperiodic_on_the_modulus_2_counter_is_not_aperiodic(tmp_path, capsys):
+    spec = tmp_path / "counter2.json"
+    spec.write_text(json.dumps(cascade_to_spec(build_counter_task_cascade(2, 1, 1, 1))))
+    assert main(["aperiodic", str(spec)]) == 0
+    assert capsys.readouterr().out == "not aperiodic; monoid size: 1536\n"
+
+
 def test_cli_aperiodic_cap_bounds_memory_on_the_counter_scenario(tmp_path):
     spec = tmp_path / "counter.json"
     spec.write_text(json.dumps(cascade_to_spec(build_counter_task_cascade())))
@@ -1106,10 +1113,11 @@ def test_cli_learn_skips_blank_trace_and_label_lines(tmp_path, capsys):
     assert capsys.readouterr() == plain
 
 
-@pytest.mark.parametrize("d", [7, 9, 12])
+@pytest.mark.parametrize("d", [7, 9, 12, 16])
 def test_cli_learn_cap_check_builds_no_kernel_table(tmp_path, d):
     # the check counts the kernel's work: the tables it counts would take
-    # 3.6 GiB at d = 7 and far more past it
+    # 3.6 GiB at d = 7 and far more past it.  It reads the watcher truth
+    # table, 65,536 watchers by 16 events at d = 16, from the terms' masks
     argv = ["learn", _write(tmp_path, "config.json", {}),
             _write(tmp_path, "family.json", {"family": "sequence_tasks", "d": d}),
             "--traces", _write(tmp_path, "x.traces", ""),
