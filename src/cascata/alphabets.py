@@ -428,8 +428,14 @@ class MonotoneDnfClass(NumberedClass):
 
     @cached_property
     def _single_terms(self) -> tuple[int, ...]:
-        n = self.n_variables
-        return tuple(sorted(range(1, 2**n), key=self._term_key))
+        """The non-empty terms in ``_term_key`` order, built without a key
+        per term: the terms over variables b..n-1 are {b}, then {b} joined
+        to each term over b+1..n-1, then those terms themselves."""
+        terms = []
+        for b in reversed(range(self.n_variables)):
+            bit = 1 << b
+            terms = [bit, *[t | bit for t in terms], *terms]
+        return tuple(terms)
 
     @cached_property
     def _term_pairs(self) -> tuple[tuple[int, int], ...]:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alphabets import FactoredAlphabet, Projection, TableFunction
-from .errors import CapExceededError, EmptyInputError, UnknownLetterError
+from .errors import CapExceededError, CascataError, EmptyInputError, UnknownLetterError
 
 #: The most entries a transition monoid may store: elements times states.
 DEFAULT_MONOID_CAP = 100_000
@@ -298,6 +298,46 @@ def bfs_order(table: np.ndarray, start: int) -> np.ndarray:
         layers.append(frontier)
 
 
+def letter_table(letters, codes, lengths, encode, width: int, run) -> np.ndarray:
+    """The ``width`` codes that ``encode`` gives each of ``letters``, as the
+    rows of an int array, for running strings given as letter codes into
+    ``letters`` (``codes``, every string's letters in order) and
+    ``lengths``.  A letter that ``encode`` rejects gets a row of zeros.  The
+    first string, in order, that is empty or holds a rejected letter is
+    passed to ``run``, which raises its error on it."""
+    rows, rejected = [], np.zeros(len(letters), dtype=bool)
+    for i, a in enumerate(letters):
+        try:
+            rows.append(encode(a))
+        except (CascataError, LookupError, TypeError):
+            rows.append([0] * width)
+            rejected[i] = True
+    offending = lengths < 1
+    if rejected.any() or offending.any():
+        ends = np.cumsum(lengths)
+        offending[np.searchsorted(ends, np.flatnonzero(rejected[codes]), "right")] = True
+        if offending.any():
+            s = int(offending.argmax())
+            run(tuple(letters[c] for c in codes[ends[s] - lengths[s]:ends[s]].tolist()))
+    return np.array(rows, dtype=np.intp).reshape(len(letters), width)
+
+
+def letter_positions(lengths: np.ndarray):
+    """Where the letters of strings with ``lengths`` sit in an array of
+    every string's letters in order (as in ``letter_table``), position by
+    position, for stepping the strings together.  Per position it yields
+    the indices of the letters there of the strings still running, longer
+    strings first (so those still running at the next position are a
+    prefix), and the numbers of the strings whose last letter it is, which
+    are the last ones."""
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    # how many strings are longer than t, for t = 0..max(lengths)
+    running = (len(lengths) - np.cumsum(np.bincount(lengths))).tolist()
+    for t in range(len(running) - 1):
+        yield starts[:running[t]] + t, order[running[t + 1]:running[t]]
+
+
 def _dot_text(value) -> str:
     """``str(value)`` escaped to sit inside a DOT double-quoted string."""
     return str(value).replace("\\", "\\\\").replace('"', '\\"')
@@ -386,6 +426,25 @@ class FlatAutomaton:
         return self.outputs[out]
 
     __call__ = run
+
+    def run_many(self, letters, codes, lengths) -> np.ndarray:
+        """``run`` on many strings at once: the strings are given as letter
+        codes into ``letters`` (``codes``, every string's letters in order)
+        and their ``lengths``, and each one's output code, its position in
+        ``outputs``, comes back.  They are stepped together, one gather of
+        ``delta_array`` per position (``letter_positions``).  The first string
+        that ``run`` would reject is passed to it, which raises its error."""
+        table = letter_table(letters, codes, lengths, lambda a: [self.letter_index[a]], 1,
+                             self.run)
+        k, delta, out = len(self.alphabet), self.delta_array.ravel(), self.out_array.ravel()
+        letters = table[codes, 0]
+        q = np.full(len(lengths), self.core.initial_index, dtype=np.intp)
+        outputs = np.empty(len(lengths), dtype=np.intp)
+        for index, ending in letter_positions(lengths):
+            x = q[:len(index)] * k + letters[index]
+            q = delta[x]
+            outputs[ending] = out[x[len(x) - len(ending):]]
+        return outputs
 
     def is_aperiodic(self, cap: int = DEFAULT_MONOID_CAP) -> bool:
         return self.core.is_aperiodic(cap)

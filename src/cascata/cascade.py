@@ -12,11 +12,16 @@ under a lock, so one cascade may be run from several threads.  Building,
 flattening, serializing and stepping a cascade all read its components'
 arrays; scalar stepping reads them through flat views, which copy nothing.
 
-Stepping keeps two forms: ``run`` fills its memo through ``_advance``, one
-component at a time, and ``flatten`` builds the whole product table up front.
-On a 2-CPU host a d=2 family member flattens in about 80 us and runs its 6
-strings cold in about 36 us, and certification builds 68 fresh members per
-round; ``_advance`` also fills the memo for products past the flatten caps.
+Stepping keeps two forms, a scalar and a vectorized one.  ``run`` fills its
+memo through ``_advance``, one component at a time; ``_step`` does the same
+on int arrays that broadcast together.  ``flatten`` steps every product
+state on every letter at once through ``_step``, building the whole product
+table up front, and ``run_many`` steps many strings together through it, a
+position at a time, at a cost of strings times letters times components
+whatever the product's size.  On a 2-CPU host a d=2 family member flattens
+in about 80 us and runs its 6 strings cold in about 36 us, and
+certification builds 68 fresh members per round; ``_advance`` also fills
+the memo for products past the flatten caps.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .alphabets import FactoredAlphabet, Letter, NumberedClass, mixed_radix_digits
 from .automata import (ComponentAutomaton, FlatAutomaton, Semiautomaton, _lazy_attribute,
-                       bfs_order, output_values)
+                       bfs_order, letter_positions, letter_table, output_values)
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
@@ -108,9 +113,24 @@ class Cascade:
         return tuple((memoryview(c.next_array.reshape(-1)), memoryview(c.out_array.reshape(-1)),
                       c.next_array.shape[1], self._inputs(c)) for c in self.components)
 
+    @_lazy_attribute
+    def _arrays(self) -> tuple:
+        """Per component, what ``_step`` reads: what ``_wiring`` holds, as
+        arrays: its ``next_array`` and ``out_array`` flattened, ``k`` and its
+        ``_inputs``, each contribution as an int array."""
+        return tuple((c.next_array.ravel(), c.out_array.ravel(), c.next_array.shape[1],
+                      tuple((j, np.array(contribution, dtype=np.intp))
+                            for j, contribution in self._inputs(c)))
+                     for c in self.components)
+
     @property
     def depth(self) -> int:
         return len(self.components)
+
+    @property
+    def outputs(self) -> tuple:
+        """The last component's output values, which ``run`` returns."""
+        return self.components[-1].outputs
 
     def initial_state(self) -> CascadeState:
         return tuple(c.core.initial for c in self.components)
@@ -127,6 +147,22 @@ class Cascade:
             nxt.append(next_view[x])
             codes.append(out_view[x])
         return tuple(nxt)
+
+    def _step(self, states, codes: list) -> Iterator[np.ndarray]:
+        """What ``_advance`` does, on int arrays that broadcast together:
+        yields, component by component, the next state numbers from the
+        state numbers ``states`` on the letters whose external coordinate
+        codes are ``codes``, to which each component's output codes are
+        appended as it is stepped.  ``flatten`` steps every product state on
+        every letter at once, each component on the axes it depends on, and
+        folds each component's states into the table as they come;
+        ``run_many`` steps strings together, a position at a time."""
+        for q, (next_array, out_array, k, inputs) in zip(states, self._arrays):
+            x = q * k
+            for j, contribution in inputs:
+                x = x + contribution[codes[j]]
+            codes.append(out_array[x])
+            yield next_array[x]
 
     def step(self, states: CascadeState, letter: Letter) -> StepResult:
         codes = self.external.encode(letter, "cascade input")
@@ -181,6 +217,25 @@ class Cascade:
 
     __call__ = run
 
+    def run_many(self, letters, codes, lengths) -> np.ndarray:
+        """``run`` on many strings at once, given and answered as in
+        ``FlatAutomaton.run_many``.  The strings are stepped together through
+        ``_step``, a position at a time, so the work is strings times letters
+        times components, whatever the product's size; the memo is neither
+        read nor filled."""
+        table = letter_table(letters, codes, lengths, self.external.encode,
+                             self.external.arity, self.run)
+        coordinates = table[codes].T  # per coordinate, the code of every letter
+        states = [np.full(len(lengths), c.core.initial_index, dtype=np.intp)
+                  for c in self.components]
+        outputs = np.empty(len(lengths), dtype=np.intp)
+        for index, ending in letter_positions(lengths):
+            m = len(index)
+            step_codes = [coordinate[index] for coordinate in coordinates]
+            states = list(self._step([q[:m] for q in states], step_codes))
+            outputs[ending] = step_codes[-1][m - len(ending):]
+        return outputs
+
     def product_size(self) -> int:
         return math.prod(c.core.n_states for c in self.components)
 
@@ -217,13 +272,11 @@ class Cascade:
 
         codes = [along(column, len(radices)) for column in np.array(
             [self.external.encode(a) for a in letters], dtype=np.int64).T]
+        steps = self._step([along(np.arange(r), i) for i, r in enumerate(radices)], codes)
         table, init = 0, 0
-        for i, comp in enumerate(self.components):
-            x = sum(np.array(contribution)[codes[j]] for j, contribution in self._inputs(comp))
-            q = along(np.arange(radices[i]), i)
-            table = table * radices[i] + comp.next_array[q, x]
-            codes.append(comp.out_array[q, x])
-            init = init * radices[i] + comp.core.initial_index
+        for r, q, comp in zip(radices, steps, self.components):
+            table = table * r + q
+            init = init * r + comp.core.initial_index
         table = table.reshape(size, -1)  # every component's digit is an axis of it
         out = np.empty(shape, dtype=np.int64)
         out[...] = codes.pop()  # the last output may not depend on every axis

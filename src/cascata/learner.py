@@ -4,6 +4,16 @@ sample-size experiments.
 
 Every stochastic operation takes a seed and replays bit-identically under
 it.  Loss is 0-1 throughout.
+
+Strings are drawn in bulk: ``StringDistribution.draw`` takes a plain
+``random.Random``'s 32-bit outputs in blocks, forms the same values that
+``random()`` would, and returns the strings as letter codes and lengths,
+leaving the generator where drawing them one value at a time would.
+``draw_sample`` labels the strings, and ``estimate_risk`` scores them,
+through ``run_many`` when the function is an automaton (a ``Cascade`` or a
+``FlatAutomaton``), given itself or as its bound ``run`` or ``__call__``:
+all strings are stepped together on the automaton's arrays and no string
+is built to score them.  Any other callable is called once per string.
 """
 
 from __future__ import annotations
@@ -13,9 +23,13 @@ import io
 import itertools
 import math
 import random
-from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
+
+from .automata import FlatAutomaton
+from .cascade import Cascade
 
 
 def zero_one_loss(a, b) -> int:
@@ -70,40 +84,164 @@ class StringDistribution:
         total = cumulative[-1] + 0.0 if cumulative else 0.0
         if not 0 < total < math.inf:
             raise ValueError("letter weights must have a positive, finite sum")
-        object.__setattr__(self, "_cumulative", (cumulative, total))
+        # each running sum as the least float at least as large: a float is
+        # at least the sum exactly when it is at least that float
+        sums = np.array([math.nextafter(float(c), math.inf) if float(c) < c else float(c)
+                         for c in cumulative])
+        object.__setattr__(self, "_cumulative", (sums, total))
+
+    def draw(self, n: int, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+        """n strings drawn from ``rng.random`` as ``random.choices`` draws
+        them, as int arrays: every letter's position in ``alphabet``, all
+        strings' letters in draw order, and each string's length.  The
+        length is ``floor(random() * max_len) + 1``, a letter
+        ``floor(random() * k)`` or, with weights, a bisection of
+        ``random() * total`` into the running sums; the state left in
+        ``rng`` is that of one ``choices`` call for the length and one for
+        the letters of each string.  The values come from
+        ``_drawn_values``."""
+        values, starts = _drawn_values(rng, n, self.max_len)
+        lengths = (values[starts] * self.max_len).astype(np.intp) + 1
+        letters = values[~starts]
+        if self.letter_weights is None:
+            return (letters * len(self.alphabet)).astype(np.intp), lengths
+        sums, total = self._cumulative
+        codes = np.searchsorted(sums, letters * total, "right")
+        return np.minimum(codes, len(self.alphabet) - 1), lengths
+
+    def strings(self, codes: np.ndarray, lengths: np.ndarray) -> list[tuple]:
+        """The strings that ``draw`` returned as ``codes`` and ``lengths``,
+        as tuples of letters."""
+        alphabet = np.empty(len(self.alphabet), dtype=object)
+        for i, a in enumerate(self.alphabet):  # a letter may be a tuple
+            alphabet[i] = a
+        letters = alphabet[codes].tolist()
+        ends = list(itertools.accumulate(lengths.tolist()))
+        return [tuple(letters[start:end]) for start, end in zip([0, *ends], ends)]
 
     def sample_many(self, n: int, rng: random.Random) -> list[tuple]:
-        """n strings drawn straight from ``rng.random``, as ``random.choices``
-        draws them: the length is ``floor(random() * max_len) + 1``, a letter
-        ``floor(random() * k)`` or, with weights, a bisection of
-        ``random() * total`` into the running sums.  The strings and the
-        state left in ``rng`` are those of one ``choices`` call for the
-        length and one for the letters of each string."""
-        draw, floor, alphabet, max_len = rng.random, math.floor, self.alphabet, self.max_len
-        strings = []
-        if self.letter_weights is None:
-            k = len(alphabet)
-            for _ in range(n):
-                length = floor(draw() * max_len) + 1
-                strings.append(tuple([alphabet[floor(draw() * k)] for _ in range(length)]))
+        """n strings drawn as ``draw`` draws them, as tuples of letters."""
+        return self.strings(*self.draw(n, rng))
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """``random()`` of CPython's Mersenne Twister from consecutive pairs of
+    its 32-bit outputs: 53 bits, 27 from the first and 26 from the second."""
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def _untempered(outputs: np.ndarray) -> np.ndarray:
+    """The Mersenne Twister state words whose outputs are ``outputs``
+    (uint32): its tempering's four steps undone, last first."""
+    y = outputs ^ (outputs >> 18)
+    x = y
+    for _ in range(2):
+        x = y ^ ((x << 15) & 0xEFC60000)
+    y = x
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
+
+
+def _drawn_values(rng: random.Random, n: int, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``rng.random()`` that drawing n strings of 1..max_len
+    letters takes (each string's length value, then one per letter), as a
+    float array, and a bool array marking the length values, where the
+    strings start.  ``rng`` is left where drawing them one by one would
+    leave it.
+
+    A plain ``random.Random`` (one whose ``random``, ``getrandbits``,
+    ``getstate`` and ``setstate`` are ``random.Random``'s) hands out its
+    32-bit outputs in blocks through ``getrandbits``, and ``random()`` takes
+    two of them.  A first block holds as many values as n strings take on
+    average and a second, when they need more, as many as the rest can
+    take.  Each length value gives the position of the next one.  ``rng``
+    is then set to the state after the last value used: the outputs of its
+    key, untempered, and how many of them are used.  Any other generator,
+    such as ``random.SystemRandom``, is called once per value."""
+    cls = type(rng)
+    if not all(getattr(cls, name) is getattr(random.Random, name)
+               for name in ("random", "getrandbits", "getstate", "setstate")):
+        draw, values, starts = rng.random, [], []
+        for _ in range(n):
+            values.append(draw())
+            length = math.floor(values[-1] * max_len) + 1
+            values.extend([draw() for _ in range(length)])
+            starts.extend([True] + [False] * length)
+        return np.array(values, dtype=np.float64), np.array(starts, dtype=bool)
+    if n == 0:
+        return np.empty(0), np.empty(0, dtype=bool)
+    version, internal, gauss_next = rng.getstate()
+    used = internal[-1]  # outputs of the current key already handed out
+    words, blocks, starts = [], [], bytearray()
+    want = -(-n * (max_len + 3) // 2)  # 1 + (max_len + 1) / 2 values per string
+    end = size = done = 0
+    while True:
+        words.append(np.frombuffer(rng.getrandbits(64 * want).to_bytes(8 * want, "little"),
+                                   dtype="<u4"))
+        blocks.append(_doubles(words[-1]))
+        # from a length value, the position of the next one
+        hop = memoryview(np.arange(size + 2, size + want + 2)
+                         + (blocks[-1] * max_len).astype(np.intp))
+        base, size = size, size + want
+        starts += bytes(want)
+        for done in range(done, n):
+            if end >= size:
+                break
+            starts[end] = 1
+            end = hop[end - base]
         else:
-            cumulative, total = self._cumulative
-            hi = len(alphabet) - 1
-            for _ in range(n):
-                length = floor(draw() * max_len) + 1
-                strings.append(tuple([alphabet[bisect(cumulative, draw() * total, 0, hi)]
-                                      for _ in range(length)]))
-        return strings
+            done = n
+        if done == n and end <= size:
+            break
+        want = max(end - size, 0) + (n - done) * (max_len + 1)
+    # the last output used, counted from the start of the key in ``internal``;
+    # every 624 outputs the key is made anew
+    twists, index = divmod(used + 2 * end - 1, 624)
+    if twists == 0:
+        key = internal[:-1]
+    elif twists == (used + 2 * size - 1) // 624:  # the key that rng holds now
+        key = rng.getstate()[1][:-1]
+    else:
+        start = 624 * twists - used
+        key = _untempered(np.concatenate(words)[start:start + 624]).tolist()
+    rng.setstate((version, (*key, index + 1), gauss_next))
+    return np.concatenate(blocks)[:end], np.frombuffer(starts, dtype=bool)[:end]
+
+
+def _automaton(fn):
+    """The automaton that calling ``fn`` runs, when ``fn`` is a ``Cascade``
+    or a ``FlatAutomaton`` or its bound ``run`` or ``__call__`` (and the
+    class keeps that ``run``); otherwise None."""
+    owner = getattr(fn, "__self__", fn)
+    run = getattr(type(owner), "run", None)
+    if run is not Cascade.run and run is not FlatAutomaton.run:
+        return None
+    called = type(owner).__call__ if fn is owner else getattr(fn, "__func__", None)
+    return owner if called is run else None
+
+
+def _draw(dist: StringDistribution, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    if n < 1:
+        raise ValueError("sample size must be at least 1")
+    return dist.draw(n, random.Random(seed))
 
 
 def draw_sample(dist: StringDistribution, target: Callable, n: int,
                 seed: int = 0) -> LabeledSample:
     """n i.i.d. strings labelled by the target function."""
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    rng = random.Random(seed)
-    strings = dist.sample_many(n, rng)
-    return LabeledSample(tuple((s, target(s)) for s in strings))
+    codes, lengths = _draw(dist, n, seed)
+    strings = dist.strings(codes, lengths)
+    automaton = _automaton(target)
+    if automaton is None:
+        labels = [target(s) for s in strings]
+    else:
+        labels = map(automaton.outputs.__getitem__,
+                     automaton.run_many(dist.alphabet, codes, lengths).tolist())
+    return LabeledSample(tuple(zip(strings, labels)))
 
 
 def empirical_risk(fn: Callable, sample: LabeledSample) -> float:
@@ -157,8 +295,22 @@ class RiskEstimate(NamedTuple):
 
 def estimate_risk(fn: Callable, target: Callable, dist: StringDistribution,
                   n_mc: int, seed: int = 0) -> RiskEstimate:
-    """Monte-Carlo estimate of the true risk against the target."""
-    mean = empirical_risk(fn, draw_sample(dist, target, n_mc, seed))
+    """Monte-Carlo estimate of the true risk against the target, on the
+    strings of ``draw_sample``.  When both run automata, their ``run_many``
+    output codes are compared, each distinct pair of codes once, by
+    ``zero_one_loss`` on the values; otherwise ``fn`` is called on each
+    string."""
+    mine, theirs = _automaton(fn), _automaton(target)
+    if mine is None or theirs is None:
+        mean = empirical_risk(fn, draw_sample(dist, target, n_mc, seed))
+    else:
+        codes, lengths = _draw(dist, n_mc, seed)
+        labels = theirs.run_many(dist.alphabet, codes, lengths)
+        width = len(theirs.outputs)
+        pairs, counts = np.unique(mine.run_many(dist.alphabet, codes, lengths) * width + labels,
+                                  return_counts=True)
+        mean = sum(count * zero_one_loss(mine.outputs[pair // width], theirs.outputs[pair % width])
+                   for pair, count in zip(pairs.tolist(), counts.tolist())) / n_mc
     return RiskEstimate(mean, math.sqrt(mean * (1 - mean) / n_mc), n_mc)
 
 

@@ -234,6 +234,13 @@ def test_dnf_cardinality_matches_brute_force(n, k):
     assert len({truth_table(f, sig) for f in fns}) == cls.cardinality
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_single_terms_follow_the_sorted_variable_lists(n):
+    cls = MonotoneDnfClass(FactoredAlphabet.single("event", [f"e{i}" for i in range(n)]), 1)
+    assert cls.n_variables == n
+    assert cls._single_terms == tuple(sorted(range(1, 2**n), key=MonotoneDnfClass._term_key))
+
+
 def test_one_term_dnf_over_three_variables_counts_eight():
     sig = FactoredAlphabet.of(*((f"v{i}", (0, 1)) for i in range(3)))
     assert MonotoneDnfClass(sig, 1).cardinality == 8

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cascata.crafting import SequenceTaskFamily
@@ -17,6 +19,7 @@ from cascata.learner import (
     learning_curve,
     zero_one_loss,
 )
+from cascata.learner import _untempered
 
 DIST = StringDistribution(("a", "b"), max_len=4)
 
@@ -246,6 +249,7 @@ def test_sample_many_matches_a_per_letter_reference(weights):
     for seed in range(200):
         rng, ref = random.Random(seed), random.Random(seed)
         assert dist.sample_many(5, rng) == [_per_letter_sample(dist, ref) for _ in range(5)]
+        assert rng.getstate() == ref.getstate()
         assert rng.random() == ref.random()  # both consumed the same stream
 
 
@@ -264,7 +268,134 @@ def test_sample_many_matches_the_per_letter_reference_on_edge_distributions(
     for seed in range(100):
         rng, ref = random.Random(seed), random.Random(seed)
         assert dist.sample_many(5, rng) == [_per_letter_sample(dist, ref) for _ in range(5)]
+        assert rng.getstate() == ref.getstate()
         assert rng.random() == ref.random()
+
+
+def _warmed(seed):
+    """Two generators at one state: fresh, or partway through a key, at an
+    even or an odd number of its 32-bit outputs, or at its start."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for r in (rng, ref):
+        r.getrandbits(32 * (seed % 2))
+        for _ in range(seed % 3 * 150):
+            r.random()
+        if seed % 7 == 6:
+            version, internal, gauss_next = r.getstate()
+            r.setstate((version, (*internal[:-1], 0), gauss_next))
+    return rng, ref
+
+
+@pytest.mark.parametrize("weights", [None, (0.5, 3.0, 0.0)])
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 300])
+def test_every_draw_leaves_the_generator_where_the_reference_does(n, weights):
+    dist = StringDistribution(("a", "b", "c"), max_len=8, letter_weights=weights)
+    for seed in range(30):
+        rng, ref = _warmed(seed)
+        for _ in range(3):
+            assert dist.sample_many(n, rng) == [_per_letter_sample(dist, ref) for _ in range(n)]
+            assert rng.getstate() == ref.getstate()
+
+
+def test_draws_larger_than_the_first_block_match_the_reference():
+    # the first block holds as many values as n strings take on average,
+    # ceil(n * (max_len + 3) / 2); a string takes its length value and one
+    # value per letter
+    dist = StringDistribution(("a", "b", "c"), max_len=8)
+    larger = 0
+    for seed in range(100):
+        for n in (1, 2, 40):
+            rng, ref = _warmed(seed)
+            expected = [_per_letter_sample(dist, ref) for _ in range(n)]
+            assert dist.sample_many(n, rng) == expected
+            assert rng.getstate() == ref.getstate()
+            larger += sum(len(s) + 1 for s in expected) > -(-n * 11 // 2)
+    assert larger >= 100
+
+
+def test_draws_over_many_keys_match_the_reference():
+    # long strings: the last value used lies keys (624 outputs each) before
+    # the end of the first block, or in its last key, or past it
+    dist = StringDistribution(("a", "b"), max_len=400)
+    for seed in range(40):
+        rng, ref = _warmed(seed)
+        expected = [_per_letter_sample(dist, ref) for _ in range(25)]
+        assert dist.sample_many(25, rng) == expected
+        assert rng.getstate() == ref.getstate()
+
+
+def _tempered(word):
+    # CPython's genrand_uint32 output for the state word ``word``
+    word ^= word >> 11
+    word ^= (word << 7) & 0x9D2C5680
+    word ^= (word << 15) & 0xEFC60000
+    return word ^ (word >> 18)
+
+
+def test_untempering_inverts_the_tempering():
+    words = [random.Random(seed).getrandbits(32) for seed in range(2000)]
+    words += [0, 1, 2**31, 2**32 - 1]
+    outputs = np.array([_tempered(w) for w in words], dtype=np.uint32)
+    assert _untempered(outputs).tolist() == words
+
+
+class _Scripted(random.Random):
+    """A generator whose ``random`` returns the given values in turn."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("weights, letters", [
+    # running sums 1, 1, 2, 2, 4: values at and just below each tie
+    ((1.0, 0.0, 1.0, 0.0, 2.0), (0.25, 0.2499999999999999, 0.5, 0.4999999999999999, 0.75, 0.0,
+                                 0.9999999999999999)),
+    # running sums 2**60, 2**60 + 1, 2**61 + 1, which floats round down
+    ((2**60, 1, 2**60), (0.5, 0.4999999999999999, 0.5000000000000001, 0.0, 0.75)),
+])
+def test_weighted_letters_at_tied_and_rounded_running_sums_match_bisect(weights, letters):
+    dist = StringDistribution("abcde"[:len(weights)], max_len=len(letters), letter_weights=weights)
+    values = (0.9999999999999999, *letters)  # the longest string, then its letters
+    assert dist.sample_many(1, _Scripted(values)) == [_per_letter_sample(dist, _Scripted(values))]
+
+
+def test_generators_whose_state_is_not_read_are_called_once_per_value():
+    dist = StringDistribution(("a", "b", "c"), max_len=5, letter_weights=(1.0, 0.0, 2.0))
+    # a subclass that keeps random.Random's methods is read like random.Random
+    class Plain(random.Random):
+        pass
+
+    rng, ref = Plain(4), random.Random(4)
+    assert dist.sample_many(50, rng) == [_per_letter_sample(dist, ref) for _ in range(50)]
+    assert rng.getstate() == ref.getstate()
+    # one that overrides random is called once per value, and only then
+    values = [random.Random(5).random() for _ in range(400)]
+    rng, ref = _Scripted(values), _Scripted(values)
+    assert dist.sample_many(50, rng) == [_per_letter_sample(dist, ref) for _ in range(50)]
+    assert next(rng.values) == next(ref.values)
+    # random.SystemRandom has no state to read: it is called once per value
+    strings = dist.sample_many(200, random.SystemRandom())
+    assert len(strings) == 200
+    assert all(1 <= len(s) <= 5 and set(s) <= {"a", "c"} for s in strings)
+
+
+def test_criterion_8_trials_are_pinned():
+    # the 100 trials' (chosen member, risk estimate) pairs, hashed when
+    # strings were drawn one value at a time and scored one string at a time
+    fam = SequenceTaskFamily(3)
+    dist = StringDistribution(tuple(fam.external.letters()), max_len=8)
+    target = fam.sequence_target()
+    pairs = []
+    for trial in range(100):
+        chosen = erm_select(fam, draw_sample(dist, target, 646, seed=8000 + trial))
+        pairs.append((chosen.index, estimate_risk(chosen.function, target, dist, 2500,
+                                                  seed=9000 + trial).mean))
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == \
+        "020230dbc7cc583240f0f950665a702ad63edf43ce9f50b036d8356411e2a3c8"
 
 
 @pytest.mark.parametrize("weights", [

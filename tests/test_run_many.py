@@ -1,0 +1,152 @@
+"""``run_many``, which steps many strings together, against per-string
+``run``, and how ``draw_sample`` and ``estimate_risk`` use it."""
+
+import random
+
+import numpy as np
+import pytest
+
+from cascata.automata import FlatAutomaton
+from cascata.cascade import Cascade
+from cascata.crafting import SequenceTaskFamily
+from cascata.errors import EmptyInputError
+from cascata.learner import StringDistribution, _automaton, draw_sample, estimate_risk
+
+from helpers import cascade_with_counter, random_cascade
+
+
+def _outputs_match_run(automaton, dist, n, seed):
+    """Draw n strings from ``dist`` and check ``run_many`` on them against
+    ``run``; returns the strings."""
+    codes, lengths = dist.draw(n, random.Random(seed))
+    strings = dist.strings(codes, lengths)
+    outputs = automaton.run_many(dist.alphabet, codes, lengths)
+    assert [automaton.outputs[o] for o in outputs.tolist()] == [automaton.run(s) for s in strings]
+    return strings
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_run_many_matches_run_on_random_cascades_and_their_flattenings(seed):
+    rng = random.Random(seed)
+    cascade = random_cascade(rng) if seed % 4 else cascade_with_counter(rng)
+    letters = tuple(cascade.external.letters())
+    flat = cascade.flatten()
+    for max_len in (1, 7):
+        dist = StringDistribution(letters, max_len)
+        strings = _outputs_match_run(cascade, dist, 300, seed)
+        assert _outputs_match_run(flat, dist, 300, seed) == strings
+        assert {len(s) for s in strings} >= {1, max_len}
+    # a one-letter alphabet, and letters of weight 0, in another order
+    for dist in (StringDistribution(letters[-1:], 9),
+                 StringDistribution(letters[::-1], 6, tuple(i % 2 for i in range(len(letters))))):
+        strings = _outputs_match_run(cascade, dist, 100, seed)
+        assert _outputs_match_run(flat, dist, 100, seed) == strings
+
+
+def test_run_many_on_no_strings_returns_nothing():
+    cascade = SequenceTaskFamily(2).sequence_target()
+    dist = StringDistribution(tuple(cascade.external.letters()), 4)
+    codes, lengths = dist.draw(0, random.Random(1))
+    assert cascade.run_many(dist.alphabet, codes, lengths).tolist() == []
+    assert cascade.flatten().run_many(dist.alphabet, codes, lengths).tolist() == []
+
+
+@pytest.mark.parametrize("flatten", [False, True])
+def test_run_many_raises_on_an_empty_string_as_run_does(flatten):
+    automaton = SequenceTaskFamily(2).sequence_target()
+    if flatten:
+        automaton = automaton.flatten()
+    letters = tuple(automaton.external.letters() if not flatten else automaton.alphabet)
+    with pytest.raises(EmptyInputError) as empty:
+        automaton.run(())
+    with pytest.raises(EmptyInputError) as batched:
+        automaton.run_many(letters, np.array([0, 1, 0]), np.array([2, 0, 1]))
+    assert str(batched.value) == str(empty.value)
+
+
+def _parity(outputs, flip=False):
+    """A flat automaton over a, b whose output is the parity of its a's,
+    coded 0 for even (1 with ``flip``), valued by ``outputs``."""
+    delta = [[1, 0], [0, 1]]  # rows: states 0, 1; columns: a, b
+    out = [[c ^ flip for c in row] for row in delta]
+    return FlatAutomaton.from_tables(("a", "b"), (0, 1), delta, 0, out, outputs)
+
+
+@pytest.mark.parametrize("outputs, flip, risk", [
+    ((0, 1), False, 0.0),
+    ((True, False), False, 1.0),  # codes agree everywhere, values nowhere
+    ((1.0, False), True, 0.0),  # codes agree nowhere, values everywhere
+    ((False, 1.0), True, 1.0),
+])
+def test_estimate_risk_compares_output_values_not_codes(outputs, flip, risk):
+    dist = StringDistribution(("a", "b"), 6)
+    target, fn = _parity((0, 1)), _parity(outputs, flip)
+    batched = estimate_risk(fn, target, dist, 500, seed=3)
+    assert batched == estimate_risk(lambda s: fn(s), lambda s: target(s), dist, 500, seed=3)
+    assert batched.mean == risk
+    sample = draw_sample(dist, fn, 200, seed=4)
+    assert sample == draw_sample(dist, lambda s: fn(s), 200, seed=4)
+    assert [type(y) for y in sample.labels] == [type(fn(s)) for s in sample.strings]
+
+
+def _same_error(batched, looped):
+    """Run both and check that they raise one error, of one type and
+    message; returns it."""
+    with pytest.raises(Exception) as one:
+        batched()
+    with pytest.raises(Exception) as other:
+        looped()
+    assert type(one.value) is type(other.value)
+    assert str(one.value) == str(other.value)
+    return one.value
+
+
+def test_letters_outside_a_cascade_raise_run_errors_for_the_first_string_holding_one():
+    target = SequenceTaskFamily(3).sequence_target()
+    letters = tuple(target.external.letters())
+    for bad in [(("e9",), ("e8",)), (("e1", "x"), "e2"), ([1], ("e7",))]:
+        dist = StringDistribution(letters + bad, 5)
+        messages = set()
+        for seed in range(8):
+            error = _same_error(lambda: draw_sample(dist, target, 30, seed),
+                                lambda: draw_sample(dist, lambda s: target.run(s), 30, seed))
+            messages.add(str(error))
+        assert len(messages) == 2  # either bad letter can come first
+
+
+def test_letters_outside_a_flat_automaton_raise_run_errors_for_the_first_string_holding_one():
+    flat = _parity((0, 1))
+    dist = StringDistribution(("a", "b", "c", "d"), 5)
+    messages = set()
+    for seed in range(12):
+        error = _same_error(lambda: draw_sample(dist, flat, 20, seed),
+                            lambda: draw_sample(dist, lambda s: flat.run(s), 20, seed))
+        messages.add(str(error))
+    assert len(messages) > 2  # the letter and its position vary with the string
+
+
+def test_estimate_risk_checks_the_target_before_the_function():
+    # each lacks a letter: the target's is found first, over all strings
+    dist = StringDistribution(("a", "b", "c", "d"), 4)
+    full = FlatAutomaton.from_tables("abcd", (0,), [[0, 0, 0, 0]], 0, [[0, 1, 0, 1]], (0, 1))
+    no_c, no_d = full.restrict("abd"), full.restrict("abc")
+    for fn, target in [(no_c, no_d), (no_d, no_c), (no_c, full), (full, no_d)]:
+        for seed in range(5):
+            looped = (lambda s: fn(s)), (lambda s: target(s))
+            _same_error(lambda: estimate_risk(fn, target, dist, 50, seed),
+                        lambda: estimate_risk(*looped, dist, 50, seed))
+
+
+def test_only_automata_and_their_bound_run_are_batched():
+    cascade = SequenceTaskFamily(2).sequence_target()
+    flat = cascade.flatten()
+
+    class Overriding(Cascade):
+        def run(self, string):
+            return super().run(string)
+
+    overriding = Overriding(cascade.components)
+    for fn in (cascade, cascade.run, cascade.__call__, flat, flat.run, flat.__call__):
+        assert _automaton(fn) is getattr(fn, "__self__", fn)
+    for fn in (lambda s: cascade(s), cascade.step, flat.output, overriding, overriding.run, len, 3):
+        assert _automaton(fn) is None
