@@ -17,11 +17,12 @@ the family's ``sequence_target``), it times:
   strings and a realizable baseline, over 5, 2 and 1 trials at d = 3, 4, 5
   (ERM on the d=5 family takes seconds).
 
-Each of the first three is the median of ``--repeats`` calls, each on its
-own seed; the curve point is timed once.  The results are added to OUT.json
-under the label, beside those of other labels, with the Python and numpy
-versions and the CPU count.  Only cascata's public learning API is called,
-so the script runs against older sources (``--src``) too.
+Each of the first three is the median of ``REPEATS`` calls on the seeds
+from ``SEED`` on; the curve point is timed once, on ``SEED``.  The results
+are added to OUT.json under the label, beside those of other labels, with
+the Python and numpy versions and the CPU count.  Only cascata's public
+learning API is called, so the script runs against older sources
+(``--src``) too.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TRIALS = {3: 5, 4: 2, 5: 1}
+SEED = 0
+REPEATS = 30
+TRIALS = {3: 5, 4: 2, 5: 1}  # learning-curve trials per family
 
 
 def timed(fn, *args, **kwargs) -> tuple[object, float]:
@@ -46,7 +49,7 @@ def timed(fn, *args, **kwargs) -> tuple[object, float]:
     return result, time.perf_counter() - start
 
 
-def bench_family(d: int, seed: int, repeats: int) -> dict:
+def bench_family(d: int) -> dict:
     from cascata.complexity import sample_bound_finite
     from cascata.crafting import SequenceTaskFamily
     from cascata.learner import (StringDistribution, draw_sample, erm_select, estimate_risk,
@@ -56,8 +59,8 @@ def bench_family(d: int, seed: int, repeats: int) -> dict:
     target = family.sequence_target()
     dist = StringDistribution(tuple(family.external.letters()), max_len=8)
     ell = sample_bound_finite(family.cardinality, 0.1, 0.1)
-    winner = erm_select(family, draw_sample(dist, target, ell, seed=seed)).function
-    seeds = [seed * 1_000_003 + i for i in range(repeats)]
+    winner = erm_select(family, draw_sample(dist, target, ell, seed=SEED)).function
+    seeds = range(SEED, SEED + REPEATS)
     times = {
         "sample_many_s": [timed(dist.sample_many, 2500, random.Random(s))[1] for s in seeds],
         "draw_sample_s": [timed(draw_sample, dist, target, ell, seed=s)[1] for s in seeds],
@@ -66,7 +69,7 @@ def bench_family(d: int, seed: int, repeats: int) -> dict:
     }
     result = {name: statistics.median(values) for name, values in times.items()}
     points, result["learning_curve_point_s"] = timed(
-        learning_curve, family, target, dist, [ell], TRIALS[d], 0.1, seed=seed, n_mc=2500,
+        learning_curve, family, target, dist, [ell], TRIALS[d], 0.1, seed=SEED, n_mc=2500,
         baseline_risk=0.0)
     result.update(sample_size=ell, curve_trials=TRIALS[d], curve_successes=points[0].successes,
                   curve_mean_gap=points[0].mean_gap)
@@ -79,10 +82,6 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="name the results go under")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the cascata source tree to time (default: this checkout's)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeats", type=int, default=30)
-    parser.add_argument("--families", type=int, nargs="+", default=sorted(TRIALS),
-                        choices=sorted(TRIALS))
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
@@ -90,9 +89,8 @@ def main(argv=None) -> int:
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     bench[args.label] = {
         "python": platform.python_version(), "numpy": numpy.__version__,
-        "nproc": len(os.sched_getaffinity(0)), "seed": args.seed,
-        "repeats": args.repeats,
-        **{f"d{d}": bench_family(d, args.seed, args.repeats) for d in args.families},
+        "nproc": len(os.sched_getaffinity(0)), "seed": SEED, "repeats": REPEATS,
+        **{f"d{d}": bench_family(d) for d in TRIALS},
     }
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
     print(json.dumps({args.label: bench[args.label]}, indent=2))

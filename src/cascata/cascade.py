@@ -14,7 +14,8 @@ arrays; scalar stepping reads them through flat views, which copy nothing.
 
 Stepping keeps two forms, a scalar and a vectorized one.  ``run`` fills its
 memo through ``_advance``, one component at a time; ``_step`` does the same
-on int arrays that broadcast together.  ``flatten`` steps every product
+on int arrays that broadcast together.  Both read what ``_wired`` gathers
+for each component, as views and as arrays.  ``flatten`` steps every product
 state on every letter at once through ``_step``, building the whole product
 table up front, and ``run_many`` steps many strings together through it, a
 position at a time, at a cost of strings times letters times components
@@ -93,35 +94,35 @@ class Cascade:
         self._memo_size = 0
         self._memo_lock = threading.Lock()
 
-    def _inputs(self, comp: ComponentAutomaton):
-        """Per dependency: (coordinate, code -> the code's share of the
+    def _wired(self, comp: ComponentAutomaton) -> tuple:
+        """What stepping ``comp`` reads: its ``next_array`` and ``out_array``
+        flattened, indexed ``q * k + x``; ``k``, its projected letter count;
+        and per dependency, (coordinate, code -> the code's share of the
         projected letter's index).  A chained coordinate's code is its
-        producer's output code, hence the values in the producer's order."""
+        producer's output code, hence the values in the producer's order.
+        The arrays are C-contiguous, so flattening them copies nothing."""
         base = self.external.arity
-        return tuple(
-            (j - 1, [place[v] for v in (coord.values if j <= base
-                                        else self.components[j - 1 - base].outputs)])
-            for j, coord, place in zip(comp.dependencies.indices, comp.projected.coords,
-                                       comp.projected.places))
+        return (comp.next_array.reshape(-1), comp.out_array.reshape(-1), comp.next_array.shape[1],
+                tuple((j - 1, [place[v] for v in (coord.values if j <= base
+                                                  else self.components[j - 1 - base].outputs)])
+                      for j, coord, place in zip(comp.dependencies.indices,
+                                                 comp.projected.coords, comp.projected.places)))
 
     @_lazy_attribute
     def _wiring(self) -> tuple:
-        """Per component, what ``_advance`` reads: flat views of its
-        ``next_array`` and ``out_array``, indexed ``q * k + x`` and read as
-        Python ints, ``k`` (its projected letter count) and its ``_inputs``.
-        The arrays are C-contiguous, so the views copy nothing."""
-        return tuple((memoryview(c.next_array.reshape(-1)), memoryview(c.out_array.reshape(-1)),
-                      c.next_array.shape[1], self._inputs(c)) for c in self.components)
+        """Per component, what ``_advance`` reads: ``_wired`` with the arrays
+        as views, read as Python ints, which copy nothing."""
+        return tuple((memoryview(next_array), memoryview(out_array), k, inputs)
+                     for next_array, out_array, k, inputs in map(self._wired, self.components))
 
     @_lazy_attribute
     def _arrays(self) -> tuple:
-        """Per component, what ``_step`` reads: what ``_wiring`` holds, as
-        arrays: its ``next_array`` and ``out_array`` flattened, ``k`` and its
-        ``_inputs``, each contribution as an int array."""
-        return tuple((c.next_array.ravel(), c.out_array.ravel(), c.next_array.shape[1],
+        """Per component, what ``_step`` reads: ``_wired`` with each
+        contribution as an int array."""
+        return tuple((next_array, out_array, k,
                       tuple((j, np.array(contribution, dtype=np.intp))
-                            for j, contribution in self._inputs(c)))
-                     for c in self.components)
+                            for j, contribution in inputs))
+                     for next_array, out_array, k, inputs in map(self._wired, self.components))
 
     @property
     def depth(self) -> int:

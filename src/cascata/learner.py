@@ -160,7 +160,9 @@ def _drawn_values(rng: random.Random, n: int, max_len: int) -> tuple[np.ndarray,
     average and a second, when they need more, as many as the rest can
     take.  Each length value gives the position of the next one.  ``rng``
     is then set to the state after the last value used: the outputs of its
-    key, untempered, and how many of them are used.  Any other generator,
+    key, untempered, and how many of them are used.  (Setting it back and
+    handing out two outputs per value used reaches the same state, but
+    generates every output a second time.)  Any other generator,
     such as ``random.SystemRandom``, is called once per value."""
     cls = type(rng)
     if not all(getattr(cls, name) is getattr(random.Random, name)
