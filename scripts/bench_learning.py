@@ -13,11 +13,14 @@ the family's ``sequence_target``), it times:
   labelled by the target;
 - ``estimate_risk``: 2,500 strings, the ERM winner of that sample against
   the target;
+- ``erm_select``: the family's ERM on a sample drawn as ``draw_sample``
+  draws it, at d = 3 and 4 (at d = 5 it takes seconds, and the curve point
+  covers it);
 - ``learning_curve``: one point at that sample size, 2,500 Monte-Carlo
   strings and a realizable baseline, over 5, 2 and 1 trials at d = 3, 4, 5
   (ERM on the d=5 family takes seconds).
 
-Each of the first three is the median of ``REPEATS`` calls on the seeds
+Each of the first four is the median of ``REPEATS`` calls on the seeds
 from ``SEED`` on; the curve point is timed once, on ``SEED``.  The results
 are added to OUT.json under the label, beside those of other labels, with
 the Python and numpy versions and the CPU count.  Only cascata's public
@@ -67,6 +70,9 @@ def bench_family(d: int) -> dict:
         "estimate_risk_s": [timed(estimate_risk, winner, target, dist, 2500, seed=s)[1]
                             for s in seeds],
     }
+    if d < 5:
+        samples = [draw_sample(dist, target, ell, seed=s) for s in seeds]
+        times["erm_select_s"] = [timed(erm_select, family, sample)[1] for sample in samples]
     result = {name: statistics.median(values) for name, values in times.items()}
     points, result["learning_curve_point_s"] = timed(
         learning_curve, family, target, dist, [ell], TRIALS[d], 0.1, seed=SEED, n_mc=2500,

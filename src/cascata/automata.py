@@ -272,7 +272,7 @@ def _row_classes(columns, n_values: int) -> tuple[np.ndarray, int]:
         boundary[1:] |= ranked[1:] != ranked[:-1]
     ids = np.empty(len(order), dtype=np.int64)
     ids[order] = np.cumsum(boundary)
-    return ids, int(ids[order[-1]]) + 1
+    return ids, int(ids[order[-1]]) + 1 if len(order) else 0
 
 
 def bfs_order(table: np.ndarray, start: int) -> np.ndarray:
@@ -329,8 +329,11 @@ def letter_positions(lengths: np.ndarray):
     the indices of the letters there of the strings still running, longer
     strings first (so those still running at the next position are a
     prefix), and the numbers of the strings whose last letter it is, which
-    are the last ones."""
-    order = np.argsort(-lengths, kind="stable")
+    are the last ones.  The lengths are sorted as ``top - lengths`` in the
+    narrowest dtype that holds ``top``, their maximum, which numpy sorts by
+    radix at 16 bits or fewer."""
+    top = lengths.max(initial=0)
+    order = np.argsort((top - lengths).astype(np.min_scalar_type(top)), kind="stable")
     starts = (np.cumsum(lengths) - lengths)[order]
     # how many strings are longer than t, for t = 0..max(lengths)
     running = (len(lengths) - np.cumsum(np.bincount(lengths))).tolist()

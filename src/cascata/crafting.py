@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alphabets import FactoredAlphabet, MonotoneDnfClass
+from .automata import _row_classes
 from .cascade import Cascade, CascadeClass, ClassPart, build_chained
 from .complexity import ClassDescriptor
 from .primes import make_counter, make_flipflop
@@ -283,35 +284,61 @@ class SequenceTaskFamily(CascadeClass):
         n_tables = len(set(truth.view(np.dtype((np.void, self.d))).reshape(-1).tolist()))
         return n_tables ** (self.d - 1) * self.goal_class.cardinality
 
-    def _profiles(self, strings) -> tuple[np.ndarray, np.ndarray]:
-        """The strings' profiles, each once, and each string's profile
-        number.  A profile holds, per event, the bitmask of the events
-        before its last occurrence, or 2**d if it does not occur."""
-        d, n = self.d, len(strings)
-        lengths = np.array([len(s) for s in strings], dtype=np.intp)
-        valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
-        events = np.zeros(valid.shape, dtype=np.intp)
-        codes = self._letter_codes
+    def _events(self, letters, codes=None) -> np.ndarray:
+        """The family's event code of each of ``letters`` or, given
+        ``codes``, of each letter ``letters[c]`` for c in ``codes``.  A
+        letter the alphabet does not hold raises the alphabet's error at its
+        first place among those letters; one that ``codes`` never names is
+        not looked at."""
         try:
-            events[valid] = [codes[x] for s in strings for x in s]
+            table = np.fromiter(map(self._letter_codes.__getitem__, letters), dtype=np.intp,
+                                count=len(letters))
         except (KeyError, TypeError):  # let the alphabet name what is wrong
-            events[valid] = [self.external.encode(x, "error_counts")[0]
-                             for s in strings for x in s]
-        bits = np.where(valid, 1 << events, 0)
-        before = np.zeros_like(bits)
-        before[:, 1:] = np.bitwise_or.accumulate(bits[:, :-1], axis=1)
-        later = np.zeros_like(bits)
-        later[:, :-1] = np.bitwise_or.accumulate(bits[:, :0:-1], axis=1)[:, ::-1]
-        rows, steps = np.nonzero(valid & ((later & bits) == 0))
-        profile = np.full((n, d), 2 ** d)
-        profile[rows, events[rows, steps]] = before[rows, steps]
-        profiles, which = np.unique(profile, axis=0, return_inverse=True)
-        return profiles, which.reshape(-1)
+            if codes is not None:
+                letters = [letters[c] for c in codes.tolist()]
+            return np.array([self.external.encode(x, "error_counts")[0] for x in letters],
+                            dtype=np.intp)
+        return table if codes is None else table[codes]
 
-    def _distinct_error_counts(self, strings, labels):
+    def _encoded(self, strings) -> tuple[np.ndarray, np.ndarray]:
+        """Strings given as tuples of letters, as the family's event codes
+        of all their letters in order and each string's length."""
+        lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
+        return self._events([x for s in strings for x in s]), lengths
+
+    def _profiles(self, events, lengths) -> tuple[np.ndarray, np.ndarray]:
+        """The profiles of the strings with ``lengths`` whose letters have
+        the event codes ``events`` (all strings' letters in order), each
+        profile once, and each string's profile number.  A profile holds,
+        per event, the bitmask of the events before its last occurrence, or
+        2**d if it does not occur.  Equal profiles are told apart by
+        ``automata._row_classes`` on their packed columns."""
+        d, n = self.d, len(lengths)
+        valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        # grid[t, i]: the event at step t of string i, or d past its end
+        grid = np.full(valid.shape[::-1], d, dtype=np.intp)
+        grid.T[valid] = events
+        bits = (1 << grid) & (2 ** d - 1)
+        # per event and string, the events before the event's latest step:
+        # a step writes over what an earlier occurrence wrote; row d takes
+        # the steps past a string's end
+        columns = np.full((d + 1) * n, 2 ** d, dtype=np.int64)
+        before = np.zeros(n, dtype=np.int64)
+        for places, step_bits in zip(grid * n + np.arange(n), bits):
+            columns[places] = before
+            before |= step_bits
+        columns = columns.reshape(d + 1, n)[:d]
+        which, count = _row_classes(columns, 2 ** d + 1)
+        profiles = np.empty((count, d), dtype=np.int64)
+        profiles[which] = columns.T
+        return profiles, which
+
+    def _distinct_error_counts(self, events, lengths, labels):
         """The error counts of each distinct watcher combination (rows, in
-        ``_combinations`` order) with each goal (columns), in blocks of
-        rows: pairs (first row, counts).
+        ``_combinations`` order) with each goal (columns), on the strings
+        given by their event codes and lengths (as ``_profiles`` takes
+        them), in blocks of rows: pairs (first row, counts).  A label is
+        accepted when it ``==`` 0 or 1, as ``zero_one_loss`` compares it.
 
         A member outputs 1 iff one of its goal terms is contained in some
         step's goal assignment.  The assignment is monotone in the events
@@ -325,14 +352,14 @@ class SequenceTaskFamily(CascadeClass):
         (t1, t2) ``sum(y) + h[t1] + h[t2] - m[t1, t2]`` errors; a one-term
         goal has t1 = t2.  A block stacks the combinations of at most
         ``ERM_BLOCK_ENTRIES`` hit entries, and each product is one batched
-        call.  The products sum at most ``len(strings)`` ones in float64, so
+        call.  The products sum at most ``len(lengths)`` ones in float64, so
         the counts are exact.
         """
         first, last = self._goal_terms
-        y = np.array([int(v) for v in labels], dtype=np.int64)
-        if len(y) != len(strings) or np.any((y != 0) & (y != 1)):
+        y = np.fromiter((1 if v == 1 else 0 if v == 0 else -1 for v in labels), dtype=np.int64)
+        if len(y) != len(lengths) or np.any(y < 0):
             raise ValueError("error counts need one 0/1 label per string")
-        profiles, which = self._profiles(strings)
+        profiles, which = self._profiles(events, lengths)
         w = np.bincount(which, weights=1.0 - 2 * y, minlength=len(profiles))
         assignments = self._combinations.assignments
         per_event = np.arange(self.d)
@@ -351,7 +378,8 @@ class SequenceTaskFamily(CascadeClass):
         combination that shares it."""
         combinations = self._combinations
         distinct = np.concatenate([counts for _, counts
-                                   in self._distinct_error_counts(strings, labels)])
+                                   in self._distinct_error_counts(*self._encoded(strings),
+                                                                  labels)])
         # each watcher combination's distinct row, the last watcher fastest
         row = np.zeros(1, dtype=np.intp)
         for _ in range(self.d - 1):
@@ -365,10 +393,19 @@ class SequenceTaskFamily(CascadeClass):
         nothing of size ``cardinality`` is allocated.  A distinct
         combination's ties count once per watcher combination that shares
         it, and its first tied member takes each table's smallest watcher."""
+        return self._erm(*self._encoded(strings), labels)
+
+    def erm_many(self, letters, codes, lengths, labels) -> tuple[int, int, int]:
+        """``erm`` on strings given as in ``Cascade.run_many``: every
+        letter's position in ``letters`` (all strings' letters in order, an
+        int array) and each string's length."""
+        return self._erm(self._events(letters, codes), lengths, labels)
+
+    def _erm(self, events, lengths, labels) -> tuple[int, int, int]:
         weights, first_members = self._combinations.weights, self._combinations.first_members
         n_goals = len(self._goal_terms[0])
         best, index, ties = None, self.cardinality, 0
-        for start, counts in self._distinct_error_counts(strings, labels):
+        for start, counts in self._distinct_error_counts(events, lengths, labels):
             low = int(counts.min())
             if best is None or low < best:
                 best, index, ties = low, self.cardinality, 0

@@ -14,6 +14,10 @@ through ``run_many`` when the function is an automaton (a ``Cascade`` or a
 ``FlatAutomaton``), given itself or as its bound ``run`` or ``__call__``:
 all strings are stepped together on the automaton's arrays and no string
 is built to score them.  Any other callable is called once per string.
+``draw_sample`` keeps the codes and lengths it drew on the sample
+(``LabeledSample.drawn``), and ``erm_select`` hands them to a class's
+ERM kernel when it takes codes (``erm_many``), so the kernel reads no
+letter of the strings.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import io
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +42,15 @@ def zero_one_loss(a, b) -> int:
 
 @dataclass(frozen=True)
 class LabeledSample:
+    """Labelled strings.  ``drawn``, which ``draw_sample`` fills, holds
+    the same strings as they were drawn: the distribution's alphabet, every
+    letter's position in it (all strings' letters in order, an int array)
+    and each string's length.  It takes no part in equality, hashing or
+    repr."""
+
     entries: tuple[tuple[tuple, object], ...]
+    drawn: tuple[tuple, np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for s, _ in self.entries:
@@ -243,7 +255,7 @@ def draw_sample(dist: StringDistribution, target: Callable, n: int,
     else:
         labels = map(automaton.outputs.__getitem__,
                      automaton.run_many(dist.alphabet, codes, lengths).tolist())
-    return LabeledSample(tuple(zip(strings, labels)))
+    return LabeledSample(tuple(zip(strings, labels)), (dist.alphabet, codes, lengths))
 
 
 def empirical_risk(fn: Callable, sample: LabeledSample) -> float:
@@ -267,13 +279,18 @@ def erm_select(functions, sample: LabeledSample) -> ErmResult:
     A class object exposing ``erm(strings, labels)`` (and ``member``) is
     scored through that kernel instead of one-by-one evaluation: it returns
     the fewest errors, the first member index with that many and the number
-    of members with that many, as the generic loop finds them.  An empty
-    sample is a ``ValueError``.
+    of members with that many, as the generic loop finds them.  A drawn
+    sample is handed to the kernel's ``erm_many(letters, codes, lengths,
+    labels)``, when it has one, as it was drawn.  An empty sample is a
+    ``ValueError``.
     """
     if len(sample) == 0:
         raise ValueError("cannot select on an empty sample")
     if hasattr(functions, "erm"):
-        best, index, ties = functions.erm(list(sample.strings), list(sample.labels))
+        if sample.drawn is not None and hasattr(functions, "erm_many"):
+            best, index, ties = functions.erm_many(*sample.drawn, sample.labels)
+        else:
+            best, index, ties = functions.erm(list(sample.strings), list(sample.labels))
         return ErmResult(index, functions.member(index), best / len(sample), ties)
     best_index, best_fn, best_risk = -1, None, None
     ties = 0

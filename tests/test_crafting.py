@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cascata.crafting import (
@@ -288,6 +289,51 @@ def test_family_error_counts_rejects_labels_that_are_not_binary():
         fam.error_counts(strings, [0, 1])
     with pytest.raises(ValueError):
         fam.erm(strings, [0, 1, 2])
+    # a label is 0 or 1 when it == 0 or 1, as zero_one_loss compares it
+    for bad in (1.5, 0.5, None, "x", math.nan):
+        with pytest.raises(ValueError, match="one 0/1 label per string"):
+            fam.error_counts(strings, [0, bad, 1])
+        with pytest.raises(ValueError, match="one 0/1 label per string"):
+            fam.erm(strings, [bad, 0, 1])
+
+
+def test_family_kernel_reads_float_labels_as_the_generic_loop_does():
+    fam = SequenceTaskFamily(2)
+    strings = _sequence_strings(fam, 40, 5, seed=72)
+    noise = random.Random(73)
+    labels = [float(fam.sequence_target().run(s) ^ (noise.random() < 0.2)) for s in strings]
+    assert set(labels) == {0.0, 1.0}
+    members = list(fam)
+    generic = [sum(member.run(s) != y for s, y in zip(strings, labels)) for member in members]
+    assert fam.error_counts(strings, labels).tolist() == generic
+    best = min(generic)
+    assert fam.erm(strings, labels) == (best, generic.index(best), generic.count(best))
+
+
+def test_family_profiles_match_unique_rows_at_depth_eight():
+    # 257 profile values take 9 bits, so 7 events to a key and two keys;
+    # the strings use few letters, so equal profiles meet in both keys
+    fam = SequenceTaskFamily(8)
+    rng = random.Random(75)
+    letters = list(fam.external.letters())
+    strings = [tuple(rng.choice(letters[:2] + letters[-2:]) for _ in range(rng.randint(1, 4)))
+               for _ in range(400)]
+    strings += [tuple(rng.choice(letters) for _ in range(rng.randint(1, 12)))
+                for _ in range(200)]
+    rows = []
+    for s in strings:
+        events = [letters.index(x) for x in s]
+        last = {e: t for t, e in enumerate(events)}
+        rows.append([sum({1 << e for e in events[:last[e]]}) if e in last else 256
+                     for e in range(8)])
+    rows = np.array(rows)
+    profiles, which = fam._profiles(*fam._encoded(strings))
+    assert np.array_equal(profiles[which], rows)
+    unique = np.unique(rows, axis=0)
+    assert len(profiles) == len(unique) < len(strings)
+    assert np.array_equal(np.unique(profiles, axis=0), unique)
+    profiles, which = fam._profiles(*fam._encoded([]))
+    assert profiles.shape == (0, 8) and len(which) == 0
 
 
 def _full_vector_reduction(counts):

@@ -154,6 +154,62 @@ def test_erm_fast_path_at_depth_three_selects_the_first_minimizer():
             assert risk > chosen.empirical_risk
 
 
+def _erm_outcome(functions, sample):
+    chosen = erm_select(functions, sample)
+    return chosen.index, chosen.empirical_risk, chosen.tie_count
+
+
+def _family_distributions(fam, max_len):
+    """The family's letters in its order, reversed, and rotated with
+    weights that give one letter none, beside a letter outside the family
+    that is never drawn."""
+    letters = tuple(fam.external.letters())
+    rotated = letters[1:] + letters[:1]
+    return [StringDistribution(letters, max_len),
+            StringDistribution(letters[::-1], max_len),
+            StringDistribution(rotated + (("zz",),), max_len,
+                               (0.0, *range(2, len(letters) + 1), 0.0))]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_erm_on_drawn_codes_matches_erm_on_the_strings(d, seed):
+    fam = SequenceTaskFamily(d)
+    for dist in _family_distributions(fam, 6):
+        # a member of the family, labelled through run_many, and a target
+        # outside it, called per string
+        for target in (fam.sequence_target(), lambda s: int(len(s) % 3 == 0)):
+            sample = draw_sample(dist, target, 120, seed=seed)
+            copy = LabeledSample(sample.entries)
+            assert sample.drawn is not None and copy.drawn is None
+            assert copy == sample and hash(copy) == hash(sample) and repr(copy) == repr(sample)
+            drawn = _erm_outcome(fam, sample)
+            assert drawn == _erm_outcome(fam, copy)
+            if d == 2:
+                assert drawn == _erm_outcome(list(fam), sample)
+
+
+def test_erm_on_float_labels_matches_the_generic_loop():
+    fam = SequenceTaskFamily(2)
+    sample = _noisy_family_sample(fam, 60, seed=11, flip=0.2)
+    floats = LabeledSample(tuple((s, float(y)) for s, y in sample.entries))
+    assert set(floats.labels) == {0.0, 1.0}
+    assert _erm_outcome(fam, floats) == _erm_outcome(list(fam), floats)
+
+
+@pytest.mark.parametrize("outside", [(("zz",),), ("e1",), (("zz",), "e2")])
+def test_erm_on_drawn_codes_rejects_a_letter_outside_the_family_as_on_the_strings(outside):
+    fam = SequenceTaskFamily(2)
+    dist = StringDistribution((*outside, *fam.external.letters()), 5)
+    sample = draw_sample(dist, lambda s: 0, 50, seed=12)
+    assert set(outside) & {x for s in sample.strings for x in s}
+    with pytest.raises((UnknownLetterError, ArityMismatchError)) as strings:
+        erm_select(fam, LabeledSample(sample.entries))
+    with pytest.raises(type(strings.value)) as drawn:
+        erm_select(fam, sample)
+    assert str(drawn.value) == str(strings.value)
+
+
 def test_estimate_risk_of_target_is_zero():
     est = estimate_risk(count_a, count_a, DIST, 500, seed=7)
     assert est.mean == 0.0 and est.stderr == 0.0

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cascata.automata import FlatAutomaton
+from cascata.automata import FlatAutomaton, letter_positions
 from cascata.cascade import Cascade
 from cascata.crafting import SequenceTaskFamily
 from cascata.errors import EmptyInputError
@@ -41,6 +41,30 @@ def test_run_many_matches_run_on_random_cascades_and_their_flattenings(seed):
                  StringDistribution(letters[::-1], 6, tuple(i % 2 for i in range(len(letters))))):
         strings = _outputs_match_run(cascade, dist, 100, seed)
         assert _outputs_match_run(flat, dist, 100, seed) == strings
+
+
+def _int64_positions(lengths):
+    """``letter_positions`` with the lengths sorted as int64."""
+    order = np.argsort(-lengths.astype(np.int64), kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    running = (len(lengths) - np.cumsum(np.bincount(lengths))).tolist()
+    for t in range(len(running) - 1):
+        yield starts[:running[t]] + t, order[running[t + 1]:running[t]]
+
+
+@pytest.mark.parametrize("top", [1, 255, 256, 65_535, 65_536])
+def test_letter_positions_match_the_int64_sort(top):
+    # the longest length sets the sort's dtype: uint8 up to 255, then
+    # uint16 up to 65,535, then uint32; half the lengths repeat a few values
+    rng = np.random.default_rng(top)
+    lengths = np.concatenate([rng.integers(1, top + 1, size=150),
+                              rng.choice([1, top // 2 + 1, top], size=150), [top]])
+    rng.shuffle(lengths)
+    schedule = list(letter_positions(lengths))
+    reference = list(_int64_positions(lengths))
+    assert len(schedule) == len(reference) == top
+    for (index, ending), (ref_index, ref_ending) in zip(schedule, reference):
+        assert np.array_equal(index, ref_index) and np.array_equal(ending, ref_ending)
 
 
 def test_run_many_on_no_strings_returns_nothing():
