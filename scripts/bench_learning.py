@@ -14,18 +14,18 @@ the family's ``sequence_target``), it times:
 - ``estimate_risk``: 2,500 strings, the ERM winner of that sample against
   the target;
 - ``erm_select``: the family's ERM on a sample drawn as ``draw_sample``
-  draws it, at d = 3 and 4 (at d = 5 it takes seconds, and the curve point
-  covers it);
+  draws it, with 10% of its labels flipped (seeded by the sample's seed);
+  each call's (errors, index, ties) is kept under ``erm_select_results``, so
+  two labels' results can be compared;
 - ``learning_curve``: one point at that sample size, 2,500 Monte-Carlo
-  strings and a realizable baseline, over 5, 2 and 1 trials at d = 3, 4, 5
-  (ERM on the d=5 family takes seconds).
+  strings and a realizable baseline, over 5, 2 and 1 trials at d = 3, 4, 5.
 
 Each of the first four is the median of ``REPEATS`` calls on the seeds
-from ``SEED`` on; the curve point is timed once, on ``SEED``.  The results
-are added to OUT.json under the label, beside those of other labels, with
-the Python and numpy versions and the CPU count.  Only cascata's public
-learning API is called, so the script runs against older sources
-(``--src``) too.
+from ``SEED`` on (``erm_select`` of ``ERM_REPEATS[d]`` calls); the curve
+point is timed once, on ``SEED``.  The results are added to OUT.json under
+the label, beside those of other labels, with the Python and numpy versions
+and the CPU count.  Only cascata's public learning API is called, so the
+script runs against older sources (``--src``) too.
 """
 
 from __future__ import annotations
@@ -44,12 +44,26 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 REPEATS = 30
 TRIALS = {3: 5, 4: 2, 5: 1}  # learning-curve trials per family
+#: ``erm_select`` calls per family: one call took about 12 s at d = 5 before
+#: the kernel scored one watcher combination per orbit
+ERM_REPEATS = {3: REPEATS, 4: REPEATS, 5: 3}
+FLIPPED = 0.1  # the share of labels flipped in the ``erm_select`` samples
 
 
 def timed(fn, *args, **kwargs) -> tuple[object, float]:
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+def flipped(sample, seed: int):
+    """``sample`` with each label flipped with probability ``FLIPPED``, its
+    drawn codes kept."""
+    from cascata.learner import LabeledSample
+
+    rng = random.Random(seed)
+    labels = [int(y) ^ (rng.random() < FLIPPED) for y in sample.labels]
+    return LabeledSample(tuple(zip(sample.strings, labels)), sample.drawn)
 
 
 def bench_family(d: int) -> dict:
@@ -70,10 +84,13 @@ def bench_family(d: int) -> dict:
         "estimate_risk_s": [timed(estimate_risk, winner, target, dist, 2500, seed=s)[1]
                             for s in seeds],
     }
-    if d < 5:
-        samples = [draw_sample(dist, target, ell, seed=s) for s in seeds]
-        times["erm_select_s"] = [timed(erm_select, family, sample)[1] for sample in samples]
+    samples = [flipped(draw_sample(dist, target, ell, seed=s), s)
+               for s in seeds[:ERM_REPEATS[d]]]
+    chosen, times["erm_select_s"] = zip(*(timed(erm_select, family, sample)
+                                          for sample in samples))
     result = {name: statistics.median(values) for name, values in times.items()}
+    result["erm_select_results"] = [[round(c.empirical_risk * ell), c.index, c.tie_count]
+                                    for c in chosen]
     points, result["learning_curve_point_s"] = timed(
         learning_curve, family, target, dist, [ell], TRIALS[d], 0.1, seed=SEED, n_mc=2500,
         baseline_risk=0.0)

@@ -11,7 +11,9 @@ factory; in memory a trace is a tuple of one-coordinate letters such as
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
@@ -165,27 +167,36 @@ def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
 # ---------------------------------------------------------------------------
 
 #: the most hit entries, combinations x profiles x terms, that one block of
-#: ``SequenceTaskFamily``'s ERM kernel holds (256 KiB of float64)
+#: ``SequenceTaskFamily``'s ERM kernel holds (128 KiB of float32)
 ERM_BLOCK_ENTRIES = 1 << 15
+#: the ERM kernel scores a sample of fewer strings in float32, else in
+#: float64: every sum it forms is an integer of at most four times the
+#: number of strings in magnitude, which float32 holds exactly below 2**24
+ERM_FLOAT32_STRINGS = 1 << 22
 
 
 class WatcherCombinations(NamedTuple):
-    """``SequenceTaskFamily``'s watchers grouped by table, and the distinct
-    combinations of those tables that its ERM kernel scores."""
+    """``SequenceTaskFamily``'s watchers grouped by table, and the orbits of
+    table combinations under permuting the watchers, each scored by its
+    ascending representative."""
 
     n_tables: int
     #: each watcher's table
     table_of: np.ndarray
-    #: per combination, how many watcher combinations share it
+    #: per orbit, its representative: one table per watcher component, in
+    #: ascending order; the orbits are numbered in lexicographic order
+    tables: np.ndarray
+    #: per orbit, how many watcher combinations its table combinations hold
     weights: np.ndarray
-    #: per combination, its smallest member index divided by the number of
-    #: goals: each table's smallest watcher, so it grows with the combination
+    #: per orbit, the smallest member index of its representative divided
+    #: by the number of goals: each table's smallest watcher, so it grows
+    #: with the combination and the representative's is the orbit's least
     first_members: np.ndarray
     #: assignments[c, e, p]: the goal assignment of a step with event e after
-    #: the events of bitmask p, e's bit plus bit d + j when watcher j's table
-    #: fires on an event of p; the last column, p = 2**d, stands for an event
-    #: that never occurs and holds ``2 ** n_variables``, the ``_contains`` row
-    #: of nothing
+    #: the events of bitmask p under representative c, e's bit plus bit
+    #: d + j when watcher j's table fires on an event of p; the last column,
+    #: p = 2**d, stands for an event that never occurs and holds
+    #: ``2 ** n_variables``, the ``_contains_words`` row of nothing
     assignments: np.ndarray
 
 
@@ -237,15 +248,19 @@ class SequenceTaskFamily(CascadeClass):
     @cached_property
     def _combinations(self) -> WatcherCombinations:
         """The watchers grouped by their ``_watcher_truth`` row (their table),
-        numbered in order of their smallest watcher, and the distinct
-        combinations of tables, one per watcher component, the last varying
-        fastest."""
+        numbered in order of their smallest watcher, and one ascending
+        combination of tables per orbit, one table per watcher component."""
         d, truth = self.d, self._watcher_truth
         _, first, table_of, counts = np.unique(truth, axis=0, return_index=True,
                                                return_inverse=True, return_counts=True)
         order = np.argsort(first)
         first, counts = first[order], counts[order]
-        combos = np.array(list(itertools.product(range(len(first)), repeat=d - 1)))
+        combos = np.array(list(itertools.combinations_with_replacement(range(len(first)),
+                                                                        d - 1)))
+        # an orbit holds the distinct orderings of its representative
+        orderings = [math.factorial(d - 1)
+                     // math.prod(map(math.factorial, Counter(row).values()))
+                     for row in combos.tolist()]
         places = len(truth) ** np.arange(d - 2, -1, -1)
         # latched[u, p]: table u fires on an event of bitmask p
         latched = ((truth[first] @ (1 << np.arange(d)))[:, None] & np.arange(2 ** d)) != 0
@@ -253,16 +268,20 @@ class SequenceTaskFamily(CascadeClass):
                            for j in range(d - 1))
         assignments = np.full((len(combos), d, 2 ** d + 1), 2 ** self.goal_class.n_variables)
         assignments[:, :, :-1] = (1 << np.arange(d))[:, None] | watcher_bits[:, None, :]
-        return WatcherCombinations(len(first), np.argsort(order)[table_of.reshape(-1)],
-                                   counts[combos].prod(axis=1), first[combos] @ places,
-                                   assignments)
+        return WatcherCombinations(len(first), np.argsort(order)[table_of.reshape(-1)], combos,
+                                   counts[combos].prod(axis=1) * orderings,
+                                   first[combos] @ places, assignments)
 
     @cached_property
-    def _contains(self) -> np.ndarray:
-        """contains[a, T]: goal assignment a contains term T; the last row,
-        no assignment, contains none."""
+    def _contains_words(self) -> np.ndarray:
+        """words[a]: the terms contained in goal assignment a, bit T of the
+        little-endian words; the last row, no assignment, contains none.  A
+        word is as wide as the terms fill, up to 64 bits."""
         masks = np.arange(2 ** self.goal_class.n_variables)
-        return np.vstack([(masks[:, None] & masks) == masks, np.zeros(len(masks), dtype=bool)])
+        contains = np.vstack([(masks[:, None] & masks) == masks,
+                              np.zeros(len(masks), dtype=bool)])
+        words = np.packbits(contains, axis=1, bitorder="little")
+        return words.view(f"<u{min(8, words.shape[1])}")
 
     @cached_property
     def _goal_terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -271,18 +290,39 @@ class SequenceTaskFamily(CascadeClass):
                                *self.goal_class._term_pairs], dtype=np.int64).T)
 
     @cached_property
+    def _goal_index(self) -> np.ndarray:
+        """goal_index[t1, t2]: the goal whose terms are t1 and t2, in either
+        order (t1 = t2 for a one-term goal), or -1 when no goal has them."""
+        first, last = self._goal_terms
+        index = np.full((2 ** self.goal_class.n_variables,) * 2, -1, dtype=np.intp)
+        index[first, last] = index[last, first] = np.arange(len(first))
+        return index
+
+    def _relabelled_goals(self, moves) -> np.ndarray:
+        """Each goal's image when watcher bit d + j moves to d + moves[j]:
+        the goal class is closed under permuting the watcher bits."""
+        d = self.d
+        terms = np.arange(2 ** self.goal_class.n_variables)
+        moved = terms & (2 ** d - 1)
+        for j, k in enumerate(moves):
+            moved |= (terms >> (d + j) & 1) << (d + k)
+        first, last = self._goal_terms
+        return self._goal_index[moved[first], moved[last]]
+
+    @cached_property
     def _letter_codes(self) -> dict:
         return {letter: i for i, letter in enumerate(self.external.letters())}
 
     @property
     def erm_work(self) -> int:
-        """How many error counts one ``erm`` call computes: one per distinct
-        watcher combination and goal, counted without building either.  The
-        tables are told apart as byte rows, which is much quicker than
-        ``np.unique(axis=0)`` on the 2**d rows of a large family."""
+        """How many error counts one ``erm`` call computes: one per watcher
+        orbit (a multiset of d-1 of the distinct tables) and goal, counted
+        without building either.  The tables are told apart as byte rows,
+        which is much quicker than ``np.unique(axis=0)`` on the 2**d rows of
+        a large family."""
         truth = self._watcher_truth
         n_tables = len(set(truth.view(np.dtype((np.void, self.d))).reshape(-1).tolist()))
-        return n_tables ** (self.d - 1) * self.goal_class.cardinality
+        return math.comb(n_tables + self.d - 2, self.d - 1) * self.goal_class.cardinality
 
     def _events(self, letters, codes=None) -> np.ndarray:
         """The family's event code of each of ``letters`` or, given
@@ -334,65 +374,73 @@ class SequenceTaskFamily(CascadeClass):
         return profiles, which
 
     def _distinct_error_counts(self, events, lengths, labels):
-        """The error counts of each distinct watcher combination (rows, in
+        """The error counts of each watcher orbit's representative (rows, in
         ``_combinations`` order) with each goal (columns), on the strings
         given by their event codes and lengths (as ``_profiles`` takes
         them), in blocks of rows: pairs (first row, counts).  A label is
         accepted when it ``==`` 0 or 1, as ``zero_one_loss`` compares it.
-
-        A member outputs 1 iff one of its goal terms is contained in some
-        step's goal assignment.  The assignment is monotone in the events
-        seen before the step, so only each event's last occurrence counts,
-        and strings with one profile (``_profiles``) score alike: they are
-        scored once, with their labels summed.  Per combination the kernel
-        takes ``hit[p, T]``, whether profile p reaches an assignment
-        containing term T.  With ``w`` the summed ``1 - 2y`` of each
-        profile's strings, ``h = w @ hit`` and ``m = hit.T @ (w * hit)``,
-        inclusion-exclusion over the two terms gives the goal with terms
-        (t1, t2) ``sum(y) + h[t1] + h[t2] - m[t1, t2]`` errors; a one-term
-        goal has t1 = t2.  A block stacks the combinations of at most
-        ``ERM_BLOCK_ENTRIES`` hit entries, and each product is one batched
-        call.  The products sum at most ``len(lengths)`` ones in float64, so
-        the counts are exact.
-        """
+        README's "family kernel" paragraph gives the method; the counts are
+        exact, in float32 while ``ERM_FLOAT32_STRINGS`` allows it."""
         first, last = self._goal_terms
         y = np.fromiter((1 if v == 1 else 0 if v == 0 else -1 for v in labels), dtype=np.int64)
         if len(y) != len(lengths) or np.any(y < 0):
             raise ValueError("error counts need one 0/1 label per string")
         profiles, which = self._profiles(events, lengths)
-        w = np.bincount(which, weights=1.0 - 2 * y, minlength=len(profiles))
-        assignments = self._combinations.assignments
-        per_event = np.arange(self.d)
-        block = max(1, ERM_BLOCK_ENTRIES // max(1, len(profiles) * self._contains.shape[1]))
+        exact = np.float32 if len(lengths) < ERM_FLOAT32_STRINGS else np.float64
+        w = np.bincount(which, weights=1.0 - 2 * y, minlength=len(profiles)).astype(exact)
+        assignments, words = self._combinations.assignments, self._contains_words
+        n_terms = 2 ** self.goal_class.n_variables
+        pairs = first * n_terms + last
+        # reached[c, e, p]: the assignment of profile p's last step with event e
+        per_event = np.arange(self.d)[:, None]
+        block = max(1, ERM_BLOCK_ENTRIES // max(1, len(profiles) * n_terms))
         for start in range(0, len(assignments), block):
-            reached = assignments[start:start + block][:, per_event, profiles]
-            hit = self._contains[reached].any(axis=2).astype(float)
+            reached = assignments[start:start + block][:, per_event, profiles.T]
+            # hit[c, p, T]: profile p reaches an assignment containing term T
+            packed = words[reached[:, 0]]
+            for e in range(1, self.d):
+                packed |= words[reached[:, e]]
+            hit = np.unpackbits(packed.view(np.uint8), axis=-1, bitorder="little").astype(exact)
             h = w @ hit
-            m = hit.transpose(0, 2, 1) @ (w[:, None] * hit)
-            yield start, (y.sum() + h[:, first] + h[:, last] - m[:, first, last]).astype(np.int64)
+            m = (hit.transpose(0, 2, 1) @ (w[:, None] * hit)).reshape(len(hit), -1)
+            counts = (np.take(h, first, axis=1) + np.take(h, last, axis=1)
+                      - np.take(m, pairs, axis=1) + float(y.sum()))
+            yield start, counts.astype(np.int64)
 
     def error_counts(self, strings, labels) -> np.ndarray:
         """Disagreement counts with the 0/1 labels, one per member in
-        canonical order: the distinct combinations' counts
-        (``_distinct_error_counts``), each repeated for every watcher
-        combination that shares it."""
+        canonical order, expanded from the orbits' counts
+        (``_distinct_error_counts``): a combination of tables takes its
+        representative's counts with the goals relabelled by the watcher
+        permutation between them, and every watcher combination its
+        tables' counts."""
         combinations = self._combinations
         distinct = np.concatenate([counts for _, counts
                                    in self._distinct_error_counts(*self._encoded(strings),
                                                                   labels)])
-        # each watcher combination's distinct row, the last watcher fastest
+        n, k = combinations.n_tables, self.d - 1
+        # every combination of tables, the last watcher fastest, and its orbit
+        combos = np.array(list(itertools.product(range(n), repeat=k)))
+        places = n ** np.arange(k - 1, -1, -1)
+        orbit = np.searchsorted(combinations.tables @ places, np.sort(combos, axis=1) @ places)
+        # representative position j holds combination position moves[j]
+        moves = np.argsort(combos, axis=1, kind="stable")
+        counts = np.empty((len(combos), distinct.shape[1]), dtype=np.int64)
+        for perm in np.unique(moves, axis=0):
+            rows = (moves == perm).all(axis=1).nonzero()[0]
+            counts[rows[:, None], self._relabelled_goals(perm)] = distinct[orbit[rows]]
+        # each watcher combination's row of tables, the last watcher fastest
         row = np.zeros(1, dtype=np.intp)
-        for _ in range(self.d - 1):
-            row = (row[:, None] * combinations.n_tables + combinations.table_of).reshape(-1)
-        return distinct[row].reshape(-1)
+        for _ in range(k):
+            row = (row[:, None] * n + combinations.table_of).reshape(-1)
+        return counts[row].reshape(-1)
 
     def erm(self, strings, labels) -> tuple[int, int, int]:
         """(fewest errors, first member index with that many, number of
         members with that many) on the labelled strings: ``error_counts``'
-        minimum, first argmin and tie count, reduced block by block, so
-        nothing of size ``cardinality`` is allocated.  A distinct
-        combination's ties count once per watcher combination that shares
-        it, and its first tied member takes each table's smallest watcher."""
+        minimum, first argmin and tie count, reduced block by block from
+        the orbits' counts, so nothing of size ``cardinality`` is
+        allocated."""
         return self._erm(*self._encoded(strings), labels)
 
     def erm_many(self, letters, codes, lengths, labels) -> tuple[int, int, int]:
@@ -402,6 +450,9 @@ class SequenceTaskFamily(CascadeClass):
         return self._erm(self._events(letters, codes), lengths, labels)
 
     def _erm(self, events, lengths, labels) -> tuple[int, int, int]:
+        """README's "family kernel" paragraph says why an orbit's ties are
+        its representative's times its weight, and its first tied member
+        its representative's."""
         weights, first_members = self._combinations.weights, self._combinations.first_members
         n_goals = len(self._goal_terms[0])
         best, index, ties = None, self.cardinality, 0

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cascata import crafting
 from cascata.crafting import (
     EVENTS,
     SequenceTaskFamily,
@@ -366,13 +367,73 @@ def test_family_erm_is_the_reduction_of_error_counts(d, case):
         assert len(combos) == fam.watcher_class.cardinality ** (d - 1)
 
 
-def test_family_erm_work_counts_distinct_watcher_combinations():
-    # 5 of a watcher's 8 tables are distinct at d=3, 6 of 16 at d=4
+def _goal_images(fam, perm):
+    """Each goal's index once watcher j's bit moves to watcher perm[j]'s,
+    read from the goal members' term masks."""
+    bits = [fam.goal_class.view.bit_of(f"task{j + 1}") for j in range(fam.d - 1)]
+    goals = [tuple(sorted(g.terms)) for g in fam.goal_class]
+    index = {terms: i for i, terms in enumerate(goals)}
+
+    def move(term):
+        moved = term & ~sum(1 << b for b in bits)
+        for j, k in enumerate(perm):
+            moved |= (term >> bits[j] & 1) << bits[k]
+        return moved
+
+    return np.array([index[tuple(sorted(map(move, terms)))] for terms in goals])
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_family_error_counts_are_invariant_under_permuting_the_watchers(d):
+    """Moving every watcher j to place perm[j], and the goal's watcher bits
+    with it, gives a member that computes the same function: every goal of
+    every combination of tables keeps its count under every permutation.
+    ERM counts the ties of every ordering of an orbit."""
+    fam = SequenceTaskFamily(d)
+    strings = _sequence_strings(fam, 300, 7, seed=95 + d)
+    target = fam.sequence_target()
+    noise = random.Random(96 + d)
+    labels = [int(target.run(s)) ^ (noise.random() < 0.15) for s in strings]
+    counts = fam.error_counts(strings, labels)
+    k, n_goals = d - 1, fam.goal_class.cardinality
+    # the first watcher of each table, and every combination of them
+    _, firsts = np.unique(fam._watcher_truth, axis=0, return_index=True)
+    full = counts.reshape((fam.watcher_class.cardinality,) * k + (n_goals,))
+    full = full[np.ix_(*[firsts] * k, np.arange(n_goals))]
+    for perm in itertools.permutations(range(k)):
+        images = _goal_images(fam, perm)
+        placed = np.moveaxis(full, range(k), perm)
+        if perm != tuple(range(k)):
+            assert not np.array_equal(placed, full)
+        moved = np.empty_like(full)
+        moved[..., images] = placed
+        assert np.array_equal(moved, full), perm
+    assert fam._combinations.weights.sum() == fam.watcher_class.cardinality ** k
+    assert fam.erm(strings, labels) == _full_vector_reduction(counts)
+
+
+def test_family_kernel_counts_alike_in_float64(monkeypatch):
+    # a sample of 2**22 strings or more is scored in float64
     fam = SequenceTaskFamily(3)
-    assert fam.erm_work == 5 ** 2 * fam.goal_class.cardinality == 7925
+    strings = _sequence_strings(fam, 200, 7, seed=97)
+    noise = random.Random(98)
+    labels = [int(fam.sequence_target().run(s)) ^ (noise.random() < 0.1) for s in strings]
+    counts, erm = fam.error_counts(strings, labels), fam.erm(strings, labels)
+    monkeypatch.setattr(crafting, "ERM_FLOAT32_STRINGS", len(strings))
+    assert np.array_equal(fam.error_counts(strings, labels), counts)
+    assert fam.erm(strings, labels) == erm
+
+
+def test_family_erm_work_counts_distinct_watcher_combinations():
+    # 5 of a watcher's 8 tables are distinct at d=3, 6 of 16 at d=4 and 7
+    # of 32 at d=5; the kernel scores one combination per multiset of them
+    fam = SequenceTaskFamily(3)
+    assert fam.erm_work == math.comb(5 + 1, 2) * fam.goal_class.cardinality == 4755
     fam = SequenceTaskFamily(4)
-    assert fam.erm_work == 6 ** 3 * fam.goal_class.cardinality == 1_338_552
+    assert fam.erm_work == math.comb(6 + 2, 3) * fam.goal_class.cardinality == 347_032
     assert fam.erm_work < fam.cardinality
+    fam = SequenceTaskFamily(5)
+    assert fam.erm_work == math.comb(7 + 3, 4) * fam.goal_class.cardinality == 23_552_970
 
 
 @pytest.mark.parametrize("d, letters", [(2, None), (2, (0, 1)), (3, None), (4, None),

@@ -859,7 +859,8 @@ def test_cli_learn_with_target(tmp_path, capsys):
 
 
 def test_cli_learn_at_depth_four_picks_the_full_vector_argmin(tmp_path, capsys):
-    # |F| = 2.5e7 members, but the kernel computes 1,338,552 error counts
+    # |F| = 2.5e7 members, but the kernel computes 347,032 error counts,
+    # within the default cap
     from cascata.crafting import SequenceTaskFamily
     from cascata.learner import StringDistribution, draw_sample
 
@@ -868,9 +869,9 @@ def test_cli_learn_at_depth_four_picks_the_full_vector_argmin(tmp_path, capsys):
     classspec = _write(tmp_path, "class.json", {"family": "sequence_tasks", "d": 4})
     target = _write(tmp_path, "target.json", cascade_to_spec(family.sequence_target()))
     argv = ["learn", config, classspec, "--target", target]
-    assert main(argv) == 3
-    assert "ERM error counts exceeds cap: 1338552 > 500000" in capsys.readouterr().err
-    assert main(argv + ["--cap", "2000000"]) == 0
+    assert main(argv + ["--cap", "347031"]) == 3
+    assert "ERM error counts exceeds cap: 347032 > 347031" in capsys.readouterr().err
+    assert main(argv) == 0
     out = capsys.readouterr().out
     dist = StringDistribution(tuple(family.external.letters()), 6)
     spec = json.loads((tmp_path / "target.json").read_text())
@@ -880,17 +881,34 @@ def test_cli_learn_at_depth_four_picks_the_full_vector_argmin(tmp_path, capsys):
     assert f"({int((counts == counts.min()).sum())} tied)" in out
 
 
+def test_cli_learn_at_depth_five_exceeds_the_default_cap_before_building_tables(
+        tmp_path, capsys, monkeypatch):
+    from cascata.crafting import SequenceTaskFamily
+
+    def unbuilt(self):
+        raise AssertionError("the cap check built a kernel table")
+
+    for table in ("_combinations", "_contains_words", "_goal_terms", "_goal_index"):
+        monkeypatch.setattr(SequenceTaskFamily, table, property(unbuilt))
+    config = _write(tmp_path, "config.json", {"seed": 5, "max_len": 6, "n": 400, "n_mc": 300})
+    classspec = _write(tmp_path, "class.json", {"family": "sequence_tasks", "d": 5})
+    target = _write(tmp_path, "target.json",
+                    cascade_to_spec(SequenceTaskFamily(5).sequence_target()))
+    assert main(["learn", config, classspec, "--target", target]) == 3
+    assert "ERM error counts exceeds cap: 23552970 > 500000" in capsys.readouterr().err
+
+
 def test_cli_learn_cap_counts_kernel_work_or_members(tmp_path, capsys):
     config = _write(tmp_path, "config.json", {"seed": 1, "n": 50, "n_mc": 50})
     traces = _write(tmp_path, "x.traces", "e1 e2 e3\ne3\n")
     labels = _write(tmp_path, "x.labels", "1\n0\n")
-    # d=3 has 20,288 members; its kernel computes 7,925 error counts
+    # d=3 has 20,288 members; its kernel computes 4,755 error counts
     d3 = _write(tmp_path, "d3.json", {"family": "sequence_tasks", "d": 3})
     assert main(["learn", config, d3, "--traces", traces, "--labels", labels,
-                 "--cap", "7925"]) == 0
+                 "--cap", "4755"]) == 0
     assert main(["learn", config, d3, "--traces", traces, "--labels", labels,
-                 "--cap", "7924"]) == 3
-    assert "ERM error counts exceeds cap: 7925 > 7924" in capsys.readouterr().err
+                 "--cap", "4754"]) == 3
+    assert "ERM error counts exceeds cap: 4755 > 4754" in capsys.readouterr().err
     # a class spec has no kernel: the cap counts its 68 members
     argv = _learn_files(tmp_path)
     assert main(argv + ["--cap", "68"]) == 0
