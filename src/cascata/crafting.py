@@ -167,12 +167,8 @@ def build_counter_task_cascade(modulus: int = 16, wood_needed: int = 13,
 # ---------------------------------------------------------------------------
 
 #: the most hit entries, combinations x profiles x terms, that one block of
-#: ``SequenceTaskFamily``'s ERM kernel holds (128 KiB of float32)
+#: ``SequenceTaskFamily``'s ERM kernel holds (256 KiB of float64)
 ERM_BLOCK_ENTRIES = 1 << 15
-#: the ERM kernel scores a sample of fewer strings in float32, else in
-#: float64: every sum it forms is an integer of at most four times the
-#: number of strings in magnitude, which float32 holds exactly below 2**24
-ERM_FLOAT32_STRINGS = 1 << 22
 
 
 class WatcherCombinations(NamedTuple):
@@ -379,15 +375,15 @@ class SequenceTaskFamily(CascadeClass):
         given by their event codes and lengths (as ``_profiles`` takes
         them), in blocks of rows: pairs (first row, counts).  A label is
         accepted when it ``==`` 0 or 1, as ``zero_one_loss`` compares it.
-        README's "family kernel" paragraph gives the method; the counts are
-        exact, in float32 while ``ERM_FLOAT32_STRINGS`` allows it."""
+        README's "family kernel" paragraph gives the method; the products
+        sum at most ``len(lengths)`` ones in float64, so the counts are
+        exact."""
         first, last = self._goal_terms
         y = np.fromiter((1 if v == 1 else 0 if v == 0 else -1 for v in labels), dtype=np.int64)
         if len(y) != len(lengths) or np.any(y < 0):
             raise ValueError("error counts need one 0/1 label per string")
         profiles, which = self._profiles(events, lengths)
-        exact = np.float32 if len(lengths) < ERM_FLOAT32_STRINGS else np.float64
-        w = np.bincount(which, weights=1.0 - 2 * y, minlength=len(profiles)).astype(exact)
+        w = np.bincount(which, weights=1.0 - 2 * y, minlength=len(profiles))
         assignments, words = self._combinations.assignments, self._contains_words
         n_terms = 2 ** self.goal_class.n_variables
         pairs = first * n_terms + last
@@ -400,7 +396,7 @@ class SequenceTaskFamily(CascadeClass):
             packed = words[reached[:, 0]]
             for e in range(1, self.d):
                 packed |= words[reached[:, e]]
-            hit = np.unpackbits(packed.view(np.uint8), axis=-1, bitorder="little").astype(exact)
+            hit = np.unpackbits(packed.view(np.uint8), axis=-1, bitorder="little").astype(float)
             h = w @ hit
             m = (hit.transpose(0, 2, 1) @ (w[:, None] * hit)).reshape(len(hit), -1)
             counts = (np.take(h, first, axis=1) + np.take(h, last, axis=1)

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cascata import crafting
 from cascata.crafting import (
     EVENTS,
     SequenceTaskFamily,
@@ -410,18 +409,6 @@ def test_family_error_counts_are_invariant_under_permuting_the_watchers(d):
         assert np.array_equal(moved, full), perm
     assert fam._combinations.weights.sum() == fam.watcher_class.cardinality ** k
     assert fam.erm(strings, labels) == _full_vector_reduction(counts)
-
-
-def test_family_kernel_counts_alike_in_float64(monkeypatch):
-    # a sample of 2**22 strings or more is scored in float64
-    fam = SequenceTaskFamily(3)
-    strings = _sequence_strings(fam, 200, 7, seed=97)
-    noise = random.Random(98)
-    labels = [int(fam.sequence_target().run(s)) ^ (noise.random() < 0.1) for s in strings]
-    counts, erm = fam.error_counts(strings, labels), fam.erm(strings, labels)
-    monkeypatch.setattr(crafting, "ERM_FLOAT32_STRINGS", len(strings))
-    assert np.array_equal(fam.error_counts(strings, labels), counts)
-    assert fam.erm(strings, labels) == erm
 
 
 def test_family_erm_work_counts_distinct_watcher_combinations():
