@@ -172,16 +172,10 @@ ERM_BLOCK_ENTRIES = 1 << 15
 
 
 class WatcherCombinations(NamedTuple):
-    """``SequenceTaskFamily``'s watchers grouped by table, and the orbits of
-    table combinations under permuting the watchers, each scored by its
-    ascending representative."""
+    """The orbits of ``SequenceTaskFamily``'s watcher-table combinations
+    under permuting the watchers, in the lexicographic order of their
+    representatives: one table per watcher component, ascending."""
 
-    n_tables: int
-    #: each watcher's table
-    table_of: np.ndarray
-    #: per orbit, its representative: one table per watcher component, in
-    #: ascending order; the orbits are numbered in lexicographic order
-    tables: np.ndarray
     #: per orbit, how many watcher combinations its table combinations hold
     weights: np.ndarray
     #: per orbit, the smallest member index of its representative divided
@@ -247,8 +241,7 @@ class SequenceTaskFamily(CascadeClass):
         numbered in order of their smallest watcher, and one ascending
         combination of tables per orbit, one table per watcher component."""
         d, truth = self.d, self._watcher_truth
-        _, first, table_of, counts = np.unique(truth, axis=0, return_index=True,
-                                               return_inverse=True, return_counts=True)
+        _, first, counts = np.unique(truth, axis=0, return_index=True, return_counts=True)
         order = np.argsort(first)
         first, counts = first[order], counts[order]
         combos = np.array(list(itertools.combinations_with_replacement(range(len(first)),
@@ -264,8 +257,7 @@ class SequenceTaskFamily(CascadeClass):
                            for j in range(d - 1))
         assignments = np.full((len(combos), d, 2 ** d + 1), 2 ** self.goal_class.n_variables)
         assignments[:, :, :-1] = (1 << np.arange(d))[:, None] | watcher_bits[:, None, :]
-        return WatcherCombinations(len(first), np.argsort(order)[table_of.reshape(-1)], combos,
-                                   counts[combos].prod(axis=1) * orderings,
+        return WatcherCombinations(counts[combos].prod(axis=1) * orderings,
                                    first[combos] @ places, assignments)
 
     @cached_property
@@ -284,26 +276,6 @@ class SequenceTaskFamily(CascadeClass):
         """First and last term of every goal, in the goal class's member order."""
         return tuple(np.array([(0, 0), *((t, t) for t in self.goal_class._single_terms),
                                *self.goal_class._term_pairs], dtype=np.int64).T)
-
-    @cached_property
-    def _goal_index(self) -> np.ndarray:
-        """goal_index[t1, t2]: the goal whose terms are t1 and t2, in either
-        order (t1 = t2 for a one-term goal), or -1 when no goal has them."""
-        first, last = self._goal_terms
-        index = np.full((2 ** self.goal_class.n_variables,) * 2, -1, dtype=np.intp)
-        index[first, last] = index[last, first] = np.arange(len(first))
-        return index
-
-    def _relabelled_goals(self, moves) -> np.ndarray:
-        """Each goal's image when watcher bit d + j moves to d + moves[j]:
-        the goal class is closed under permuting the watcher bits."""
-        d = self.d
-        terms = np.arange(2 ** self.goal_class.n_variables)
-        moved = terms & (2 ** d - 1)
-        for j, k in enumerate(moves):
-            moved |= (terms >> (d + j) & 1) << (d + k)
-        first, last = self._goal_terms
-        return self._goal_index[moved[first], moved[last]]
 
     @cached_property
     def _letter_codes(self) -> dict:
@@ -332,7 +304,7 @@ class SequenceTaskFamily(CascadeClass):
         except (KeyError, TypeError):  # let the alphabet name what is wrong
             if codes is not None:
                 letters = [letters[c] for c in codes.tolist()]
-            return np.array([self.external.encode(x, "error_counts")[0] for x in letters],
+            return np.array([self.external.encode(x, "cascade input")[0] for x in letters],
                             dtype=np.intp)
         return table if codes is None else table[codes]
 
@@ -375,9 +347,25 @@ class SequenceTaskFamily(CascadeClass):
         given by their event codes and lengths (as ``_profiles`` takes
         them), in blocks of rows: pairs (first row, counts).  A label is
         accepted when it ``==`` 0 or 1, as ``zero_one_loss`` compares it.
-        README's "family kernel" paragraph gives the method; the products
-        sum at most ``len(lengths)`` ones in float64, so the counts are
-        exact."""
+
+        The d-1 watchers share one core, one input class and one
+        dependency, and the goal class (every monotone DNF of at most two
+        terms over the 2d-1 variables) is closed under permuting the watcher
+        bits.  Moving watcher j to place s(j), and the goal's bit of watcher
+        j with it, gives a member that computes the same function, so one
+        representative per orbit is scored.  A step's goal assignment (its
+        event bit plus the bits of the watchers that fired before it) only
+        grows along a string, so only each event's last occurrence counts:
+        strings of one profile (``_profiles``) score alike, and are scored
+        once with their labels summed.  Per representative, ``hit[p, T]``
+        says whether profile p reaches an assignment containing term T: the
+        d events' words of ``_contains_words`` ORed and unpacked once.  With
+        ``w`` the summed ``1 - 2y`` of each profile's strings, ``h = w @
+        hit`` and ``m = hit.T @ (w * hit)``, inclusion-exclusion over a
+        goal's two terms (t1, t2) gives its count as ``sum(y) + h[t1] +
+        h[t2] - m[t1, t2]``; a one-term goal has t1 = t2.  The products sum
+        at most one 1 per string in float64, so the counts are exact.  A
+        block holds at most ``ERM_BLOCK_ENTRIES`` hit entries."""
         first, last = self._goal_terms
         y = np.fromiter((1 if v == 1 else 0 if v == 0 else -1 for v in labels), dtype=np.int64)
         if len(y) != len(lengths) or np.any(y < 0):
@@ -403,56 +391,31 @@ class SequenceTaskFamily(CascadeClass):
                       - np.take(m, pairs, axis=1) + float(y.sum()))
             yield start, counts.astype(np.int64)
 
-    def error_counts(self, strings, labels) -> np.ndarray:
-        """Disagreement counts with the 0/1 labels, one per member in
-        canonical order, expanded from the orbits' counts
-        (``_distinct_error_counts``): a combination of tables takes its
-        representative's counts with the goals relabelled by the watcher
-        permutation between them, and every watcher combination its
-        tables' counts."""
-        combinations = self._combinations
-        distinct = np.concatenate([counts for _, counts
-                                   in self._distinct_error_counts(*self._encoded(strings),
-                                                                  labels)])
-        n, k = combinations.n_tables, self.d - 1
-        # every combination of tables, the last watcher fastest, and its orbit
-        combos = np.array(list(itertools.product(range(n), repeat=k)))
-        places = n ** np.arange(k - 1, -1, -1)
-        orbit = np.searchsorted(combinations.tables @ places, np.sort(combos, axis=1) @ places)
-        # representative position j holds combination position moves[j]
-        moves = np.argsort(combos, axis=1, kind="stable")
-        counts = np.empty((len(combos), distinct.shape[1]), dtype=np.int64)
-        for perm in np.unique(moves, axis=0):
-            rows = (moves == perm).all(axis=1).nonzero()[0]
-            counts[rows[:, None], self._relabelled_goals(perm)] = distinct[orbit[rows]]
-        # each watcher combination's row of tables, the last watcher fastest
-        row = np.zeros(1, dtype=np.intp)
-        for _ in range(k):
-            row = (row[:, None] * n + combinations.table_of).reshape(-1)
-        return counts[row].reshape(-1)
-
-    def erm(self, strings, labels) -> tuple[int, int, int]:
+    def erm(self, sample) -> tuple[int, int, int]:
         """(fewest errors, first member index with that many, number of
-        members with that many) on the labelled strings: ``error_counts``'
-        minimum, first argmin and tie count, reduced block by block from
-        the orbits' counts, so nothing of size ``cardinality`` is
-        allocated."""
-        return self._erm(*self._encoded(strings), labels)
+        members with that many) on a ``LabeledSample``, as a loop over the
+        members finds them, reduced block by block from the orbits' counts
+        (``_distinct_error_counts``), so nothing of size ``cardinality`` is
+        allocated.  A drawn sample's letters are read as its ``drawn`` codes;
+        a sample built by hand is encoded once.
 
-    def erm_many(self, letters, codes, lengths, labels) -> tuple[int, int, int]:
-        """``erm`` on strings given as in ``Cascade.run_many``: every
-        letter's position in ``letters`` (all strings' letters in order, an
-        int array) and each string's length."""
-        return self._erm(self._events(letters, codes), lengths, labels)
-
-    def _erm(self, events, lengths, labels) -> tuple[int, int, int]:
-        """README's "family kernel" paragraph says why an orbit's ties are
-        its representative's times its weight, and its first tied member
-        its representative's."""
+        An orbit's ties are its representative's tied goals times its
+        weight: the watcher combinations of all its orderings.  Tables are
+        numbered in order of their smallest watcher, so a member index grows
+        with the combination and the ascending representative holds the
+        orbit's smallest indices; a permutation of equal tables, the only
+        kind that fixes it, maps its tied goals onto its tied goals.  So the
+        representative's first tied goal, with each table's smallest
+        watcher, is the orbit's first tied member, and no goal is mapped."""
+        if sample.drawn is None:
+            events, lengths = self._encoded(sample.strings)
+        else:
+            letters, codes, lengths = sample.drawn
+            events = self._events(letters, codes)
         weights, first_members = self._combinations.weights, self._combinations.first_members
         n_goals = len(self._goal_terms[0])
         best, index, ties = None, self.cardinality, 0
-        for start, counts in self._distinct_error_counts(events, lengths, labels):
+        for start, counts in self._distinct_error_counts(events, lengths, sample.labels):
             low = int(counts.min())
             if best is None or low < best:
                 best, index, ties = low, self.cardinality, 0

@@ -15,15 +15,13 @@ through ``run_many`` when the function is an automaton (a ``Cascade`` or a
 all strings are stepped together on the automaton's arrays and no string
 is built to score them.  Any other callable is called once per string.
 ``draw_sample`` keeps the codes and lengths it drew on the sample
-(``LabeledSample.drawn``), and ``erm_select`` hands them to a class's
-ERM kernel when it takes codes (``erm_many``), so the kernel reads no
-letter of the strings.
+(``LabeledSample.drawn``), and ``erm_select`` hands the whole sample to a
+class's ERM kernel (``erm``), which reads those codes rather than the
+letters of the strings.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import random
@@ -276,21 +274,16 @@ def erm_select(functions, sample: LabeledSample) -> ErmResult:
     Ties break to the earliest member in iteration order, which for a
     finite class is index order, so the reported index names
     ``functions.member(index)``; the number of tied minimizers is reported.
-    A class object exposing ``erm(strings, labels)`` (and ``member``) is
-    scored through that kernel instead of one-by-one evaluation: it returns
-    the fewest errors, the first member index with that many and the number
-    of members with that many, as the generic loop finds them.  A drawn
-    sample is handed to the kernel's ``erm_many(letters, codes, lengths,
-    labels)``, when it has one, as it was drawn.  An empty sample is a
-    ``ValueError``.
+    A class object exposing ``erm(sample)`` (and ``member``) is scored
+    through that kernel instead of one-by-one evaluation: it returns the
+    fewest errors, the first member index with that many and the number of
+    members with that many, as the generic loop finds them.  An empty
+    sample is a ``ValueError``.
     """
     if len(sample) == 0:
         raise ValueError("cannot select on an empty sample")
     if hasattr(functions, "erm"):
-        if sample.drawn is not None and hasattr(functions, "erm_many"):
-            best, index, ties = functions.erm_many(*sample.drawn, sample.labels)
-        else:
-            best, index, ties = functions.erm(list(sample.strings), list(sample.labels))
+        best, index, ties = functions.erm(sample)
         return ErmResult(index, functions.member(index), best / len(sample), ties)
     best_index, best_fn, best_risk = -1, None, None
     ties = 0
@@ -378,11 +371,3 @@ def learning_curve(functions, target: Callable, dist: StringDistribution,
         points.append(CurvePoint(ell, trials, successes, sum(gaps) / len(gaps)))
     return points
 
-
-def curve_to_csv(points: Sequence[CurvePoint]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sample_size", "trials", "successes", "mean_gap"])
-    for p in points:
-        writer.writerow([p.sample_size, p.trials, p.successes, f"{p.mean_gap:.6f}"])
-    return buf.getvalue()

@@ -8,6 +8,8 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
+
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, Semiautomaton
 from cascata.cascade import Cascade, chain_alphabet
@@ -114,6 +116,63 @@ def string_sweep(letters, max_len, cap, rng: random.Random):
         le = rng.randint(length, max_len)
         out.append(tuple(rng.choice(letters) for _ in range(le)))
     return out
+
+
+def goal_images(fam, perms) -> dict:
+    """Per watcher permutation in ``perms``, each goal's index once watcher
+    j's bit moves to watcher perm[j]'s, read from the goal members' term
+    masks."""
+    bits = [fam.goal_class.view.bit_of(f"task{j + 1}") for j in range(fam.d - 1)]
+    goals = [tuple(sorted(g.terms)) for g in fam.goal_class]
+    index = {terms: i for i, terms in enumerate(goals)}
+
+    others = ~sum(1 << b for b in bits)
+
+    def images(perm):
+        def move(term):
+            moved = term & others
+            for j, k in enumerate(perm):
+                moved |= (term >> bits[j] & 1) << bits[k]
+            return moved
+
+        return np.array([index[tuple(sorted(map(move, terms)))] for terms in goals])
+
+    return {perm: images(perm) for perm in perms}
+
+
+def family_kernel_rows(fam, strings, labels) -> np.ndarray:
+    """The family kernel's error counts, one row per watcher orbit and one
+    column per goal (``_distinct_error_counts``' blocks stacked)."""
+    return np.concatenate([counts for _, counts in
+                           fam._distinct_error_counts(*fam._encoded(strings), labels)])
+
+
+def family_error_counts(fam, strings, labels) -> np.ndarray:
+    """Every member's error count on the labelled strings, in member order,
+    from the family kernel's orbit rows (``_distinct_error_counts``).  The
+    watchers are numbered into tables in order of their first watcher, and
+    the orbits listed as the ascending table combinations in lexicographic
+    order.  A combination of tables takes its ascending reordering's row,
+    with each goal moved to its image under the permutation between them,
+    and a combination of watchers its tables' row."""
+    rows = family_kernel_rows(fam, strings, labels)
+    k = fam.d - 1
+    numbering = {}
+    table_of = [numbering.setdefault(row.tobytes(), len(numbering))
+                for row in fam._watcher_truth]
+    orbit = {tables: i for i, tables in enumerate(
+        itertools.combinations_with_replacement(range(len(numbering)), k))}
+    assert len(orbit) == len(rows)
+    images = goal_images(fam, itertools.permutations(range(k)))
+    combinations = list(itertools.product(range(len(numbering)), repeat=k))
+    by_tables = np.empty((len(combinations), rows.shape[1]), dtype=np.int32)
+    for i, tables in enumerate(combinations):
+        # ascending place j holds the table of watcher moves[j]
+        moves = tuple(sorted(range(k), key=tables.__getitem__))
+        by_tables[i, images[moves]] = rows[orbit[tuple(sorted(tables))]]
+    place = {tables: i for i, tables in enumerate(combinations)}
+    return by_tables[[place[tables] for tables in
+                      itertools.product(table_of, repeat=k)]].reshape(-1)
 
 
 def _cli(args) -> tuple[list, dict]:

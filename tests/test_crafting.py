@@ -18,6 +18,9 @@ from cascata.crafting import (
     trace_from_words,
     trace_words,
 )
+from cascata.learner import LabeledSample, StringDistribution
+
+from helpers import family_error_counts, family_kernel_rows, goal_images
 
 
 def words(*ws):
@@ -186,22 +189,6 @@ def test_family_member_indexing_matches_iteration():
         assert all(direct.run(s) == other.run(s) for s in strings)
 
 
-def test_family_error_counts_match_direct_evaluation():
-    fam = SequenceTaskFamily(2)
-    rng = random.Random(6)
-    letters = list(fam.external.letters())
-    strings = [
-        tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
-        for _ in range(30)
-    ]
-    labels = [fam.sequence_target().run(s) for s in strings]
-    counts = fam.error_counts(strings, labels)
-    assert len(counts) == fam.cardinality
-    for i, member in enumerate(fam):
-        direct = sum(1 for s, y in zip(strings, labels) if member.run(s) != y)
-        assert counts[i] == direct, i
-
-
 def _direct_errors(fam, index, strings, labels):
     member = fam.member(index)
     return sum(1 for s, y in zip(strings, labels) if member.run(s) != y)
@@ -214,6 +201,34 @@ def _sequence_strings(fam, n, max_len, seed):
             for _ in range(n)]
 
 
+def _erm(fam, strings, labels):
+    return fam.erm(LabeledSample(tuple(zip(strings, labels))))
+
+
+def _assert_rows_match_their_members(fam, strings, labels, probe=None, seed=0):
+    """Each of the kernel's orbit rows equals the error counts of its
+    orbit's representative members, ``first_members[c] * n_goals + g``, run
+    one string at a time: every cell, or ``probe`` seeded cells and the
+    first cell at the minimum."""
+    rows = family_kernel_rows(fam, strings, labels)
+    firsts, n_goals = fam._combinations.first_members, fam.goal_class.cardinality
+    assert rows.shape == (len(firsts), n_goals)
+    cells = list(np.ndindex(rows.shape))
+    if probe is not None:
+        argmin = np.unravel_index(rows.argmin(), rows.shape)
+        cells = random.Random(seed).sample(cells, probe) + [argmin]
+    for c, g in cells:
+        member = int(firsts[c]) * n_goals + int(g)
+        assert rows[c, g] == _direct_errors(fam, member, strings, labels), (c, g)
+
+
+def test_family_error_counts_match_direct_evaluation():
+    fam = SequenceTaskFamily(2)
+    strings = _sequence_strings(fam, 30, 5, seed=6)
+    labels = [fam.sequence_target().run(s) for s in strings]
+    _assert_rows_match_their_members(fam, strings, labels)
+
+
 def test_family_error_counts_match_direct_evaluation_at_depth_three():
     fam = SequenceTaskFamily(3)
     strings = _sequence_strings(fam, 646, 8, seed=31)
@@ -221,18 +236,13 @@ def test_family_error_counts_match_direct_evaluation_at_depth_three():
     noise = random.Random(32)
     # flip a few labels so the counts spread over many values
     labels = [int(target.run(s)) ^ (noise.random() < 0.05) for s in strings]
-    counts = fam.error_counts(strings, labels)
-    assert len(counts) == fam.cardinality
-    best = counts.min()
-    ties = [int(i) for i in (counts == best).nonzero()[0]]
-    probe = random.Random(33).sample(range(fam.cardinality), 200) + ties
-    for i in probe:
-        assert counts[i] == _direct_errors(fam, i, strings, labels), i
+    _assert_rows_match_their_members(fam, strings, labels, probe=200, seed=33)
 
 
 @pytest.mark.parametrize("case", [
     "size1", "size7", "size8", "size9", "size63", "size64", "size65",
     "length_one", "all_positive", "all_negative", "duplicates", "bool_labels",
+    "float_labels",
 ])
 def test_family_error_counts_edge_samples_at_depth_two(case):
     fam = SequenceTaskFamily(2)
@@ -249,23 +259,20 @@ def test_family_error_counts_edge_samples_at_depth_two(case):
         labels = [int(case == "all_positive")] * len(strings)
     elif case == "duplicates":
         strings, labels = strings[:5] * 4, labels[:5] * 4
-    else:
+    elif case == "bool_labels":
         labels = [bool(y) for y in labels]
-    counts = fam.error_counts(strings, labels)
-    for i in range(fam.cardinality):
-        assert counts[i] == _direct_errors(fam, i, strings, labels), i
+    else:
+        labels = [float(y) for y in labels]
+    _assert_rows_match_their_members(fam, strings, labels)
 
 
 def test_family_error_counts_edge_samples_at_depth_three():
     fam = SequenceTaskFamily(3)
     strings = _sequence_strings(fam, 9, 4, seed=51)
     labels = [True, False] * 4 + [True]
-    probe = random.Random(52).sample(range(fam.cardinality), 100)
     for sample, ys in ((strings, labels), (strings[:1], labels[:1]),
                        ([s[:1] for s in strings], [int(y) for y in labels])):
-        counts = fam.error_counts(sample, ys)
-        for i in probe:
-            assert counts[i] == _direct_errors(fam, i, sample, ys), i
+        _assert_rows_match_their_members(fam, sample, ys, probe=100, seed=52)
 
 
 def test_family_error_counts_match_direct_evaluation_at_depth_four():
@@ -273,28 +280,24 @@ def test_family_error_counts_match_direct_evaluation_at_depth_four():
     fam = SequenceTaskFamily(4)
     strings = _sequence_strings(fam, 10, 6, seed=61)
     labels = [int(fam.sequence_target().run(s)) for s in strings]
-    counts = fam.error_counts(strings, labels)
-    assert len(counts) == fam.cardinality
-    probe = random.Random(62).sample(range(fam.cardinality), 60) + [int(counts.argmin())]
-    for i in probe:
-        assert counts[i] == _direct_errors(fam, i, strings, labels), i
+    _assert_rows_match_their_members(fam, strings, labels, probe=60, seed=62)
 
 
 def test_family_error_counts_rejects_labels_that_are_not_binary():
     fam = SequenceTaskFamily(2)
     strings = _sequence_strings(fam, 3, 3, seed=71)
     with pytest.raises(ValueError):
-        fam.error_counts(strings, [0, 1, 2])
+        family_kernel_rows(fam, strings, [0, 1, 2])
     with pytest.raises(ValueError):
-        fam.error_counts(strings, [0, 1])
+        family_kernel_rows(fam, strings, [0, 1])
     with pytest.raises(ValueError):
-        fam.erm(strings, [0, 1, 2])
+        _erm(fam, strings, [0, 1, 2])
     # a label is 0 or 1 when it == 0 or 1, as zero_one_loss compares it
     for bad in (1.5, 0.5, None, "x", math.nan):
         with pytest.raises(ValueError, match="one 0/1 label per string"):
-            fam.error_counts(strings, [0, bad, 1])
+            family_kernel_rows(fam, strings, [0, bad, 1])
         with pytest.raises(ValueError, match="one 0/1 label per string"):
-            fam.erm(strings, [bad, 0, 1])
+            _erm(fam, strings, [bad, 0, 1])
 
 
 def test_family_kernel_reads_float_labels_as_the_generic_loop_does():
@@ -305,9 +308,9 @@ def test_family_kernel_reads_float_labels_as_the_generic_loop_does():
     assert set(labels) == {0.0, 1.0}
     members = list(fam)
     generic = [sum(member.run(s) != y for s, y in zip(strings, labels)) for member in members]
-    assert fam.error_counts(strings, labels).tolist() == generic
+    assert family_error_counts(fam, strings, labels).tolist() == generic
     best = min(generic)
-    assert fam.erm(strings, labels) == (best, generic.index(best), generic.count(best))
+    assert _erm(fam, strings, labels) == (best, generic.index(best), generic.count(best))
 
 
 def test_family_profiles_match_unique_rows_at_depth_eight():
@@ -356,59 +359,52 @@ def test_family_erm_is_the_reduction_of_error_counts(d, case):
         strings, labels = strings[:1], labels[:1]
     elif case == "duplicates":
         strings, labels = strings[:4] * 5, labels[:4] * 5
-    counts = fam.error_counts(strings, labels)
-    erm = fam.erm(strings, labels)
+    counts = family_error_counts(fam, strings, labels)
+    erm = _erm(fam, strings, labels)
     assert erm == _full_vector_reduction(counts)
     if case == "all_negative":
         # a never-firing goal ties under every watcher combination
         tied = (counts == erm[0]).nonzero()[0]
-        combos = set(tied // fam.goal_class.cardinality)
+        combos = np.unique(tied // fam.goal_class.cardinality)
         assert len(combos) == fam.watcher_class.cardinality ** (d - 1)
 
 
-def _goal_images(fam, perm):
-    """Each goal's index once watcher j's bit moves to watcher perm[j]'s,
-    read from the goal members' term masks."""
-    bits = [fam.goal_class.view.bit_of(f"task{j + 1}") for j in range(fam.d - 1)]
-    goals = [tuple(sorted(g.terms)) for g in fam.goal_class]
-    index = {terms: i for i, terms in enumerate(goals)}
-
-    def move(term):
-        moved = term & ~sum(1 << b for b in bits)
-        for j, k in enumerate(perm):
-            moved |= (term >> bits[j] & 1) << bits[k]
-        return moved
-
-    return np.array([index[tuple(sorted(map(move, terms)))] for terms in goals])
-
-
 @pytest.mark.parametrize("d", [3, 4])
-def test_family_error_counts_are_invariant_under_permuting_the_watchers(d):
+def test_family_members_compute_alike_under_permuting_the_watchers(d):
     """Moving every watcher j to place perm[j], and the goal's watcher bits
-    with it, gives a member that computes the same function: every goal of
-    every combination of tables keeps its count under every permutation.
-    ERM counts the ties of every ordering of an orbit."""
+    with it (``goal_images``), gives a member that computes the same
+    function, so an orbit's members share their error counts: the premise
+    of scoring one representative per orbit.  Seeded members are run on
+    seeded strings under every permutation; left unrelabelled, the goal
+    computes another function."""
     fam = SequenceTaskFamily(d)
-    strings = _sequence_strings(fam, 300, 7, seed=95 + d)
-    target = fam.sequence_target()
-    noise = random.Random(96 + d)
-    labels = [int(target.run(s)) ^ (noise.random() < 0.15) for s in strings]
-    counts = fam.error_counts(strings, labels)
-    k, n_goals = d - 1, fam.goal_class.cardinality
-    # the first watcher of each table, and every combination of them
-    _, firsts = np.unique(fam._watcher_truth, axis=0, return_index=True)
-    full = counts.reshape((fam.watcher_class.cardinality,) * k + (n_goals,))
-    full = full[np.ix_(*[firsts] * k, np.arange(n_goals))]
-    for perm in itertools.permutations(range(k)):
-        images = _goal_images(fam, perm)
-        placed = np.moveaxis(full, range(k), perm)
-        if perm != tuple(range(k)):
-            assert not np.array_equal(placed, full)
-        moved = np.empty_like(full)
-        moved[..., images] = placed
-        assert np.array_equal(moved, full), perm
-    assert fam._combinations.weights.sum() == fam.watcher_class.cardinality ** k
-    assert fam.erm(strings, labels) == _full_vector_reduction(counts)
+    k, n_watchers, n_goals = d - 1, fam.watcher_class.cardinality, fam.goal_class.cardinality
+    dist = StringDistribution(tuple(fam.external.letters()), 7)
+    codes, lengths = dist.draw(300, random.Random(95 + d))
+    perms = list(itertools.permutations(range(k)))
+    images = goal_images(fam, perms)
+
+    def outputs(watchers, goal):
+        index = 0
+        for w in watchers:
+            index = index * n_watchers + w
+        return fam.member(index * n_goals + goal).run_many(dist.alphabet, codes, lengths)
+
+    rng = random.Random(96 + d)
+    unrelabelled = 0
+    for _ in range({3: 40, 4: 20}[d]):
+        watchers = [rng.randrange(n_watchers) for _ in range(k)]
+        goal = rng.randrange(n_goals)
+        expected = outputs(watchers, goal)
+        for perm in perms:
+            moved = [0] * k
+            for j, w in enumerate(watchers):
+                moved[perm[j]] = w
+            assert np.array_equal(outputs(moved, images[perm][goal]), expected), \
+                (watchers, goal, perm)
+            unrelabelled += not np.array_equal(outputs(moved, goal), expected)
+    assert unrelabelled > 0
+    assert fam._combinations.weights.sum() == n_watchers ** k
 
 
 def test_family_erm_work_counts_distinct_watcher_combinations():
@@ -460,9 +456,10 @@ def test_family_erm_memory_does_not_grow_with_the_class():
     strings = _sequence_strings(fam, 646, 8, seed=91)
     noise = random.Random(92)
     labels = [int(fam.sequence_target().run(s)) ^ (noise.random() < 0.05) for s in strings]
+    sample = LabeledSample(tuple(zip(strings, labels)))
     tracemalloc.start()
     try:
-        fam.erm(strings, labels)
+        fam.erm(sample)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

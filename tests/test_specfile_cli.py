@@ -30,7 +30,7 @@ from cascata.specfile import (
     learn_config_from_spec,
 )
 
-from helpers import run_cli, start_cli
+from helpers import family_error_counts, run_cli, start_cli
 
 
 def roundtrip(cascade):
@@ -876,7 +876,7 @@ def test_cli_learn_at_depth_four_picks_the_full_vector_argmin(tmp_path, capsys):
     dist = StringDistribution(tuple(family.external.letters()), 6)
     spec = json.loads((tmp_path / "target.json").read_text())
     sample = draw_sample(dist, cascade_from_spec(spec), 400, seed=5)
-    counts = family.error_counts(list(sample.strings), list(sample.labels))
+    counts = family_error_counts(family, sample.strings, sample.labels)
     assert f"chosen member: {int(counts.argmin())}\n" in out
     assert f"({int((counts == counts.min()).sum())} tied)" in out
 
@@ -888,7 +888,7 @@ def test_cli_learn_at_depth_five_exceeds_the_default_cap_before_building_tables(
     def unbuilt(self):
         raise AssertionError("the cap check built a kernel table")
 
-    for table in ("_combinations", "_contains_words", "_goal_terms", "_goal_index"):
+    for table in ("_combinations", "_contains_words", "_goal_terms"):
         monkeypatch.setattr(SequenceTaskFamily, table, property(unbuilt))
     config = _write(tmp_path, "config.json", {"seed": 5, "max_len": 6, "n": 400, "n_mc": 300})
     classspec = _write(tmp_path, "class.json", {"family": "sequence_tasks", "d": 5})
