@@ -9,6 +9,8 @@ Per family (strings of 1..8 letters, uniform over the family's events, and
 the family's ``sequence_target``), it times:
 
 - ``sample_many``: 2,500 strings;
+- ``run_many``: the target's ``Cascade.run_many`` on 2,500 strings, drawn
+  as ``sample_many`` draws them, as letter codes;
 - ``draw_sample``: the finite-class sample size for epsilon = eta = 0.1,
   labelled by the target;
 - ``estimate_risk``: 2,500 strings, the ERM winner of that sample against
@@ -20,7 +22,7 @@ the family's ``sequence_target``), it times:
 - ``learning_curve``: one point at that sample size, 2,500 Monte-Carlo
   strings and a realizable baseline, over 5, 2 and 1 trials at d = 3, 4, 5.
 
-Each of the first four is the median of ``REPEATS`` calls on the seeds
+Each of the first five is the median of ``REPEATS`` calls on the seeds
 from ``SEED`` on (``erm_select`` of ``ERM_REPEATS[d]`` calls); the curve
 point is timed once, on ``SEED``.  The results are added to OUT.json under
 the label, beside those of other labels, with the Python and numpy versions
@@ -80,6 +82,8 @@ def bench_family(d: int) -> dict:
     seeds = range(SEED, SEED + REPEATS)
     times = {
         "sample_many_s": [timed(dist.sample_many, 2500, random.Random(s))[1] for s in seeds],
+        "run_many_s": [timed(target.run_many, dist.alphabet, *dist.draw(2500, random.Random(s)))[1]
+                       for s in seeds],
         "draw_sample_s": [timed(draw_sample, dist, target, ell, seed=s)[1] for s in seeds],
         "estimate_risk_s": [timed(estimate_risk, winner, target, dist, 2500, seed=s)[1]
                             for s in seeds],

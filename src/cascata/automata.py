@@ -275,6 +275,14 @@ def _row_classes(columns, n_values: int) -> tuple[np.ndarray, int]:
     return ids, int(ids[order[-1]]) + 1 if len(order) else 0
 
 
+def _value_starts(ranked: np.ndarray) -> np.ndarray:
+    """A mask of the places where a sorted int array ``ranked`` starts a new value."""
+    starts = np.empty(len(ranked), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    return starts
+
+
 def bfs_order(table: np.ndarray, start: int) -> np.ndarray:
     """The rows of an int table ``table[q, a]`` (the next state of ``q`` on
     letter ``a``) reachable from row ``start``, in breadth-first order.
@@ -339,6 +347,23 @@ def letter_positions(lengths: np.ndarray):
     running = (len(lengths) - np.cumsum(np.bincount(lengths))).tolist()
     for t in range(len(running) - 1):
         yield starts[:running[t]] + t, order[running[t + 1]:running[t]]
+
+
+def run_tables(delta: np.ndarray, out: np.ndarray, initial: int, columns: np.ndarray,
+               lengths: np.ndarray) -> np.ndarray:
+    """The output codes of strings stepped together on the int tables
+    ``delta[q, a]`` (next state) and ``out[q, a]`` (output code) from state
+    ``initial``: the strings are given as ``columns``, every string's letters
+    in order as column numbers, and their ``lengths``.  Each position costs
+    one multiply-add and two gathers (``letter_positions``)."""
+    k, delta, out = delta.shape[1], delta.ravel(), out.ravel()
+    q = np.full(len(lengths), initial, dtype=np.intp)
+    outputs = np.empty(len(lengths), dtype=np.intp)
+    for index, ending in letter_positions(lengths):
+        x = q[:len(index)] * k + columns[index]
+        q = delta[x]
+        outputs[ending] = out[x[len(x) - len(ending):]]
+    return outputs
 
 
 def _dot_text(value) -> str:
@@ -434,20 +459,13 @@ class FlatAutomaton:
         """``run`` on many strings at once: the strings are given as letter
         codes into ``letters`` (``codes``, every string's letters in order)
         and their ``lengths``, and each one's output code, its position in
-        ``outputs``, comes back.  They are stepped together, one gather of
-        ``delta_array`` per position (``letter_positions``).  The first string
+        ``outputs``, comes back.  They are stepped together on
+        ``delta_array`` and ``out_array`` (``run_tables``).  The first string
         that ``run`` would reject is passed to it, which raises its error."""
         table = letter_table(letters, codes, lengths, lambda a: [self.letter_index[a]], 1,
                              self.run)
-        k, delta, out = len(self.alphabet), self.delta_array.ravel(), self.out_array.ravel()
-        letters = table[codes, 0]
-        q = np.full(len(lengths), self.core.initial_index, dtype=np.intp)
-        outputs = np.empty(len(lengths), dtype=np.intp)
-        for index, ending in letter_positions(lengths):
-            x = q[:len(index)] * k + letters[index]
-            q = delta[x]
-            outputs[ending] = out[x[len(x) - len(ending):]]
-        return outputs
+        return run_tables(self.delta_array, self.out_array, self.core.initial_index,
+                          table[codes, 0], lengths)
 
     def is_aperiodic(self, cap: int = DEFAULT_MONOID_CAP) -> bool:
         return self.core.is_aperiodic(cap)
@@ -538,30 +556,36 @@ class FlatAutomaton:
         def step(frontier):  # the layer's output pair codes and successor codes
             qa, qb = np.divmod(frontier, n_b)
             pair_rows = rows_a[qa] + rows_b[qb]
-            return pair_rows[:, :k].ravel().tolist(), pair_rows[:, k:].ravel().tolist()
+            return pair_rows[:, :k].ravel(), pair_rows[:, k:].ravel()
 
         differs = {}  # output pair code -> do the two outputs differ
         start = self.core.initial_index * n_b + other.core.initial_index
-        seen, layers = {start}, [[start]]
+        seen, layers = {start}, [np.array([start])]
         while True:
             met, reached = step(layers[-1])
-            met_codes = set(met)
-            for code in met_codes.difference(differs):
-                u, v = divmod(code, n_out)
-                differs[code] = self.outputs[u] != other.outputs[v]
-            if any(map(differs.__getitem__, met_codes)):
-                at = next(i for i, code in enumerate(met) if differs[code])
+            ranked = np.sort(met)
+            met_codes = ranked[_value_starts(ranked)].tolist()
+            for code in met_codes:
+                if code not in differs:
+                    u, v = divmod(code, n_out)
+                    differs[code] = self.outputs[u] != other.outputs[v]
+            mismatched = [code for code in met_codes if differs[code]]
+            if mismatched:
+                at = int(np.isin(met, mismatched).argmax())
                 word, code = [mine[at % k]], layers[-1][at // k]
                 for frontier in reversed(layers[:-1]):  # where each pair was first met
-                    at = step(frontier)[1].index(code)
+                    at = int((step(frontier)[1] == code).argmax())
                     word.append(mine[at % k])
                     code = frontier[at // k]
                 return EquivalenceResult(False, tuple(reversed(word)))
-            new = list(itertools.filterfalse(seen.__contains__, dict.fromkeys(reached)))
+            order = reached.argsort(kind="stable")
+            first = order[_value_starts(reached[order])]
+            first.sort()  # each successor once, in order of first occurrence
+            new = list(itertools.filterfalse(seen.__contains__, reached[first].tolist()))
             if not new:
                 return EquivalenceResult(True, None)
             seen.update(new)
-            layers.append(new)
+            layers.append(np.array(new))
 
     # -- serialization -----------------------------------------------------------
 

@@ -15,14 +15,18 @@ arrays; scalar stepping reads them through flat views, which copy nothing.
 Stepping keeps two forms, a scalar and a vectorized one.  ``run`` fills its
 memo through ``_advance``, one component at a time; ``_step`` does the same
 on int arrays that broadcast together.  Both read what ``_wired`` gathers
-for each component, as views and as arrays.  ``flatten`` steps every product
-state on every letter at once through ``_step``, building the whole product
-table up front, and ``run_many`` steps many strings together through it, a
-position at a time, at a cost of strings times letters times components
-whatever the product's size.  On a 2-CPU host a d=2 family member flattens
-in about 80 us and runs its 6 strings cold in about 36 us, and
-certification builds 68 fresh members per round; ``_advance`` also fills
-the memo for products past the flatten caps.
+for each component, as views and as arrays.  ``_product_tables`` steps every
+product state on every given letter at once through ``_step``: ``flatten``
+builds the whole product table that way, over every external letter.
+``run_many`` steps many strings together, a position at a time.  When the
+product's table over the batch's letters has no more entries than the batch
+has letters, it builds that table and steps on it, one multiply-add and two
+gathers per position, as ``FlatAutomaton.run_many`` does; otherwise it
+steps component by component through ``_step``.  Either way its work is at
+most strings times letters times components, whatever the product's size.
+On a 2-CPU host a d=2 family member flattens in about 80 us and runs its 6
+strings cold in about 36 us, and certification builds 68 fresh members per
+round; ``_advance`` also fills the memo for products past the flatten caps.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ import numpy as np
 
 from .alphabets import FactoredAlphabet, Letter, NumberedClass, mixed_radix_digits
 from .automata import (ComponentAutomaton, FlatAutomaton, Semiautomaton, _lazy_attribute,
-                       bfs_order, letter_positions, letter_table, output_values)
+                       bfs_order, letter_positions, letter_table, output_values,
+                       run_tables)
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
@@ -154,9 +159,9 @@ class Cascade:
         yields, component by component, the next state numbers from the
         state numbers ``states`` on the letters whose external coordinate
         codes are ``codes``, to which each component's output codes are
-        appended as it is stepped.  ``flatten`` steps every product state on
-        every letter at once, each component on the axes it depends on, and
-        folds each component's states into the table as they come;
+        appended as it is stepped.  ``_product_tables`` steps every product
+        state on every letter at once, each component on the axes it depends
+        on, and folds each component's states into the table as they come;
         ``run_many`` steps strings together, a position at a time."""
         for q, (next_array, out_array, k, inputs) in zip(states, self._arrays):
             x = q * k
@@ -220,12 +225,19 @@ class Cascade:
 
     def run_many(self, letters, codes, lengths) -> np.ndarray:
         """``run`` on many strings at once, given and answered as in
-        ``FlatAutomaton.run_many``.  The strings are stepped together through
-        ``_step``, a position at a time, so the work is strings times letters
-        times components, whatever the product's size; the memo is neither
-        read nor filled."""
+        ``FlatAutomaton.run_many``; the memo is neither read nor filled.
+
+        When the product's table over ``letters`` has no more entries than
+        the strings have letters, it is built (``_product_tables``) and the
+        strings are stepped on it as a flat automaton steps them
+        (``run_tables``), one multiply-add and two gathers per position.
+        Otherwise they are stepped component by component through ``_step``,
+        a position at a time.  Either way the work is at most strings times
+        letters times components, whatever the product's size."""
         table = letter_table(letters, codes, lengths, self.external.encode,
                              self.external.arity, self.run)
+        if self.product_size() * len(letters) <= len(codes):
+            return run_tables(*self._product_tables(table), codes, lengths)
         coordinates = table[codes].T  # per coordinate, the code of every letter
         states = [np.full(len(lengths), c.core.initial_index, dtype=np.intp)
                   for c in self.components]
@@ -237,6 +249,34 @@ class Cascade:
             outputs[ending] = step_codes[-1][m - len(ending):]
         return outputs
 
+    def _product_tables(self, letter_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """The product's transition and output-code tables, product states
+        by letters, over the letters whose external coordinate codes are the
+        rows of ``letter_codes``, and the initial state's code.
+
+        A product state is coded in mixed radix over its component state
+        numbers, last component fastest.  One pass of ``_step`` gathers every
+        component's ``next_array``/``out_array`` over all codes and letters
+        at once, each on the axes of the product it depends on."""
+        radices, n_letters = [c.core.n_states for c in self.components], len(letter_codes)
+        shape = (*radices, n_letters)
+
+        def along(values, axis):  # a 1-D array laid along one axis of ``shape``
+            return np.asarray(values).reshape([-1 if i == axis else 1 for i in range(len(shape))])
+
+        codes = [along(column, len(radices)) for column in letter_codes.T]
+        steps = self._step([along(np.arange(r), i) for i, r in enumerate(radices)], codes)
+        table, init = 0, 0
+        for r, q, comp in zip(radices, steps, self.components):
+            table = table * r + q
+            init = init * r + comp.core.initial_index
+        out = np.empty(shape, dtype=np.int64)
+        out[...] = codes.pop()  # the last output may not depend on every axis
+        # every component's digit is an axis of ``table``, and the first
+        # component reads the letter
+        size = math.prod(radices)
+        return table.reshape(size, n_letters), out.reshape(size, n_letters), init
+
     def product_size(self) -> int:
         return math.prod(c.core.n_states for c in self.components)
 
@@ -246,11 +286,7 @@ class Cascade:
         ``cap`` bounds the product's states and the external letters alike,
         and ``FLATTEN_TABLE_CAP`` their product, the entries of each table.
 
-        A product state is coded in mixed radix over its component state
-        numbers, last component fastest.  One numpy pass gathers every
-        component's ``next_array``/``out_array`` over all codes and letters
-        at once, each on the axes of the product it depends on, giving the
-        product's int transition table.  With
+        The tables are ``_product_tables`` over every external letter.  With
         ``prune`` the states are numbered by ``bfs_order`` from the initial
         code: each layer's new codes by first occurrence in (frontier order,
         letter order), as a FIFO search numbers them.  Without, a state's
@@ -265,23 +301,8 @@ class Cascade:
         if entries > FLATTEN_TABLE_CAP:
             raise CapExceededError("cascade table entries", entries, FLATTEN_TABLE_CAP)
         letters = tuple(self.external.letters())
-        radices = [c.core.n_states for c in self.components]
-        shape = (*radices, len(letters))
-
-        def along(values, axis):  # a 1-D array laid along one axis of ``shape``
-            return np.asarray(values).reshape([-1 if i == axis else 1 for i in range(len(shape))])
-
-        codes = [along(column, len(radices)) for column in np.array(
-            [self.external.encode(a) for a in letters], dtype=np.int64).T]
-        steps = self._step([along(np.arange(r), i) for i, r in enumerate(radices)], codes)
-        table, init = 0, 0
-        for r, q, comp in zip(radices, steps, self.components):
-            table = table * r + q
-            init = init * r + comp.core.initial_index
-        table = table.reshape(size, -1)  # every component's digit is an axis of it
-        out = np.empty(shape, dtype=np.int64)
-        out[...] = codes.pop()  # the last output may not depend on every axis
-        out = out.reshape(size, -1)
+        table, out, init = self._product_tables(
+            np.array([self.external.encode(a) for a in letters], dtype=np.int64))
         if prune:
             order = bfs_order(table, init)
             number = np.empty(size, dtype=np.int64)  # read at reachable codes only

@@ -12,8 +12,9 @@ import numpy as np
 
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, Semiautomaton
-from cascata.cascade import Cascade, chain_alphabet
+from cascata.cascade import Cascade, build_chained, chain_alphabet
 from cascata.primes import make_counter, make_flipflop
+from cascata.specfile import cascade_to_spec
 
 
 def random_external(rng: random.Random, max_arity=2, max_domain=3) -> FactoredAlphabet:
@@ -93,6 +94,17 @@ def cascade_with_counter(rng: random.Random, modulus=5, max_d=3) -> Cascade:
                 core=make_flipflop(with_reset=rng.random() < 0.5),
                 output=rng.choice(["state", "random"]), name=f"k{i}"))
     return Cascade(comps)
+
+
+def million_state_counter_spec() -> dict:
+    """The spec of a cascade of one ``counter:1000000`` part over the events
+    tick (inc) and idle (read)."""
+    spec = cascade_to_spec(build_chained(
+        FactoredAlphabet.single("event", ("tick", "idle")),
+        [dict(name="k", dependencies=(1,), core=make_counter(3),
+              input_fn=lambda x: "inc" if x == ("tick",) else "read")]))
+    spec["components"][0]["core"] = "counter:1000000"
+    return spec
 
 
 def exhaustive_strings(letters, max_len):

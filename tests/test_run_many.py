@@ -11,8 +11,9 @@ from cascata.cascade import Cascade
 from cascata.crafting import SequenceTaskFamily
 from cascata.errors import EmptyInputError
 from cascata.learner import StringDistribution, _automaton, draw_sample, estimate_risk
+from cascata.specfile import cascade_from_spec
 
-from helpers import cascade_with_counter, random_cascade
+from helpers import cascade_with_counter, million_state_counter_spec, random_cascade
 
 
 def _outputs_match_run(automaton, dist, n, seed):
@@ -41,6 +42,116 @@ def test_run_many_matches_run_on_random_cascades_and_their_flattenings(seed):
                  StringDistribution(letters[::-1], 6, tuple(i % 2 for i in range(len(letters))))):
         strings = _outputs_match_run(cascade, dist, 100, seed)
         assert _outputs_match_run(flat, dist, 100, seed) == strings
+
+
+def _batch(rng, total, weights):
+    """Strings of 1..7 letters, ``total`` letters in all, drawn as codes
+    with ``weights``; returns the codes and the lengths."""
+    lengths, left = [], total
+    while left:
+        lengths.append(min(rng.randint(1, 7), left))
+        left -= lengths[-1]
+    codes = rng.choices(range(len(weights)), weights, k=total)
+    return np.array(codes, dtype=np.intp), np.array(lengths, dtype=np.intp)
+
+
+def _tables_built(monkeypatch) -> list:
+    """Records, from now on, the letter count of every product table that
+    ``Cascade._product_tables`` builds."""
+    built, tables = [], Cascade._product_tables
+
+    def recorded(self, letter_codes):
+        built.append(len(letter_codes))
+        return tables(self, letter_codes)
+
+    monkeypatch.setattr(Cascade, "_product_tables", recorded)
+    return built
+
+
+def _run_many_matches(cascade, flat, letters, codes, lengths):
+    """``run_many`` on the strings, against ``run`` and the flattening's
+    ``run_many``; returns the output codes."""
+    outputs = cascade.run_many(letters, codes, lengths)
+    ends = np.cumsum(lengths).tolist()
+    strings = [tuple(letters[c] for c in codes[end - n:end].tolist())
+               for end, n in zip(ends, lengths.tolist())]
+    assert [cascade.outputs[o] for o in outputs.tolist()] == [cascade.run(s) for s in strings]
+    assert outputs.tolist() == flat.run_many(letters, codes, lengths).tolist()
+    return outputs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_both_run_many_paths_match_run_and_the_flattening(seed, monkeypatch):
+    # a batch with exactly as many letters as the product table over its
+    # letters has entries is stepped on the table; the same strings with
+    # one more letter listed, and a batch of one letter fewer, component by
+    # component
+    rng = random.Random(seed)
+    cascade = random_cascade(rng) if seed % 4 else cascade_with_counter(rng)
+    flat = cascade.flatten()
+    letters = tuple(cascade.external.letters())
+    built = _tables_built(monkeypatch)
+    for letters, weights in [(letters, [1] * len(letters)),
+                             (letters[::-1], [i % 2 for i in range(len(letters))]),
+                             (letters[-1:], [1])]:
+        boundary = cascade.product_size() * len(letters)
+        codes, lengths = _batch(rng, boundary, weights)
+        tabled = _run_many_matches(cascade, flat, letters, codes, lengths)
+        assert built == [len(letters)]
+        stepped = _run_many_matches(cascade, flat, letters + letters[:1], codes, lengths)
+        assert tabled.tolist() == stepped.tolist()
+        _run_many_matches(cascade, flat, letters, *_batch(rng, boundary - 1, weights))
+        assert built.pop() == len(letters) and not built
+
+
+def test_run_many_on_no_strings_and_no_letters_builds_an_empty_table(monkeypatch):
+    cascade = SequenceTaskFamily(2).sequence_target()
+    flat = cascade.flatten()
+    built = _tables_built(monkeypatch)
+    empty = np.zeros(0, dtype=np.intp)
+    for letters in [(), tuple(cascade.external.letters())]:
+        assert cascade.run_many(letters, empty, empty).tolist() == []
+        assert flat.run_many(letters, empty, empty).tolist() == []
+    assert built == [0]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_both_run_many_paths_raise_run_errors_for_the_first_string_with_a_rejected_letter(
+        seed, monkeypatch):
+    rng = random.Random(seed)
+    cascade = random_cascade(rng) if seed % 3 else cascade_with_counter(rng)
+    bad = rng.choice([("zz",) * cascade.external.arity, "x", [1]])
+    letters = (*cascade.external.letters(), bad)
+    built = _tables_built(monkeypatch)
+    codes, lengths = _batch(rng, cascade.product_size() * len(letters), [1] * len(letters))
+    codes[rng.randrange(len(codes))] = len(letters) - 1  # at least one string holds it
+    ends = np.cumsum(lengths).tolist()
+    first = next(s for s, end in enumerate(ends)
+                 if len(letters) - 1 in codes[end - lengths[s]:end].tolist())
+    string = tuple(letters[c] for c in codes[ends[first] - lengths[first]:ends[first]].tolist())
+    with pytest.raises(Exception) as expected:
+        cascade.run(string)
+    for listed in (letters, letters + letters[:1]):
+        with pytest.raises(type(expected.value)) as raised:
+            cascade.run_many(listed, codes, lengths)
+        assert str(raised.value) == str(expected.value)
+    assert built == []  # the letters are checked before a path is chosen
+
+
+def test_run_many_on_a_million_state_counter_builds_no_product_table(monkeypatch):
+    # the product table over two letters would have 2,000,000 entries, far
+    # more than the batch's letters, so the strings are stepped component by
+    # component
+    cascade = cascade_from_spec(million_state_counter_spec())
+
+    def refused(self, letter_codes):
+        raise AssertionError("built a product table")
+
+    monkeypatch.setattr(Cascade, "_product_tables", refused)
+    letters = (("idle",), ("tick",))
+    codes, lengths = np.array([1, 1, 1, 0, 0, 1, 1, 0]), np.array([4, 1, 3])
+    outputs = cascade.run_many(letters, codes, lengths)
+    assert [cascade.outputs[o] for o in outputs.tolist()] == [3, 0, 2]
 
 
 def _int64_positions(lengths):

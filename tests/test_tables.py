@@ -15,10 +15,11 @@ import pytest
 
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, FlatAutomaton, Semiautomaton
-from cascata.cascade import build_chained
 from cascata.crafting import build_counter_task_cascade, build_flipflop_task_cascade
 from cascata.primes import is_prime_counter, make_counter, make_flipflop, validate_prime_identities
 from cascata.specfile import cascade_from_spec, cascade_to_spec
+
+from helpers import million_state_counter_spec
 
 # built only when read
 LAZY = ("_rows", "states", "state_index", "initial")
@@ -42,17 +43,8 @@ def test_the_compile_path_builds_no_list_rows_and_no_labels():
     assert not any(hasattr(c, "next") or hasattr(c, "out") for c in cascade.components)
 
 
-def _million_state_counter_spec() -> dict:
-    spec = cascade_to_spec(build_chained(
-        FactoredAlphabet.single("event", ("tick", "idle")),
-        [dict(name="k", dependencies=(1,), core=make_counter(3),
-              input_fn=lambda x: "inc" if x == ("tick",) else "read")]))
-    spec["components"][0]["core"] = "counter:1000000"
-    return spec
-
-
 def test_a_million_state_counter_spec_builds_no_list_per_state():
-    spec = _million_state_counter_spec()
+    spec = million_state_counter_spec()
     tracemalloc.start()
     try:
         cascade = cascade_from_spec(spec)
@@ -65,7 +57,7 @@ def test_a_million_state_counter_spec_builds_no_list_per_state():
 
 
 def test_the_first_run_of_a_million_state_counter_copies_no_table():
-    cascade = cascade_from_spec(_million_state_counter_spec())
+    cascade = cascade_from_spec(million_state_counter_spec())
     gc.collect()
     tracemalloc.start()
     try:
@@ -79,7 +71,7 @@ def test_the_first_run_of_a_million_state_counter_copies_no_table():
 
 
 def test_serializing_a_million_state_counter_retains_nothing_per_state():
-    cascade = cascade_from_spec(_million_state_counter_spec())
+    cascade = cascade_from_spec(million_state_counter_spec())
     gc.collect()
     tracemalloc.start()
     try:
