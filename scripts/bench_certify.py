@@ -1,0 +1,106 @@
+"""Timings of the certification layers: iterating the sequence-task
+families, and the growth and VC searches on the d=2 family.
+
+    python3 scripts/bench_certify.py OUT.json --label change
+    python3 scripts/bench_certify.py OUT.json --label parent --src ../parent/src
+
+It times:
+
+- ``iterate``: ``list(SequenceTaskFamily(d))`` for d = 2 and 3, with the
+  number of distinct component objects its members hold, which is the
+  number of components built;
+- ``vc_dimension``: the d=2 family's 68 members on its 14 strings of 1..3
+  letters, as the certify-d2 round searches them;
+- ``empirical_growth``: the same members and strings, exact, at
+  ell = 1, 2, 3.
+
+Every input is fixed and the searches are exhaustive, so nothing is drawn.
+Each time is the median of ``REPEATS`` calls (``ITERATE_REPEATS[d]`` for
+the iteration).  Each search runs on freshly iterated members, so every
+call steps its members cold, as the certify round does.  Each search's
+report is kept beside its time, so two labels' reports can be compared.
+The results are added to OUT.json under the label, beside those of other
+labels, with the Python and numpy versions and the CPU count.  Only
+cascata's public API is called, so the script runs against older sources
+(``--src``) too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 30
+ITERATE_REPEATS = {2: REPEATS, 3: 5}
+ELLS = (1, 2, 3)
+MAX_LEN = 3
+
+
+def timed(fn, *args, **kwargs) -> tuple[object, float]:
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
+def bench_iterate(d: int) -> dict:
+    from cascata.crafting import SequenceTaskFamily
+
+    family = SequenceTaskFamily(d)
+    runs = [timed(list, family) for _ in range(ITERATE_REPEATS[d])]
+    members = runs[0][0]
+    return {"members": len(members),
+            "components_built": len({id(c) for m in members for c in m.components}),
+            "iterate_s": statistics.median(t for _, t in runs)}
+
+
+def bench_searches() -> dict:
+    from cascata.complexity import empirical_growth, vc_dimension
+    from cascata.crafting import SequenceTaskFamily
+
+    family = SequenceTaskFamily(2)
+    letters = list(family.external.letters())
+    universe = [s for n in range(1, MAX_LEN + 1) for s in itertools.product(letters, repeat=n)]
+    searches = {"vc_dimension": lambda members: vc_dimension(members, universe)}
+    for ell in ELLS:
+        searches[f"empirical_growth_ell{ell}"] = (
+            lambda members, ell=ell: empirical_growth(members, universe, ell, mode="exact"))
+    result = {"universe": len(universe)}
+    for name, search in searches.items():
+        runs = [timed(search, list(family)) for _ in range(REPEATS)]
+        result[f"{name}_s"] = statistics.median(t for _, t in runs)
+        result[f"{name}_report"] = runs[0][0]._asdict()
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="JSON file to add the results to")
+    parser.add_argument("--label", required=True, help="name the results go under")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the cascata source tree to time (default: this checkout's)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import numpy
+
+    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
+    bench[args.label] = {
+        "python": platform.python_version(), "numpy": numpy.__version__,
+        "nproc": len(os.sched_getaffinity(0)), "repeats": REPEATS,
+        **{f"iterate_d{d}": bench_iterate(d) for d in ITERATE_REPEATS},
+        "search_d2": bench_searches(),
+    }
+    args.out.write_text(json.dumps(bench, indent=2) + "\n")
+    print(json.dumps({args.label: bench[args.label]}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,10 +27,15 @@ most strings times letters times components, whatever the product's size.
 On a 2-CPU host a d=2 family member flattens in about 80 us and runs its 6
 strings cold in about 36 us, and certification builds 68 fresh members per
 round; ``_advance`` also fills the memo for products past the flatten caps.
+
+A ``CascadeClass`` iterates its members as the product of its parts'
+components, each built once per choice of its part: 21 components for the
+68 members of the d=2 family, 333 for the 20,288 of the d=3 family.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from functools import cached_property, partial
@@ -347,23 +352,21 @@ def build_chained(external: FactoredAlphabet, specs) -> Cascade:
     indices), ``input_fn``, ``core``, and optionally ``output_fn`` /
     ``outputs``; alphabets are chained automatically, as ``chain_alphabet``
     chains them.  Every component made from parts is made by its helper
-    ``_chained_component``: those of spec files and of class members,
-    indexed or iterated.  Since ``extend`` hands out one object per
-    extension, cascades chained from the same external alphabet share their
-    alphabets.
+    ``_part_component``: those of spec files and of class members, indexed
+    or iterated.  Since ``extend`` hands out one object per extension,
+    cascades chained from the same external alphabet share their alphabets.
     """
     built = []
     for spec in specs:
-        built.append(_chained_component(external, built, spec, spec["input_fn"]))
+        prev = built[-1] if built else None
+        alphabet = external if prev is None else prev.alphabet.extend(prev.name, prev.outputs)
+        built.append(_part_component(alphabet, spec, spec["input_fn"]))
     return Cascade(built)
 
 
-def _chained_component(external: FactoredAlphabet, built, spec, input_fn) -> ComponentAutomaton:
+def _part_component(alphabet: FactoredAlphabet, spec, input_fn) -> ComponentAutomaton:
     """The component that ``spec`` describes with input function
-    ``input_fn``, reading ``external`` extended by the outputs of the
-    components ``built`` before it."""
-    prev = built[-1] if built else None
-    alphabet = external if prev is None else prev.alphabet.extend(prev.name, prev.outputs)
+    ``input_fn``, reading ``alphabet``."""
     return ComponentAutomaton(alphabet, spec["dependencies"], input_fn, spec["core"],
                               output_fn=spec.get("output_fn", "state"),
                               outputs=spec.get("outputs"), name=spec["name"])
@@ -388,7 +391,7 @@ class CascadeClass(NumberedClass):
     function from a finite class (``cardinality`` and ``member``).  A
     member's digits are its components' choices, so the last component's
     choice varies fastest.  Members are built by ``build_chained``, and
-    iterated members through its ``_chained_component``, so every member
+    iterated members through its ``_part_component``, so every member
     holds the same chained alphabets.  A part whose ``output_fn`` is
     a callable must list its values in ``outputs``; ``part_outputs`` holds
     each part's output values, so the last one's are the members' outputs."""
@@ -429,23 +432,29 @@ class CascadeClass(NumberedClass):
         digits = mixed_radix_digits(index, self._radices)
         return self.build([p.input_class.member(d) for p, d in zip(self.parts, digits)])
 
-    def __iter__(self) -> Iterator[Cascade]:
-        """The members in index order, walking the parts depth first: a
-        part's component is built once per choice of the parts before it,
-        and the members that share those choices share their components."""
-        return self._members(())
+    @cached_property
+    def _alphabets(self) -> tuple[FactoredAlphabet, ...]:
+        """Each part's input alphabet: the external alphabet extended by the
+        names and output values of the parts before it, as ``build_chained``
+        chains it."""
+        alphabets = [self.external]
+        for p, outputs in zip(self.parts[:-1], self.part_outputs):
+            alphabets.append(alphabets[-1].extend(p.name, outputs))
+        return tuple(alphabets)
 
-    def _members(self, built: tuple) -> Iterator[Cascade]:
-        spec = self._specs[len(built)]
-        last = len(built) + 1 == len(self._specs)
-        input_class = spec["input_class"]
-        for d in range(input_class.cardinality):
-            chosen = (*built, _chained_component(self.external, built, spec,
-                                                 input_class.member(d)))
-            if last:
-                yield Cascade(chosen)
-            else:
-                yield from self._members(chosen)
+    def __iter__(self) -> Iterator[Cascade]:
+        """The members in index order, as the product of the parts'
+        components.  A part's component depends only on its input alphabet,
+        which is fixed per part (``_alphabets``), and on its own input
+        function, so each part's component is built once per choice of that
+        part: sum_i |F_i| components for prod_i |F_i| members, and two
+        members share part i's component exactly when they agree on its
+        choice.  The components are all built when iteration starts and
+        stay alive while it lasts."""
+        components = [[_part_component(alphabet, spec, spec["input_class"].member(d))
+                       for d in range(spec["input_class"].cardinality)]
+                      for alphabet, spec in zip(self._alphabets, self._specs)]
+        return map(Cascade, itertools.product(*components))
 
     def descriptor(self, max_len: int, epsilon: float = 0.1, eta: float = 0.1,
                    input_dims=None) -> ClassDescriptor:

@@ -15,7 +15,9 @@ scored against the matrix in blocks of at most ``BLOCK_ENTRIES`` outputs:
 a sample's outputs are packed into int64 keys (``automata.packed_keys``)
 and sorted along the member axis, and the count of distinct keys is its
 pattern count.  Witnesses are the first samples, in candidate order, with
-the maximum count (growth) or shattered (VC).
+the maximum count (growth) or shattered (VC).  Growth candidates are every
+subset of the search's size; VC candidates past size 2 are only the sets
+whose pairs are all shattered, the cliques of the shattered pairs' graph.
 
 Logs are base 2 throughout; the natural log appears only inside the explicit
 finite-class constant.
@@ -27,7 +29,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -290,34 +292,37 @@ def _pattern_counts(matrix: np.ndarray, n_values: int, block: np.ndarray) -> np.
     return changes.sum(axis=1) + 1
 
 
+def _scored_blocks(matrix: np.ndarray, n_values: int, samples: Iterable[tuple],
+                   width: int) -> Iterator[tuple[list, np.ndarray]]:
+    """The samples (tuples of ``width`` columns of ``matrix``) in blocks, in
+    order, each with its pattern counts: a block holds as many samples as
+    fit in ``BLOCK_ENTRIES`` outputs, at least one, and is scored only once
+    asked for."""
+    size = max(1, BLOCK_ENTRIES // max(1, len(matrix) * width))
+    samples = iter(samples)
+    while rows := list(itertools.islice(samples, size)):
+        block = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                            count=len(rows) * width).reshape(len(rows), width)
+        yield rows, _pattern_counts(matrix, n_values, block)
+
+
 def _first_best(matrix: np.ndarray, n_values: int, samples: Iterable[tuple],
                 width: int) -> tuple[int, tuple]:
     """The largest pattern count over the samples (tuples of ``width``
     columns of ``matrix``) and the first sample reaching it, or ``()`` when
-    no count is positive.  Samples are scored in blocks, in order: a block
-    holds as many samples as fit in ``BLOCK_ENTRIES`` outputs, at least one,
+    no count is positive.  Samples are scored in blocks (``_scored_blocks``)
     and only a strictly larger count replaces the best of earlier blocks.
     The search stops once a count reaches the ceiling
     ``min(members, n_values ** width)``, which no sample can pass."""
-    size = max(1, BLOCK_ENTRIES // max(1, len(matrix) * width))
     ceiling = min(len(matrix), n_values**width)
-    samples = iter(samples)
     best, witness = 0, ()
-    while best < ceiling and (rows := list(itertools.islice(samples, size))):
-        block = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
-                            count=len(rows) * width).reshape(len(rows), width)
-        counts = _pattern_counts(matrix, n_values, block)
+    for rows, counts in _scored_blocks(matrix, n_values, samples, width):
         i = int(counts.argmax())
         if counts[i] > best:
             best, witness = int(counts[i]), rows[i]
+        if best >= ceiling:
+            break
     return best, witness
-
-
-def pattern_count(functions: Sequence, sample: Sequence) -> int:
-    """Number of distinct output tuples of the class on the sample."""
-    sample = list(sample)
-    matrix, code = _output_matrix(list(functions), sample)
-    return _first_best(matrix, len(code), [tuple(range(len(sample)))], len(sample))[0]
 
 
 def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
@@ -373,17 +378,38 @@ def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
     return GrowthReport(ell, best, witness, True)
 
 
+def _cliques(later: list[set], size: int) -> Iterator[tuple]:
+    """The ``size``-cliques of the graph whose edges join each point ``i``
+    to the points of ``later[i]``, all greater than ``i``, as ascending
+    tuples in ``itertools.combinations`` order."""
+
+    def grow(clique: tuple, candidates: list) -> Iterator[tuple]:
+        if len(clique) == size:
+            yield clique
+            return
+        for n, j in enumerate(candidates):
+            if len(candidates) - n < size - len(clique):
+                return
+            yield from grow((*clique, j), [k for k in candidates[n + 1:] if k in later[j]])
+
+    return grow((), list(range(len(later))))
+
+
 def vc_dimension(functions: Sequence, universe: Sequence,
                  cap: int = DEFAULT_SEARCH_CAP) -> DimensionReport:
     """Largest sample size from the universe on which the class realizes all
     binary patterns, by exhaustive subset search.
 
     Outputs must take at most two values.  The class's outputs are read once
-    into an output matrix, members x universe points; at each size the
-    subsets are scored against it in blocks, in ``itertools.combinations``
-    order, and the first shattered one is the witness.  If the subset
-    search at some size would exceed the cap, the best size found so far is
-    returned flagged as a lower bound.
+    into an output matrix, members x universe points, and candidate sets
+    are scored against it in blocks, in ``itertools.combinations`` order;
+    at each size the first shattered one is the witness.  Every subset of a
+    shattered set is shattered, so a set can be shattered only if each of
+    its pairs is: size 2 scores every pair, and each larger size scores
+    only the cliques of the shattered pairs' graph, which keeps the first
+    shattered set first.  If the subset search at some size would exceed
+    the cap (subsets times members, counted over all subsets), the best
+    size found so far is returned flagged as a lower bound.
     """
     functions = list(functions)
     universe = list(universe)
@@ -391,18 +417,27 @@ def vc_dimension(functions: Sequence, universe: Sequence,
     if len(outputs) > 2:
         raise ValueError(f"vc dimension needs binary outputs, saw {sorted(map(repr, outputs))}")
     best = DimensionReport(0, (), True)
-    h = 1
-    while h <= len(universe):
+    for h in range(1, len(universe) + 1):
         if 2**h > len(functions):
             return best
         if math.comb(len(universe), h) * len(functions) > cap:
             return DimensionReport(best.value, best.witness, False)
-        count, found = _first_best(matrix, len(outputs),
-                                   itertools.combinations(range(len(universe)), h), h)
-        if count < 2**h:
-            return best
+        if h == 2:
+            pairs = itertools.combinations(range(len(universe)), 2)
+            shattered = [pair for rows, counts in _scored_blocks(matrix, len(outputs), pairs, 2)
+                         for pair, count in zip(rows, counts.tolist()) if count == 4]
+            if not shattered:
+                return best
+            found, later = shattered[0], [set() for _ in universe]
+            for i, j in shattered:
+                later[i].add(j)
+        else:
+            candidates = (itertools.combinations(range(len(universe)), h) if h == 1
+                          else _cliques(later, h))
+            count, found = _first_best(matrix, len(outputs), candidates, h)
+            if count < 2**h:
+                return best
         best = DimensionReport(h, tuple(universe[i] for i in found), True)
-        h += 1
     return best
 
 

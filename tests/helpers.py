@@ -10,11 +10,21 @@ import sys
 
 import numpy as np
 
+from cascata import complexity
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, Semiautomaton
 from cascata.cascade import Cascade, build_chained, chain_alphabet
 from cascata.primes import make_counter, make_flipflop
 from cascata.specfile import cascade_to_spec
+
+
+def pattern_count(functions, sample) -> int:
+    """Number of distinct output tuples of the class on the sample, scored
+    as the growth and VC searches score a sample."""
+    sample = list(sample)
+    matrix, code = complexity._output_matrix(list(functions), sample)
+    return complexity._first_best(matrix, len(code), [tuple(range(len(sample)))],
+                                  len(sample))[0]
 
 
 def random_external(rng: random.Random, max_arity=2, max_domain=3) -> FactoredAlphabet:

@@ -259,7 +259,7 @@ def test_members_build_chained_and_spec_files_share_alphabets():
 
 
 # ---------------------------------------------------------------------------
-# Iteration builds each part's component once per choice of the parts before.
+# Iteration builds each part's component once per choice of that part.
 # ---------------------------------------------------------------------------
 
 TABLE_CLASS_SPEC = {
@@ -308,17 +308,21 @@ def test_iterated_members_equal_indexed_members(name):
 
 
 @pytest.mark.parametrize("name", ITERATED_CLASSES)
-def test_iterated_members_share_the_components_of_their_earlier_choices(name):
+def test_iterated_members_share_the_components_of_their_choices(name):
     cls = ITERATED_CLASSES[name]
     members = list(cls)
     digits = [mixed_radix_digits(i, cls._radices) for i in range(len(members))]
     for i, j in itertools.combinations(range(len(members)), 2):
         for part, (a, b) in enumerate(zip(members[i].components, members[j].components)):
-            assert (a is b) == (digits[i][:part + 1] == digits[j][:part + 1])
+            assert (a is b) == (digits[i][part] == digits[j][part])
 
 
-def test_family_iteration_builds_each_prefix_component_once(monkeypatch):
-    family, built = SequenceTaskFamily(2), []
+@pytest.mark.parametrize("d, n_members, n_built", [
+    (2, 68, 4 + 17),  # 4 watchers, 17 goals
+    (3, 20_288, 8 + 8 + 317),  # 8 watchers per watcher part, 317 goals
+])
+def test_family_iteration_builds_each_part_choice_once(monkeypatch, d, n_members, n_built):
+    family, built = SequenceTaskFamily(d), []
     init = ComponentAutomaton.__init__
 
     def counted(self, *args, **kwargs):
@@ -326,5 +330,5 @@ def test_family_iteration_builds_each_prefix_component_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ComponentAutomaton, "__init__", counted)
-    assert len(list(family)) == 68 == 4 * 17
-    assert len(built) == 72  # 4 watchers, then 17 goals per watcher
+    assert len(list(family)) == n_members == family.cardinality
+    assert len(built) == n_built == sum(family._radices)

@@ -19,12 +19,13 @@ from cascata.complexity import (
     growth_bound_automata,
     growth_bound_cascade,
     haussler_growth_bound,
-    pattern_count,
     sample_bound_dimension,
     sample_bound_finite,
     vc_dimension,
     verify_growth_propositions,
 )
+
+from helpers import pattern_count
 
 
 def spec(arity=1, degree=1, phi=1, delta=1, theta=1, pi=2, gamma=2, **kw):

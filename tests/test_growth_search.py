@@ -7,6 +7,7 @@ sample's patterns are a Python set of output tuples.  Reports (count or
 value, witness, exactness) must be equal, witnesses included.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -23,12 +24,13 @@ from cascata.complexity import (
     class_dimension,
     empirical_growth,
     graph_dimension,
-    pattern_count,
     vc_dimension,
     verify_growth_propositions,
 )
+from cascata.crafting import SequenceTaskFamily
 from cascata.errors import CapExceededError
 
+from helpers import pattern_count
 from test_complexity import POINTS2, TABLES2
 
 
@@ -308,3 +310,56 @@ def test_search_over_a_large_class_stays_within_its_blocks():
         tracemalloc.stop()
     assert report == GrowthReport(3, 4, (0, 1, 2), True)
     assert peak < 8 * 2**20, peak
+
+
+def scored_rows(monkeypatch) -> collections.Counter:
+    """Per sample width, the samples passed to ``_pattern_counts`` from now on."""
+    rows, score = collections.Counter(), complexity._pattern_counts
+
+    def counted(matrix, n_values, block):
+        rows[block.shape[1]] += len(block)
+        return score(matrix, n_values, block)
+
+    monkeypatch.setattr(complexity, "_pattern_counts", counted)
+    return rows
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_vc_search_stops_at_a_triple_whose_pairs_are_all_shattered(monkeypatch, copies):
+    # the even-parity tables on three points shatter every pair, but not the
+    # triple; with the class listed twice its 8 members admit a triple, the
+    # one clique of the shattered pairs, which is scored and fails
+    tables = ["000", "011", "101", "110"] * copies
+    functions = [lambda x, t=t: int(t[x]) for t in tables]
+    rows = scored_rows(monkeypatch)
+    report = vc_dimension(functions, [0, 1, 2])
+    assert report == DimensionReport(2, (0, 1), True) == \
+        reference_vc_dimension(functions, [0, 1, 2])
+    assert rows == ({1: 3, 2: 3} if copies == 1 else {1: 3, 2: 3, 3: 1})
+
+
+def test_vc_search_scores_only_cliques_of_shattered_pairs_on_the_family(monkeypatch):
+    # the d=2 family's 68 members on its 14 strings of at most 3 letters:
+    # every pair is scored, then only the 32 of 364 triples and the 5 of
+    # 1,001 quadruples whose pairs are all shattered
+    family = SequenceTaskFamily(2)
+    letters = list(family.external.letters())
+    universe = [s for n in range(1, 4) for s in itertools.product(letters, repeat=n)]
+    members = list(family)
+    rows = scored_rows(monkeypatch)
+    report = vc_dimension(members, universe)
+    assert rows == {1: 14, 2: 91, 3: 32, 4: 5}
+    assert report == reference_vc_dimension(members, universe)
+    assert report == DimensionReport(3, tuple(universe[2:5]), True)
+
+
+def test_cliques_come_in_combinations_order():
+    rng = random.Random(21)
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        edges = {pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.6}
+        later = [{j for i2, j in edges if i2 == i} for i in range(n)]
+        for size in range(2, n + 2):
+            expected = [c for c in itertools.combinations(range(n), size)
+                        if all(pair in edges for pair in itertools.combinations(c, 2))]
+            assert list(complexity._cliques(later, size)) == expected
