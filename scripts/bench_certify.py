@@ -1,5 +1,5 @@
 """Timings of the certification layers: iterating the sequence-task
-families, and the growth and VC searches on the d=2 family.
+families, and the growth and VC searches on the d=2 and d=3 families.
 
     python3 scripts/bench_certify.py OUT.json --label change
     python3 scripts/bench_certify.py OUT.json --label parent --src ../parent/src
@@ -12,12 +12,17 @@ It times:
 - ``vc_dimension``: the d=2 family's 68 members on its 14 strings of 1..3
   letters, as the certify-d2 round searches them;
 - ``empirical_growth``: the same members and strings, exact, at
-  ell = 1, 2, 3.
+  ell = 1, 2, 3;
+- the same two searches on the d=3 family's 20,288 members and its 39
+  strings of 1..3 letters: ``empirical_growth`` at ell = 1, where reading
+  the output matrix is nearly all the work, and ``vc_dimension`` under the
+  default cap, which stops after size 1.
 
 Every input is fixed and the searches are exhaustive, so nothing is drawn.
 Each time is the median of ``REPEATS`` calls (``ITERATE_REPEATS[d]`` for
-the iteration).  Each search runs on freshly iterated members, so every
-call steps its members cold, as the certify round does.  Each search's
+the iteration, ``SEARCH_REPEATS[d]`` for the searches).  Each search runs
+on freshly iterated members, so every call steps its members cold, as the
+certify round does.  Each search's
 report is kept beside its time, so two labels' reports can be compared.
 The results are added to OUT.json under the label, beside those of other
 labels, with the Python and numpy versions and the CPU count.  Only
@@ -40,7 +45,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 30
 ITERATE_REPEATS = {2: REPEATS, 3: 5}
-ELLS = (1, 2, 3)
+SEARCH_REPEATS = {2: REPEATS, 3: 3}
+ELLS = {2: (1, 2, 3), 3: (1,)}
 MAX_LEN = 3
 
 
@@ -61,20 +67,20 @@ def bench_iterate(d: int) -> dict:
             "iterate_s": statistics.median(t for _, t in runs)}
 
 
-def bench_searches() -> dict:
+def bench_searches(d: int) -> dict:
     from cascata.complexity import empirical_growth, vc_dimension
     from cascata.crafting import SequenceTaskFamily
 
-    family = SequenceTaskFamily(2)
+    family = SequenceTaskFamily(d)
     letters = list(family.external.letters())
     universe = [s for n in range(1, MAX_LEN + 1) for s in itertools.product(letters, repeat=n)]
     searches = {"vc_dimension": lambda members: vc_dimension(members, universe)}
-    for ell in ELLS:
+    for ell in ELLS[d]:
         searches[f"empirical_growth_ell{ell}"] = (
             lambda members, ell=ell: empirical_growth(members, universe, ell, mode="exact"))
     result = {"universe": len(universe)}
     for name, search in searches.items():
-        runs = [timed(search, list(family)) for _ in range(REPEATS)]
+        runs = [timed(search, list(family)) for _ in range(SEARCH_REPEATS[d])]
         result[f"{name}_s"] = statistics.median(t for _, t in runs)
         result[f"{name}_report"] = runs[0][0]._asdict()
     return result
@@ -94,8 +100,9 @@ def main(argv=None) -> int:
     bench[args.label] = {
         "python": platform.python_version(), "numpy": numpy.__version__,
         "nproc": len(os.sched_getaffinity(0)), "repeats": REPEATS,
+        "search_repeats": SEARCH_REPEATS,
         **{f"iterate_d{d}": bench_iterate(d) for d in ITERATE_REPEATS},
-        "search_d2": bench_searches(),
+        **{f"search_d{d}": bench_searches(d) for d in SEARCH_REPEATS},
     }
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
     print(json.dumps({args.label: bench[args.label]}, indent=2))

@@ -695,6 +695,9 @@ class ComponentAutomaton:
         self.input_fn = input_fn
         self.core = core
         self.name = name or "component"
+        # what a cascade steps this component by, per producer output orders
+        # (``cascade._wired``), shared by every cascade holding it
+        self._wirings: dict = {}
 
         outputs = output_values(output_fn, core, outputs)
         self.output_kind = "table" if callable(output_fn) else output_fn

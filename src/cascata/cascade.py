@@ -14,10 +14,14 @@ arrays; scalar stepping reads them through flat views, which copy nothing.
 
 Stepping keeps two forms, a scalar and a vectorized one.  ``run`` fills its
 memo through ``_advance``, one component at a time; ``_step`` does the same
-on int arrays that broadcast together.  Both read what ``_wired`` gathers
-for each component, as views and as arrays.  ``_product_tables`` steps every
-product state on every given letter at once through ``_step``: ``flatten``
-builds the whole product table that way, over every external letter.
+on int arrays that broadcast together.  Both read each component's wiring
+(``_wired``), as views and as arrays: its flat tables and what each input
+coordinate adds to its letter index.  A wiring is built once per component
+and producer output orders and shared by every cascade holding the
+component, so the 68 members of the d=2 family read 21.
+``_product_tables`` steps every product state on every given letter at once
+through ``_step``: ``flatten`` builds the whole product table that way,
+over every external letter.
 ``run_many`` steps many strings together, a position at a time.  When the
 product's table over the batch's letters has no more entries than the batch
 has letters, it builds that table and steps on it, one multiply-add and two
@@ -25,8 +29,13 @@ gathers per position, as ``FlatAutomaton.run_many`` does; otherwise it
 steps component by component through ``_step``.  Either way its work is at
 most strings times letters times components, whatever the product's size.
 On a 2-CPU host a d=2 family member flattens in about 80 us and runs its 6
-strings cold in about 36 us, and certification builds 68 fresh members per
-round; ``_advance`` also fills the memo for products past the flatten caps.
+strings cold in about 36 us; ``_advance`` also fills the memo for products
+past the flatten caps.
+
+``stacked_output_matrix`` runs many cascades over one external alphabet
+on many strings at once, for the certification searches: their components
+are grouped by identity into levels of distinct prefixes, each stepped once
+for every member holding it, with the wirings of a level laid end to end.
 
 A ``CascadeClass`` iterates its members as the product of its parts'
 components, each built once per choice of its part: 21 components for the
@@ -70,6 +79,64 @@ class StepResult(NamedTuple):
     component_outputs: tuple
 
 
+class _Wiring:
+    """What stepping ``comp`` in a cascade reads, when the components
+    before it output ``producers`` (their output values, in code order):
+    ``next_array`` and ``out_array`` flattened, indexed ``q * k + x``;
+    ``k``, its projected letter count; and per dependency, (coordinate,
+    code -> the code's share of the projected letter's index).  A chained
+    coordinate's code is its producer's output code, hence the values in
+    the producer's order.  The arrays are C-contiguous, so flattening them
+    copies nothing."""
+
+    def __init__(self, comp: ComponentAutomaton, producers: tuple):
+        base = comp.alphabet.arity - len(producers)
+        self.next_array = comp.next_array.reshape(-1)
+        self.out_array = comp.out_array.reshape(-1)
+        self.k = comp.next_array.shape[1]
+        self.inputs = tuple(
+            (j - 1, [place[v] for v in (coord.values if j <= base else producers[j - 1 - base])])
+            for j, coord, place in zip(comp.dependencies.indices, comp.projected.coords,
+                                       comp.projected.places))
+        # per coordinate, how many codes it takes; the initial state's row start
+        self.widths = (*(len(c.values) for c in comp.alphabet.coords[:base]), *map(len, producers))
+        self.initial = comp.core.initial_index * self.k
+
+    @_lazy_attribute
+    def views(self) -> tuple:
+        """What ``_advance`` reads: the arrays as views, read as Python
+        ints, which copy nothing."""
+        return memoryview(self.next_array), memoryview(self.out_array), self.k, self.inputs
+
+    @_lazy_attribute
+    def arrays(self) -> tuple:
+        """What ``_step`` reads: each contribution as an int array."""
+        return (self.next_array, self.out_array, self.k,
+                tuple((j, np.array(contribution, dtype=np.intp))
+                      for j, contribution in self.inputs))
+
+    @_lazy_attribute
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """What ``stacked_output_matrix`` reads: ``next_array`` times ``k``
+        (a next state's row start), every coordinate's contributions laid
+        end to end, zeros for a coordinate not read, and where each
+        coordinate's begin."""
+        read, flat, starts = dict(self.inputs), [], []
+        for j, width in enumerate(self.widths):
+            starts.append(len(flat))
+            flat += read.get(j) or [0] * width
+        return self.next_array * self.k, np.array(flat, dtype=np.intp), starts
+
+
+def _wired(comp: ComponentAutomaton, producers: tuple) -> _Wiring:
+    """``comp``'s wiring behind ``producers``, built once per component and
+    producer output orders, however many cascades hold the component."""
+    wiring = comp._wirings.get(producers)
+    if wiring is None:
+        wiring = comp._wirings.setdefault(producers, _Wiring(comp, producers))
+    return wiring
+
+
 class Cascade:
     def __init__(self, components):
         self.components = tuple(components)
@@ -104,35 +171,23 @@ class Cascade:
         self._memo_size = 0
         self._memo_lock = threading.Lock()
 
-    def _wired(self, comp: ComponentAutomaton) -> tuple:
-        """What stepping ``comp`` reads: its ``next_array`` and ``out_array``
-        flattened, indexed ``q * k + x``; ``k``, its projected letter count;
-        and per dependency, (coordinate, code -> the code's share of the
-        projected letter's index).  A chained coordinate's code is its
-        producer's output code, hence the values in the producer's order.
-        The arrays are C-contiguous, so flattening them copies nothing."""
-        base = self.external.arity
-        return (comp.next_array.reshape(-1), comp.out_array.reshape(-1), comp.next_array.shape[1],
-                tuple((j - 1, [place[v] for v in (coord.values if j <= base
-                                                  else self.components[j - 1 - base].outputs)])
-                      for j, coord, place in zip(comp.dependencies.indices,
-                                                 comp.projected.coords, comp.projected.places)))
+    def _wirings(self) -> Iterator[_Wiring]:
+        """Each component's ``_Wiring``, shared with every cascade that
+        holds the component behind producers of the same output orders."""
+        producers = ()
+        for comp in self.components:
+            yield _wired(comp, producers)
+            producers += (comp.outputs,)
 
     @_lazy_attribute
     def _wiring(self) -> tuple:
-        """Per component, what ``_advance`` reads: ``_wired`` with the arrays
-        as views, read as Python ints, which copy nothing."""
-        return tuple((memoryview(next_array), memoryview(out_array), k, inputs)
-                     for next_array, out_array, k, inputs in map(self._wired, self.components))
+        """Per component, what ``_advance`` reads: its wiring's ``views``."""
+        return tuple(wiring.views for wiring in self._wirings())
 
     @_lazy_attribute
     def _arrays(self) -> tuple:
-        """Per component, what ``_step`` reads: ``_wired`` with each
-        contribution as an int array."""
-        return tuple((next_array, out_array, k,
-                      tuple((j, np.array(contribution, dtype=np.intp))
-                            for j, contribution in inputs))
-                     for next_array, out_array, k, inputs in map(self._wired, self.components))
+        """Per component, what ``_step`` reads: its wiring's ``arrays``."""
+        return tuple(wiring.arrays for wiring in self._wirings())
 
     @property
     def depth(self) -> int:
@@ -334,6 +389,169 @@ def _product_labels(cores, codes: np.ndarray) -> list[tuple]:
         codes, digit = np.divmod(codes, core.n_states)
         digits.append(map(core.states.__getitem__, digit.tolist()))
     return list(zip(*reversed(digits)))
+
+
+def _automaton(fn):
+    """The automaton that calling ``fn`` runs, when ``fn`` is a ``Cascade``
+    or a ``FlatAutomaton`` or its bound ``run`` or ``__call__`` (and the
+    class keeps that ``run``); otherwise None.  Sampling, risk estimates and
+    the certification searches step ``fn``'s arrays instead of calling it
+    exactly when this finds an automaton."""
+    if type(fn) is Cascade or type(fn) is FlatAutomaton:  # the common case, decided at once
+        return fn
+    owner = getattr(fn, "__self__", fn)
+    run = getattr(type(owner), "run", None)
+    if run is not Cascade.run and run is not FlatAutomaton.run:
+        return None
+    called = type(owner).__call__ if fn is owner else getattr(fn, "__func__", None)
+    return owner if called is run else None
+
+
+class _Level(NamedTuple):
+    """One level of ``stacked_output_matrix``.  Its distinct wirings'
+    tables are laid end to end, and a state is held as the start of its
+    row there, ``q * k`` plus its wiring's offset, so ``next_array`` holds
+    next states' starts.  Per row (a distinct component prefix): its
+    wiring and its initial state's start.  Per letter and wiring: the
+    external coordinates' contributions.  ``contributions`` holds the
+    wirings' contributions (``_Wiring.stacked``) end to end, and
+    ``chained`` per chained coordinate read here (producer level, per row
+    where its contributions begin, per row its ancestor row at the
+    producer level)."""
+
+    next_array: np.ndarray
+    out_array: np.ndarray
+    wiring: np.ndarray
+    initial: np.ndarray
+    external: np.ndarray
+    contributions: np.ndarray
+    chained: tuple
+
+
+#: The most entries (strings x component prefixes) that one block of
+#: ``stacked_output_matrix`` steps at once, so that its working arrays stay
+#: small next to the output matrix however many strings it reads.
+STACKED_BLOCK_ENTRIES = 1 << 20
+
+
+def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dict] | None:
+    """The members x points matrix of output codes of ``cascades`` on
+    ``points`` and the code of each output, as calling each cascade on each
+    point gives them (``complexity._output_matrix``), or None unless the
+    cascades share one external alphabet and one depth and every point is a
+    string of hashable letters.  Outputs are numbered by first occurrence,
+    points outer and members inner, and outputs that compare equal share a
+    code; the first point that ``run`` rejects is passed to the first
+    cascade's ``run``, which raises its error (``letter_table``).
+
+    Every member steps at once, a position at a time, as ``run_many`` steps
+    strings (``letter_positions``), on blocks of strings of at most
+    ``STACKED_BLOCK_ENTRIES`` strings x prefixes.  The members' components are grouped by
+    identity into levels: a row of level i is a distinct prefix
+    (c_0, ..., c_i), stepped once for all members holding it, and a chained
+    coordinate reads its ancestor row's output codes.  A row's wiring is
+    ``_wired``'s, shared by every row and cascade with that component
+    behind the same producer output orders, and each level's distinct
+    wirings are laid end to end.  The memo of ``run`` is neither read nor
+    filled."""
+    first, depth = cascades[0], len(cascades[0].components)
+    if any(c.external is not first.external or len(c.components) != depth for c in cascades):
+        return None
+    try:
+        strings = [tuple(x) for x in points]
+        numbering: dict = {}
+        codes = [numbering.setdefault(a, len(numbering)) for s in strings for a in s]
+    except TypeError:  # not a string, or an unhashable letter: the per-call loop raises
+        return None
+    letters = list(numbering)
+    codes = np.array(codes, dtype=np.intp)
+    lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
+    table = letter_table(letters, codes, lengths, first.external.encode, first.external.arity,
+                         first.run)
+    levels, comps, row_of = _stacked_levels(cascades, table)
+    row_wiring = levels[-1].wiring
+    raw = np.empty((len(strings), len(row_wiring)), dtype=np.intp)  # points x last-level rows
+    size = max(1, STACKED_BLOCK_ENTRIES // max(len(level.wiring) for level in levels))
+    ends = np.cumsum(lengths)
+    for lo in range(0, len(strings), size):
+        hi = min(lo + size, len(strings))
+        block = codes[ends[lo] - lengths[lo]:ends[hi - 1]]
+        states = [level.initial[None] for level in levels]
+        for index, ending in letter_positions(lengths[lo:hi]):
+            m, letter, outs = len(index), block[index], []
+            for i, level in enumerate(levels):
+                x = level.external[letter][:, level.wiring]
+                x += states[i][:m]
+                for producer, start, ancestor in level.chained:
+                    x += level.contributions[start + outs[producer][:, ancestor]]
+                states[i] = level.next_array[x]
+                if i < depth - 1:
+                    outs.append(level.out_array[x])
+            raw[lo + ending] = levels[-1].out_array[x[m - len(ending):]]
+    # every output value numbered once, equal values alike
+    value_ids, starts, ids = {}, {}, []
+    for comp in comps:
+        if comp.outputs not in starts:
+            starts[comp.outputs] = len(ids)
+            ids += [value_ids.setdefault(v, len(value_ids)) for v in comp.outputs]
+    offsets = np.array([starts[comp.outputs] for comp in comps], dtype=np.intp)[row_wiring]
+    by_row = np.array(ids, dtype=np.intp)[raw + offsets]
+    # rows are numbered in order of their first member, so values first
+    # occur in the same order among rows, points outer, as among members
+    present = np.bincount(by_row.ravel(), minlength=len(value_ids)).nonzero()[0].tolist()
+    renumber = np.empty(len(value_ids), dtype=np.int64)
+    code: dict = {}
+    for first, v in sorted((int((by_row == v).argmax()), v) for v in present):
+        renumber[v] = len(code)
+        code[comps[row_wiring[first % len(row_wiring)]].outputs[raw.flat[first]]] = len(code)
+    return renumber[by_row][:, row_of].T, code
+
+
+def _stacked_levels(cascades: list, table: np.ndarray) -> tuple:
+    """``stacked_output_matrix``'s levels over the letters whose external
+    coordinate codes are the rows of ``table``; the component of each of
+    the last level's wirings, and each member's row there."""
+    base = cascades[0].external.arity
+    row_of = [0] * len(cascades)  # per member, its row at the level before
+    producer_class = [0]  # per row there, the class of its children's producers
+    classes: dict = {(): 0}  # producer output orders, numbered
+    ancestors: list = []  # per level before, each row's ancestor row there
+    levels = []
+    for column in zip(*(c.components for c in cascades)):
+        rows: dict = {}  # (parent row, component) -> row, in order of first member
+        row_of = [rows.setdefault(key, len(rows)) for key in zip(row_of, column)]
+        # a row's wiring is its component's behind its parent's producers
+        numbers: dict = {}
+        row_wiring = np.array([numbers.setdefault((producer_class[p], c), len(numbers))
+                               for p, c in rows], dtype=np.intp)
+        orders = list(classes)
+        wired = [(c, orders[n]) for n, c in numbers]
+        wirings = [_wired(comp, producers) for comp, producers in wired]
+        if levels:
+            row_parent = np.fromiter((p for p, _ in rows), dtype=np.intp, count=len(rows))
+            ancestors = [a[row_parent] for a in ancestors] + [row_parent]
+        stacked = [w.stacked for w in wirings]
+        sizes = [len(w.next_array) for w in wirings]
+        offsets = [0, *itertools.accumulate(sizes)]
+        widths = [0, *itertools.accumulate(len(flat) for _, flat, _ in stacked)]
+        # per wiring and coordinate, where its contributions begin
+        starts = np.array([s for _, _, s in stacked], dtype=np.intp)
+        starts += np.array(widths[:-1], dtype=np.intp)[:, None]
+        contributions = np.concatenate([flat for _, flat, _ in stacked])
+        # per letter and wiring, the external coordinates' contributions
+        letters = contributions[starts[:, :base] + table[:, None]].sum(axis=2)
+        chained = tuple((j - base, starts[row_wiring, j], ancestors[j - base])
+                        for j in sorted({j for w in wirings for j, _ in w.inputs if j >= base}))
+        levels.append(_Level(
+            np.concatenate([scaled for scaled, _, _ in stacked]) + np.repeat(offsets[:-1], sizes),
+            np.concatenate([w.out_array for w in wirings]), row_wiring,
+            np.array([w.initial + offset for w, offset in zip(wirings, offsets)],
+                     dtype=np.intp)[row_wiring], letters, contributions, chained))
+        classes = {}
+        producer_class = [classes.setdefault((*producers, comp.outputs), len(classes))
+                          for comp, producers in wired]
+        producer_class = [producer_class[w] for w in row_wiring.tolist()]
+    return levels, [comp for comp, _ in wired], np.array(row_of, dtype=np.intp)
 
 
 def chain_alphabet(external: FactoredAlphabet, components_so_far) -> FactoredAlphabet:

@@ -9,15 +9,20 @@ are instantiated with explicit constants, documented below; those constants
 are instantiations, not claims carried by the bound statements themselves.
 
 The empirical searches read a class once into an output matrix, members x
-the points a search can use, with each function called once per point and
-the outputs numbered by first occurrence.  Candidate samples are then
-scored against the matrix in blocks of at most ``BLOCK_ENTRIES`` outputs:
-a sample's outputs are packed into int64 keys (``automata.packed_keys``)
-and sorted along the member axis, and the count of distinct keys is its
-pattern count.  Witnesses are the first samples, in candidate order, with
-the maximum count (growth) or shattered (VC).  Growth candidates are every
-subset of the search's size; VC candidates past size 2 are only the sets
-whose pairs are all shattered, the cliques of the shattered pairs' graph.
+the points a search can use, with the outputs numbered by first occurrence
+(points outer, members inner).  When every member is a plain ``Cascade``
+(itself, or its bound ``run`` or ``__call__``) and all share one external
+alphabet and one depth, the members are stepped together on their
+components' arrays, each distinct component prefix once
+(``cascade.stacked_output_matrix``); otherwise each function is called
+once per point.  Candidate samples are then scored against the matrix in
+blocks of at most ``BLOCK_ENTRIES`` outputs: a sample's outputs are packed
+into int64 keys (``automata.packed_keys``) and sorted along the member
+axis, and the count of distinct keys is its pattern count.  Witnesses are
+the first samples, in candidate order, with the maximum count (growth) or
+shattered (VC).  Growth candidates are every subset of the search's size;
+VC candidates past size 2 are only the sets whose pairs are all shattered,
+the cliques of the shattered pairs' graph.
 
 Logs are base 2 throughout; the natural log appears only inside the explicit
 finite-class constant.
@@ -261,9 +266,26 @@ BLOCK_ENTRIES = 1 << 14
 
 def _output_matrix(functions: list, points: list) -> tuple[np.ndarray, dict]:
     """The members x points int matrix of output codes, and the code of
-    each output.  Each function is called once per point, a point at a
-    time; outputs are numbered by first occurrence, and outputs that compare
-    equal (``1`` and ``True``) share a code."""
+    each output; outputs are numbered by first occurrence, points outer and
+    members inner, and outputs that compare equal (``1`` and ``True``)
+    share a code.
+
+    When every function runs a plain ``Cascade`` (itself, or its bound
+    ``run`` or ``__call__``, as ``cascade._automaton`` decides for sampling
+    and risk estimates too) and the cascades share one external alphabet
+    and one depth, the members are stepped together, each distinct
+    component prefix once (``cascade.stacked_output_matrix``).  Otherwise,
+    or when a point is not a string of hashable letters, each function is
+    called once per point, a point at a time."""
+    from .cascade import Cascade, _automaton, stacked_output_matrix  # cascade imports this module
+
+    # the first function that runs no cascade ends the check
+    cascades = list(itertools.takewhile(lambda a: isinstance(a, Cascade),
+                                        map(_automaton, functions)))
+    if cascades and len(cascades) == len(functions):
+        stacked = stacked_output_matrix(cascades, points)
+        if stacked is not None:
+            return stacked
     code: dict = {}
     matrix = np.empty((len(functions), len(points)), dtype=np.int64)
     for j, x in enumerate(points):

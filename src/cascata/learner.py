@@ -11,9 +11,10 @@ Strings are drawn in bulk: ``StringDistribution.draw`` takes a plain
 leaving the generator where drawing them one value at a time would.
 ``draw_sample`` labels the strings, and ``estimate_risk`` scores them,
 through ``run_many`` when the function is an automaton (a ``Cascade`` or a
-``FlatAutomaton``), given itself or as its bound ``run`` or ``__call__``:
-all strings are stepped together on the automaton's arrays and no string
-is built to score them.  Any other callable is called once per string.
+``FlatAutomaton``), given itself or as its bound ``run`` or ``__call__``
+(``cascade._automaton``, which the certification searches share): all
+strings are stepped together on the automaton's arrays and no string is
+built to score them.  Any other callable is called once per string.
 ``draw_sample`` keeps the codes and lengths it drew on the sample
 (``LabeledSample.drawn``), and ``erm_select`` hands the whole sample to a
 class's ERM kernel (``erm``), which reads those codes rather than the
@@ -30,8 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .automata import FlatAutomaton
-from .cascade import Cascade
+from .cascade import _automaton
 
 
 def zero_one_loss(a, b) -> int:
@@ -222,18 +222,6 @@ def _drawn_values(rng: random.Random, n: int, max_len: int) -> tuple[np.ndarray,
         key = _untempered(np.concatenate(words)[start:start + 624]).tolist()
     rng.setstate((version, (*key, index + 1), gauss_next))
     return np.concatenate(blocks)[:end], np.frombuffer(starts, dtype=bool)[:end]
-
-
-def _automaton(fn):
-    """The automaton that calling ``fn`` runs, when ``fn`` is a ``Cascade``
-    or a ``FlatAutomaton`` or its bound ``run`` or ``__call__`` (and the
-    class keeps that ``run``); otherwise None."""
-    owner = getattr(fn, "__self__", fn)
-    run = getattr(type(owner), "run", None)
-    if run is not Cascade.run and run is not FlatAutomaton.run:
-        return None
-    called = type(owner).__call__ if fn is owner else getattr(fn, "__func__", None)
-    return owner if called is run else None
 
 
 def _draw(dist: StringDistribution, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

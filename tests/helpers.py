@@ -11,9 +11,9 @@ import sys
 import numpy as np
 
 from cascata import complexity
-from cascata.alphabets import FactoredAlphabet
+from cascata.alphabets import FactoredAlphabet, TableClass
 from cascata.automata import ComponentAutomaton, Semiautomaton
-from cascata.cascade import Cascade, build_chained, chain_alphabet
+from cascata.cascade import Cascade, CascadeClass, ClassPart, build_chained, chain_alphabet
 from cascata.primes import make_counter, make_flipflop
 from cascata.specfile import cascade_to_spec
 
@@ -104,6 +104,46 @@ def cascade_with_counter(rng: random.Random, modulus=5, max_d=3) -> Cascade:
                 core=make_flipflop(with_reset=rng.random() < 0.5),
                 output=rng.choice(["state", "random"]), name=f"k{i}"))
     return Cascade(comps)
+
+
+def random_cascade_class(rng: random.Random, external: FactoredAlphabet, depth: int,
+                         last_outputs=None) -> CascadeClass:
+    """A class of ``depth`` parts over ``external``.  Each part reads one or
+    two coordinates of its chained alphabet (at most 4 projected letters)
+    through the tables of a ``TableClass`` into a random core of at most 2
+    letters, so it has at most 16 choices.  It outputs its state, its next
+    state, or a random table over values drawn from a few sets, among them
+    ``(0, 1)`` and ``(False, True)``; ``last_outputs`` fixes the last
+    part's table values."""
+    parts, alphabet = [], external
+    for i in range(depth):
+        coordinates = list(range(1, alphabet.arity + 1))
+        rng.shuffle(coordinates)
+        deps = coordinates[:1]
+        if len(coordinates) > 1 and rng.random() < 0.5:
+            deps.append(coordinates[1])
+        projected = alphabet.project(deps)
+        if projected.n_letters > 4:
+            deps, projected = deps[:1], alphabet.project(deps[:1])
+        core = random_semiautomaton(rng, max_states=3, max_letters=2)
+        values = last_outputs if i == depth - 1 and last_outputs else None
+        kind = "table" if values else rng.choice(["state", "next_state", "table"])
+        if kind == "table":
+            values = values or rng.choice([("g0", "g1", "g2"), (0, 1), (False, True), ("g0",)])
+            theta = {(q, x): rng.choice(values) for q in core.states for x in projected.letters()}
+            output_fn, outputs = (lambda q, x, t=theta: t[(q, x)]), tuple(values)
+        else:
+            output_fn, outputs = kind, None
+        parts.append(ClassPart(f"k{i}", tuple(sorted(deps)), TableClass(projected, core.alphabet),
+                               core, output_fn, outputs))
+        alphabet = alphabet.extend(f"k{i}", outputs or core.states)
+    return CascadeClass(external, parts)
+
+
+def random_strings(rng: random.Random, letters, n: int, max_len: int) -> list[tuple]:
+    """``n`` strings of 1..``max_len`` letters drawn uniformly."""
+    return [tuple(rng.choice(letters) for _ in range(rng.randint(1, max_len)))
+            for _ in range(n)]
 
 
 def million_state_counter_spec() -> dict:

@@ -27,10 +27,11 @@ from cascata.complexity import (
     vc_dimension,
     verify_growth_propositions,
 )
+from cascata.cascade import stacked_output_matrix
 from cascata.crafting import SequenceTaskFamily
 from cascata.errors import CapExceededError
 
-from helpers import pattern_count
+from helpers import pattern_count, random_cascade_class, random_external, random_strings
 from test_complexity import POINTS2, TABLES2
 
 
@@ -171,6 +172,36 @@ def test_vc_and_graph_dimension_match_the_reference_on_random_classes(blocks):
         assert class_dimension(functions, points, values, cap) == \
             (graph if len(values) > 2 else reference_vc_dimension(functions, points, cap))
         assert pattern_count(functions, points) == reference_pattern_count(functions, points)
+
+
+def cascade_class(rng: random.Random, depth: int, values=None):
+    """Members of a random cascade class, some listed twice, and distinct
+    strings of 1..3 letters over its alphabet; ``values`` fixes the last
+    part's output values."""
+    external = random_external(rng)
+    cls = random_cascade_class(rng, external, depth, values)
+    members = list(itertools.islice(cls, rng.randint(1, 70)))
+    members += rng.choices(members, k=rng.randint(0, 5))
+    points = random_strings(rng, list(external.letters()), rng.randint(1, 9), 3)
+    return members, list(dict.fromkeys(points))
+
+
+def test_growth_and_vc_match_the_reference_on_cascade_classes(blocks):
+    # cascade members are stepped together, never called, to read the
+    # output matrix; the references call each member once per point
+    rng = random.Random(31)
+    for trial in range(45):
+        members, points = cascade_class(rng, 1 + trial % 3, (0, 1) if trial % 3 else None)
+        assert stacked_output_matrix(members, points) is not None
+        for ell in range(0, 4):
+            for mode in ("exact", "heuristic"):
+                kwargs = dict(mode=mode, seed=trial, restarts=rng.randint(0, 30))
+                assert outcome(empirical_growth, members, points, ell, **kwargs) == \
+                    outcome(reference_empirical_growth, members, points, ell, **kwargs)
+        cap = rng.choice([DEFAULT_SEARCH_CAP, 200])
+        assert outcome(vc_dimension, members, points, cap) == \
+            outcome(reference_vc_dimension, members, points, cap)
+        assert pattern_count(members, points) == reference_pattern_count(members, points)
 
 
 def test_vc_search_rejects_more_than_two_outputs_like_the_reference():

@@ -800,9 +800,20 @@ def test_cli_growth_family(tmp_path, capsys):
     spec = tmp_path / "class.json"
     spec.write_text(json.dumps({"family": "sequence_tasks", "d": 2}))
     assert main(["growth", str(spec), "--ell", "1", "2", "--max-len", "2"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("ell")
-    assert all("ok" in line for line in out[1:])
+    assert capsys.readouterr().out.splitlines() == [
+        "ell  patterns  bound  verdict", "1  2  16  ok", "2  4  36  ok"]
+
+
+@pytest.mark.parametrize("args, lines", [
+    (["--ell", "1", "2", "3"], ["1  2  24  ok", "2  4  36  ok", "3  8  36  ok"]),
+    (["--ell", "2", "--mode", "heuristic"], ["2  4 (lower bound)  36  ok"]),
+])
+def test_cli_growth_family_on_the_certified_universe(tmp_path, capsys, args, lines):
+    # the d=2 family on its 14 strings of 1..3 letters, as certify-d2 reads it
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"family": "sequence_tasks", "d": 2}))
+    assert main(["growth", str(spec), "--max-len", "3", *args]) == 0
+    assert capsys.readouterr().out.splitlines() == ["ell  patterns  bound  verdict", *lines]
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
