@@ -22,9 +22,14 @@ the family's ``sequence_target``), it times:
 - ``learning_curve``: one point at that sample size, 2,500 Monte-Carlo
   strings and a realizable baseline, over 5, 2 and 1 trials at d = 3, 4, 5.
 
-Each of the first five is the median of ``REPEATS`` calls on the seeds
-from ``SEED`` on (``erm_select`` of ``ERM_REPEATS[d]`` calls); the curve
-point is timed once, on ``SEED``.  The results are added to OUT.json under
+Under ``counter16`` it times ``Cascade.run_many`` past its table rule, on
+the modulus-16 counter scenario (16,384 product states over 6 letters,
+more entries than the batches have letters): 50 and 2,000 strings of 1..20
+letters, uniform over its letters, given as letter codes.
+
+Each of the first five, and each ``counter16`` row, is the median of
+``REPEATS`` calls on the seeds from ``SEED`` on (``erm_select`` of
+``ERM_REPEATS[d]`` calls); the curve point is timed once, on ``SEED``.  The results are added to OUT.json under
 the label, beside those of other labels, with the Python and numpy versions
 and the CPU count.  Only cascata's public learning API is called, so the
 script runs against older sources (``--src``) too.
@@ -103,6 +108,22 @@ def bench_family(d: int) -> dict:
     return result
 
 
+def bench_counter() -> dict:
+    from cascata.crafting import build_counter_task_cascade
+    from cascata.learner import StringDistribution
+
+    cascade = build_counter_task_cascade(16)
+    dist = StringDistribution(tuple(cascade.external.letters()), max_len=20)
+    result = {"product_states": cascade.product_size()}
+    for n in (50, 2000):
+        batches = [dist.draw(n, random.Random(s)) for s in range(SEED, SEED + REPEATS)]
+        assert all(cascade.product_size() * len(dist.alphabet) > len(codes)
+                   for codes, _ in batches)  # past the table rule
+        result[f"run_many_{n}_s"] = statistics.median(
+            timed(cascade.run_many, dist.alphabet, codes, lengths)[1] for codes, lengths in batches)
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="JSON file to add the results to")
@@ -117,7 +138,7 @@ def main(argv=None) -> int:
     bench[args.label] = {
         "python": platform.python_version(), "numpy": numpy.__version__,
         "nproc": len(os.sched_getaffinity(0)), "seed": SEED, "repeats": REPEATS,
-        **{f"d{d}": bench_family(d) for d in TRIALS},
+        **{f"d{d}": bench_family(d) for d in TRIALS}, "counter16": bench_counter(),
     }
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
     print(json.dumps({args.label: bench[args.label]}, indent=2))

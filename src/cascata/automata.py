@@ -472,12 +472,6 @@ class FlatAutomaton:
 
     # -- reachability and minimization ----------------------------------------
 
-    def reachable_states(self):
-        """Reachable states in BFS discovery order (letters in alphabet
-        order), starting at the initial state."""
-        order = bfs_order(self.delta_array, self.core.initial_index)
-        return [self.states[q] for q in order.tolist()]
-
     def restrict(self, letters) -> "FlatAutomaton":
         """Sub-automaton over a subset of the alphabet."""
         letters = tuple(letters)

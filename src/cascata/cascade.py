@@ -12,30 +12,25 @@ under a lock, so one cascade may be run from several threads.  Building,
 flattening, serializing and stepping a cascade all read its components'
 arrays; scalar stepping reads them through flat views, which copy nothing.
 
-Stepping keeps two forms, a scalar and a vectorized one.  ``run`` fills its
-memo through ``_advance``, one component at a time; ``_step`` does the same
-on int arrays that broadcast together.  Both read each component's wiring
-(``_wired``), as views and as arrays: its flat tables and what each input
-coordinate adds to its letter index.  A wiring is built once per component
+Stepping takes three forms.  ``run`` fills its memo through the scalar
+``_advance``, one component at a time.  The broadcast pass
+``_product_tables`` steps every product state on every given letter at
+once, each component on the axes it depends on; ``flatten`` builds the
+product table that way.  The level kernel ``_step_levels`` steps many
+strings together, a position at a time, through levels of distinct
+component prefixes, each stepped once for every cascade holding it:
+``stacked_output_matrix`` steps a class's members on it for the
+certification searches, and ``run_many`` its one member when the product's
+table over the batch's letters would have more entries than the batch has
+letters (otherwise it steps on that table, as ``FlatAutomaton.run_many``
+does).  All three read each component's wiring (``_wired``), its flat
+tables and what each input coordinate adds to its letter index, as views
+(``_advance``) or as one int array.  A wiring is built once per component
 and producer output orders and shared by every cascade holding the
-component, so the 68 members of the d=2 family read 21.
-``_product_tables`` steps every product state on every given letter at once
-through ``_step``: ``flatten`` builds the whole product table that way,
-over every external letter.
-``run_many`` steps many strings together, a position at a time.  When the
-product's table over the batch's letters has no more entries than the batch
-has letters, it builds that table and steps on it, one multiply-add and two
-gathers per position, as ``FlatAutomaton.run_many`` does; otherwise it
-steps component by component through ``_step``.  Either way its work is at
-most strings times letters times components, whatever the product's size.
-On a 2-CPU host a d=2 family member flattens in about 80 us and runs its 6
-strings cold in about 36 us; ``_advance`` also fills the memo for products
-past the flatten caps.
-
-``stacked_output_matrix`` runs many cascades over one external alphabet
-on many strings at once, for the certification searches: their components
-are grouped by identity into levels of distinct prefixes, each stepped once
-for every member holding it, with the wirings of a level laid end to end.
+component, so the 68 members of the d=2 family read 21.  On a 2-CPU host a
+d=2 family member flattens in about 80 us and runs its 6 strings cold in
+about 36 us; ``_advance`` also fills the memo for products past the
+flatten caps.
 
 A ``CascadeClass`` iterates its members as the product of its parts'
 components, each built once per choice of its part: 21 components for the
@@ -98,9 +93,8 @@ class _Wiring:
             (j - 1, [place[v] for v in (coord.values if j <= base else producers[j - 1 - base])])
             for j, coord, place in zip(comp.dependencies.indices, comp.projected.coords,
                                        comp.projected.places))
-        # per coordinate, how many codes it takes; the initial state's row start
+        # per coordinate, how many codes it takes
         self.widths = (*(len(c.values) for c in comp.alphabet.coords[:base]), *map(len, producers))
-        self.initial = comp.core.initial_index * self.k
 
     @_lazy_attribute
     def views(self) -> tuple:
@@ -109,23 +103,15 @@ class _Wiring:
         return memoryview(self.next_array), memoryview(self.out_array), self.k, self.inputs
 
     @_lazy_attribute
-    def arrays(self) -> tuple:
-        """What ``_step`` reads: each contribution as an int array."""
-        return (self.next_array, self.out_array, self.k,
-                tuple((j, np.array(contribution, dtype=np.intp))
-                      for j, contribution in self.inputs))
-
-    @_lazy_attribute
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, list]:
-        """What ``stacked_output_matrix`` reads: ``next_array`` times ``k``
-        (a next state's row start), every coordinate's contributions laid
-        end to end, zeros for a coordinate not read, and where each
-        coordinate's begin."""
+    def laid(self) -> tuple[np.ndarray, list]:
+        """What the vectorized forms read: every coordinate's contributions
+        as one int array, laid end to end, zeros for a coordinate not read,
+        and where each coordinate's begin."""
         read, flat, starts = dict(self.inputs), [], []
         for j, width in enumerate(self.widths):
             starts.append(len(flat))
             flat += read.get(j) or [0] * width
-        return self.next_array * self.k, np.array(flat, dtype=np.intp), starts
+        return np.array(flat, dtype=np.intp), starts
 
 
 def _wired(comp: ComponentAutomaton, producers: tuple) -> _Wiring:
@@ -185,9 +171,10 @@ class Cascade:
         return tuple(wiring.views for wiring in self._wirings())
 
     @_lazy_attribute
-    def _arrays(self) -> tuple:
-        """Per component, what ``_step`` reads: its wiring's ``arrays``."""
-        return tuple(wiring.arrays for wiring in self._wirings())
+    def _levels(self) -> list:
+        """What ``run_many`` steps past its table rule: the cascade's own
+        levels for the level kernel (``_step_levels``), one row each."""
+        return _stacked_levels([self])[0]
 
     @property
     def depth(self) -> int:
@@ -213,22 +200,6 @@ class Cascade:
             nxt.append(next_view[x])
             codes.append(out_view[x])
         return tuple(nxt)
-
-    def _step(self, states, codes: list) -> Iterator[np.ndarray]:
-        """What ``_advance`` does, on int arrays that broadcast together:
-        yields, component by component, the next state numbers from the
-        state numbers ``states`` on the letters whose external coordinate
-        codes are ``codes``, to which each component's output codes are
-        appended as it is stepped.  ``_product_tables`` steps every product
-        state on every letter at once, each component on the axes it depends
-        on, and folds each component's states into the table as they come;
-        ``run_many`` steps strings together, a position at a time."""
-        for q, (next_array, out_array, k, inputs) in zip(states, self._arrays):
-            x = q * k
-            for j, contribution in inputs:
-                x = x + contribution[codes[j]]
-            codes.append(out_array[x])
-            yield next_array[x]
 
     def step(self, states: CascadeState, letter: Letter) -> StepResult:
         codes = self.external.encode(letter, "cascade input")
@@ -291,23 +262,19 @@ class Cascade:
         the strings have letters, it is built (``_product_tables``) and the
         strings are stepped on it as a flat automaton steps them
         (``run_tables``), one multiply-add and two gathers per position.
-        Otherwise they are stepped component by component through ``_step``,
-        a position at a time.  Either way the work is at most strings times
-        letters times components, whatever the product's size."""
+        Otherwise its one member is stepped through the level kernel
+        (``_step_levels``), as ``stacked_output_matrix`` steps a class's:
+        its levels are built on first use and kept, and only their
+        per-letter contributions are computed per call.  Either way the work
+        is at most strings times letters times components, whatever the
+        product's size."""
         table = letter_table(letters, codes, lengths, self.external.encode,
                              self.external.arity, self.run)
         if self.product_size() * len(letters) <= len(codes):
             return run_tables(*self._product_tables(table), codes, lengths)
-        coordinates = table[codes].T  # per coordinate, the code of every letter
-        states = [np.full(len(lengths), c.core.initial_index, dtype=np.intp)
-                  for c in self.components]
-        outputs = np.empty(len(lengths), dtype=np.intp)
-        for index, ending in letter_positions(lengths):
-            m = len(index)
-            step_codes = [coordinate[index] for coordinate in coordinates]
-            states = list(self._step([q[:m] for q in states], step_codes))
-            outputs[ending] = step_codes[-1][m - len(ending):]
-        return outputs
+        levels = self._levels
+        return _step_levels(levels, [level.per_letter(table) for level in levels],
+                            codes, lengths).reshape(-1)
 
     def _product_tables(self, letter_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """The product's transition and output-code tables, product states
@@ -315,7 +282,7 @@ class Cascade:
         rows of ``letter_codes``, and the initial state's code.
 
         A product state is coded in mixed radix over its component state
-        numbers, last component fastest.  One pass of ``_step`` gathers every
+        numbers, last component fastest.  One broadcast pass gathers every
         component's ``next_array``/``out_array`` over all codes and letters
         at once, each on the axes of the product it depends on."""
         radices, n_letters = [c.core.n_states for c in self.components], len(letter_codes)
@@ -325,10 +292,13 @@ class Cascade:
             return np.asarray(values).reshape([-1 if i == axis else 1 for i in range(len(shape))])
 
         codes = [along(column, len(radices)) for column in letter_codes.T]
-        steps = self._step([along(np.arange(r), i) for i, r in enumerate(radices)], codes)
         table, init = 0, 0
-        for r, q, comp in zip(radices, steps, self.components):
-            table = table * r + q
+        for i, (r, comp, wiring) in enumerate(zip(radices, self.components, self._wirings())):
+            (contributions, starts), x = wiring.laid, along(np.arange(r) * wiring.k, i)
+            for j, _ in wiring.inputs:
+                x = x + contributions[starts[j]:][codes[j]]
+            codes.append(wiring.out_array[x])
+            table = table * r + wiring.next_array[x]
             init = init * r + comp.core.initial_index
         out = np.empty(shape, dtype=np.int64)
         out[...] = codes.pop()  # the last output may not depend on every axis
@@ -408,29 +378,38 @@ def _automaton(fn):
 
 
 class _Level(NamedTuple):
-    """One level of ``stacked_output_matrix``.  Its distinct wirings'
-    tables are laid end to end, and a state is held as the start of its
-    row there, ``q * k`` plus its wiring's offset, so ``next_array`` holds
-    next states' starts.  Per row (a distinct component prefix): its
-    wiring and its initial state's start.  Per letter and wiring: the
-    external coordinates' contributions.  ``contributions`` holds the
-    wirings' contributions (``_Wiring.stacked``) end to end, and
-    ``chained`` per chained coordinate read here (producer level, per row
-    where its contributions begin, per row its ancestor row at the
-    producer level)."""
+    """One level of the level kernel (``_step_levels``).  A row is a
+    distinct component prefix, held as its state number q, and reads entry
+    ``q * k`` plus its input's index and its wiring's offset of the
+    wirings' tables laid end to end (a level of one wiring reads that
+    wiring's own).  Per row: ``k``, wiring, initial state.  Per wiring:
+    offset, and where its external coordinates' contributions begin in
+    ``contributions``, the wirings' ``laid`` end to end.  ``chained`` holds
+    per chained coordinate read here its producer level, its contributions,
+    per row where they begin (None: at 0), and per row its ancestor row at
+    the producer level (a slice: each row's own)."""
 
     next_array: np.ndarray
     out_array: np.ndarray
+    k: np.ndarray
     wiring: np.ndarray
     initial: np.ndarray
+    offsets: np.ndarray
     external: np.ndarray
     contributions: np.ndarray
     chained: tuple
 
+    def per_letter(self, table: np.ndarray) -> np.ndarray:
+        """Per letter and row, the offset of the row's wiring plus its
+        external coordinates' contributions, for the letters whose external
+        coordinate codes are the rows of ``table``."""
+        shares = self.contributions[self.external + table[:, None]].sum(axis=2) + self.offsets
+        return shares[:, self.wiring]
 
-#: The most entries (strings x component prefixes) that one block of
-#: ``stacked_output_matrix`` steps at once, so that its working arrays stay
-#: small next to the output matrix however many strings it reads.
+
+#: The most entries (strings x component prefixes) that one block of the
+#: level kernel steps at once, so that its working arrays stay small next
+#: to its output however many strings it reads.
 STACKED_BLOCK_ENTRIES = 1 << 20
 
 
@@ -444,16 +423,14 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
     code; the first point that ``run`` rejects is passed to the first
     cascade's ``run``, which raises its error (``letter_table``).
 
-    Every member steps at once, a position at a time, as ``run_many`` steps
-    strings (``letter_positions``), on blocks of strings of at most
-    ``STACKED_BLOCK_ENTRIES`` strings x prefixes.  The members' components are grouped by
-    identity into levels: a row of level i is a distinct prefix
-    (c_0, ..., c_i), stepped once for all members holding it, and a chained
-    coordinate reads its ancestor row's output codes.  A row's wiring is
-    ``_wired``'s, shared by every row and cascade with that component
-    behind the same producer output orders, and each level's distinct
-    wirings are laid end to end.  The memo of ``run`` is neither read nor
-    filled."""
+    Every member steps at once through the level kernel (``_step_levels``).
+    The members' components are grouped by identity into levels: a row of
+    level i is a distinct prefix (c_0, ..., c_i), stepped once for all
+    members holding it, and a chained coordinate reads its ancestor row's
+    output codes.  A row's wiring is ``_wired``'s, shared by every row and
+    cascade with that component behind the same producer output orders,
+    and each level's distinct wirings are laid end to end.  The memo of
+    ``run`` is neither read nor filled."""
     first, depth = cascades[0], len(cascades[0].components)
     if any(c.external is not first.external or len(c.components) != depth for c in cascades):
         return None
@@ -468,26 +445,9 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
     lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
     table = letter_table(letters, codes, lengths, first.external.encode, first.external.arity,
                          first.run)
-    levels, comps, row_of = _stacked_levels(cascades, table)
+    levels, comps, row_of = _stacked_levels(cascades)
+    raw = _step_levels(levels, [level.per_letter(table) for level in levels], codes, lengths)
     row_wiring = levels[-1].wiring
-    raw = np.empty((len(strings), len(row_wiring)), dtype=np.intp)  # points x last-level rows
-    size = max(1, STACKED_BLOCK_ENTRIES // max(len(level.wiring) for level in levels))
-    ends = np.cumsum(lengths)
-    for lo in range(0, len(strings), size):
-        hi = min(lo + size, len(strings))
-        block = codes[ends[lo] - lengths[lo]:ends[hi - 1]]
-        states = [level.initial[None] for level in levels]
-        for index, ending in letter_positions(lengths[lo:hi]):
-            m, letter, outs = len(index), block[index], []
-            for i, level in enumerate(levels):
-                x = level.external[letter][:, level.wiring]
-                x += states[i][:m]
-                for producer, start, ancestor in level.chained:
-                    x += level.contributions[start + outs[producer][:, ancestor]]
-                states[i] = level.next_array[x]
-                if i < depth - 1:
-                    outs.append(level.out_array[x])
-            raw[lo + ending] = levels[-1].out_array[x[m - len(ending):]]
     # every output value numbered once, equal values alike
     value_ids, starts, ids = {}, {}, []
     for comp in comps:
@@ -507,11 +467,46 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
     return renumber[by_row][:, row_of].T, code
 
 
-def _stacked_levels(cascades: list, table: np.ndarray) -> tuple:
-    """``stacked_output_matrix``'s levels over the letters whose external
-    coordinate codes are the rows of ``table``; the component of each of
-    the last level's wirings, and each member's row there."""
-    base = cascades[0].external.arity
+def _step_levels(levels: list, externals: list, codes: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """The level kernel: the last component's output codes, strings by
+    rows of the last level, of the strings given as letter codes
+    (``codes``, every string's letters in order) and ``lengths`` stepped
+    through ``levels``, whose per-letter contributions are ``externals``.
+    Every row steps at once, a position at a time (``letter_positions``),
+    on blocks of at most ``STACKED_BLOCK_ENTRIES`` strings x rows."""
+    last = levels[-1]
+    raw = np.empty((len(lengths), len(last.wiring)), dtype=np.intp)
+    size = max(1, STACKED_BLOCK_ENTRIES // max(len(level.wiring) for level in levels))
+    ends = np.cumsum(lengths)
+    for lo in range(0, len(lengths), size):
+        hi = min(lo + size, len(lengths))
+        block = codes[ends[lo] - lengths[lo]:ends[hi - 1]]
+        states = [level.initial[None] for level in levels]
+        for index, ending in letter_positions(lengths[lo:hi]):
+            m, letter, outs = len(index), block[index], []
+            for i, (level, external) in enumerate(zip(levels, externals)):
+                x = external.take(letter, axis=0)
+                x += states[i][:m] * level.k
+                for producer, shares, start, ancestor in level.chained:
+                    code = outs[producer][:, ancestor]
+                    x += shares[code if start is None else start + code]
+                states[i] = level.next_array[x]
+                if level is not last:  # the last level's outputs are read at string ends
+                    outs.append(level.out_array[x])
+            raw[lo + ending] = last.out_array[x[m - len(ending):]]
+    return raw
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """``arrays`` laid end to end; a single array itself, not a copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _stacked_levels(cascades: list) -> tuple:
+    """The levels of ``cascades`` for the level kernel; the component of
+    each of the last level's wirings, and each member's row there."""
+    base, depth = cascades[0].external.arity, len(cascades[0].components)
     row_of = [0] * len(cascades)  # per member, its row at the level before
     producer_class = [0]  # per row there, the class of its children's producers
     classes: dict = {(): 0}  # producer output orders, numbered
@@ -530,27 +525,32 @@ def _stacked_levels(cascades: list, table: np.ndarray) -> tuple:
         if levels:
             row_parent = np.fromiter((p for p, _ in rows), dtype=np.intp, count=len(rows))
             ancestors = [a[row_parent] for a in ancestors] + [row_parent]
-        stacked = [w.stacked for w in wirings]
-        sizes = [len(w.next_array) for w in wirings]
-        offsets = [0, *itertools.accumulate(sizes)]
-        widths = [0, *itertools.accumulate(len(flat) for _, flat, _ in stacked)]
+        laid = [w.laid for w in wirings]
+        widths = [0, *itertools.accumulate(len(flat) for flat, _ in laid)]
         # per wiring and coordinate, where its contributions begin
-        starts = np.array([s for _, _, s in stacked], dtype=np.intp)
+        starts = np.array([s for _, s in laid], dtype=np.intp)
         starts += np.array(widths[:-1], dtype=np.intp)[:, None]
-        contributions = np.concatenate([flat for _, flat, _ in stacked])
-        # per letter and wiring, the external coordinates' contributions
-        letters = contributions[starts[:, :base] + table[:, None]].sum(axis=2)
-        chained = tuple((j - base, starts[row_wiring, j], ancestors[j - base])
-                        for j in sorted({j for w in wirings for j, _ in w.inputs if j >= base}))
+        contributions = _joined([flat for flat, _ in laid])
+        chained = []
+        for j in sorted({j for w in wirings for j, _ in w.inputs if j >= base}):
+            ancestor = ancestors[j - base]
+            if np.array_equal(ancestor, np.arange(len(ancestor))):
+                ancestor = slice(None)  # every row there, in order: read without a copy
+            shares, start = ((contributions[starts[0, j]:], None) if len(wirings) == 1
+                             else (contributions, starts[row_wiring, j]))  # None: one start
+            chained.append((j - base, shares, start, ancestor))
+        offsets = [0, *itertools.accumulate(len(w.next_array) for w in wirings)]
         levels.append(_Level(
-            np.concatenate([scaled for scaled, _, _ in stacked]) + np.repeat(offsets[:-1], sizes),
-            np.concatenate([w.out_array for w in wirings]), row_wiring,
-            np.array([w.initial + offset for w, offset in zip(wirings, offsets)],
-                     dtype=np.intp)[row_wiring], letters, contributions, chained))
-        classes = {}
-        producer_class = [classes.setdefault((*producers, comp.outputs), len(classes))
-                          for comp, producers in wired]
-        producer_class = [producer_class[w] for w in row_wiring.tolist()]
+            _joined([w.next_array for w in wirings]), _joined([w.out_array for w in wirings]),
+            np.array([w.k for w in wirings], dtype=np.intp)[row_wiring], row_wiring,
+            np.array([comp.core.initial_index for comp, _ in wired], dtype=np.intp)[row_wiring],
+            np.array(offsets[:-1], dtype=np.intp), starts[:, :base], contributions,
+            tuple(chained)))
+        if len(levels) < depth:  # the last level has no children
+            classes = {}
+            producer_class = [classes.setdefault((*producers, comp.outputs), len(classes))
+                              for comp, producers in wired]
+            producer_class = [producer_class[w] for w in row_wiring.tolist()]
     return levels, [comp for comp, _ in wired], np.array(row_of, dtype=np.intp)
 
 

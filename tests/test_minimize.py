@@ -4,8 +4,9 @@ stepping against an explicit walk of the arrays.
 The reference below is Moore's refinement written with ``np.unique(axis=0)``
 over whole signature rows, the implementation ``minimize`` had before it
 packed the rows into integer keys, on the states a list-based FIFO search
-reaches, as ``reachable_states`` found them before the layered search.  Both
-must produce the same automaton, byte for byte once serialized.
+reaches, in the order it reaches them, which ``automata.bfs_order`` must
+give too.  Both must produce the same automaton, byte for byte once
+serialized.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cascata.automata import FlatAutomaton, _row_classes
+from cascata.automata import FlatAutomaton, _row_classes, bfs_order
 from cascata.crafting import build_counter_task_cascade, build_flipflop_task_cascade
 from cascata.errors import CascataError, EmptyInputError, UnknownLetterError
 
@@ -108,7 +109,8 @@ def test_minimize_matches_the_unique_reference_on_random_automata(block):
 def test_reachable_states_match_the_fifo_search_on_random_automata(block):
     for seed in range(2000 + block * 100, 2000 + block * 100 + 100):
         auto = random_flat(random.Random(seed), letters=(1, 8))
-        assert auto.reachable_states() == [auto.states[q] for q in reference_reachable(auto)]
+        order = bfs_order(auto.delta_array, auto.core.initial_index)
+        assert order.tolist() == reference_reachable(auto)
 
 
 def test_minimize_matches_the_reference_when_rows_span_several_keys():

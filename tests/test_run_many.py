@@ -2,12 +2,14 @@
 ``run``, and how ``draw_sample`` and ``estimate_risk`` use it."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cascata.automata import FlatAutomaton, letter_positions
-from cascata.cascade import Cascade
+from cascata import cascade as cascade_module
+from cascata.cascade import Cascade, stacked_output_matrix
 from cascata.crafting import SequenceTaskFamily
 from cascata.errors import EmptyInputError
 from cascata.learner import StringDistribution, _automaton, draw_sample, estimate_risk
@@ -68,6 +70,20 @@ def _tables_built(monkeypatch) -> list:
     return built
 
 
+def _kernel_calls(monkeypatch) -> list:
+    """Records, from now on, the string count of every call to the level
+    kernel, ``cascade._step_levels``, on which ``stacked_output_matrix``
+    steps class members."""
+    calls, kernel = [], cascade_module._step_levels
+
+    def recorded(levels, externals, codes, lengths):
+        calls.append(len(lengths))
+        return kernel(levels, externals, codes, lengths)
+
+    monkeypatch.setattr(cascade_module, "_step_levels", recorded)
+    return calls
+
+
 def _run_many_matches(cascade, flat, letters, codes, lengths):
     """``run_many`` on the strings, against ``run`` and the flattening's
     ``run_many``; returns the output codes."""
@@ -84,24 +100,29 @@ def _run_many_matches(cascade, flat, letters, codes, lengths):
 def test_both_run_many_paths_match_run_and_the_flattening(seed, monkeypatch):
     # a batch with exactly as many letters as the product table over its
     # letters has entries is stepped on the table; the same strings with
-    # one more letter listed, and a batch of one letter fewer, component by
-    # component
+    # one more letter listed, and a batch of one letter fewer, on the level
+    # kernel that the certification searches step class members on
     rng = random.Random(seed)
     cascade = random_cascade(rng) if seed % 4 else cascade_with_counter(rng)
     flat = cascade.flatten()
     letters = tuple(cascade.external.letters())
-    built = _tables_built(monkeypatch)
+    built, stepped_on = _tables_built(monkeypatch), _kernel_calls(monkeypatch)
     for letters, weights in [(letters, [1] * len(letters)),
                              (letters[::-1], [i % 2 for i in range(len(letters))]),
                              (letters[-1:], [1])]:
         boundary = cascade.product_size() * len(letters)
         codes, lengths = _batch(rng, boundary, weights)
         tabled = _run_many_matches(cascade, flat, letters, codes, lengths)
-        assert built == [len(letters)]
+        assert built == [len(letters)] and not stepped_on
         stepped = _run_many_matches(cascade, flat, letters + letters[:1], codes, lengths)
         assert tabled.tolist() == stepped.tolist()
-        _run_many_matches(cascade, flat, letters, *_batch(rng, boundary - 1, weights))
+        fewer = _batch(rng, boundary - 1, weights)
+        _run_many_matches(cascade, flat, letters, *fewer)
         assert built.pop() == len(letters) and not built
+        assert stepped_on == [len(lengths), len(fewer[1])]
+        stepped_on.clear()
+    assert stacked_output_matrix([cascade], [letters * 2]) is not None
+    assert stepped_on == [1]
 
 
 def test_run_many_on_no_strings_and_no_letters_builds_an_empty_table(monkeypatch):
@@ -151,6 +172,23 @@ def test_run_many_on_a_million_state_counter_builds_no_product_table(monkeypatch
     letters = (("idle",), ("tick",))
     codes, lengths = np.array([1, 1, 1, 0, 0, 1, 1, 0]), np.array([4, 1, 3])
     outputs = cascade.run_many(letters, codes, lengths)
+    assert [cascade.outputs[o] for o in outputs.tolist()] == [3, 0, 2]
+
+
+def test_run_many_on_a_million_state_counter_peaks_under_a_megabyte():
+    # its one level reads the component's own tables, copied and scaled
+    # nowhere, and numbers no producer classes, since it has no children
+    cascade = cascade_from_spec(million_state_counter_spec())
+    letters = (("idle",), ("tick",))
+    codes, lengths = np.array([1, 1, 1, 0, 0, 1, 1, 0]), np.array([4, 1, 3])
+    tracemalloc.start()
+    try:
+        for _ in range(2):  # the first call builds the levels, the second reads them
+            tracemalloc.reset_peak()
+            outputs = cascade.run_many(letters, codes, lengths)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
     assert [cascade.outputs[o] for o in outputs.tolist()] == [3, 0, 2]
 
 
