@@ -385,9 +385,9 @@ class _Level(NamedTuple):
     wiring's own).  Per row: ``k``, wiring, initial state.  Per wiring:
     offset, and where its external coordinates' contributions begin in
     ``contributions``, the wirings' ``laid`` end to end.  ``chained`` holds
-    per chained coordinate read here its producer level, its contributions,
-    per row where they begin (None: at 0), and per row its ancestor row at
-    the producer level (a slice: each row's own)."""
+    per chained coordinate read here its producer level, per row where its
+    contributions begin, and per row its ancestor row at the producer
+    level."""
 
     next_array: np.ndarray
     out_array: np.ndarray
@@ -488,9 +488,8 @@ def _step_levels(levels: list, externals: list, codes: np.ndarray,
             for i, (level, external) in enumerate(zip(levels, externals)):
                 x = external.take(letter, axis=0)
                 x += states[i][:m] * level.k
-                for producer, shares, start, ancestor in level.chained:
-                    code = outs[producer][:, ancestor]
-                    x += shares[code if start is None else start + code]
+                for producer, start, ancestor in level.chained:
+                    x += level.contributions[start + outs[producer][:, ancestor]]
                 states[i] = level.next_array[x]
                 if level is not last:  # the last level's outputs are read at string ends
                     outs.append(level.out_array[x])
@@ -531,21 +530,14 @@ def _stacked_levels(cascades: list) -> tuple:
         starts = np.array([s for _, s in laid], dtype=np.intp)
         starts += np.array(widths[:-1], dtype=np.intp)[:, None]
         contributions = _joined([flat for flat, _ in laid])
-        chained = []
-        for j in sorted({j for w in wirings for j, _ in w.inputs if j >= base}):
-            ancestor = ancestors[j - base]
-            if np.array_equal(ancestor, np.arange(len(ancestor))):
-                ancestor = slice(None)  # every row there, in order: read without a copy
-            shares, start = ((contributions[starts[0, j]:], None) if len(wirings) == 1
-                             else (contributions, starts[row_wiring, j]))  # None: one start
-            chained.append((j - base, shares, start, ancestor))
+        chained = tuple((j - base, starts[row_wiring, j], ancestors[j - base])
+                        for j in sorted({j for w in wirings for j, _ in w.inputs if j >= base}))
         offsets = [0, *itertools.accumulate(len(w.next_array) for w in wirings)]
         levels.append(_Level(
             _joined([w.next_array for w in wirings]), _joined([w.out_array for w in wirings]),
             np.array([w.k for w in wirings], dtype=np.intp)[row_wiring], row_wiring,
             np.array([comp.core.initial_index for comp, _ in wired], dtype=np.intp)[row_wiring],
-            np.array(offsets[:-1], dtype=np.intp), starts[:, :base], contributions,
-            tuple(chained)))
+            np.array(offsets[:-1], dtype=np.intp), starts[:, :base], contributions, chained))
         if len(levels) < depth:  # the last level has no children
             classes = {}
             producer_class = [classes.setdefault((*producers, comp.outputs), len(classes))

@@ -161,8 +161,10 @@ def test_both_run_many_paths_raise_run_errors_for_the_first_string_with_a_reject
 
 def test_run_many_on_a_million_state_counter_builds_no_product_table(monkeypatch):
     # the product table over two letters would have 2,000,000 entries, far
-    # more than the batch's letters, so the strings are stepped component by
-    # component
+    # more than the batch's letters, so the strings are stepped through the
+    # level kernel; its one level reads the component's own tables, copied
+    # and scaled nowhere, and numbers no producer classes, since it has no
+    # children
     cascade = cascade_from_spec(million_state_counter_spec())
 
     def refused(self, letter_codes):
@@ -171,25 +173,15 @@ def test_run_many_on_a_million_state_counter_builds_no_product_table(monkeypatch
     monkeypatch.setattr(Cascade, "_product_tables", refused)
     letters = (("idle",), ("tick",))
     codes, lengths = np.array([1, 1, 1, 0, 0, 1, 1, 0]), np.array([4, 1, 3])
-    outputs = cascade.run_many(letters, codes, lengths)
-    assert [cascade.outputs[o] for o in outputs.tolist()] == [3, 0, 2]
-
-
-def test_run_many_on_a_million_state_counter_peaks_under_a_megabyte():
-    # its one level reads the component's own tables, copied and scaled
-    # nowhere, and numbers no producer classes, since it has no children
-    cascade = cascade_from_spec(million_state_counter_spec())
-    letters = (("idle",), ("tick",))
-    codes, lengths = np.array([1, 1, 1, 0, 0, 1, 1, 0]), np.array([4, 1, 3])
     tracemalloc.start()
     try:
         for _ in range(2):  # the first call builds the levels, the second reads them
             tracemalloc.reset_peak()
             outputs = cascade.run_many(letters, codes, lengths)
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            assert [cascade.outputs[o] for o in outputs.tolist()] == [3, 0, 2]
     finally:
         tracemalloc.stop()
-    assert [cascade.outputs[o] for o in outputs.tolist()] == [3, 0, 2]
 
 
 def _int64_positions(lengths):
