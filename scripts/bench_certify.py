@@ -24,36 +24,24 @@ the iteration, ``SEARCH_REPEATS[d]`` for the searches).  Each search runs
 on freshly iterated members, so every call steps its members cold, as the
 certify round does.  Each search's
 report is kept beside its time, so two labels' reports can be compared.
-The results are added to OUT.json under the label, beside those of other
-labels, with the Python and numpy versions and the CPU count.  Only
+The results go into OUT.json under the label (``benchlib.main``).  Only
 cascata's public API is called, so the script runs against older sources
 (``--src``) too.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
-import json
-import os
-import platform
 import statistics
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from benchlib import main, timed
+
 REPEATS = 30
 ITERATE_REPEATS = {2: REPEATS, 3: 5}
 SEARCH_REPEATS = {2: REPEATS, 3: 3}
 ELLS = {2: (1, 2, 3), 3: (1,)}
 MAX_LEN = 3
-
-
-def timed(fn, *args, **kwargs) -> tuple[object, float]:
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
 
 
 def bench_iterate(d: int) -> dict:
@@ -86,28 +74,11 @@ def bench_searches(d: int) -> dict:
     return result
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out", type=Path, help="JSON file to add the results to")
-    parser.add_argument("--label", required=True, help="name the results go under")
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="the cascata source tree to time (default: this checkout's)")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    import numpy
-
-    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    bench[args.label] = {
-        "python": platform.python_version(), "numpy": numpy.__version__,
-        "nproc": len(os.sched_getaffinity(0)), "repeats": REPEATS,
-        "search_repeats": SEARCH_REPEATS,
-        **{f"iterate_d{d}": bench_iterate(d) for d in ITERATE_REPEATS},
-        **{f"search_d{d}": bench_searches(d) for d in SEARCH_REPEATS},
-    }
-    args.out.write_text(json.dumps(bench, indent=2) + "\n")
-    print(json.dumps({args.label: bench[args.label]}, indent=2))
-    return 0
+def measure() -> dict:
+    return {"repeats": REPEATS, "search_repeats": SEARCH_REPEATS,
+            **{f"iterate_d{d}": bench_iterate(d) for d in ITERATE_REPEATS},
+            **{f"search_d{d}": bench_searches(d) for d in SEARCH_REPEATS}}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, measure))

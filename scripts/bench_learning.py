@@ -29,25 +29,20 @@ letters, uniform over its letters, given as letter codes.
 
 Each of the first five, and each ``counter16`` row, is the median of
 ``REPEATS`` calls on the seeds from ``SEED`` on (``erm_select`` of
-``ERM_REPEATS[d]`` calls); the curve point is timed once, on ``SEED``.  The results are added to OUT.json under
-the label, beside those of other labels, with the Python and numpy versions
-and the CPU count.  Only cascata's public learning API is called, so the
-script runs against older sources (``--src``) too.
+``ERM_REPEATS[d]`` calls); the curve point is timed once, on ``SEED``.
+The results go into OUT.json under the label (``benchlib.main``).  Only
+cascata's public learning API is called, so the script runs against older
+sources (``--src``) too.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import random
 import statistics
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from benchlib import main, timed
+
 SEED = 0
 REPEATS = 30
 TRIALS = {3: 5, 4: 2, 5: 1}  # learning-curve trials per family
@@ -55,12 +50,6 @@ TRIALS = {3: 5, 4: 2, 5: 1}  # learning-curve trials per family
 #: the kernel scored one watcher combination per orbit
 ERM_REPEATS = {3: REPEATS, 4: REPEATS, 5: 3}
 FLIPPED = 0.1  # the share of labels flipped in the ``erm_select`` samples
-
-
-def timed(fn, *args, **kwargs) -> tuple[object, float]:
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
 
 
 def flipped(sample, seed: int):
@@ -124,26 +113,10 @@ def bench_counter() -> dict:
     return result
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out", type=Path, help="JSON file to add the results to")
-    parser.add_argument("--label", required=True, help="name the results go under")
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="the cascata source tree to time (default: this checkout's)")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    import numpy
-
-    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    bench[args.label] = {
-        "python": platform.python_version(), "numpy": numpy.__version__,
-        "nproc": len(os.sched_getaffinity(0)), "seed": SEED, "repeats": REPEATS,
-        **{f"d{d}": bench_family(d) for d in TRIALS}, "counter16": bench_counter(),
-    }
-    args.out.write_text(json.dumps(bench, indent=2) + "\n")
-    print(json.dumps({args.label: bench[args.label]}, indent=2))
-    return 0
+def measure() -> dict:
+    return {"seed": SEED, "repeats": REPEATS, **{f"d{d}": bench_family(d) for d in TRIALS},
+            "counter16": bench_counter()}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, measure))

@@ -37,11 +37,6 @@ from .errors import CapExceededError, CascataError, EmptyInputError, UnknownLett
 DEFAULT_MONOID_CAP = 100_000
 
 
-def _is_index(value, size: int) -> bool:
-    """Is ``value`` an int (not a bool) in ``range(size)``?"""
-    return type(value) is int and 0 <= value < size
-
-
 def _table(mapping, states, alphabet, code: dict, what: str) -> list[list[int]]:
     """Rows of ``code[mapping[(q, a)]]``, checked to be total and in range."""
     for q, a in itertools.product(states, alphabet):
@@ -304,6 +299,18 @@ def bfs_order(table: np.ndarray, start: int) -> np.ndarray:
             return np.concatenate(layers)
         first[frontier] = -1
         layers.append(frontier)
+
+
+def encode_strings(strings) -> tuple[list, np.ndarray, np.ndarray]:
+    """Strings given as tuples of letters in the form ``letter_table`` and
+    ``run_many`` take: their letters by first occurrence (letters that
+    compare equal are one), every string's letters in order as positions
+    among those, and each string's length.  An unhashable letter raises
+    ``TypeError``."""
+    numbering: dict = {}
+    codes = [numbering.setdefault(a, len(numbering)) for s in strings for a in s]
+    lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
+    return list(numbering), np.array(codes, dtype=np.intp), lengths
 
 
 def letter_table(letters, codes, lengths, encode, width: int, run) -> np.ndarray:
@@ -600,33 +607,6 @@ class FlatAutomaton:
                 {"name": c.name, "values": list(c.values)} for c in self.factored.coords
             ]
         return data
-
-    @staticmethod
-    def from_dict(data: dict) -> "FlatAutomaton":
-        letters = tuple(
-            tuple(a) if isinstance(a, list) else a for a in data["letters"]
-        )
-        n, k = len(data["states"]), len(letters)
-        code = {v: i for i, v in enumerate(data["outputs"])}
-        delta, out = [[None] * k for _ in range(n)], [[None] * k for _ in range(n)]
-        for table, rows, value in ((delta, data["transitions"], lambda t: t),
-                                   (out, data["output_rows"], code.get)):
-            for row in rows:
-                if not (isinstance(row, (list, tuple)) and len(row) == 3 and _is_index(row[0], n)
-                        and _is_index(row[1], k)) or table[row[0]][row[1]] is not None:
-                    raise ValueError(f"serialized automaton has a bad or repeated row {row!r}")
-                q, i, v = row
-                table[q][i] = value(v)
-        if (not _is_index(data["initial"], n) or any(None in row for row in out)
-                or not all(_is_index(t, n) for row in delta for t in row)):
-            raise ValueError("serialized automaton is not total over its states and letters")
-        factored = None
-        if "alphabet" in data:
-            factored = FactoredAlphabet.of(
-                *((c["name"], tuple(c["values"])) for c in data["alphabet"])
-            )
-        return FlatAutomaton.from_tables(letters, range(n), delta, data["initial"], out,
-                                         data["outputs"], factored)
 
     def to_dot(self) -> str:
         """GraphViz rendering; states get double circles when outputs are

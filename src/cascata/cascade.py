@@ -1,40 +1,20 @@
-"""Cascade composition: stepping semantics, flattening, simplicity check.
+"""Cascade composition: stepping, flattening and enumerable classes of
+cascades.
 
 Component i reads the external input extended by the outputs of components
 1..i-1, so its input alphabet must be the previous component's alphabet plus
 one coordinate holding that component's outputs.  Within one step every
 component sees the pre-update states of all others; transitions are then
-applied simultaneously.
+applied simultaneously.  A cascade is immutable once built.
 
-A cascade is immutable once built: ``run`` memoizes the product transitions
-it takes, per instance, and reuses them on later calls.  Recording is done
-under a lock, so one cascade may be run from several threads.  Building,
-flattening, serializing and stepping a cascade all read its components'
-arrays; scalar stepping reads them through flat views, which copy nothing.
-
-Stepping takes three forms.  ``run`` fills its memo through the scalar
-``_advance``, one component at a time.  The broadcast pass
-``_product_tables`` steps every product state on every given letter at
-once, each component on the axes it depends on; ``flatten`` builds the
-product table that way.  The level kernel ``_step_levels`` steps many
-strings together, a position at a time, through levels of distinct
-component prefixes, each stepped once for every cascade holding it:
-``stacked_output_matrix`` steps a class's members on it for the
-certification searches, and ``run_many`` its one member when the product's
-table over the batch's letters would have more entries than the batch has
-letters (otherwise it steps on that table, as ``FlatAutomaton.run_many``
-does).  All three read each component's wiring (``_wired``), its flat
-tables and what each input coordinate adds to its letter index, as views
-(``_advance``) or as one int array.  A wiring is built once per component
-and producer output orders and shared by every cascade holding the
-component, so the 68 members of the d=2 family read 21.  On a 2-CPU host a
-d=2 family member flattens in about 80 us and runs its 6 strings cold in
-about 36 us; ``_advance`` also fills the memo for products past the
-flatten caps.
-
-A ``CascadeClass`` iterates its members as the product of its parts'
-components, each built once per choice of its part: 21 components for the
-68 members of the d=2 family, 333 for the 20,288 of the d=3 family.
+Stepping takes three forms, each explained where it is written: the scalar
+``Cascade._advance``, behind ``step`` and ``run`` (whose memo
+``Cascade._memoize`` fills); the broadcast pass ``Cascade._product_tables``,
+behind ``flatten``; and the level kernel ``_step_levels``, behind
+``stacked_output_matrix`` and ``Cascade.run_many``.  All three read the
+components' wirings (``_Wiring``, shared through ``_wired``).  A
+``CascadeClass`` iterates its members as the product of its parts'
+components (``CascadeClass.__iter__``).
 """
 
 from __future__ import annotations
@@ -49,8 +29,8 @@ import numpy as np
 
 from .alphabets import FactoredAlphabet, Letter, NumberedClass, mixed_radix_digits
 from .automata import (ComponentAutomaton, FlatAutomaton, Semiautomaton, _lazy_attribute,
-                       bfs_order, letter_positions, letter_table, output_values,
-                       run_tables)
+                       bfs_order, encode_strings, letter_positions, letter_table,
+                       output_values, run_tables)
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
@@ -186,12 +166,18 @@ class Cascade:
         return self.components[-1].outputs
 
     def initial_state(self) -> CascadeState:
+        """The state ``step`` starts from: each component's initial state."""
         return tuple(c.core.initial for c in self.components)
 
     def _advance(self, states: tuple, codes: list) -> tuple:
         """Next state numbers from state numbers ``states`` on the letter
         with external coordinate codes ``codes``, to which every component's
-        output code (from its pre-update state) is appended."""
+        output code (from its pre-update state) is appended, reading the
+        wirings' ``views``.  Stepping one product state at a time stays
+        beside the array forms: on a 2-CPU host ``flatten`` pays about 80 us
+        for a d=2 family member's whole product, where a cold ``run`` over
+        its 6 strings takes about 36 us, and this step fills ``run``'s memo
+        for products past the flatten caps."""
         nxt = []
         for q, (next_view, out_view, k, inputs) in zip(states, self._wiring):
             x = q * k
@@ -234,7 +220,9 @@ class Cascade:
         transition in ``run``'s memo while it holds fewer than
         ``RUN_MEMO_CAP``.  Returns the next state's number and the output
         code; once the memo is full, an unnumbered next state comes back as
-        its tuple of component state numbers."""
+        its tuple of component state numbers.  ``run`` reuses what is
+        recorded on later calls; recording is done under a lock, so one
+        cascade may be run from several threads."""
         codes = self.external.encode(letter, "cascade input")
         nxt, out = self._advance(self._product[q], codes), codes[-1]
         with self._memo_lock:
@@ -435,14 +423,9 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
     if any(c.external is not first.external or len(c.components) != depth for c in cascades):
         return None
     try:
-        strings = [tuple(x) for x in points]
-        numbering: dict = {}
-        codes = [numbering.setdefault(a, len(numbering)) for s in strings for a in s]
+        letters, codes, lengths = encode_strings([tuple(x) for x in points])
     except TypeError:  # not a string, or an unhashable letter: the per-call loop raises
         return None
-    letters = list(numbering)
-    codes = np.array(codes, dtype=np.intp)
-    lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
     table = letter_table(letters, codes, lengths, first.external.encode, first.external.arity,
                          first.run)
     levels, comps, row_of = _stacked_levels(cascades)

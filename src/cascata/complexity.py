@@ -1,31 +1,19 @@
-"""Bound calculators and the brute-force growth/dimension oracles that
+"""Bound calculators and the brute-force growth/dimension searches that
 certify them empirically.
 
 Cardinality bounds multiply the per-part choices of an automaton (projection,
 input function, core, output function); growth bounds multiply per-part
 growths, with input/output functions charged on letter samples of size
-(sample size x maximum string length).  Asymptotic sample-complexity bounds
-are instantiated with explicit constants, documented below; those constants
-are instantiations, not claims carried by the bound statements themselves.
+(sample size x maximum string length).  The sample sizes carry explicit
+constants (``sample_bound_finite``, ``sample_bound_dimension``), which are
+instantiations, not claims carried by the bound statements.  Logs are base 2
+throughout; the natural log appears only inside those sample sizes.
 
-The empirical searches read a class once into an output matrix, members x
-the points a search can use, with the outputs numbered by first occurrence
-(points outer, members inner).  When every member is a plain ``Cascade``
-(itself, or its bound ``run`` or ``__call__``) and all share one external
-alphabet and one depth, the members are stepped together on their
-components' arrays, each distinct component prefix once
-(``cascade.stacked_output_matrix``); otherwise each function is called
-once per point.  Candidate samples are then scored against the matrix in
-blocks of at most ``BLOCK_ENTRIES`` outputs: a sample's outputs are packed
-into int64 keys (``automata.packed_keys``) and sorted along the member
-axis, and the count of distinct keys is its pattern count.  Witnesses are
-the first samples, in candidate order, with the maximum count (growth) or
-shattered (VC).  Growth candidates are every subset of the search's size;
-VC candidates past size 2 are only the sets whose pairs are all shattered,
-the cliques of the shattered pairs' graph.
-
-Logs are base 2 throughout; the natural log appears only inside the explicit
-finite-class constant.
+The searches, ``empirical_growth`` and ``vc_dimension`` (which
+``graph_dimension`` and ``class_dimension`` run), read a class once into an
+output matrix (``_output_matrix``) and score candidate samples against it in
+blocks (``_scored_blocks``, ``_pattern_counts``).
+``verify_growth_propositions`` checks the growth bounds on small classes.
 """
 
 from __future__ import annotations

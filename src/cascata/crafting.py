@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alphabets import FactoredAlphabet, MonotoneDnfClass
-from .automata import _row_classes
+from .automata import _row_classes, encode_strings, letter_table
 from .cascade import Cascade, CascadeClass, ClassPart, build_chained
 from .complexity import ClassDescriptor
 from .primes import make_counter, make_flipflop
@@ -237,13 +237,11 @@ class SequenceTaskFamily(CascadeClass):
 
     @cached_property
     def _combinations(self) -> WatcherCombinations:
-        """The watchers grouped by their ``_watcher_truth`` row (their table),
-        numbered in order of their smallest watcher, and one ascending
-        combination of tables per orbit, one table per watcher component."""
+        """One ascending combination of the watcher tables (``_tables``,
+        numbered in order of their smallest watcher) per orbit, one table
+        per watcher component."""
         d, truth = self.d, self._watcher_truth
-        _, first, counts = np.unique(truth, axis=0, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        first, counts = first[order], counts[order]
+        first, counts = self._tables
         combos = np.array(list(itertools.combinations_with_replacement(range(len(first)),
                                                                         d - 1)))
         # an orbit holds the distinct orderings of its representative
@@ -278,41 +276,44 @@ class SequenceTaskFamily(CascadeClass):
                                *self.goal_class._term_pairs], dtype=np.int64).T)
 
     @cached_property
-    def _letter_codes(self) -> dict:
-        return {letter: i for i, letter in enumerate(self.external.letters())}
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The watchers grouped by their ``_watcher_truth`` row (their
+        table), in order of their smallest watcher: each table's smallest
+        watcher and how many watchers it holds.  A row is told apart by its
+        events packed as bits, which is much quicker than
+        ``np.unique(axis=0)`` on the 2**d rows of a large family."""
+        keys = self._watcher_truth @ (1 << np.arange(self.d))
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return first[order], counts[order]
 
     @property
     def erm_work(self) -> int:
         """How many error counts one ``erm`` call computes: one per watcher
-        orbit (a multiset of d-1 of the distinct tables) and goal, counted
-        without building either.  The tables are told apart as byte rows,
-        which is much quicker than ``np.unique(axis=0)`` on the 2**d rows of
-        a large family."""
-        truth = self._watcher_truth
-        n_tables = len(set(truth.view(np.dtype((np.void, self.d))).reshape(-1).tolist()))
+        orbit (a multiset of d-1 of the distinct tables, ``_tables``) and
+        goal, counted without building either."""
+        n_tables = len(self._tables[0])
         return math.comb(n_tables + self.d - 2, self.d - 1) * self.goal_class.cardinality
 
-    def _events(self, letters, codes=None) -> np.ndarray:
-        """The family's event code of each of ``letters`` or, given
-        ``codes``, of each letter ``letters[c]`` for c in ``codes``.  A
-        letter the alphabet does not hold raises the alphabet's error at its
-        first place among those letters; one that ``codes`` never names is
-        not looked at."""
-        try:
-            table = np.fromiter(map(self._letter_codes.__getitem__, letters), dtype=np.intp,
-                                count=len(letters))
-        except (KeyError, TypeError):  # let the alphabet name what is wrong
-            if codes is not None:
-                letters = [letters[c] for c in codes.tolist()]
-            return np.array([self.external.encode(x, "cascade input")[0] for x in letters],
-                            dtype=np.intp)
-        return table if codes is None else table[codes]
+    def _events(self, sample) -> tuple[np.ndarray, np.ndarray]:
+        """The family's event code of every letter of a ``LabeledSample``'s
+        strings, all strings' letters in order, and each string's length.
+        The strings are read as ``sample.drawn`` or, for a sample built by
+        hand, as ``encode_strings`` encodes them, and their letters are
+        looked up through ``letter_table``: a letter outside the family
+        raises the error that the members' ``run`` raises on the first
+        string holding it, and one that no string holds raises nothing."""
+        def run(string):
+            return self.member(0).run(string)
 
-    def _encoded(self, strings) -> tuple[np.ndarray, np.ndarray]:
-        """Strings given as tuples of letters, as the family's event codes
-        of all their letters in order and each string's length."""
-        lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
-        return self._events([x for s in strings for x in s]), lengths
+        try:
+            letters, codes, lengths = sample.drawn or encode_strings(sample.strings)
+        except TypeError:  # an unhashable letter, which the members' run names
+            for string in sample.strings:
+                run(string)
+            raise
+        table = letter_table(letters, codes, lengths, self.external.encode, 1, run)
+        return table.take(codes), lengths  # one column: the letters' event codes
 
     def _profiles(self, events, lengths) -> tuple[np.ndarray, np.ndarray]:
         """The profiles of the strings with ``lengths`` whose letters have
@@ -396,8 +397,7 @@ class SequenceTaskFamily(CascadeClass):
         members with that many) on a ``LabeledSample``, as a loop over the
         members finds them, reduced block by block from the orbits' counts
         (``_distinct_error_counts``), so nothing of size ``cardinality`` is
-        allocated.  A drawn sample's letters are read as its ``drawn`` codes;
-        a sample built by hand is encoded once.
+        allocated.  The sample's strings are read once (``_events``).
 
         An orbit's ties are its representative's tied goals times its
         weight: the watcher combinations of all its orderings.  Tables are
@@ -407,11 +407,7 @@ class SequenceTaskFamily(CascadeClass):
         kind that fixes it, maps its tied goals onto its tied goals.  So the
         representative's first tied goal, with each table's smallest
         watcher, is the orbit's first tied member, and no goal is mapped."""
-        if sample.drawn is None:
-            events, lengths = self._encoded(sample.strings)
-        else:
-            letters, codes, lengths = sample.drawn
-            events = self._events(letters, codes)
+        events, lengths = self._events(sample)
         weights, first_members = self._combinations.weights, self._combinations.first_members
         n_goals = len(self._goal_terms[0])
         best, index, ties = None, self.cardinality, 0

@@ -3,22 +3,11 @@ minimization over enumerable classes, Monte-Carlo risk estimation, and
 sample-size experiments.
 
 Every stochastic operation takes a seed and replays bit-identically under
-it.  Loss is 0-1 throughout.
-
-Strings are drawn in bulk: ``StringDistribution.draw`` takes a plain
-``random.Random``'s 32-bit outputs in blocks, forms the same values that
-``random()`` would, and returns the strings as letter codes and lengths,
-leaving the generator where drawing them one value at a time would.
-``draw_sample`` labels the strings, and ``estimate_risk`` scores them,
-through ``run_many`` when the function is an automaton (a ``Cascade`` or a
-``FlatAutomaton``), given itself or as its bound ``run`` or ``__call__``
-(``cascade._automaton``, which the certification searches share): all
-strings are stepped together on the automaton's arrays and no string is
-built to score them.  Any other callable is called once per string.
-``draw_sample`` keeps the codes and lengths it drew on the sample
-(``LabeledSample.drawn``), and ``erm_select`` hands the whole sample to a
-class's ERM kernel (``erm``), which reads those codes rather than the
-letters of the strings.
+it.  Loss is 0-1 throughout.  Strings are drawn in bulk as letter codes
+(``StringDistribution.draw``); ``draw_sample`` and ``estimate_risk`` score
+them without building a string when the function runs an automaton, and
+``erm_select`` hands a whole sample to a class's ERM kernel when the class
+has one.
 """
 
 from __future__ import annotations
@@ -232,7 +221,10 @@ def _draw(dist: StringDistribution, n: int, seed: int) -> tuple[np.ndarray, np.n
 
 def draw_sample(dist: StringDistribution, target: Callable, n: int,
                 seed: int = 0) -> LabeledSample:
-    """n i.i.d. strings labelled by the target function."""
+    """n i.i.d. strings labelled by the target function.  When the target
+    runs an automaton (``cascade._automaton``) the drawn codes are stepped
+    together through its ``run_many``; any other callable is called once
+    per string.  The codes stay on the sample (``LabeledSample.drawn``)."""
     codes, lengths = _draw(dist, n, seed)
     strings = dist.strings(codes, lengths)
     automaton = _automaton(target)

@@ -14,6 +14,7 @@ from cascata import complexity
 from cascata.alphabets import FactoredAlphabet, TableClass
 from cascata.automata import ComponentAutomaton, Semiautomaton
 from cascata.cascade import Cascade, CascadeClass, ClassPart, build_chained, chain_alphabet
+from cascata.learner import LabeledSample
 from cascata.primes import make_counter, make_flipflop
 from cascata.specfile import cascade_to_spec
 
@@ -202,11 +203,17 @@ def goal_images(fam, perms) -> dict:
     return {perm: images(perm) for perm in perms}
 
 
+def family_events(fam, strings) -> tuple[np.ndarray, np.ndarray]:
+    """Strings given as tuples of letters as the family kernel reads them
+    (``_events``): every letter's event code and each string's length."""
+    return fam._events(LabeledSample(tuple((s, 0) for s in strings)))
+
+
 def family_kernel_rows(fam, strings, labels) -> np.ndarray:
     """The family kernel's error counts, one row per watcher orbit and one
     column per goal (``_distinct_error_counts``' blocks stacked)."""
     return np.concatenate([counts for _, counts in
-                           fam._distinct_error_counts(*fam._encoded(strings), labels)])
+                           fam._distinct_error_counts(*family_events(fam, strings), labels)])
 
 
 def family_error_counts(fam, strings, labels) -> np.ndarray:

@@ -293,40 +293,18 @@ def test_equivalent_matches_the_exhaustive_reference_on_renamed_alphabets():
 
 
 def test_dict_round_trip_preserves_behavior():
+    """``to_dict`` writes the automaton's arrays, cell by cell in (state,
+    letter) order, with its initial state and output values."""
     rng = random.Random(13)
-    auto = random_component(rng, random_external(rng)).induce()
-    back = FlatAutomaton.from_dict(auto.to_dict())
-    assert back.equivalent(auto).equivalent
-
-
-def _flipflop_dict():
-    return build_flipflop_task_cascade().flatten().to_dict()
-
-
-@pytest.mark.parametrize("table, row", [
-    ("transitions", [25, 0, 0]),  # state past the table
-    ("transitions", [0, 6, 0]),  # letter past the table
-    ("transitions", [-1, 0, 0]),  # would rewrite the last state's row
-    ("output_rows", [-1, 0, 1]),
-    ("transitions", ["0", 0, 0]),
-    ("transitions", [0, 1.0, 0]),
-    ("transitions", [0, 0, 1]),  # a second row for (0, 0)
-    ("output_rows", [3, 2, 1]),
-    ("transitions", 5),
-    ("output_rows", [0, 0]),
-])
-def test_from_dict_rejects_bad_and_repeated_rows(table, row):
-    data = _flipflop_dict()
-    data[table].append(row)
-    with pytest.raises(ValueError):
-        FlatAutomaton.from_dict(data)
-
-
-def test_from_dict_rejects_a_non_integer_target():
-    data = _flipflop_dict()
-    data["transitions"][0] = (*data["transitions"][0][:2], 0.0)
-    with pytest.raises(ValueError):
-        FlatAutomaton.from_dict(data)
+    autos = [random_component(rng, random_external(rng)).induce() for _ in range(5)]
+    for auto in autos + [build_flipflop_task_cascade().flatten()]:
+        data = auto.to_dict()
+        cells = list(itertools.product(*map(range, auto.delta_array.shape)))
+        assert data["initial"] == auto.core.initial_index
+        assert data["outputs"] == list(auto.outputs)
+        assert data["transitions"] == [(q, a, auto.delta_array[q, a]) for q, a in cells]
+        assert data["output_rows"] == [(q, a, auto.outputs[auto.out_array[q, a]])
+                                       for q, a in cells]
 
 
 def test_output_values_are_the_core_states_under_the_shorthands():

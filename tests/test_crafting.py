@@ -20,7 +20,7 @@ from cascata.crafting import (
 )
 from cascata.learner import LabeledSample, StringDistribution
 
-from helpers import family_error_counts, family_kernel_rows, goal_images
+from helpers import family_error_counts, family_events, family_kernel_rows, goal_images
 
 
 def words(*ws):
@@ -330,12 +330,12 @@ def test_family_profiles_match_unique_rows_at_depth_eight():
         rows.append([sum({1 << e for e in events[:last[e]]}) if e in last else 256
                      for e in range(8)])
     rows = np.array(rows)
-    profiles, which = fam._profiles(*fam._encoded(strings))
+    profiles, which = fam._profiles(*family_events(fam, strings))
     assert np.array_equal(profiles[which], rows)
     unique = np.unique(rows, axis=0)
     assert len(profiles) == len(unique) < len(strings)
     assert np.array_equal(np.unique(profiles, axis=0), unique)
-    profiles, which = fam._profiles(*fam._encoded([]))
+    profiles, which = fam._profiles(*family_events(fam, []))
     assert profiles.shape == (0, 8) and len(which) == 0
 
 

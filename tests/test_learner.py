@@ -95,7 +95,7 @@ def test_erm_fast_path_matches_generic_enumeration():
     assert fast.tie_count == generic.tie_count
 
 
-@pytest.mark.parametrize("letter", [("zz",), "e1", ("e1", "e2")])
+@pytest.mark.parametrize("letter", [("zz",), "e1", ("e1", "e2"), ["e1"]])
 def test_erm_fast_and_generic_paths_reject_a_letter_outside_the_family_alike(letter):
     fam = SequenceTaskFamily(2)
     sample = LabeledSample((((("e1",), ("e2",)), 1), ((("e2",), letter), 0)))
