@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cascata import automata
@@ -305,6 +306,29 @@ def test_dict_round_trip_preserves_behavior():
         assert data["transitions"] == [(q, a, auto.delta_array[q, a]) for q, a in cells]
         assert data["output_rows"] == [(q, a, auto.outputs[auto.out_array[q, a]])
                                        for q, a in cells]
+
+
+@pytest.mark.parametrize("strings, letters, codes", [
+    ([], [], []),
+    ([(), ()], [], []),
+    ([("a", "b", "a"), (), ("b", "c")], ["a", "b", "c"], [0, 1, 0, 1, 2]),
+    ([(("e1",), ("e2",)), (("e2",),)], [("e1",), ("e2",)], [0, 1, 1]),
+    ([(1, True, 1.0), (0, False)], [1, 0], [0, 0, 0, 1, 1]),  # equal letters are one
+])
+def test_encode_strings_numbers_letters_by_first_occurrence(strings, letters, codes):
+    got_letters, got_codes, lengths = automata.encode_strings(strings)
+    assert got_letters == letters
+    assert got_codes.dtype == lengths.dtype == np.intp
+    assert got_codes.tolist() == codes
+    assert lengths.tolist() == [len(s) for s in strings]
+    ends = np.cumsum(lengths)
+    assert [tuple(got_letters[c] for c in got_codes[e - n:e]) for e, n in zip(ends, lengths)] \
+        == [tuple(s) for s in strings]
+
+
+def test_encode_strings_rejects_an_unhashable_letter():
+    with pytest.raises(TypeError):
+        automata.encode_strings([("a",), ("b", ["a"])])
 
 
 def test_output_values_are_the_core_states_under_the_shorthands():

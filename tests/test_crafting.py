@@ -450,6 +450,22 @@ def test_family_watcher_truth_matches_the_member_calls(d, letters):
     assert fam._watcher_truth.tolist() == calls
 
 
+@pytest.mark.parametrize("d, letters", [*((d, None) for d in range(2, 7)),
+                                        (3, ("x", 7, True))])
+def test_family_tables_are_the_distinct_watcher_truth_rows(d, letters):
+    """Grouping the watchers by their events packed as bits gives the
+    distinct rows of the truth table, in order of their smallest watcher,
+    with how many watchers share each."""
+    fam = SequenceTaskFamily(d, letters)
+    _, first, counts = np.unique(fam._watcher_truth, axis=0, return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
+    got_first, got_counts = fam._tables
+    assert got_first.tolist() == first[order].tolist()
+    assert got_counts.tolist() == counts[order].tolist()
+    assert got_counts.sum() == len(fam._watcher_truth)
+
+
 def test_family_erm_memory_does_not_grow_with_the_class():
     # |F| = 2.5e7 at d=4: a vector of one count per member alone is 203 MB
     fam = SequenceTaskFamily(4)

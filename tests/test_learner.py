@@ -108,6 +108,23 @@ def test_erm_fast_and_generic_paths_reject_a_letter_outside_the_family_alike(let
         assert type(generic.value) is UnknownLetterError
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("letter", [["e1"], ("zz",)])
+def test_erm_raises_what_the_first_member_raises_on_a_hand_built_sample(d, letter):
+    """A letter that no member reads, unhashable or outside the family, in
+    the second string of a sample built by hand: the family's ``erm``
+    raises the error, type and message, that ``member(0).run`` raises on
+    that string."""
+    fam = SequenceTaskFamily(d)
+    bad = (("e2",), letter, ("e1",))
+    sample = LabeledSample((((("e1",), ("e2",)), 1), (bad, 0), ((("e1",),), 1)))
+    with pytest.raises((UnknownLetterError, ArityMismatchError)) as expected:
+        fam.member(0).run(bad)
+    with pytest.raises(type(expected.value)) as got:
+        erm_select(fam, sample)
+    assert str(got.value) == str(expected.value)
+
+
 def test_erm_rejects_an_empty_sample_on_both_paths():
     fam = SequenceTaskFamily(2)
     for functions in (fam, list(fam)):
