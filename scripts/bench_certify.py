@@ -1,5 +1,6 @@
 """Timings of the certification layers: iterating the sequence-task
-families, and the growth and VC searches on the d=2 and d=3 families.
+families, the growth and VC searches on the d=2 and d=3 families, and the
+searches of one certify-d2 round.
 
     python3 scripts/bench_certify.py OUT.json --label change
     python3 scripts/bench_certify.py OUT.json --label parent --src ../parent/src
@@ -16,14 +17,22 @@ It times:
 - the same two searches on the d=3 family's 20,288 members and its 39
   strings of 1..3 letters: ``empirical_growth`` at ell = 1, where reading
   the output matrix is nearly all the work, and ``vc_dimension`` under the
-  default cap, which stops after size 1.
+  default cap, which stops after size 1;
+- ``round_d2``: the searches of one certify-d2 round, in its order, on one
+  freshly iterated d=2 member list: per ell = 1, 2, 3, ``empirical_growth``
+  on the members, then on the watcher and goal classes' members over their
+  letters at ell x 3 points (the round's input growths); then
+  ``class_dimension`` of the watcher and goal classes and ``vc_dimension``
+  on the members.
 
 Every input is fixed and the searches are exhaustive, so nothing is drawn.
 Each time is the median of ``REPEATS`` calls (``ITERATE_REPEATS[d]`` for
-the iteration, ``SEARCH_REPEATS[d]`` for the searches).  Each search runs
-on freshly iterated members, so every call steps its members cold, as the
-certify round does.  Each search's
-report is kept beside its time, so two labels' reports can be compared.
+the iteration, ``SEARCH_REPEATS[d]`` for the searches).  Each search row
+runs on freshly iterated members, so every call reads its members' output
+matrix afresh.  Where ``cascade.stacked_output_matrix`` keeps its last
+matrix, the round steps its members once and reads its three repeated
+member searches from the kept matrix, as the certify-d2 round does.  Every report is kept beside its time, so two
+labels' reports can be compared.
 The results go into OUT.json under the label (``benchlib.main``).  Only
 cascata's public API is called, so the script runs against older sources
 (``--src``) too.
@@ -74,10 +83,39 @@ def bench_searches(d: int) -> dict:
     return result
 
 
+def bench_round() -> dict:
+    from cascata.complexity import class_dimension, empirical_growth, vc_dimension
+    from cascata.crafting import SequenceTaskFamily
+
+    family = SequenceTaskFamily(2)
+    letters = list(family.external.letters())
+    goal_letters = list(family.goal_class.signature.letters())
+    universe = [s for n in range(1, MAX_LEN + 1) for s in itertools.product(letters, repeat=n)]
+    outputs = ("set", "read")
+
+    def certify_round(members) -> dict:
+        watchers, goals = list(family.watcher_class), list(family.goal_class)
+        reports = {}
+        for ell in ELLS[2]:
+            reports[f"growth_ell{ell}"] = empirical_growth(members, universe, ell, mode="exact")
+            n = ell * MAX_LEN
+            reports[f"watcher_growth_{n}"] = empirical_growth(watchers, letters, n, mode="exact")
+            reports[f"goal_growth_{n}"] = empirical_growth(goals, goal_letters, n, mode="exact")
+        reports["watcher_dimension"] = class_dimension(watchers, letters, outputs)
+        reports["goal_dimension"] = class_dimension(goals, goal_letters, outputs)
+        reports["vc_dimension"] = vc_dimension(members, universe)
+        return reports
+
+    runs = [timed(certify_round, list(family)) for _ in range(REPEATS)]
+    return {"round_s": statistics.median(t for _, t in runs),
+            **{f"{name}_report": report._asdict() for name, report in runs[0][0].items()}}
+
+
 def measure() -> dict:
     return {"repeats": REPEATS, "search_repeats": SEARCH_REPEATS,
             **{f"iterate_d{d}": bench_iterate(d) for d in ITERATE_REPEATS},
-            **{f"search_d{d}": bench_searches(d) for d in SEARCH_REPEATS}}
+            **{f"search_d{d}": bench_searches(d) for d in SEARCH_REPEATS},
+            "round_d2": bench_round()}
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """What the bench scripts share: a timer, their command line (``OUT.json``,
-``--label``, ``--src``) and adding one label's results to ``OUT.json``."""
+``--label``, ``--src``) and adding one label's results to ``OUT.json``
+(``add``, which the paired runner ``benchpair.py`` uses too)."""
 
 from __future__ import annotations
 
@@ -20,11 +21,23 @@ def timed(fn, *args, **kwargs) -> tuple[object, float]:
     return result, time.perf_counter() - start
 
 
+def add(out: Path, label: str, results: dict) -> dict:
+    """Add ``results`` to OUT.json under the label, beside those of other
+    labels, after the Python and numpy versions and the CPU count; return
+    what was added."""
+    import numpy
+
+    bench = json.loads(out.read_text()) if out.exists() else {}
+    bench[label] = {"python": platform.python_version(), "numpy": numpy.__version__,
+                    "nproc": len(os.sched_getaffinity(0)), **results}
+    out.write_text(json.dumps(bench, indent=2) + "\n")
+    return bench[label]
+
+
 def main(doc: str, measure, argv=None) -> int:
     """Read the command line, put the ``--src`` tree first on ``sys.path``,
-    and add ``measure()``'s results to OUT.json under the label, beside
-    those of other labels, after the Python and numpy versions and the CPU
-    count; print them."""
+    add ``measure()``'s results to OUT.json under the label and print
+    them."""
     parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="JSON file to add the results to")
     parser.add_argument("--label", required=True, help="name the results go under")
@@ -32,11 +45,5 @@ def main(doc: str, measure, argv=None) -> int:
                         help="the cascata source tree to time (default: this checkout's)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
-    import numpy
-
-    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    bench[args.label] = {"python": platform.python_version(), "numpy": numpy.__version__,
-                         "nproc": len(os.sched_getaffinity(0)), **measure()}
-    args.out.write_text(json.dumps(bench, indent=2) + "\n")
-    print(json.dumps({args.label: bench[args.label]}, indent=2))
+    print(json.dumps({args.label: add(args.out, args.label, measure())}, indent=2))
     return 0

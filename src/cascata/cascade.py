@@ -28,9 +28,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .alphabets import FactoredAlphabet, Letter, NumberedClass, mixed_radix_digits
-from .automata import (ComponentAutomaton, FlatAutomaton, Semiautomaton, _lazy_attribute,
-                       bfs_order, encode_strings, letter_positions, letter_table,
-                       output_values, run_tables)
+from .automata import (ComponentAutomaton, FlatAutomaton, Semiautomaton, _frozen,
+                       _lazy_attribute, bfs_order, encode_strings, letter_positions,
+                       letter_table, output_values, run_tables)
 from .complexity import ClassDescriptor, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
@@ -401,6 +401,11 @@ class _Level(NamedTuple):
 STACKED_BLOCK_ENTRIES = 1 << 20
 
 
+#: The last result of ``stacked_output_matrix``, as (key, matrix, codes):
+#: the key is the members' component tuples and the points as tuples.
+_last_stacked: tuple | None = None
+
+
 def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dict] | None:
     """The members x points matrix of output codes of ``cascades`` on
     ``points`` and the code of each output, as calling each cascade on each
@@ -409,7 +414,8 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
     string of hashable letters.  Outputs are numbered by first occurrence,
     points outer and members inner, and outputs that compare equal share a
     code; the first point that ``run`` rejects is passed to the first
-    cascade's ``run``, which raises its error (``letter_table``).
+    cascade's ``run``, which raises its error (``letter_table``).  The
+    matrix is read-only and the code dict the caller's own.
 
     Every member steps at once through the level kernel (``_step_levels``).
     The members' components are grouped by identity into levels: a row of
@@ -417,37 +423,55 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
     members holding it, and a chained coordinate reads its ancestor row's
     output codes.  A row's wiring is ``_wired``'s, shared by every row and
     cascade with that component behind the same producer output orders,
-    and each level's distinct wirings are laid end to end.  The memo of
-    ``run`` is neither read nor filled."""
+    and each level's distinct wirings are laid end to end.  Only the output
+    values that the last level reaches are numbered.  The memo of ``run``
+    is neither read nor filled.
+
+    The last result is kept (``_last_stacked``): a call with the same
+    points, as tuples, and members holding the same components (the same
+    objects, in the same order) returns it without stepping.  Components
+    are immutable, so the matrix depends on nothing else.  The key holds
+    those components until another call replaces it; a call that raises
+    keeps nothing."""
+    global _last_stacked
     first, depth = cascades[0], len(cascades[0].components)
     if any(c.external is not first.external or len(c.components) != depth for c in cascades):
         return None
     try:
-        letters, codes, lengths = encode_strings([tuple(x) for x in points])
+        strings = tuple(map(tuple, points))
+        letters, codes, lengths = encode_strings(strings)
     except TypeError:  # not a string, or an unhashable letter: the per-call loop raises
         return None
+    key = (tuple(c.components for c in cascades), strings)
+    last = _last_stacked
+    if last is not None and last[0] == key:
+        return last[1], dict(last[2])
     table = letter_table(letters, codes, lengths, first.external.encode, first.external.arity,
                          first.run)
     levels, comps, row_of = _stacked_levels(cascades)
     raw = _step_levels(levels, [level.per_letter(table) for level in levels], codes, lengths)
     row_wiring = levels[-1].wiring
-    # every output value numbered once, equal values alike
-    value_ids, starts, ids = {}, {}, []
-    for comp in comps:
-        if comp.outputs not in starts:
-            starts[comp.outputs] = len(ids)
-            ids += [value_ids.setdefault(v, len(value_ids)) for v in comp.outputs]
-    offsets = np.array([starts[comp.outputs] for comp in comps], dtype=np.intp)[row_wiring]
-    by_row = np.array(ids, dtype=np.intp)[raw + offsets]
+    # the reached output values numbered once, equal values alike: a value
+    # is found by its position among the wirings' outputs laid end to end
+    starts = np.cumsum([0, *(len(comp.outputs) for comp in comps)])
+    positions = raw + starts[row_wiring]
+    reached = np.bincount(positions.ravel(), minlength=starts[-1]).nonzero()[0]
+    wirings = np.searchsorted(starts, reached, "right") - 1
+    value_ids: dict = {}
+    ids = np.zeros(starts[-1], dtype=np.intp)
+    ids[reached] = [value_ids.setdefault(comps[w].outputs[i], len(value_ids))
+                    for w, i in zip(wirings.tolist(), (reached - starts[wirings]).tolist())]
+    by_row = ids[positions]
     # rows are numbered in order of their first member, so values first
     # occur in the same order among rows, points outer, as among members
-    present = np.bincount(by_row.ravel(), minlength=len(value_ids)).nonzero()[0].tolist()
     renumber = np.empty(len(value_ids), dtype=np.int64)
     code: dict = {}
-    for first, v in sorted((int((by_row == v).argmax()), v) for v in present):
+    for first, v in sorted((int((by_row == v).argmax()), v) for v in range(len(value_ids))):
         renumber[v] = len(code)
         code[comps[row_wiring[first % len(row_wiring)]].outputs[raw.flat[first]]] = len(code)
-    return renumber[by_row][:, row_of].T, code
+    matrix = _frozen(renumber[by_row][:, row_of].T)
+    _last_stacked = (key, matrix, code)
+    return matrix, dict(code)
 
 
 def _step_levels(levels: list, externals: list, codes: np.ndarray,

@@ -7,11 +7,14 @@ every class before cascades were stepped together: points outer, members
 inner, outputs numbered by first occurrence.  Matrices and code dicts must
 be identical, the dicts' order and key types included.  The random cases
 are also checked against the expression-tree oracle
-(``functional.cascade_function``), which reads no wiring.
+(``functional.cascade_function``), which reads no wiring.  A call on the
+same members and points returns the kept matrix, and any other call steps
+its members again.
 """
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +27,11 @@ from cascata.cascade import Cascade, build_chained, stacked_output_matrix
 from cascata.crafting import SequenceTaskFamily
 from cascata.functional import cascade_function
 from cascata.primes import make_flipflop
+from cascata.specfile import cascade_from_spec
 
-from helpers import random_cascade_class, random_external, random_semiautomaton, random_strings
+from helpers import (million_state_counter_spec, random_cascade_class, random_external,
+                     random_semiautomaton, random_strings)
+from test_run_many import _kernel_calls
 
 
 def called(functions, points):
@@ -289,3 +295,103 @@ def test_a_shared_component_is_wired_again_behind_producers_of_another_order():
     first, second = (cascade_module._wired(later, p) for p in producers)
     assert first is not second
     assert first.inputs[0][1] == list(reversed(second.inputs[0][1]))
+
+
+# ---------------------------------------------------------------------------
+# The last matrix is kept.
+# ---------------------------------------------------------------------------
+
+
+def test_a_repeated_call_steps_its_members_once(monkeypatch):
+    rng = random.Random(11)
+    external = random_external(rng)
+    members = random_members(rng, external, 2)
+    points = random_points(rng, external)
+    calls = _kernel_calls(monkeypatch)
+    first = complexity._output_matrix(members, points)
+    # the same components in new cascades, and the points as other sequences
+    again = [complexity._output_matrix(members, points),
+             complexity._output_matrix([Cascade(m.components) for m in members], points),
+             complexity._output_matrix(list(members), [list(x) for x in points])]
+    assert len(calls) == 1
+    for got in again:
+        assert_same(got, first)
+    assert_same(first, called(members, points))
+
+
+def test_other_members_or_points_are_stepped_again(monkeypatch):
+    def members_and_points(seed: int) -> tuple:
+        rng = random.Random(seed)
+        external = random_external(rng)
+        members = random_members(rng, external, 3) + random_members(rng, external, 3)
+        return members, random_points(rng, external)
+
+    members, points = members_and_points(12)
+    calls = _kernel_calls(monkeypatch)
+    complexity._output_matrix(members, points)
+    rebuilt, same_points = members_and_points(12)  # the same specs, fresh components
+    assert same_points == points
+    # each case differs from the one before it, so each is stepped afresh
+    cases = [(members, points[::-1] + [points[0] + points[-1]]),
+             (members[::-1], points),
+             (members[:len(members) // 2 + 1], points),
+             (rebuilt, points)]
+    for n, (functions, strings) in enumerate(cases, start=2):
+        assert_same(complexity._output_matrix(functions, strings), called(functions, strings))
+        assert len(calls) == n
+
+
+def test_a_fresh_iteration_of_a_class_is_stepped_again(monkeypatch):
+    family = SequenceTaskFamily(2)
+    letters = list(family.external.letters())
+    points = [s for n in (1, 2) for s in itertools.product(letters, repeat=n)]
+    calls = _kernel_calls(monkeypatch)
+    first = complexity._output_matrix(list(family), points)
+    second = complexity._output_matrix(list(family), points)
+    assert len(calls) == 2
+    assert_same(second, first)
+
+
+def test_the_kept_matrix_cannot_be_written_nor_its_codes_changed():
+    family = SequenceTaskFamily(2)
+    members = list(family)
+    points = [(a,) for a in family.external.letters()]
+    matrix, code = complexity._output_matrix(members, points)
+    expected = (matrix.copy(), dict(code))
+    for _ in range(2):  # the first result, then the kept one
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 5
+        code.clear()
+        code["spoiled"] = 7
+        matrix, code = complexity._output_matrix(members, points)
+        assert_same((matrix, code), expected)
+
+
+@pytest.mark.parametrize("case", list(bad_points([("x",)])))
+def test_rejected_points_raise_on_every_call_after_a_kept_matrix(case):
+    family = SequenceTaskFamily(2)
+    members = list(family)
+    letters = list(family.external.letters())
+    points = bad_points(letters)[case]
+    expected = outcome(lambda: called(members, points))
+    good = [x for x in points if isinstance(x, tuple) and x and all(a in letters for a in x)]
+    complexity._output_matrix(members, good)  # kept, then asked for a rejected point
+    for _ in range(2):
+        assert outcome(lambda: complexity._output_matrix(members, points)) == expected
+    assert_same(complexity._output_matrix(members, good), called(members, good))
+
+
+def test_a_million_state_counter_numbers_only_the_values_reached():
+    # numbering all 1,000,000 output values of the counter peaks near 88 MB;
+    # the four points reach three of them
+    members = [cascade_from_spec(million_state_counter_spec())]
+    points = [(("tick",),) * 3, (("idle",), ("tick",)), (("tick",),), (("tick",),) * 4]
+    tracemalloc.start()
+    try:
+        got = complexity._output_matrix(members, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert_same(got, called(members, points))
+    assert list(got[1]) == [2, 0, 3]
