@@ -31,8 +31,8 @@ the iteration, ``SEARCH_REPEATS[d]`` for the searches).  Each search row
 runs on freshly iterated members, so every call reads its members' output
 matrix afresh.  Where ``cascade.stacked_output_matrix`` keeps its last
 matrix, the round steps its members once and reads its three repeated
-member searches from the kept matrix, as the certify-d2 round does.  Every report is kept beside its time, so two
-labels' reports can be compared.
+member searches from the kept matrix, as the certify-d2 round does.  Every
+report is kept beside its time, so two labels' reports can be compared.
 The results go into OUT.json under the label (``benchlib.main``).  Only
 cascata's public API is called, so the script runs against older sources
 (``--src``) too.

@@ -6,7 +6,7 @@ control.
         --a ../parent/src --b src --label certify-pairs
 
 The bench script is any script that takes ``OUT.json --label L --src SRC``
-(``benchlib.main``).  Each run is a fresh process.  Over ``--pairs`` pairs
+(``benchlib.main``).  Each run is a fresh process.  Over ``PAIRS`` pairs
 the trees run in the order A B, B A, A B, ..., so neither side always runs
 first; then tree A runs twice more, the A/A pair, which shows how far two
 runs of one tree drift apart.
@@ -33,6 +33,10 @@ import tempfile
 from pathlib import Path
 
 from benchlib import add
+
+#: A/B pairs per comparison, the fewest in which a gain can be seen to win
+#: nine pairs of ten.
+PAIRS = 10
 
 
 def flattened(results: dict, prefix: str = "") -> dict:
@@ -79,20 +83,17 @@ def main(argv=None) -> int:
     parser.add_argument("bench", type=Path, help="the bench script to run")
     parser.add_argument("--a", type=Path, required=True, help="source tree A (the baseline)")
     parser.add_argument("--b", type=Path, required=True, help="source tree B")
-    parser.add_argument("--pairs", type=int, default=10, help="A/B pairs to run (at least 2)")
     parser.add_argument("--label", required=True, help="name the results go under")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
     trees = {"a": args.a.resolve(), "b": args.b.resolve()}
     runs: dict = {"a": [], "b": []}
     order = []
     with tempfile.TemporaryDirectory() as workdir:
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for side in ("ab" if i % 2 == 0 else "ba"):
                 runs[side].append(run(args.bench, trees[side], Path(workdir)))
                 order.append(side)
-            print(f"pair {i + 1} of {args.pairs} done", file=sys.stderr)
+            print(f"pair {i + 1} of {PAIRS} done", file=sys.stderr)
         aa = [run(args.bench, trees["a"], Path(workdir)) for _ in range(2)]
     first = runs["a"][0]
     times = [key for key, value in first.items() if is_time(key, value)]
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
     differ = sorted({key for r in runs["a"] + runs["b"] + aa
                      for key in set(r) | set(first) if r.get(key) != first.get(key)
                      and key not in times})
-    results = {"bench": args.bench.name, "pairs": args.pairs,
+    results = {"bench": args.bench.name, "pairs": PAIRS,
                "order": "".join(order).upper() + " AA",
                "times": {key: summary([r[key] for r in runs["a"]], [r[key] for r in runs["b"]],
                                       (aa[0][key], aa[1][key]))

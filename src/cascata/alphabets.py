@@ -22,8 +22,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterator, Sequence
 
 from .errors import ArityMismatchError, CapExceededError, UnknownLetterError
 
@@ -292,9 +292,11 @@ class MonotoneDnf:
     on_false: Value = 0
 
     def __call__(self, letter: Letter) -> Value:
-        mask = self.view.encode(letter)
-        hit = any(term & mask == term for term in self.terms)
-        return self.on_true if hit else self.on_false
+        return self.at(self.view.encode(letter))
+
+    def at(self, mask: int) -> Value:
+        """The value on a letter whose boolean-view mask is ``mask``."""
+        return self.on_true if any(term & mask == term for term in self.terms) else self.on_false
 
     def term_names(self) -> tuple[tuple[str, ...], ...]:
         names = self.view.variables
@@ -302,6 +304,33 @@ class MonotoneDnf:
             tuple(names[b] for b in range(len(names)) if term >> b & 1)
             for term in self.terms
         )
+
+
+def letter_values(functions: Sequence, letter: Letter) -> list:
+    """``[f(letter) for f in functions]`` with the letter encoded once, for
+    ``TableFunction`` over one signature or ``MonotoneDnf`` over one boolean
+    view (``letter_reader``): a table function's value at the letter's
+    index, a monotone DNF's at the letter's mask (``MonotoneDnf.at``).  A
+    letter the signature or view rejects raises what calling the first
+    function raises."""
+    first = functions[0]
+    if isinstance(first, TableFunction):
+        i = first.signature.index(letter, "table function")
+        return [f.values[i] for f in functions]
+    mask = first.view.encode(letter)
+    return [f.at(mask) for f in functions]
+
+
+def letter_reader(functions: Sequence) -> Callable[[Letter], list] | None:
+    """``letter_values`` on ``functions`` when they are all ``TableFunction``
+    over one signature or all ``MonotoneDnf`` over one boolean view; None
+    for any other list, whose functions must be called."""
+    kind = type(functions[0]) if functions else None
+    domain = {TableFunction: "signature", MonotoneDnf: "view"}.get(kind)
+    if domain and all(type(f) is kind and getattr(f, domain) == getattr(functions[0], domain)
+                      for f in functions):
+        return partial(letter_values, functions)
+    return None
 
 
 @dataclass(frozen=True)

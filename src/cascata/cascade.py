@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+import weakref
 from functools import cached_property, partial
 from typing import Iterator, NamedTuple
 
@@ -401,9 +402,20 @@ class _Level(NamedTuple):
 STACKED_BLOCK_ENTRIES = 1 << 20
 
 
-#: The last result of ``stacked_output_matrix``, as (key, matrix, codes):
-#: the key is the members' component tuples and the points as tuples.
-_last_stacked: tuple | None = None
+class _Kept(NamedTuple):
+    """A result of ``stacked_output_matrix`` and what it was read from: the
+    members' depth, weak references to their components in member order,
+    so that the result keeps none of them alive, and the points as
+    tuples."""
+    depth: int
+    components: list
+    points: tuple
+    matrix: np.ndarray
+    code: dict
+
+
+#: The last result of ``stacked_output_matrix``.
+_last_stacked: _Kept | None = None
 
 
 def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dict] | None:
@@ -430,9 +442,9 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
     The last result is kept (``_last_stacked``): a call with the same
     points, as tuples, and members holding the same components (the same
     objects, in the same order) returns it without stepping.  Components
-    are immutable, so the matrix depends on nothing else.  The key holds
-    those components until another call replaces it; a call that raises
-    keeps nothing."""
+    are immutable, so the matrix depends on nothing else.  The components
+    are held by weak references: once one of them is freed the result is
+    never returned again.  A call that raises keeps nothing."""
     global _last_stacked
     first, depth = cascades[0], len(cascades[0].components)
     if any(c.external is not first.external or len(c.components) != depth for c in cascades):
@@ -442,10 +454,12 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
         letters, codes, lengths = encode_strings(strings)
     except TypeError:  # not a string, or an unhashable letter: the per-call loop raises
         return None
-    key = (tuple(c.components for c in cascades), strings)
+    components = [comp for c in cascades for comp in c.components]
     last = _last_stacked
-    if last is not None and last[0] == key:
-        return last[1], dict(last[2])
+    if (last is not None and last.depth == depth and last.points == strings
+            and len(last.components) == len(components)
+            and all(ref() is comp for ref, comp in zip(last.components, components))):
+        return last.matrix, dict(last.code)
     table = letter_table(letters, codes, lengths, first.external.encode, first.external.arity,
                          first.run)
     levels, comps, row_of = _stacked_levels(cascades)
@@ -470,7 +484,7 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
         renumber[v] = len(code)
         code[comps[row_wiring[first % len(row_wiring)]].outputs[raw.flat[first]]] = len(code)
     matrix = _frozen(renumber[by_row][:, row_of].T)
-    _last_stacked = (key, matrix, code)
+    _last_stacked = _Kept(depth, list(map(weakref.ref, components)), strings, matrix, code)
     return matrix, dict(code)
 
 

@@ -22,11 +22,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .alphabets import MonotoneDnf, TableFunction, projection_count
+from .alphabets import letter_reader, projection_count
 from .automata import packed_keys
 from .errors import CapExceededError
 
@@ -266,8 +266,9 @@ def _output_matrix(functions: list, points: list) -> tuple[np.ndarray, dict]:
     points returns the last matrix, read-only
     (``cascade.stacked_output_matrix``).  Otherwise, or when a point is not
     a string of hashable letters, the outputs are read a point at a time:
-    from the functions' definitions when ``_letter_reader`` reads the list,
-    else by calling each function once per point."""
+    from the functions' definitions, each letter encoded once, when
+    ``alphabets.letter_reader`` reads the list, else by calling each
+    function once per point."""
     from .cascade import Cascade, _automaton, stacked_output_matrix  # cascade imports this module
 
     # the first function that runs no cascade ends the check
@@ -277,45 +278,12 @@ def _output_matrix(functions: list, points: list) -> tuple[np.ndarray, dict]:
         stacked = stacked_output_matrix(cascades, points)
         if stacked is not None:
             return stacked
-    outputs = _letter_reader(functions) or (lambda x: [f(x) for f in functions])
+    outputs = letter_reader(functions) or (lambda x: [f(x) for f in functions])
     code: dict = {}
     matrix = np.empty((len(functions), len(points)), dtype=np.int64)
     for j, x in enumerate(points):
         matrix[:, j] = [code.setdefault(v, len(code)) for v in outputs(x)]
     return matrix, code
-
-
-def _letter_reader(functions: list) -> Callable | None:
-    """What gives the functions' outputs on one letter, in order, read from
-    their definitions with the letter encoded once, when the functions are
-    all ``MonotoneDnf`` over one ``BooleanView`` or all ``TableFunction``
-    over one signature; None for any other list.  A monotone DNF is true
-    on a letter when one of its terms is among the terms that the letter's
-    mask satisfies; a table function's value is at the letter's index.  A
-    letter the view or signature rejects raises what calling the first
-    function raises."""
-    first = functions[0] if functions else None
-    if type(first) is MonotoneDnf:
-        view = first.view
-        if all(type(f) is MonotoneDnf and f.view == view for f in functions):
-            terms = {t for f in functions for t in f.terms}
-
-            def dnf_outputs(letter) -> list:
-                mask = view.encode(letter)
-                hit = {t for t in terms if t & mask == t}
-                return [f.on_false if hit.isdisjoint(f.terms) else f.on_true for f in functions]
-
-            return dnf_outputs
-    elif type(first) is TableFunction:
-        signature = first.signature
-        if all(type(f) is TableFunction and f.signature == signature for f in functions):
-
-            def table_outputs(letter) -> list:
-                i = signature.index(letter, "table function")
-                return [f.values[i] for f in functions]
-
-            return table_outputs
-    return None
 
 
 def _pattern_counts(matrix: np.ndarray, n_values: int, block: np.ndarray) -> np.ndarray:

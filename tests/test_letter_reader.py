@@ -1,11 +1,14 @@
 """The output matrix of letter-function classes, read from the functions'
-definitions (``complexity._letter_reader``), against calling each function
+definitions (``alphabets.letter_reader``), against calling each function
 once per point.
 
 A list of ``MonotoneDnf`` over one boolean view is read from its terms and
 a list of ``TableFunction`` over one signature from its values, each letter
 encoded once.  The matrix and the code dict must be those of the per-call
 loop, the dicts' order and key types included; any other list is called.
+Both, and each function's ``__call__``, must give the values that the
+functions' definitions give, read here by variable names and letter
+positions.
 """
 
 import random
@@ -13,7 +16,8 @@ import random
 import pytest
 
 from cascata import complexity
-from cascata.alphabets import BooleanView, FactoredAlphabet, MonotoneDnf, TableFunction
+from cascata.alphabets import (BooleanView, FactoredAlphabet, MonotoneDnf, TableFunction,
+                               letter_reader)
 
 from test_stacked_outputs import assert_same, called, outcome
 
@@ -75,6 +79,25 @@ def random_tables(rng: random.Random, signature: FactoredAlphabet) -> list:
             for _ in range(rng.randint(1, 30))]
 
 
+def defined(f, letter):
+    """The function's value on the letter by its definition: a table
+    function's at the letter's position among the signature's letters; a
+    monotone DNF's ``on_true`` when every variable of some term is on, a
+    boolean coordinate's variable when its value is 1 and a one-hot one
+    when it is the coordinate's value."""
+    if isinstance(f, TableFunction):
+        return f.values[list(f.signature.letters()).index(letter)]
+    on = {coord.name if coord.is_boolean else f"{coord.name}={v}"
+          for coord, v in zip(f.view.signature.coords, letter)
+          if not coord.is_boolean or v == 1}
+    return f.on_true if any(set(term) <= on for term in f.term_names()) else f.on_false
+
+
+def by_definition(functions, points):
+    """The per-call loop's matrix and codes, each value read by ``defined``."""
+    return called([lambda x, f=f: defined(f, x) for f in functions], points)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_monotone_dnfs_are_read_as_the_per_call_loop_reads_them(seed, calls):
     rng = random.Random(seed)
@@ -83,10 +106,11 @@ def test_monotone_dnfs_are_read_as_the_per_call_loop_reads_them(seed, calls):
     if seed % 2:  # an equal view of another object reads alike
         functions += random_dnfs(rng, BooleanView(FactoredAlphabet(signature.coords)))
     points = random_letters(rng, signature)
-    assert complexity._letter_reader(functions) is not None
+    assert letter_reader(functions) is not None
     got = complexity._output_matrix(functions, points)
     assert not calls  # read, not called
     assert_same(got, called(functions, points))
+    assert_same(got, by_definition(functions, points))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -95,10 +119,11 @@ def test_table_functions_are_read_as_the_per_call_loop_reads_them(seed, calls):
     signature = random_signature(rng)
     functions = random_tables(rng, signature)
     points = random_letters(rng, signature)
-    assert complexity._letter_reader(functions) is not None
+    assert letter_reader(functions) is not None
     got = complexity._output_matrix(functions, points)
     assert not calls  # read, not called
     assert_same(got, called(functions, points))
+    assert_same(got, by_definition(functions, points))
 
 
 def test_true_and_one_share_a_code_keyed_by_the_first_met():
@@ -129,7 +154,7 @@ def test_other_lists_are_called_once_per_point(calls):
              tables + dnfs]
     points = [("b",), ("a",), ("b",)]
     for functions in lists:
-        assert complexity._letter_reader(functions) is None
+        assert letter_reader(functions) is None
         calls.clear()
         assert_same(complexity._output_matrix(functions, points), called(functions, points))
         # each letter function was called once per point, and as often by the reference

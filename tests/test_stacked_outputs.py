@@ -12,9 +12,11 @@ same members and points returns the kept matrix, and any other call steps
 its members again.
 """
 
+import gc
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -365,6 +367,22 @@ def test_the_kept_matrix_cannot_be_written_nor_its_codes_changed():
         code["spoiled"] = 7
         matrix, code = complexity._output_matrix(members, points)
         assert_same((matrix, code), expected)
+
+
+def test_the_kept_matrix_keeps_no_component_alive(monkeypatch):
+    family = SequenceTaskFamily(2)
+    letters = list(family.external.letters())
+    points = [s for n in (1, 2) for s in itertools.product(letters, repeat=n)]
+    members = list(family)
+    expected = called(members, points)
+    calls = _kernel_calls(monkeypatch)
+    complexity._output_matrix(members, points)
+    components = [weakref.ref(comp) for member in members for comp in member.components]
+    del members
+    gc.collect()
+    assert not any(ref() for ref in components)
+    assert_same(complexity._output_matrix(list(family), points), expected)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("case", list(bad_points([("x",)])))
