@@ -26,8 +26,11 @@ It times:
   on the members.
 
 Every input is fixed and the searches are exhaustive, so nothing is drawn.
-Each time is the median of ``REPEATS`` calls (``ITERATE_REPEATS[d]`` for
-the iteration, ``SEARCH_REPEATS[d]`` for the searches).  Each search row
+Each time is the median of ``ITERATE_REPEATS[d]`` calls for the iteration,
+``SEARCH_REPEATS[d]`` for the searches and ``ROUND_REPEATS`` for the round.
+A d=2 row's call takes 0.4-3 ms on a shared 2-CPU host, so its calls are
+enough to span at least about 0.1 s of one process: a median of fewer drifts
+from process to process by more than most changes move it.  Each search row
 runs on freshly iterated members, so every call reads its members' output
 matrix afresh.  Where ``cascade.stacked_output_matrix`` keeps its last
 matrix, the round steps its members once and reads its three repeated
@@ -46,9 +49,9 @@ import sys
 
 from benchlib import main, timed
 
-REPEATS = 30
-ITERATE_REPEATS = {2: REPEATS, 3: 5}
-SEARCH_REPEATS = {2: REPEATS, 3: 3}
+ITERATE_REPEATS = {2: 300, 3: 5}
+SEARCH_REPEATS = {2: 300, 3: 3}
+ROUND_REPEATS = 80
 ELLS = {2: (1, 2, 3), 3: (1,)}
 MAX_LEN = 3
 
@@ -106,13 +109,14 @@ def bench_round() -> dict:
         reports["vc_dimension"] = vc_dimension(members, universe)
         return reports
 
-    runs = [timed(certify_round, list(family)) for _ in range(REPEATS)]
+    runs = [timed(certify_round, list(family)) for _ in range(ROUND_REPEATS)]
     return {"round_s": statistics.median(t for _, t in runs),
             **{f"{name}_report": report._asdict() for name, report in runs[0][0].items()}}
 
 
 def measure() -> dict:
-    return {"repeats": REPEATS, "search_repeats": SEARCH_REPEATS,
+    return {"iterate_repeats": ITERATE_REPEATS, "search_repeats": SEARCH_REPEATS,
+            "round_repeats": ROUND_REPEATS,
             **{f"iterate_d{d}": bench_iterate(d) for d in ITERATE_REPEATS},
             **{f"search_d{d}": bench_searches(d) for d in SEARCH_REPEATS},
             "round_d2": bench_round()}

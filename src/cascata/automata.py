@@ -144,10 +144,10 @@ class Semiautomaton:
     def _number(self, state, what: str = "state") -> int:
         """The state's position in ``states``; a ``ValueError`` naming it
         when it is not a state."""
-        q = self.state_index.get(state)
-        if q is None:
-            raise ValueError(f"{what} {state!r} not among states")
-        return q
+        try:
+            return self.state_index[state]
+        except (KeyError, TypeError):  # not a state, or not hashable
+            raise ValueError(f"{what} {state!r} not among states") from None
 
     def step(self, state, letter):
         try:
@@ -669,9 +669,9 @@ class ComponentAutomaton:
         self.input_fn = input_fn
         self.core = core
         self.name = name or "component"
-        # what a cascade steps this component by, per producer output orders
-        # (``cascade._wired``), shared by every cascade holding it
-        self._wirings: dict = {}
+        # what a cascade steps this component by (``cascade._wired``), shared
+        # by every cascade holding it
+        self._wiring = None
 
         outputs = output_values(output_fn, core, outputs)
         self.output_kind = "table" if callable(output_fn) else output_fn

@@ -3,9 +3,10 @@ cascades.
 
 Component i reads the external input extended by the outputs of components
 1..i-1, so its input alphabet must be the previous component's alphabet plus
-one coordinate holding that component's outputs.  Within one step every
-component sees the pre-update states of all others; transitions are then
-applied simultaneously.  A cascade is immutable once built.
+one coordinate listing that component's outputs in the producer's order
+(``chain_alphabet``).  Within one step every component sees the pre-update
+states of all others; transitions are then applied simultaneously.  A
+cascade is immutable once built.
 
 Stepping takes three forms, each explained where it is written: the scalar
 ``Cascade._advance``, behind ``step`` and ``run`` (whose memo
@@ -56,26 +57,21 @@ class StepResult(NamedTuple):
 
 
 class _Wiring:
-    """What stepping ``comp`` in a cascade reads, when the components
-    before it output ``producers`` (their output values, in code order):
-    ``next_array`` and ``out_array`` flattened, indexed ``q * k + x``;
-    ``k``, its projected letter count; and per dependency, (coordinate,
-    code -> the code's share of the projected letter's index).  A chained
-    coordinate's code is its producer's output code, hence the values in
-    the producer's order.  The arrays are C-contiguous, so flattening them
-    copies nothing."""
+    """What stepping ``comp`` in a cascade reads: ``next_array`` and
+    ``out_array`` flattened, indexed ``q * k + x``; ``k``, its projected
+    letter count; and per dependency, (coordinate, code -> the code's share
+    of the projected letter's index).  A chained coordinate lists the
+    outputs it holds in their code order, so its codes are output codes.
+    The arrays are C-contiguous, so flattening them copies nothing."""
 
-    def __init__(self, comp: ComponentAutomaton, producers: tuple):
-        base = comp.alphabet.arity - len(producers)
+    def __init__(self, comp: ComponentAutomaton):
         self.next_array = comp.next_array.reshape(-1)
         self.out_array = comp.out_array.reshape(-1)
         self.k = comp.next_array.shape[1]
-        self.inputs = tuple(
-            (j - 1, [place[v] for v in (coord.values if j <= base else producers[j - 1 - base])])
-            for j, coord, place in zip(comp.dependencies.indices, comp.projected.coords,
-                                       comp.projected.places))
+        self.inputs = tuple((j - 1, list(place.values()))
+                            for j, place in zip(comp.dependencies.indices, comp.projected.places))
         # per coordinate, how many codes it takes
-        self.widths = (*(len(c.values) for c in comp.alphabet.coords[:base]), *map(len, producers))
+        self.widths = tuple(len(c.values) for c in comp.alphabet.coords)
 
     @_lazy_attribute
     def views(self) -> tuple:
@@ -95,41 +91,34 @@ class _Wiring:
         return np.array(flat, dtype=np.intp), starts
 
 
-def _wired(comp: ComponentAutomaton, producers: tuple) -> _Wiring:
-    """``comp``'s wiring behind ``producers``, built once per component and
-    producer output orders, however many cascades hold the component."""
-    wiring = comp._wirings.get(producers)
-    if wiring is None:
-        wiring = comp._wirings.setdefault(producers, _Wiring(comp, producers))
-    return wiring
+def _wired(comp: ComponentAutomaton) -> _Wiring:
+    """``comp``'s wiring, built once however many cascades hold it."""
+    if comp._wiring is None:
+        comp._wiring = _Wiring(comp)
+    return comp._wiring
 
 
 class Cascade:
+    """A chain of components: each reads the alphabet of the one before it,
+    extended by that one's outputs in the producer's order
+    (``chain_alphabet``)."""
+
     def __init__(self, components):
         self.components = tuple(components)
         if not self.components:
             raise ValueError("a cascade needs at least one component")
         self.external = self.components[0].alphabet
-        base = self.external.arity
-        for i, comp in enumerate(self.components):
-            if comp.alphabet.arity != base + i:
+        for i, (prev, comp) in enumerate(zip(self.components, self.components[1:]), 1):
+            if comp.alphabet.coords[:-1] != prev.alphabet.coords:
+                raise ValueError(f"component {i + 1} ({comp.name}) does not extend the "
+                                 f"alphabet of component {i}")
+            extra = comp.alphabet.coords[-1]
+            if tuple(extra.values) != prev.outputs:
                 raise ValueError(
-                    f"component {i + 1} ({comp.name}) has arity "
-                    f"{comp.alphabet.arity}, expected {base + i}"
-                )
-            if i > 0:
-                prev = self.components[i - 1]
-                if comp.alphabet.coords[:-1] != prev.alphabet.coords:
-                    raise ValueError(
-                        f"component {i + 1} ({comp.name}) does not extend the "
-                        f"alphabet of component {i}"
-                    )
-                extra = comp.alphabet.coords[-1]
-                if set(extra.values) != set(prev.outputs):
-                    raise ValueError(
-                        f"coordinate {extra.name!r} of component {i + 1} does not "
-                        f"hold the outputs of component {i}"
-                    )
+                    f"coordinate {extra.name!r} of component {i + 1} ({comp.name}) "
+                    f"lists {extra.values!r}, not the outputs of component {i} in its "
+                    f"order {prev.outputs!r}; build the alphabet with chain_alphabet "
+                    f"or build_chained")
         # run's memo: product states (tuples of state numbers) numbered in the
         # order run reaches them, and per number a dict letter -> (next
         # number, last component's output code)
@@ -138,18 +127,10 @@ class Cascade:
         self._memo_size = 0
         self._memo_lock = threading.Lock()
 
-    def _wirings(self) -> Iterator[_Wiring]:
-        """Each component's ``_Wiring``, shared with every cascade that
-        holds the component behind producers of the same output orders."""
-        producers = ()
-        for comp in self.components:
-            yield _wired(comp, producers)
-            producers += (comp.outputs,)
-
     @_lazy_attribute
     def _wiring(self) -> tuple:
         """Per component, what ``_advance`` reads: its wiring's ``views``."""
-        return tuple(wiring.views for wiring in self._wirings())
+        return tuple(_wired(comp).views for comp in self.components)
 
     @_lazy_attribute
     def _levels(self) -> list:
@@ -190,9 +171,11 @@ class Cascade:
 
     def step(self, states: CascadeState, letter: Letter) -> StepResult:
         codes = self.external.encode(letter, "cascade input")
-        numbers = tuple(c.core.state_index.get(q) for c, q in zip(self.components, states))
-        if None in numbers or len(numbers) != self.depth:
-            raise ValueError(f"{states!r} is not a state of the cascade")
+        try:
+            numbers = tuple(c.core.state_index[q]
+                            for c, q in zip(self.components, states, strict=True))
+        except (KeyError, TypeError, ValueError):  # a bad entry, no sequence, a bad length
+            raise ValueError(f"{states!r} is not a state of the cascade") from None
         nxt = self._advance(numbers, codes)
         outs = tuple(c.outputs[o] for c, o in zip(self.components, codes[self.external.arity:]))
         new_states = tuple(c.core.states[q] for c, q in zip(self.components, nxt))
@@ -282,7 +265,8 @@ class Cascade:
 
         codes = [along(column, len(radices)) for column in letter_codes.T]
         table, init = 0, 0
-        for i, (r, comp, wiring) in enumerate(zip(radices, self.components, self._wirings())):
+        for i, (r, comp) in enumerate(zip(radices, self.components)):
+            wiring = _wired(comp)
             (contributions, starts), x = wiring.laid, along(np.arange(r) * wiring.k, i)
             for j, _ in wiring.inputs:
                 x = x + contributions[starts[j]:][codes[j]]
@@ -374,8 +358,8 @@ class _Level(NamedTuple):
     wiring's own).  Per row: ``k``, wiring, initial state.  Per wiring:
     offset, and where its external coordinates' contributions begin in
     ``contributions``, the wirings' ``laid`` end to end.  ``chained`` holds
-    per chained coordinate read here its producer level, per row where its
-    contributions begin, and per row its ancestor row at the producer
+    per chained coordinate read here the level whose outputs it holds, per
+    row where its contributions begin, and per row its ancestor row at that
     level."""
 
     next_array: np.ndarray
@@ -433,11 +417,11 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
     The members' components are grouped by identity into levels: a row of
     level i is a distinct prefix (c_0, ..., c_i), stepped once for all
     members holding it, and a chained coordinate reads its ancestor row's
-    output codes.  A row's wiring is ``_wired``'s, shared by every row and
-    cascade with that component behind the same producer output orders,
-    and each level's distinct wirings are laid end to end.  Only the output
-    values that the last level reaches are numbered.  The memo of ``run``
-    is neither read nor filled.
+    output codes.  A row's wiring is its component's (``_wired``), shared
+    by every row and cascade holding the component, and each level's
+    distinct wirings are laid end to end.  Only the output values that the
+    last level reaches are numbered.  The memo of ``run`` is neither read
+    nor filled.
 
     The last result is kept (``_last_stacked``): a call with the same
     points, as tuples, and members holding the same components (the same
@@ -526,22 +510,18 @@ def _joined(arrays: list) -> np.ndarray:
 def _stacked_levels(cascades: list) -> tuple:
     """The levels of ``cascades`` for the level kernel; the component of
     each of the last level's wirings, and each member's row there."""
-    base, depth = cascades[0].external.arity, len(cascades[0].components)
+    base = cascades[0].external.arity
     row_of = [0] * len(cascades)  # per member, its row at the level before
-    producer_class = [0]  # per row there, the class of its children's producers
-    classes: dict = {(): 0}  # producer output orders, numbered
     ancestors: list = []  # per level before, each row's ancestor row there
     levels = []
     for column in zip(*(c.components for c in cascades)):
         rows: dict = {}  # (parent row, component) -> row, in order of first member
         row_of = [rows.setdefault(key, len(rows)) for key in zip(row_of, column)]
-        # a row's wiring is its component's behind its parent's producers
-        numbers: dict = {}
-        row_wiring = np.array([numbers.setdefault((producer_class[p], c), len(numbers))
-                               for p, c in rows], dtype=np.intp)
-        orders = list(classes)
-        wired = [(c, orders[n]) for n, c in numbers]
-        wirings = [_wired(comp, producers) for comp, producers in wired]
+        numbers: dict = {}  # component -> its wiring's number at this level
+        row_wiring = np.array([numbers.setdefault(c, len(numbers)) for _, c in rows],
+                              dtype=np.intp)
+        comps = list(numbers)
+        wirings = list(map(_wired, comps))
         if levels:
             row_parent = np.fromiter((p for p, _ in rows), dtype=np.intp, count=len(rows))
             ancestors = [a[row_parent] for a in ancestors] + [row_parent]
@@ -557,14 +537,9 @@ def _stacked_levels(cascades: list) -> tuple:
         levels.append(_Level(
             _joined([w.next_array for w in wirings]), _joined([w.out_array for w in wirings]),
             np.array([w.k for w in wirings], dtype=np.intp)[row_wiring], row_wiring,
-            np.array([comp.core.initial_index for comp, _ in wired], dtype=np.intp)[row_wiring],
+            np.array([comp.core.initial_index for comp in comps], dtype=np.intp)[row_wiring],
             np.array(offsets[:-1], dtype=np.intp), starts[:, :base], contributions, chained))
-        if len(levels) < depth:  # the last level has no children
-            classes = {}
-            producer_class = [classes.setdefault((*producers, comp.outputs), len(classes))
-                              for comp, producers in wired]
-            producer_class = [producer_class[w] for w in row_wiring.tolist()]
-    return levels, [comp for comp, _ in wired], np.array(row_of, dtype=np.intp)
+    return levels, comps, np.array(row_of, dtype=np.intp)
 
 
 def chain_alphabet(external: FactoredAlphabet, components_so_far) -> FactoredAlphabet:

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -354,6 +355,29 @@ def test_unknown_state_is_a_value_error_naming_the_state():
     assert not isinstance(err.value, UnknownLetterError)
     with pytest.raises(UnknownLetterError):
         flat.output(flat.initial, ("bronze",))
+
+
+BAD_STATE_CALLS = {
+    "Semiautomaton.step": lambda state: make_flipflop().step(state, "set"),
+    "Semiautomaton.run": lambda state: make_flipflop().run(["set"], start=state),
+    "FlatAutomaton.output": lambda state: build_flipflop_task_cascade().flatten().output(
+        state, ("wood",)),
+    "Cascade.step": lambda state: build_flipflop_task_cascade().step(state, ("wood",)),
+}
+
+
+@pytest.mark.parametrize("api,state", [
+    ("Semiautomaton.step", [0]),
+    ("Semiautomaton.run", [0]),
+    ("FlatAutomaton.output", [0]),
+    ("Cascade.step", (0, 0, 0, 0, 0, 7)),  # one entry too many
+    ("Cascade.step", 5),
+    ("Cascade.step", (0, 0, [0], 0, 0)),
+])
+def test_a_bad_state_is_a_value_error_naming_it(api, state):
+    with pytest.raises(ValueError, match=re.escape(repr(state))) as err:
+        BAD_STATE_CALLS[api](state)
+    assert not isinstance(err.value, UnknownLetterError)
 
 
 def test_monoid_cap_counts_elements_times_states():

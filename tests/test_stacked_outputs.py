@@ -25,7 +25,7 @@ from cascata import cascade as cascade_module
 from cascata import complexity
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton
-from cascata.cascade import Cascade, build_chained, stacked_output_matrix
+from cascata.cascade import Cascade, stacked_output_matrix
 from cascata.crafting import SequenceTaskFamily
 from cascata.functional import cascade_function
 from cascata.primes import make_flipflop
@@ -66,20 +66,21 @@ def outcome(fn):
         return type(err), str(err)
 
 
-def permuted_chains(rng: random.Random, external: FactoredAlphabet) -> list:
-    """Two depth-2 cascades holding one second component, which reads the
-    outputs of their first components on a coordinate that lists them in a
-    third order: the first components output the same values in two
-    orders."""
+def chains_sharing_a_second(rng: random.Random, external: FactoredAlphabet) -> list:
+    """Two depth-2 cascades holding one second component behind two
+    different first components, which output the same values in the same
+    order."""
     gamma = ("g0", "g1", "g2")
     core = random_semiautomaton(rng, max_states=3, max_letters=2)
     letters = list(external.letters())
     phi = {x: rng.choice(core.alphabet) for x in letters}
-    theta = {(q, x): rng.choice(gamma) for q in core.states for x in letters}
-    firsts = [ComponentAutomaton(external, range(1, external.arity + 1), phi.__getitem__, core,
-                                 lambda q, x: theta[(q, x)], outputs, name="k0")
-              for outputs in (gamma, ("g2", "g0", "g1"))]
-    alphabet = external.extend("k0", ("g1", "g2", "g0"))
+    firsts = []
+    for _ in range(2):
+        theta = {(q, x): rng.choice(gamma) for q in core.states for x in letters}
+        firsts.append(ComponentAutomaton(external, range(1, external.arity + 1), phi.__getitem__,
+                                         core, lambda q, x, theta=theta: theta[(q, x)], gamma,
+                                         name="k0"))
+    alphabet = external.extend("k0", gamma)
     reads = (1, alphabet.arity) if rng.random() < 0.5 else (alphabet.arity,)
     projected = alphabet.project(reads)
     flipflop = make_flipflop(with_reset=True)
@@ -119,7 +120,7 @@ def test_stepped_members_match_the_per_call_loop(seed, monkeypatch):
     depth = 1 + seed % 3
     members = random_members(rng, external, depth)
     if depth == 2 and seed % 2:
-        members += [m for _ in range(2) for m in permuted_chains(rng, external)]
+        members += [m for _ in range(2) for m in chains_sharing_a_second(rng, external)]
     points = random_points(rng, external)
     got = complexity._output_matrix(members, points)
     assert all(m._memo_size == 0 for m in members)  # stepped together, never run
@@ -259,13 +260,13 @@ def test_rejected_points_raise_the_per_call_loops_error(case):
 # ---------------------------------------------------------------------------
 
 
-def test_each_component_is_wired_once_per_producer_order(monkeypatch):
+def test_each_component_is_wired_once(monkeypatch):
     built = []
     wiring = cascade_module._Wiring
 
-    def counted(comp, producers):
+    def counted(comp):
         built.append(comp)
-        return wiring(comp, producers)
+        return wiring(comp)
 
     monkeypatch.setattr(cascade_module, "_Wiring", counted)
     family = SequenceTaskFamily(2)
@@ -280,23 +281,6 @@ def test_each_component_is_wired_once_per_producer_order(monkeypatch):
     same_goal = [m for m in members if m.components[1] is members[0].components[1]]
     assert len(same_goal) == 4
     assert all(m._wiring[1] is members[0]._wiring[1] for m in same_goal)
-
-
-def test_a_shared_component_is_wired_again_behind_producers_of_another_order():
-    rng = random.Random(4)
-    external = FactoredAlphabet.single("event", ("a", "b"))
-    core = make_flipflop(with_reset=True)
-    specs = [dict(name="k0", dependencies=(1,), core=core,
-                  input_fn=lambda x: "set" if x == ("a",) else "read")]
-    cascade = build_chained(external, specs)
-    outputs = cascade.components[0].outputs
-    producers = [(outputs,), (tuple(reversed(outputs)),)]
-    later = ComponentAutomaton(external.extend("k0", outputs), (2,),
-                               lambda x: rng.choice(core.alphabet), core, name="k1")
-    assert cascade_module._wired(later, producers[0]) is cascade_module._wired(later, producers[0])
-    first, second = (cascade_module._wired(later, p) for p in producers)
-    assert first is not second
-    assert first.inputs[0][1] == list(reversed(second.inputs[0][1]))
 
 
 # ---------------------------------------------------------------------------

@@ -33,21 +33,23 @@ def _last_step(cascade, string):
     return result
 
 
-def _permute_chained_values(rng, cascade):
-    """The same cascade, except that every chained coordinate lists its
-    producer's outputs in a shuffled order."""
+def _rebuilt(cascade, shuffle=None) -> list:
+    """The cascade's components built afresh; with ``shuffle``, every
+    chained coordinate lists its producer's outputs in the order that
+    ``shuffle`` leaves a list of them in."""
     alphabet = cascade.external
     comps = []
     for comp in cascade.components:
         if comps:
             values = list(comps[-1].outputs)
-            rng.shuffle(values)
+            if shuffle:
+                shuffle(values)
             alphabet = alphabet.extend(comps[-1].name, values)
         output_fn = comp.theta if comp.output_kind == "table" else comp.output_kind
         comps.append(ComponentAutomaton(alphabet, comp.dependencies.indices, comp.input_fn,
                                         comp.core, output_fn=output_fn,
                                         outputs=comp.outputs, name=comp.name))
-    return Cascade(comps)
+    return comps
 
 
 def test_step_outputs_match_the_oracle_per_component():
@@ -90,13 +92,22 @@ def test_chained_coordinate_in_another_order_than_the_producer_outputs():
         external, (1,), lambda v: "inc" if v[0] == "x" else "read", make_counter(3),
         output_fn="state", name="count",
     )
+
+    def goal(order):
+        return ComponentAutomaton(
+            external.extend("count", order), (1, 2),
+            lambda v: "set" if v == ("y", 2) else "read",
+            make_flipflop(with_reset=False), output_fn="next_state", name="goal",
+        )
+
     # the producer lists its outputs as 0, 1, 2; the chained coordinate as 2, 0, 1
-    goal = ComponentAutomaton(
-        external.extend("count", (2, 0, 1)), (1, 2),
-        lambda v: "set" if v == ("y", 2) else "read",
-        make_flipflop(with_reset=False), output_fn="next_state", name="goal",
-    )
-    c = Cascade([counter, goal])
+    with pytest.raises(ValueError) as err:
+        Cascade([counter, goal((2, 0, 1))])
+    assert str(err.value) == (
+        "coordinate 'count' of component 2 (goal) lists (2, 0, 1), not the outputs of "
+        "component 1 in its order (0, 1, 2); build the alphabet with chain_alphabet or "
+        "build_chained")
+    c = Cascade([counter, goal((0, 1, 2))])
     assert c.run((("x",), ("x",), ("y",))) == 1
     assert c.run((("x",), ("y",))) == 0
     tree = cascade_function(c)
@@ -106,14 +117,22 @@ def test_chained_coordinate_in_another_order_than_the_producer_outputs():
         assert _last_step(c, s).component_outputs[0] == s[:-1].count(("x",)) % 3
 
 
-def test_shuffled_chained_value_orders_change_nothing():
+def test_shuffled_chained_value_orders_are_rejected():
     rng = random.Random(75)
+    rejected = 0
     for _ in range(40):
         c = random_cascade(rng, max_d=3)
-        shuffled = _permute_chained_values(rng, c)
-        flat = shuffled.flatten()
+        shuffled = _rebuilt(c, rng.shuffle)
+        if any(tuple(comp.alphabet.coords[-1].values) != prev.outputs
+               for prev, comp in zip(shuffled, shuffled[1:])):
+            with pytest.raises(ValueError, match="not the outputs of component"):
+                Cascade(shuffled)
+            rejected += 1
+        rebuilt = Cascade(_rebuilt(c))
+        flat = rebuilt.flatten()
         for s in string_sweep(list(c.external.letters()), 5, 80, rng):
-            assert shuffled.run(s) == flat.run(s) == c.run(s)
+            assert rebuilt.run(s) == flat.run(s) == c.run(s)
+    assert rejected >= 10  # the others are of depth 1 or drew the same order
 
 
 def _memo_snapshot(cascade):
@@ -121,14 +140,14 @@ def _memo_snapshot(cascade):
 
 
 def _memo_cases(rng):
-    """Seeded flip-flop and counter cascades, each with a copy whose chained
-    coordinates list their values in a shuffled order."""
+    """Seeded flip-flop and counter cascades, each with a second cascade
+    over the same components, whose memo is its own."""
     for i in range(48):
         if i % 2:
             c = cascade_with_counter(rng, modulus=rng.randint(2, 5))
         else:
             c = random_cascade(rng, cores="flipflop" if i % 4 else "random")
-        yield c, _permute_chained_values(rng, c)
+        yield c, Cascade(c.components)
 
 
 def test_run_memo_matches_the_oracle_cold_warm_and_interleaved():
