@@ -7,7 +7,8 @@ searches of one certify-d2 round.
 
 It times:
 
-- ``iterate``: ``list(SequenceTaskFamily(d))`` for d = 2 and 3, with the
+- ``iterate``: ``list(SequenceTaskFamily(d))`` for d = 2 and 3, on a fresh
+  family per call, so that every call builds the components, with the
   number of distinct component objects its members hold, which is the
   number of components built;
 - ``vc_dimension``: the d=2 family's 68 members on its 14 strings of 1..3
@@ -19,7 +20,7 @@ It times:
   the output matrix is nearly all the work, and ``vc_dimension`` under the
   default cap, which stops after size 1;
 - ``round_d2``: the searches of one certify-d2 round, in its order, on one
-  freshly iterated d=2 member list: per ell = 1, 2, 3, ``empirical_growth``
+  iterated d=2 member list: per ell = 1, 2, 3, ``empirical_growth``
   on the members, then on the watcher and goal classes' members over their
   letters at ell x 3 points (the round's input growths); then
   ``class_dimension`` of the watcher and goal classes and ``vc_dimension``
@@ -29,13 +30,12 @@ Every input is fixed and the searches are exhaustive, so nothing is drawn.
 Each time is the median of ``ITERATE_REPEATS[d]`` calls for the iteration,
 ``SEARCH_REPEATS[d]`` for the searches and ``ROUND_REPEATS`` for the round.
 A d=2 row's call takes 0.4-3 ms on a shared 2-CPU host, so its calls are
-enough to span at least about 0.1 s of one process: a median of fewer drifts
-from process to process by more than most changes move it.  Each search row
-runs on freshly iterated members, so every call reads its members' output
-matrix afresh.  Where ``cascade.stacked_output_matrix`` keeps its last
-matrix, the round steps its members once and reads its three repeated
-member searches from the kept matrix, as the certify-d2 round does.  Every
-report is kept beside its time, so two labels' reports can be compared.
+enough to span at least about 0.1 s of one process, and a d=3 row's calls
+span at least about 0.5 s: a median of fewer drifts from process to
+process by more than most changes move it.  Each search call and each
+round runs on a new ``list(family)`` of one family, and so reads its
+members' outputs afresh, as the certify-d2 round does.  Every report is
+kept beside its time, so two labels' reports can be compared.
 The results go into OUT.json under the label (``benchlib.main``).  Only
 cascata's public API is called, so the script runs against older sources
 (``--src``) too.
@@ -49,8 +49,8 @@ import sys
 
 from benchlib import main, timed
 
-ITERATE_REPEATS = {2: 300, 3: 5}
-SEARCH_REPEATS = {2: 300, 3: 3}
+ITERATE_REPEATS = {2: 300, 3: 10}
+SEARCH_REPEATS = {2: 300, 3: 8}
 ROUND_REPEATS = 80
 ELLS = {2: (1, 2, 3), 3: (1,)}
 MAX_LEN = 3
@@ -59,8 +59,7 @@ MAX_LEN = 3
 def bench_iterate(d: int) -> dict:
     from cascata.crafting import SequenceTaskFamily
 
-    family = SequenceTaskFamily(d)
-    runs = [timed(list, family) for _ in range(ITERATE_REPEATS[d])]
+    runs = [timed(lambda: list(SequenceTaskFamily(d))) for _ in range(ITERATE_REPEATS[d])]
     members = runs[0][0]
     return {"members": len(members),
             "components_built": len({id(c) for m in members for c in m.components}),

@@ -14,8 +14,10 @@ Stepping takes three forms, each explained where it is written: the scalar
 behind ``flatten``; and the level kernel ``_step_levels``, behind
 ``stacked_output_matrix`` and ``Cascade.run_many``.  All three read the
 components' wirings (``_Wiring``, shared through ``_wired``).  A
-``CascadeClass`` iterates its members as the product of its parts'
-components (``CascadeClass.__iter__``).
+``CascadeClass`` builds each part's components once per class
+(``CascadeClass._components``) and iterates its members as their product,
+so every iteration shares the components and their wirings; the
+certification searches read a class through ``complexity.class_outputs``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-import weakref
 from functools import cached_property, partial
 from typing import Iterator, NamedTuple
 
@@ -33,7 +34,7 @@ from .alphabets import FactoredAlphabet, Letter, NumberedClass, mixed_radix_digi
 from .automata import (ComponentAutomaton, FlatAutomaton, Semiautomaton, _frozen,
                        _lazy_attribute, bfs_order, encode_strings, letter_positions,
                        letter_table, output_values, run_tables)
-from .complexity import ClassDescriptor, ComponentClassSpec
+from .complexity import ClassDescriptor, ClassOutputs, ComponentClassSpec
 from .errors import CapExceededError, EmptyInputError
 
 DEFAULT_PRODUCT_CAP = 1_000_000
@@ -386,32 +387,13 @@ class _Level(NamedTuple):
 STACKED_BLOCK_ENTRIES = 1 << 20
 
 
-class _Kept(NamedTuple):
-    """A result of ``stacked_output_matrix`` and what it was read from: the
-    members' depth, weak references to their components in member order,
-    so that the result keeps none of them alive, and the points as
-    tuples."""
-    depth: int
-    components: list
-    points: tuple
-    matrix: np.ndarray
-    code: dict
-
-
-#: The last result of ``stacked_output_matrix``.
-_last_stacked: _Kept | None = None
-
-
-def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dict] | None:
-    """The members x points matrix of output codes of ``cascades`` on
-    ``points`` and the code of each output, as calling each cascade on each
-    point gives them (``complexity._output_matrix``), or None unless the
+def stacked_output_matrix(cascades: list, points: list) -> ClassOutputs | None:
+    """The outputs of ``cascades`` on ``points``, as ``complexity.class_outputs``
+    reads them from calling each cascade on each point, or None unless the
     cascades share one external alphabet and one depth and every point is a
-    string of hashable letters.  Outputs are numbered by first occurrence,
-    points outer and members inner, and outputs that compare equal share a
-    code; the first point that ``run`` rejects is passed to the first
-    cascade's ``run``, which raises its error (``letter_table``).  The
-    matrix is read-only and the code dict the caller's own.
+    string of hashable letters.  The first point that ``run`` rejects is
+    passed to the first cascade's ``run``, which raises its error
+    (``letter_table``).
 
     Every member steps at once through the level kernel (``_step_levels``).
     The members' components are grouped by identity into levels: a row of
@@ -421,29 +403,14 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
     by every row and cascade holding the component, and each level's
     distinct wirings are laid end to end.  Only the output values that the
     last level reaches are numbered.  The memo of ``run`` is neither read
-    nor filled.
-
-    The last result is kept (``_last_stacked``): a call with the same
-    points, as tuples, and members holding the same components (the same
-    objects, in the same order) returns it without stepping.  Components
-    are immutable, so the matrix depends on nothing else.  The components
-    are held by weak references: once one of them is freed the result is
-    never returned again.  A call that raises keeps nothing."""
-    global _last_stacked
+    nor filled."""
     first, depth = cascades[0], len(cascades[0].components)
     if any(c.external is not first.external or len(c.components) != depth for c in cascades):
         return None
     try:
-        strings = tuple(map(tuple, points))
-        letters, codes, lengths = encode_strings(strings)
+        letters, codes, lengths = encode_strings(list(map(tuple, points)))
     except TypeError:  # not a string, or an unhashable letter: the per-call loop raises
         return None
-    components = [comp for c in cascades for comp in c.components]
-    last = _last_stacked
-    if (last is not None and last.depth == depth and last.points == strings
-            and len(last.components) == len(components)
-            and all(ref() is comp for ref, comp in zip(last.components, components))):
-        return last.matrix, dict(last.code)
     table = letter_table(letters, codes, lengths, first.external.encode, first.external.arity,
                          first.run)
     levels, comps, row_of = _stacked_levels(cascades)
@@ -463,13 +430,11 @@ def stacked_output_matrix(cascades: list, points: list) -> tuple[np.ndarray, dic
     # rows are numbered in order of their first member, so values first
     # occur in the same order among rows, points outer, as among members
     renumber = np.empty(len(value_ids), dtype=np.int64)
-    code: dict = {}
+    values = []
     for first, v in sorted((int((by_row == v).argmax()), v) for v in range(len(value_ids))):
-        renumber[v] = len(code)
-        code[comps[row_wiring[first % len(row_wiring)]].outputs[raw.flat[first]]] = len(code)
-    matrix = _frozen(renumber[by_row][:, row_of].T)
-    _last_stacked = _Kept(depth, list(map(weakref.ref, components)), strings, matrix, code)
-    return matrix, dict(code)
+        renumber[v] = len(values)
+        values.append(comps[row_wiring[first % len(row_wiring)]].outputs[raw.flat[first]])
+    return ClassOutputs(_frozen(renumber[by_row][:, row_of].T), tuple(values), tuple(points))
 
 
 def _step_levels(levels: list, externals: list, codes: np.ndarray,
@@ -639,6 +604,15 @@ class CascadeClass(NumberedClass):
         return self.build([p.input_class.member(d) for p, d in zip(self.parts, digits)])
 
     @cached_property
+    def _components(self) -> tuple[tuple[ComponentAutomaton, ...], ...]:
+        """Each part's component per choice of that part, on the part's
+        input alphabet (``_alphabets``), built once per class: a component
+        depends only on that alphabet and its own input function."""
+        return tuple(tuple(_part_component(alphabet, spec, spec["input_class"].member(d))
+                           for d in range(spec["input_class"].cardinality))
+                     for alphabet, spec in zip(self._alphabets, self._specs))
+
+    @cached_property
     def _alphabets(self) -> tuple[FactoredAlphabet, ...]:
         """Each part's input alphabet: the external alphabet extended by the
         names and output values of the parts before it, as ``build_chained``
@@ -650,17 +624,11 @@ class CascadeClass(NumberedClass):
 
     def __iter__(self) -> Iterator[Cascade]:
         """The members in index order, as the product of the parts'
-        components.  A part's component depends only on its input alphabet,
-        which is fixed per part (``_alphabets``), and on its own input
-        function, so each part's component is built once per choice of that
-        part: sum_i |F_i| components for prod_i |F_i| members, and two
-        members share part i's component exactly when they agree on its
-        choice.  The components are all built when iteration starts and
-        stay alive while it lasts."""
-        components = [[_part_component(alphabet, spec, spec["input_class"].member(d))
-                       for d in range(spec["input_class"].cardinality)]
-                      for alphabet, spec in zip(self._alphabets, self._specs)]
-        return map(Cascade, itertools.product(*components))
+        components (``_components``): sum_i |F_i| components for prod_i
+        |F_i| members, two members share part i's component exactly when
+        they agree on its choice, and every iteration shares them and their
+        wirings, which live as long as the class."""
+        return map(Cascade, itertools.product(*self._components))
 
     def descriptor(self, max_len: int, epsilon: float = 0.1, eta: float = 0.1,
                    input_dims=None) -> ClassDescriptor:

@@ -36,8 +36,10 @@ from .automata import DEFAULT_MONOID_CAP, is_aperiodic_monoid
 from .cascade import DEFAULT_PRODUCT_CAP
 from .complexity import (
     cardinality_bound_cascade,
+    class_outputs,
     dimension_bound_cascade,
     empirical_growth,
+    exact_growth_fits,
     growth_bound_cascade,
     sample_bound_dimension,
     sample_bound_finite,
@@ -322,6 +324,15 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _growth_search(functions: list, universe: list, sizes, mode: str, **kwargs):
+    """The class's growth search on the universe, per sample size.  Its
+    outputs are read once for every size when an exact search at one size
+    reads them whole anyway; else a heuristic search reads only its draws."""
+    whole = mode == "exact" and any(exact_growth_fits(len(universe), n) for n in sizes)
+    table = class_outputs(functions, universe) if whole else functions
+    return lambda n: empirical_growth(table, universe, n, mode=mode, **kwargs)
+
+
 def cmd_growth(args) -> int:
     _at_least_one(args.max_len, "--max-len")
     for ell in args.ell:
@@ -335,15 +346,15 @@ def cmd_growth(args) -> int:
     cap = _cap(args, 200_000)
     members = list(enumerate_class(cls, cap))
     desc = cls.descriptor(args.max_len)
-    growths = [
-        (lambda n, c=c: empirical_growth(list(c), list(c.signature.letters()),
-                                         n, mode="exact").count)
-        for c in cls.input_classes
-    ]
+    sizes = [ell * args.max_len for ell in args.ell]  # an input class reads ell x max_len letters
+    growths = [(lambda n, search=_growth_search(list(c), list(c.signature.letters()), sizes,
+                                                "exact"): search(n).count)
+               for c in cls.input_classes]
     ones = [(lambda n: 1)] * len(growths)
+    search = _growth_search(members, universe, args.ell, args.mode, draw_cap=cap)
     lines = ["ell  patterns  bound  verdict"]
     for ell in args.ell:
-        report = empirical_growth(members, universe, ell, mode=args.mode, draw_cap=cap)
+        report = search(ell)
         bound = growth_bound_cascade(desc, ell, input_growths=growths,
                                      output_growths=ones)
         verdict = "ok" if report.count <= bound else "VIOLATION"

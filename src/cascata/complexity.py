@@ -10,9 +10,10 @@ instantiations, not claims carried by the bound statements.  Logs are base 2
 throughout; the natural log appears only inside those sample sizes.
 
 The searches, ``empirical_growth`` and ``vc_dimension`` (which
-``graph_dimension`` and ``class_dimension`` run), read a class once into an
-output matrix (``_output_matrix``) and score candidate samples against it in
-blocks (``_scored_blocks``, ``_pattern_counts``).
+``graph_dimension`` and ``class_dimension`` run), read a class once into its
+output table (``class_outputs``) and score candidate samples against it in
+blocks (``_scored_blocks``, ``_pattern_counts``).  Each search also takes
+that table in place of the functions, so several searches read a class once.
 ``verify_growth_propositions`` checks the growth bounds on small classes.
 """
 
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .alphabets import letter_reader, projection_count
-from .automata import packed_keys
+from .automata import _frozen, packed_keys
 from .errors import CapExceededError
 
 DEFAULT_SEARCH_CAP = 2_000_000
@@ -252,38 +253,57 @@ class DimensionReport(NamedTuple):
 BLOCK_ENTRIES = 1 << 14
 
 
-def _output_matrix(functions: list, points: list) -> tuple[np.ndarray, dict]:
-    """The members x points int matrix of output codes, and the code of
-    each output; outputs are numbered by first occurrence, points outer and
-    members inner, and outputs that compare equal (``1`` and ``True``)
-    share a code.
+@dataclass(frozen=True, eq=False)
+class ClassOutputs:
+    """A class's outputs on points (``class_outputs``): the read-only
+    members x points matrix of output codes, the values in code order, and
+    the points.  The searches take it in place of the functions."""
+
+    matrix: np.ndarray
+    values: tuple
+    points: tuple
+
+
+def class_outputs(functions: Sequence, points: Sequence) -> ClassOutputs:
+    """The class's outputs on the points: outputs are numbered by first
+    occurrence, points outer and members inner, and outputs that compare
+    equal (``1`` and ``True``) share a code.
 
     When every function runs a plain ``Cascade`` (itself, or its bound
     ``run`` or ``__call__``, as ``cascade._automaton`` decides for sampling
     and risk estimates too) and the cascades share one external alphabet
     and one depth, the members are stepped together, each distinct
-    component prefix once, and a repeated call on the same members and
-    points returns the last matrix, read-only
-    (``cascade.stacked_output_matrix``).  Otherwise, or when a point is not
-    a string of hashable letters, the outputs are read a point at a time:
-    from the functions' definitions, each letter encoded once, when
-    ``alphabets.letter_reader`` reads the list, else by calling each
-    function once per point."""
+    component prefix once (``cascade.stacked_output_matrix``).  Otherwise,
+    or when a point is not a string of hashable letters, the outputs are
+    read a point at a time: from the functions' definitions, each letter
+    encoded once, when ``alphabets.letter_reader`` reads the list, else by
+    calling each function once per point."""
     from .cascade import Cascade, _automaton, stacked_output_matrix  # cascade imports this module
 
+    functions, points = list(functions), tuple(points)
     # the first function that runs no cascade ends the check
     cascades = list(itertools.takewhile(lambda a: isinstance(a, Cascade),
                                         map(_automaton, functions)))
-    if cascades and len(cascades) == len(functions):
-        stacked = stacked_output_matrix(cascades, points)
-        if stacked is not None:
-            return stacked
+    stacked = (stacked_output_matrix(cascades, points)
+               if cascades and len(cascades) == len(functions) else None)
+    if stacked is not None:
+        return stacked
     outputs = letter_reader(functions) or (lambda x: [f(x) for f in functions])
     code: dict = {}
     matrix = np.empty((len(functions), len(points)), dtype=np.int64)
     for j, x in enumerate(points):
         matrix[:, j] = [code.setdefault(v, len(code)) for v in outputs(x)]
-    return matrix, code
+    return ClassOutputs(_frozen(matrix), tuple(code), points)
+
+
+def _read(functions, universe: list) -> ClassOutputs:
+    """``functions`` when it is a ``ClassOutputs``, whose points must equal
+    the universe (else ``ValueError``), else ``class_outputs`` of it."""
+    if not isinstance(functions, ClassOutputs):
+        return class_outputs(functions, universe)
+    if functions.points == tuple(universe):
+        return functions
+    raise ValueError("the class's outputs were read on other points than the universe")
 
 
 def _pattern_counts(matrix: np.ndarray, n_values: int, block: np.ndarray) -> np.ndarray:
@@ -340,7 +360,13 @@ def _first_best(matrix: np.ndarray, n_values: int, samples: Iterable[tuple],
     return best, witness
 
 
-def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
+def exact_growth_fits(n_points: int, ell: int, cap: int = DEFAULT_SEARCH_CAP) -> bool:
+    """Whether an exact growth search of size ``ell`` scores at most ``cap``
+    subsets of ``n_points`` points; else ``empirical_growth`` draws them."""
+    return math.comb(n_points, min(ell, n_points)) <= cap
+
+
+def empirical_growth(functions: Sequence | ClassOutputs, universe: Sequence, ell: int,
                      mode: str = "exact", cap: int = DEFAULT_SEARCH_CAP,
                      restarts: int = 200, seed: int = 0,
                      draw_cap: int | None = None) -> GrowthReport:
@@ -358,17 +384,19 @@ def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
     draws may not pass ``draw_cap`` when one is given (else
     ``CapExceededError``, before any draw).
 
-    The class's outputs are read once into an output matrix, members x the
+    The class's outputs are read once (``class_outputs``), members x the
     points a sample can use (all of the universe in exact mode, the drawn
-    points in heuristic mode), and the samples are scored against it in
-    blocks (see ``_first_best``).
+    points in heuristic mode), and the samples are scored against them in
+    blocks (see ``_first_best``).  Given the class's outputs on the
+    universe in place of the functions, the search reads those columns.
     """
     universe = list(universe)
     support = min(ell, len(universe))
-    if mode == "exact" and math.comb(len(universe), support) > cap:
+    if mode == "exact" and not exact_growth_fits(len(universe), ell, cap):
         mode = "heuristic"
     if mode == "exact":
         points, width = (universe if support else []), support
+        columns = slice(len(points))
         samples = itertools.combinations(range(len(points)), support)
     elif mode == "heuristic":
         if ell and not universe:
@@ -380,12 +408,14 @@ def empirical_growth(functions: Sequence, universe: Sequence, ell: int,
         drawn = [tuple(rng.choice(positions) for _ in range(ell)) for _ in range(restarts)]
         needed = list(dict.fromkeys(itertools.chain.from_iterable(drawn)))
         column = {i: j for j, i in enumerate(needed)}
-        points, width = [universe[i] for i in needed], ell
+        points, width, columns = [universe[i] for i in needed], ell, needed
         samples = [tuple(map(column.__getitem__, sample)) for sample in drawn]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    matrix, code = _output_matrix(list(functions), points)
-    best, witness = _first_best(matrix, len(code), samples, width)
+    given = isinstance(functions, ClassOutputs)
+    table = _read(functions, universe) if given else class_outputs(functions, points)
+    matrix = table.matrix[:, columns] if given else table.matrix
+    best, witness = _first_best(matrix, len(table.values), samples, width)
     witness = tuple(points[j] for j in witness)
     if mode == "heuristic":
         return GrowthReport(ell, best, witness, False)
@@ -410,14 +440,15 @@ def _cliques(later: list[set], size: int) -> Iterator[tuple]:
     return grow((), list(range(len(later))))
 
 
-def vc_dimension(functions: Sequence, universe: Sequence,
+def vc_dimension(functions: Sequence | ClassOutputs, universe: Sequence,
                  cap: int = DEFAULT_SEARCH_CAP) -> DimensionReport:
     """Largest sample size from the universe on which the class realizes all
     binary patterns, by exhaustive subset search.
 
     Outputs must take at most two values.  The class's outputs are read once
-    into an output matrix, members x universe points, and candidate sets
-    are scored against it in blocks, in ``itertools.combinations`` order;
+    (``class_outputs``, or given in place of the functions), members x
+    universe points, and candidate sets are scored against them in blocks,
+    in ``itertools.combinations`` order;
     at each size the first shattered one is the witness.  Every subset of a
     shattered set is shattered, so a set can be shattered only if each of
     its pairs is: size 2 scores every pair, and each larger size scores
@@ -426,16 +457,16 @@ def vc_dimension(functions: Sequence, universe: Sequence,
     the cap (subsets times members, counted over all subsets), the best
     size found so far is returned flagged as a lower bound.
     """
-    functions = list(functions)
     universe = list(universe)
-    matrix, outputs = _output_matrix(functions, universe)
+    table = _read(functions, universe)
+    matrix, outputs = table.matrix, table.values
     if len(outputs) > 2:
         raise ValueError(f"vc dimension needs binary outputs, saw {sorted(map(repr, outputs))}")
     best = DimensionReport(0, (), True)
     for h in range(1, len(universe) + 1):
-        if 2**h > len(functions):
+        if 2**h > len(matrix):
             return best
-        if math.comb(len(universe), h) * len(functions) > cap:
+        if math.comb(len(universe), h) * len(matrix) > cap:
             return DimensionReport(best.value, best.witness, False)
         if h == 2:
             pairs = itertools.combinations(range(len(universe)), 2)
@@ -465,14 +496,25 @@ def binarize(functions: Sequence, outputs: Sequence):
     ]
 
 
-def graph_dimension(functions: Sequence, universe: Sequence, outputs: Sequence,
+def _binarized(table: ClassOutputs, outputs: Sequence) -> ClassOutputs:
+    """``binarize``'s class on the (point, output) pairs, points outer, read
+    from ``table``: each output value is compared once with each output,
+    and each indicator is its own code."""
+    hits = np.array([[1 if v == y else 0 for y in outputs] for v in table.values],
+                    dtype=np.int64).reshape(len(table.values), len(outputs))
+    matrix = hits[table.matrix].reshape(len(table.matrix), len(table.points) * len(outputs))
+    return ClassOutputs(_frozen(matrix), (0, 1), tuple(itertools.product(table.points, outputs)))
+
+
+def graph_dimension(functions: Sequence | ClassOutputs, universe: Sequence, outputs: Sequence,
                     cap: int = DEFAULT_SEARCH_CAP) -> DimensionReport:
-    """VC dimension of the binarized class over (point, output) pairs."""
-    pairs = [(x, y) for x in universe for y in outputs]
-    return vc_dimension(binarize(functions, outputs), pairs, cap)
+    """VC dimension of the binarized class over (point, output) pairs
+    (``_binarized``)."""
+    binarized = _binarized(_read(functions, list(universe)), outputs)
+    return vc_dimension(binarized, binarized.points, cap)
 
 
-def class_dimension(functions: Sequence, universe: Sequence, outputs: Sequence,
+def class_dimension(functions: Sequence | ClassOutputs, universe: Sequence, outputs: Sequence,
                     cap: int = DEFAULT_SEARCH_CAP) -> DimensionReport:
     """VC dimension for binary outputs, graph dimension otherwise."""
     if len(set(outputs)) <= 2:
@@ -493,10 +535,6 @@ class PropositionCheck(NamedTuple):
     ok: bool
 
 
-def _exact_growth_value(functions, universe, ell) -> int:
-    return empirical_growth(functions, universe, ell, mode="exact").count
-
-
 def verify_growth_propositions(
     outer: Sequence, inner: Sequence, outer_universe: Sequence,
     mid_universe: Sequence, string_functions: Sequence,
@@ -512,54 +550,40 @@ def verify_growth_propositions(
     prefix-closed so the prefix-map comparison samples from the same pool;
     ``outputs``: output values of ``outer`` (for binarization).
     Violations come back as failed rows; every row carries the measured
-    value and its bound.
+    value and its bound.  Each class's outputs are read once
+    (``class_outputs``), for every ell.
     """
     outer = list(outer)
     inner = list(inner)
     string_functions = list(string_functions)
     string_universe = [tuple(s) for s in string_universe]
     max_len = max(len(s) for s in string_universe)
-    checks = []
 
     composed = [(lambda x, f=f, g=g: g(f(x))) for f in outer for g in inner]
-    crossed = [
-        (lambda x, f=f, h=h: (f(x), h(x))) for f in outer for h in composed
-    ]
-    binarized = binarize(outer, outputs)
-    pairs_universe = [(x, y) for x in outer_universe for y in outputs]
+    crossed = [(lambda x, f=f, h=h: (f(x), h(x))) for f in outer for h in composed]
     starred = [(lambda s, f=f: f(s[-1])) for f in outer]
-    barred = [
-        (lambda s, g=g: tuple(g(s[: i + 1]) for i in range(len(s))))
-        for g in string_functions
-    ]
-    dim = class_dimension(outer, outer_universe, outputs)
+    barred = [(lambda s, g=g: tuple(g(s[: i + 1]) for i in range(len(s))))
+              for g in string_functions]
+    pairs = [(x, y) for x in outer_universe for y in outputs]
+    tables = [class_outputs(functions, universe) for functions, universe in (
+        (outer, outer_universe), (inner, mid_universe), (composed, outer_universe),
+        (crossed, outer_universe), (binarize(outer, outputs), pairs),
+        (starred, string_universe), (barred, string_universe),
+        (string_functions, string_universe))]
+    dim = class_dimension(tables[0], outer_universe, outputs)
 
+    checks = []
     for ell in ells:
-        g_outer = _exact_growth_value(outer, outer_universe, ell)
-        g_inner = _exact_growth_value(inner, mid_universe, ell)
-        g_comp = _exact_growth_value(composed, outer_universe, ell)
-        checks.append(PropositionCheck(
-            "composition", ell, g_comp, g_outer * g_inner, g_comp <= g_outer * g_inner
-        ))
-        g_cross = _exact_growth_value(crossed, outer_universe, ell)
-        checks.append(PropositionCheck(
-            "cross_product", ell, g_cross, g_outer * g_comp, g_cross <= g_outer * g_comp
-        ))
-        g_bin = _exact_growth_value(binarized, pairs_universe, ell)
-        checks.append(PropositionCheck(
-            "binarization", ell, g_bin, g_outer, g_bin <= g_outer
-        ))
-        g_star = _exact_growth_value(starred, string_universe, ell)
-        checks.append(PropositionCheck(
-            "last_letter_lift", ell, g_star, g_outer, g_star <= g_outer
-        ))
-        g_string = _exact_growth_value(string_functions, string_universe, ell * max_len)
-        g_bar = _exact_growth_value(barred, string_universe, ell)
-        checks.append(PropositionCheck(
-            "prefix_map", ell, g_bar, g_string, g_bar <= g_string
-        ))
-        h_bound = haussler_growth_bound(dim.value, ell, len(set(outputs)))
-        checks.append(PropositionCheck(
-            "dimension_chain", ell, g_outer, h_bound, g_outer <= h_bound
-        ))
+        g_outer, g_inner, g_comp, g_cross, g_bin, g_star, g_bar, g_string = (
+            empirical_growth(table, table.points, n, mode="exact").count
+            for table, n in zip(tables, [ell] * 7 + [ell * max_len]))
+        for name, measured, bound in (
+                ("composition", g_comp, g_outer * g_inner),
+                ("cross_product", g_cross, g_outer * g_comp),
+                ("binarization", g_bin, g_outer),
+                ("last_letter_lift", g_star, g_outer),
+                ("prefix_map", g_bar, g_string),
+                ("dimension_chain", g_outer,
+                 haussler_growth_bound(dim.value, ell, len(set(outputs))))):
+            checks.append(PropositionCheck(name, ell, measured, bound, measured <= bound))
     return checks

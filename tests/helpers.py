@@ -23,8 +23,8 @@ def pattern_count(functions, sample) -> int:
     """Number of distinct output tuples of the class on the sample, scored
     as the growth and VC searches score a sample."""
     sample = list(sample)
-    matrix, code = complexity._output_matrix(list(functions), sample)
-    return complexity._first_best(matrix, len(code), [tuple(range(len(sample)))],
+    table = complexity.class_outputs(functions, sample)
+    return complexity._first_best(table.matrix, len(table.values), [tuple(range(len(sample)))],
                                   len(sample))[0]
 
 

@@ -1,8 +1,11 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import cascata
 from cascata.alphabets import Coordinate, FactoredAlphabet, TableClass, mixed_radix_digits
 from cascata.automata import ComponentAutomaton
 from cascata.cascade import Cascade, CascadeClass, ClassPart, build_chained, chain_alphabet
@@ -332,3 +335,14 @@ def test_family_iteration_builds_each_part_choice_once(monkeypatch, d, n_members
     monkeypatch.setattr(ComponentAutomaton, "__init__", counted)
     assert len(list(family)) == n_members == family.cardinality
     assert len(built) == n_built == sum(family._radices)
+
+
+def test_no_module_of_the_library_holds_global_state():
+    # caches live on the objects they serve (a class's components, a
+    # component's wiring, a cascade's levels), never in module globals
+    sources = sorted(Path(cascata.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    statements = [(path.name, node.lineno) for path in sources
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Global)]
+    assert statements == []

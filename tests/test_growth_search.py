@@ -297,9 +297,23 @@ def test_growth_proposition_rows_are_unchanged(monkeypatch):
                                           string_universe, outputs=(0, 1))
 
     got = rows()
-    monkeypatch.setattr(complexity, "empirical_growth", reference_empirical_growth)
-    monkeypatch.setattr(complexity, "vc_dimension", reference_vc_dimension)
+    # each class's outputs are read once and handed to the searches; the
+    # references are handed the functions that those outputs were read from
+    read, functions_of = complexity.class_outputs, {}
+
+    def recorded(functions, points):
+        table = read(functions, points)
+        functions_of[id(table)] = list(functions)
+        return table
+
+    def on_functions(reference):
+        return lambda table, *args, **kwargs: reference(functions_of[id(table)], *args, **kwargs)
+
+    monkeypatch.setattr(complexity, "class_outputs", recorded)
+    monkeypatch.setattr(complexity, "empirical_growth", on_functions(reference_empirical_growth))
+    monkeypatch.setattr(complexity, "vc_dimension", on_functions(reference_vc_dimension))
     assert got == rows()
+    assert len(functions_of) == 8  # one read per class
 
 
 # ---------------------------------------------------------------------------

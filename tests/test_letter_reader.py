@@ -1,11 +1,12 @@
-"""The output matrix of letter-function classes, read from the functions'
-definitions (``alphabets.letter_reader``), against calling each function
-once per point.
+"""The output table of letter-function classes (``complexity.class_outputs``),
+read from the functions' definitions (``alphabets.letter_reader``), against
+calling each function once per point.
 
 A list of ``MonotoneDnf`` over one boolean view is read from its terms and
 a list of ``TableFunction`` over one signature from its values, each letter
-encoded once.  The matrix and the code dict must be those of the per-call
-loop, the dicts' order and key types included; any other list is called.
+encoded once.  The matrix and the output values must be those of the
+per-call loop, the values' order and types included; any other list is
+called.
 Both, and each function's ``__call__``, must give the values that the
 functions' definitions give, read here by variable names and letter
 positions.
@@ -107,7 +108,7 @@ def test_monotone_dnfs_are_read_as_the_per_call_loop_reads_them(seed, calls):
         functions += random_dnfs(rng, BooleanView(FactoredAlphabet(signature.coords)))
     points = random_letters(rng, signature)
     assert letter_reader(functions) is not None
-    got = complexity._output_matrix(functions, points)
+    got = complexity.class_outputs(functions, points)
     assert not calls  # read, not called
     assert_same(got, called(functions, points))
     assert_same(got, by_definition(functions, points))
@@ -120,7 +121,7 @@ def test_table_functions_are_read_as_the_per_call_loop_reads_them(seed, calls):
     functions = random_tables(rng, signature)
     points = random_letters(rng, signature)
     assert letter_reader(functions) is not None
-    got = complexity._output_matrix(functions, points)
+    got = complexity.class_outputs(functions, points)
     assert not calls  # read, not called
     assert_same(got, called(functions, points))
     assert_same(got, by_definition(functions, points))
@@ -132,11 +133,11 @@ def test_true_and_one_share_a_code_keyed_by_the_first_met():
     a = 1 << view.bit_of("event=a")
     for first, second in ((True, 1), (1, True)):
         functions = [MonotoneDnf(view, (a,), first, "no"), MonotoneDnf(view, (0,), second, "no")]
-        matrix, code = complexity._output_matrix(functions, [("b",), ("a",)])
+        table = complexity.class_outputs(functions, [("b",), ("a",)])
         # on "b" the first function is false and the constant-true second
         # gives ``second``; on "a" the first gives ``first``, which shares its code
-        assert matrix.tolist() == [[0, 1], [1, 1]]
-        assert [(type(v), v) for v in code] == [(str, "no"), (type(second), second)]
+        assert table.matrix.tolist() == [[0, 1], [1, 1]]
+        assert [(type(v), v) for v in table.values] == [(str, "no"), (type(second), second)]
 
 
 def test_other_lists_are_called_once_per_point(calls):
@@ -156,7 +157,7 @@ def test_other_lists_are_called_once_per_point(calls):
     for functions in lists:
         assert letter_reader(functions) is None
         calls.clear()
-        assert_same(complexity._output_matrix(functions, points), called(functions, points))
+        assert_same(complexity.class_outputs(functions, points), called(functions, points))
         # each letter function was called once per point, and as often by the reference
         assert len(calls) == 2 * len(points) * sum(isinstance(f, LETTER_FUNCTIONS)
                                                    for f in functions)
@@ -172,7 +173,7 @@ def test_a_letter_outside_the_signature_raises_what_the_first_function_raises(ki
     unknown = ("nope",) * signature.arity
     for bad in [unknown, letters[0] + letters[0], "x", (), (*letters[0][:-1], [0]), 5]:
         points = [letters[0], bad, letters[-1]]
-        got = outcome(lambda: complexity._output_matrix(functions, points))
+        got = outcome(lambda: complexity.class_outputs(functions, points))
         assert isinstance(got, tuple) and issubclass(got[0], Exception)
         assert got == outcome(lambda: functions[0](bad))
         assert got == outcome(lambda: called(functions, points))

@@ -9,6 +9,7 @@ from decimal import Decimal
 
 import pytest
 
+from cascata import cli as cli_module
 from cascata.alphabets import FactoredAlphabet
 from cascata.automata import ComponentAutomaton, Semiautomaton
 from cascata.cascade import Cascade, build_chained
@@ -814,6 +815,29 @@ def test_cli_growth_family_on_the_certified_universe(tmp_path, capsys, args, lin
     spec.write_text(json.dumps({"family": "sequence_tasks", "d": 2}))
     assert main(["growth", str(spec), "--max-len", "3", *args]) == 0
     assert capsys.readouterr().out.splitlines() == ["ell  patterns  bound  verdict", *lines]
+
+
+@pytest.mark.parametrize("args, read", [
+    (["--max-len", "3", "--ell", "1", "2", "3"], [2, 4, 14]),
+    (["--max-len", "3", "--ell", "2", "--mode", "heuristic"], [2, 4]),
+    # 2,046 strings: the exact search at ell = 3 would score 1.4e9 subsets,
+    # so it draws its samples, and the members are read only at them
+    (["--max-len", "10", "--ell", "3"], [2, 4]),
+])
+def test_cli_growth_reads_each_class_once_unless_its_searches_draw(tmp_path, capsys,
+                                                                    monkeypatch, args, read):
+    # the input classes' letters (2 watcher, 4 goal letters), then the
+    # members' strings, each read once for every ell
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"family": "sequence_tasks", "d": 2}))
+    reads, class_outputs = [], cli_module.class_outputs
+    monkeypatch.setattr(cli_module, "class_outputs",
+                        lambda functions, points: reads.append(len(points))
+                        or class_outputs(functions, points))
+    assert main(["growth", str(spec), *args]) == 0
+    assert reads == read
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and all(row.endswith("  ok") for row in rows)
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])

@@ -1,22 +1,21 @@
-"""The certification searches' output matrix, built by stepping cascade
-members together (``cascade.stacked_output_matrix``), against calling each
-member once per point.
+"""A class's output table (``complexity.class_outputs``), built by
+stepping cascade members together (``cascade.stacked_output_matrix``),
+against calling each member once per point, and the searches that read it.
 
-The reference is the per-call loop ``complexity._output_matrix`` ran for
+The reference is the per-call loop ``complexity.class_outputs`` ran for
 every class before cascades were stepped together: points outer, members
-inner, outputs numbered by first occurrence.  Matrices and code dicts must
-be identical, the dicts' order and key types included.  The random cases
+inner, outputs numbered by first occurrence.  Matrices and output values
+must be identical, the values' order and types included.  The random cases
 are also checked against the expression-tree oracle
-(``functional.cascade_function``), which reads no wiring.  A call on the
-same members and points returns the kept matrix, and any other call steps
-its members again.
+(``functional.cascade_function``), which reads no wiring.  A search handed
+the table in place of the functions reports what it reports on the
+functions and steps no member; iterating a class again builds no component.
 """
 
-import gc
+import dataclasses
 import itertools
 import random
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -24,8 +23,11 @@ import pytest
 from cascata import cascade as cascade_module
 from cascata import complexity
 from cascata.alphabets import FactoredAlphabet
+from cascata.alphabets import BooleanView, MonotoneDnf, TableFunction
 from cascata.automata import ComponentAutomaton
 from cascata.cascade import Cascade, stacked_output_matrix
+from cascata.complexity import (ClassOutputs, class_dimension, class_outputs, empirical_growth,
+                                graph_dimension, vc_dimension)
 from cascata.crafting import SequenceTaskFamily
 from cascata.functional import cascade_function
 from cascata.primes import make_flipflop
@@ -51,8 +53,18 @@ def typed(code: dict) -> list:
     return [(type(value), value, number) for value, number in code.items()]
 
 
+def pair(outputs) -> tuple:
+    """A ``ClassOutputs`` as its matrix and code dict, after checking that
+    it cannot be changed; a (matrix, code) pair as it is."""
+    if not isinstance(outputs, ClassOutputs):
+        return outputs
+    assert not outputs.matrix.flags.writeable
+    assert type(outputs.values) is tuple and type(outputs.points) is tuple
+    return outputs.matrix, {value: number for number, value in enumerate(outputs.values)}
+
+
 def assert_same(got, expected):
-    (matrix, code), (matrix_expected, code_expected) = got, expected
+    (matrix, code), (matrix_expected, code_expected) = pair(got), pair(expected)
     assert matrix.dtype == np.int64 and matrix.shape == matrix_expected.shape
     assert np.array_equal(matrix, matrix_expected)
     assert typed(code) == typed(code_expected)
@@ -122,7 +134,7 @@ def test_stepped_members_match_the_per_call_loop(seed, monkeypatch):
     if depth == 2 and seed % 2:
         members += [m for _ in range(2) for m in chains_sharing_a_second(rng, external)]
     points = random_points(rng, external)
-    got = complexity._output_matrix(members, points)
+    got = class_outputs(members, points)
     assert all(m._memo_size == 0 for m in members)  # stepped together, never run
     assert_same(got, called(members, points))
     assert_same(stacked_output_matrix(members, points), got)
@@ -136,7 +148,7 @@ def test_members_bound_runs_are_stepped_together(bound):
     external = random_external(rng)
     members = random_members(rng, external, 2)
     points = random_points(rng, external)
-    got = complexity._output_matrix([getattr(m, bound) for m in members], points)
+    got = class_outputs([getattr(m, bound) for m in members], points)
     assert all(m._memo_size == 0 for m in members)
     assert_same(got, called(members, points))
 
@@ -152,17 +164,17 @@ def test_equal_outputs_of_different_types_share_a_code():
                    ((0, 1), (False, True))]
         members = [m for i in order for m in itertools.islice(classes[i], 6)]
         points = random_points(rng, external)
-        got = complexity._output_matrix(members, points)
-        assert len(got[1]) <= 2
-        assert type(next(iter(got[1]))) is (int, bool)[order[0]]  # the first member's
+        got = class_outputs(members, points)
+        assert len(got.values) <= 2
+        assert type(got.values[0]) is (int, bool)[order[0]]  # the first member's
         assert_same(got, called(members, points))
 
 
 @pytest.mark.parametrize("points", [[], [(("e1",),)] * 3], ids=["no points", "one point thrice"])
 def test_edge_point_lists_match_the_per_call_loop(points):
     members = list(SequenceTaskFamily(2))
-    got = complexity._output_matrix(members, points)
-    assert got[0].shape == (68, len(points))
+    got = class_outputs(members, points)
+    assert got.matrix.shape == (68, len(points)) and got.points == tuple(points)
     assert_same(got, called(members, points))
 
 
@@ -174,7 +186,7 @@ def test_the_family_universe_matches_the_per_call_loop(d):
     members = list(family)
     if d == 3:  # every twentieth member keeps the per-call reference quick
         members = members[::20]
-    assert_same(complexity._output_matrix(members, universe), called(members, universe))
+    assert_same(class_outputs(members, universe), called(members, universe))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +212,7 @@ def test_a_subclass_overriding_run_is_called_per_point(monkeypatch):
     members = [Recorded(m.components) for m in random_members(rng, external, 2)]
     points = random_points(rng, external)
     monkeypatch.setattr(Recorded, "calls", 0)
-    got = complexity._output_matrix(members, points)
+    got = class_outputs(members, points)
     assert Recorded.calls == len(members) * len(points)
     assert_same(got, called(members, points))
 
@@ -216,7 +228,7 @@ def test_a_list_holding_a_lambda_is_called_per_point(monkeypatch):
         raise AssertionError("stepped together")
 
     monkeypatch.setattr(cascade_module, "stacked_output_matrix", refuse)
-    got = complexity._output_matrix(functions, points)
+    got = class_outputs(functions, points)
     assert all(m._memo_size > 0 for m in members)
     assert_same(got, called(functions, points))
 
@@ -229,7 +241,7 @@ def test_members_over_two_alphabets_or_depths_are_called_per_point():
     for other in (random_members(rng, twin, 2), random_members(rng, external, 3)):
         members = random_members(rng, external, 2) + other
         assert stacked_output_matrix(members, points) is None
-        got = complexity._output_matrix(members, points)
+        got = class_outputs(members, points)
         assert all(m._memo_size > 0 for m in members)
         assert_same(got, called(members, points))
 
@@ -250,7 +262,7 @@ def bad_points(letters) -> dict:
 def test_rejected_points_raise_the_per_call_loops_error(case):
     family = SequenceTaskFamily(2)
     points = bad_points(list(family.external.letters()))[case]
-    got = outcome(lambda: complexity._output_matrix(list(family), points))
+    got = outcome(lambda: class_outputs(list(family), points))
     assert isinstance(got, tuple) and issubclass(got[0], Exception)
     assert got == outcome(lambda: called(list(family), points))
 
@@ -275,112 +287,128 @@ def test_each_component_is_wired_once(monkeypatch):
         m([("e1",), ("e2",)])
     assert len(built) == len(set(built)) == 21  # 4 watchers and 17 goals, not 136
     letters = list(family.external.letters())
-    complexity._output_matrix(members, [s for n in (1, 2) for s in
-                                        itertools.product(letters, repeat=n)])
+    points = [s for n in (1, 2) for s in itertools.product(letters, repeat=n)]
+    class_outputs(members, points)
     assert len(built) == 21
     same_goal = [m for m in members if m.components[1] is members[0].components[1]]
     assert len(same_goal) == 4
     assert all(m._wiring[1] is members[0]._wiring[1] for m in same_goal)
+    # a second iteration holds the first one's components, so it wires none
+    again = list(family)
+    assert all(a is b for m, n in zip(members, again, strict=True)
+               for a, b in zip(m.components, n.components, strict=True))
+    for m in again:
+        m([("e1",), ("e2",)])
+    assert_same(class_outputs(again, points), called(members, points))
+    assert len(built) == 21  # not 42
 
 
 # ---------------------------------------------------------------------------
-# The last matrix is kept.
+# Searches read a class's outputs in place of its functions.
 # ---------------------------------------------------------------------------
 
 
-def test_a_repeated_call_steps_its_members_once(monkeypatch):
-    rng = random.Random(11)
-    external = random_external(rng)
-    members = random_members(rng, external, 2)
-    points = random_points(rng, external)
-    calls = _kernel_calls(monkeypatch)
-    first = complexity._output_matrix(members, points)
-    # the same components in new cascades, and the points as other sequences
-    again = [complexity._output_matrix(members, points),
-             complexity._output_matrix([Cascade(m.components) for m in members], points),
-             complexity._output_matrix(list(members), [list(x) for x in points])]
-    assert len(calls) == 1
-    for got in again:
-        assert_same(got, first)
-    assert_same(first, called(members, points))
+def letter_functions(rng: random.Random, values: tuple) -> tuple[list, list]:
+    """Table functions or monotone DNFs over a random signature, and
+    letters of it, some repeated."""
+    signature = random_external(rng)
+    letters = list(signature.letters())
+    if rng.random() < 0.5:
+        functions = [TableFunction(signature, tuple(rng.choices(values, k=len(letters))))
+                     for _ in range(rng.randint(1, 30))]
+    else:
+        view = BooleanView(signature)
+        functions = [MonotoneDnf(view, tuple(rng.randrange(2**view.n_variables)
+                                             for _ in range(rng.randint(0, 3))),
+                                 *rng.sample(values, 2))
+                     for _ in range(rng.randint(1, 30))]
+    return functions, rng.choices(letters, k=rng.randint(1, 12))
 
 
-def test_other_members_or_points_are_stepped_again(monkeypatch):
-    def members_and_points(seed: int) -> tuple:
-        rng = random.Random(seed)
-        external = random_external(rng)
-        members = random_members(rng, external, 3) + random_members(rng, external, 3)
-        return members, random_points(rng, external)
-
-    members, points = members_and_points(12)
-    calls = _kernel_calls(monkeypatch)
-    complexity._output_matrix(members, points)
-    rebuilt, same_points = members_and_points(12)  # the same specs, fresh components
-    assert same_points == points
-    # each case differs from the one before it, so each is stepped afresh
-    cases = [(members, points[::-1] + [points[0] + points[-1]]),
-             (members[::-1], points),
-             (members[:len(members) // 2 + 1], points),
-             (rebuilt, points)]
-    for n, (functions, strings) in enumerate(cases, start=2):
-        assert_same(complexity._output_matrix(functions, strings), called(functions, strings))
-        assert len(calls) == n
+def search_class(seed: int) -> tuple:
+    """A seeded class over two or three output values, with its universe
+    and values: cascade members, lambdas over tables of the points, or
+    letter functions, by ``seed % 3``."""
+    rng = random.Random(seed)
+    values = ("g0", "g1", "g2")[:rng.choice([2, 3])]
+    if seed % 3 == 0:
+        external, depth = random_external(rng), rng.randint(1, 2)
+        members = [m for _ in range(3) for m in itertools.islice(
+            random_cascade_class(rng, external, depth, values), 40)]
+        return members, random_points(rng, external), values
+    if seed % 3 == 1:
+        points = [f"x{i}" for i in range(rng.randint(1, 12))]
+        tables = [{x: rng.choice(values) for x in points} for _ in range(rng.randint(1, 40))]
+        return [t.__getitem__ for t in tables], points, values
+    return (*letter_functions(rng, values), values)
 
 
-def test_a_fresh_iteration_of_a_class_is_stepped_again(monkeypatch):
-    family = SequenceTaskFamily(2)
-    letters = list(family.external.letters())
-    points = [s for n in (1, 2) for s in itertools.product(letters, repeat=n)]
-    calls = _kernel_calls(monkeypatch)
-    first = complexity._output_matrix(list(family), points)
-    second = complexity._output_matrix(list(family), points)
-    assert len(calls) == 2
-    assert_same(second, first)
+def searches(source, universe: list, values: tuple) -> dict:
+    """Every search's report on the class, or the error it raised."""
+    reports = {f"growth {ell}": outcome(lambda: empirical_growth(source, universe, ell))
+               for ell in range(4)}
+    reports["heuristic"] = outcome(lambda: empirical_growth(source, universe, 3,
+                                                            mode="heuristic", restarts=40, seed=7))
+    reports["capped growth"] = outcome(lambda: empirical_growth(source, universe, 3, cap=20,
+                                                                restarts=30, seed=2))
+    reports["vc"] = outcome(lambda: vc_dimension(source, universe))
+    reports["capped vc"] = outcome(lambda: vc_dimension(source, universe, 8 * len(universe)))
+    for outputs in (values[:2], (*values[:2], "other"), values):
+        reports[outputs] = outcome(lambda: class_dimension(source, universe, outputs))
+    reports["graph"] = outcome(lambda: graph_dimension(source, universe, values[:1]))
+    return reports
 
 
-def test_the_kept_matrix_cannot_be_written_nor_its_codes_changed():
+@pytest.mark.parametrize("seed", range(30))
+def test_searches_on_the_class_outputs_report_what_searches_on_the_functions_do(
+        seed, monkeypatch):
+    functions, universe, values = search_class(seed)
+    expected = searches(functions, universe, values)
+    assert not all(isinstance(r[0], type) for r in expected.values())  # not every one raised
+    calls, stepped = _kernel_calls(monkeypatch), []
+    counted = [lambda x, f=f: stepped.append(x) or f(x) for f in functions]
+    source = counted if seed % 3 == 1 else functions  # lambdas counted; the rest are not called
+    table = class_outputs(source, universe)
+    steps = (len(calls), len(stepped))
+    assert steps == [(1, 0), (0, len(functions) * len(universe)), (0, 0)][seed % 3]
+
+    def refuse(*args):
+        raise AssertionError("the class was read again")
+
+    monkeypatch.setattr(complexity, "class_outputs", refuse)
+    assert searches(table, universe, values) == expected
+    assert (len(calls), len(stepped)) == steps
+    assert all(m._memo_size == 0 for m in functions if isinstance(m, Cascade))  # never run
+    assert table.points == tuple(universe)
+    assert_same(table, called(functions, universe))
+
+
+def test_a_search_on_outputs_read_on_other_points_raises():
     family = SequenceTaskFamily(2)
     members = list(family)
     points = [(a,) for a in family.external.letters()]
-    matrix, code = complexity._output_matrix(members, points)
-    expected = (matrix.copy(), dict(code))
-    for _ in range(2):  # the first result, then the kept one
-        with pytest.raises(ValueError, match="read-only"):
-            matrix[0, 0] = 5
-        code.clear()
-        code["spoiled"] = 7
-        matrix, code = complexity._output_matrix(members, points)
-        assert_same((matrix, code), expected)
+    table = class_outputs(members, points)
+    outputs = ("set", "read")
+    for universe in (points[::-1], points[:-1], points + points[:1], [list(x) for x in points]):
+        for search in (lambda: empirical_growth(table, universe, 1),
+                       lambda: empirical_growth(table, universe, 2, mode="heuristic"),
+                       lambda: vc_dimension(table, universe),
+                       lambda: class_dimension(table, universe, outputs),
+                       lambda: graph_dimension(table, universe, (*outputs, "other"))):
+            with pytest.raises(ValueError, match="other points than the universe"):
+                search()
+    # equal points in another sequence are the same universe
+    assert empirical_growth(table, tuple(points), 2) == empirical_growth(members, points, 2)
 
 
-def test_the_kept_matrix_keeps_no_component_alive(monkeypatch):
-    family = SequenceTaskFamily(2)
-    letters = list(family.external.letters())
-    points = [s for n in (1, 2) for s in itertools.product(letters, repeat=n)]
-    members = list(family)
-    expected = called(members, points)
-    calls = _kernel_calls(monkeypatch)
-    complexity._output_matrix(members, points)
-    components = [weakref.ref(comp) for member in members for comp in member.components]
-    del members
-    gc.collect()
-    assert not any(ref() for ref in components)
-    assert_same(complexity._output_matrix(list(family), points), expected)
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("case", list(bad_points([("x",)])))
-def test_rejected_points_raise_on_every_call_after_a_kept_matrix(case):
-    family = SequenceTaskFamily(2)
-    members = list(family)
-    letters = list(family.external.letters())
-    points = bad_points(letters)[case]
-    expected = outcome(lambda: called(members, points))
-    good = [x for x in points if isinstance(x, tuple) and x and all(a in letters for a in x)]
-    complexity._output_matrix(members, good)  # kept, then asked for a rejected point
-    for _ in range(2):
-        assert outcome(lambda: complexity._output_matrix(members, points)) == expected
-    assert_same(complexity._output_matrix(members, good), called(members, good))
+def test_the_class_outputs_cannot_be_changed():
+    members = list(SequenceTaskFamily(2))
+    table = class_outputs(members, [(("e1",),), (("e2",), ("e1",))])
+    with pytest.raises(ValueError, match="read-only"):
+        table.matrix[0, 0] = 5
+    for field in ("matrix", "values", "points"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, field, None)
 
 
 def test_a_million_state_counter_numbers_only_the_values_reached():
@@ -390,10 +418,10 @@ def test_a_million_state_counter_numbers_only_the_values_reached():
     points = [(("tick",),) * 3, (("idle",), ("tick",)), (("tick",),), (("tick",),) * 4]
     tracemalloc.start()
     try:
-        got = complexity._output_matrix(members, points)
+        got = class_outputs(members, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert_same(got, called(members, points))
-    assert list(got[1]) == [2, 0, 3]
+    assert list(got.values) == [2, 0, 3]
