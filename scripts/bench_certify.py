@@ -11,6 +11,11 @@ It times:
   family per call, so that every call builds the components, with the
   number of distinct component objects its members hold, which is the
   number of components built;
+- ``member``: ``SequenceTaskFamily(d).member(i)`` for d = 3 and 4 at a
+  fixed index (``MEMBER_INDEX``): the first call on each of
+  ``MEMBER_FRESH`` fresh families, then ``MEMBER_REPEATS`` calls on one
+  family, with the number of distinct component objects that those calls'
+  members hold, which is the number of components they built;
 - ``vc_dimension``: the d=2 family's 68 members on its 14 strings of 1..3
   letters, as the certify-d2 round searches them;
 - ``empirical_growth``: the same members and strings, exact, at
@@ -28,7 +33,8 @@ It times:
 
 Every input is fixed and the searches are exhaustive, so nothing is drawn.
 Each time is the median of ``ITERATE_REPEATS[d]`` calls for the iteration,
-``SEARCH_REPEATS[d]`` for the searches and ``ROUND_REPEATS`` for the round.
+``SEARCH_REPEATS[d]`` for the searches, ``ROUND_REPEATS`` for the round and
+``MEMBER_FRESH`` or ``MEMBER_REPEATS`` for the member rows.
 A d=2 row's call takes 0.4-3 ms on a shared 2-CPU host, so its calls are
 enough to span at least about 0.1 s of one process, and a d=3 row's calls
 span at least about 0.5 s: a median of fewer drifts from process to
@@ -52,6 +58,9 @@ from benchlib import main, timed
 ITERATE_REPEATS = {2: 300, 3: 10}
 SEARCH_REPEATS = {2: 300, 3: 8}
 ROUND_REPEATS = 80
+MEMBER_INDEX = {3: 4432, 4: 12_345_678}
+MEMBER_FRESH = 200
+MEMBER_REPEATS = 2000
 ELLS = {2: (1, 2, 3), 3: (1,)}
 MAX_LEN = 3
 
@@ -64,6 +73,18 @@ def bench_iterate(d: int) -> dict:
     return {"members": len(members),
             "components_built": len({id(c) for m in members for c in m.components}),
             "iterate_s": statistics.median(t for _, t in runs)}
+
+
+def bench_member(d: int) -> dict:
+    from cascata.crafting import SequenceTaskFamily
+
+    index = MEMBER_INDEX[d]
+    first = [timed(SequenceTaskFamily(d).member, index)[1] for _ in range(MEMBER_FRESH)]
+    family = SequenceTaskFamily(d)
+    runs = [timed(family.member, index) for _ in range(MEMBER_REPEATS)]
+    return {"index": index, "first_s": statistics.median(first),
+            "repeat_s": statistics.median(t for _, t in runs),
+            "components_built": len({id(c) for m, _ in runs for c in m.components})}
 
 
 def bench_searches(d: int) -> dict:
@@ -117,6 +138,8 @@ def measure() -> dict:
     return {"iterate_repeats": ITERATE_REPEATS, "search_repeats": SEARCH_REPEATS,
             "round_repeats": ROUND_REPEATS,
             **{f"iterate_d{d}": bench_iterate(d) for d in ITERATE_REPEATS},
+            "member_fresh": MEMBER_FRESH, "member_repeats": MEMBER_REPEATS,
+            **{f"member_d{d}": bench_member(d) for d in MEMBER_INDEX},
             **{f"search_d{d}": bench_searches(d) for d in SEARCH_REPEATS},
             "round_d2": bench_round()}
 

@@ -15,8 +15,8 @@ behind ``flatten``; and the level kernel ``_step_levels``, behind
 ``stacked_output_matrix`` and ``Cascade.run_many``.  All three read the
 components' wirings (``_Wiring``, shared through ``_wired``).  A
 ``CascadeClass`` builds each part's components once per class
-(``CascadeClass._components``) and iterates its members as their product,
-so every iteration shares the components and their wirings; the
+(``CascadeClass._component``) and assembles its members from them, indexed
+or iterated, so every member shares the components and their wirings; the
 certification searches read a class through ``complexity.class_outputs``.
 """
 
@@ -337,18 +337,16 @@ def _product_labels(cores, codes: np.ndarray) -> list[tuple]:
 
 def _automaton(fn):
     """The automaton that calling ``fn`` runs, when ``fn`` is a ``Cascade``
-    or a ``FlatAutomaton`` or its bound ``run`` or ``__call__`` (and the
-    class keeps that ``run``); otherwise None.  Sampling, risk estimates and
-    the certification searches step ``fn``'s arrays instead of calling it
-    exactly when this finds an automaton."""
+    or a ``FlatAutomaton`` or its bound ``run`` (which its ``__call__``
+    is); otherwise None, for subclasses too, which may override ``run``.
+    Sampling, risk estimates and the certification searches step ``fn``'s
+    arrays instead of calling it exactly when this finds an automaton."""
     if type(fn) is Cascade or type(fn) is FlatAutomaton:  # the common case, decided at once
         return fn
-    owner = getattr(fn, "__self__", fn)
-    run = getattr(type(owner), "run", None)
-    if run is not Cascade.run and run is not FlatAutomaton.run:
-        return None
-    called = type(owner).__call__ if fn is owner else getattr(fn, "__func__", None)
-    return owner if called is run else None
+    owner = getattr(fn, "__self__", None)
+    if (type(owner) is Cascade or type(owner) is FlatAutomaton) and fn == owner.run:
+        return owner
+    return None
 
 
 class _Level(NamedTuple):
@@ -561,11 +559,13 @@ class CascadeClass(NumberedClass):
     dependency sets, cores and output functions, and each choose their input
     function from a finite class (``cardinality`` and ``member``).  A
     member's digits are its components' choices, so the last component's
-    choice varies fastest.  Members are built by ``build_chained``, and
-    iterated members through its ``_part_component``, so every member
-    holds the same chained alphabets.  A part whose ``output_fn`` is
-    a callable must list its values in ``outputs``; ``part_outputs`` holds
-    each part's output values, so the last one's are the members' outputs."""
+    choice varies fastest.  A member, indexed or iterated, is the tuple of
+    its parts' components for its digits, each built once per class by
+    ``_component``; ``build`` chains a member of any input functions through
+    ``build_chained``.  Every member holds the same chained alphabets.  A
+    part whose ``output_fn`` is a callable must list its values in
+    ``outputs``; ``part_outputs`` holds each part's output values, so the
+    last one's are the members' outputs."""
 
     def __init__(self, external: FactoredAlphabet, parts):
         self.external = external
@@ -576,6 +576,8 @@ class CascadeClass(NumberedClass):
             if outputs is None:
                 raise ValueError(f"part {p.name!r}: an output_fn given as a callable "
                                  "needs its values in outputs")
+        # per part, its components built so far, by choice (``_component``)
+        self._built = tuple({} for _ in self.parts)
 
     @cached_property
     def _radices(self) -> tuple[int, ...]:
@@ -595,22 +597,27 @@ class CascadeClass(NumberedClass):
         return tuple(p._asdict() for p in self.parts)
 
     def build(self, input_fns) -> Cascade:
-        """The member whose components use the given input functions."""
+        """The member whose components use the given input functions, which
+        need not be members of the parts' input classes."""
         return build_chained(self.external, [dict(spec, input_fn=fn) for spec, fn
                                              in zip(self._specs, input_fns, strict=True)])
 
     def member(self, index: int) -> Cascade:
         digits = mixed_radix_digits(index, self._radices)
-        return self.build([p.input_class.member(d) for p, d in zip(self.parts, digits)])
+        return Cascade(map(self._component, range(len(self.parts)), digits))
 
-    @cached_property
-    def _components(self) -> tuple[tuple[ComponentAutomaton, ...], ...]:
-        """Each part's component per choice of that part, on the part's
-        input alphabet (``_alphabets``), built once per class: a component
-        depends only on that alphabet and its own input function."""
-        return tuple(tuple(_part_component(alphabet, spec, spec["input_class"].member(d))
-                           for d in range(spec["input_class"].cardinality))
-                     for alphabet, spec in zip(self._alphabets, self._specs))
+    def _component(self, part: int, choice: int) -> ComponentAutomaton:
+        """The component of ``part`` for its ``choice``-th input function, on
+        the part's input alphabet (``_alphabets``).  It depends on nothing
+        else, so it is built when first asked for and kept as long as the
+        class; racing threads keep the first one built."""
+        built = self._built[part]
+        comp = built.get(choice)
+        if comp is None:
+            spec = self._specs[part]
+            comp = built.setdefault(choice, _part_component(
+                self._alphabets[part], spec, spec["input_class"].member(choice)))
+        return comp
 
     @cached_property
     def _alphabets(self) -> tuple[FactoredAlphabet, ...]:
@@ -623,12 +630,14 @@ class CascadeClass(NumberedClass):
         return tuple(alphabets)
 
     def __iter__(self) -> Iterator[Cascade]:
-        """The members in index order, as the product of the parts'
-        components (``_components``): sum_i |F_i| components for prod_i
-        |F_i| members, two members share part i's component exactly when
-        they agree on its choice, and every iteration shares them and their
-        wirings, which live as long as the class."""
-        return map(Cascade, itertools.product(*self._components))
+        """The members in index order, as the product of every part's
+        components (``_component``): sum_i |F_i| components for prod_i
+        |F_i| members.  Two members share part i's component exactly when
+        they agree on its choice, and every iteration and ``member`` share
+        them and their wirings."""
+        return map(Cascade, itertools.product(*(
+            [self._component(part, choice) for choice in range(radix)]
+            for part, radix in enumerate(self._radices))))
 
     def descriptor(self, max_len: int, epsilon: float = 0.1, eta: float = 0.1,
                    input_dims=None) -> ClassDescriptor:

@@ -8,16 +8,19 @@ The environment variable ``CASCATA_CAP`` overrides the default size caps;
 ``--cap`` overrides both.  Only the commands whose work a cap bounds take
 ``--cap``: flatten, minimize, equiv, aperiodic, growth and learn.  Only
 ``flatten`` takes ``--no-prune``, which keeps the product states unreachable
-from the initial one; ``minimize`` starts from the reachable states.  Every
-cascade, whether from a spec file, a class member or a scenario, is built
-by ``cascade.build_chained``.  When the reader of stdout goes away (``cascata
-bounds ... | head -1``), the rest of the output is dropped and the exit code
-is 0, with no traceback.
+from the initial one; ``minimize`` starts from the reachable states.  A
+cascade from a spec file or a scenario is chained by
+``cascade.build_chained``; a class member (``learn``) is assembled from its
+class's components (``CascadeClass.member``).  When the reader of stdout
+goes away (``cascata bounds ... | head -1``), the rest of the output is
+dropped and the exit code is 0, with no traceback.
 
 Trace files hold one trace per line: space-separated letters, each letter a
-comma-separated list of coordinate values.  Label files hold one integer
-per line, an output value of the class's last component.  ``--out`` sends
-a command's result to a file instead of stdout (``learn``'s report stays).
+comma-separated list of coordinate values, each written as its ``str``.  A
+token that is the ``str`` of two values of its coordinate (``1`` and
+``"1"``) is an error.  Label files hold one integer per line, an output
+value of the class's last component.  ``--out`` sends a command's result to
+a file instead of stdout (``learn``'s report stays).
 """
 
 from __future__ import annotations
@@ -145,12 +148,17 @@ def _parse_letter(token: str, alphabet: FactoredAlphabet, where: str):
         )
     letter = []
     for part, coord in zip(parts, alphabet.coords):
-        match = next((v for v in coord.values if str(v) == part), None)
-        if match is None:
+        matches = [v for v in coord.values if str(v) == part]
+        if not matches:
             raise SpecFileError(
                 f"{where}: value {part!r} not in coordinate {coord.name!r}"
             )
-        letter.append(match)
+        if len(matches) > 1:
+            raise SpecFileError(
+                f"{where}: value {part!r} is ambiguous in coordinate {coord.name!r}: "
+                f"it names each of {', '.join(map(repr, matches))}"
+            )
+        letter.append(matches[0])
     return tuple(letter)
 
 

@@ -1,6 +1,10 @@
 import ast
+import hashlib
 import itertools
+import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -194,7 +198,7 @@ def test_class_part_with_a_final_callable_output_fn_needs_its_outputs():
 
 
 # ---------------------------------------------------------------------------
-# Class members are built by build_chained.
+# Class members equal the cascades that chaining their parts makes.
 # ---------------------------------------------------------------------------
 
 
@@ -320,21 +324,182 @@ def test_iterated_members_share_the_components_of_their_choices(name):
             assert (a is b) == (digits[i][part] == digits[j][part])
 
 
-@pytest.mark.parametrize("d, n_members, n_built", [
-    (2, 68, 4 + 17),  # 4 watchers, 17 goals
-    (3, 20_288, 8 + 8 + 317),  # 8 watchers per watcher part, 317 goals
-])
-def test_family_iteration_builds_each_part_choice_once(monkeypatch, d, n_members, n_built):
-    family, built = SequenceTaskFamily(d), []
-    init = ComponentAutomaton.__init__
+def _counting_constructions(monkeypatch) -> list:
+    """Every ``ComponentAutomaton`` constructed from now on, in order."""
+    built, init = [], ComponentAutomaton.__init__
 
     def counted(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ComponentAutomaton, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("d, n_members, n_built", [
+    (2, 68, 4 + 17),  # 4 watchers, 17 goals
+    (3, 20_288, 8 + 8 + 317),  # 8 watchers per watcher part, 317 goals
+])
+def test_family_iteration_builds_each_part_choice_once(monkeypatch, d, n_members, n_built):
+    family, built = SequenceTaskFamily(d), _counting_constructions(monkeypatch)
     assert len(list(family)) == n_members == family.cardinality
     assert len(built) == n_built == sum(family._radices)
+
+
+# ---------------------------------------------------------------------------
+# Indexed and iterated members share one component per (part, choice).
+# ---------------------------------------------------------------------------
+
+SEEDED_CLASS_MEMBERS = 2_000  # the most members a seeded class spec may have
+CORE_LETTERS = {"flipflop": ("set", "reset", "read"), "flipflop_wo": ("set", "read"),
+                "counter:2": ("inc", "read"), "counter:3": ("inc", "read")}
+INPUT_KINDS = ("table", "threshold", "mono_dnf")
+
+
+def _seeded_class_spec(seed: int, n_parts: int) -> dict:
+    """A class spec of ``n_parts`` parts over one or two small external
+    coordinates; part i's input class is of kind ``INPUT_KINDS[(seed + i) %
+    3]``, so every kind occurs among two consecutive seeds.  Specs are
+    drawn until one has at most ``SEEDED_CLASS_MEMBERS`` members."""
+    rng = random.Random(seed)
+    while True:
+        alphabet = [{"name": "x", "values": [0, 1, 2]}]
+        if rng.random() < 0.5:
+            alphabet.append({"name": "y", "values": [0, 1]})
+        components = []
+        for i in range(n_parts):
+            arity = len(alphabet) + i
+            core = rng.choice(sorted(CORE_LETTERS))
+            on = rng.sample(CORE_LETTERS[core], 2)
+            kind = INPUT_KINDS[(seed + i) % 3]
+            input_class = ({"kind": "table", "outputs": on} if kind == "table" else
+                           {"kind": kind, "on_true": on[0], "on_false": on[1]})
+            if kind == "mono_dnf":
+                input_class["max_terms"] = rng.randint(1, 2)
+            components.append({
+                "name": f"k{i + 1}", "core": core, "input_class": input_class,
+                # every part after the first reads the one before it
+                "dependencies": sorted({arity, *rng.sample(range(1, arity + 1), 1)}
+                                       if i else rng.sample(range(1, arity + 1), 1)),
+                "output_fn": rng.choice(["state", "next_state"])})
+        spec = {"alphabet": alphabet, "components": components}
+        if class_from_spec(spec).cardinality <= SEEDED_CLASS_MEMBERS:
+            return spec
+
+
+SEEDED_SPECS = [(seed, n_parts) for n_parts in (2, 3) for seed in range(4)]
+
+
+def spec_hash(cascade: Cascade) -> str:
+    """The sha256 of ``cascade``'s spec file, keys sorted."""
+    text = json.dumps(cascade_to_spec(cascade), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_seeded_class_specs_cover_every_input_kind():
+    kinds = {c["input_class"]["kind"] for seed, n_parts in SEEDED_SPECS
+             for c in _seeded_class_spec(seed, n_parts)["components"]}
+    assert kinds == set(INPUT_KINDS)
+
+
+@pytest.mark.parametrize("seed, n_parts", SEEDED_SPECS)
+def test_indexed_and_iterated_members_hold_the_same_components(seed, n_parts):
+    cls = class_from_spec(_seeded_class_spec(seed, n_parts))
+    indices = sorted(random.Random(seed).sample(range(cls.cardinality),
+                                                min(cls.cardinality, 40)))
+    indexed = {i: cls.member(i) for i in indices}  # indexed first, then iterated
+    members = list(cls)
+    assert len(members) == cls.cardinality
+    for i, member in enumerate(members):
+        again = cls.member(i)
+        for k, comp in enumerate(member.components):
+            assert again.components[k] is comp
+            if i in indexed:
+                assert indexed[i].components[k] is comp
+        assert spec_hash(again) == spec_hash(member)
+    # the same members as build_chained makes from the members' input functions
+    for i in indices:
+        alone = cls.build([comp.input_fn for comp in members[i].components])
+        assert spec_hash(alone) == spec_hash(members[i])
+
+
+@pytest.mark.parametrize("seed, n_parts", SEEDED_SPECS)
+def test_members_build_each_requested_part_choice_once(monkeypatch, seed, n_parts):
+    cls = class_from_spec(_seeded_class_spec(seed, n_parts))
+    built = _counting_constructions(monkeypatch)
+    rng, requested = random.Random(seed), set()
+    for index in rng.choices(range(cls.cardinality), k=30):
+        cls.member(index)
+        requested |= set(enumerate(mixed_radix_digits(index, cls._radices)))
+        assert len(built) == len(requested)
+    list(cls)
+    list(cls)
+    assert len(built) == sum(cls._radices)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_a_family_member_builds_only_its_own_components(monkeypatch, d):
+    family = SequenceTaskFamily(d)
+    built = _counting_constructions(monkeypatch)
+    index = family.cardinality // 3
+    first = family.member(index)
+    assert len(built) == d
+    # a member that differs only in its goal choice builds that goal alone
+    other = family.member(index + 1 if (index + 1) % family._radices[-1] else index - 1)
+    assert len(built) == d + 1
+    shared = [a is b for a, b in zip(first.components, other.components)]
+    assert shared == [True] * (d - 1) + [False]
+    assert all(a is b for a, b in zip(family.member(index).components, first.components))
+    assert len(built) == d + 1
+
+
+def test_threads_racing_on_one_class_get_the_same_members():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            family = SequenceTaskFamily(3)
+            indices = [4432, 4433, 12345, 20287]
+            barrier, seen = threading.Barrier(6), []
+
+            def race():
+                barrier.wait()
+                seen.append([family.member(i).components for i in indices])
+
+            threads = [threading.Thread(target=race) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads) and len(seen) == 6
+            for members in seen:
+                assert all(a is b for mine, first in zip(members, seen[0])
+                           for a, b in zip(mine, first, strict=True))
+            # the components every thread got are the ones the class kept
+            assert all(a is b for i, first in zip(indices, seen[0])
+                       for a, b in zip(family.member(i).components, first, strict=True))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_members_are_not_assembled_by_build_chained(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("build_chained called")
+
+    family = SequenceTaskFamily(3)
+    monkeypatch.setattr(cascata.cascade, "build_chained", refused)
+    assert family.member(4432).depth == 3
+    assert len(list(SequenceTaskFamily(2))) == 68
+    with pytest.raises(AssertionError, match="build_chained called"):
+        family.sequence_target()
+
+
+@pytest.mark.parametrize("n_fns", [0, 2, 4])
+def test_build_needs_one_input_function_per_part(n_fns):
+    family = SequenceTaskFamily(3)
+    fns = [comp.input_fn for comp in family.sequence_target().components]
+    with pytest.raises(ValueError):
+        family.build((fns * 2)[:n_fns])
 
 
 def test_no_module_of_the_library_holds_global_state():

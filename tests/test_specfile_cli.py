@@ -10,7 +10,7 @@ from decimal import Decimal
 import pytest
 
 from cascata import cli as cli_module
-from cascata.alphabets import FactoredAlphabet
+from cascata.alphabets import FactoredAlphabet, TableFunction
 from cascata.automata import ComponentAutomaton, Semiautomaton
 from cascata.cascade import Cascade, build_chained
 from cascata.cli import main
@@ -1195,6 +1195,46 @@ def test_cli_run_malformed_trace_names_file_and_line(flipflop_spec, tmp_path, ca
     assert main(["run", flipflop_spec, traces]) == 2
     err = capsys.readouterr().err
     assert "t.traces: line 3" in err and "'zinc'" in err
+
+
+def _int_and_str_spec(path) -> str:
+    """A one-flip-flop cascade spec over a coordinate ``x`` listing both
+    ``1`` and ``"1"``: the letter ``(1,)`` sets the flip-flop, ``("1",)``
+    and ``(2,)`` read it, and the output is the next state."""
+    external = FactoredAlphabet.single("x", (1, "1", 2))
+    comp = ComponentAutomaton(external, (1,), TableFunction(external, ("set", "read", "read")),
+                              make_flipflop(with_reset=False), output_fn="next_state", name="k")
+    path.write_text(json.dumps(cascade_to_spec(Cascade([comp]))))
+    return str(path)
+
+
+AMBIGUOUS_TOKEN = "line 2: value '1' is ambiguous in coordinate 'x': it names each of 1, '1'"
+
+
+def test_cli_run_rejects_a_token_that_names_two_values(tmp_path, capsys):
+    spec = _int_and_str_spec(tmp_path / "spec.json")
+    assert main(["run", spec, _write(tmp_path, "t.traces", "2\n")]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0"]
+    assert main(["run", spec, _write(tmp_path, "t.traces", "2\n2 1\n")]) == 2
+    err = capsys.readouterr().err
+    assert f"t.traces: {AMBIGUOUS_TOKEN}" in err and "Traceback" not in err, err
+
+
+def test_cli_learn_rejects_a_trace_token_that_names_two_values(tmp_path, capsys):
+    classspec = {
+        "alphabet": [{"name": "x", "values": [1, "1", 2]}],
+        "components": [{"name": "k", "dependencies": [1], "core": "flipflop_wo",
+                        "input_class": {"kind": "table", "outputs": ["set", "read"]},
+                        "output_fn": "next_state"}],
+    }
+    argv = _learn_files(tmp_path, classspec=classspec)
+    _write(tmp_path, "x.traces", "2\n2\n")
+    assert main(argv) == 0
+    capsys.readouterr()
+    _write(tmp_path, "x.traces", "2\n1 2\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"x.traces: {AMBIGUOUS_TOKEN}" in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("classspec", [None, {"family": "sequence_tasks", "d": 2}])
