@@ -36,12 +36,19 @@ Each time is the median of ``ITERATE_REPEATS[d]`` calls for the iteration,
 ``SEARCH_REPEATS[d]`` for the searches, ``ROUND_REPEATS`` for the round and
 ``MEMBER_FRESH`` or ``MEMBER_REPEATS`` for the member rows.
 A d=2 row's call takes 0.4-3 ms on a shared 2-CPU host, so its calls are
-enough to span at least about 0.1 s of one process, and a d=3 row's calls
-span at least about 0.5 s: a median of fewer drifts from process to
-process by more than most changes move it.  Each search call and each
-round runs on a new ``list(family)`` of one family, and so reads its
-members' outputs afresh, as the certify-d2 round does.  Every report is
-kept beside its time, so two labels' reports can be compared.
+enough to span at least about 0.1 s of one process: a median of fewer
+drifts from process to process by more than most changes move it.  A d=3
+call takes about 0.1 s and allocates a list of 20,288 members, so whether
+a full garbage collection falls inside it is left to chance, which spreads
+its calls by about 25% between their quartiles; so every d=3 call starts
+after ``gc.collect()``, which halves that spread, and each d=3 row takes
+the median of 40 calls.  A family's searches are timed in turn, call by
+call, so that a slow spell of the shared host, which can last seconds,
+falls on a few calls of each rather than on most calls of one.  Each
+search call and each round runs on a new ``list(family)`` of one family,
+and so reads its members' outputs afresh, as the certify-d2 round does.
+Every report is kept beside its time, so two labels' reports can be
+compared.
 The results go into OUT.json under the label (``benchlib.main``).  Only
 cascata's public API is called, so the script runs against older sources
 (``--src``) too.
@@ -49,14 +56,15 @@ cascata's public API is called, so the script runs against older sources
 
 from __future__ import annotations
 
+import gc
 import itertools
 import statistics
 import sys
 
 from benchlib import main, timed
 
-ITERATE_REPEATS = {2: 300, 3: 10}
-SEARCH_REPEATS = {2: 300, 3: 8}
+ITERATE_REPEATS = {2: 300, 3: 40}
+SEARCH_REPEATS = {2: 300, 3: 40}
 ROUND_REPEATS = 80
 MEMBER_INDEX = {3: 4432, 4: 12_345_678}
 MEMBER_FRESH = 200
@@ -65,14 +73,23 @@ ELLS = {2: (1, 2, 3), 3: (1,)}
 MAX_LEN = 3
 
 
+def timed_call(d: int, fn, *args) -> tuple[object, float]:
+    """``timed(fn, *args)``, after a full garbage collection at d=3."""
+    if d >= 3:
+        gc.collect()
+    return timed(fn, *args)
+
+
 def bench_iterate(d: int) -> dict:
     from cascata.crafting import SequenceTaskFamily
 
-    runs = [timed(lambda: list(SequenceTaskFamily(d))) for _ in range(ITERATE_REPEATS[d])]
-    members = runs[0][0]
+    times = []
+    for _ in range(ITERATE_REPEATS[d]):  # one call's members kept at a time
+        members, t = timed_call(d, lambda: list(SequenceTaskFamily(d)))
+        times.append(t)
     return {"members": len(members),
             "components_built": len({id(c) for m in members for c in m.components}),
-            "iterate_s": statistics.median(t for _, t in runs)}
+            "iterate_s": statistics.median(times)}
 
 
 def bench_member(d: int) -> dict:
@@ -98,11 +115,14 @@ def bench_searches(d: int) -> dict:
     for ell in ELLS[d]:
         searches[f"empirical_growth_ell{ell}"] = (
             lambda members, ell=ell: empirical_growth(members, universe, ell, mode="exact"))
+    runs: dict = {name: [] for name in searches}
+    for _ in range(SEARCH_REPEATS[d]):  # in turn, so a slow spell of the host slows each a little
+        for name, search in searches.items():
+            runs[name].append(timed_call(d, search, list(family)))
     result = {"universe": len(universe)}
-    for name, search in searches.items():
-        runs = [timed(search, list(family)) for _ in range(SEARCH_REPEATS[d])]
-        result[f"{name}_s"] = statistics.median(t for _, t in runs)
-        result[f"{name}_report"] = runs[0][0]._asdict()
+    for name, calls in runs.items():
+        result[f"{name}_s"] = statistics.median(t for _, t in calls)
+        result[f"{name}_report"] = calls[0][0]._asdict()
     return result
 
 

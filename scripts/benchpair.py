@@ -1,15 +1,18 @@
 """Paired runs of one bench script on two cascata source trees, with an A/A
 control.
 
-    git archive HEAD~1 src | tar -x -C ../parent
     python3 scripts/benchpair.py OUT.json scripts/bench_certify.py \
-        --a ../parent/src --b src --label certify-pairs
+        --a HEAD~1 --b src --label certify-pairs
 
-The bench script is any script that takes ``OUT.json --label L --src SRC``
-(``benchlib.main``).  Each run is a fresh process.  Over ``PAIRS`` pairs
-the trees run in the order A B, B A, A B, ..., so neither side always runs
-first; then tree A runs twice more, the A/A pair, which shows how far two
-runs of one tree drift apart.
+``--a`` and ``--b`` each name a source tree: a directory as given (``src``
+is the working tree, uncommitted changes included), or else a git ref of
+this repository, whose ``src`` is exported with ``git archive`` into a
+temporary directory, with no network.  The bench script itself is run as
+given, from the working tree, on both trees; it is any script that takes
+``OUT.json --label L --src SRC`` (``benchlib.main``).  Each run is a fresh
+process.  Over ``PAIRS`` pairs the trees run in the order A B, B A, A B,
+..., so neither side always runs first; then tree A runs twice more, the
+A/A pair, which shows how far two runs of one tree drift apart.
 
 For every time the script reports (a number under a key ending in ``_s``,
 at any depth of its results; lower is better), OUT.json gets under the
@@ -25,14 +28,16 @@ and the keys of any value that differs in some run are listed under
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
-from benchlib import add
+from benchlib import ROOT, add
 
 #: A/B pairs per comparison, the fewest in which a gain can be seen to win
 #: nine pairs of ten.
@@ -48,6 +53,21 @@ def flattened(results: dict, prefix: str = "") -> dict:
         else:
             leaves[f"{prefix}{key}"] = value
     return leaves
+
+
+def source_tree(spec: str, into: Path) -> Path:
+    """The source tree that ``spec`` names: a directory itself, else the
+    ``src`` of the git ref ``spec``, exported under ``into``."""
+    if Path(spec).is_dir():
+        return Path(spec).resolve()
+    archive = subprocess.run(["git", "archive", "--format=tar", spec, "src"], cwd=ROOT,
+                             capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"{spec!r} is neither a directory nor a git ref with a src tree: "
+                         f"{archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return into / "src"
 
 
 def run(bench: Path, src: Path, workdir: Path) -> dict:
@@ -81,14 +101,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="JSON file to add the results to")
     parser.add_argument("bench", type=Path, help="the bench script to run")
-    parser.add_argument("--a", type=Path, required=True, help="source tree A (the baseline)")
-    parser.add_argument("--b", type=Path, required=True, help="source tree B")
+    parser.add_argument("--a", required=True,
+                        help="source tree A (the baseline): a directory or a git ref")
+    parser.add_argument("--b", required=True, help="source tree B: a directory or a git ref")
     parser.add_argument("--label", required=True, help="name the results go under")
     args = parser.parse_args(argv)
-    trees = {"a": args.a.resolve(), "b": args.b.resolve()}
     runs: dict = {"a": [], "b": []}
     order = []
     with tempfile.TemporaryDirectory() as workdir:
+        trees = {side: source_tree(spec, Path(workdir) / side)
+                 for side, spec in (("a", args.a), ("b", args.b))}
         for i in range(PAIRS):
             for side in ("ab" if i % 2 == 0 else "ba"):
                 runs[side].append(run(args.bench, trees[side], Path(workdir)))

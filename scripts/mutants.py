@@ -65,6 +65,25 @@ MUTANTS = (
            "if tuple(extra.values) != prev.outputs:",
            "if set(extra.values) != set(prev.outputs):",
            ("tests/test_stepping.py",)),
+    Mutant("place-values-reversed", "src/cascata/alphabets.py",
+           "for i in range(len(counts)))", "for i in reversed(range(len(counts))))",
+           ("tests/test_wiring_weights.py",)),
+    Mutant("wiring-weights-reversed", "src/cascata/cascade.py",
+           "zip(comp.dependencies.indices, comp.projected.place_values)",
+           "zip(comp.dependencies.indices, reversed(comp.projected.place_values))",
+           ("tests/test_wiring_weights.py",)),
+    Mutant("chained-weight-of-the-coordinate-before", "src/cascata/cascade.py",
+           "weights[row_wiring, j], ancestors[j - base]",
+           "weights[row_wiring, j - 1], ancestors[j - base]",
+           ("tests/test_stacked_outputs.py",)),
+    Mutant("product-tables-read-external-coordinates-only", "src/cascata/cascade.py",
+           "for code, weight in zip(codes, wiring.weights):",
+           "for code, weight in zip(codes[:len(letter_codes.T)], wiring.weights):",
+           ("tests/test_flatten.py",)),
+    Mutant("dnf-term-hit-on-overlap", "src/cascata/alphabets.py",
+           "any(term & mask == term for term in self.terms)",
+           "any(term & mask for term in self.terms)",
+           ("tests/test_letter_reader.py",)),
 )
 
 # A pytest plugin, written into the copy, that records where the session's

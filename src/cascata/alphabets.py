@@ -8,12 +8,12 @@ Numbering: letters, the product classes here (``TableClass``,
 ``ThresholdClass``) and cascade classes are all numbered in mixed radix, one
 digit per position, with the last position varying fastest.  A letter's
 digits are its value codes (``FactoredAlphabet.encode``: each value's
-position in its coordinate's ``values``) and ``index`` sums them from
-``places``; a class's digits are its per-position choices, which
-``mixed_radix_digits`` decodes from a member's index.  Every finite class
-names its members by index through ``member(i)``, and iteration follows the
-index (``NumberedClass``).  No other module numbers letters or members by
-hand.
+position in its coordinate's ``values``), and a letter's index is the sum of
+its codes times the coordinates' ``place_values``; a class's digits are its
+per-position choices, which ``mixed_radix_digits`` decodes from a member's
+index.  Every finite class names its members by index through
+``member(i)``, and iteration follows the index (``NumberedClass``).  No
+other module numbers letters or members by hand.
 """
 
 from __future__ import annotations
@@ -96,14 +96,18 @@ class FactoredAlphabet:
         return tuple({v: i for i, v in enumerate(c.values)} for c in self.coords)
 
     @cached_property
+    def place_values(self) -> tuple[int, ...]:
+        """Per coordinate, the product of the value counts of the coordinates
+        after it; a letter's index is the sum of its codes times these."""
+        counts = [len(c.values) for c in self.coords]
+        return tuple(math.prod(counts[i + 1:]) for i in range(len(counts)))
+
+    @cached_property
     def places(self) -> tuple[dict, ...]:
         """Per coordinate, value -> its code times the coordinate's place
         value; a letter's index is the sum over its coordinates."""
-        weight, places = self.n_letters, []
-        for c in self.coords:
-            weight //= len(c.values)
-            places.append({v: i * weight for i, v in enumerate(c.values)})
-        return tuple(places)
+        return tuple({v: i * weight for i, v in enumerate(c.values)}
+                     for c, weight in zip(self.coords, self.place_values))
 
     def _look_up(self, tables, letter, where: str) -> list:
         """``tables[i][letter[i]]`` per coordinate i; raises what ``check`` raises."""

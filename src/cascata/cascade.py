@@ -13,11 +13,13 @@ Stepping takes three forms, each explained where it is written: the scalar
 ``Cascade._memoize`` fills); the broadcast pass ``Cascade._product_tables``,
 behind ``flatten``; and the level kernel ``_step_levels``, behind
 ``stacked_output_matrix`` and ``Cascade.run_many``.  All three read the
-components' wirings (``_Wiring``, shared through ``_wired``).  A
-``CascadeClass`` builds each part's components once per class
-(``CascadeClass._component``) and assembles its members from them, indexed
-or iterated, so every member shares the components and their wirings; the
-certification searches read a class through ``complexity.class_outputs``.
+components' wirings (``_Wiring``, shared through ``_wired``): each sums a
+letter's codes times one place weight per coordinate to find the projected
+letter a component reads.  A ``CascadeClass`` builds each part's components
+once per class (``CascadeClass._component``) and assembles its members from
+them, indexed or iterated, so every member shares the components and their
+wirings; the certification searches read a class through
+``complexity.class_outputs``.
 """
 
 from __future__ import annotations
@@ -60,36 +62,22 @@ class StepResult(NamedTuple):
 class _Wiring:
     """What stepping ``comp`` in a cascade reads: ``next_array`` and
     ``out_array`` flattened, indexed ``q * k + x``; ``k``, its projected
-    letter count; and per dependency, (coordinate, code -> the code's share
-    of the projected letter's index).  A chained coordinate lists the
-    outputs it holds in their code order, so its codes are output codes.
-    The arrays are C-contiguous, so flattening them copies nothing."""
+    letter count; and ``weights``, per coordinate of its alphabet its place
+    value in the projected alphabet, 0 where not read, so x is the sum of a
+    letter's codes times them.  A chained coordinate's codes are output
+    codes, since it lists the outputs in their code order.  The arrays are
+    C-contiguous, so flattening them copies nothing.  ``views`` is what
+    ``_advance`` reads: the arrays as memoryviews, read as Python ints,
+    ``k``, and each coordinate read with its weight."""
 
     def __init__(self, comp: ComponentAutomaton):
         self.next_array = comp.next_array.reshape(-1)
         self.out_array = comp.out_array.reshape(-1)
         self.k = comp.next_array.shape[1]
-        self.inputs = tuple((j - 1, list(place.values()))
-                            for j, place in zip(comp.dependencies.indices, comp.projected.places))
-        # per coordinate, how many codes it takes
-        self.widths = tuple(len(c.values) for c in comp.alphabet.coords)
-
-    @_lazy_attribute
-    def views(self) -> tuple:
-        """What ``_advance`` reads: the arrays as views, read as Python
-        ints, which copy nothing."""
-        return memoryview(self.next_array), memoryview(self.out_array), self.k, self.inputs
-
-    @_lazy_attribute
-    def laid(self) -> tuple[np.ndarray, list]:
-        """What the vectorized forms read: every coordinate's contributions
-        as one int array, laid end to end, zeros for a coordinate not read,
-        and where each coordinate's begin."""
-        read, flat, starts = dict(self.inputs), [], []
-        for j, width in enumerate(self.widths):
-            starts.append(len(flat))
-            flat += read.get(j) or [0] * width
-        return np.array(flat, dtype=np.intp), starts
+        place = dict(zip(comp.dependencies.indices, comp.projected.place_values))
+        self.weights = tuple(place.get(j, 0) for j in range(1, comp.alphabet.arity + 1))
+        self.views = (memoryview(self.next_array), memoryview(self.out_array), self.k,
+                      tuple((j, weight) for j, weight in enumerate(self.weights) if weight))
 
 
 def _wired(comp: ComponentAutomaton) -> _Wiring:
@@ -162,10 +150,10 @@ class Cascade:
         its 6 strings takes about 36 us, and this step fills ``run``'s memo
         for products past the flatten caps."""
         nxt = []
-        for q, (next_view, out_view, k, inputs) in zip(states, self._wiring):
+        for q, (next_view, out_view, k, reads) in zip(states, self._wiring):
             x = q * k
-            for j, contribution in inputs:
-                x += contribution[codes[j]]
+            for j, weight in reads:
+                x += codes[j] * weight
             nxt.append(next_view[x])
             codes.append(out_view[x])
         return tuple(nxt)
@@ -238,8 +226,8 @@ class Cascade:
         Otherwise its one member is stepped through the level kernel
         (``_step_levels``), as ``stacked_output_matrix`` steps a class's:
         its levels are built on first use and kept, and only their
-        per-letter contributions are computed per call.  Either way the work
-        is at most strings times letters times components, whatever the
+        ``per_letter`` offsets are computed per call.  Either way the work is
+        at most strings times letters times components, whatever the
         product's size."""
         table = letter_table(letters, codes, lengths, self.external.encode,
                              self.external.arity, self.run)
@@ -261,16 +249,17 @@ class Cascade:
         radices, n_letters = [c.core.n_states for c in self.components], len(letter_codes)
         shape = (*radices, n_letters)
 
-        def along(values, axis):  # a 1-D array laid along one axis of ``shape``
+        def along(values, axis):  # a 1-D array along one axis of ``shape``
             return np.asarray(values).reshape([-1 if i == axis else 1 for i in range(len(shape))])
 
         codes = [along(column, len(radices)) for column in letter_codes.T]
         table, init = 0, 0
         for i, (r, comp) in enumerate(zip(radices, self.components)):
             wiring = _wired(comp)
-            (contributions, starts), x = wiring.laid, along(np.arange(r) * wiring.k, i)
-            for j, _ in wiring.inputs:
-                x = x + contributions[starts[j]:][codes[j]]
+            x = along(np.arange(r) * wiring.k, i)
+            for code, weight in zip(codes, wiring.weights):
+                if weight:
+                    x = x + code * weight
             codes.append(wiring.out_array[x])
             table = table * r + wiring.next_array[x]
             init = init * r + comp.core.initial_index
@@ -353,13 +342,12 @@ class _Level(NamedTuple):
     """One level of the level kernel (``_step_levels``).  A row is a
     distinct component prefix, held as its state number q, and reads entry
     ``q * k`` plus its input's index and its wiring's offset of the
-    wirings' tables laid end to end (a level of one wiring reads that
+    wirings' tables joined end to end (a level of one wiring reads that
     wiring's own).  Per row: ``k``, wiring, initial state.  Per wiring:
-    offset, and where its external coordinates' contributions begin in
-    ``contributions``, the wirings' ``laid`` end to end.  ``chained`` holds
-    per chained coordinate read here the level whose outputs it holds, per
-    row where its contributions begin, and per row its ancestor row at that
-    level."""
+    offset, and its external coordinates' weights (``_Wiring.weights``).
+    ``chained`` holds per chained coordinate read here the level whose
+    outputs it holds, per row its weight, and per row its ancestor row at
+    that level."""
 
     next_array: np.ndarray
     out_array: np.ndarray
@@ -367,16 +355,14 @@ class _Level(NamedTuple):
     wiring: np.ndarray
     initial: np.ndarray
     offsets: np.ndarray
-    external: np.ndarray
-    contributions: np.ndarray
+    weights: np.ndarray
     chained: tuple
 
     def per_letter(self, table: np.ndarray) -> np.ndarray:
-        """Per letter and row, the offset of the row's wiring plus its
-        external coordinates' contributions, for the letters whose external
-        coordinate codes are the rows of ``table``."""
-        shares = self.contributions[self.external + table[:, None]].sum(axis=2) + self.offsets
-        return shares[:, self.wiring]
+        """Per letter and row, the offset of the row's wiring plus the
+        share of the letter's external codes in its input's index, for the
+        letters whose external coordinate codes are the rows of ``table``."""
+        return (table @ self.weights.T + self.offsets)[:, self.wiring]
 
 
 #: The most entries (strings x component prefixes) that one block of the
@@ -399,7 +385,7 @@ def stacked_output_matrix(cascades: list, points: list) -> ClassOutputs | None:
     members holding it, and a chained coordinate reads its ancestor row's
     output codes.  A row's wiring is its component's (``_wired``), shared
     by every row and cascade holding the component, and each level's
-    distinct wirings are laid end to end.  Only the output values that the
+    distinct wirings are joined end to end.  Only the output values that the
     last level reaches are numbered.  The memo of ``run`` is neither read
     nor filled."""
     first, depth = cascades[0], len(cascades[0].components)
@@ -415,7 +401,7 @@ def stacked_output_matrix(cascades: list, points: list) -> ClassOutputs | None:
     raw = _step_levels(levels, [level.per_letter(table) for level in levels], codes, lengths)
     row_wiring = levels[-1].wiring
     # the reached output values numbered once, equal values alike: a value
-    # is found by its position among the wirings' outputs laid end to end
+    # is found by its position among the wirings' outputs end to end
     starts = np.cumsum([0, *(len(comp.outputs) for comp in comps)])
     positions = raw + starts[row_wiring]
     reached = np.bincount(positions.ravel(), minlength=starts[-1]).nonzero()[0]
@@ -440,7 +426,7 @@ def _step_levels(levels: list, externals: list, codes: np.ndarray,
     """The level kernel: the last component's output codes, strings by
     rows of the last level, of the strings given as letter codes
     (``codes``, every string's letters in order) and ``lengths`` stepped
-    through ``levels``, whose per-letter contributions are ``externals``.
+    through ``levels``, whose ``per_letter`` values are ``externals``.
     Every row steps at once, a position at a time (``letter_positions``),
     on blocks of at most ``STACKED_BLOCK_ENTRIES`` strings x rows."""
     last = levels[-1]
@@ -456,8 +442,8 @@ def _step_levels(levels: list, externals: list, codes: np.ndarray,
             for i, (level, external) in enumerate(zip(levels, externals)):
                 x = external.take(letter, axis=0)
                 x += states[i][:m] * level.k
-                for producer, start, ancestor in level.chained:
-                    x += level.contributions[start + outs[producer][:, ancestor]]
+                for producer, weight, ancestor in level.chained:
+                    x += outs[producer][:, ancestor] * weight
                 states[i] = level.next_array[x]
                 if level is not last:  # the last level's outputs are read at string ends
                     outs.append(level.out_array[x])
@@ -466,7 +452,7 @@ def _step_levels(levels: list, externals: list, codes: np.ndarray,
 
 
 def _joined(arrays: list) -> np.ndarray:
-    """``arrays`` laid end to end; a single array itself, not a copy."""
+    """``arrays`` joined end to end; a single array itself, not a copy."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
@@ -488,20 +474,15 @@ def _stacked_levels(cascades: list) -> tuple:
         if levels:
             row_parent = np.fromiter((p for p, _ in rows), dtype=np.intp, count=len(rows))
             ancestors = [a[row_parent] for a in ancestors] + [row_parent]
-        laid = [w.laid for w in wirings]
-        widths = [0, *itertools.accumulate(len(flat) for flat, _ in laid)]
-        # per wiring and coordinate, where its contributions begin
-        starts = np.array([s for _, s in laid], dtype=np.intp)
-        starts += np.array(widths[:-1], dtype=np.intp)[:, None]
-        contributions = _joined([flat for flat, _ in laid])
-        chained = tuple((j - base, starts[row_wiring, j], ancestors[j - base])
-                        for j in sorted({j for w in wirings for j, _ in w.inputs if j >= base}))
+        weights = np.array([w.weights for w in wirings], dtype=np.intp)
+        chained = tuple((j - base, weights[row_wiring, j], ancestors[j - base])
+                        for j in range(base, weights.shape[1]) if weights[:, j].any())
         offsets = [0, *itertools.accumulate(len(w.next_array) for w in wirings)]
         levels.append(_Level(
             _joined([w.next_array for w in wirings]), _joined([w.out_array for w in wirings]),
             np.array([w.k for w in wirings], dtype=np.intp)[row_wiring], row_wiring,
             np.array([comp.core.initial_index for comp in comps], dtype=np.intp)[row_wiring],
-            np.array(offsets[:-1], dtype=np.intp), starts[:, :base], contributions, chained))
+            np.array(offsets[:-1], dtype=np.intp), weights[:, :base], chained))
     return levels, comps, np.array(row_of, dtype=np.intp)
 
 
