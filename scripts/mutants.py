@@ -84,6 +84,21 @@ MUTANTS = (
            "any(term & mask == term for term in self.terms)",
            "any(term & mask for term in self.terms)",
            ("tests/test_letter_reader.py",)),
+    Mutant("table-reader-reads-the-first-member", "src/cascata/alphabets.py",
+           "return [f.values[i] for f in functions]",
+           "return [first.values[i] for f in functions]",
+           ("tests/test_letter_reader.py",)),
+    Mutant("minimize-rekeys-changed-states-as-whole-blocks", "src/cascata/automata.py",
+           "keep = size[home] == 0", "keep = size[home] >= 0",
+           ("tests/test_minimize.py",)),
+    Mutant("equivalent-takes-a-partner-mismatch-as-seen", "src/cascata/automata.py",
+           "unseen = partner[to_major] != to_minor", "unseen = partner[to_major] < 0",
+           ("tests/test_equivalence.py",)),
+    Mutant("slot-order-skips-the-last-coordinate", "src/cascata/specfile.py",
+           "all(map(operator.eq, map(tuple, values), letters))",
+           "all(map(operator.eq, (tuple(v[:-1]) for v in values),"
+           " (letter[:-1] for letter in letters)))",
+           ("tests/test_spec_rows.py",)),
 )
 
 # A pytest plugin, written into the copy, that records where the session's

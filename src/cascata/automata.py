@@ -290,8 +290,9 @@ def bfs_order(table: np.ndarray, start: int) -> np.ndarray:
     first = np.full(len(table), table.size, dtype=np.int64)
     first[start] = -1
     layers = [np.array([start], dtype=table.dtype)]
+    table = np.ascontiguousarray(table)  # ``take`` gathers rows of other layouts slowly
     while True:
-        reached = table[layers[-1]].ravel()
+        reached = table.take(layers[-1], axis=0).ravel()
         at = np.arange(len(reached))
         np.minimum.at(first, reached, at)
         frontier = reached[first[reached] == at]
@@ -493,36 +494,74 @@ class FlatAutomaton:
     def minimize(self) -> "FlatAutomaton":
         """Smallest automaton implementing the same string function.
 
-        Moore's partition refinement, restricted to reachable states: start
-        from the classes of equal output rows, then split every class by the
-        classes its letters lead to, until no class splits.  Each round finds
-        the classes of the rows ``[block, block[delta]]`` by sorting them;
-        the rows' columns are packed into a few int64 keys (as many block ids
-        per key as fit in 63 bits), because ``np.lexsort`` over a few integer
-        keys is an order of magnitude faster than sorting the rows as
-        records.  The result is canonically relabelled 0..k-1 in BFS order.
+        Moore's partition refinement: start from the classes of equal output
+        rows, then split every block by the blocks its letters lead to,
+        until no block splits.  A round re-keys only the states with a
+        successor that moved (changed block) in the round before; no other
+        state's key can have changed.  Ids are stable: a state that stays in
+        its block keeps its id, and each new block takes the next free id.
+        Within a block, the re-keyed states split by their keys, and none of
+        them keys equal to a state left out, whose successors kept their
+        ids.  So when the round re-keys all of a block, its first group
+        keeps the id; otherwise every group moves.  The keys, a state's
+        block then its successors' blocks, are packed into int64 words, as
+        many fields to a word as the largest id in use allows, and sorted
+        block first: one word by ``argsort``, more by ``np.lexsort``.  At
+        modulus 16 the counter's 34 rounds re-key 99,409 states in all,
+        where re-sorting every state in every round would sort 557,056.
+
+        Unreachable states take part, which changes no reachable state's
+        block.  The quotient's blocks are numbered by ``bfs_order`` from the
+        initial state's block: that is the order in which a breadth-first
+        search of this automaton first meets them, since a block's first
+        state met is searched before its other states.
         """
-        order = bfs_order(self.delta_array, self.core.initial_index)
-        position = np.zeros(self.n_states, dtype=np.int64)
-        position[order] = np.arange(len(order))
-        delta = position[self.delta_array[order]]
-        out_rows = self.out_array[order]
-        by_letter = np.ascontiguousarray(delta.T)  # each letter's targets, contiguous
-        block, n_blocks = _row_classes(np.ascontiguousarray(out_rows.T), len(self.outputs))
-        while True:
-            refined, n_refined = _row_classes([block, *block[by_letter]], n_blocks)
-            if n_refined == n_blocks:  # no block split: stable
-                break
-            block, n_blocks = refined, n_refined
-        # canonical ids by first occurrence in BFS order; the first member of
-        # each block stands for it (all members have the same rows)
-        _, first = np.unique(block, return_index=True)
-        canonical = np.argsort(np.argsort(first))
-        representatives = np.sort(first)
+        delta, n, n_letters = self.delta_array, self.n_states, len(self.alphabet)
+        reach = np.empty((n_letters + 1, n), dtype=np.int64)  # each state, then its successors
+        reach[0] = np.arange(n)
+        reach[1:] = delta.T
+        block, n_blocks = _row_classes(np.ascontiguousarray(self.out_array.T), len(self.outputs))
+        size = np.bincount(block, minlength=n)  # per block id, its states
+        bits = 0  # the width of an id in the keys
+        rows = reach[0]  # the states to re-key: all of them in the first round
+        while len(rows):
+            if not bits or n_blocks > 1 << bits:  # the ids outgrew their fields
+                per_key = min(63 // max(1, (n_blocks - 1).bit_length()), n_letters + 1)
+                bits = 63 // per_key  # as wide as that many fields to a word allow
+                weights = np.left_shift(1, bits * np.arange(per_key - 1, -1, -1))
+                spans = [(a, min(a + per_key, n_letters + 1))
+                         for a in range(0, n_letters + 1, per_key)]
+            columns = block[reach.take(rows, axis=1)]
+            np.subtract.at(size, columns[0], 1)  # what of each block the rows leave out
+            keys = [weights[per_key - (b - a):] @ columns[a:b] for a, b in spans]
+            # the block id is the first key's top field, so blocks sort first
+            at = keys[0].argsort() if len(keys) == 1 else np.lexsort(keys[::-1])
+            home = columns[0, at]
+            starts = _value_starts(keys[0][at])  # where a group of equal keys starts
+            for key in keys[1:]:
+                ranked = key[at]
+                starts[1:] |= ranked[1:] != ranked[:-1]
+            keep = size[home] == 0  # a block's first group, if all of it is here
+            keep[1:] &= home[1:] != home[:-1]
+            count = (starts ^ keep).cumsum()  # new groups so far
+            moved = count > np.maximum.accumulate(count * keep)
+            np.add(count, n_blocks - 1, out=home, where=moved)
+            np.add.at(size, home, 1)
+            n_blocks += int(count[-1])
+            at = rows[at]
+            block[at] = home
+            hit = np.zeros(n, dtype=bool)
+            hit[at] = moved
+            rows = hit[reach[1:]].any(axis=0).nonzero()[0]
+        member = np.empty(n_blocks, dtype=np.int64)  # a state of each block
+        member[block] = reach[0]
+        quotient = block[delta[member]]
+        order = bfs_order(quotient, int(block[self.core.initial_index]))
+        number = np.empty(n_blocks, dtype=np.int64)  # read at reachable blocks only
+        number[order] = np.arange(len(order))
         return FlatAutomaton.from_tables(
-            self.alphabet, partial(range, len(representatives)),
-            canonical[block[delta[representatives]]], 0, out_rows[representatives],
-            self.outputs, self.factored)
+            self.alphabet, partial(range, len(order)), number[quotient[order]], 0,
+            self.out_array[member[order]], self.outputs, self.factored)
 
     # -- equivalence -----------------------------------------------------------
 
@@ -535,14 +574,21 @@ class FlatAutomaton:
         compared per letter pair, so the check is exact and a counterexample
         (in this automaton's letters) is a shortest one.
 
-        The search runs a layer at a time over pair codes ``qa * n_b + qb``.
-        Each state has one table row: its output codes, then its successor
-        codes, per letter pair, scaled so that a pair's row is the sum of its
-        states' rows.  New pairs are numbered by first occurrence in (frontier
-        order, letter order), as a FIFO search meets them, so the first
-        mismatch found and its counterexample are the FIFO search's.  Output
-        values are compared with ``!=`` only for the output pairs the search
-        meets.
+        The search runs a layer at a time over pair codes ``major * n_minor +
+        minor``, where the major state is the one of the automaton with more
+        states.  Each state has one table row: its output codes, then its
+        successor codes, per letter pair, scaled so that a pair's row is the
+        sum of its states' rows.  New pairs are numbered by first occurrence
+        in (frontier order, letter order), as a FIFO search meets them, so
+        the first mismatch found and its counterexample are the FIFO
+        search's.  Output values are compared with ``!=`` only for the
+        output pairs the search meets.
+
+        The pairs met are kept in int arrays: per major state, the minor
+        state it was first met with (its partner), and a sorted array of
+        the pairs whose major state had a partner already.  Checking an
+        automaton against its own minimization meets each state of the
+        larger one with one partner only, so that array stays empty.
         """
         mine = sorted(self.alphabet, key=repr)
         theirs = mine if set(mine) == set(other.alphabet) else sorted(other.alphabet, key=repr)
@@ -550,20 +596,28 @@ class FlatAutomaton:
             raise ValueError("alphabets differ in size; no letter pairing exists")
         cols_a = [self.letter_index[a] for a in mine]
         cols_b = [other.letter_index[b] for b in theirs]
-        n_b, k, n_out = other.n_states, len(mine), len(other.outputs)
-        rows_a = np.hstack([self.out_array[:, cols_a] * n_out, self.delta_array[:, cols_a] * n_b])
-        rows_b = np.hstack([other.out_array[:, cols_b], other.delta_array[:, cols_b]])
+        k, n_out = len(mine), len(other.outputs)
+        rows = [np.hstack([self.out_array[:, cols_a] * n_out, self.delta_array[:, cols_a]]),
+                np.hstack([other.out_array[:, cols_b], other.delta_array[:, cols_b]])]
+        starts = [self.core.initial_index, other.core.initial_index]
+        if self.n_states < other.n_states:  # the major automaton first
+            rows.reverse()
+            starts.reverse()
+        n_minor = len(rows[1])
+        rows[0][:, k:] *= n_minor
 
-        def step(frontier):  # the layer's output pair codes and successor codes
-            qa, qb = np.divmod(frontier, n_b)
-            pair_rows = rows_a[qa] + rows_b[qb]
+        def step(major, minor):  # a layer's output pair codes and successor codes
+            pair_rows = rows[0][major] + rows[1][minor]
             return pair_rows[:, :k].ravel(), pair_rows[:, k:].ravel()
 
         differs = {}  # output pair code -> do the two outputs differ
-        start = self.core.initial_index * n_b + other.core.initial_index
-        seen, layers = {start}, [np.array([start])]
+        partner = np.full(len(rows[0]), -1, dtype=np.int64)
+        partner[starts[0]] = starts[1]
+        extra = np.empty(0, dtype=np.int64)  # sorted
+        layers = [np.array([starts[0] * n_minor + starts[1]])]
+        major, minor = np.array(starts[:1]), np.array(starts[1:])
         while True:
-            met, reached = step(layers[-1])
+            met, reached = step(major, minor)
             ranked = np.sort(met)
             met_codes = ranked[_value_starts(ranked)].tolist()
             for code in met_codes:
@@ -575,18 +629,28 @@ class FlatAutomaton:
                 at = int(np.isin(met, mismatched).argmax())
                 word, code = [mine[at % k]], layers[-1][at // k]
                 for frontier in reversed(layers[:-1]):  # where each pair was first met
-                    at = int((step(frontier)[1] == code).argmax())
+                    at = int((step(*np.divmod(frontier, n_minor))[1] == code).argmax())
                     word.append(mine[at % k])
                     code = frontier[at // k]
                 return EquivalenceResult(False, tuple(reversed(word)))
+            to_major, to_minor = np.divmod(reached, n_minor)
+            unseen = partner[to_major] != to_minor
+            if len(extra):  # a pair above every entry looks at the first, which is smaller
+                unseen &= extra[np.searchsorted(extra, reached) % len(extra)] != reached
+            reached = reached[unseen]
             order = reached.argsort(kind="stable")
             first = order[_value_starts(reached[order])]
-            first.sort()  # each successor once, in order of first occurrence
-            new = list(itertools.filterfalse(seen.__contains__, reached[first].tolist()))
-            if not new:
+            first.sort()  # each new pair once, in order of first occurrence
+            new = reached[first]
+            if not len(new):
                 return EquivalenceResult(True, None)
-            seen.update(new)
-            layers.append(np.array(new))
+            major, minor = np.divmod(new, n_minor)
+            known = partner[major]
+            partner[major] = np.where(known < 0, minor, known)  # one pair per free state
+            taken = partner[major] == minor
+            if not taken.all():
+                extra = np.union1d(extra, new[~taken])
+            layers.append(new)
 
     # -- serialization -----------------------------------------------------------
 

@@ -144,22 +144,44 @@ def _rows(data, fields: tuple[str, ...], where: str) -> list:
     return rows
 
 
+def _slot_order(data, signature: FactoredAlphabet, core=None) -> list | None:
+    """The outputs of a table written in slot order, as ``cascade_to_spec``
+    writes it and ``_table_values`` reads it, or None for any other data.
+
+    A few passes that run in C prove that the table passes ``_rows`` and
+    ``_table_values``: two find every row, and every row's values, a list
+    (``list.__len__`` rejects anything else), one compares the values with
+    the slots' letters as tuples, one the states, and one reads the
+    outputs, whose types are then checked."""
+    n, states = signature.n_letters, core.states if core else (None,)
+    try:
+        if not (isinstance(data, list) and len(data) == n * len(states)
+                and set(map(list.__len__, data)) <= {3 if core else 2}):
+            return None
+        values = list(map(operator.itemgetter(-2), data))
+        set(map(list.__len__, values))  # only to reject values that are not lists
+    except TypeError:  # a row or a values field that is not a list
+        return None
+    letters = itertools.chain.from_iterable(signature.letters() for _ in states)
+    if not all(map(operator.eq, map(tuple, values), letters)):
+        return None
+    if core and list(map(operator.itemgetter(0), data)) != list(
+            itertools.chain.from_iterable(map(itertools.repeat, states, itertools.repeat(n)))):
+        return None
+    outputs = list(map(operator.itemgetter(-1), data))
+    return None if any(issubclass(t, (list, dict)) for t in _types(outputs)) else outputs
+
+
 def _table_values(rows, signature: FactoredAlphabet, where: str, core=None) -> list:
     """The outputs of rows ``[values, output]`` in the order of
     ``signature.letters()``, or of rows ``[state, values, output]`` by core
     state and then letter; one row per letter (per state and letter).
 
-    A table written in that order, as ``cascade_to_spec`` writes it, is read
-    by position: as many rows as slots, each naming its own slot.  Any other
-    table is walked row by row, and the first row without a slot of its own
-    is the one reported, or else the first slot without a row."""
+    The rows are walked one by one, and the first row without a slot of its
+    own is the one reported, or else the first slot without a row.  A table
+    in slot order is read faster by ``_slot_order``."""
     n, states = signature.n_letters, core.states if core else (None,)
     size = n * len(states)
-    keys = zip(map(operator.itemgetter(0), rows) if core else itertools.repeat(None),
-               map(tuple, map(operator.itemgetter(-2), rows)))
-    slots = ((q, x) for q in states for x in signature.letters())
-    if len(rows) == size and all(map(operator.eq, keys, slots)):
-        return [row[-1] for row in rows]
     index = {x: i for i, x in enumerate(signature.letters())}
     first = [None] * size  # per slot, the row that fills it
     for k, row in enumerate(rows):
@@ -254,8 +276,12 @@ def _parse_input_fn(data, signature: FactoredAlphabet, where: str):
     if kind == "table":
         if "entries" not in data:
             raise SpecFileError("table needs 'entries'", where)
-        rows = _rows(data["entries"], ("values", "output"), f"{where}.entries")
-        fn = TableFunction(signature, tuple(_table_values(rows, signature, f"{where}.entries")))
+        where = f"{where}.entries"
+        values = _slot_order(data["entries"], signature)
+        if values is None:
+            values = _table_values(_rows(data["entries"], ("values", "output"), where),
+                                   signature, where)
+        fn = TableFunction(signature, tuple(values))
         return fn, tuple(dict.fromkeys(fn.values))
     if kind == "mono_dnf":
         if "terms" not in data:
@@ -322,9 +348,12 @@ def _parse_output_fn(data, core: Semiautomaton, signature: FactoredAlphabet, whe
     _require_keys(data, {"kind", "entries"}, {"outputs"}, where)
     if data["kind"] != "table":
         raise SpecFileError(f"unknown output_fn kind {data['kind']!r}", where)
-    rows = _rows(data["entries"], ("state", "values", "output"), f"{where}.entries")
+    slots = _slot_order(data["entries"], signature, core)
+    if slots is None:
+        rows = _rows(data["entries"], ("state", "values", "output"), f"{where}.entries")
     outputs = _scalars(data["outputs"], f"{where}.outputs") if "outputs" in data else None
-    slots = _table_values(rows, signature, f"{where}.entries", core)
+    if slots is None:
+        slots = _table_values(rows, signature, f"{where}.entries", core)
     values = set(slots)
     if outputs is None:
         outputs = tuple(sorted(values, key=repr))

@@ -4,7 +4,9 @@ The reference below is the search ``equivalent`` ran before it went a layer
 at a time over int arrays: a FIFO queue of state pairs, read through the
 list rows ``delta`` and ``out``, with each new pair's parent kept in a dict.
 Both must return the same ``EquivalenceResult``, the counterexample
-included, on seeded random pairs and on the scenarios.
+included, on seeded random pairs, on blow-ups whose states are met with
+several partners (``equivalent`` keeps one partner per state and the other
+pairs apart), and on the scenarios.
 """
 
 import random
@@ -163,3 +165,76 @@ def test_equivalent_compares_only_the_output_pairs_it_meets():
     assert a.equivalent(b) == (True, None)
     assert _Output.compared == n
     assert reference_equivalent(a, b) == (True, None)
+
+
+def _blown_up(rng: random.Random, delta, out, initial: int, copies: int, outputs, changed=False):
+    """A copy of the tables with every state held by ``copies`` states, each
+    copy's transitions going to random copies of the targets: an automaton
+    whose states are met with several partners by any other copy.  With
+    ``changed`` one output of one copy differs."""
+    n, k = len(delta), len(delta[0])
+    perm = rng.sample(range(n * copies), n * copies)  # copy c of state q is perm[c * n + q]
+    b_delta = [[0] * k for _ in range(n * copies)]
+    b_out = [[0] * k for _ in range(n * copies)]
+    for c in range(copies):
+        for q in range(n):
+            for j in range(k):
+                b_delta[perm[c * n + q]][j] = perm[rng.randrange(copies) * n + delta[q][j]]
+                b_out[perm[c * n + q]][j] = out[q][j]
+    if changed:
+        row, col = rng.randrange(n * copies), rng.randrange(k)
+        b_out[row][col] = (b_out[row][col] + 1) % len(outputs)
+    return FlatAutomaton.from_tables(tuple(f"a{j}" for j in range(k)), range(n * copies),
+                                     b_delta, perm[initial], b_out, outputs)
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_equivalent_matches_the_reference_when_states_meet_several_partners(block):
+    # two blow-ups of one random automaton, with 2-3 and 2-4 copies per
+    # state: a state of either is met with several states of the other, so
+    # the search keeps pairs beside the first partner of each state
+    verdicts, several = set(), 0
+    for seed in range(7000 + block * 60, 7000 + block * 60 + 60):
+        rng = random.Random(seed)
+        n, k, outputs = rng.randint(1, 6), rng.randint(1, 3), rng.choice(_OUTPUTS)
+        delta, out = _random_tables(rng, n, k, len(outputs))
+        initial = rng.randrange(n)
+        a = _blown_up(rng, delta, out, initial, rng.randint(2, 3), outputs)
+        b = _blown_up(rng, delta, out, initial, rng.randint(2, 4), outputs,
+                      changed=rng.random() < 0.5)
+        reference = reference_pairs(a, b)
+        several += any(len(set(ms)) > 1 for ms in reference.values())
+        for x, y in ((a, b), (b, a)):
+            got = x.equivalent(y)
+            assert got == reference_equivalent(x, y), seed
+            verdicts.add(got.equivalent)
+    assert verdicts == {True, False} and several >= 30
+
+
+def reference_pairs(a: FlatAutomaton, b: FlatAutomaton) -> dict:
+    """Per state of ``b``, the states of ``a`` it is paired with on some
+    string (letters paired by position)."""
+    start = (a.core.initial_index, b.core.initial_index)
+    seen, todo = {start}, [start]
+    for qa, qb in todo:
+        for nxt in zip(a.delta_array[qa].tolist(), b.delta_array[qb].tolist()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    partners: dict = {}
+    for qa, qb in seen:
+        partners.setdefault(qb, []).append(qa)
+    return partners
+
+
+def test_a_pair_met_beside_the_first_partner_is_searched_on():
+    # ``big`` has one state, paired first with ``small``'s state 0 and then
+    # with state 1, from which state 2 outputs 1 where ``big`` outputs 0:
+    # the only counterexample runs through the second pairing
+    small = FlatAutomaton.from_tables(("a",), range(3), [[1], [2], [2]], 0,
+                                      [[0], [0], [1]], (0, 1))
+    big = FlatAutomaton.from_tables(("a",), range(4), [[0], [0], [0], [0]], 0,
+                                    [[0], [0], [0], [0]], (0, 1))
+    for x, y in ((small, big), (big, small)):
+        got = x.equivalent(y)
+        assert got == reference_equivalent(x, y) == (False, ("a", "a", "a"))

@@ -2,11 +2,13 @@
 stepping against an explicit walk of the arrays.
 
 The reference below is Moore's refinement written with ``np.unique(axis=0)``
-over whole signature rows, the implementation ``minimize`` had before it
-packed the rows into integer keys, on the states a list-based FIFO search
-reaches, in the order it reaches them, which ``automata.bfs_order`` must
-give too.  Both must produce the same automaton, byte for byte once
-serialized.
+over whole signature rows, every state re-sorted in every round, on the
+states a list-based FIFO search reaches, in the order it reaches them,
+which ``automata.bfs_order`` must give too.  ``minimize`` re-keys only the
+states whose successors moved, on all states, and numbers the quotient
+afterwards; both must produce the same automaton, byte for byte once
+serialized: on random automata (unreachable states, one state, several
+outputs, wide rows), on counters and on long chains of splits.
 """
 
 import hashlib
@@ -241,6 +243,56 @@ def test_stepping_matches_an_explicit_walk_on_random_automata(block):
             for a in (*auto.alphabet, "zz"):
                 assert _outcome(auto.output, q, a) == _outcome(ref.output, q, a), (seed, q, a)
                 assert _outcome(core.step, q, a) == _outcome(ref.step, q, a), (seed, q, a)
+
+
+@pytest.mark.parametrize("modulus", range(2, 9))
+def test_minimize_matches_the_reference_on_counter_scenarios(modulus):
+    # counters split in long chains, one block after another, over as many
+    # rounds as the modulus is large
+    rng = random.Random(modulus)
+    for _ in range(3):
+        thresholds = [rng.randint(1, modulus - 1) for _ in range(3)]
+        auto = build_counter_task_cascade(modulus, *thresholds).flatten()
+        assert auto.minimize().to_dict() == reference_minimize(auto).to_dict(), thresholds
+
+
+def random_chain(rng: random.Random) -> FlatAutomaton:
+    """A chain of 2-300 states that one letter walks along, with 1-3 more
+    letters that stay, go back or jump, and a few states whose outputs
+    differ: states far from those are told apart only after many rounds,
+    a few at a time.  Some automata repeat the chain, so states merge."""
+    length, k = rng.randint(2, 300), rng.randint(1, 4)
+    copies = rng.choice([1, 1, 2, 3])
+    n = length * copies
+    marks = {rng.randrange(length): rng.randint(1, 2) for _ in range(rng.randint(1, 3))}
+    delta, out = [], []
+    for q in range(n):
+        place, copy = q % length, q // length
+        row = [(q + 1) % n if place + 1 < length or copies == 1 else (place + 1) % length
+               + rng.randrange(copies) * length]
+        for _ in range(k - 1):
+            row.append(rng.choice([q, copy * length, q - place + rng.randrange(length)]))
+        delta.append(row)
+        out.append([marks.get(place, 0)] + [0] * (k - 1))
+    return FlatAutomaton.from_tables(tuple(f"a{j}" for j in range(k)), range(n), delta,
+                                     rng.randrange(n), out, (0, 1, 2))
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_minimize_matches_the_reference_on_random_chains(block):
+    for seed in range(4000 + block * 40, 4000 + block * 40 + 40):
+        auto = random_chain(random.Random(seed))
+        assert auto.minimize().to_dict() == reference_minimize(auto).to_dict(), seed
+
+
+def test_minimize_of_unreachable_states_matches_the_reference():
+    # from states 0-2, states 3 and 4 are unreachable, 4 behaving as 1 and
+    # 3 as none of them: refining them beside the others changes no block
+    delta = [[1, 0], [2, 0], [2, 2], [3, 0], [2, 0]]
+    out = [[0, 0], [0, 1], [1, 1], [1, 0], [0, 1]]
+    for initial in range(5):
+        auto = FlatAutomaton.from_tables(("a", "b"), range(5), delta, initial, out, (0, 1))
+        assert auto.minimize().to_dict() == reference_minimize(auto).to_dict(), initial
 
 
 # sha256 of the JSON ``minimize`` produced for each scenario before the

@@ -6,12 +6,18 @@ and walks it row by row only when that check fails.  ``reference_rows`` is
 the loop alone, as ``_rows`` was before: both must accept the same tables
 and name the same first bad row with the same message.
 
-``specfile._table_values`` reads a table written in slot order by position
-and walks any other table row by row.  ``reference_table_values`` sums each
-row's slot from numpy code columns and finds a second row for a slot with
-``np.minimum.at``, as ``_table_values`` did before: on seeded random tables,
-in order, shuffled and with faults inserted, both must give the same values
-or the same error, naming the same field.
+``specfile._table_values`` walks a table row by row.  ``reference_table_values``
+sums each row's slot from numpy code columns and finds a second row for a
+slot with ``np.minimum.at``, as ``_table_values`` did before: on seeded
+random tables, in order, shuffled and with faults inserted, both must give
+the same values or the same error, naming the same field.
+
+``specfile._slot_order`` reads a table written in slot order in a few
+C-level passes, and the parser walks any other table as before.  On tables
+in slot order, shuffled, with a duplicate row, a missing row, values of
+the wrong length, a dict row, a changed last value and ``1``/``True``
+swapped, ``cascade_from_spec`` must give the same function, or the same
+error and field, as the row check and the reference walk together.
 """
 
 import itertools
@@ -27,7 +33,13 @@ from cascata.alphabets import FactoredAlphabet
 from cascata.automata import Semiautomaton
 from cascata.crafting import build_counter_task_cascade, build_flipflop_task_cascade
 from cascata.errors import CascataError, SpecFileError
-from cascata.specfile import _rows, _table_values, cascade_from_spec, cascade_to_spec
+from cascata.specfile import (
+    _rows,
+    _slot_order,
+    _table_values,
+    cascade_from_spec,
+    cascade_to_spec,
+)
 
 FIELDS = [("values", "output"), ("state", "values", "output"),
           ("state", "letter", "next_state")]
@@ -291,3 +303,106 @@ def test_a_shuffled_counter_spec_reads_as_the_ordered_one():
     assert json.dumps(spec) != text
     same = json.dumps(cascade_to_spec(cascade_from_spec(spec))) == text
     assert same  # a bare flag: a diff of the two 8 MB texts would take minutes
+
+
+# -- the reader of tables in slot order, against the parent's reader --------
+
+COORDS = [("c0", ["a", "b"]), ("c1", [0, 1]), ("c2", [1, 2, "x"])]
+
+
+def parent_read(entries, signature, where, core=None):
+    """How the parser read a table before ``_slot_order``: the row check,
+    then the slots (``reference_rows``, ``reference_table_values``)."""
+    fields = ("state", "values", "output") if core else ("values", "output")
+    return reference_table_values(reference_rows(entries, fields, where), signature, where, core)
+
+
+def _spec(input_entries, output_entries):
+    """A one-component spec over ``COORDS`` whose input and output
+    functions are the given tables; the core is the write-once flip-flop."""
+    return {"alphabet": [{"name": n, "values": v} for n, v in COORDS],
+            "components": [{"name": "f", "dependencies": [1, 2, 3], "core": "flipflop_wo",
+                            "input_fn": {"kind": "table", "entries": input_entries},
+                            "output_fn": {"kind": "table", "entries": output_entries}}]}
+
+
+def _table_cases(rows, rng):
+    """The table as written, then changed in one way each: shuffled, a
+    duplicate row added or written over another, a row removed, a values
+    list one too long or too short or a dict in place of a row (each in
+    place, so the row count stays), a letter's last value changed in place,
+    and 1 and True swapped in values and outputs."""
+    def changed(edit):
+        table = [list(row) for row in rows]
+        edit(table)
+        return table
+
+    def set_value(table, at, value):
+        table[at][-2] = list(table[at][-2][:-1]) + [value]
+
+    at, other = rng.sample(range(len(rows)), 2)
+    swap = {1: True, True: 1}
+    return {
+        "ordered": rows,
+        "shuffled": rng.sample(rows, len(rows)),
+        "duplicate added": changed(lambda t: t.insert(other, list(t[at]))),
+        "duplicate in place": changed(lambda t: t.__setitem__(other, list(t[at]))),
+        "missing": changed(lambda t: t.pop(at)),
+        "values too long": changed(lambda t: t[at].__setitem__(-2, t[at][-2] + ["a"])),
+        "values too short": changed(lambda t: t[at].__setitem__(-2, t[at][-2][:-1])),
+        "dict row": changed(lambda t: t.__setitem__(at, {"values": t[at][-2]})),
+        "last value changed": changed(lambda t: set_value(
+            t, at, rng.choice([v for v in COORDS[-1][1] if v != t[at][-2][-1]]))),
+        "1 and True": changed(lambda t: [row.__setitem__(-2, [swap.get(v, v) if type(v) in
+                                                              (int, bool) else v
+                                                              for v in row[-2]])
+                                         for row in t[::2]]),
+    }
+
+
+def _outcome_of(read, *args):
+    try:
+        return "ok", read(*args)
+    except SpecFileError as e:
+        return e.field, str(e)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tables_read_as_the_parent_read_them(seed):
+    rng = random.Random(seed)
+    signature = FactoredAlphabet.of(*COORDS)
+    core = cascade_from_spec(_spec([[list(x), "read"] for x in signature.letters()],
+                                   [[q, list(x), 0] for q in (0, 1)
+                                    for x in signature.letters()])).components[0].core
+    inputs = [[list(x), rng.choice(["set", "read"])] for x in signature.letters()]
+    outputs = [[q, list(x), rng.choice([0, 1, True, "y"])] for q in core.states
+               for x in signature.letters()]
+    cases = 0
+    for name, table in _table_cases(inputs, rng).items():
+        where = "components[0].input_fn.entries"
+        want = _outcome_of(parent_read, table, signature, where)
+        got = _outcome_of(lambda: cascade_from_spec(_spec(table, outputs)).components[0])
+        if got[0] == "ok":
+            got = "ok", list(got[1].input_fn.values)
+        assert got == want, name
+        cases += want[0] != "ok"
+    for name, table in _table_cases(outputs, rng).items():
+        where = "components[0].output_fn.entries"
+        want = _outcome_of(parent_read, table, signature, where, core)
+        got = _outcome_of(lambda: cascade_from_spec(_spec(inputs, table)).components[0])
+        if got[0] == "ok":
+            got = "ok", [got[1].theta(q, x) for q in core.states for x in signature.letters()]
+        assert got == want, name
+        cases += want[0] != "ok"
+    assert cases == 14  # every case but the ordered, shuffled and 1/True tables fails
+
+
+def test_slot_order_reads_only_tables_in_slot_order():
+    signature = FactoredAlphabet.of(*COORDS)
+    rows = [[list(x), "set"] for x in signature.letters()]
+    assert _slot_order(rows, signature) == ["set"] * len(rows)
+    for data in (rows[::-1], rows[:-1], rows + rows[:1], [tuple(r) for r in rows],
+                 [[tuple(r[0]), r[1]] for r in rows], "rows", None, {"a": 1},
+                 [[list(x), ["set"]] for x in signature.letters()],
+                 [[list(x), {"a": 1}] for x in signature.letters()]):
+        assert _slot_order(data, signature) is None
